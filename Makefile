@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-flaky race bench bench-groups bench-reads bench-wan bench-wan-short microbench report examples vet lint cover fuzz crash chaos chaos-short clean
+.PHONY: all build test test-short test-flaky race benchmark-check bench bench-groups bench-reads bench-wan bench-wan-short microbench report examples vet lint cover fuzz crash chaos chaos-short clean
 
 all: build vet lint test
 
@@ -38,6 +38,12 @@ test-flaky:
 	$(GO) test ./internal/smr ./internal/chaos ./internal/node ./internal/wan \
 		-race -count=5 -timeout 1200s
 
+# benchmark/ is its own module, so `go build ./...` and `go test ./...`
+# above never compile it: this is what notices a deleted smr/shard export
+# it still uses.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem -timeout 1200s .
 
@@ -45,20 +51,20 @@ bench:
 # fsyncs/op vs groups per process — regenerates BENCH_F8.json; see
 # docs/SHARDING.md.
 bench-groups:
-	$(GO) run ./cmd/bench -exp F8 -f8-json BENCH_F8.json
+	$(GO) run ./cmd/bench -exp F8 -json .
 
 # F9 read-mix figure: GETL latency/throughput across read ratios with the
 # three read paths (per-read no-op, coalesced barrier, lease) — regenerates
 # BENCH_F9.json; see docs/LEASES.md.
 bench-reads:
-	$(GO) run ./cmd/bench -exp F9 -f9-json BENCH_F9.json
+	$(GO) run ./cmd/bench -exp F9 -json .
 
 # F10 WAN suite: per-region commit latency and slow-path rate for every
 # protocol over real TCP with geo delays injected and fsync on —
 # regenerates BENCH_F10.json (~4–5 min: the delays are real); see
 # docs/TESTING.md and docs/PERFORMANCE.md.
 bench-wan:
-	$(GO) run ./cmd/bench -exp F10 -f10-json BENCH_F10.json
+	$(GO) run ./cmd/bench -exp F10 -json .
 
 # CI-sized F10: Mesh fabric, two sweep cells, delays compressed 20×.
 bench-wan-short:

@@ -80,14 +80,6 @@ func BenchmarkF3WAN(b *testing.B) {
 	}
 }
 
-func BenchmarkF4SMRThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if r := bench.Throughput(); len(r.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if r := bench.Ablation(); len(r.Rows) == 0 {

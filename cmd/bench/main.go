@@ -8,14 +8,17 @@
 //	bench -exp T1,F3      # run selected experiments
 //	bench -soak-runs 500  # deeper T5 campaign
 //	bench -out report.md  # additionally write a file
+//	bench -exp F8 -json . # additionally write BENCH_F8.json
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -35,19 +38,17 @@ func run() error {
 		soakRuns = flag.Int("soak-runs", 150, "runs per row for the T5 soak campaign")
 		outPath  = flag.String("out", "", "also write the report to this file")
 		csvDir   = flag.String("csv", "", "also write each experiment as <dir>/<ID>.csv")
-		f4JSON   = flag.String("f4-json", "", "run F4b and write its machine-readable report to this file (BENCH_F4.json)")
-		f7JSON   = flag.String("f7-json", "", "run F7 and write its machine-readable report to this file (BENCH_F7.json)")
-		f8JSON   = flag.String("f8-json", "", "run F8 and write its machine-readable report to this file (BENCH_F8.json)")
-		f9JSON   = flag.String("f9-json", "", "run F9 and write its machine-readable report to this file (BENCH_F9.json)")
-		f10JSON  = flag.String("f10-json", "", "run F10 and write its machine-readable report to this file (BENCH_F10.json)")
+		jsonDir  = flag.String("json", "", "also write each experiment that has a machine-readable report as <dir>/BENCH_<ID>.json")
 		f10Short = flag.Bool("f10-short", false, "run F10 in its CI-sized short mode (Mesh fabric, compressed delays)")
 		pipeline = flag.Int("pipeline", 0, "session-client in-flight depth for F7's deep rows (0 = default 16)")
 	)
 	flag.Parse()
 
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
+	for _, dir := range []string{*csvDir, *jsonDir} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -68,10 +69,10 @@ func run() error {
 		time.Now().UTC().Format(time.RFC3339))
 
 	exps := bench.Experiments(*soakRuns)
-	// -pipeline applies wherever F7 runs, selected or not.
-	exps["F7"] = func() *bench.Result {
-		res, _ := bench.Sessions(*pipeline)
-		return res
+	// -pipeline and -f10-short apply wherever F7/F10 run, selected or not.
+	exps["F7"] = func() *bench.Result { return bench.Sessions(*pipeline) }
+	if *f10Short {
+		exps["F10"] = func() *bench.Result { return bench.WANSuite(bench.ShortWANSuiteOptions()) }
 	}
 	ids := bench.ExperimentIDs()
 	if *expFlag != "" {
@@ -85,133 +86,6 @@ func run() error {
 		}
 		ids = sel
 	}
-	if *f4JSON != "" {
-		// F4b runs once here (with the raw report captured), not again in the
-		// loop below.
-		var kept []string
-		for _, id := range ids {
-			if id != "F4b" {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-		start := time.Now()
-		res, report := bench.HotPath()
-		if _, err := res.WriteTo(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "_F4b completed in %s_\n\n", time.Since(start).Round(time.Millisecond))
-		if err := writeF4JSON(*f4JSON, report); err != nil {
-			return err
-		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, "F4b", res); err != nil {
-				return err
-			}
-		}
-	}
-	if *f7JSON != "" {
-		// Same arrangement as -f4-json: F7 runs once, report captured.
-		var kept []string
-		for _, id := range ids {
-			if id != "F7" {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-		start := time.Now()
-		res, report := bench.Sessions(*pipeline)
-		if _, err := res.WriteTo(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "_F7 completed in %s_\n\n", time.Since(start).Round(time.Millisecond))
-		if err := writeF7JSON(*f7JSON, report); err != nil {
-			return err
-		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, "F7", res); err != nil {
-				return err
-			}
-		}
-	}
-	if *f8JSON != "" {
-		// Same arrangement as -f7-json: F8 runs once, report captured.
-		var kept []string
-		for _, id := range ids {
-			if id != "F8" {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-		start := time.Now()
-		res, report := bench.GroupScaling()
-		if _, err := res.WriteTo(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "_F8 completed in %s_\n\n", time.Since(start).Round(time.Millisecond))
-		if err := writeF8JSON(*f8JSON, report); err != nil {
-			return err
-		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, "F8", res); err != nil {
-				return err
-			}
-		}
-	}
-	if *f9JSON != "" {
-		// Same arrangement as -f8-json: F9 runs once, report captured.
-		var kept []string
-		for _, id := range ids {
-			if id != "F9" {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-		start := time.Now()
-		res, report := bench.ReadMix()
-		if _, err := res.WriteTo(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "_F9 completed in %s_\n\n", time.Since(start).Round(time.Millisecond))
-		if err := writeF9JSON(*f9JSON, report); err != nil {
-			return err
-		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, "F9", res); err != nil {
-				return err
-			}
-		}
-	}
-	if *f10JSON != "" || *f10Short {
-		// Same arrangement as -f9-json: F10 runs once, report captured.
-		var kept []string
-		for _, id := range ids {
-			if id != "F10" {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-		opts := bench.DefaultWANSuiteOptions()
-		if *f10Short {
-			opts = bench.ShortWANSuiteOptions()
-		}
-		start := time.Now()
-		res, report := bench.WANSuite(opts)
-		if _, err := res.WriteTo(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "_F10 completed in %s_\n\n", time.Since(start).Round(time.Millisecond))
-		if *f10JSON != "" {
-			if err := writeF10JSON(*f10JSON, report); err != nil {
-				return err
-			}
-		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, "F10", res); err != nil {
-				return err
-			}
-		}
-	}
 	for _, id := range ids {
 		start := time.Now()
 		res := exps[id]()
@@ -221,6 +95,11 @@ func run() error {
 		fmt.Fprintf(out, "_%s completed in %s_\n\n", id, time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, id, res); err != nil {
+				return err
+			}
+		}
+		if *jsonDir != "" && res.Report != nil {
+			if err := writeReportJSON(filepath.Join(*jsonDir, "BENCH_"+id+".json"), res.Report); err != nil {
 				return err
 			}
 		}
@@ -239,58 +118,23 @@ func resolveExpID(ids []string, raw string) (string, bool) {
 	return "", false
 }
 
-// writeF4JSON commits the F4b report to disk with a generation timestamp,
-// giving future changes a machine-readable perf trajectory to diff against.
-func writeF4JSON(path string, report *bench.HotPathReport) error {
-	wrapped := struct {
-		GeneratedAt string `json:"generatedAt"`
-		*bench.HotPathReport
-	}{time.Now().UTC().Format(time.RFC3339), report}
-	return writeJSON(path, wrapped)
-}
-
-// writeF7JSON commits the F7 report (BENCH_F7.json) the same way.
-func writeF7JSON(path string, report *bench.SessionsReport) error {
-	wrapped := struct {
-		GeneratedAt string `json:"generatedAt"`
-		*bench.SessionsReport
-	}{time.Now().UTC().Format(time.RFC3339), report}
-	return writeJSON(path, wrapped)
-}
-
-// writeF8JSON commits the F8 report (BENCH_F8.json) the same way.
-func writeF8JSON(path string, report *bench.GroupsReport) error {
-	wrapped := struct {
-		GeneratedAt string `json:"generatedAt"`
-		*bench.GroupsReport
-	}{time.Now().UTC().Format(time.RFC3339), report}
-	return writeJSON(path, wrapped)
-}
-
-// writeF9JSON commits the F9 report (BENCH_F9.json) the same way.
-func writeF9JSON(path string, report *bench.ReadsReport) error {
-	wrapped := struct {
-		GeneratedAt string `json:"generatedAt"`
-		*bench.ReadsReport
-	}{time.Now().UTC().Format(time.RFC3339), report}
-	return writeJSON(path, wrapped)
-}
-
-// writeF10JSON commits the F10 report (BENCH_F10.json) the same way.
-func writeF10JSON(path string, report *bench.WANSuiteReport) error {
-	wrapped := struct {
-		GeneratedAt string `json:"generatedAt"`
-		*bench.WANSuiteReport
-	}{time.Now().UTC().Format(time.RFC3339), report}
-	return writeJSON(path, wrapped)
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// writeReportJSON commits an experiment's report to disk with a generation
+// timestamp ahead of its own fields, giving future changes a
+// machine-readable perf trajectory to diff against.
+func writeReportJSON(path string, report any) error {
+	body, err := json.Marshal(report)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	// Reports are structs, so body is an object: splice the stamp in as
+	// its first field (anything else fails json.Indent below).
+	stamp := fmt.Sprintf(`{"generatedAt":%q,`, time.Now().UTC().Format(time.RFC3339))
+	var out bytes.Buffer
+	if err := json.Indent(&out, append([]byte(stamp), body[1:]...), "", "  "); err != nil {
+		return err
+	}
+	out.WriteByte('\n')
+	return os.WriteFile(path, out.Bytes(), 0o644)
 }
 
 func writeCSV(dir, id string, res *bench.Result) error {

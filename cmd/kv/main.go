@@ -13,11 +13,10 @@
 // byte-compatible with data directories written before sharding.
 //
 // Client (reads commands from stdin, PUT/GET/GETL/DEL/STATS/INFO, fails over
-// between proxies; -pipeline N negotiates the multiplexed session protocol
-// with an N-deep in-flight window, falling back to the legacy line protocol
-// against older servers):
+// between proxies; speaks the multiplexed session protocol, falling back to
+// the v1 line protocol against older servers):
 //
-//	kv -connect 127.0.0.1:8100,127.0.0.1:8101,127.0.0.1:8102 -pipeline 16
+//	kv -connect 127.0.0.1:8100,127.0.0.1:8101,127.0.0.1:8102
 //	> PUT city madrid
 //	OK
 //	> GET city
@@ -62,7 +61,6 @@ func run() error {
 		tickMS  = flag.Int("tick", 5, "milliseconds per protocol tick (Δ = 10 ticks)")
 		stats   = flag.Duration("stats", 30*time.Second, "period between transport stats lines (0 disables)")
 		connect = flag.String("connect", "", "client mode: comma-separated client addresses")
-		pipedep = flag.Int("pipeline", 0, "client mode: use the multiplexed session protocol with this in-flight window (0 = legacy one-at-a-time client)")
 		dataDir = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty runs in-memory")
 		fsync   = flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
 		fsyncIv = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync period under -fsync interval")
@@ -75,7 +73,7 @@ func run() error {
 	flag.Parse()
 
 	if *connect != "" {
-		return clientMain(strings.Split(*connect, ","), *pipedep)
+		return clientMain(strings.Split(*connect, ","))
 	}
 	if *id < 0 || *peers == "" {
 		return fmt.Errorf("replica mode needs -id and -peers; client mode needs -connect")
@@ -100,19 +98,25 @@ func run() error {
 	return replicaMain(*id, strings.Split(*peers, ","), *fFlag, *eFlag, *groups, *tickMS, *stats, *pprof, dur, lo)
 }
 
+// newRuntime builds the serving stack. Replica mode always runs the
+// multi-group runtime — with -groups 1 it hosts a single group whose
+// on-disk layout matches the pre-sharding replica, so existing data
+// directories open unchanged.
+func newRuntime(cfg consensus.Config, groups, tickMS int, dur *shard.Durability, lo *smr.LeaseOptions) (*shard.Runtime, error) {
+	return shard.New(shard.Options{
+		Groups:        groups,
+		Config:        cfg,
+		Tick:          time.Duration(tickMS) * time.Millisecond,
+		Durability:    dur,
+		AdaptiveBatch: true,
+		Leases:        lo,
+	})
+}
+
 func replicaMain(id int, peerList []string, f, e, groups, tickMS int, statsEvery time.Duration, pprofAddr string, dur *shard.Durability, lo *smr.LeaseOptions) error {
 	n := len(peerList)
 	cfg := consensus.Config{ID: consensus.ProcessID(id), N: n, F: f, E: e, Delta: 10}
-	// Replica mode always runs the multi-group runtime — with -groups 1 it
-	// hosts a single group whose on-disk layout matches the pre-sharding
-	// replica, so existing data directories open unchanged.
-	rt, err := shard.New(shard.Options{
-		Groups:     groups,
-		Config:     cfg,
-		Tick:       time.Duration(tickMS) * time.Millisecond,
-		Durability: dur,
-		Leases:     lo,
-	})
+	rt, err := newRuntime(cfg, groups, tickMS, dur, lo)
 	if err != nil {
 		return err
 	}
@@ -219,51 +223,27 @@ func shiftPort(addr string, delta int) (string, error) {
 	return net.JoinHostPort(host, strconv.Itoa(port+delta)), nil
 }
 
-// kvClient is the REPL's view of either client generation.
-type kvClient interface {
-	Put(key, val string) error
-	Get(key string) (string, error)
-	GetLinearizable(key string) (string, error)
-	Delete(key string) error
-	Stats() (string, error)
-	Info() (string, error)
-	Close() error
-}
-
-func clientMain(addrs []string, pipeline int) error {
+func clientMain(addrs []string) error {
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
-	var client kvClient
-	if pipeline > 0 {
-		sc, err := smr.NewSessionClient(addrs, smr.SessionOptions{
-			Timeout:      30 * time.Second,
-			Depth:        pipeline,
-			PreferLeader: true,
-		})
-		if err != nil {
-			return err
-		}
-		client = sc
-		// Force the handshake so the mode and leader hint are reportable.
-		if err := sc.Ping(); err != nil {
-			return err
-		}
-		if sc.Pipelined() {
-			fmt.Printf("connected proxy set: %v (session protocol, depth %d, leader hint r%d)\n",
-				addrs, pipeline, sc.LeaderHint())
-		} else {
-			fmt.Printf("connected proxy set: %v (server pre-dates sessions; legacy fallback)\n", addrs)
-		}
-	} else {
-		c, err := smr.NewClient(addrs, 30*time.Second)
-		if err != nil {
-			return err
-		}
-		client = c
-		fmt.Printf("connected proxy set: %v\n", addrs)
+	client, err := smr.NewSessionClient(addrs, smr.SessionOptions{
+		Timeout:      30 * time.Second,
+		PreferLeader: true,
+	})
+	if err != nil {
+		return err
 	}
 	defer client.Close()
+	// Force the handshake so the mode and leader hint are reportable.
+	if err := client.Ping(); err != nil {
+		return err
+	}
+	if client.Pipelined() {
+		fmt.Printf("connected proxy set: %v (session protocol, leader hint r%d)\n", addrs, client.LeaderHint())
+	} else {
+		fmt.Printf("connected proxy set: %v (server pre-dates sessions; legacy fallback)\n", addrs)
+	}
 
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 0, 64*1024), smr.MaxLineBytes)

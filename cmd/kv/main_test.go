@@ -4,8 +4,27 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/consensus"
 	"repro/internal/smr"
 )
+
+// TestServingRuntimeBatchesAdaptively pins the serving configuration: the
+// runtime replica mode builds must have the adaptive batcher on in every
+// group (the shipped server once ran unbatched and its kv.batch expvar
+// said "off", while the benchmark claimed to assemble the same stack).
+func TestServingRuntimeBatchesAdaptively(t *testing.T) {
+	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
+	rt, err := newRuntime(cfg, 2, 5, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for g := 0; g < rt.Groups(); g++ {
+		if mode := rt.Group(g).BatchStats().Mode; mode != "adaptive" {
+			t.Errorf("group %d batch mode = %q, want adaptive", g, mode)
+		}
+	}
+}
 
 // TestRenderGetMatchesSentinelNotText pins the errtaxonomy fix: a missing
 // key is recognised by errors.Is on the wrapped sentinel, and an unrelated

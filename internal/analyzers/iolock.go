@@ -15,8 +15,8 @@ import (
 // package-local heuristic: either the call sits between a sync.Mutex
 // Lock() and its Unlock() in the same function body, or the enclosing
 // function's name ends in "Locked" (the repository convention for "caller
-// holds the lock"). Deliberate exceptions — the legacy baseline path, the
-// snapshot cut — carry //lint:allow iolock.
+// holds the lock"). The one deliberate exception — the snapshot cut —
+// carries //lint:allow iolock.
 var IOLock = &Analyzer{
 	Name: "iolock",
 	Doc: "no transport Send or WAL fsync (Append/Sync/Commit) while a " +

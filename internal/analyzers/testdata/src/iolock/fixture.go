@@ -52,8 +52,8 @@ func (r *replica) appendLocked(payload []byte) {
 	_, _ = r.wal.Append(payload) // want "WAL fsync \\(Append\\) while a mutex is held"
 }
 
-func (r *replica) legacyAppendLocked(payload []byte) {
-	//lint:allow iolock deliberate: legacy baseline keeps the in-lock fsync
+func (r *replica) snapshotCutLocked(payload []byte) {
+	//lint:allow iolock deliberate: the cut must be atomic with the state it captures
 	_, _ = r.wal.Append(payload)
 }
 

@@ -22,13 +22,12 @@ func Experiments(soakRuns int) map[string]func() *Result {
 		"F1":  LatencyVsCrashes,
 		"F2":  LatencyVsConflicts,
 		"F3":  WAN,
-		"F4":  Throughput,
-		"F4b": HotPathF4b,
+		"F4b": HotPath,
 		"F5":  Placement,
-		"F7":  SessionsF7,
-		"F8":  GroupsF8,
-		"F9":  ReadsF9,
-		"F10": WANSuiteF10,
+		"F7":  func() *Result { return Sessions(0) },
+		"F8":  GroupScaling,
+		"F9":  ReadMix,
+		"F10": func() *Result { return WANSuite(DefaultWANSuiteOptions()) },
 		"A1":  Ablation,
 	}
 }

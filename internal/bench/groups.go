@@ -44,12 +44,6 @@ type GroupsReport struct {
 	Rows            []GroupsRow `json:"rows"`
 }
 
-// GroupsF8 regenerates F8 for the Experiments registry.
-func GroupsF8() *Result {
-	r, _ := GroupScaling()
-	return r
-}
-
 // GroupScaling regenerates F8: aggregate throughput of the sharded
 // multi-group runtime versus group count. Every row boots a real durable
 // 3-process cluster (fsync=always, one shared WAL and one fsync scheduler
@@ -60,7 +54,7 @@ func GroupsF8() *Result {
 // groups sharing one group-commit stream the fsyncs of independent groups
 // coalesce, which is the reason to multiplex groups into one process
 // instead of running N processes.
-func GroupScaling() (*Result, *GroupsReport) {
+func GroupScaling() *Result {
 	const n, f, e = 3, 1, 1
 	rep := &GroupsReport{
 		ID:    "F8",
@@ -74,6 +68,7 @@ func GroupScaling() (*Result, *GroupsReport) {
 		ID:     "F8",
 		Title:  rep.Title,
 		Header: []string{"groups", "clients", "ops", "ops/sec", "cluster fsyncs/op", "speedup vs 1"},
+		Report: rep,
 	}
 
 	var base float64
@@ -99,7 +94,7 @@ func GroupScaling() (*Result, *GroupsReport) {
 	res.AddNote("Each row is a fresh durable 3-process cluster: every process hosts `groups` consensus groups over one transport, one WAL, and one fsync scheduler; %d session clients per group (depth %d) push hash-routed Puts through the real TCP wire.", rep.ClientsPerGroup, rep.Depth)
 	res.AddNote("cluster fsyncs/op = Σ over processes of the WAL fsync-count delta, divided by committed ops. Groups share one group-commit stream, so independent groups' fsyncs coalesce — the per-op fsync cost falls as groups (and load) grow, while N separate processes would pay it N times.")
 	res.AddNote("speedup is aggregate ops/sec vs the 1-group row under proportionally scaled load; each group is a full replica (own Ω, slot space, snapshots), so added groups contend only on the shared transport/WAL/scheduler — and on the host's cores. On a multi-core host the 1-group row is slot-pipeline-bound and groups scale throughput; on a single-core runner one warmed group already saturates the CPU, the curve is flat at the compute ceiling, and the sharding payoff is the falling fsyncs/op column (16 groups in one process keep one fsync stream; 16 single-group processes would pay ~16x the fsyncs).")
-	return res, rep
+	return res
 }
 
 // groupsCluster boots n sharded processes (groups each) on the in-memory

@@ -19,8 +19,7 @@ import (
 type HotPathRow struct {
 	Transport   string  `json:"transport"` // mem | tcp
 	Clients     int     `json:"clients"`   // concurrent proxies
-	Batching    string  `json:"batching"`  // none | adaptive | fixed-2ms
-	Path        string  `json:"path"`      // new | legacy
+	Batching    string  `json:"batching"`  // none | adaptive
 	Ops         int     `json:"ops"`       // committed Puts
 	OpsPerSec   float64 `json:"opsPerSec"`
 	P50Micros   float64 `json:"p50Micros"` // per-Put latency percentiles
@@ -31,7 +30,8 @@ type HotPathRow struct {
 	Drops       uint64  `json:"drops"`       // fabric-wide messages dropped
 }
 
-// HotPathReport is the machine-readable form of F4b (BENCH_F4.json).
+// HotPathReport is the machine-readable form of F4b (BENCH_F4b.json; the
+// committed BENCH_F4.json is its 1f02299 ancestor).
 type HotPathReport struct {
 	ID           string       `json:"id"`
 	Title        string       `json:"title"`
@@ -43,18 +43,11 @@ type HotPathReport struct {
 	Rows         []HotPathRow `json:"rows"`
 }
 
-// HotPathF4b regenerates F4b for the Experiments registry.
-func HotPathF4b() *Result {
-	r, _ := HotPath()
-	return r
-}
-
 // HotPath regenerates F4b: hot-path throughput and latency of the durable
-// (fsync-always) replicated KV store across client counts, batching modes,
-// and transports — with the pre-overhaul code path ("legacy": in-lock fsync
-// and sends, no group commit) measured in the same run for an honest
-// baseline. Returns both the rendered table and the raw report.
-func HotPath() (*Result, *HotPathReport) {
+// (fsync-always) replicated KV store across client counts, batching on and
+// off, and transports. (The committed BENCH_F4.json, measured at 1f02299,
+// also holds `legacy` and `fixed-2ms` rows: paths deleted since.)
+func HotPath() *Result {
 	const n, f, e = 5, 2, 2
 	rep := &HotPathReport{
 		ID:    "F4b",
@@ -66,66 +59,50 @@ func HotPath() (*Result, *HotPathReport) {
 	res := &Result{
 		ID:     "F4b",
 		Title:  rep.Title,
-		Header: []string{"transport", "clients", "batching", "path", "ops", "ops/sec", "p50 µs", "p95 µs", "allocs/op", "fsyncs/op"},
+		Header: []string{"transport", "clients", "batching", "ops", "ops/sec", "p50 µs", "p95 µs", "allocs/op", "fsyncs/op"},
+		Report: rep,
 	}
 
 	type config struct {
 		transport string
 		clients   int
 		batching  string
-		path      string
 		ops       int
 	}
 	var grid []config
 	for _, clients := range []int{1, 2, 4, 8} {
-		for _, batching := range []string{"none", "adaptive", "fixed-2ms"} {
-			grid = append(grid, config{"mem", clients, batching, "new", rep.OpsPerClient})
+		for _, batching := range []string{"none", "adaptive"} {
+			grid = append(grid, config{"mem", clients, batching, rep.OpsPerClient})
 		}
-		// The legacy path only supports unbatched submission comparisons —
-		// batching changes what one "op" costs and would blur the toggle.
-		grid = append(grid, config{"mem", clients, "none", "legacy", rep.OpsPerClient})
 	}
 	// TCP is the expensive fabric: a reduced grid keeps F4b's runtime sane.
 	for _, clients := range []int{1, 8} {
 		for _, batching := range []string{"none", "adaptive"} {
-			grid = append(grid, config{"tcp", clients, batching, "new", 30})
+			grid = append(grid, config{"tcp", clients, batching, 30})
 		}
 	}
 
-	var legacy8, new8 float64
 	for _, c := range grid {
-		row, err := hotPathRun(n, f, e, c.transport, c.clients, c.batching, c.path, c.ops)
+		row, err := hotPathRun(n, f, e, c.transport, c.clients, c.batching, c.ops)
 		if err != nil {
-			res.AddRow(c.transport, c.clients, c.batching, c.path, "—", "err: "+err.Error(), "—", "—", "—", "—")
+			res.AddRow(c.transport, c.clients, c.batching, "—", "err: "+err.Error(), "—", "—", "—", "—")
 			continue
 		}
 		rep.Rows = append(rep.Rows, row)
-		res.AddRow(row.Transport, row.Clients, row.Batching, row.Path, row.Ops,
+		res.AddRow(row.Transport, row.Clients, row.Batching, row.Ops,
 			fmt.Sprintf("%.0f", row.OpsPerSec),
 			fmt.Sprintf("%.0f", row.P50Micros), fmt.Sprintf("%.0f", row.P95Micros),
 			fmt.Sprintf("%.0f", row.AllocsPerOp), fmt.Sprintf("%.2f", row.FsyncsPerOp))
-		if c.transport == "mem" && c.clients == 8 && c.batching == "none" {
-			switch c.path {
-			case "legacy":
-				legacy8 = row.OpsPerSec
-			case "new":
-				new8 = row.OpsPerSec
-			}
-		}
-	}
-	if legacy8 > 0 && new8 > 0 {
-		res.AddNote("8-client unbatched speedup, new vs legacy path: %.1fx (group commit + out-of-lock I/O; acceptance floor 2x).", new8/legacy8)
 	}
 	res.AddNote("Every row runs full durability with fsync `always`; fsyncs/op is the cluster-wide WAL sync count over committed Puts — below 1 means group commit amortized a disk flush across concurrent operations.")
-	res.AddNote("`legacy` re-enables the pre-overhaul hot path (fsync and sends inside the replica lock, no group commit, no outbox) on the same binary via SetLegacyPath.")
 	res.AddNote("allocs/op is process-wide (all five replicas plus clients), measured with runtime.MemStats deltas.")
-	return res, rep
+	return res
 }
 
 // hotPathRun boots one durable cluster on the requested fabric and hammers
 // it, returning the measured row.
-func hotPathRun(n, f, e int, fabric string, clients int, batching, path string, opsPerClient int) (HotPathRow, error) {
-	row := HotPathRow{Transport: fabric, Clients: clients, Batching: batching, Path: path}
+func hotPathRun(n, f, e int, fabric string, clients int, batching string, opsPerClient int) (HotPathRow, error) {
+	row := HotPathRow{Transport: fabric, Clients: clients, Batching: batching}
 	dir, err := os.MkdirTemp("", "bench-f4b-")
 	if err != nil {
 		return row, err
@@ -184,13 +161,9 @@ func hotPathRun(n, f, e int, fabric string, clients int, batching, path string, 
 		}
 	}
 	for _, rep := range replicas {
-		switch batching {
-		case "adaptive":
+		if batching == "adaptive" {
 			rep.EnableAdaptiveBatching(0)
-		case "fixed-2ms":
-			rep.EnableBatching(2*time.Millisecond, 0)
 		}
-		rep.SetLegacyPath(path == "legacy")
 		rep.Start()
 		defer rep.Close()
 	}
@@ -213,8 +186,7 @@ func hotPathRun(n, f, e int, fabric string, clients int, batching, path string, 
 			defer wg.Done()
 			// All clients drive one proposer (the classic SMR deployment):
 			// that is what lets the batcher and the WAL group commit see
-			// concurrent commands at a single replica. F4 keeps the
-			// round-robin variant for the conflict-heavy view.
+			// concurrent commands at a single replica.
 			kv := smr.NewKV(replicas[0])
 			for j := 0; j < opsPerClient; j++ {
 				t0 := time.Now()

@@ -62,18 +62,12 @@ type ReadsReport struct {
 	Speedups     []ReadsSpeedup `json:"speedups"`
 }
 
-// ReadsF9 regenerates F9 for the Experiments registry.
-func ReadsF9() *Result {
-	r, _ := ReadMix()
-	return r
-}
-
 // ReadMix regenerates F9: GETL latency and mixed throughput across read
 // ratios for the three linearizable-read paths — one no-op round per read
 // (legacy), coalesced read-index batching (default with leases off), and
 // lease-based local reads — at 1 and 4 groups per process. Every row boots
 // a real durable 3-process TCP cluster (fsync=always).
-func ReadMix() (*Result, *ReadsReport) {
+func ReadMix() *Result {
 	const n, f, e = 3, 1, 1
 	rep := &ReadsReport{
 		ID:    "F9",
@@ -86,6 +80,7 @@ func ReadMix() (*Result, *ReadsReport) {
 		ID:     "F9",
 		Title:  rep.Title,
 		Header: []string{"groups", "mode", "read%", "ops", "ops/sec", "GETL p50 (ms)", "GETL p99 (ms)", "fsyncs/read (pure)", "speedup vs noop"},
+		Report: rep,
 	}
 
 	baseline := map[string]float64{} // "groups/readPct" -> noop ops/sec
@@ -145,7 +140,7 @@ func ReadMix() (*Result, *ReadsReport) {
 	res.AddNote("Each row is a fresh durable 3-process cluster; %d session clients run a %d%%/%d%%-style read/write mix of synchronous GETLs and Puts over 32 shared hash-routed keys. `noop` pins one consensus no-op round per GETL (SetPerReadNoop), `coalesce` lets concurrent GETLs share rounds through the read gate, `lease` adds auto-granted leader leases so the holder answers from local applied state.", rep.Clients, 90, 10)
 	res.AddNote("fsyncs/read comes from a pure-GETL phase after the mix: cluster WAL fsync delta per read. Lease reads must measure 0.000 (the row fails otherwise) — that is the tentpole claim, a linearizable read with no network round and no WAL touch. Barrier reads pay no-op vote records only (the decide record is skipped for read-only no-ops), group-committed across concurrent readers.")
 	res.AddNote("In lease mode every client follows the lease-held redirect to the holder, so one process serves all traffic: the win is round-trip elimination, not load spreading. Read-heavy mixes gain the most; write-heavy mixes still pay consensus per Put.")
-	return res, rep
+	return res
 }
 
 // readsCluster boots the F9 cluster: n sharded processes, durable at

@@ -24,6 +24,9 @@ type Result struct {
 	Rows [][]string
 	// Notes are free-form observations appended under the table.
 	Notes []string
+	// Report, when non-nil, is the experiment's machine-readable form: a
+	// JSON-ready struct that cmd/bench -json writes as BENCH_<ID>.json.
+	Report any
 }
 
 // AddRow appends a data row built from the stringified args.

@@ -14,10 +14,9 @@ import (
 )
 
 // SessionRow is one F7 configuration's measurements: aggregate client-side
-// throughput through the real TCP wire, for the one-at-a-time legacy client
-// versus the pipelined session client at a given in-flight depth.
+// throughput through the real TCP wire for the session client at a given
+// in-flight depth (depth 1 is the one-at-a-time wire).
 type SessionRow struct {
-	Mode      string  `json:"mode"`    // legacy | session
 	Clients   int     `json:"clients"` // concurrent client goroutines
 	Depth     int     `json:"depth"`   // per-client in-flight window (1 = serial)
 	Ops       int     `json:"ops"`     // committed Puts
@@ -47,76 +46,68 @@ type SessionsReport struct {
 	Linear       SessionLinearRun `json:"linear"`
 }
 
-// SessionsF7 regenerates F7 for the Experiments registry.
-func SessionsF7() *Result {
-	r, _ := Sessions(0)
-	return r
-}
-
 // Sessions regenerates F7: aggregate throughput of the replicated KV store
-// through its real TCP client wire, comparing the legacy one-line-at-a-time
-// client against the multiplexed session client across client counts and
-// pipelining depths — plus a 256-client run, multiplexed over a handful of
-// shared connections, whose recorded history is checked for linearizability
-// (out-of-order tagged completion must not be observable). depth overrides
-// the window used for the deep rows (0 = the default 16, the acceptance
-// floor's setting).
-func Sessions(depth int) (*Result, *SessionsReport) {
+// through its real TCP client wire, comparing one-at-a-time (depth 1)
+// against pipelined session clients across client counts and depths — plus
+// a 256-client run, multiplexed over a handful of shared connections, whose
+// recorded history is checked for linearizability (out-of-order tagged
+// completion must not be observable). depth overrides the window used for
+// the deep rows (0 = the default 16, the acceptance floor's setting). (The
+// committed BENCH_F7.json, measured at 1f02299, also holds `legacy` rows: a
+// v1 client library deleted since.)
+func Sessions(depth int) *Result {
 	const n, f, e = 3, 1, 1
 	if depth <= 0 {
 		depth = 16
 	}
 	rep := &SessionsReport{
 		ID:    "F7",
-		Title: fmt.Sprintf("pipelined sessions: client-wire throughput, legacy vs multiplexed (n=%d, f=%d, e=%d, TCP)", n, f, e),
+		Title: fmt.Sprintf("pipelined sessions: client-wire throughput vs in-flight depth (n=%d, f=%d, e=%d, TCP)", n, f, e),
 		N:     n, F: f, E: e,
 		OpsPerClient: 50,
 	}
 	res := &Result{
 		ID:     "F7",
 		Title:  rep.Title,
-		Header: []string{"mode", "clients", "depth", "ops", "ops/sec", "p50 µs", "p95 µs"},
+		Header: []string{"clients", "depth", "ops", "ops/sec", "p50 µs", "p95 µs"},
+		Report: rep,
 	}
 
 	type config struct {
-		mode    string
 		clients int
 		depth   int
 	}
 	grid := []config{
-		{"legacy", 1, 1},
-		{"legacy", 8, 1},
-		{"legacy", 64, 1},
-		{"legacy", 256, 1},
-		{"session", 1, depth},
-		{"session", 8, 1},
-		{"session", 8, depth},
-		{"session", 8, 2 * depth},
-		{"session", 64, depth},
-		{"session", 256, depth},
+		{1, depth},
+		{8, 1},
+		{8, depth},
+		{8, 2 * depth},
+		{64, depth},
+		{256, depth},
 	}
 
-	var legacy8, session8 float64
+	var serial8, deep8 float64
 	for _, c := range grid {
-		row, err := sessionRun(n, f, e, c.mode, c.clients, c.depth, rep.OpsPerClient)
+		row, err := sessionRun(n, f, e, c.clients, c.depth, rep.OpsPerClient)
 		if err != nil {
-			res.AddRow(c.mode, c.clients, c.depth, "—", "err: "+err.Error(), "—", "—")
+			res.AddRow(c.clients, c.depth, "—", "err: "+err.Error(), "—", "—")
 			continue
 		}
 		rep.Rows = append(rep.Rows, row)
-		res.AddRow(row.Mode, row.Clients, row.Depth, row.Ops,
+		res.AddRow(row.Clients, row.Depth, row.Ops,
 			fmt.Sprintf("%.0f", row.OpsPerSec),
 			fmt.Sprintf("%.0f", row.P50Micros), fmt.Sprintf("%.0f", row.P95Micros))
 		if c.clients == 8 {
-			if c.mode == "legacy" {
-				legacy8 = row.OpsPerSec
-			} else if c.depth == depth {
-				session8 = row.OpsPerSec
+			switch c.depth {
+			case 1:
+				serial8 = row.OpsPerSec
+			case depth:
+				deep8 = row.OpsPerSec
 			}
 		}
 	}
-	if legacy8 > 0 && session8 > 0 {
-		res.AddNote("8-client speedup, session depth %d vs legacy: %.1fx (pipelined frames amortize the per-op wire round trip; acceptance floor 2x).", depth, session8/legacy8)
+	if serial8 > 0 && deep8 > 0 {
+		res.AddNote("8-client speedup, depth %d vs depth 1: %.1fx (pipelined frames amortize the per-op wire round trip; acceptance floor 2x).", depth, deep8/serial8)
 	}
 
 	lin, err := sessionLinearRun(n, f, e)
@@ -127,9 +118,9 @@ func Sessions(depth int) (*Result, *SessionsReport) {
 		res.AddNote("%d logical clients multiplexed over %d shared session connections (%d recorded ops, out-of-order completion): linearizable = %v.",
 			lin.Clients, lin.Sessions, lin.Ops, lin.Ok)
 	}
-	res.AddNote("Every row goes through the real TCP client protocol (HELLO/OHAI negotiation, tagged frames for `session`, bare lines for `legacy`); consensus runs on the in-memory fabric with adaptive batching so the client wire is the variable under test.")
-	res.AddNote("depth is the per-client in-flight window: `session` rows issue PutAsync up to depth outstanding futures; p50/p95 measure issue→completion, so deep windows trade per-op latency for aggregate throughput.")
-	return res, rep
+	res.AddNote("Every row goes through the real TCP client protocol (HELLO/OHAI negotiation, tagged frames); consensus runs on the in-memory fabric with adaptive batching so the client wire is the variable under test.")
+	res.AddNote("depth is the per-client in-flight window: each client issues PutAsync up to depth outstanding futures; p50/p95 measure issue→completion, so deep windows trade per-op latency for aggregate throughput.")
+	return res
 }
 
 // sessionCluster boots n replicas on the in-memory fabric with a
@@ -175,9 +166,9 @@ func sessionCluster(n, f, e int) (addrs []string, cleanup func(), err error) {
 }
 
 // sessionRun measures one F7 row: clients goroutines hammering the cluster
-// through the requested client generation, each with a depth-deep window.
-func sessionRun(n, f, e int, mode string, clients, depth, opsPerClient int) (SessionRow, error) {
-	row := SessionRow{Mode: mode, Clients: clients, Depth: depth}
+// through session clients, each with a depth-deep window.
+func sessionRun(n, f, e int, clients, depth, opsPerClient int) (SessionRow, error) {
+	row := SessionRow{Clients: clients, Depth: depth}
 	addrs, cleanup, err := sessionCluster(n, f, e)
 	if err != nil {
 		return row, err
@@ -194,62 +185,44 @@ func sessionRun(n, f, e int, mode string, clients, depth, opsPerClient int) (Ses
 		go func() {
 			defer wg.Done()
 			addr := addrs[c%len(addrs)]
-			switch mode {
-			case "legacy":
-				cl, err := smr.NewClient([]string{addr}, 30*time.Second)
-				if err != nil {
-					errCh <- err
-					return
+			sc, err := smr.NewSessionClient([]string{addr}, smr.SessionOptions{
+				Timeout: 30 * time.Second,
+				Depth:   depth,
+			})
+			if err != nil {
+				errCh <- err
+				return
+			}
+			defer sc.Close()
+			// A sliding window of depth outstanding futures: reap the
+			// oldest when full, so issue→completion latency includes the
+			// queueing the window buys throughput with.
+			type inflight struct {
+				fut *smr.Future
+				t0  time.Time
+			}
+			window := make([]inflight, 0, depth)
+			reap := func(w inflight) error {
+				if err := w.fut.Err(); err != nil {
+					return err
 				}
-				defer cl.Close()
-				for j := 0; j < opsPerClient; j++ {
-					t0 := time.Now()
-					if err := cl.Put(fmt.Sprintf("c%d-k%d", c, j), "v"); err != nil {
+				lats[c] = append(lats[c], float64(time.Since(w.t0).Microseconds()))
+				return nil
+			}
+			for j := 0; j < opsPerClient; j++ {
+				window = append(window, inflight{sc.PutAsync(fmt.Sprintf("c%d-k%d", c, j), "v"), time.Now()})
+				if len(window) == depth {
+					if err := reap(window[0]); err != nil {
 						errCh <- err
 						return
 					}
-					lats[c] = append(lats[c], float64(time.Since(t0).Microseconds()))
+					window = window[1:]
 				}
-			default:
-				sc, err := smr.NewSessionClient([]string{addr}, smr.SessionOptions{
-					Timeout: 30 * time.Second,
-					Depth:   depth,
-				})
-				if err != nil {
+			}
+			for _, w := range window {
+				if err := reap(w); err != nil {
 					errCh <- err
 					return
-				}
-				defer sc.Close()
-				// A sliding window of depth outstanding futures: reap the
-				// oldest when full, so issue→completion latency includes the
-				// queueing the window buys throughput with.
-				type inflight struct {
-					fut *smr.Future
-					t0  time.Time
-				}
-				window := make([]inflight, 0, depth)
-				reap := func(w inflight) error {
-					if err := w.fut.Err(); err != nil {
-						return err
-					}
-					lats[c] = append(lats[c], float64(time.Since(w.t0).Microseconds()))
-					return nil
-				}
-				for j := 0; j < opsPerClient; j++ {
-					window = append(window, inflight{sc.PutAsync(fmt.Sprintf("c%d-k%d", c, j), "v"), time.Now()})
-					if len(window) == depth {
-						if err := reap(window[0]); err != nil {
-							errCh <- err
-							return
-						}
-						window = window[1:]
-					}
-				}
-				for _, w := range window {
-					if err := reap(w); err != nil {
-						errCh <- err
-						return
-					}
 				}
 			}
 		}()

@@ -137,26 +137,13 @@ type WANSuiteReport struct {
 	Rows      []WANSuiteRow `json:"rows"`
 }
 
-// WANSuiteF10 runs the full suite for the experiment registry.
-func WANSuiteF10() *Result {
-	r, _ := WANSuite(DefaultWANSuiteOptions())
-	return r
-}
-
-// WANSuiteShortF10 runs the CI-sized suite (make bench-wan-short).
-func WANSuiteShortF10() *Result {
-	r, _ := WANSuite(ShortWANSuiteOptions())
-	return r
-}
-
 // wanValueSeq makes proposal values globally unique across cells and
 // samples, so a stale decide from a previous sample can never be mistaken
 // for the current instance's value.
 var wanValueSeq atomic.Int64
 
-// WANSuite runs the sweep and returns both the rendered table and the raw
-// report.
-func WANSuite(opts WANSuiteOptions) (*Result, *WANSuiteReport) {
+// WANSuite runs the sweep; the raw report rides on Result.Report.
+func WANSuite(opts WANSuiteOptions) *Result {
 	fabric := "mesh"
 	if opts.UseTCP {
 		fabric = "tcp"
@@ -212,6 +199,7 @@ func WANSuite(opts WANSuiteOptions) (*Result, *WANSuiteReport) {
 			fabric, opts.Scale, opts.Fsync),
 		Header: []string{"topology", "protocol", "n", "f", "e", "fastQ", "region",
 			"floor ms", "p50 ms", "p99 ms", "slow-path"},
+		Report: report,
 	}
 	for _, row := range rows {
 		if row.Skip != "" {
@@ -231,7 +219,7 @@ func WANSuite(opts WANSuiteOptions) (*Result, *WANSuiteReport) {
 	res.AddNote("Measured end-to-end on node.Host: propose at a proxy in each distinct region, wait for its decision. floor ms = analytical RTT to the fast quorum's farthest member (unscaled); measured columns include the Scale factor, codec, loopback, and (when on) an fsync per protocol step.")
 	res.AddNote(fmt.Sprintf("p50 is the sample median; with %d samples per region p99 coincides with the maximum — it bounds, not estimates, the tail.", opts.Samples))
 	res.AddNote("fastpaxos-flex runs the bare-majority fast quorum (quorum.SmallestFastFlex): lower latency than classical Fast Paxos at the same n, paid for with an n-all-but-(n−fast) recovery quorum.")
-	return res, report
+	return res
 }
 
 // runWANCell measures one (topology, protocol, sweep) cell.

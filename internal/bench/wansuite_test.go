@@ -16,7 +16,8 @@ func TestWANSuiteShortShape(t *testing.T) {
 		t.Skip("F10 short still sleeps real scaled WAN delays")
 	}
 	opts := ShortWANSuiteOptions()
-	res, report := WANSuite(opts)
+	res := WANSuite(opts)
+	report := res.Report.(*WANSuiteReport)
 	if len(report.Rows) != len(opts.Topologies)*len(opts.Sweeps)*len(opts.Protocols) {
 		t.Fatalf("rows = %d, want %d", len(report.Rows),
 			len(opts.Topologies)*len(opts.Sweeps)*len(opts.Protocols))

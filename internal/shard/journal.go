@@ -67,8 +67,6 @@ type groupJournal struct {
 	g int
 }
 
-func (j *groupJournal) Append(payload []byte) (uint64, error) { return j.s.w.Append(payload) }
-
 func (j *groupJournal) AppendBuffered(payload []byte) (uint64, error) {
 	return j.s.w.AppendBuffered(payload)
 }

@@ -22,7 +22,7 @@ func TestSharedWALMinFloorTruncation(t *testing.T) {
 	j0, j1, j2 := s.Group(0), s.Group(1), s.Group(2)
 	var last uint64
 	for i := 0; i < 60; i++ {
-		idx, err := j0.Append([]byte(fmt.Sprintf("{\"g\":%d,\"i\":%d,\"pad\":\"xxxxxxxxxxxxxxxx\"}", i%3, i)))
+		idx, err := j0.AppendBuffered([]byte(fmt.Sprintf("{\"g\":%d,\"i\":%d,\"pad\":\"xxxxxxxxxxxxxxxx\"}", i%3, i)))
 		if err != nil {
 			t.Fatal(err)
 		}

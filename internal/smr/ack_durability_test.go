@@ -96,11 +96,7 @@ func TestAckedWriteSurvivesCrashBeforeDecideSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := smr.NewClient([]string{srv.Addr()}, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := newTestSessionClient(t, []string{srv.Addr()}, smr.SessionOptions{Timeout: 10 * time.Second, Depth: 1})
 
 	if err := client.Put("warm", "up"); err != nil {
 		t.Fatalf("warm-up put: %v", err)

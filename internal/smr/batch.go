@@ -12,21 +12,14 @@ import (
 // SMR (many client operations per protocol round trip). It sits strictly
 // above the replica: the consensus layer sees one value per slot either way.
 //
-// Two modes:
-//
-//   - fixed window (EnableBatching): the first command arms a timer; the
-//     window's arrivals flush together when it fires. Amortizes well under
-//     load but taxes an idle system with the full window of latency.
-//   - adaptive (EnableAdaptiveBatching): a command finding the batcher idle
-//     flushes immediately; commands arriving while that flush is in flight
-//     accumulate and go out together the moment it completes. This is the
-//     classic group-commit heuristic — batch-what-arrives-during-commit —
-//     and costs an uncontended client nothing.
+// The window is adaptive: a command finding the batcher idle flushes
+// immediately; commands arriving while that flush is in flight accumulate
+// and go out together the moment it completes. This is the classic
+// group-commit heuristic — batch-what-arrives-during-commit — and costs an
+// uncontended client one goroutine handoff, no timer.
 type batcher struct {
-	replica  *Replica
-	window   time.Duration
-	maxSize  int
-	adaptive bool
+	replica *Replica
+	maxSize int
 
 	mu       sync.Mutex
 	pending  []Command
@@ -36,47 +29,30 @@ type batcher struct {
 	batches  uint64 // consensus instances submitted
 	cmds     uint64 // commands carried by them
 
-	// wg accounts every flusher goroutine. Add happens under mu alongside
-	// the closed check, so close() — which sets closed under mu and then
-	// waits — either sees the Add or prevents the spawn; flushers that slip
-	// in after close would otherwise touch a replica being torn down.
+	// wg accounts the flusher goroutine. Add happens under mu alongside the
+	// closed check, so close() — which sets closed under mu and then waits —
+	// either sees the Add or prevents the spawn; a flusher that slipped in
+	// after close would otherwise touch a replica being torn down.
 	wg sync.WaitGroup
 }
 
-// newBatcher builds a batcher with the given accumulation window and
-// maximum batch size (commands).
-func newBatcher(r *Replica, window time.Duration, maxSize int) *batcher {
+// EnableAdaptiveBatching turns on write batching for this replica's
+// Submit-based APIs (KV included; see the batcher comment): no window to
+// wait out when idle, full batching under concurrency. maxSize caps one
+// batch (0 = default 64). Must be called before the replica is shared
+// between goroutines.
+func (r *Replica) EnableAdaptiveBatching(maxSize int) {
 	if maxSize <= 0 {
 		maxSize = 64
 	}
-	return &batcher{replica: r, window: window, maxSize: maxSize}
-}
-
-// EnableBatching turns on fixed-window write batching for this replica's
-// Execute-based APIs (KV included): commands submitted within `window` of
-// each other are replicated together, up to maxSize per batch (0 = default
-// 64). Must be called before the replica is shared between goroutines.
-func (r *Replica) EnableBatching(window time.Duration, maxSize int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.batch = newBatcher(r, window, maxSize)
-}
-
-// EnableAdaptiveBatching turns on adaptive write batching (see the batcher
-// comment): no added latency when idle, full batching under concurrency.
-// maxSize caps one batch (0 = default 64). Must be called before the
-// replica is shared between goroutines.
-func (r *Replica) EnableAdaptiveBatching(maxSize int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := newBatcher(r, 0, maxSize)
-	b.adaptive = true
-	r.batch = b
+	r.batch = &batcher{replica: r, maxSize: maxSize}
 }
 
 // BatchStats is the batcher's counter surface (expvar, F4b).
 type BatchStats struct {
-	Mode    string `json:"mode"` // off, fixed, adaptive
+	Mode    string `json:"mode"` // off, adaptive
 	Batches uint64 `json:"batches"`
 	Cmds    uint64 `json:"cmds"`
 }
@@ -91,15 +67,14 @@ func (r *Replica) BatchStats() BatchStats {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	mode := "fixed"
-	if b.adaptive {
-		mode = "adaptive"
-	}
-	return BatchStats{Mode: mode, Batches: b.batches, Cmds: b.cmds}
+	return BatchStats{Mode: "adaptive", Batches: b.batches, Cmds: b.cmds}
 }
 
 // executeBatched enqueues cmd and blocks until its batch is decided and
-// applied (or ctx is done — note the batch may still commit afterwards).
+// applied, or ctx is done — the command stays queued or proposed and may
+// still commit afterwards, and the other riders of its chunk are not
+// failed by it. The flush never runs on the submitting goroutine: the
+// caller must stay free to return at its own deadline.
 func (b *batcher) executeBatched(ctx context.Context, cmd Command) error {
 	b.mu.Lock()
 	if b.closed {
@@ -109,31 +84,12 @@ func (b *batcher) executeBatched(ctx context.Context, cmd Command) error {
 	b.pending = append(b.pending, cmd)
 	ch := make(chan error, 1)
 	b.waiters = append(b.waiters, ch)
-	full := len(b.pending) >= b.maxSize
-	inline := false
 	if !b.flushing {
 		b.flushing = true
-		if b.adaptive {
-			// First arrival of a burst: flush on this goroutine. An idle
-			// batcher therefore adds no handoff — the uncontended client
-			// pays exactly an unbatched Execute — and only if commands
-			// accumulate during the flush is the drain loop spawned.
-			inline = true
-		} else {
-			b.wg.Add(1)
-			go b.flushAfter(b.window)
-		}
-	} else if full && !b.adaptive {
-		// Flush immediately by signalling with a zero-delay flusher; the
-		// in-flight timer flush will find nothing left. (The adaptive loop
-		// splits oversize queues by itself.)
 		b.wg.Add(1)
-		go b.flushAfter(0)
+		go b.flushLoop()
 	}
 	b.mu.Unlock()
-	if inline {
-		b.flushFirst()
-	}
 
 	select {
 	case err := <-ch:
@@ -199,54 +155,9 @@ func (b *batcher) takeChunk() ([]Command, []chan error, bool) {
 	return cmds, waiters, true
 }
 
-// flushFirst runs the opening flush of an adaptive burst on the submitting
-// goroutine, then hands any backlog that built up behind it to flushLoop.
-func (b *batcher) flushFirst() {
-	cmds, waiters, ok := b.takeChunk()
-	if !ok {
-		return
-	}
-	b.flushOne(cmds, waiters)
-	b.mu.Lock()
-	more := len(b.pending) > 0 && !b.closed
-	if !more {
-		b.flushing = false
-	} else {
-		b.wg.Add(1)
-	}
-	b.mu.Unlock()
-	if more {
-		go b.flushLoop()
-	}
-}
-
-// flushAfter waits for the window and replicates everything pending, split
-// into maxSize chunks.
-func (b *batcher) flushAfter(window time.Duration) {
-	defer b.wg.Done()
-	if window > 0 {
-		time.Sleep(window)
-	}
-	b.mu.Lock()
-	cmds := b.pending
-	waiters := b.waiters
-	b.pending = nil
-	b.waiters = nil
-	b.flushing = false
-	b.mu.Unlock()
-	for len(cmds) > 0 {
-		n := len(cmds)
-		if n > b.maxSize {
-			n = b.maxSize
-		}
-		b.flushOne(cmds[:n:n], waiters[:n:n])
-		cmds, waiters = cmds[n:], waiters[n:]
-	}
-}
-
 // flushOne replicates one chunk and distributes the outcome to its
 // waiters. A single command skips the OpBatch wrapper entirely, so an
-// uncontended adaptive submit costs exactly one unbatched Submit.
+// uncontended submit replicates exactly what an unbatched Submit would.
 func (b *batcher) flushOne(cmds []Command, waiters []chan error) {
 	var batch Command
 	if len(cmds) == 1 {
@@ -282,7 +193,7 @@ func (b *batcher) flushOne(cmds []Command, waiters []chan error) {
 	}
 }
 
-// close fails the queued waiters and waits for every flusher goroutine to
+// close fails the queued waiters and waits for the flusher goroutine to
 // exit; chunks already detached by an in-flight flush report their own
 // outcome (the replica is marked closed before close is called, so those
 // flushes fail fast in Execute). Waiting outside b.mu is essential: an

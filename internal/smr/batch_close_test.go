@@ -5,34 +5,54 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/consensus"
 )
 
+// BatchQueued reports how many commands wait behind the in-flight flush.
+// It lives in a _test file, so only the tests see it: the external batch
+// tests wait on the queue with it instead of sleeping.
+func (r *Replica) BatchQueued() int {
+	r.mu.Lock()
+	b := r.batch
+	r.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}
+
 // TestBatcherCloseWaitsForFlushers pins the golifecycle fix: close must not
-// return while a flusher goroutine is still running, because the caller
+// return while the flusher goroutine is still running, because the caller
 // (Replica.Close) proceeds to tear down the WAL and transport the flusher
 // would then touch. Before the fix, close returned immediately and the
-// window flusher kept running into the teardown.
+// flusher kept running into the teardown.
 func TestBatcherCloseWaitsForFlushers(t *testing.T) {
-	const window = 100 * time.Millisecond
-	b := newBatcher(nil, window, 4)
+	// No transport, so no quorum: the flusher stays in Execute until Close.
+	r, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.EnableAdaptiveBatching(4)
+	b := r.batch
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the submitter should give up immediately; the flusher stays
-	if err := b.executeBatched(ctx, Command{Op: OpNoop, ID: "probe"}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("executeBatched = %v, want context.Canceled", err)
+	cancel() // the submitter gives up immediately; the flusher stays
+	if err := r.Submit(ctx, Command{Op: OpNoop, ID: "probe"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit = %v, want context.Canceled", err)
 	}
 
-	// The spawned flushAfter sleeps for the full window; close must block
-	// until it has exited (it wakes to find close emptied the queue, so the
-	// nil replica is never touched).
-	start := time.Now()
-	b.close()
-	if elapsed := time.Since(start); elapsed < window/2 {
-		t.Fatalf("close returned after %v with a flusher still sleeping on a %v window", elapsed, window)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b.mu.Lock()
+	flushing := b.flushing
+	b.mu.Unlock()
+	if flushing {
+		t.Fatal("Close returned with the flusher goroutine still running")
 	}
 
 	// Closed batcher rejects new work without spawning anything.
-	if err := b.executeBatched(context.Background(), Command{Op: OpNoop, ID: "late"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("executeBatched after close = %v, want ErrClosed", err)
+	if err := r.Submit(context.Background(), Command{Op: OpNoop, ID: "late"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after close = %v, want ErrClosed", err)
 	}
 }

@@ -8,12 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/smr"
+	"repro/internal/transport"
 )
 
-// Adaptive batching must not tax an idle client: a lone sequential writer
-// gets one consensus instance per command (no OpBatch wrapper, no window
-// sleep), so applied slots == writes.
+// Batching must not tax an idle client: a lone sequential writer gets one
+// consensus instance per command (no OpBatch wrapper, no window sleep), so
+// applied slots == writes.
 func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 	replicas, cleanup := startCluster(t, 3, 1, 1)
 	defer cleanup()
@@ -36,74 +38,137 @@ func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 	}
 }
 
-// Under concurrency the adaptive batcher groups whatever arrives while a
-// flush is in flight, so consensus instances < commands.
-func TestAdaptiveBatchingCoalescesUnderLoad(t *testing.T) {
-	replicas, cleanup := startCluster(t, 5, 2, 2)
-	defer cleanup()
-	replicas[0].EnableAdaptiveBatching(0)
-
+// holdFirstFlush cuts every mesh link and submits one write, returning once
+// that write's flush is in consensus. Until release heals the mesh, every
+// later submit queues behind the stuck flush, so the test decides exactly
+// what the following chunks carry; release then waits for the held write
+// (the protocol's own retransmission completes it).
+func holdFirstFlush(t *testing.T, mesh *transport.Mesh, r *smr.Replica) (release func()) {
+	t.Helper()
+	mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+		return transport.FaultVerdict{Drop: true}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	kv := smr.NewKV(replicas[0])
-
-	const writers = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for i := 0; i < writers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := kv.Put(ctx, fmt.Sprintf("a%d", i), "v"); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for i := 0; i < writers; i++ {
-		if _, ok := kv.Get(fmt.Sprintf("a%d", i)); !ok {
-			t.Fatalf("a%d missing", i)
+	held := make(chan error, 1)
+	go func() { held <- smr.NewKV(r).Put(ctx, "held", "v") }()
+	waitFor(t, "the first flush to start", func() bool { return r.BatchStats().Batches == 1 })
+	return func() {
+		t.Helper()
+		defer cancel()
+		mesh.SetFault(nil)
+		if err := <-held; err != nil {
+			t.Fatalf("held write after heal: %v", err)
 		}
-	}
-	st := replicas[0].BatchStats()
-	if st.Cmds != writers {
-		t.Fatalf("cmds = %d, want %d", st.Cmds, writers)
-	}
-	if st.Batches >= writers {
-		t.Fatalf("%d batches for %d concurrent writes: no coalescing", st.Batches, writers)
 	}
 }
 
-// A caller whose context dies mid-window gets its error immediately, but
-// the command is already queued: the batch must still commit, and the
-// abandoned waiter channel (capacity 1) must absorb the late result
-// without blocking the flusher.
-func TestBatchCtxCancelMidBatch(t *testing.T) {
+// waitFor polls cond until it holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// chunkKeys returns, per applied slot at r, the keys of the commands the
+// slot carried (one for a bare command, several for an OpBatch).
+func chunkKeys(t *testing.T, r *smr.Replica) (keys [][]string) {
+	t.Helper()
+	for slot := 0; slot < r.Applied(); slot++ {
+		v, ok := r.LogValue(slot)
+		if !ok {
+			continue
+		}
+		cmd, err := smr.DecodeCommand(v)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		subs := cmd.Subs
+		if cmd.Op != smr.OpBatch {
+			subs = []smr.Command{cmd}
+		}
+		var ks []string
+		for _, sub := range subs {
+			ks = append(ks, sub.Key)
+		}
+		keys = append(keys, ks)
+	}
+	return keys
+}
+
+// An idle batcher's first flush must not run on the submitting goroutine:
+// with no quorum the flush cannot finish, and a caller with a 50 ms
+// deadline must still get its context error at the deadline (the flush ran
+// inline once, pinning the caller — and a server executor slot — for the
+// flusher's own two-minute bound).
+func TestBatchIdleFlushHonorsCallerContext(t *testing.T) {
 	replicas, cleanup := startCluster(t, 3, 1, 1)
 	defer cleanup()
-	replicas[0].EnableBatching(100*time.Millisecond, 0)
+	replicas[1].Close()
+	replicas[2].Close()
+	replicas[0].EnableAdaptiveBatching(0)
 	kv := smr.NewKV(replicas[0])
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	err := kv.Put(ctx, "late", "v")
-	if !errors.Is(err, context.DeadlineExceeded) {
+	done := make(chan error, 1)
+	go func() { done <- kv.Put(ctx, "k", "v") }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want deadline exceeded", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Put with a 50ms deadline still blocked after 1s")
+	}
+}
+
+// A caller whose context dies while its command waits in a chunk gets its
+// error at the deadline, but the command is already queued: the chunk must
+// still commit, the other rider of the same chunk must succeed, and the
+// abandoned waiter channel (capacity 1, ahead of the rider's in the chunk)
+// must absorb the late result without blocking the flusher.
+func TestBatchCtxCancelMidBatch(t *testing.T) {
+	replicas, mesh, cleanup := startMeshCluster(t, 3, 1, 1)
+	defer cleanup()
+	replicas[0].EnableAdaptiveBatching(0)
+	kv := smr.NewKV(replicas[0])
+	release := holdFirstFlush(t, mesh, replicas[0])
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := kv.Put(ctx, "late", "v"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := kv.Get("late"); ok {
-			break
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("abandoning caller returned after %v, want ~50ms", waited)
+	}
+	long, cancelLong := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancelLong()
+	rider := make(chan error, 1)
+	go func() { rider <- kv.Put(long, "rider", "v") }()
+	waitFor(t, "the rider to queue behind late", func() bool { return replicas[0].BatchQueued() == 2 })
+	release()
+
+	if err := <-rider; err != nil {
+		t.Fatalf("rider of the abandoned caller's chunk failed: %v", err)
+	}
+	if _, ok := kv.Get("late"); !ok {
+		t.Fatal("abandoned command never committed")
+	}
+	keys := chunkKeys(t, replicas[0])
+	shared := false
+	for _, ks := range keys {
+		if len(ks) == 2 && ks[0] == "late" && ks[1] == "rider" {
+			shared = true
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned command never committed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if !shared {
+		t.Fatalf("late and rider did not share a chunk: slots carry %v", keys)
 	}
 }
 
@@ -141,11 +206,12 @@ func TestBatchCloseRacesFlush(t *testing.T) {
 // maxSize is a hard cap: an overflowing queue is split into several
 // batches, each at most maxSize commands, and none are lost.
 func TestBatchMaxSizeOverflowSplits(t *testing.T) {
-	replicas, cleanup := startCluster(t, 3, 1, 1)
+	replicas, mesh, cleanup := startMeshCluster(t, 3, 1, 1)
 	defer cleanup()
 	const maxSize = 4
-	replicas[0].EnableBatching(20*time.Millisecond, maxSize)
+	replicas[0].EnableAdaptiveBatching(maxSize)
 	kv := smr.NewKV(replicas[0])
+	release := holdFirstFlush(t, mesh, replicas[0])
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -162,6 +228,8 @@ func TestBatchMaxSizeOverflowSplits(t *testing.T) {
 			}
 		}()
 	}
+	waitFor(t, "the writers to pile up behind the held flush", func() bool { return replicas[0].BatchQueued() == writers })
+	release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -172,29 +240,24 @@ func TestBatchMaxSizeOverflowSplits(t *testing.T) {
 			t.Fatalf("s%d missing", i)
 		}
 	}
-	total := 0
-	for slot := 0; slot < replicas[0].Applied(); slot++ {
-		v, ok := replicas[0].LogValue(slot)
-		if !ok {
-			continue
+	keys := chunkKeys(t, replicas[0])
+	total, full := 0, 0
+	for slot, ks := range keys {
+		if len(ks) > maxSize {
+			t.Fatalf("slot %d batch has %d commands, cap %d", slot, len(ks), maxSize)
 		}
-		cmd, err := smr.DecodeCommand(v)
-		if err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
+		if len(ks) == maxSize {
+			full++
 		}
-		if cmd.Op == smr.OpBatch {
-			if len(cmd.Subs) > maxSize {
-				t.Fatalf("slot %d batch has %d commands, cap %d", slot, len(cmd.Subs), maxSize)
-			}
-			total += len(cmd.Subs)
-		} else {
-			total++
-		}
+		total += len(ks)
 	}
-	if total != writers {
-		t.Fatalf("log carries %d commands, want %d", total, writers)
+	if total != writers+1 {
+		t.Fatalf("log carries %d commands, want %d", total, writers+1)
 	}
-	if st := replicas[0].BatchStats(); st.Cmds != writers {
-		t.Fatalf("stats cmds = %d, want %d", st.Cmds, writers)
+	if full == 0 {
+		t.Fatalf("no full batch among %v: the queue never overflowed maxSize", keys)
+	}
+	if st := replicas[0].BatchStats(); st.Cmds != writers+1 {
+		t.Fatalf("stats cmds = %d, want %d", st.Cmds, writers+1)
 	}
 }

@@ -11,10 +11,12 @@ import (
 	"repro/internal/smr"
 )
 
+// Under concurrency the batcher groups whatever arrives while a flush is in
+// flight, so consensus instances < commands.
 func TestBatchingGroupsConcurrentWrites(t *testing.T) {
 	replicas, cleanup := startCluster(t, 5, 2, 2)
 	defer cleanup()
-	replicas[0].EnableBatching(3*time.Millisecond, 0)
+	replicas[0].EnableAdaptiveBatching(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -49,13 +51,20 @@ func TestBatchingGroupsConcurrentWrites(t *testing.T) {
 	if applied := replicas[0].Applied(); applied >= writers {
 		t.Fatalf("applied %d slots for %d writes: no batching observed", applied, writers)
 	}
+	st := replicas[0].BatchStats()
+	if st.Cmds != writers {
+		t.Fatalf("cmds = %d, want %d", st.Cmds, writers)
+	}
+	if st.Batches >= writers {
+		t.Fatalf("%d batches for %d concurrent writes: no coalescing", st.Batches, writers)
+	}
 }
 
 func TestBatchingPreservesAgreementAcrossProxies(t *testing.T) {
 	replicas, cleanup := startCluster(t, 5, 2, 1)
 	defer cleanup()
 	for _, r := range replicas {
-		r.EnableBatching(2*time.Millisecond, 8)
+		r.EnableAdaptiveBatching(8)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

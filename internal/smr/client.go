@@ -1,16 +1,11 @@
 package smr
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
-	"net"
 	"strings"
-	"sync"
-	"time"
 )
 
-// Client errors, matchable with errors.Is.
+// Client errors (see SessionClient), matchable with errors.Is.
 var (
 	ErrNoProxies = errors.New("smr client: no reachable proxy")
 	ErrNotFound  = errors.New("smr client: key not found")
@@ -74,210 +69,4 @@ func ambiguousReply(reply string) bool {
 		}
 	}
 	return true
-}
-
-// Client talks the Server line protocol and fails over between proxies: it
-// sticks to one replica (its proxy, in the paper's sense) while that
-// replica answers, and rotates to the next address when it stops.
-type Client struct {
-	addrs   []string
-	timeout time.Duration
-
-	mu   sync.Mutex
-	cur  int
-	conn net.Conn
-	rd   *bufio.Reader
-}
-
-// NewClient builds a client over the given proxy addresses.
-func NewClient(addrs []string, opTimeout time.Duration) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, ErrNoProxies
-	}
-	if opTimeout <= 0 {
-		opTimeout = 30 * time.Second
-	}
-	return &Client{addrs: addrs, timeout: opTimeout}, nil
-}
-
-// Put replicates a write through the current proxy. A non-nil error
-// matches exactly one of ErrMaybeApplied / ErrRejected (errors.Is). Keys
-// containing spaces or control characters, and values containing line
-// terminators, are rejected here: the line protocol cannot carry them,
-// and a value like "v\nDEL k" would otherwise inject a second command
-// into the stream.
-func (c *Client) Put(key, val string) error {
-	if err := checkPut(key, val); err != nil {
-		return err
-	}
-	return c.write("PUT " + key + " " + val)
-}
-
-// Delete removes a key through the current proxy. Errors carry the same
-// applied-or-not verdict as Put.
-func (c *Client) Delete(key string) error {
-	if err := checkKey(key); err != nil {
-		return &outcomeError{cause: err, maybe: false}
-	}
-	return c.write("DEL " + key)
-}
-
-// write runs one mutating command and classifies any failure: a request
-// that may have left this process is maybe-applied; one that never did, or
-// that the server refused before proposing, is rejected.
-func (c *Client) write(line string) error {
-	reply, sent, err := c.roundTrip(line)
-	if err != nil {
-		return &outcomeError{cause: err, maybe: sent}
-	}
-	if reply != "OK" {
-		return &outcomeError{
-			cause: fmt.Errorf("smr client: %s", reply),
-			maybe: ambiguousReply(reply),
-		}
-	}
-	return nil
-}
-
-// Get reads a key through the current proxy from the proxy's local applied
-// state; the reply can lag concurrent writes. Use GetLinearizable for a
-// read that observes every completed write.
-func (c *Client) Get(key string) (string, error) {
-	if err := checkKey(key); err != nil {
-		return "", &outcomeError{cause: err, maybe: false}
-	}
-	return c.read("GET " + key)
-}
-
-// GetLinearizable reads a key with linearizable semantics (the server
-// replicates a no-op through consensus before reading).
-func (c *Client) GetLinearizable(key string) (string, error) {
-	if err := checkKey(key); err != nil {
-		return "", &outcomeError{cause: err, maybe: false}
-	}
-	return c.read("GETL " + key)
-}
-
-func (c *Client) read(line string) (string, error) {
-	reply, sent, err := c.roundTrip(line)
-	if err != nil {
-		return "", &outcomeError{cause: err, maybe: sent}
-	}
-	switch {
-	case strings.HasPrefix(reply, "VAL "):
-		return strings.TrimPrefix(reply, "VAL "), nil
-	case reply == "NONE":
-		return "", ErrNotFound
-	default:
-		return "", &outcomeError{
-			cause: fmt.Errorf("smr client: %s", reply),
-			maybe: ambiguousReply(reply),
-		}
-	}
-}
-
-// Stats fetches the current proxy replica's transport counters line
-// (the server's STATS command). Failures carry the same
-// ErrMaybeApplied/ErrRejected verdict as every other operation — STATS
-// never mutates, so the verdict is informational, but the "every failure
-// is exactly one of the two" invariant holds for all client errors.
-func (c *Client) Stats() (string, error) {
-	return c.prefixed("STATS")
-}
-
-// Info fetches the current proxy replica's operational summary line
-// (applied index, open slots, WAL and snapshot state; the server's INFO
-// command), with Stats's error contract.
-func (c *Client) Info() (string, error) {
-	return c.prefixed("INFO")
-}
-
-// prefixed runs a command whose success reply echoes the verb as prefix,
-// classifying failures like read does.
-func (c *Client) prefixed(cmd string) (string, error) {
-	reply, sent, err := c.roundTrip(cmd)
-	if err != nil {
-		return "", &outcomeError{cause: err, maybe: sent}
-	}
-	if !strings.HasPrefix(reply, cmd+" ") {
-		return "", &outcomeError{
-			cause: fmt.Errorf("smr client: %s", reply),
-			maybe: ambiguousReply(reply),
-		}
-	}
-	return strings.TrimPrefix(reply, cmd+" "), nil
-}
-
-// Proxy returns the address of the proxy currently in use.
-func (c *Client) Proxy() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addrs[c.cur]
-}
-
-// Close drops the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		err := c.conn.Close()
-		c.conn = nil
-		return err
-	}
-	return nil
-}
-
-// roundTrip sends one line and reads one reply, failing over across
-// proxies (each tried once per operation). sent reports whether the
-// request line may have reached a server on some attempt — once a write
-// on an established connection is attempted, bytes may be in flight even
-// when the write or the reply read errors, so the command may execute.
-// Note the failover hazard this implies: an attempt after a sent attempt
-// re-submits the command as a new proposal, so a write can apply twice.
-// Callers that need at-most-once semantics use a single-address client.
-func (c *Client) roundTrip(line string) (reply string, sent bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lastErr error = ErrNoProxies
-	for attempt := 0; attempt < len(c.addrs); attempt++ {
-		if c.conn == nil {
-			conn, err := net.DialTimeout("tcp", c.addrs[c.cur], c.timeout)
-			if err != nil {
-				lastErr = err
-				c.rotateLocked()
-				continue
-			}
-			c.conn = conn
-			c.rd = bufio.NewReader(conn)
-		}
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-		if _, err := fmt.Fprintln(c.conn, line); err != nil {
-			lastErr = err
-			sent = true // a partial write may still deliver the line
-			c.dropLocked()
-			continue
-		}
-		sent = true
-		raw, err := c.rd.ReadString('\n')
-		if err != nil {
-			lastErr = err
-			c.dropLocked()
-			continue
-		}
-		return strings.TrimRight(raw, "\r\n"), sent, nil
-	}
-	return "", sent, fmt.Errorf("smr client: all proxies failed: %w", lastErr)
-}
-
-// dropLocked closes the current connection and rotates to the next proxy.
-func (c *Client) dropLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.rotateLocked()
-}
-
-func (c *Client) rotateLocked() {
-	c.cur = (c.cur + 1) % len(c.addrs)
 }

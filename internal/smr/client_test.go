@@ -48,10 +48,31 @@ func scriptedServer(t *testing.T, reply func(line string) *string) string {
 
 func str(s string) *string { return &s }
 
+// wires are the two generations a SessionClient can end up speaking: v2
+// against a session server, and the one-at-a-time v1 fallback against a
+// server that refuses HELLO. serve starts a scripted server answering each
+// command with reply (nil: close the connection without answering).
+var wires = []struct {
+	name  string
+	serve func(t *testing.T, reply func(cmd string) *string) string
+}{
+	{"v2", func(t *testing.T, reply func(string) *string) string {
+		return sessionScriptServer(t, func(_, cmd string) *string { return reply(cmd) })
+	}},
+	{"v1 fallback", func(t *testing.T, reply func(string) *string) string {
+		return scriptedServer(t, func(line string) *string {
+			if strings.HasPrefix(line, "HELLO") {
+				return str("ERR unknown command HELLO")
+			}
+			return reply(line)
+		})
+	}},
+}
+
 // TestClientErrorTaxonomy pins the maybe-applied vs rejected distinction
 // the linearizability checker depends on: every client failure must match
 // exactly one of ErrMaybeApplied / ErrRejected, and the verdict must track
-// whether the request could have reached consensus.
+// whether the request could have reached consensus — on both wires.
 func TestClientErrorTaxonomy(t *testing.T) {
 	requireOutcome := func(t *testing.T, err error, maybe bool) {
 		t.Helper()
@@ -65,6 +86,9 @@ func TestClientErrorTaxonomy(t *testing.T) {
 			t.Fatalf("errors.Is(err, ErrRejected) = %t, want %t (err: %v)", maybe, !maybe, err)
 		}
 	}
+	serial := func(t *testing.T, addr string, timeout time.Duration) *smr.SessionClient {
+		return newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: timeout, Depth: 1})
+	}
 
 	t.Run("dial failure is rejected", func(t *testing.T) {
 		// A port nothing listens on: the request never left this process.
@@ -74,91 +98,61 @@ func TestClientErrorTaxonomy(t *testing.T) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		requireOutcome(t, c.Put("k", "v"), false)
+		requireOutcome(t, serial(t, addr, time.Second).Put("k", "v"), false)
 	})
 
-	t.Run("connection cut after send is maybe-applied", func(t *testing.T) {
-		addr := scriptedServer(t, func(string) *string { return nil })
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		requireOutcome(t, c.Put("k", "v"), true)
-	})
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			t.Run("connection cut after send is maybe-applied", func(t *testing.T) {
+				addr := w.serve(t, func(string) *string { return nil })
+				requireOutcome(t, serial(t, addr, time.Second).Put("k", "v"), true)
+			})
 
-	t.Run("reply timeout is maybe-applied", func(t *testing.T) {
-		addr := scriptedServer(t, func(string) *string {
-			time.Sleep(time.Second) // past the client deadline
-			return str("OK")
+			t.Run("reply timeout is maybe-applied", func(t *testing.T) {
+				addr := w.serve(t, func(string) *string {
+					time.Sleep(time.Second) // past the client deadline
+					return str("OK")
+				})
+				requireOutcome(t, serial(t, addr, 50*time.Millisecond).Put("k", "v"), true)
+			})
+
+			t.Run("server-side error reply is maybe-applied", func(t *testing.T) {
+				// e.g. the server's own context deadline fired mid-consensus:
+				// the command may still decide.
+				addr := w.serve(t, func(string) *string {
+					return str("ERR smr execute: context deadline exceeded")
+				})
+				requireOutcome(t, serial(t, addr, time.Second).Put("k", "v"), true)
+			})
+
+			t.Run("usage error reply is rejected", func(t *testing.T) {
+				addr := w.serve(t, func(string) *string {
+					return str("ERR usage: PUT <key> <value>")
+				})
+				c := serial(t, addr, time.Second)
+				requireOutcome(t, c.Put("k", "v"), false)
+				requireOutcome(t, c.Delete("k"), false)
+			})
+
+			t.Run("unknown command reply is rejected", func(t *testing.T) {
+				addr := w.serve(t, func(string) *string {
+					return str("ERR unknown command PUT")
+				})
+				requireOutcome(t, serial(t, addr, time.Second).Put("k", "v"), false)
+			})
+
+			t.Run("NONE stays plain ErrNotFound", func(t *testing.T) {
+				addr := w.serve(t, func(string) *string { return str("NONE") })
+				_, err := serial(t, addr, time.Second).Get("k")
+				if !errors.Is(err, smr.ErrNotFound) {
+					t.Fatalf("Get miss = %v, want ErrNotFound", err)
+				}
+				if errors.Is(err, smr.ErrMaybeApplied) || errors.Is(err, smr.ErrRejected) {
+					t.Fatalf("ErrNotFound must not carry an outcome verdict: %v", err)
+				}
+			})
 		})
-		c, err := smr.NewClient([]string{addr}, 50*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		requireOutcome(t, c.Put("k", "v"), true)
-	})
-
-	t.Run("server-side error reply is maybe-applied", func(t *testing.T) {
-		// e.g. the server's own context deadline fired mid-consensus: the
-		// command may still decide.
-		addr := scriptedServer(t, func(string) *string {
-			return str("ERR smr execute: context deadline exceeded")
-		})
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		requireOutcome(t, c.Put("k", "v"), true)
-	})
-
-	t.Run("usage error reply is rejected", func(t *testing.T) {
-		addr := scriptedServer(t, func(string) *string {
-			return str("ERR usage: PUT <key> <value>")
-		})
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		requireOutcome(t, c.Put("k", "v"), false)
-		requireOutcome(t, c.Delete("k"), false)
-	})
-
-	t.Run("unknown command reply is rejected", func(t *testing.T) {
-		addr := scriptedServer(t, func(string) *string {
-			return str("ERR unknown command PUT")
-		})
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		requireOutcome(t, c.Put("k", "v"), false)
-	})
-
-	t.Run("NONE stays plain ErrNotFound", func(t *testing.T) {
-		addr := scriptedServer(t, func(string) *string { return str("NONE") })
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		_, err = c.Get("k")
-		if !errors.Is(err, smr.ErrNotFound) {
-			t.Fatalf("Get miss = %v, want ErrNotFound", err)
-		}
-		if errors.Is(err, smr.ErrMaybeApplied) || errors.Is(err, smr.ErrRejected) {
-			t.Fatalf("ErrNotFound must not carry an outcome verdict: %v", err)
-		}
-	})
+	}
 }
 
 // TestClientGetLinearizable exercises the GETL command end to end against
@@ -168,16 +162,8 @@ func TestClientGetLinearizable(t *testing.T) {
 	addrs, _, cleanup := startServedCluster(t, 3, 1, 1)
 	defer cleanup()
 
-	writer, err := smr.NewClient(addrs[:1], 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer writer.Close()
-	reader, err := smr.NewClient(addrs[1:2], 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
+	writer := newTestSessionClient(t, addrs[:1], smr.SessionOptions{Timeout: 10 * time.Second, Depth: 1})
+	reader := newTestSessionClient(t, addrs[1:2], smr.SessionOptions{Timeout: 10 * time.Second, Depth: 1})
 
 	if err := writer.Put("color", "teal"); err != nil {
 		t.Fatal(err)
@@ -198,13 +184,9 @@ func TestClientGetLinearizable(t *testing.T) {
 // form of a maybe-applied failure self-explanatory — failing seeds print
 // these errors in chaos repro lines.
 func TestClientWriteErrorMessageMentionsAmbiguity(t *testing.T) {
-	addr := scriptedServer(t, func(string) *string { return nil })
-	c, err := smr.NewClient([]string{addr}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	err = c.Put("k", "v")
+	addr := sessionScriptServer(t, func(_, _ string) *string { return nil })
+	c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: time.Second, Depth: 1})
+	err := c.Put("k", "v")
 	if err == nil || !strings.Contains(err.Error(), "may have been applied") {
 		t.Fatalf("error %q does not mention the unknown outcome", err)
 	}

@@ -29,7 +29,6 @@ import (
 // per-group views of one process-wide WAL, so N groups share a single
 // group-commit stream and a single on-disk log.
 type Journal interface {
-	Append(payload []byte) (uint64, error)
 	AppendBuffered(payload []byte) (uint64, error)
 	Commit(index uint64) error
 	Sync() error
@@ -430,26 +429,16 @@ func (r *Replica) persistFailLocked(err error) {
 	r.appliedW = make(map[int][]chan struct{})
 }
 
-// appendEntryLocked journals one WAL entry; false poisons the replica. On
-// the outbox path the append is buffered — durability is the consumer's
-// job, via Commit, before any dependent message or wakeup escapes; critical
-// marks records whose loss could break safety (see the durable struct). The
-// legacy path keeps the inline (group-committed) fsync of the pre-overhaul
-// hot path.
+// appendEntryLocked journals one WAL entry; false poisons the replica. The
+// append is buffered — durability is the outbox consumer's job, via Commit,
+// before any dependent message or wakeup escapes; critical marks records
+// whose loss could break safety (see the durable struct).
 func (r *Replica) appendEntryLocked(e walEntry, critical bool) bool {
 	e.G = r.dur.group
 	payload, err := json.Marshal(e)
 	if err != nil {
 		r.persistFailLocked(err)
 		return false
-	}
-	if r.legacy {
-		//lint:allow iolock legacy baseline path: fsync under the replica lock is the point
-		if _, err := r.dur.wal.Append(payload); err != nil {
-			r.persistFailLocked(err)
-			return false
-		}
-		return true
 	}
 	idx, err := r.dur.wal.AppendBuffered(payload)
 	if err != nil {

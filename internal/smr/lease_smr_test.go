@@ -579,15 +579,12 @@ func TestLeaseHeldRedirectMovesClientToHolder(t *testing.T) {
 		t.Fatalf("STATS missing lease suffix: %q", stats)
 	}
 
-	// Legacy client pinned to the guarded non-holder: the refusal is a
-	// definite rejection carrying the holder in its text.
-	lc, err := smr.NewClient([]string{addrs[0]}, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	if _, err := lc.GetLinearizable("k"); err == nil || !errors.Is(err, smr.ErrRejected) {
-		t.Fatalf("legacy GETL at guarded non-holder = %v, want definite rejection", err)
+	// A client pinned to the guarded non-holder (one address, no
+	// PreferLeader to follow the hint): the refusal is a definite
+	// rejection carrying the holder in its text.
+	pinned := newTestSessionClient(t, addrs[:1], smr.SessionOptions{Timeout: 10 * time.Second, Depth: 1})
+	if _, err := pinned.GetLinearizable("k"); err == nil || !errors.Is(err, smr.ErrRejected) {
+		t.Fatalf("pinned GETL at guarded non-holder = %v, want definite rejection", err)
 	}
 }
 

@@ -109,12 +109,10 @@ type Replica struct {
 	// Out-of-lock I/O (see outbox.go, iosched.go). io is private by default
 	// and shared across groups under the sharded runtime (ShareIO). wakes
 	// accumulates the wakeups of the current locked step; emitLocked drains
-	// it into the outbox. legacy reverts to in-lock fsync+send for baseline
-	// measurement.
+	// it into the outbox.
 	io       *IOScheduler
 	ioShared bool
 	wakes    []wakeup
-	legacy   bool
 
 	// Anti-entropy state: the largest applied index any peer announced,
 	// and the compaction floor below which slot instances and log entries
@@ -209,16 +207,6 @@ func (r *Replica) OmegaLeader() consensus.ProcessID {
 	return r.det.Leader()
 }
 
-// SetLegacyPath reverts the replica to the pre-overhaul I/O discipline —
-// fsync and transport sends performed inside the protocol step, under the
-// replica lock — so a bench run can measure old and new hot paths in the
-// same process (the F4b "legacy" rows). Call before Start.
-func (r *Replica) SetLegacyPath(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.legacy = on
-}
-
 // BindTransport installs the transport (which should deliver to Handle).
 func (r *Replica) BindTransport(tr transport.Transport) {
 	r.mu.Lock()
@@ -230,13 +218,12 @@ func (r *Replica) BindTransport(tr transport.Transport) {
 // first touch.
 func (r *Replica) Start() {
 	r.mu.Lock()
-	em := r.emitLocked(r.applyDetectorLocked(r.det.Start()))
+	r.emitLocked(r.applyDetectorLocked(r.det.Start()))
 	r.scheduleStatusLocked()
 	if r.ls != nil && r.ls.opts.AutoGrant {
 		r.scheduleLeaseLocked()
 	}
 	r.mu.Unlock()
-	r.completeEmit(em)
 }
 
 // statusPeriod is the applied-index gossip period, in protocol ticks.
@@ -267,9 +254,8 @@ func (r *Replica) scheduleStatusLocked() {
 		r.scheduleStatusLocked()
 		// Through the outbox: the advertised applied index must not get
 		// ahead of the journal on disk.
-		em := r.emitLocked(out)
+		r.emitLocked(out)
 		r.mu.Unlock()
-		r.completeEmit(em)
 	})
 }
 
@@ -332,9 +318,8 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 	default:
 		out = r.applyDetectorLocked(r.det.Deliver(from, msg))
 	}
-	em := r.emitLocked(out)
+	r.emitLocked(out)
 	r.mu.Unlock()
-	r.completeEmit(em)
 }
 
 // catchupReplyLocked builds a snapshot reply for a lagging peer: the
@@ -438,8 +423,9 @@ func (r *Replica) dropSlotLocked(slot int) {
 }
 
 // Submit replicates cmd and returns once it is decided and applied at this
-// replica. When batching is enabled (EnableBatching) concurrent Submits are
-// grouped into one consensus instance.
+// replica, or when ctx is done (the command may still commit afterwards).
+// With EnableAdaptiveBatching, Submits arriving while another is in
+// consensus are grouped into one instance.
 func (r *Replica) Submit(ctx context.Context, cmd Command) error {
 	r.mu.Lock()
 	if cmd.ID == "" {
@@ -518,9 +504,8 @@ func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
 		}
 		ch = make(chan consensus.Value, 1)
 		r.waiters[slot] = append(r.waiters[slot], ch)
-		em := r.emitLocked(out)
+		r.emitLocked(out)
 		r.mu.Unlock()
-		r.completeEmit(em)
 
 		select {
 		case v := <-ch:
@@ -662,9 +647,8 @@ func (r *Replica) InstallSnapshotJSON(data []byte) error {
 		return fmt.Errorf("smr install snapshot: %w", err)
 	}
 	r.mu.Lock()
-	em := r.emitLocked(r.installSnapshotLocked(applied, store, decided))
+	r.emitLocked(r.installSnapshotLocked(applied, store, decided))
 	r.mu.Unlock()
-	r.completeEmit(em)
 	return nil
 }
 
@@ -978,9 +962,8 @@ func (r *Replica) startSlotTimerLocked(slot int, node *core.Node, eff consensus.
 		if !r.persistSlotLocked(slot) {
 			out = nil
 		}
-		em := r.emitLocked(out)
+		r.emitLocked(out)
 		r.mu.Unlock()
-		r.completeEmit(em)
 	})
 }
 
@@ -997,17 +980,9 @@ func (r *Replica) startDetectorTimerLocked(eff consensus.StartTimer) {
 			r.mu.Unlock()
 			return
 		}
-		em := r.emitLocked(r.applyDetectorLocked(r.det.Tick(eff.Timer)))
+		r.emitLocked(r.applyDetectorLocked(r.det.Tick(eff.Timer)))
 		r.mu.Unlock()
-		r.completeEmit(em)
 	})
-}
-
-// emitted is the handle a protocol step carries out of the lock; the
-// caller passes it to completeEmit after unlocking. On the outbox path it
-// is empty — the I/O was queued under the lock and proceeds asynchronously.
-type emitted struct {
-	out []outbound // legacy mode: flush synchronously
 }
 
 // emitLocked hands the current step's deferred I/O — out plus any wakeups
@@ -1020,20 +995,11 @@ type emitted struct {
 // each step on its own entry's completion; it serialized every protocol
 // hop behind a full fsync and benchmarked 4× slower than the in-lock
 // baseline at 8 clients.)
-//
-// In legacy mode wakeups fire inline, under the lock, and the messages are
-// returned for a synchronous flush — exactly the pre-overhaul hot path.
-func (r *Replica) emitLocked(out []outbound) emitted {
+func (r *Replica) emitLocked(out []outbound) {
 	wakes := r.wakes
 	r.wakes = nil
-	if r.legacy {
-		for _, w := range wakes {
-			w.fire(true)
-		}
-		return emitted{out: out}
-	}
 	if len(out) == 0 && len(wakes) == 0 {
-		return emitted{}
+		return
 	}
 	var idx uint64
 	if r.dur != nil && r.dur.policy == wal.SyncAlways {
@@ -1048,15 +1014,6 @@ func (r *Replica) emitLocked(out []outbound) emitted {
 		}
 	}
 	r.io.enqueue(outboxEntry{r: r, walIdx: idx, msgs: out, wake: wakes})
-	return emitted{}
-}
-
-// completeEmit performs the legacy path's synchronous flush. On the outbox
-// path the I/O is already queued and nothing remains to do out of the lock.
-func (r *Replica) completeEmit(e emitted) {
-	if e.out != nil {
-		r.flush(e.out)
-	}
 }
 
 // SyncIO is a barrier: it blocks until every protocol step emitted before
@@ -1065,11 +1022,11 @@ func (r *Replica) completeEmit(e emitted) {
 // pipelines I/O behind Handle/Execute, so a caller that needs "effects
 // externally visible now" (tests inspecting a capture transport, orderly
 // shutdown sequences) calls SyncIO instead of assuming the triggering call
-// implied completion. On a closed or legacy-mode replica there is nothing
-// queued and SyncIO returns immediately.
+// implied completion. On a closed replica there is nothing queued and
+// SyncIO returns immediately.
 func (r *Replica) SyncIO() {
 	r.mu.Lock()
-	if r.closed || r.legacy {
+	if r.closed {
 		r.mu.Unlock()
 		return
 	}
@@ -1096,22 +1053,5 @@ func (r *Replica) ioFail(err error) {
 		r.persistFailLocked(err)
 	} else {
 		r.closed = true
-	}
-}
-
-// flush sends out synchronously; the legacy path and WAL-independent
-// traffic (status gossip before Start) use it.
-func (r *Replica) flush(out []outbound) {
-	if len(out) == 0 {
-		return
-	}
-	r.mu.Lock()
-	tr := r.tr
-	r.mu.Unlock()
-	if tr == nil {
-		return
-	}
-	for _, o := range out {
-		_ = tr.Send(o.to, o.msg)
 	}
 }

@@ -43,12 +43,12 @@ type SessionOptions struct {
 // server the client degrades to the one-at-a-time legacy protocol on the
 // same connection, so it can be deployed before its servers.
 //
-// Failure semantics match Client exactly: every failed operation matches
-// exactly one of ErrMaybeApplied / ErrRejected. On a connection failure,
-// pending operations whose frames never reached the socket are re-queued
-// onto the next proxy (they provably did not execute); operations already
-// written fail as maybe-applied if they mutate, and are retried if they
-// are reads (re-executing a read is harmless).
+// Every failed operation matches exactly one of ErrMaybeApplied /
+// ErrRejected. On a connection failure, pending operations whose frames
+// never reached the socket are re-queued onto the next proxy (they
+// provably did not execute); operations already written fail as
+// maybe-applied if they mutate, and are retried if they are reads
+// (re-executing a read is harmless).
 type SessionClient struct {
 	addrs []string
 	opts  SessionOptions
@@ -97,8 +97,9 @@ func (c *SessionClient) Delete(key string) error {
 	return c.write("DEL " + key)
 }
 
-// Get reads a key from the proxy's applied state (possibly stale; see
-// Client.Get).
+// Get reads a key from the proxy's local applied state; the reply can lag
+// concurrent writes. Use GetLinearizable for a read that observes every
+// completed write.
 func (c *SessionClient) Get(key string) (string, error) {
 	if err := checkKey(key); err != nil {
 		return "", &outcomeError{cause: err, maybe: false}
@@ -106,7 +107,8 @@ func (c *SessionClient) Get(key string) (string, error) {
 	return c.get("GET " + key)
 }
 
-// GetLinearizable reads a key with linearizable semantics.
+// GetLinearizable reads a key with linearizable semantics (a lease hit at
+// the server, or a no-op replicated through consensus before reading).
 func (c *SessionClient) GetLinearizable(key string) (string, error) {
 	if err := checkKey(key); err != nil {
 		return "", &outcomeError{cause: err, maybe: false}
@@ -639,8 +641,7 @@ func (s *session) readLoop() {
 }
 
 // doLegacy is the v1 fallback: one request/reply round trip at a time,
-// serialized, with the connection deadline as the timeout (exactly the
-// old client's discipline).
+// serialized, with the connection deadline as the timeout.
 func (s *session) doLegacy(cmd string, timeout time.Duration) opResult {
 	s.lmu.Lock()
 	defer s.lmu.Unlock()

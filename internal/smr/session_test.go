@@ -101,13 +101,20 @@ func TestWhitespaceExactRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	t.Run("legacy client", func(t *testing.T) {
-		c, err := smr.NewClient(addrs[:1], 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		check(t, c.Put, c.Get)
+	t.Run("v1 raw lines", func(t *testing.T) {
+		conn, rd := dialRaw(t, addrs[0])
+		check(t, func(k, v string) error {
+			if got := rawLine(t, conn, rd, "PUT "+k+" "+v); got != "OK" {
+				return errors.New(got)
+			}
+			return nil
+		}, func(k string) (string, error) {
+			got := rawLine(t, conn, rd, "GET "+k)
+			if !strings.HasPrefix(got, "VAL ") {
+				return "", errors.New(got)
+			}
+			return strings.TrimPrefix(got, "VAL "), nil
+		})
 	})
 	t.Run("session client", func(t *testing.T) {
 		c := newTestSessionClient(t, addrs[:1], smr.SessionOptions{Timeout: 10 * time.Second})
@@ -131,31 +138,18 @@ func TestInjectionRejected(t *testing.T) {
 			t.Fatalf("err = %v; want ErrRejected, not maybe-applied", err)
 		}
 	}
-	lc, err := smr.NewClient(addrs[:1], 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
 	sc := newTestSessionClient(t, addrs[:1], smr.SessionOptions{Timeout: 10 * time.Second})
 
 	if err := sc.Put("k", "safe"); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		put  func(k, v string) error
-		del  func(k string) error
-	}{{"legacy", lc.Put, lc.Delete}, {"session", sc.Put, sc.Delete}} {
-		t.Run(c.name, func(t *testing.T) {
-			requireRejected(t, c.put("k", "v\nDEL k"))
-			requireRejected(t, c.put("k", "v\r\nDEL k"))
-			requireRejected(t, c.put("k\nDEL k", "v"))
-			requireRejected(t, c.put("bad key", "v"))
-			requireRejected(t, c.put("bad\tkey", "v"))
-			requireRejected(t, c.put("", "v"))
-			requireRejected(t, c.del("k\nPUT k gone"))
-		})
-	}
+	requireRejected(t, sc.Put("k", "v\nDEL k"))
+	requireRejected(t, sc.Put("k", "v\r\nDEL k"))
+	requireRejected(t, sc.Put("k\nDEL k", "v"))
+	requireRejected(t, sc.Put("bad key", "v"))
+	requireRejected(t, sc.Put("bad\tkey", "v"))
+	requireRejected(t, sc.Put("", "v"))
+	requireRejected(t, sc.Delete("k\nPUT k gone"))
 	// The injection attempts must not have executed their payloads.
 	if got, err := sc.GetLinearizable("k"); err != nil || got != "safe" {
 		t.Fatalf("k = %q, %v after injection attempts; want %q intact", got, err, "safe")
@@ -184,47 +178,28 @@ func TestStatsErrorTaxonomy(t *testing.T) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		c, err := smr.NewClient([]string{addr}, 500*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
+		c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: 500 * time.Millisecond})
 		_, err = c.Stats()
 		requireVerdict(t, err, false)
 		_, err = c.Info()
 		requireVerdict(t, err, false)
 	})
-	t.Run("cut after send is maybe-applied", func(t *testing.T) {
-		addr := scriptedServer(t, func(string) *string { return nil })
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		_, err = c.Stats()
-		requireVerdict(t, err, true)
-	})
-	t.Run("weird reply classifies by content", func(t *testing.T) {
-		addr := scriptedServer(t, func(string) *string { return str("ERR unknown command STATS") })
-		c, err := smr.NewClient([]string{addr}, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		_, err = c.Stats()
-		requireVerdict(t, err, false)
-	})
-	t.Run("session client matches", func(t *testing.T) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: 500 * time.Millisecond})
-		_, err = c.Stats()
-		requireVerdict(t, err, false)
-	})
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			t.Run("cut after send is maybe-applied", func(t *testing.T) {
+				addr := w.serve(t, func(string) *string { return nil })
+				c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: time.Second})
+				_, err := c.Stats()
+				requireVerdict(t, err, true)
+			})
+			t.Run("weird reply classifies by content", func(t *testing.T) {
+				addr := w.serve(t, func(string) *string { return str("ERR unknown command STATS") })
+				c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: time.Second})
+				_, err := c.Stats()
+				requireVerdict(t, err, false)
+			})
+		})
+	}
 }
 
 // TestSessionLegacyFallback runs the session client against a v1-only

@@ -15,6 +15,14 @@ import (
 // startCluster boots n replicas over an in-process mesh.
 func startCluster(t testing.TB, n, f, e int) ([]*smr.Replica, func()) {
 	t.Helper()
+	replicas, _, cleanup := startMeshCluster(t, n, f, e)
+	return replicas, cleanup
+}
+
+// startMeshCluster is startCluster for tests that inject faults: it also
+// hands back the mesh.
+func startMeshCluster(t testing.TB, n, f, e int) ([]*smr.Replica, *transport.Mesh, func()) {
+	t.Helper()
 	mesh := transport.NewMesh(n)
 	replicas := make([]*smr.Replica, n)
 	for i := 0; i < n; i++ {
@@ -39,7 +47,7 @@ func startCluster(t testing.TB, n, f, e int) ([]*smr.Replica, func()) {
 		}
 		mesh.Close()
 	}
-	return replicas, cleanup
+	return replicas, mesh, cleanup
 }
 
 func TestKVPutGet(t *testing.T) {
