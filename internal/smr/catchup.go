@@ -67,14 +67,6 @@ type replicaSnapshot struct {
 	Decided map[int]consensus.Value `json:"decided,omitempty"`
 }
 
-func encodeSnapshot(applied int, store map[string]string, decided map[int]consensus.Value) ([]byte, error) {
-	cp := make(map[string]string, len(store))
-	for k, v := range store {
-		cp[k] = v
-	}
-	return json.Marshal(replicaSnapshot{Applied: applied, Store: cp, Decided: decided})
-}
-
 func decodeSnapshot(data []byte) (int, map[string]string, map[int]consensus.Value, error) {
 	var s replicaSnapshot
 	if err := json.Unmarshal(data, &s); err != nil {

@@ -35,7 +35,21 @@ func (g *gate) setOpen(open bool) {
 	g.mu.Unlock()
 }
 
+// TestLaggingReplicaCatchesUpViaSnapshot cuts one replica off while the
+// other two retire the slots it missed — by an explicit Compact, and by the
+// apply loop on its own once more than the retain window has been decided —
+// so it cannot recover slot by slot, only via snapshot.
 func TestLaggingReplicaCatchesUpViaSnapshot(t *testing.T) {
+	t.Run("compact", func(t *testing.T) { testLaggingReplicaCatchesUp(t, 12, true) })
+	t.Run("automatic", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("drives more than the retain window of slots")
+		}
+		testLaggingReplicaCatchesUp(t, smr.RetainSlots+200, false)
+	})
+}
+
+func testLaggingReplicaCatchesUp(t *testing.T, writes int, compact bool) {
 	const n, f, e = 3, 1, 1
 	mesh := transport.NewMesh(n)
 	defer mesh.Close()
@@ -67,10 +81,9 @@ func TestLaggingReplicaCatchesUpViaSnapshot(t *testing.T) {
 
 	// Partition replica 2, then commit a batch of writes through p0.
 	lagGate.setOpen(false)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	kv := smr.NewKV(replicas[0])
-	const writes = 12
 	for i := 0; i < writes; i++ {
 		if err := kv.Put(ctx, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
@@ -80,17 +93,33 @@ func TestLaggingReplicaCatchesUpViaSnapshot(t *testing.T) {
 		t.Fatalf("partitioned replica applied %d slots", replicas[2].Applied())
 	}
 
-	// Compact the healthy replicas below their applied index, so replica
-	// 2 cannot recover slot by slot — only via snapshot.
-	if floor := replicas[0].Compact(0); floor != replicas[0].Applied() {
-		t.Fatalf("compact floor = %d, want %d", floor, replicas[0].Applied())
+	if compact {
+		// Compact the healthy replicas below their applied index.
+		if floor := replicas[0].Compact(0); floor != replicas[0].Applied() {
+			t.Fatalf("compact floor = %d, want %d", floor, replicas[0].Applied())
+		}
+		replicas[1].Compact(0)
+	} else {
+		// Nobody compacts: the state behind applied is bounded anyway.
+		info := replicas[0].Info()
+		if want := info.Applied - smr.RetainSlots; info.CompactFloor != want || want <= 0 {
+			t.Fatalf("compact floor = %d after %d applied, want %d", info.CompactFloor, info.Applied, want)
+		}
+		if info.OpenSlots > 4 {
+			t.Fatalf("%d open slots on an idle replica", info.OpenSlots)
+		}
+		if _, ok := replicas[0].LogValue(info.Applied - 1); !ok {
+			t.Fatal("slot inside the retain window missing from log")
+		}
 	}
-	replicas[1].Compact(0)
+	if _, ok := replicas[0].LogValue(0); ok {
+		t.Fatal("retired slot 0 still in log")
+	}
 
 	// Heal the partition; the status gossip announces the healthy applied
 	// index and replica 2 installs a snapshot.
 	lagGate.setOpen(true)
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	for replicas[2].Applied() < writes {
 		if time.Now().After(deadline) {
 			t.Fatalf("lagging replica stuck at %d/%d applied", replicas[2].Applied(), writes)

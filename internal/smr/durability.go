@@ -99,9 +99,6 @@ type durable struct {
 	snapEvery int
 	policy    wal.SyncPolicy
 	syncEvery time.Duration
-	// persisted caches the last journaled state per slot so unchanged
-	// steps append nothing.
-	persisted map[int]core.State
 	// buffered is the WAL index of the last record appended without an
 	// inline fsync; critical is the newest record that guards safety — a
 	// promise or vote change a peer may act on. Outbox entries that only
@@ -224,7 +221,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		snapEvery: opts.SnapshotEvery,
 		policy:    opts.Policy,
 		syncEvery: opts.SyncEvery,
-		persisted: make(map[int]core.State),
 		snapIndex: int(snapIdx),
 	}
 
@@ -247,9 +243,9 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		if snap.Seq > r.seq {
 			r.seq = snap.Seq
 		}
-		for slot, v := range snap.Log {
-			if slot >= r.applied {
-				r.log[slot] = v
+		for n, v := range snap.Log {
+			if n >= r.applied {
+				r.slotLocked(n).learn(v)
 			}
 		}
 		if r.ls != nil && snap.LeaseHolder != nil {
@@ -281,12 +277,12 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 			if e.State != nil {
 				states[e.Slot] = *e.State
 				if !e.State.Decided.IsNone() {
-					r.log[e.Slot] = e.State.Decided
+					r.slotLocked(e.Slot).learn(e.State.Decided)
 				}
 			}
 		case walKindDecide:
 			if e.Val != nil {
-				r.log[e.Slot] = *e.Val
+				r.slotLocked(e.Slot).learn(*e.Val)
 			}
 		}
 		return nil
@@ -303,49 +299,32 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	}
 
 	// 3. Re-apply decided commands in slot order.
-	for {
-		next, ok := r.log[r.applied]
-		if !ok {
-			break
-		}
-		r.applyCommandLocked(next)
-		r.applied++
-	}
+	r.applyReadyLocked()
 
 	// 4. A restarted replica must never re-enter a slot below its applied
-	// index with a fresh (amnesiac) instance: raise the compaction floor so
-	// stragglers there are served snapshots instead.
-	if r.applied > r.compactFloor {
-		r.compactFloor = r.applied
-	}
-	if r.applied > r.maxSeenApplied {
-		r.maxSeenApplied = r.applied
-	}
+	// index with a fresh (amnesiac) instance: retire them all, so stragglers
+	// there are served snapshots instead.
+	r.retireBelowLocked(r.applied)
 	if r.applied > r.freeHint {
 		r.freeHint = r.applied
 	}
-	for slot := range r.log {
-		if slot < r.compactFloor {
-			delete(r.log, slot)
-		}
-	}
 
 	// 5. Rebuild live instances for open slots with their promises intact.
-	for slot, st := range states {
-		if slot < r.applied {
+	for n, st := range states {
+		if n < r.applied {
 			continue
 		}
-		node := core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.det)
-		if err := node.Restore(st); err != nil {
+		s := r.slotLocked(n)
+		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.det)
+		if err := s.node.Restore(st); err != nil {
 			closeOwned()
 			r.dur = nil
-			return RecoveryInfo{}, fmt.Errorf("smr durability: slot %d: %w", slot, err)
+			return RecoveryInfo{}, fmt.Errorf("smr durability: slot %d: %w", n, err)
 		}
-		r.slots[slot] = node
-		r.dur.persisted[slot] = st
-		r.applyTimersOnlyLocked(slot, node, node.Start())
+		s.persisted = st
+		r.applySlotLocked(s, s.node.Start())
+		info.OpenSlots++
 	}
-	info.OpenSlots = len(r.slots)
 	info.Applied = r.applied
 
 	// 6. Never reuse a command sequence number from a previous life.
@@ -373,8 +352,11 @@ func (r *Replica) recoverSeqLocked() {
 			bump(sub)
 		}
 	}
-	for _, v := range r.log {
-		if cmd, err := DecodeCommand(v); err == nil {
+	for _, s := range r.slots {
+		if !s.decided {
+			continue
+		}
+		if cmd, err := DecodeCommand(s.val); err == nil {
 			bump(cmd)
 		}
 	}
@@ -382,51 +364,29 @@ func (r *Replica) recoverSeqLocked() {
 
 // scheduleWalSyncLocked (re)arms the periodic WAL fsync under SyncInterval.
 func (r *Replica) scheduleWalSyncLocked() {
-	const key = "smr/walsync"
-	r.gens[key]++
-	gen := r.gens[key]
-	if t, ok := r.timers[key]; ok {
-		t.Stop()
-	}
-	r.timers[key] = time.AfterFunc(r.dur.syncEvery, func() {
-		r.mu.Lock()
-		if r.closed || r.dur == nil || r.gens[key] != gen {
-			r.mu.Unlock()
-			return
-		}
+	r.armLocked(&r.timers[timerWALSync], r.dur.syncEvery, func() func() {
 		w := r.dur.wal
 		r.scheduleWalSyncLocked()
-		r.mu.Unlock()
 		// The fsync runs off the lock; a failure poisons the replica the
 		// same way an in-step persist failure does.
-		if err := w.Sync(); err != nil {
-			r.ioFail(err)
+		return func() {
+			if err := w.Sync(); err != nil {
+				r.ioFail(err)
+			}
 		}
 	})
 }
 
 // persistFailLocked poisons the replica after a journaling failure: no
 // state transition may become externally visible without its WAL record,
-// so the only safe continuation is none. Waiters still registered are
-// released (Execute and WaitApplied map the closed channels to ErrClosed);
-// channels owned by queued wakeups are the outbox consumer's to fire.
+// so the only safe continuation is none. The replica refuses work and
+// releases its waiters (haltLocked); its resources stay held until Close
+// or Kill.
 func (r *Replica) persistFailLocked(err error) {
-	if r.dur.err == nil {
+	if r.dur != nil && r.dur.err == nil {
 		r.dur.err = err
 	}
-	r.closed = true
-	for _, chs := range r.waiters {
-		for _, ch := range chs {
-			close(ch)
-		}
-	}
-	r.waiters = make(map[int][]chan consensus.Value)
-	for _, chs := range r.appliedW {
-		for _, ch := range chs {
-			close(ch)
-		}
-	}
-	r.appliedW = make(map[int][]chan struct{})
+	r.haltLocked()
 }
 
 // appendEntryLocked journals one WAL entry; false poisons the replica. The
@@ -456,44 +416,31 @@ func (r *Replica) appendEntryLocked(e walEntry, critical bool) bool {
 // last journaled state. Call after applying a slot's effects and before
 // any of them escape (flush or waiter wake-up). Returns false (and poisons
 // the replica) on failure.
-func (r *Replica) persistSlotLocked(slot int) bool {
+func (r *Replica) persistSlotLocked(s *slot) bool {
 	if r.dur == nil {
 		return true
 	}
 	if r.dur.err != nil {
 		return false
 	}
-	node, ok := r.slots[slot]
-	if !ok {
+	if s.node == nil {
 		return true
 	}
-	st := node.Snapshot()
-	prev, had := r.dur.persisted[slot]
-	if had && prev == st {
+	st := s.node.Snapshot()
+	if s.persisted == st {
 		return true
 	}
 	// A record is sync-critical unless the only field that moved is Decided:
 	// promises and votes must hit disk before any peer sees a message built
 	// on them, while a decision is reconstructible from the quorum of durable
 	// accepts that produced it (the recovery path re-decides the same value).
-	masked := prev
+	masked := s.persisted
 	masked.Decided = st.Decided
-	critical := !had || masked != st
-	if !r.appendEntryLocked(walEntry{Kind: walKindState, Slot: slot, State: &st}, critical) {
+	if !r.appendEntryLocked(walEntry{Kind: walKindState, Slot: s.n, State: &st}, masked != st) {
 		return false
 	}
-	r.dur.persisted[slot] = st
+	s.persisted = st
 	return true
-}
-
-// noteSlotCreatedLocked records a fresh instance's baseline state so that
-// untouched slots journal nothing (a brand-new instance is reproducible by
-// the absence of records).
-func (r *Replica) noteSlotCreatedLocked(slot int, node *core.Node) {
-	if r.dur == nil {
-		return
-	}
-	r.dur.persisted[slot] = node.Snapshot()
 }
 
 // persistDecideLocked journals a decision before it is applied or any
@@ -535,36 +482,23 @@ func (r *Replica) writeSnapshotLocked() {
 	if r.dur == nil || r.dur.err != nil {
 		return
 	}
+	c := r.captureLocked()
 	snap := durableSnapshot{
-		Applied:      r.applied,
-		Store:        make(map[string]string, len(r.store)),
+		Applied:      c.Applied,
+		Store:        c.Store,
 		CompactFloor: r.compactFloor,
 		Seq:          r.seq,
 		WalNext:      r.dur.wal.NextIndex(),
+		Log:          c.Decided,
+		LeaseHolder:  c.LeaseHolder,
+		LeaseRemain:  c.LeaseRemain,
 	}
-	for k, v := range r.store {
-		snap.Store[k] = v
-	}
-	for slot, node := range r.slots {
-		if slot >= r.applied {
+	for n, s := range r.slots {
+		if s.node != nil && n >= r.applied {
 			if snap.Slots == nil {
 				snap.Slots = make(map[int]core.State)
 			}
-			snap.Slots[slot] = node.Snapshot()
-		}
-	}
-	for slot, v := range r.log {
-		if slot >= r.applied {
-			if snap.Log == nil {
-				snap.Log = make(map[int]consensus.Value)
-			}
-			snap.Log[slot] = v
-		}
-	}
-	if r.ls != nil {
-		if h, remain := r.ls.tab.Export(r.ls.now()); h >= 0 && remain > 0 {
-			snap.LeaseHolder = &h
-			snap.LeaseRemain = remain
+			snap.Slots[n] = s.node.Snapshot()
 		}
 	}
 	blob, err := json.Marshal(snap)
@@ -589,40 +523,6 @@ func (r *Replica) writeSnapshotLocked() {
 	if _, err := r.dur.wal.TruncateBefore(snap.WalNext); err != nil {
 		r.persistFailLocked(err)
 	}
-}
-
-// Snapshot forces a durable checkpoint now (no-op without durability).
-func (r *Replica) Snapshot() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dur == nil {
-		return nil
-	}
-	r.writeSnapshotLocked()
-	return r.dur.err
-}
-
-// SyncWAL forces an fsync of the WAL (no-op without durability). The
-// SyncInterval policy calls this from a timer; hosts with their own clock
-// discipline may drive it directly. The fsync itself runs off the replica
-// lock.
-func (r *Replica) SyncWAL() error {
-	r.mu.Lock()
-	if r.dur == nil {
-		r.mu.Unlock()
-		return nil
-	}
-	if err := r.dur.err; err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	w := r.dur.wal
-	r.mu.Unlock()
-	if err := w.Sync(); err != nil {
-		r.ioFail(err)
-		return err
-	}
-	return nil
 }
 
 // ReplicaInfo is the operational summary served by the INFO command.
@@ -650,8 +550,8 @@ func (r *Replica) Info() ReplicaInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	open := 0
-	for slot := range r.slots {
-		if slot >= r.applied {
+	for n, s := range r.slots {
+		if s.node != nil && n >= r.applied {
 			open++
 		}
 	}

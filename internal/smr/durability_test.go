@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -548,8 +550,9 @@ func TestEnableDurabilityTwiceFails(t *testing.T) {
 
 func TestPoisonedReplicaRejectsWork(t *testing.T) {
 	// After a journaling failure nothing may become externally visible, so
-	// the replica closes itself; clients get ErrClosed, not silent
-	// un-journaled progress.
+	// the replica refuses work; clients get ErrClosed, not silent
+	// un-journaled progress. It still holds its resources, and Close must
+	// still give them back: the listener, and a data dir that reopens.
 	dir := t.TempDir()
 	cfg := consensus.Config{ID: 0, N: 1, F: 0, E: 0, Delta: 10}
 	r, err := smr.NewReplica(cfg, time.Millisecond)
@@ -561,6 +564,14 @@ func TestPoisonedReplicaRejectsWork(t *testing.T) {
 	if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: dir, FailpointLimit: 20}); err != nil {
 		t.Fatal(err)
 	}
+	codec := consensus.NewCodec()
+	smr.RegisterMessages(codec)
+	tr, err := transport.NewTCP(0, map[consensus.ProcessID]string{0: "127.0.0.1:0"}, codec, r.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := tr.Addr()
+	r.BindTransport(tr)
 	r.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -570,5 +581,113 @@ func TestPoisonedReplicaRejectsWork(t *testing.T) {
 	}
 	if !errors.Is(err, smr.ErrClosed) && ctx.Err() == nil {
 		t.Fatalf("unexpected error: %v", err)
+	}
+
+	if err := r.Close(); err != nil {
+		t.Fatalf("close after poisoning: %v", err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("Close left the poisoned replica's listener open: %v", err)
+	}
+	ln.Close()
+	r2, err := smr.NewReplica(cfg, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if _, err := r2.EnableDurability(smr.DurabilityOptions{Dir: dir}); err != nil {
+		t.Fatalf("reopen the poisoned replica's data dir: %v", err)
+	}
+	r2.Start()
+	if err := smr.NewKV(r2).Put(ctx, "k", "v"); err != nil {
+		t.Fatalf("write on the reopened data dir: %v", err)
+	}
+}
+
+// TestTeardownReleasesBlockedCallers blocks one caller in every way a
+// replica can hold one — Execute, WaitApplied, ReadBarrier (a round leader
+// and a rider) and a batched Submit (a chunk in flight and one queued) — on
+// a replica that can reach no quorum, then stops it each of the three ways.
+// Every caller must return ErrClosed, none may hang, and the Close that
+// follows must find nothing left to close a second time.
+func TestTeardownReleasesBlockedCallers(t *testing.T) {
+	stops := map[string]func(t *testing.T, r *smr.Replica){
+		"close": func(t *testing.T, r *smr.Replica) { r.Close() },
+		"kill":  func(t *testing.T, r *smr.Replica) { r.Kill() },
+		"poison": func(t *testing.T, r *smr.Replica) {
+			// One record past the WAL failpoint.
+			fat := smr.Command{Op: smr.OpPut, Key: "fat", Val: strings.Repeat("x", 1<<15)}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := r.Execute(ctx, fat); !errors.Is(err, smr.ErrClosed) {
+				t.Errorf("poisoning write: %v, want ErrClosed", err)
+			}
+		},
+	}
+	for name, stop := range stops {
+		t.Run(name, func(t *testing.T) {
+			// Peers 1 and 2 never attach: nothing proposed here decides.
+			mesh := transport.NewMesh(3)
+			defer mesh.Close()
+			cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
+			r, err := smr.NewReplica(cfg, time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: t.TempDir(), FailpointLimit: 1 << 14}); err != nil {
+				t.Fatal(err)
+			}
+			r.EnableAdaptiveBatching(0)
+			tr, err := mesh.Endpoint(0, r.Handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.BindTransport(tr)
+			r.Start()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			put := func(key string) smr.Command { return smr.Command{Op: smr.OpPut, Key: key, Val: "v"} }
+			calls := map[string]func() error{
+				"Execute":            func() error { _, err := r.Execute(ctx, put("e")); return err },
+				"WaitApplied":        func() error { return r.WaitApplied(ctx, 1000) },
+				"ReadBarrier leader": func() error { return r.ReadBarrier(ctx) },
+				"ReadBarrier rider":  func() error { return r.ReadBarrier(ctx) },
+				"Submit in flight":   func() error { return r.Submit(ctx, put("s1")) },
+				"Submit queued":      func() error { return r.Submit(ctx, put("s2")) },
+			}
+			type result struct {
+				call string
+				err  error
+			}
+			results := make(chan result, len(calls))
+			for call, fn := range calls {
+				go func() { results <- result{call, fn()} }()
+			}
+			// Execute, the read round and the batch flush each hold a slot.
+			for deadline := time.Now().Add(10 * time.Second); r.Info().OpenSlots < 3; {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d callers reached a slot", r.Info().OpenSlots)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			stop(t, r)
+			for range calls {
+				select {
+				case res := <-results:
+					if !errors.Is(res.err, smr.ErrClosed) {
+						t.Errorf("%s returned %v, want ErrClosed", res.call, res.err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("a blocked caller was never released")
+				}
+			}
+			if err := r.Close(); err != nil {
+				t.Errorf("close after %s: %v", name, err)
+			}
+		})
 	}
 }

@@ -1,7 +1,5 @@
 package smr
 
-import "repro/internal/consensus"
-
 // Fault-injection surface for the chaos harness (internal/chaos): a
 // crash-simulating shutdown that takes the real recovery path on restart,
 // and a deliberately broken read path that proves the harness's
@@ -18,63 +16,7 @@ import "repro/internal/consensus"
 //
 // Contrast with Close, which syncs the WAL on the way down (graceful
 // shutdown must be durable).
-func (r *Replica) Kill() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	for _, t := range r.timers {
-		t.Stop()
-	}
-	for _, chs := range r.waiters {
-		for _, ch := range chs {
-			close(ch)
-		}
-	}
-	r.waiters = make(map[int][]chan consensus.Value)
-	for _, chs := range r.appliedW {
-		for _, ch := range chs {
-			close(ch)
-		}
-	}
-	r.appliedW = make(map[int][]chan struct{})
-	tr := r.tr
-	// Detach the transport under the lock: the outbox consumer reloads it
-	// per entry owner, so entries still queued send nothing after this
-	// point.
-	r.tr = nil
-	b := r.batch
-	d := r.dur
-	r.mu.Unlock()
-	if b != nil {
-		b.close()
-	}
-	var firstErr error
-	if d != nil && d.ownsWAL {
-		// Abort the WAL BEFORE draining the outbox: queued group commits
-		// must fail — and fail their client wakeups — rather than make the
-		// "crashed" state durable. With a shared journal the abort is the
-		// runtime's job, before it kills the groups (shard.Runtime.Kill).
-		if err := d.wal.Abort(); err != nil {
-			firstErr = err
-		}
-	}
-	if r.ioShared {
-		// The scheduler serves the process's other groups; a barrier makes
-		// this replica externally silent without stopping the stream.
-		r.io.barrier()
-	} else {
-		r.io.Close()
-	}
-	if tr != nil {
-		if err := tr.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+func (r *Replica) Kill() error { return r.shutdown(true) }
 
 // FaultInjectStaleReads deliberately breaks the replica's read path: once
 // enabled, Get (and therefore GetLinearizable through this replica)

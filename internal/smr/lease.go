@@ -86,11 +86,6 @@ type leaseState struct {
 
 	inFlight bool // a grant proposal is in flight (auto-renew dedup)
 
-	// fenced marks applied slots whose command was proposed by this
-	// replica inside a foreign guard window; Submit downgrades their acks
-	// to ErrLeaseFenced. Bounded: purged below applied-fencedRetain.
-	fenced map[int]bool
-
 	hits, misses, expired, revoked uint64
 	refused, fencedN, grants       uint64
 }
@@ -105,11 +100,6 @@ func (ls *leaseState) now() int64 {
 	}
 	return time.Since(ls.start).Nanoseconds()
 }
-
-const (
-	fencedRetain    = 4096
-	fencedPurgeSize = 256
-)
 
 // EnableLeases switches on replicated leader leases for this replica. Must
 // be called before EnableDurability (recovery replays grant commands into
@@ -149,9 +139,8 @@ func (r *Replica) EnableLeases(opts LeaseOptions) error {
 			Epsilon:  opts.Epsilon.Nanoseconds(),
 			Unsafe:   opts.UnsafeZeroEpsilon,
 		}),
-		opts:   opts,
-		start:  time.Now(),
-		fenced: make(map[int]bool),
+		opts:  opts,
+		start: time.Now(),
 	}
 	return nil
 }
@@ -174,10 +163,9 @@ func proposerOf(id string) int {
 	return n
 }
 
-// applyLeaseLocked runs the lease state machine for one applied command.
-// Called from applyCommandLocked with r.applied still naming the slot being
-// applied.
-func (r *Replica) applyLeaseLocked(cmd Command, proposer int) {
+// applyLeaseLocked runs the lease state machine for the command applied in
+// slot s.
+func (r *Replica) applyLeaseLocked(s *slot, cmd Command, proposer int) {
 	now := r.ls.now()
 	if cmd.Op == OpLeaseGrant {
 		h, errH := strconv.Atoi(cmd.Key)
@@ -199,14 +187,9 @@ func (r *Replica) applyLeaseLocked(cmd Command, proposer int) {
 	}
 	if ev.Fenced {
 		r.ls.fencedN++
-		r.ls.fenced[r.applied] = true
-		if len(r.ls.fenced) > fencedPurgeSize {
-			for s := range r.ls.fenced {
-				if s < r.applied-fencedRetain {
-					delete(r.ls.fenced, s)
-				}
-			}
-		}
+		// Submit downgrades the ack to ErrLeaseFenced (takeFenced); the
+		// mark lives as long as the slot record does.
+		s.fenced = true
 	}
 }
 
@@ -214,10 +197,11 @@ func (r *Replica) applyLeaseLocked(cmd Command, proposer int) {
 func (r *Replica) takeFenced(slot int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ls == nil || !r.ls.fenced[slot] {
+	s := r.slots[slot]
+	if s == nil || !s.fenced {
 		return false
 	}
-	delete(r.ls.fenced, slot)
+	s.fenced = false
 	return true
 }
 
@@ -319,22 +303,11 @@ func (r *Replica) HoldsLease() bool {
 // scheduleLeaseLocked (re)arms the auto-grant/renew timer. Period is a
 // fraction of the renew window so expiry is noticed promptly.
 func (r *Replica) scheduleLeaseLocked() {
-	const key = "smr/lease"
 	period := r.ls.opts.Renew / 2
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
-	r.gens[key]++
-	gen := r.gens[key]
-	if t, ok := r.timers[key]; ok {
-		t.Stop()
-	}
-	r.timers[key] = time.AfterFunc(period, func() {
-		r.mu.Lock()
-		if r.closed || r.ls == nil || r.gens[key] != gen {
-			r.mu.Unlock()
-			return
-		}
+	r.armLocked(&r.timers[timerLease], period, func() func() {
 		r.scheduleLeaseLocked()
 		now := r.ls.now()
 		if r.ls.tab.ExpireCheck(now) {
@@ -351,24 +324,20 @@ func (r *Replica) scheduleLeaseLocked() {
 				propose = !r.ls.tab.Guarded(now)
 			}
 		}
-		if propose {
-			r.ls.inFlight = true
-		}
-		dur := r.ls.opts.Duration
-		r.mu.Unlock()
 		if !propose {
-			return
+			return nil
 		}
-		// Runs in the AfterFunc goroutine: bounded by the context, and
-		// gens-invalidated timers simply never reach here again.
-		ctx, cancel := context.WithTimeout(context.Background(), dur)
-		_ = r.AcquireLease(ctx)
-		cancel()
-		r.mu.Lock()
-		if r.ls != nil {
+		r.ls.inFlight = true
+		// The proposal runs in the timer's goroutine, off the lock and
+		// bounded by the context.
+		return func() {
+			ctx, cancel := context.WithTimeout(context.Background(), r.ls.opts.Duration)
+			_ = r.AcquireLease(ctx)
+			cancel()
+			r.mu.Lock()
 			r.ls.inFlight = false
+			r.mu.Unlock()
 		}
-		r.mu.Unlock()
 	})
 }
 

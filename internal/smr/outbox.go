@@ -23,8 +23,8 @@ import (
 // concurrent committers).
 
 // wakeup is a deferred waiter notification. The channels are detached from
-// the replica's waiter maps at queue time (under the lock), so Close —
-// which closes only channels still registered in the maps — can never
+// the replica's slot table at queue time (under the lock), so haltLocked —
+// which closes only channels still registered in the table — can never
 // double-close one that a pending wakeup owns.
 type wakeup struct {
 	v    consensus.Value

@@ -73,27 +73,101 @@ func innerCodec() *consensus.Codec {
 	return c
 }
 
+// retainSlots is how many applied slots stay in the slot table behind the
+// applied index. A peer at most that far behind is still answered slot by
+// slot, and a Submit can still collect its slot's fenced mark; a peer
+// further behind is below the compaction floor and is served a snapshot.
+// A constant, not an option: far more than a healthy replica one WAN round
+// trip behind ever lags, and it bounds the table at a few MB.
+const retainSlots = 4096
+
+// timer is one re-armable host timer (see armLocked). gen moves on every
+// arm and stop, so a callback that already fired but lost the race for
+// Replica.mu finds a stale generation and does nothing.
+type timer struct {
+	t   *time.Timer
+	gen int64
+}
+
+func (tm *timer) stop() {
+	tm.gen++
+	if tm.t != nil {
+		tm.t.Stop()
+	}
+}
+
+// The host timers that belong to no slot (Replica.timers).
+const (
+	timerStatus  = iota // applied-index gossip
+	timerOmega          // the Ω detector's period
+	timerWALSync        // periodic fsync under wal.SyncInterval
+	timerLease          // lease auto-grant / renew
+	numHostTimers
+)
+
+// slot is everything the host knows about one log slot: the consensus
+// instance deciding it, the decision, the callers blocked on it, its timer,
+// and its durable and lease bookkeeping. One record in Replica.slots is the
+// whole of a slot's state, so deleting the record retires the slot.
+type slot struct {
+	n int
+	// node is the live instance. nil while nothing has touched the slot's
+	// protocol here, and for a decision adopted without running it (journal
+	// recovery, a peer's catch-up reply): such a slot answers protocol
+	// traffic with the decision instead of starting an amnesiac instance.
+	node *core.Node
+
+	decided bool
+	val     consensus.Value
+
+	waiters      []chan consensus.Value // Execute callers; each has capacity 1
+	applyWaiters []chan struct{}        // WaitApplied callers
+
+	timer timer // node's new-ballot timer, the only one core arms
+	// persisted is node's last journaled state (its baseline right after
+	// Start or Restore), so steps that change nothing append nothing.
+	persisted core.State
+	// fenced marks a command this replica proposed inside a foreign lease's
+	// guard window; Submit downgrades its ack to ErrLeaseFenced.
+	fenced bool
+}
+
+// learn records the slot's decision.
+func (s *slot) learn(v consensus.Value) { s.decided, s.val = true, v }
+
 // Replica is one member of the replicated state machine. It hosts an Ω
 // detector and one object-mode core consensus instance per log slot, and
 // applies decided commands to a key-value store in slot order.
+//
+// The slot record is the unit: slots holds every slot from compactFloor up
+// that anything has touched, and nothing else in the replica is keyed by
+// slot number. Replica.mu guards that table together with what orders it —
+// the applied index and store, the compaction floor, the slot hints — plus
+// the host timers, the lease table, the durability watermarks and the
+// step's pending wakeups. It is held for in-memory work only: every send,
+// fsync and caller wakeup leaves through the outbox (emitLocked). The read
+// gate and the batcher carry their own mutexes, taken before mu, never
+// under it.
 type Replica struct {
 	cfg   consensus.Config
 	tick  time.Duration
 	inner *consensus.Codec
 
-	mu       sync.Mutex
-	tr       transport.Transport
-	det      *omega.Detector
-	slots    map[int]*core.Node
-	log      map[int]consensus.Value
-	applied  int
-	store    map[string]string
-	waiters  map[int][]chan consensus.Value
-	appliedW map[int][]chan struct{}
-	gens     map[string]int64
-	timers   map[string]*time.Timer
-	seq      int64
+	mu      sync.Mutex
+	tr      transport.Transport
+	det     *omega.Detector
+	slots   map[int]*slot
+	applied int
+	store   map[string]string
+	timers  [numHostTimers]timer
+	seq     int64
+
+	// closed: the replica refuses work — Close, Kill, or a journaling
+	// failure poisoned it (haltLocked). released: Close or Kill has run the
+	// teardown that gives back the batcher, the I/O scheduler, the WAL and
+	// the transport. Separate, so a poisoned replica can still be closed.
 	closed   bool
+	released bool
 
 	// freeHint is a monotonic lower bound on the smallest undecided slot,
 	// advanced by decideLocked so nextFreeSlotLocked does not rescan the
@@ -114,11 +188,10 @@ type Replica struct {
 	ioShared bool
 	wakes    []wakeup
 
-	// Anti-entropy state: the largest applied index any peer announced,
-	// and the compaction floor below which slot instances and log entries
-	// have been discarded (stragglers there are served snapshots).
-	maxSeenApplied int
-	compactFloor   int
+	// compactFloor is the lowest slot the table may hold: everything below
+	// has been retired (retireBelowLocked) and stragglers there are served
+	// snapshots.
+	compactFloor int
 
 	// batch, when non-nil, groups Submit traffic into OpBatch commands.
 	batch *batcher
@@ -147,18 +220,13 @@ func NewReplica(cfg consensus.Config, tick time.Duration) (*Replica, error) {
 		return nil, fmt.Errorf("smr: %w", err)
 	}
 	return &Replica{
-		cfg:      cfg,
-		tick:     tick,
-		inner:    innerCodec(),
-		det:      omega.New(cfg, 0),
-		slots:    make(map[int]*core.Node),
-		log:      make(map[int]consensus.Value),
-		store:    make(map[string]string),
-		waiters:  make(map[int][]chan consensus.Value),
-		appliedW: make(map[int][]chan struct{}),
-		gens:     make(map[string]int64),
-		timers:   make(map[string]*time.Timer),
-		io:       newIOScheduler(),
+		cfg:   cfg,
+		tick:  tick,
+		inner: innerCodec(),
+		det:   omega.New(cfg, 0),
+		slots: make(map[int]*slot),
+		store: make(map[string]string),
+		io:    newIOScheduler(),
 	}, nil
 }
 
@@ -226,6 +294,26 @@ func (r *Replica) Start() {
 	r.mu.Unlock()
 }
 
+// armLocked (re)arms tm: after d, fn runs under r.mu — unless the replica
+// closed, or tm was re-armed or stopped, in the meantime. What fn returns,
+// if anything, runs after the unlock: a timer's blocking tail (an fsync, a
+// proposal) must not hold the lock.
+func (r *Replica) armLocked(tm *timer, d time.Duration, fn func() (unlocked func())) {
+	tm.stop()
+	gen := tm.gen
+	tm.t = time.AfterFunc(d, func() {
+		r.mu.Lock()
+		var unlocked func()
+		if !r.closed && tm.gen == gen {
+			unlocked = fn()
+		}
+		r.mu.Unlock()
+		if unlocked != nil {
+			unlocked()
+		}
+	})
+}
+
 // statusPeriod is the applied-index gossip period, in protocol ticks.
 func (r *Replica) statusPeriod() time.Duration {
 	return time.Duration(5*r.cfg.Delta) * r.tick
@@ -233,18 +321,7 @@ func (r *Replica) statusPeriod() time.Duration {
 
 // scheduleStatusLocked (re)arms the periodic status broadcast.
 func (r *Replica) scheduleStatusLocked() {
-	const key = "smr/status"
-	r.gens[key]++
-	gen := r.gens[key]
-	if t, ok := r.timers[key]; ok {
-		t.Stop()
-	}
-	r.timers[key] = time.AfterFunc(r.statusPeriod(), func() {
-		r.mu.Lock()
-		if r.closed || r.gens[key] != gen {
-			r.mu.Unlock()
-			return
-		}
+	r.armLocked(&r.timers[timerStatus], r.statusPeriod(), func() func() {
 		var out []outbound
 		for i := 0; i < r.cfg.N; i++ {
 			if p := consensus.ProcessID(i); p != r.cfg.ID {
@@ -255,7 +332,7 @@ func (r *Replica) scheduleStatusLocked() {
 		// Through the outbox: the advertised applied index must not get
 		// ahead of the journal on disk.
 		r.emitLocked(out)
-		r.mu.Unlock()
+		return nil
 	})
 }
 
@@ -271,34 +348,26 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 	case *SlotMessage:
 		if m.Slot < r.compactFloor {
 			// The sender is working below our compaction floor: the
-			// slot's instance is gone, but our snapshot covers it.
+			// slot is retired, but our snapshot covers it.
 			out = r.catchupReplyLocked(from)
 			break
 		}
-		if m.Slot > r.maxSeenApplied {
-			r.maxSeenApplied = m.Slot
-		}
-		if v, decided := r.log[m.Slot]; decided {
-			if _, live := r.slots[m.Slot]; !live {
-				// Decided slot whose instance is gone (recovered from the
-				// journal): answer with the decision rather than spinning
-				// up a fresh — amnesiac — instance.
-				out = r.slotDecideReplyLocked(m.Slot, from, v)
-				break
-			}
+		if s := r.slots[m.Slot]; s != nil && s.decided && s.node == nil {
+			// Decided slot that never ran an instance here (or lost it to
+			// a restart): answer with the decision rather than spinning up
+			// a fresh — amnesiac — instance.
+			out = wrapSlot(s.n, from, &core.DecideMsg{Value: s.val})
+			break
 		}
 		inner, err := r.inner.DecodeBody(m.InnerKind, m.InnerBody)
 		if err == nil {
-			node := r.slotLocked(m.Slot)
-			out = r.applySlotLocked(m.Slot, node, node.Deliver(from, inner))
-			if !r.persistSlotLocked(m.Slot) {
+			s := r.instanceLocked(m.Slot)
+			out = r.applySlotLocked(s, s.node.Deliver(from, inner))
+			if !r.persistSlotLocked(s) {
 				out = nil
 			}
 		}
 	case *Status:
-		if m.Applied > r.maxSeenApplied {
-			r.maxSeenApplied = m.Applied
-		}
 		if m.Applied > r.applied {
 			out = []outbound{{to: from, msg: &CatchupRequest{From: r.applied}}}
 		}
@@ -314,7 +383,7 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 			// any later instant only shortens the true residual window.
 			r.ls.tab.Import(*m.LeaseHolder, m.LeaseRemain, r.ls.now())
 		}
-		out = r.installSnapshotLocked(m.Applied, m.Store, m.Decided)
+		r.installSnapshotLocked(m.Applied, m.Store, m.Decided)
 	default:
 		out = r.applyDetectorLocked(r.det.Deliver(from, msg))
 	}
@@ -322,104 +391,101 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 	r.mu.Unlock()
 }
 
-// catchupReplyLocked builds a snapshot reply for a lagging peer: the
-// applied store plus decided values for still-open slots, so a peer that
-// missed decide traffic (drops, restarts) learns them without re-running
-// those slots.
-func (r *Replica) catchupReplyLocked(to consensus.ProcessID) []outbound {
-	store := make(map[string]string, len(r.store))
+// captureLocked cuts the replica's state for someone who will jump to it:
+// a copy of the applied store, the decided values of still-open slots (so
+// a peer that missed decide traffic learns them without re-running those
+// slots), and the lease view. A lagging peer gets it as is; SnapshotJSON
+// and the durable snapshot carry the same cut in their own envelopes.
+func (r *Replica) captureLocked() *CatchupReply {
+	c := &CatchupReply{Applied: r.applied, Store: make(map[string]string, len(r.store))}
 	for k, v := range r.store {
-		store[k] = v
+		c.Store[k] = v
 	}
-	var decided map[int]consensus.Value
-	for slot, v := range r.log {
-		if slot >= r.applied {
-			if decided == nil {
-				decided = make(map[int]consensus.Value)
+	for n, s := range r.slots {
+		if s.decided && n >= r.applied {
+			if c.Decided == nil {
+				c.Decided = make(map[int]consensus.Value)
 			}
-			decided[slot] = v
+			c.Decided[n] = s.val
 		}
 	}
-	reply := &CatchupReply{Applied: r.applied, Store: store, Decided: decided}
 	if r.ls != nil {
 		if h, remain := r.ls.tab.Export(r.ls.now()); h >= 0 && remain > 0 {
-			reply.LeaseHolder = &h
-			reply.LeaseRemain = remain
+			c.LeaseHolder = &h
+			c.LeaseRemain = remain
 		}
 	}
-	return []outbound{{to: to, msg: reply}}
+	return c
 }
 
-// installSnapshotLocked adopts a peer's snapshot if it is ahead of us:
-// the store replaces ours, slots below the snapshot's applied index are
-// discarded, and their waiters are told to retry. Decided values for
-// still-open slots are then adopted as ordinary decisions.
-func (r *Replica) installSnapshotLocked(applied int, store map[string]string, decided map[int]consensus.Value) []outbound {
+// catchupReplyLocked answers a lagging peer with a snapshot.
+func (r *Replica) catchupReplyLocked(to consensus.ProcessID) []outbound {
+	return []outbound{{to: to, msg: r.captureLocked()}}
+}
+
+// installSnapshotLocked adopts a peer's snapshot if it is ahead of us: the
+// store replaces ours and every slot below the snapshot's applied index is
+// retired. Decided values for still-open slots are then adopted as
+// ordinary decisions.
+func (r *Replica) installSnapshotLocked(applied int, store map[string]string, decided map[int]consensus.Value) {
 	if applied > r.applied {
 		r.store = make(map[string]string, len(store))
 		for k, v := range store {
 			r.store[k] = v
 		}
 		r.applied = applied
-		if applied > r.maxSeenApplied {
-			r.maxSeenApplied = applied
-		}
-		// Discard superseded slot instances and their timers.
-		for slot := range r.slots {
-			if slot < applied {
-				r.dropSlotLocked(slot)
-			}
-		}
-		for slot := range r.log {
-			if slot < applied {
-				delete(r.log, slot)
-			}
-		}
-		// Waiters on superseded slots cannot learn their slot's value from
-		// us anymore; ⊥ tells Execute to retry in a fresh slot. Queued as a
-		// wakeup so the notification happens off the critical section.
-		wk := wakeup{v: consensus.None}
-		for slot, chs := range r.waiters {
-			if slot < applied {
-				wk.chs = append(wk.chs, chs...)
-				delete(r.waiters, slot)
-			}
-		}
-		for slot, chs := range r.appliedW {
-			if slot < applied {
-				wk.done = append(wk.done, chs...)
-				delete(r.appliedW, slot)
-			}
-		}
-		if len(wk.chs) > 0 || len(wk.done) > 0 {
-			r.wakes = append(r.wakes, wk)
-		}
+		r.retireBelowLocked(applied)
 		// The store jump has no WAL records backing it; checkpoint so a
 		// crash right after catchup does not roll the replica back.
 		r.writeSnapshotLocked()
 	}
-	var out []outbound
-	for _, slot := range sortedSlots(decided) {
-		if slot < r.applied {
-			continue
+	for _, n := range sortedSlots(decided) {
+		if n >= r.applied {
+			r.decideLocked(r.slotLocked(n), decided[n])
 		}
-		if _, dup := r.log[slot]; dup {
-			continue
-		}
-		out = append(out, r.decideLocked(slot, decided[slot])...)
 	}
-	return out
 }
 
-// dropSlotLocked removes a slot instance and cancels its timer.
-func (r *Replica) dropSlotLocked(slot int) {
-	delete(r.slots, slot)
-	key := timerKey(slot, core.TimerNewBallot)
-	r.gens[key]++
-	if t, ok := r.timers[key]; ok {
-		t.Stop()
-		delete(r.timers, key)
+// retireBelowLocked discards every slot below floor — instance, timer,
+// decision, journal baseline, fenced mark, all in the one record — and
+// raises the compaction floor to it, so Handle answers later traffic for
+// those slots with a snapshot and never starts an amnesiac instance in a
+// slot this replica may have voted in. Callers still blocked on a retired
+// slot cannot learn its outcome from us any more: ⊥ tells Execute to retry
+// in a fresh slot, queued as a wakeup so it happens off the critical
+// section. Returns the floor in force; lowering it is a no-op.
+func (r *Replica) retireBelowLocked(floor int) int {
+	if floor <= r.compactFloor {
+		return r.compactFloor
 	}
+	wk := wakeup{v: consensus.None}
+	retire := func(s *slot) {
+		s.timer.stop()
+		wk.chs = append(wk.chs, s.waiters...)
+		wk.done = append(wk.done, s.applyWaiters...)
+		delete(r.slots, s.n)
+	}
+	if floor-r.compactFloor <= len(r.slots) {
+		// The steady state behind the apply loop: the table holds no slot
+		// below the old floor, so the retired range is all there is to visit.
+		for n := r.compactFloor; n < floor; n++ {
+			if s := r.slots[n]; s != nil {
+				retire(s)
+			}
+		}
+	} else {
+		// A snapshot jump past a sparse table.
+		for n, s := range r.slots {
+			if n < floor {
+				retire(s)
+			}
+		}
+	}
+	r.compactFloor = floor
+	if len(wk.chs) > 0 || len(wk.done) > 0 {
+		r.wakes = append(r.wakes, wk)
+	}
+	return floor
 }
 
 // Submit replicates cmd and returns once it is decided and applied at this
@@ -466,12 +532,8 @@ func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	slot := -1
+	n := -1
 	for {
-		var (
-			ch  chan consensus.Value
-			out []outbound
-		)
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()
@@ -485,32 +547,25 @@ func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
 				return 0, err
 			}
 		}
-		slot = r.nextFreeSlotLocked(slot)
-		if v, decided := r.log[slot]; decided {
-			r.mu.Unlock()
-			if v == want {
-				return slot, nil
-			}
-			continue
+		n = r.nextFreeSlotLocked(n)
+		s := r.instanceLocked(n)
+		if n >= r.propHint {
+			r.propHint = n + 1
 		}
-		node := r.slotLocked(slot)
-		if slot >= r.propHint {
-			r.propHint = slot + 1
-		}
-		out = r.applySlotLocked(slot, node, node.Propose(want))
-		if !r.persistSlotLocked(slot) {
+		out := r.applySlotLocked(s, s.node.Propose(want))
+		if !r.persistSlotLocked(s) {
 			r.mu.Unlock()
 			return 0, ErrClosed
 		}
-		ch = make(chan consensus.Value, 1)
-		r.waiters[slot] = append(r.waiters[slot], ch)
+		ch := make(chan consensus.Value, 1)
+		s.waiters = append(s.waiters, ch)
 		r.emitLocked(out)
 		r.mu.Unlock()
 
 		select {
 		case v := <-ch:
 			if v == want {
-				return slot, nil
+				return n, nil
 			}
 			// A competing command won this slot; try the next.
 		case <-ctx.Done():
@@ -519,28 +574,32 @@ func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
 	}
 }
 
+// decidedLocked reports whether slot n's decision is known here.
+func (r *Replica) decidedLocked(n int) bool {
+	s := r.slots[n]
+	return s != nil && s.decided
+}
+
 // nextFreeSlotLocked returns the smallest slot after prev this replica has
 // neither seen decided nor already proposed in. freeHint bounds the scan
 // from below: decideLocked keeps it past the decided prefix, so the loop is
 // O(1) amortized instead of rescanning from prev on every contended submit.
 // propHint keeps concurrent local proposals out of each other's slots.
 func (r *Replica) nextFreeSlotLocked(prev int) int {
-	s := prev + 1
-	if s < r.applied {
-		s = r.applied
+	n := prev + 1
+	if n < r.applied {
+		n = r.applied
 	}
-	if s < r.freeHint {
-		s = r.freeHint
+	if n < r.freeHint {
+		n = r.freeHint
 	}
-	if s < r.propHint {
-		s = r.propHint
+	if n < r.propHint {
+		n = r.propHint
 	}
-	for {
-		if _, decided := r.log[s]; !decided {
-			return s
-		}
-		s++
+	for r.decidedLocked(n) {
+		n++
 	}
+	return n
 }
 
 // TransportStats reports the bound transport's counters (false when no
@@ -583,60 +642,35 @@ func (r *Replica) Applied() int {
 	return r.applied
 }
 
-// LogValue returns the decided value of a slot, if any (compacted slots
+// LogValue returns the decided value of a slot, if any (retired slots
 // report false).
 func (r *Replica) LogValue(slot int) (consensus.Value, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v, ok := r.log[slot]
-	return v, ok
+	if s := r.slots[slot]; s != nil && s.decided {
+		return s.val, true
+	}
+	return consensus.Value{}, false
 }
 
-// Compact discards slot instances and log entries below applied−retain and
-// raises the compaction floor: stragglers below it are served snapshots
-// instead of per-slot messages. Returns the new floor.
+// Compact retires every slot below applied−retain (retireBelowLocked) and
+// returns the compaction floor in force. The apply loop already does this
+// continuously with retain = retainSlots; Compact lets a caller cut closer.
 func (r *Replica) Compact(retain int) int {
 	if retain < 0 {
 		retain = 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	floor := r.applied - retain
-	if floor <= r.compactFloor {
-		return r.compactFloor
-	}
-	r.compactFloor = floor
-	for slot := range r.slots {
-		if slot < floor {
-			r.dropSlotLocked(slot)
-		}
-	}
-	for slot := range r.log {
-		if slot < floor {
-			delete(r.log, slot)
-		}
-	}
-	return floor
-}
-
-// CompactFloor returns the current compaction floor.
-func (r *Replica) CompactFloor() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.compactFloor
+	return r.retireBelowLocked(r.applied - retain)
 }
 
 // SnapshotJSON exports the replica's applied state (for external backup).
 func (r *Replica) SnapshotJSON() ([]byte, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	decided := make(map[int]consensus.Value)
-	for slot, v := range r.log {
-		if slot >= r.applied {
-			decided[slot] = v
-		}
-	}
-	return encodeSnapshot(r.applied, r.store, decided)
+	c := r.captureLocked()
+	r.mu.Unlock()
+	return json.Marshal(replicaSnapshot{Applied: c.Applied, Store: c.Store, Decided: c.Decided})
 }
 
 // InstallSnapshotJSON installs a previously exported state if it is ahead
@@ -647,82 +681,124 @@ func (r *Replica) InstallSnapshotJSON(data []byte) error {
 		return fmt.Errorf("smr install snapshot: %w", err)
 	}
 	r.mu.Lock()
-	r.emitLocked(r.installSnapshotLocked(applied, store, decided))
+	r.installSnapshotLocked(applied, store, decided)
+	r.emitLocked(nil)
 	r.mu.Unlock()
 	return nil
 }
 
-// Close stops timers, drains the outbox, and closes the WAL and transport.
-// Channels still registered in the waiter maps are closed here; channels a
-// queued wakeup owns were removed from the maps at queue time and are fired
-// by the consumer — never both, so no channel is closed twice.
-func (r *Replica) Close() error {
+// haltLocked makes the replica refuse work from here on and releases every
+// caller still registered in the slot table: Execute and WaitApplied map
+// the closed channels to ErrClosed. It is the only place those channels
+// are closed. Channels a queued wakeup owns were detached from the table
+// at queue time and are the outbox consumer's to fire — never both, so no
+// channel is closed twice, and a second haltLocked (Close after a
+// poisoning) finds nothing left to release.
+func (r *Replica) haltLocked() {
+	r.closed = true
+	for i := range r.timers {
+		r.timers[i].stop()
+	}
+	for _, s := range r.slots {
+		s.timer.stop()
+		for _, ch := range s.waiters {
+			close(ch)
+		}
+		for _, ch := range s.applyWaiters {
+			close(ch)
+		}
+		s.waiters, s.applyWaiters = nil, nil
+	}
+}
+
+// Close stops timers, drains the outbox, and closes the WAL (synced: a
+// graceful shutdown leaves no torn tail to recover) and the transport. It
+// also works on a replica a journaling failure already poisoned.
+func (r *Replica) Close() error { return r.shutdown(false) }
+
+// shutdown is the one teardown behind Close and Kill. It runs once, also
+// on a replica that was poisoned first: refusing work (closed) and having
+// given the resources back (released) are separate facts. crash selects
+// Kill's two differences: the transport is detached under the lock, and
+// the WAL is aborted before the outbox drains instead of synced after it.
+func (r *Replica) shutdown(crash bool) error {
 	r.mu.Lock()
-	if r.closed {
+	if r.released {
 		r.mu.Unlock()
 		return nil
 	}
-	r.closed = true
-	for _, t := range r.timers {
-		t.Stop()
-	}
-	for _, chs := range r.waiters {
-		for _, ch := range chs {
-			close(ch)
-		}
-	}
-	r.waiters = make(map[int][]chan consensus.Value)
-	for _, chs := range r.appliedW {
-		for _, ch := range chs {
-			close(ch)
-		}
-	}
-	r.appliedW = make(map[int][]chan struct{})
+	r.released = true
+	r.haltLocked()
 	tr := r.tr
+	if crash {
+		// The outbox consumer reloads the transport per entry owner, so
+		// entries still queued send nothing after this point.
+		r.tr = nil
+	}
 	b := r.batch
 	d := r.dur
 	r.mu.Unlock()
+
+	var firstErr error
+	keep := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	if b != nil {
 		b.close()
 	}
-	// Drain the outbox before touching the WAL or transport: queued entries
-	// still commit and send through them. A shared scheduler stays up for
-	// the other replicas on it — a barrier flushes everything this replica
+	// A shared journal is the runtime's to close or abort, once, around
+	// every group (see shard.Runtime).
+	ownWAL := d != nil && d.ownsWAL
+	if crash && ownWAL {
+		// Before the drain: queued group commits must fail — and fail
+		// their client wakeups — rather than make the "crashed" state
+		// durable.
+		keep(d.wal.Abort())
+	}
+	// Queued entries still commit and send through the WAL and transport,
+	// so drain before closing those. A shared scheduler stays up for the
+	// other replicas on it — a barrier flushes everything this replica
 	// queued (FIFO: everything ahead of it included) without stopping it.
 	if r.ioShared {
 		r.io.barrier()
 	} else {
 		r.io.Close()
 	}
-	var firstErr error
-	if d != nil && d.ownsWAL {
-		// Close syncs: a graceful shutdown leaves no torn tail to recover.
-		// A shared journal is the runtime's to close, once, after every
-		// group.
-		if err := d.wal.Close(); err != nil {
-			firstErr = err
-		}
+	if !crash && ownWAL {
+		keep(d.wal.Close())
 	}
 	if tr != nil {
-		if err := tr.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		keep(tr.Close())
 	}
 	return firstErr
 }
 
-// slotLocked returns (starting if needed) the consensus instance for slot.
-func (r *Replica) slotLocked(slot int) *core.Node {
-	if node, ok := r.slots[slot]; ok {
-		return node
+// slotLocked returns slot n's record, creating it on first touch.
+func (r *Replica) slotLocked(n int) *slot {
+	s := r.slots[n]
+	if s == nil {
+		s = &slot{n: n}
+		r.slots[n] = s
 	}
-	node := core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.det)
-	r.slots[slot] = node
-	// Start the instance: its effects (the new-ballot timer) are applied
-	// immediately; any sends it might produce are flushed by the caller.
-	r.applyTimersOnlyLocked(slot, node, node.Start())
-	r.noteSlotCreatedLocked(slot, node)
-	return node
+	return s
+}
+
+// instanceLocked returns slot n's record with its consensus instance
+// running, starting one on first touch.
+func (r *Replica) instanceLocked(n int) *slot {
+	s := r.slotLocked(n)
+	if s.node == nil {
+		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.det)
+		// A brand-new instance is reproducible by the absence of records,
+		// so its state is the baseline: untouched slots journal nothing.
+		s.persisted = s.node.Snapshot()
+		// Start only arms the new-ballot timer in the core protocol:
+		// nothing to send or flush.
+		r.applySlotLocked(s, s.node.Start())
+	}
+	return s
 }
 
 // outbound is a deferred transport send.
@@ -732,114 +808,82 @@ type outbound struct {
 }
 
 // applySlotLocked interprets a slot instance's effects.
-func (r *Replica) applySlotLocked(slot int, node *core.Node, effects []consensus.Effect) []outbound {
+func (r *Replica) applySlotLocked(s *slot, effects []consensus.Effect) []outbound {
 	var out []outbound
 	for _, eff := range effects {
 		switch eff := eff.(type) {
 		case consensus.Send:
-			out = append(out, r.slotSendLocked(slot, node, eff.To, eff.Msg)...)
+			out = append(out, r.slotSendLocked(s, eff.To, eff.Msg)...)
 		case consensus.Broadcast:
 			for i := 0; i < r.cfg.N; i++ {
 				to := consensus.ProcessID(i)
 				if to == r.cfg.ID && !eff.Self {
 					continue
 				}
-				out = append(out, r.slotSendLocked(slot, node, to, eff.Msg)...)
+				out = append(out, r.slotSendLocked(s, to, eff.Msg)...)
 			}
 		case consensus.StartTimer:
-			r.startSlotTimerLocked(slot, node, eff)
+			id := eff.Timer
+			r.armLocked(&s.timer, time.Duration(eff.After)*r.tick, func() func() {
+				fired := r.applySlotLocked(s, s.node.Tick(id))
+				if !r.persistSlotLocked(s) {
+					fired = nil
+				}
+				r.emitLocked(fired)
+				return nil
+			})
 		case consensus.StopTimer:
-			r.gens[timerKey(slot, eff.Timer)]++
+			s.timer.stop()
 		case consensus.Decide:
-			out = append(out, r.decideLocked(slot, eff.Value)...)
+			r.decideLocked(s, eff.Value)
 		}
 	}
 	return out
 }
 
-// applyTimersOnlyLocked applies Start effects (timers only; Start sends
-// nothing in the core protocol).
-func (r *Replica) applyTimersOnlyLocked(slot int, node *core.Node, effects []consensus.Effect) {
-	for _, eff := range effects {
-		if st, ok := eff.(consensus.StartTimer); ok {
-			r.startSlotTimerLocked(slot, node, st)
-		}
-	}
-}
-
-// slotSendLocked wraps and routes one slot message; self-addressed messages
-// are delivered inline.
-func (r *Replica) slotSendLocked(slot int, node *core.Node, to consensus.ProcessID, msg consensus.Message) []outbound {
+// slotSendLocked routes one slot message: self-addressed messages are
+// delivered inline, the rest go out wrapped.
+func (r *Replica) slotSendLocked(s *slot, to consensus.ProcessID, msg consensus.Message) []outbound {
 	if to == r.cfg.ID {
-		return r.applySlotLocked(slot, node, node.Deliver(r.cfg.ID, msg))
+		return r.applySlotLocked(s, s.node.Deliver(r.cfg.ID, msg))
 	}
-	wrapped, ok := r.wrapSlotMsgLocked(slot, msg)
-	if !ok {
-		return nil
-	}
-	return []outbound{{to: to, msg: wrapped}}
+	return wrapSlot(s.n, to, msg)
 }
 
-// wrapSlotMsgLocked encodes an inner core message into its SlotMessage
+// wrapSlot encodes an inner core message for slot n into its SlotMessage
 // wire form: one marshal of the inner body, no envelope round trip.
-func (r *Replica) wrapSlotMsgLocked(slot int, msg consensus.Message) (*SlotMessage, bool) {
+func wrapSlot(n int, to consensus.ProcessID, msg consensus.Message) []outbound {
 	body, err := consensus.MarshalPooled(msg)
 	if err != nil {
-		return nil, false
-	}
-	return &SlotMessage{Slot: slot, InnerKind: msg.Kind(), InnerBody: body}, true
-}
-
-// slotDecideReplyLocked answers traffic for a decided slot whose instance
-// is gone (journal recovery) with the decision itself.
-func (r *Replica) slotDecideReplyLocked(slot int, to consensus.ProcessID, v consensus.Value) []outbound {
-	wrapped, ok := r.wrapSlotMsgLocked(slot, &core.DecideMsg{Value: v})
-	if !ok {
 		return nil
 	}
-	return []outbound{{to: to, msg: wrapped}}
+	return []outbound{{to: to, msg: &SlotMessage{Slot: n, InnerKind: msg.Kind(), InnerBody: body}}}
 }
 
 // decideLocked records a slot decision, applies ready commands, and wakes
 // waiters. With durability enabled, the decision (and the deciding
 // instance's final state) is journaled before the command is applied or
 // any waiter can observe the outcome.
-func (r *Replica) decideLocked(slot int, v consensus.Value) []outbound {
-	if _, dup := r.log[slot]; dup {
-		return nil
+func (r *Replica) decideLocked(s *slot, v consensus.Value) {
+	if s.decided {
+		return
 	}
-	if !r.persistDecideLocked(slot, v) || !r.persistSlotLocked(slot) {
-		return nil
+	if !r.persistDecideLocked(s.n, v) || !r.persistSlotLocked(s) {
+		return
 	}
-	r.log[slot] = v
-	if slot == r.freeHint {
-		for {
+	s.learn(v)
+	if s.n == r.freeHint {
+		for r.decidedLocked(r.freeHint) {
 			r.freeHint++
-			if _, decided := r.log[r.freeHint]; !decided {
-				break
-			}
 		}
 	}
-	before := r.applied
-	for {
-		next, ok := r.log[r.applied]
-		if !ok {
-			break
-		}
-		r.applyCommandLocked(next)
-		r.applied++
-	}
-	// Waiters are detached from the maps here but woken by emitLocked /
+	// Waiters are detached from the table here but woken by emitLocked /
 	// the outbox consumer — after the decision's WAL records are durable,
 	// and off the critical section.
-	wk := wakeup{v: v, chs: r.waiters[slot]}
-	delete(r.waiters, slot)
-	for s, chs := range r.appliedW {
-		if s < r.applied {
-			wk.done = append(wk.done, chs...)
-			delete(r.appliedW, s)
-		}
-	}
+	wk := wakeup{v: v, chs: s.waiters}
+	s.waiters = nil
+	before := r.applied
+	wk.done = r.applyReadyLocked()
 	// A bare no-op that releases no WaitApplied waiter completes only read
 	// barriers: any write acknowledgement travels through done channels, so
 	// this condition is what keeps the relaxed (critical-only) durability
@@ -849,7 +893,21 @@ func (r *Replica) decideLocked(slot int, v consensus.Value) []outbound {
 		r.wakes = append(r.wakes, wk)
 	}
 	r.maybeSnapshotLocked(r.applied - before)
-	return nil
+}
+
+// applyReadyLocked is the one place applied advances slot by slot: it
+// applies every decided command at the frontier in slot order, detaches
+// the WaitApplied callers those slots release (the caller queues their
+// wakeup), and retires what fell out of the retain window behind it.
+func (r *Replica) applyReadyLocked() (done []chan struct{}) {
+	for s := r.slots[r.applied]; s != nil && s.decided; s = r.slots[r.applied] {
+		r.applyCommandLocked(s)
+		done = append(done, s.applyWaiters...)
+		s.applyWaiters = nil
+		r.applied++
+	}
+	r.retireBelowLocked(r.applied - retainSlots)
+	return done
 }
 
 // WaitApplied blocks until the given slot has been applied to the store.
@@ -864,7 +922,8 @@ func (r *Replica) WaitApplied(ctx context.Context, slot int) error {
 		return ErrClosed
 	}
 	ch := make(chan struct{})
-	r.appliedW[slot] = append(r.appliedW[slot], ch)
+	s := r.slotLocked(slot)
+	s.applyWaiters = append(s.applyWaiters, ch)
 	r.mu.Unlock()
 	select {
 	case <-ch:
@@ -882,19 +941,20 @@ func (r *Replica) WaitApplied(ctx context.Context, slot int) error {
 	}
 }
 
-// applyCommandLocked applies one decided command to the store.
-func (r *Replica) applyCommandLocked(v consensus.Value) {
-	cmd, err := DecodeCommand(v)
+// applyCommandLocked applies slot s's decided command to the store; s is
+// the slot at the applied index.
+func (r *Replica) applyCommandLocked(s *slot) {
+	cmd, err := DecodeCommand(s.val)
 	if err != nil {
 		if r.ls != nil {
 			// Unparseable commands still revoke conservatively: an
 			// unknown proposer must not leave a lease looking live.
-			r.applyLeaseLocked(Command{}, -1)
+			r.applyLeaseLocked(s, Command{}, -1)
 		}
 		return // unparseable command: treated as a no-op
 	}
 	if r.ls != nil {
-		r.applyLeaseLocked(cmd, proposerOf(cmd.ID))
+		r.applyLeaseLocked(s, cmd, proposerOf(cmd.ID))
 	}
 	r.applyDecodedLocked(cmd)
 }
@@ -935,54 +995,14 @@ func (r *Replica) applyDetectorLocked(effects []consensus.Effect) []outbound {
 				out = append(out, outbound{to: to, msg: eff.Msg})
 			}
 		case consensus.StartTimer:
-			r.startDetectorTimerLocked(eff)
+			id := eff.Timer
+			r.armLocked(&r.timers[timerOmega], time.Duration(eff.After)*r.tick, func() func() {
+				r.emitLocked(r.applyDetectorLocked(r.det.Tick(id)))
+				return nil
+			})
 		}
 	}
 	return out
-}
-
-func timerKey(slot int, t consensus.TimerID) string {
-	return fmt.Sprintf("s%d/%s", slot, t)
-}
-
-func (r *Replica) startSlotTimerLocked(slot int, node *core.Node, eff consensus.StartTimer) {
-	key := timerKey(slot, eff.Timer)
-	r.gens[key]++
-	gen := r.gens[key]
-	if t, ok := r.timers[key]; ok {
-		t.Stop()
-	}
-	r.timers[key] = time.AfterFunc(time.Duration(eff.After)*r.tick, func() {
-		r.mu.Lock()
-		if r.closed || r.gens[key] != gen {
-			r.mu.Unlock()
-			return
-		}
-		out := r.applySlotLocked(slot, node, node.Tick(eff.Timer))
-		if !r.persistSlotLocked(slot) {
-			out = nil
-		}
-		r.emitLocked(out)
-		r.mu.Unlock()
-	})
-}
-
-func (r *Replica) startDetectorTimerLocked(eff consensus.StartTimer) {
-	key := "omega/" + string(eff.Timer)
-	r.gens[key]++
-	gen := r.gens[key]
-	if t, ok := r.timers[key]; ok {
-		t.Stop()
-	}
-	r.timers[key] = time.AfterFunc(time.Duration(eff.After)*r.tick, func() {
-		r.mu.Lock()
-		if r.closed || r.gens[key] != gen {
-			r.mu.Unlock()
-			return
-		}
-		r.emitLocked(r.applyDetectorLocked(r.det.Tick(eff.Timer)))
-		r.mu.Unlock()
-	})
 }
 
 // emitLocked hands the current step's deferred I/O — out plus any wakeups
@@ -1040,18 +1060,13 @@ func (r *Replica) SyncIO() {
 	<-done
 }
 
-// ioFail poisons the replica after an out-of-lock I/O failure (the deferred
-// analogue of a persist failure inside the step) and releases every waiter
-// still registered. No-op if the replica is already closed.
+// ioFail poisons the replica after an out-of-lock journal failure (the
+// deferred analogue of a persist failure inside the step). No-op if the
+// replica is already closed.
 func (r *Replica) ioFail(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	if r.dur != nil {
+	if !r.closed {
 		r.persistFailLocked(err)
-	} else {
-		r.closed = true
 	}
 }
