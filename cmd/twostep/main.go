@@ -77,6 +77,10 @@ func serverMain(id int, peerList []string, f, e int, object bool, tickMS int, st
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	if tickMS <= 0 {
+		// A zero tick makes every protocol timer fire at once, forever.
+		return fmt.Errorf("-tick must be positive, got %d", tickMS)
+	}
 	mode := core.ModeTask
 	if object {
 		mode = core.ModeObject

@@ -12,9 +12,10 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/smr"
-	"repro/internal/transport"
+	"repro/internal/wan"
 )
 
 func main() {
@@ -30,37 +31,26 @@ func run() error {
 	smr.RegisterMessages(codec)
 
 	// Boot five replicas on loopback TCP with ephemeral ports.
-	addrs := make(map[consensus.ProcessID]string, n)
-	for i := 0; i < n; i++ {
-		addrs[consensus.ProcessID(i)] = "127.0.0.1:0"
+	fab, err := cluster.NewFabric(n, codec, wan.Topology{}, 0)
+	if err != nil {
+		return err
 	}
+	defer fab.Close()
 	replicas := make([]*smr.Replica, n)
-	transports := make([]*transport.TCP, n)
 	for i := 0; i < n; i++ {
-		p := consensus.ProcessID(i)
-		cfg := consensus.Config{ID: p, N: n, F: f, E: e, Delta: 10}
+		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
 		rep, err := smr.NewReplica(cfg, time.Millisecond)
 		if err != nil {
 			return err
 		}
-		tr, err := transport.NewTCP(p, addrs, codec, rep.Handle)
-		if err != nil {
-			return err
-		}
-		addrs[p] = tr.Addr()
-		rep.BindTransport(tr)
-		replicas[i], transports[i] = rep, tr
-	}
-	// Publish the real addresses (we bound to :0).
-	for _, tr := range transports {
-		for p, a := range addrs {
-			tr.SetPeerAddr(p, a)
-		}
+		rep.BindTransport(fab.Transport(i))
+		fab.Attach(i, rep.Handle)
+		replicas[i] = rep
 	}
 	for i, rep := range replicas {
 		rep.Start()
 		defer rep.Close()
-		fmt.Printf("replica p%d listening on %s\n", i, addrs[consensus.ProcessID(i)])
+		fmt.Printf("replica p%d up\n", i)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -3,14 +3,8 @@ package bench
 import (
 	"fmt"
 	"os"
-	"sync"
-	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/shard"
-	"repro/internal/smr"
-	"repro/internal/transport"
-	"repro/internal/wal"
+	"repro/internal/cluster"
 )
 
 // GroupsRow is one F8 configuration: aggregate throughput of a 3-process
@@ -97,139 +91,39 @@ func GroupScaling() *Result {
 	return res
 }
 
-// groupsCluster boots n sharded processes (groups each) on the in-memory
-// fabric, durable at fsync=always, with a client-facing TCP server per
-// process.
-func groupsCluster(n, f, e, groups int) (addrs []string, cleanup func(), syncs func() uint64, err error) {
-	mesh := transport.NewMesh(n)
-	runtimes := make([]*shard.Runtime, 0, n)
-	servers := make([]*smr.Server, 0, n)
-	dirs := make([]string, 0, n)
-	cleanup = func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, rt := range runtimes {
-			rt.Close()
-		}
-		mesh.Close()
-		for _, d := range dirs {
-			os.RemoveAll(d)
-		}
-	}
-	for i := 0; i < n; i++ {
-		dir, err := os.MkdirTemp("", "bench-f8-")
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		dirs = append(dirs, dir)
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		rt, err := shard.New(shard.Options{
-			Groups:        groups,
-			Config:        cfg,
-			Tick:          time.Millisecond,
-			Durability:    &shard.Durability{Dir: dir, Policy: wal.SyncAlways},
-			AdaptiveBatch: true,
-		})
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		tr, err := mesh.Endpoint(cfg.ID, rt.Handler())
-		if err != nil {
-			rt.Close()
-			cleanup()
-			return nil, nil, nil, err
-		}
-		rt.BindTransport(tr)
-		rt.Start()
-		runtimes = append(runtimes, rt)
-		srv, err := smr.NewBackendServer(rt, "127.0.0.1:0", 30*time.Second)
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		servers = append(servers, srv)
-		addrs = append(addrs, srv.Addr())
-	}
-	syncs = func() uint64 {
-		var total uint64
-		for _, rt := range runtimes {
-			if st, ok := rt.WalStats(); ok {
-				total += st.Syncs
-			}
-		}
-		return total
-	}
-	return addrs, cleanup, syncs, nil
-}
-
-// groupsRun measures one F8 row.
+// groupsRun measures one F8 row on a fresh cluster: n sharded processes
+// (groups each) on the in-memory fabric, durable at fsync=always, adaptive
+// batching, a client-facing TCP server per process.
 func groupsRun(n, f, e, groups, clients, depth, opsPerClient int) (GroupsRow, error) {
 	row := GroupsRow{Groups: groups, Clients: clients}
-	addrs, cleanup, syncs, err := groupsCluster(n, f, e, groups)
+	dir, err := os.MkdirTemp("", "bench-f8-")
 	if err != nil {
 		return row, err
 	}
-	defer cleanup()
+	defer os.RemoveAll(dir)
+	c, err := cluster.New(cluster.Options{
+		N: n, F: f, E: e, Groups: groups,
+		Dir: dir, AdaptiveBatch: true, Servers: true,
+	})
+	if err != nil {
+		return row, err
+	}
+	defer c.Close()
 
 	// One pass to warm the adaptive batchers and the Ω fast path, then the
-	// timed pass (fsync counting starts with the clock).
-	pass := func(prefix string, ops int) error {
-		var wg sync.WaitGroup
-		errCh := make(chan error, clients)
-		for c := 0; c < clients; c++ {
-			c := c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc, err := smr.NewSessionClient([]string{addrs[c%len(addrs)]}, smr.SessionOptions{
-					Timeout: 30 * time.Second,
-					Depth:   depth,
-				})
-				if err != nil {
-					errCh <- err
-					return
-				}
-				defer sc.Close()
-				// Sliding window of depth outstanding futures; distinct keys
-				// per client hash-route across all groups.
-				window := make([]*smr.Future, 0, depth)
-				for j := 0; j < ops; j++ {
-					window = append(window, sc.PutAsync(fmt.Sprintf("%s-c%d-k%d", prefix, c, j), "v"))
-					if len(window) == depth {
-						if err := window[0].Err(); err != nil {
-							errCh <- err
-							return
-						}
-						window = window[1:]
-					}
-				}
-				for _, fut := range window {
-					if err := fut.Err(); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errCh)
-		return <-errCh
-	}
-	if err := pass("w", opsPerClient/4); err != nil {
+	// timed pass (fsync counting starts with the clock). Distinct keys per
+	// client hash-route across all groups.
+	if _, _, err := putWindows(c.Addrs(), clients, depth, opsPerClient/4, "w"); err != nil {
 		return row, err
 	}
-	syncs0 := syncs()
-	start := time.Now()
-	if err := pass("t", opsPerClient); err != nil {
+	syncs0 := c.WalSyncs()
+	_, elapsed, err := putWindows(c.Addrs(), clients, depth, opsPerClient, "t")
+	if err != nil {
 		return row, err
 	}
-	elapsed := time.Since(start)
 
 	row.Ops = clients * opsPerClient
 	row.OpsPerSec = float64(row.Ops) / elapsed.Seconds()
-	row.ClusterFsyncsPerOp = float64(syncs()-syncs0) / float64(row.Ops)
+	row.ClusterFsyncsPerOp = float64(c.WalSyncs()-syncs0) / float64(row.Ops)
 	return row, nil
 }

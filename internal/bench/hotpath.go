@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/smr"
-	"repro/internal/transport"
+	"repro/internal/cluster"
 	"repro/internal/wal"
 )
 
@@ -99,8 +96,9 @@ func HotPath() *Result {
 	return res
 }
 
-// hotPathRun boots one durable cluster on the requested fabric and hammers
-// it, returning the measured row.
+// hotPathRun boots one durable cluster — the assembly cmd/kv ships, one
+// group per process — on the requested fabric and hammers it, returning the
+// measured row.
 func hotPathRun(n, f, e int, fabric string, clients int, batching string, opsPerClient int) (HotPathRow, error) {
 	row := HotPathRow{Transport: fabric, Clients: clients, Batching: batching}
 	dir, err := os.MkdirTemp("", "bench-f4b-")
@@ -108,118 +106,45 @@ func hotPathRun(n, f, e int, fabric string, clients int, batching string, opsPer
 		return row, err
 	}
 	defer os.RemoveAll(dir)
-
-	replicas := make([]*smr.Replica, n)
-	var mesh *transport.Mesh
-	var tcps []*transport.TCP
-	if fabric == "mem" {
-		mesh = transport.NewMesh(n)
-		defer mesh.Close()
+	c, err := cluster.New(cluster.Options{
+		N: n, F: f, E: e,
+		TCP:           fabric == "tcp",
+		Dir:           dir,
+		SnapshotEvery: -1, // keep the run free of snapshot interference
+		AdaptiveBatch: batching == "adaptive",
+	})
+	if err != nil {
+		return row, err
 	}
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		rep, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			return row, err
-		}
-		if _, err := rep.EnableDurability(smr.DurabilityOptions{
-			Dir:           fmt.Sprintf("%s/r%d", dir, i),
-			Policy:        wal.SyncAlways,
-			SnapshotEvery: -1, // keep the run free of snapshot interference
-		}); err != nil {
-			return row, err
-		}
-		var tr transport.Transport
-		if fabric == "mem" {
-			tr, err = mesh.Endpoint(cfg.ID, rep.Handle)
-		} else {
-			codec := consensus.NewCodec()
-			smr.RegisterMessages(codec)
-			addrs := make(map[consensus.ProcessID]string, n)
-			for p := 0; p < n; p++ {
-				addrs[consensus.ProcessID(p)] = "127.0.0.1:0"
-			}
-			var t *transport.TCP
-			t, err = transport.NewTCP(cfg.ID, addrs, codec, rep.Handle)
-			tcps = append(tcps, t)
-			tr = t
-		}
-		if err != nil {
-			return row, err
-		}
-		rep.BindTransport(tr)
-		replicas[i] = rep
-	}
-	if fabric == "tcp" {
-		for i, t := range tcps {
-			defer t.Close()
-			for j, o := range tcps {
-				if i != j {
-					t.SetPeerAddr(consensus.ProcessID(j), o.Addr())
-				}
-			}
-		}
-	}
-	for _, rep := range replicas {
-		if batching == "adaptive" {
-			rep.EnableAdaptiveBatching(0)
-		}
-		rep.Start()
-		defer rep.Close()
-	}
+	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	syncsBefore := clusterSyncs(replicas)
+	syncsBefore := c.WalSyncs()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	lats := make([][]float64, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// All clients drive one proposer (the classic SMR deployment):
-			// that is what lets the batcher and the WAL group commit see
-			// concurrent commands at a single replica.
-			kv := smr.NewKV(replicas[0])
-			for j := 0; j < opsPerClient; j++ {
-				t0 := time.Now()
-				if err := kv.Put(ctx, fmt.Sprintf("c%d-k%d", c, j), "v"); err != nil {
-					errCh <- err
-					return
-				}
-				lats[c] = append(lats[c], float64(time.Since(t0).Microseconds()))
+	// All clients drive one proposer (the classic SMR deployment),
+	// in-process: that is what lets the batcher and the WAL group commit
+	// see concurrent commands at a single replica.
+	lat, elapsed, err := runClients(clients, func(cl int, own *Sample) error {
+		kv := c.Runtime(0)
+		for j := 0; j < opsPerClient; j++ {
+			t0 := time.Now()
+			if err := kv.Put(ctx, fmt.Sprintf("c%d-k%d", cl, j), "v"); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+			own.Add(float64(time.Since(t0).Microseconds()))
+		}
+		return nil
+	})
 	runtime.ReadMemStats(&ms1)
-	close(errCh)
-	if err := <-errCh; err != nil {
+	if err != nil {
 		return row, err
 	}
 
-	var lat Sample
-	for _, ls := range lats {
-		for _, x := range ls {
-			lat.Add(x)
-		}
-	}
-	var st transport.Stats
-	if mesh != nil {
-		st = mesh.Stats()
-	} else {
-		for _, t := range tcps {
-			st = st.Merge(t.Stats())
-		}
-	}
+	st := c.Fabric().Stats()
 	row.Sends = st.Sends
 	row.Drops = st.Drops
 
@@ -229,15 +154,6 @@ func hotPathRun(n, f, e int, fabric string, clients int, batching string, opsPer
 	row.P50Micros = lat.Percentile(50)
 	row.P95Micros = lat.Percentile(95)
 	row.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
-	row.FsyncsPerOp = float64(clusterSyncs(replicas)-syncsBefore) / float64(ops)
+	row.FsyncsPerOp = float64(c.WalSyncs()-syncsBefore) / float64(ops)
 	return row, nil
-}
-
-// clusterSyncs sums the WAL fsync counters across replicas.
-func clusterSyncs(replicas []*smr.Replica) uint64 {
-	var total uint64
-	for _, r := range replicas {
-		total += r.Info().WalSyncs
-	}
-	return total
 }

@@ -4,15 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/consensus"
-	"repro/internal/shard"
+	"repro/internal/cluster"
 	"repro/internal/smr"
-	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 // ReadsRow is one F9 configuration: a read-mixed workload against a fresh
@@ -40,8 +35,8 @@ type ReadsRow struct {
 
 // ReadsSpeedup is the F9 headline: lease-path gain at a given read share.
 type ReadsSpeedup struct {
-	Groups  int     `json:"groups"`
-	ReadPct int     `json:"readPct"`
+	Groups  int `json:"groups"`
+	ReadPct int `json:"readPct"`
 	// LeaseVsCoalesce compares the lease rows to leases-off with read
 	// coalescing (the default fallback); LeaseVsNoop to the legacy
 	// round-per-read baseline.
@@ -143,25 +138,16 @@ func ReadMix() *Result {
 	return res
 }
 
-// readsCluster boots the F9 cluster: n sharded processes, durable at
-// fsync=always, leases enabled when mode is "lease", per-read no-ops forced
-// when mode is "noop".
-func readsCluster(n, f, e, groups int, mode string) (addrs []string, runtimes []*shard.Runtime, cleanup func(), syncs func() uint64, err error) {
-	mesh := transport.NewMesh(n)
-	var servers []*smr.Server
-	var dirs []string
-	cleanup = func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, rt := range runtimes {
-			rt.Close()
-		}
-		mesh.Close()
-		for _, d := range dirs {
-			os.RemoveAll(d)
-		}
+// readsRun measures one F9 row on a fresh cluster: n sharded processes,
+// durable at fsync=always, leases enabled when mode is "lease", per-read
+// no-ops forced when mode is "noop".
+func readsRun(n, f, e, groups int, mode string, readPct, clients, opsPerClient int) (ReadsRow, error) {
+	row := ReadsRow{Groups: groups, Mode: mode, ReadPct: readPct}
+	dir, err := os.MkdirTemp("", "bench-f9-")
+	if err != nil {
+		return row, err
 	}
+	defer os.RemoveAll(dir)
 	var leases *smr.LeaseOptions
 	if mode == "lease" {
 		leases = &smr.LeaseOptions{
@@ -170,68 +156,22 @@ func readsCluster(n, f, e, groups int, mode string) (addrs []string, runtimes []
 			AutoGrant: true,
 		}
 	}
-	for i := 0; i < n; i++ {
-		dir, derr := os.MkdirTemp("", "bench-f9-")
-		if derr != nil {
-			cleanup()
-			return nil, nil, nil, nil, derr
-		}
-		dirs = append(dirs, dir)
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		rt, rerr := shard.New(shard.Options{
-			Groups:        groups,
-			Config:        cfg,
-			Tick:          time.Millisecond,
-			Leases:        leases,
-			Durability:    &shard.Durability{Dir: dir, Policy: wal.SyncAlways},
-			AdaptiveBatch: true,
-		})
-		if rerr != nil {
-			cleanup()
-			return nil, nil, nil, nil, rerr
-		}
-		if mode == "noop" {
-			for g := 0; g < groups; g++ {
-				rt.Group(g).SetPerReadNoop(true)
-			}
-		}
-		tr, terr := mesh.Endpoint(cfg.ID, rt.Handler())
-		if terr != nil {
-			rt.Close()
-			cleanup()
-			return nil, nil, nil, nil, terr
-		}
-		rt.BindTransport(tr)
-		rt.Start()
-		runtimes = append(runtimes, rt)
-		srv, serr := smr.NewBackendServer(rt, "127.0.0.1:0", 30*time.Second)
-		if serr != nil {
-			cleanup()
-			return nil, nil, nil, nil, serr
-		}
-		servers = append(servers, srv)
-		addrs = append(addrs, srv.Addr())
-	}
-	syncs = func() uint64 {
-		var total uint64
-		for _, rt := range runtimes {
-			if st, ok := rt.WalStats(); ok {
-				total += st.Syncs
-			}
-		}
-		return total
-	}
-	return addrs, runtimes, cleanup, syncs, nil
-}
-
-// readsRun measures one F9 row.
-func readsRun(n, f, e, groups int, mode string, readPct, clients, opsPerClient int) (ReadsRow, error) {
-	row := ReadsRow{Groups: groups, Mode: mode, ReadPct: readPct}
-	addrs, runtimes, cleanup, syncs, err := readsCluster(n, f, e, groups, mode)
+	cl, err := cluster.New(cluster.Options{
+		N: n, F: f, E: e, Groups: groups, Leases: leases,
+		Dir: dir, AdaptiveBatch: true, Servers: true,
+	})
 	if err != nil {
 		return row, err
 	}
-	defer cleanup()
+	defer cl.Close()
+	addrs := cl.Addrs()
+	if mode == "noop" {
+		for i := 0; i < n; i++ {
+			for g := 0; g < groups; g++ {
+				cl.Runtime(i).Group(g).SetPerReadNoop(true)
+			}
+		}
+	}
 
 	const keySpace = 32
 	keys := make([]string, keySpace)
@@ -255,21 +195,8 @@ func readsRun(n, f, e, groups int, mode string, readPct, clients, opsPerClient i
 		// Wait for the auto-grant timer to take every group's lease, so
 		// the measured phase runs against the steady state (holder valid,
 		// renewed ahead of expiry) rather than the bootstrap.
-		deadline := time.Now().Add(15 * time.Second)
-		for held := 0; held < groups; {
-			held = 0
-			for g := 0; g < groups; g++ {
-				for _, rt := range runtimes {
-					if rt.Group(g).HoldsLease() {
-						held++
-						break
-					}
-				}
-			}
-			if time.Now().After(deadline) {
-				return row, fmt.Errorf("auto-grant never covered all %d groups", groups)
-			}
-			time.Sleep(10 * time.Millisecond)
+		if err := cl.WaitLeases(15 * time.Second); err != nil {
+			return row, err
 		}
 	}
 
@@ -286,89 +213,55 @@ func readsRun(n, f, e, groups int, mode string, readPct, clients, opsPerClient i
 	}
 	seed.Close()
 
-	// mixed runs the read/write mix and returns per-GETL latencies.
-	mixed := func(ops int, pct int) ([]time.Duration, error) {
-		var wg sync.WaitGroup
-		errCh := make(chan error, clients)
-		lats := make([][]time.Duration, clients)
-		for c := 0; c < clients; c++ {
-			c := c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc, err := newClient(c)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				defer sc.Close()
-				rng := rand.New(rand.NewSource(int64(9000 + c)))
-				for j := 0; j < ops; j++ {
-					k := keys[rng.Intn(keySpace)]
-					if rng.Intn(100) < pct {
-						t0 := time.Now()
-						if _, err := sc.GetLinearizable(k); err != nil {
-							errCh <- fmt.Errorf("getl: %w", err)
-							return
-						}
-						lats[c] = append(lats[c], time.Since(t0))
-					} else if err := sc.Put(k, fmt.Sprintf("v%d-%d", c, j)); err != nil {
-						errCh <- fmt.Errorf("put: %w", err)
-						return
+	// mixed runs the read/write mix and returns per-GETL latencies (ms).
+	mixed := func(ops int, pct int) (Sample, time.Duration, error) {
+		return runClients(clients, func(c int, lat *Sample) error {
+			sc, err := newClient(c)
+			if err != nil {
+				return err
+			}
+			defer sc.Close()
+			rng := rand.New(rand.NewSource(int64(9000 + c)))
+			for j := 0; j < ops; j++ {
+				k := keys[rng.Intn(keySpace)]
+				if rng.Intn(100) < pct {
+					t0 := time.Now()
+					if _, err := sc.GetLinearizable(k); err != nil {
+						return fmt.Errorf("getl: %w", err)
 					}
+					lat.Add(float64(time.Since(t0)) / float64(time.Millisecond))
+				} else if err := sc.Put(k, fmt.Sprintf("v%d-%d", c, j)); err != nil {
+					return fmt.Errorf("put: %w", err)
 				}
-			}()
-		}
-		wg.Wait()
-		close(errCh)
-		if err := <-errCh; err != nil {
-			return nil, err
-		}
-		var all []time.Duration
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		return all, nil
+			}
+			return nil
+		})
 	}
 
-	if _, err := mixed(opsPerClient/4, readPct); err != nil { // warm pass
+	if _, _, err := mixed(opsPerClient/4, readPct); err != nil { // warm pass
 		return row, err
 	}
-	start := time.Now()
-	lats, err := mixed(opsPerClient, readPct)
+	lats, elapsed, err := mixed(opsPerClient, readPct)
 	if err != nil {
 		return row, err
 	}
-	elapsed := time.Since(start)
 
 	row.Ops = clients * opsPerClient
-	row.Reads = len(lats)
+	row.Reads = lats.N()
 	row.OpsPerSec = float64(row.Ops) / elapsed.Seconds()
-	row.GetlP50Ms = percentileMs(lats, 0.50)
-	row.GetlP99Ms = percentileMs(lats, 0.99)
+	row.GetlP50Ms = lats.Percentile(50)
+	row.GetlP99Ms = lats.Percentile(99)
 
 	// Pure-read phase: fsyncs per GETL with no writes in flight. The lease
 	// path's tentpole claim is exactly zero here.
 	const pureReads = 50
-	syncs0 := syncs()
-	if _, err := mixed(pureReads, 100); err != nil {
+	syncs0 := cl.WalSyncs()
+	if _, _, err := mixed(pureReads, 100); err != nil {
 		return row, err
 	}
-	row.FsyncsPerRead = float64(syncs()-syncs0) / float64(clients*pureReads)
+	row.FsyncsPerRead = float64(cl.WalSyncs()-syncs0) / float64(clients*pureReads)
 	if mode == "lease" && row.FsyncsPerRead != 0 {
 		return row, fmt.Errorf("lease reads performed %.3f fsyncs/read, want exactly 0", row.FsyncsPerRead)
 	}
 	return row, nil
-}
-
-// percentileMs returns the q-quantile of the samples in milliseconds.
-func percentileMs(d []time.Duration, q float64) float64 {
-	if len(d) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(d))
-	copy(s, d)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(q * float64(len(s)-1))
-	return float64(s[i]) / float64(time.Millisecond)
 }

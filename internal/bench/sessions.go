@@ -7,10 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/consensus"
+	"repro/internal/cluster"
 	"repro/internal/linear"
 	"repro/internal/smr"
-	"repro/internal/transport"
 )
 
 // SessionRow is one F7 configuration's measurements: aggregate client-side
@@ -123,122 +122,96 @@ func Sessions(depth int) *Result {
 	return res
 }
 
-// sessionCluster boots n replicas on the in-memory fabric with a
-// client-facing TCP server each, returning the server addresses.
-func sessionCluster(n, f, e int) (addrs []string, cleanup func(), err error) {
-	mesh := transport.NewMesh(n)
-	replicas := make([]*smr.Replica, 0, n)
-	servers := make([]*smr.Server, 0, n)
-	cleanup = func() {
-		for _, s := range servers {
-			s.Close()
-		}
-		for _, r := range replicas {
-			r.Close()
-		}
-		mesh.Close()
-	}
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		rep, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		tr, err := mesh.Endpoint(cfg.ID, rep.Handle)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		rep.BindTransport(tr)
-		rep.EnableAdaptiveBatching(0)
-		rep.Start()
-		replicas = append(replicas, rep)
-		srv, err := smr.NewServer(rep, "127.0.0.1:0", 30*time.Second)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		servers = append(servers, srv)
-		addrs = append(addrs, srv.Addr())
-	}
-	return addrs, cleanup, nil
+// sessionCluster boots F7's cluster: the shipped assembly, non-durable, on
+// the in-memory fabric with adaptive batching and a client-facing TCP
+// server per process, so the client wire is the variable under test.
+func sessionCluster(n, f, e int) (*cluster.Cluster, error) {
+	return cluster.New(cluster.Options{N: n, F: f, E: e, AdaptiveBatch: true, Servers: true})
 }
 
-// sessionRun measures one F7 row: clients goroutines hammering the cluster
-// through session clients, each with a depth-deep window.
-func sessionRun(n, f, e int, clients, depth, opsPerClient int) (SessionRow, error) {
-	row := SessionRow{Clients: clients, Depth: depth}
-	addrs, cleanup, err := sessionCluster(n, f, e)
-	if err != nil {
-		return row, err
-	}
-	defer cleanup()
-
+// runClients is the load-driver skeleton the serving figures share: fn runs
+// on clients goroutines, each handed its index and a latency sample of its
+// own; the samples come back merged with the wall time and the first error.
+func runClients(clients int, fn func(c int, lat *Sample) error) (Sample, time.Duration, error) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
-	lats := make([][]float64, clients)
+	lats := make([]Sample, clients)
 	start := time.Now()
 	for c := 0; c < clients; c++ {
 		c := c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			addr := addrs[c%len(addrs)]
-			sc, err := smr.NewSessionClient([]string{addr}, smr.SessionOptions{
-				Timeout: 30 * time.Second,
-				Depth:   depth,
-			})
-			if err != nil {
+			if err := fn(c, &lats[c]); err != nil {
 				errCh <- err
-				return
-			}
-			defer sc.Close()
-			// A sliding window of depth outstanding futures: reap the
-			// oldest when full, so issue→completion latency includes the
-			// queueing the window buys throughput with.
-			type inflight struct {
-				fut *smr.Future
-				t0  time.Time
-			}
-			window := make([]inflight, 0, depth)
-			reap := func(w inflight) error {
-				if err := w.fut.Err(); err != nil {
-					return err
-				}
-				lats[c] = append(lats[c], float64(time.Since(w.t0).Microseconds()))
-				return nil
-			}
-			for j := 0; j < opsPerClient; j++ {
-				window = append(window, inflight{sc.PutAsync(fmt.Sprintf("c%d-k%d", c, j), "v"), time.Now()})
-				if len(window) == depth {
-					if err := reap(window[0]); err != nil {
-						errCh <- err
-						return
-					}
-					window = window[1:]
-				}
-			}
-			for _, w := range window {
-				if err := reap(w); err != nil {
-					errCh <- err
-					return
-				}
 			}
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	close(errCh)
-	if err := <-errCh; err != nil {
+	var all Sample
+	for i := range lats {
+		all.xs = append(all.xs, lats[i].xs...)
+	}
+	return all, elapsed, <-errCh
+}
+
+// putWindows is the session-client write load behind F7 and F8: client c
+// dials addrs[c%len(addrs)] and pushes ops Puts on its own prefix-c<c>-k<j>
+// keys through a sliding window of depth outstanding futures — the oldest
+// is reaped when the window is full, so the issue→completion latencies it
+// returns (µs) include the queueing the window buys throughput with. The
+// elapsed time covers the dials.
+func putWindows(addrs []string, clients, depth, ops int, prefix string) (Sample, time.Duration, error) {
+	return runClients(clients, func(c int, lat *Sample) error {
+		sc, err := smr.NewSessionClient([]string{addrs[c%len(addrs)]}, smr.SessionOptions{
+			Timeout: 30 * time.Second,
+			Depth:   depth,
+		})
+		if err != nil {
+			return err
+		}
+		defer sc.Close()
+		type inflight struct {
+			fut *smr.Future
+			t0  time.Time
+		}
+		window := make([]inflight, 0, depth)
+		reap := func(n int) error {
+			for _, w := range window[:n] {
+				if err := w.fut.Err(); err != nil {
+					return err
+				}
+				lat.Add(float64(time.Since(w.t0).Microseconds()))
+			}
+			window = window[n:]
+			return nil
+		}
+		for j := 0; j < ops; j++ {
+			window = append(window, inflight{sc.PutAsync(fmt.Sprintf("%s-c%d-k%d", prefix, c, j), "v"), time.Now()})
+			if len(window) == depth {
+				if err := reap(1); err != nil {
+					return err
+				}
+			}
+		}
+		return reap(len(window))
+	})
+}
+
+// sessionRun measures one F7 row: clients goroutines hammering the cluster
+// through session clients, each with a depth-deep window.
+func sessionRun(n, f, e int, clients, depth, opsPerClient int) (SessionRow, error) {
+	row := SessionRow{Clients: clients, Depth: depth}
+	c, err := sessionCluster(n, f, e)
+	if err != nil {
 		return row, err
 	}
-
-	var lat Sample
-	for _, ls := range lats {
-		for _, x := range ls {
-			lat.Add(x)
-		}
+	defer c.Close()
+	lat, elapsed, err := putWindows(c.Addrs(), clients, depth, opsPerClient, "t")
+	if err != nil {
+		return row, err
 	}
 	row.Ops = clients * opsPerClient
 	row.OpsPerSec = float64(row.Ops) / elapsed.Seconds()
@@ -259,11 +232,12 @@ func sessionLinearRun(n, f, e int) (SessionLinearRun, error) {
 		keys         = 128
 	)
 	run := SessionLinearRun{Clients: clients, Sessions: sessions}
-	addrs, cleanup, err := sessionCluster(n, f, e)
+	c, err := sessionCluster(n, f, e)
 	if err != nil {
 		return run, err
 	}
-	defer cleanup()
+	defer c.Close()
+	addrs := c.Addrs()
 
 	pool := make([]*smr.SessionClient, sessions)
 	for i := range pool {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/epaxos"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/protocols"
 	"repro/internal/quorum"
-	"repro/internal/transport"
 	"repro/internal/wan"
 )
 
@@ -82,13 +82,15 @@ func DefaultWANSuiteOptions() WANSuiteOptions {
 }
 
 // ShortWANSuiteOptions is the CI-sized sweep (make bench-wan-short): Mesh
-// fabric, two sweep cells, delays compressed 20×, no fsync.
+// fabric, two sweep cells, delays compressed 20×, no fsync. Five samples
+// per region: the medians the C5 ordering check compares are ≈ 4 ms vs
+// 9 ms at this scale, and must survive samples stalled by a busy host.
 func ShortWANSuiteOptions() WANSuiteOptions {
 	return WANSuiteOptions{
 		Topologies: []string{"spread7"},
 		Sweeps:     []WANSweep{{F: 2, E: 2}},
 		Protocols:  []string{protocols.CoreObject, protocols.FastPaxos},
-		Samples:    3,
+		Samples:    5,
 		Scale:      0.05,
 		UseTCP:     false,
 		Fsync:      false,
@@ -361,17 +363,17 @@ func runWANSample(fab *wanFabric, proto string, n, f, e int,
 		if err != nil {
 			return 0, false, err
 		}
-		h := node.New(n, fab.trs[i], tick, p)
+		h := node.New(n, fab.Transport(i), tick, p)
 		if fab.persist != nil {
 			h.SetPersist(fab.persist[i], nil)
 		}
 		hosts[i] = h
 		nodes[i] = p
-		fab.rebinds[i].set(h.Handle)
+		fab.Attach(i, h.Handle)
 	}
 	defer func() {
 		for i := range hosts {
-			fab.rebinds[i].set(nil)
+			fab.Attach(i, nil)
 			hosts[i].Close()
 		}
 	}()
@@ -413,54 +415,18 @@ func buildWANProto(proto string, cfg consensus.Config, proxy consensus.ProcessID
 	return fac(cfg, oracle), nil
 }
 
-// wanRebind is a swappable transport handler: the fabric outlives the
-// per-sample hosts, so each slot's endpoint delivers into whatever host is
-// current (or drops when none is).
-type wanRebind struct {
-	mu sync.Mutex
-	h  transport.Handler
-}
-
-func (r *wanRebind) set(h transport.Handler) {
-	r.mu.Lock()
-	r.h = h
-	r.mu.Unlock()
-}
-
-func (r *wanRebind) handle(from consensus.ProcessID, msg consensus.Message) {
-	r.mu.Lock()
-	h := r.h
-	r.mu.Unlock()
-	if h != nil {
-		h(from, msg)
-	}
-}
-
-// wanKeepOpen lets per-sample hosts Close without tearing down the cell's
-// shared transport.
-type wanKeepOpen struct{ transport.Transport }
-
-func (wanKeepOpen) Close() error { return nil }
-
 // wanFabric is one cell's shared delivery fabric: per-slot endpoints with
-// the topology's delays installed, swappable handlers, and (with Fsync) a
-// per-slot durability hook.
+// the topology's delays installed (they outlive the per-sample hosts, whose
+// Close does not tear them down) and, with Fsync, a per-slot durability
+// hook.
 type wanFabric struct {
-	trs     []transport.Transport
-	rebinds []*wanRebind
+	*cluster.Fabric
 	persist []func() error
 	close   func()
 }
 
 func newWANFabric(prefix wan.Topology, n int, opts WANSuiteOptions) (*wanFabric, error) {
-	fab := &wanFabric{
-		trs:     make([]transport.Transport, n),
-		rebinds: make([]*wanRebind, n),
-	}
-	for i := range fab.rebinds {
-		fab.rebinds[i] = &wanRebind{}
-	}
-
+	fab := &wanFabric{}
 	var closers []func()
 	fab.close = func() {
 		for _, c := range closers {
@@ -494,47 +460,17 @@ func newWANFabric(prefix wan.Topology, n int, opts WANSuiteOptions) (*wanFabric,
 		}
 	}
 
-	if !opts.UseTCP {
-		mesh := transport.NewMeshWithDepth(n, 4096)
-		closers = append(closers, mesh.Close)
-		mesh.SetFault(prefix.MeshFault(opts.Scale))
-		for i := 0; i < n; i++ {
-			ep, err := mesh.Endpoint(consensus.ProcessID(i), fab.rebinds[i].handle)
-			if err != nil {
-				return fail(err)
-			}
-			fab.trs[i] = ep // mesh endpoints' Close is already a no-op
-		}
-		return fab, nil
+	var codec *consensus.Codec
+	if opts.UseTCP {
+		codec = consensus.NewCodec()
+		core.RegisterMessages(codec)
+		fastpaxos.RegisterMessages(codec)
+		epaxos.RegisterMessages(codec)
 	}
-
-	codec := consensus.NewCodec()
-	core.RegisterMessages(codec)
-	fastpaxos.RegisterMessages(codec)
-	epaxos.RegisterMessages(codec)
-	addrs := make(map[consensus.ProcessID]string, n)
-	for i := 0; i < n; i++ {
-		addrs[consensus.ProcessID(i)] = "127.0.0.1:0"
+	var err error
+	if fab.Fabric, err = cluster.NewFabric(n, codec, prefix, opts.Scale); err != nil {
+		return fail(err)
 	}
-	tcps := make([]*transport.TCP, n)
-	for i := 0; i < n; i++ {
-		tr, err := transport.NewTCPWithOptions(consensus.ProcessID(i), addrs, codec,
-			fab.rebinds[i].handle, transport.TCPOptions{
-				LinkDelay: prefix.TCPLinkDelay(consensus.ProcessID(i), opts.Scale),
-			})
-		if err != nil {
-			return fail(err)
-		}
-		tcps[i] = tr
-		closers = append(closers, func() { tr.Close() })
-		fab.trs[i] = wanKeepOpen{tr}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				tcps[i].SetPeerAddr(consensus.ProcessID(j), tcps[j].Addr())
-			}
-		}
-	}
+	closers = append(closers, fab.Fabric.Close)
 	return fab, nil
 }

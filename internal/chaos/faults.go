@@ -25,7 +25,8 @@ import (
 
 // faults is the live fault state consulted by the mesh on every send. The
 // nemesis mutates it step by step; heal() clears everything. One instance
-// is installed per cluster via transport.Mesh.SetFault.
+// is installed per cluster via cluster.Fabric.SetFault, which keeps a WAN
+// topology's delays in place under it (distance is not a fault).
 //
 // Probabilistic sampling draws from a per-directed-link stream (seeded from
 // the scenario seed and the link), not a shared rng: the k-th message on
@@ -37,16 +38,14 @@ type faults struct {
 	mu      sync.Mutex
 	seed    int64
 	streams map[[2]consensus.ProcessID]*rand.Rand
-	// base, when set, is a standing fault-free verdict applied under the
-	// chaos faults — the WAN scenarios install wan.Topology.MeshFault here
-	// so geo latency persists through heal() (distance is not a fault).
-	base    transport.FaultFunc
 	blocked map[[2]consensus.ProcessID]bool
 	loss    float64
 	dup     float64
 	delayP  float64
 	delay   time.Duration
 }
+
+func pid(i int) consensus.ProcessID { return consensus.ProcessID(i) }
 
 func newFaults(seed int64) *faults {
 	return &faults{
@@ -78,14 +77,6 @@ func mix64(x uint64) int64 {
 	return int64(x)
 }
 
-// setBase installs the standing (typically geo-latency) injector composed
-// under the chaos faults. heal() does not clear it.
-func (f *faults) setBase(base transport.FaultFunc) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.base = base
-}
-
 // verdict is the transport.FaultFunc for this fault set. Every call
 // consumes exactly three draws from the link's stream regardless of which
 // faults are active, so the stream position is always 3× the link's send
@@ -96,9 +87,6 @@ func (f *faults) verdict(from, to consensus.ProcessID) transport.FaultVerdict {
 	rng := f.stream(from, to)
 	pLoss, pDup, pDelay := rng.Float64(), rng.Float64(), rng.Float64()
 	var v transport.FaultVerdict
-	if f.base != nil {
-		v = f.base(from, to)
-	}
 	if f.blocked[[2]consensus.ProcessID{from, to}] {
 		return transport.FaultVerdict{Drop: true}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/linear"
 	"repro/internal/smr"
@@ -34,40 +35,21 @@ func TestLeaseChaosLinearizable(t *testing.T) {
 		Epsilon:   25 * time.Millisecond,
 		AutoGrant: true,
 	}
-	c, err := newShardedClusterLeases(t.TempDir(), n, f, e, groups, lo)
+	c, err := cluster.New(cluster.Options{
+		N: n, F: f, E: e, Groups: groups, Leases: lo,
+		Dir: t.TempDir(), SnapshotEvery: 32, Servers: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
+	defer c.Close()
+	addrs := c.Addrs()
 
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		srv, err := smr.NewBackendServer(&liveBackend{c: c, i: i}, "127.0.0.1:0", 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
-	}
-
-	// Let the auto-grant timer take the first lease before traffic starts
-	// (it waits for a stable Ω leader), so the scenario actually runs
-	// against live leases rather than finishing before the first grant.
-	grantDeadline := time.Now().Add(10 * time.Second)
-	for {
-		held := false
-		for g := 0; g < groups; g++ {
-			if c.runtime(0).Group(g).HoldsLease() {
-				held = true
-			}
-		}
-		if held {
-			break
-		}
-		if time.Now().After(grantDeadline) {
-			t.Fatalf("no auto-granted lease appeared (g0 stats %+v)", c.runtime(0).Group(0).LeaseStats())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Let the auto-grant timer take the leases before traffic starts (it
+	// waits for a stable Ω leader), so the scenario actually runs against
+	// live leases rather than finishing before the first grant.
+	if err := c.WaitLeases(10 * time.Second); err != nil {
+		t.Fatalf("%v (g0 stats %+v)", err, c.Runtime(0).Group(0).LeaseStats())
 	}
 
 	rec := linear.NewRecorder()
@@ -173,29 +155,29 @@ func TestLeaseChaosLinearizable(t *testing.T) {
 	go func() {
 		defer close(done)
 		time.Sleep(60 * time.Millisecond)
-		c.mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+		c.Fabric().SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 			if (from == 0) != (to == 0) {
 				return transport.FaultVerdict{Drop: true}
 			}
 			return transport.FaultVerdict{}
 		})
 		time.Sleep(200 * time.Millisecond)
-		c.mesh.SetFault(nil)
+		c.Fabric().SetFault(nil)
 		time.Sleep(100 * time.Millisecond)
 		for g := 0; g < groups; g++ {
-			preKillHits += c.runtime(0).Group(g).LeaseStats().Hits
+			preKillHits += c.Runtime(0).Group(g).LeaseStats().Hits
 		}
-		c.kill(0)
+		c.Kill(0)
 		time.Sleep(150 * time.Millisecond)
-		if err := c.restart(0); err != nil {
+		if err := c.Restart(0); err != nil {
 			t.Errorf("restart process 0: %v", err)
 		}
 	}()
 
 	wg.Wait()
 	<-done
-	c.mesh.SetFault(nil)
-	if err := c.waitConverged(keyUniverse(keys), 20*time.Second); err != nil {
+	c.Fabric().SetFault(nil)
+	if err := c.WaitConverged(keyUniverse(keys), 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	res := linear.CheckTimeout(rec.History(), 30*time.Second)
@@ -206,7 +188,7 @@ func TestLeaseChaosLinearizable(t *testing.T) {
 	// reads somewhere (holder moved around, but hits must have happened).
 	hits := preKillHits
 	for i := 0; i < n; i++ {
-		rt := c.runtime(i)
+		rt := c.Runtime(i)
 		for g := 0; g < groups; g++ {
 			hits += rt.Group(g).LeaseStats().Hits
 		}
@@ -219,40 +201,6 @@ func TestLeaseChaosLinearizable(t *testing.T) {
 	}
 }
 
-// leaseMeshCluster boots n bare (non-durable) replicas over an in-process
-// mesh with the given lease options: the harness for the ε=0 teeth test,
-// which needs direct fault control between specific replicas.
-func leaseMeshCluster(t *testing.T, n, f, e int, lo smr.LeaseOptions) ([]*smr.Replica, *transport.Mesh, func()) {
-	t.Helper()
-	mesh := transport.NewMesh(n)
-	replicas := make([]*smr.Replica, n)
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.EnableLeases(lo); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.BindTransport(tr)
-		replicas[i] = r
-	}
-	for _, r := range replicas {
-		r.Start()
-	}
-	return replicas, mesh, func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		mesh.Close()
-	}
-}
-
 // TestLeaseTeethZeroEpsilon proves the teeth of the ε margin by removing
 // it: with UnsafeZeroEpsilon (no margin, no guard, no fencing) an isolated
 // leaseholder keeps serving local reads while the survivors commit fresh
@@ -262,8 +210,14 @@ func leaseMeshCluster(t *testing.T, n, f, e int, lo smr.LeaseOptions) ([]*smr.Re
 // protocol from a broken one, and the checker can tell.
 func TestLeaseTeethZeroEpsilon(t *testing.T) {
 	run := func(t *testing.T, lo smr.LeaseOptions) (linear.Result, error) {
-		replicas, mesh, cleanup := leaseMeshCluster(t, 3, 1, 1, lo)
-		defer cleanup()
+		// Non-durable, on the Mesh: the test needs direct fault control
+		// between specific processes.
+		c, err := cluster.New(cluster.Options{N: 3, F: 1, E: 1, Leases: &lo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		replicas := []*smr.Replica{c.Runtime(0).Group(0), c.Runtime(1).Group(0)}
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
 
@@ -284,7 +238,7 @@ func TestLeaseTeethZeroEpsilon(t *testing.T) {
 
 		// Isolate the leaseholder: nothing in or out of p0. The {p1,p2}
 		// majority can still decide commands on its own.
-		mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+		c.Fabric().SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 			if (from == 0) != (to == 0) {
 				return transport.FaultVerdict{Drop: true}
 			}
@@ -315,7 +269,7 @@ func TestLeaseTeethZeroEpsilon(t *testing.T) {
 			t.Fatal("isolated holder did not serve from its lease")
 		}
 
-		mesh.SetFault(nil)
+		c.Fabric().SetFault(nil)
 		return linear.CheckTimeout(rec.History(), 30*time.Second), werr
 	}
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // StepKind names one nemesis fault.
@@ -24,7 +26,7 @@ const (
 	StepDup StepKind = "dup"
 	// StepDelay holds each message for Delay with probability P.
 	StepDelay StepKind = "delay"
-	// StepFsyncStall adds Delay to every WAL fsync on every replica.
+	// StepFsyncStall adds Delay to every WAL fsync on every process.
 	StepFsyncStall StepKind = "fsync-stall"
 	// StepCrashRestart kills Target (WAL aborted, no sync), waits Hold,
 	// then reboots it from its data directory.
@@ -111,25 +113,25 @@ func plan(rng *rand.Rand, n, steps int, scale time.Duration, canCrash bool) []St
 // runStep injects one step against the cluster, holds it for s.Hold,
 // heals, and rests for s.Rest. Crash-restart is the one step whose heal
 // can fail (recovery error); everything else heals unconditionally.
-func runStep(c *cluster, f *faults, s Step) error {
+func runStep(c *cluster.Cluster, n int, f *faults, s Step) error {
 	switch s.Kind {
 	case StepPartitionHalves:
 		minority := []int{s.Target}
 		var majority []int
-		for i := 0; i < c.n; i++ {
+		for i := 0; i < n; i++ {
 			if i != s.Target {
 				majority = append(majority, i)
 			}
 		}
 		// Keep the minority side below quorum size: with n=3 that is the
 		// single Target; larger clusters peel off ⌊(n-1)/2⌋ extra members.
-		for len(minority) < (c.n-1)/2 {
+		for len(minority) < (n-1)/2 {
 			minority = append(minority, majority[len(majority)-1])
 			majority = majority[:len(majority)-1]
 		}
 		f.partition(minority, majority)
 	case StepIsolate:
-		f.isolate(s.Target, c.n)
+		f.isolate(s.Target, n)
 	case StepOneWay:
 		f.blockPair(pid(s.Target), pid(s.To))
 	case StepLoss:
@@ -139,16 +141,16 @@ func runStep(c *cluster, f *faults, s Step) error {
 	case StepDelay:
 		f.setDelay(s.P, s.Delay)
 	case StepFsyncStall:
-		c.fsyncStall.Store(int64(s.Delay))
+		c.StallFsync(s.Delay)
 	case StepCrashRestart:
-		c.kill(s.Target)
+		c.Kill(s.Target)
 	}
 	time.Sleep(s.Hold)
 	// Heal.
 	f.heal()
-	c.fsyncStall.Store(0)
+	c.StallFsync(0)
 	if s.Kind == StepCrashRestart {
-		if err := c.restart(s.Target); err != nil {
+		if err := c.Restart(s.Target); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/linear"
 	"repro/internal/smr"
@@ -27,23 +28,14 @@ func TestPipelinedSessionsLinearizable(t *testing.T) {
 		opsPerClient = 25
 		keys         = 4
 	)
-	c, err := newCluster(t.TempDir(), n, f, e)
+	// One client-facing TCP server per process — the real wire, so frames,
+	// the executor pool, and batched reply flushes are all in the loop.
+	c, err := cluster.New(cluster.Options{N: n, F: f, E: e, Dir: t.TempDir(), Servers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
-
-	// One client-facing TCP server per replica — the real wire, so frames,
-	// the executor pool, and batched reply flushes are all in the loop.
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		srv, err := smr.NewServer(c.replica(i), "127.0.0.1:0", 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
-	}
+	defer c.Close()
+	addrs := c.Addrs()
 
 	rec := linear.NewRecorder()
 	var wg sync.WaitGroup
@@ -97,13 +89,12 @@ func TestPipelinedSessionsLinearizable(t *testing.T) {
 
 	// Fault window: a flaky consensus fabric for the middle of the run
 	// (seeded per-message drop / duplicate / delay — delays deliberately
-	// reorder), then heal. No crash-restarts here: the servers above hold
-	// direct replica pointers, and replica replacement is the tagged
-	// campaign's job — this test isolates the new client layer.
+	// reorder), then heal. No crash-restarts here: process replacement is
+	// the tagged campaign's job — this test isolates the client layer.
 	var fmu sync.Mutex
 	frng := rand.New(rand.NewSource(7))
 	time.Sleep(50 * time.Millisecond)
-	c.mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+	c.Fabric().SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 		fmu.Lock()
 		defer fmu.Unlock()
 		switch frng.Intn(20) {
@@ -117,12 +108,12 @@ func TestPipelinedSessionsLinearizable(t *testing.T) {
 			return transport.FaultVerdict{}
 		}
 	})
-	healed := time.AfterFunc(600*time.Millisecond, func() { c.mesh.SetFault(nil) })
+	healed := time.AfterFunc(600*time.Millisecond, func() { c.Fabric().SetFault(nil) })
 	defer healed.Stop()
 
 	wg.Wait()
-	c.mesh.SetFault(nil)
-	if err := c.waitConverged(keyUniverse(keys), 20*time.Second); err != nil {
+	c.Fabric().SetFault(nil)
+	if err := c.WaitConverged(keyUniverse(keys), 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	res := linear.CheckTimeout(rec.History(), 30*time.Second)

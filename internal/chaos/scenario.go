@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/linear"
 	"repro/internal/transport"
 )
@@ -105,25 +106,26 @@ func ReproLine(seed int64) string {
 }
 
 // RunScenario runs one seeded scenario in dir (which must be empty or
-// fresh): boot a durable cluster, unleash the scripted clients and the
-// nemesis, heal, restart whatever is down, wait for reconvergence, and
-// check the merged history. Harness failures (boot errors, a replica that
-// cannot recover, no reconvergence) come back as the error; a
-// non-linearizable history comes back in Result.Check.
+// fresh): boot a durable cluster — the 1-group assembly cmd/kv ships
+// (internal/cluster), on the Mesh — unleash the scripted clients and the
+// nemesis, heal, wait for reconvergence, and check the merged history.
+// Harness failures (boot errors, a process that cannot recover, no
+// reconvergence) come back as the error; a non-linearizable history comes
+// back in Result.Check.
 func RunScenario(dir string, seed int64, o Options) (Result, error) {
 	res := Result{Seed: seed, Plan: Plan(seed, o)}
 	scripts := Scripts(seed, o)
 
-	c, err := newCluster(dir, o.N, o.F, o.E)
+	c, err := cluster.New(cluster.Options{N: o.N, F: o.F, E: o.E, Dir: dir})
 	if err != nil {
 		return res, fmt.Errorf("chaos: boot cluster: %w", err)
 	}
-	defer c.close()
+	defer c.Close()
 	if o.StaleReads {
-		c.replica(0).FaultInjectStaleReads()
+		c.Runtime(0).Group(0).FaultInjectStaleReads()
 	}
 	flt := newFaults(seed ^ saltFaults)
-	c.mesh.SetFault(flt.verdict)
+	c.Fabric().SetFault(flt.verdict)
 
 	rec := linear.NewRecorder()
 	ctx := context.Background()
@@ -140,7 +142,7 @@ func RunScenario(dir string, seed int64, o Options) (Result, error) {
 	go func() {
 		defer wg.Done()
 		for _, s := range res.Plan {
-			if err := runStep(c, flt, s); err != nil {
+			if err := runStep(c, o.N, flt, s); err != nil {
 				nemErr <- err
 				return
 			}
@@ -153,13 +155,9 @@ func RunScenario(dir string, seed int64, o Options) (Result, error) {
 	default:
 	}
 
-	// Chaos over: heal the fabric, bring every replica back, and require
-	// the cluster to reconverge.
-	c.mesh.SetFault(nil)
-	c.fsyncStall.Store(0)
-	if err := c.ensureUp(); err != nil {
-		return res, err
-	}
+	// Chaos over (every step healed what it broke, crash-restarts included):
+	// heal the fabric and require the cluster to reconverge.
+	c.Fabric().SetFault(nil)
 	keys := keyUniverse(o.Keys)
 	if o.StaleReads {
 		// The deliberate stale-read fault breaks read agreement by design;
@@ -168,7 +166,7 @@ func RunScenario(dir string, seed int64, o Options) (Result, error) {
 		keys = nil
 	}
 	start := time.Now()
-	if err := c.waitConverged(keys, o.ConvergeTimeout); err != nil {
+	if err := c.WaitConverged(keys, o.ConvergeTimeout); err != nil {
 		return res, err
 	}
 	res.Converge = time.Since(start)
@@ -180,7 +178,7 @@ func RunScenario(dir string, seed int64, o Options) (Result, error) {
 			res.Ambiguous++
 		}
 	}
-	res.FaultDrops = c.mesh.Stats().DropsByCause[transport.DropFault]
+	res.FaultDrops = c.Fabric().Stats().DropsByCause[transport.DropFault]
 	start = time.Now()
 	res.Check = linear.CheckTimeout(h, o.CheckTimeout)
 	res.CheckDuration = time.Since(start)

@@ -2,204 +2,17 @@ package chaos
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/linear"
-	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
-
-// shardedCluster is the multi-group analogue of cluster: every process
-// hosts a shard.Runtime (several consensus groups over one mesh endpoint,
-// one shared WAL, one fsync scheduler) and can be crash-killed and
-// rebooted in place through the shared-WAL recovery path.
-type shardedCluster struct {
-	n, f, e, groups int
-	mesh            *transport.Mesh
-	dirs            []string
-	rebinds         []*rebind
-	trs             []transport.Transport
-
-	// leases, when non-nil, enables replicated leader leases on every
-	// group of every process (set before boot; survives crash-restart).
-	leases *smr.LeaseOptions
-
-	mu       sync.Mutex
-	runtimes []*shard.Runtime
-	down     map[int]bool
-}
-
-func newShardedCluster(dir string, n, f, e, groups int) (*shardedCluster, error) {
-	return newShardedClusterLeases(dir, n, f, e, groups, nil)
-}
-
-// newShardedClusterLeases is newShardedCluster with leader leases enabled
-// on every group (the lease chaos scenario).
-func newShardedClusterLeases(dir string, n, f, e, groups int, leases *smr.LeaseOptions) (*shardedCluster, error) {
-	c := &shardedCluster{
-		n: n, f: f, e: e, groups: groups, leases: leases,
-		mesh:     transport.NewMesh(n),
-		dirs:     make([]string, n),
-		rebinds:  make([]*rebind, n),
-		trs:      make([]transport.Transport, n),
-		runtimes: make([]*shard.Runtime, n),
-		down:     make(map[int]bool),
-	}
-	for i := 0; i < n; i++ {
-		c.dirs[i] = filepath.Join(dir, fmt.Sprintf("p%d", i))
-		c.rebinds[i] = &rebind{}
-		tr, err := c.mesh.Endpoint(consensus.ProcessID(i), c.rebinds[i].handle)
-		if err != nil {
-			c.mesh.Close()
-			return nil, err
-		}
-		c.trs[i] = tr
-	}
-	for i := 0; i < n; i++ {
-		if err := c.boot(i); err != nil {
-			c.close()
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// boot builds process i's runtime over its data directory (demuxing the
-// shared WAL per group when prior state exists) and swaps it into the mesh.
-func (c *shardedCluster) boot(i int) error {
-	rt, err := shard.New(shard.Options{
-		Groups: c.groups,
-		Config: consensus.Config{ID: consensus.ProcessID(i), N: c.n, F: c.f, E: c.e, Delta: 10},
-		Tick:   time.Millisecond,
-		Leases: c.leases,
-		Durability: &shard.Durability{
-			Dir:           c.dirs[i],
-			Policy:        wal.SyncAlways,
-			SnapshotEvery: 32,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	rt.BindTransport(c.trs[i])
-	c.rebinds[i].set(rt.Handler())
-	c.mu.Lock()
-	c.runtimes[i] = rt
-	delete(c.down, i)
-	c.mu.Unlock()
-	rt.Start()
-	return nil
-}
-
-func (c *shardedCluster) runtime(i int) *shard.Runtime {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runtimes[i]
-}
-
-// kill crash-stops process i: the shared WAL is aborted first, so every
-// group's queued group commits fail and no acknowledgement escapes.
-func (c *shardedCluster) kill(i int) {
-	c.mu.Lock()
-	rt := c.runtimes[i]
-	c.down[i] = true
-	c.mu.Unlock()
-	c.rebinds[i].set(nil)
-	if rt != nil {
-		_ = rt.Kill()
-	}
-}
-
-func (c *shardedCluster) restart(i int) error { return c.boot(i) }
-
-// converged reports whether all processes agree per group and per key.
-func (c *shardedCluster) converged(keys []string) bool {
-	c.mu.Lock()
-	runtimes := make([]*shard.Runtime, len(c.runtimes))
-	copy(runtimes, c.runtimes)
-	c.mu.Unlock()
-	for g := 0; g < c.groups; g++ {
-		applied := -1
-		for _, rt := range runtimes {
-			a := rt.Group(g).Applied()
-			if applied == -1 {
-				applied = a
-			} else if a != applied {
-				return false
-			}
-		}
-	}
-	for _, k := range keys {
-		v0, ok0 := runtimes[0].Get(k)
-		for _, rt := range runtimes[1:] {
-			if v, ok := rt.Get(k); ok != ok0 || v != v0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (c *shardedCluster) waitConverged(keys []string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	stable := 0
-	for time.Now().Before(deadline) {
-		if c.converged(keys) {
-			stable++
-			if stable >= 2 {
-				return nil
-			}
-		} else {
-			stable = 0
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	states := make([]string, len(c.runtimes))
-	for i, rt := range c.runtimes {
-		info := rt.Info()
-		states[i] = fmt.Sprintf("p%d applied=%d", i, info.Applied)
-	}
-	return fmt.Errorf("chaos: sharded cluster did not reconverge within %v (%v)", timeout, states)
-}
-
-func (c *shardedCluster) close() {
-	c.mu.Lock()
-	runtimes := make([]*shard.Runtime, len(c.runtimes))
-	copy(runtimes, c.runtimes)
-	c.mu.Unlock()
-	for _, rt := range runtimes {
-		if rt != nil {
-			_ = rt.Close()
-		}
-	}
-	c.mesh.Close()
-}
-
-// liveBackend adapts a shardedCluster process into an smr.Backend that
-// always routes to the process's *current* runtime: the TCP server in
-// front of it outlives a crash-restart, exactly like a real process whose
-// listener comes back on the same port. Operations racing a crash fail at
-// the replica layer and surface as errors, which the workload records as
-// ambiguous.
-type liveBackend struct {
-	c *shardedCluster
-	i int
-}
-
-func (b *liveBackend) Route(key string) *smr.Replica { return b.c.runtime(b.i).Route(key) }
-func (b *liveBackend) Proxy() *smr.Replica           { return b.c.runtime(b.i).Proxy() }
-func (b *liveBackend) StatsLine() string             { return b.c.runtime(b.i).StatsLine() }
-func (b *liveBackend) InfoLine() string              { return b.c.runtime(b.i).InfoLine() }
 
 // TestShardedChaosLinearizable is the multi-group chaos scenario: three
 // processes, each hosting several consensus groups over one transport, one
@@ -216,15 +29,18 @@ func TestShardedChaosLinearizable(t *testing.T) {
 		opsPerClient = 30
 		keys         = 12
 	)
-	c, err := newShardedCluster(t.TempDir(), n, f, e, groups)
+	c, err := cluster.New(cluster.Options{
+		N: n, F: f, E: e, Groups: groups,
+		Dir: t.TempDir(), SnapshotEvery: 32, Servers: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
+	defer c.Close()
 
 	// Sanity: the key universe actually spans several groups (a router
 	// change that collapsed it would turn this into a single-group test).
-	router := c.runtime(0).Router()
+	router := c.Runtime(0).Router()
 	touched := map[int]bool{}
 	for _, k := range keyUniverse(keys) {
 		touched[router.Group(k)] = true
@@ -233,15 +49,7 @@ func TestShardedChaosLinearizable(t *testing.T) {
 		t.Fatalf("key universe hits %d group(s), want >= 2", len(touched))
 	}
 
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		srv, err := smr.NewBackendServer(&liveBackend{c: c, i: i}, "127.0.0.1:0", 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
-	}
+	addrs := c.Addrs()
 
 	rec := linear.NewRecorder()
 	var wg sync.WaitGroup
@@ -300,18 +108,18 @@ func TestShardedChaosLinearizable(t *testing.T) {
 	// recover from the demuxed log), heal.
 	nemesis := func() {
 		time.Sleep(40 * time.Millisecond)
-		c.mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+		c.Fabric().SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 			if (from == 0) != (to == 0) {
 				return transport.FaultVerdict{Drop: true}
 			}
 			return transport.FaultVerdict{}
 		})
 		time.Sleep(150 * time.Millisecond)
-		c.mesh.SetFault(nil)
+		c.Fabric().SetFault(nil)
 		time.Sleep(60 * time.Millisecond)
-		c.kill(2)
+		c.Kill(2)
 		time.Sleep(100 * time.Millisecond)
-		if err := c.restart(2); err != nil {
+		if err := c.Restart(2); err != nil {
 			t.Errorf("restart process 2: %v", err)
 		}
 	}
@@ -323,8 +131,8 @@ func TestShardedChaosLinearizable(t *testing.T) {
 
 	wg.Wait()
 	<-done
-	c.mesh.SetFault(nil)
-	if err := c.waitConverged(keyUniverse(keys), 20*time.Second); err != nil {
+	c.Fabric().SetFault(nil)
+	if err := c.WaitConverged(keyUniverse(keys), 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	res := linear.CheckTimeout(rec.History(), 30*time.Second)
@@ -341,7 +149,7 @@ func TestShardedChaosLinearizable(t *testing.T) {
 
 	// The restarted process rebuilt multi-group state from one interleaved
 	// WAL: its recovery info must show the demux actually happened.
-	recov, _ := c.runtime(2).Recovery()
+	recov, _ := c.Runtime(2).Recovery()
 	recovered := 0
 	for _, ri := range recov {
 		if ri.Recovered {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/linear"
 	"repro/internal/transport"
 	"repro/internal/wan"
@@ -44,14 +45,16 @@ func TestWANPartitionLinearizable(t *testing.T) {
 		CheckTimeout:    30 * time.Second,
 	}
 
-	c, err := newCluster(t.TempDir(), o.N, o.F, o.E)
+	c, err := cluster.New(cluster.Options{
+		N: o.N, F: o.F, E: o.E, Dir: t.TempDir(),
+		Topology: topo, Scale: scale,
+	})
 	if err != nil {
 		t.Fatalf("boot cluster: %v", err)
 	}
-	defer c.close()
+	defer c.Close()
 	flt := newFaults(seed ^ saltFaults)
-	flt.setBase(topo.MeshFault(scale))
-	c.mesh.SetFault(flt.verdict)
+	c.Fabric().SetFault(flt.verdict)
 
 	scripts := Scripts(seed, o)
 	rec := linear.NewRecorder()
@@ -80,7 +83,7 @@ func TestWANPartitionLinearizable(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if err := c.waitConverged(keyUniverse(o.Keys), o.ConvergeTimeout); err != nil {
+	if err := c.WaitConverged(keyUniverse(o.Keys), o.ConvergeTimeout); err != nil {
 		t.Fatalf("post-heal reconvergence (seed=%d): %v", seed, err)
 	}
 
@@ -102,7 +105,7 @@ func TestWANPartitionLinearizable(t *testing.T) {
 		t.Fatalf("history not linearizable at key %q (seed=%d)", res.Key, seed)
 	}
 	t.Logf("seed=%d ops=%d ambiguous=%d faultDrops=%d",
-		seed, len(h), ambiguous, c.mesh.Stats().DropsByCause[transport.DropFault])
+		seed, len(h), ambiguous, c.Fabric().Stats().DropsByCause[transport.DropFault])
 }
 
 // TestFaultStreamsPerLink pins the per-link sampling contract: the same

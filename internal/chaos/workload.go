@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/linear"
-	"repro/internal/smr"
 )
 
 // scriptOp is one scripted client operation: everything but its timing is
@@ -54,7 +54,7 @@ func script(rng *rand.Rand, client, ops, keys int) []scriptOp {
 // can rarely prove a request did NOT slip into consensus, and ambiguous
 // is always sound (a definitely-failed op misrecorded as ambiguous only
 // weakens the check, never breaks it).
-func runClient(ctx context.Context, c *cluster, rec *linear.Recorder, id, proxy int, ops []scriptOp, opTimeout, opGap time.Duration) {
+func runClient(ctx context.Context, c *cluster.Cluster, rec *linear.Recorder, id, proxy int, ops []scriptOp, opTimeout, opGap time.Duration) {
 	for i, op := range ops {
 		if i > 0 && opGap > 0 {
 			time.Sleep(opGap)
@@ -62,11 +62,7 @@ func runClient(ctx context.Context, c *cluster, rec *linear.Recorder, id, proxy 
 		if ctx.Err() != nil {
 			return
 		}
-		r := c.replica(proxy)
-		if r == nil {
-			continue
-		}
-		kv := smr.NewKV(r)
+		kv := c.Runtime(proxy)
 		opCtx, cancel := context.WithTimeout(ctx, opTimeout)
 		p := rec.Invoke(id, op.kind, op.key, op.val)
 		switch op.kind {

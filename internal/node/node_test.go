@@ -5,11 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/omega"
 	"repro/internal/transport"
+	"repro/internal/wan"
 )
 
 // startMeshCluster boots n hosts over an in-process mesh, each running an Ω
@@ -91,33 +93,19 @@ func TestTCPClusterDecides(t *testing.T) {
 	core.RegisterMessages(codec)
 	omega.RegisterMessages(codec)
 
-	// Reserve ports by listening on :0 first.
-	addrs := make(map[consensus.ProcessID]string, n)
-	hosts := make([]*node.Host, n)
-	trs := make([]*transport.TCP, n)
-	for i := 0; i < n; i++ {
-		addrs[consensus.ProcessID(i)] = "127.0.0.1:0"
+	// Loopback TCP on ephemeral ports.
+	fab, err := cluster.NewFabric(n, codec, wan.Topology{}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Start transports one by one, learning real addresses as we go.
+	defer fab.Close()
+	hosts := make([]*node.Host, n)
 	for i := 0; i < n; i++ {
-		p := consensus.ProcessID(i)
-		cfg := consensus.Config{ID: p, N: n, F: f, E: e, Delta: 10}
+		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
 		det := omega.New(cfg, 0)
 		proto := core.NewUnchecked(cfg, core.ModeObject, core.DefaultOptions(), det)
-		host := node.New(n, nil, time.Millisecond, det, proto)
-		tr, err := transport.NewTCP(p, addrs, codec, host.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[p] = tr.Addr()
-		host.BindTransport(tr)
-		hosts[i], trs[i] = host, tr
-	}
-	// Publish the real (post-":0") addresses to every transport.
-	for _, tr := range trs {
-		for p, a := range addrs {
-			tr.SetPeerAddr(p, a)
-		}
+		hosts[i] = node.New(n, fab.Transport(i), time.Millisecond, det, proto)
+		fab.Attach(i, hosts[i].Handle)
 	}
 	defer func() {
 		for _, h := range hosts {
@@ -141,5 +129,4 @@ func TestTCPClusterDecides(t *testing.T) {
 			t.Fatalf("host %d decided %v", i, v)
 		}
 	}
-	_ = trs
 }

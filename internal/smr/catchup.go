@@ -1,10 +1,6 @@
 package smr
 
-import (
-	"encoding/json"
-
-	"repro/internal/consensus"
-)
+import "repro/internal/consensus"
 
 // Wire kinds for replica-level anti-entropy.
 const (
@@ -57,23 +53,4 @@ func registerCatchupMessages(codec *consensus.Codec) {
 	codec.MustRegister(KindStatus, func() consensus.Message { return &Status{} })
 	codec.MustRegister(KindCatchupRequest, func() consensus.Message { return &CatchupRequest{} })
 	codec.MustRegister(KindCatchupReply, func() consensus.Message { return &CatchupReply{} })
-}
-
-// snapshotJSON serializes a replica state snapshot (exported via
-// (*Replica).SnapshotJSON for external persistence).
-type replicaSnapshot struct {
-	Applied int                     `json:"applied"`
-	Store   map[string]string       `json:"store"`
-	Decided map[int]consensus.Value `json:"decided,omitempty"`
-}
-
-func decodeSnapshot(data []byte) (int, map[string]string, map[int]consensus.Value, error) {
-	var s replicaSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return 0, nil, nil, err
-	}
-	if s.Store == nil {
-		s.Store = make(map[string]string)
-	}
-	return s.Applied, s.Store, s.Decided, nil
 }

@@ -142,36 +142,65 @@ func testLaggingReplicaCatchesUp(t *testing.T, writes int, compact bool) {
 	}
 }
 
+// TestSnapshotExportInstall takes a state transfer down the path production
+// takes. Replicas 0 and 1 are the live fast quorum; endpoint 2 is the test
+// standing in for a straggler: it asks replica 0 for its state and hands the
+// reply to a detached replica 2 through Handle.
 func TestSnapshotExportInstall(t *testing.T) {
-	replicas, cleanup := startCluster(t, 3, 1, 1)
-	defer cleanup()
+	const n, f, e = 3, 1, 1
+	mesh := transport.NewMesh(n)
+	defer mesh.Close()
+	replies := make(chan *smr.CatchupReply, 1)
+	if _, err := mesh.Endpoint(2, func(_ consensus.ProcessID, msg consensus.Message) {
+		if m, ok := msg.(*smr.CatchupReply); ok {
+			select {
+			case replies <- m:
+			default: // one reply is enough; never block the mesh
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	replicas := make([]*smr.Replica, 2)
+	for i := range replicas {
+		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
+		r, err := smr.NewReplica(cfg, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.BindTransport(tr)
+		r.Start()
+		defer r.Close()
+		replicas[i] = r
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
-	if err := kv.Put(ctx, "a", "1"); err != nil {
+	if err := smr.NewKV(replicas[0]).Put(ctx, "a", "1"); err != nil {
 		t.Fatal(err)
 	}
-	data, err := replicas[0].SnapshotJSON()
+
+	replicas[0].Handle(2, &smr.CatchupRequest{From: 0})
+	var reply *smr.CatchupReply
+	select {
+	case reply = <-replies:
+	case <-ctx.Done():
+		t.Fatal("no catch-up reply")
+	}
+	fresh, err := smr.NewReplica(consensus.Config{ID: 2, N: n, F: f, E: e, Delta: 10}, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A detached replica (not started, no transport) installs the export.
-	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
-	fresh, err := smr.NewReplica(cfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.InstallSnapshotJSON(data); err != nil {
-		t.Fatal(err)
-	}
+	defer fresh.Close()
+	fresh.Handle(0, reply)
 	if v, ok := fresh.Get("a"); !ok || v != "1" {
 		t.Fatalf("restored Get(a) = %q ok=%v", v, ok)
 	}
 	if fresh.Applied() != replicas[0].Applied() {
 		t.Fatalf("applied %d != %d", fresh.Applied(), replicas[0].Applied())
-	}
-	if err := fresh.InstallSnapshotJSON([]byte("{bad")); err == nil {
-		t.Fatal("bad snapshot accepted")
 	}
 }
 

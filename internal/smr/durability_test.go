@@ -12,70 +12,45 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/smr"
 	"repro/internal/transport"
 	"repro/internal/wal"
+	"repro/internal/wan"
 )
-
-// rebind is a swappable transport handler: a mesh endpoint can only be
-// attached once, so restart-in-place tests point the endpoint here and
-// swap the target replica underneath.
-type rebind struct {
-	mu sync.Mutex
-	h  transport.Handler
-}
-
-func (rb *rebind) handle(from consensus.ProcessID, msg consensus.Message) {
-	rb.mu.Lock()
-	h := rb.h
-	rb.mu.Unlock()
-	if h != nil {
-		h(from, msg)
-	}
-}
-
-func (rb *rebind) set(h transport.Handler) {
-	rb.mu.Lock()
-	rb.h = h
-	rb.mu.Unlock()
-}
 
 // durableCluster is a mesh of durable replicas that can be crashed and
 // restarted in place from their data directories.
 type durableCluster struct {
 	t        *testing.T
 	n        int
-	mesh     *transport.Mesh
+	fab      *cluster.Fabric
 	dirs     []string
-	rebinds  []*rebind
-	trs      []transport.Transport
 	replicas []*smr.Replica
 	opts     func(dir string, i int) smr.DurabilityOptions
 }
 
-func newDurableCluster(t *testing.T, n, f, e, depth int, opts func(dir string, i int) smr.DurabilityOptions) *durableCluster {
+func newDurableCluster(t *testing.T, n, f, e int, opts func(dir string, i int) smr.DurabilityOptions) *durableCluster {
 	t.Helper()
+	// Mesh endpoints attach exactly once, so restart-in-place tests swap
+	// the replica behind the fabric's endpoint.
+	fab, err := cluster.NewFabric(n, nil, wan.Topology{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := &durableCluster{
 		t:        t,
 		n:        n,
-		mesh:     transport.NewMeshWithDepth(n, depth),
+		fab:      fab,
 		dirs:     make([]string, n),
-		rebinds:  make([]*rebind, n),
-		trs:      make([]transport.Transport, n),
 		replicas: make([]*smr.Replica, n),
 		opts:     opts,
 	}
 	base := t.TempDir()
 	for i := 0; i < n; i++ {
 		c.dirs[i] = filepath.Join(base, fmt.Sprintf("r%d", i))
-		c.rebinds[i] = &rebind{}
-		tr, err := c.mesh.Endpoint(consensus.ProcessID(i), c.rebinds[i].handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.trs[i] = tr
 	}
 	for i := 0; i < n; i++ {
 		if _, err := c.boot(i, f, e); err != nil {
@@ -88,7 +63,7 @@ func newDurableCluster(t *testing.T, n, f, e, depth int, opts func(dir string, i
 				r.Close()
 			}
 		}
-		c.mesh.Close()
+		c.fab.Close()
 	})
 	return c
 }
@@ -104,8 +79,8 @@ func (c *durableCluster) boot(i, f, e int) (smr.RecoveryInfo, error) {
 	if err != nil {
 		return smr.RecoveryInfo{}, err
 	}
-	r.BindTransport(c.trs[i])
-	c.rebinds[i].set(r.Handle)
+	r.BindTransport(c.fab.Transport(i))
+	c.fab.Attach(i, r.Handle)
 	c.replicas[i] = r
 	r.Start()
 	return info, nil
@@ -115,7 +90,7 @@ func (c *durableCluster) boot(i, f, e int) (smr.RecoveryInfo, error) {
 // fresh one from the same data directory.
 func (c *durableCluster) restart(i, f, e int) smr.RecoveryInfo {
 	c.t.Helper()
-	c.rebinds[i].set(nil)
+	c.fab.Attach(i, nil)
 	if c.replicas[i] != nil {
 		c.replicas[i].Close()
 	}
@@ -139,7 +114,7 @@ func (c *durableCluster) waitApplied(i, want int, d time.Duration) {
 }
 
 func TestDurableRestartRecoversAppliedState(t *testing.T) {
-	c := newDurableCluster(t, 3, 1, 1, 0, func(dir string, i int) smr.DurabilityOptions {
+	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
 		return smr.DurabilityOptions{Dir: dir, Policy: wal.SyncNever, SnapshotEvery: 4}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -188,7 +163,7 @@ func TestCrashFailpointUnderWorkloadRecoversAndRejoins(t *testing.T) {
 	// write lands before any crash with a single uncontended proposer, so
 	// the recovered prefix includes fast-path decisions.
 	limits := []int64{0, 0, 2500}
-	c := newDurableCluster(t, 3, 1, 1, 0, func(dir string, i int) smr.DurabilityOptions {
+	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
 		return smr.DurabilityOptions{
 			Dir:            dir,
 			Policy:         wal.SyncAlways,
@@ -251,7 +226,7 @@ func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
 	// cmd/twostep invoke) must fsync and close the WAL even under
 	// SyncNever, so the restart takes the clean path, not the torn-tail
 	// one.
-	c := newDurableCluster(t, 3, 1, 1, 0, func(dir string, i int) smr.DurabilityOptions {
+	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
 		return smr.DurabilityOptions{Dir: dir, Policy: wal.SyncNever, SnapshotEvery: -1}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -275,7 +250,7 @@ func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
 	// Let the workload run, then shut replica 1 down mid-stream.
 	c.waitApplied(1, 3, 10*time.Second)
 	before := c.replicas[1].Applied()
-	c.rebinds[1].set(nil)
+	c.fab.Attach(1, nil)
 	if err := c.replicas[1].Close(); err != nil {
 		t.Fatalf("graceful close: %v", err)
 	}
@@ -417,40 +392,35 @@ func TestCatchupCarriesDecidedTailForOpenSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	tr := &captureTr{self: 0}
+	r.BindTransport(tr)
 
 	cmd := smr.Command{ID: "p9-1", Op: smr.OpPut, Key: "gap", Val: "filled"}
 	v, err := cmd.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := json.Marshal(map[string]any{
-		"applied": 0,
-		"store":   map[string]string{},
-		"decided": map[string]consensus.Value{"2": v},
+	r.Handle(1, &smr.CatchupReply{
+		Store:   map[string]string{},
+		Decided: map[int]consensus.Value{2: v},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.InstallSnapshotJSON(snap); err != nil {
-		t.Fatal(err)
-	}
 	if got, ok := r.LogValue(2); !ok || got != v {
 		t.Fatalf("decided tail not adopted: %v ok=%v", got, ok)
 	}
 	// The adopted decision must be re-exported to the next straggler.
-	out, err := r.SnapshotJSON()
-	if err != nil {
-		t.Fatal(err)
+	r.Handle(2, &smr.CatchupRequest{From: -1})
+	r.SyncIO()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, s := range tr.sent {
+		if m, ok := s.msg.(*smr.CatchupReply); ok && s.to == 2 {
+			if got, ok := m.Decided[2]; !ok || got != v {
+				t.Fatalf("catch-up reply lost the decided tail: %+v", m.Decided)
+			}
+			return
+		}
 	}
-	var decoded struct {
-		Decided map[string]consensus.Value `json:"decided"`
-	}
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := decoded.Decided["2"]; !ok || got != v {
-		t.Fatalf("snapshot export lost the decided tail: %+v", decoded.Decided)
-	}
+	t.Fatal("no catch-up reply sent to the straggler")
 }
 
 func TestCatchupHealsDecideGapsUnderDrops(t *testing.T) {
@@ -503,7 +473,7 @@ func TestCatchupHealsDecideGapsUnderDrops(t *testing.T) {
 }
 
 func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
-	c := newDurableCluster(t, 3, 1, 1, 0, func(dir string, i int) smr.DurabilityOptions {
+	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
 		return smr.DurabilityOptions{Dir: dir, Policy: wal.SyncNever, SnapshotEvery: 5}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

@@ -214,10 +214,15 @@ type Replica struct {
 
 // NewReplica builds a replica. Call BindTransport, then Start. Flexible
 // quorum sizes (cfg.FastSize/cfg.RecoverySize, see internal/quorum.NewFlex)
-// are validated here and honored by every slot's core node.
+// are validated here and honored by every slot's core node. tick is the
+// period of the status and Ω timers and must be positive: a zero period
+// re-arms them immediately and floods the fabric.
 func NewReplica(cfg consensus.Config, tick time.Duration) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
+	}
+	if tick <= 0 {
+		return nil, fmt.Errorf("smr: tick must be positive, got %v", tick)
 	}
 	return &Replica{
 		cfg:   cfg,
@@ -394,8 +399,8 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 // captureLocked cuts the replica's state for someone who will jump to it:
 // a copy of the applied store, the decided values of still-open slots (so
 // a peer that missed decide traffic learns them without re-running those
-// slots), and the lease view. A lagging peer gets it as is; SnapshotJSON
-// and the durable snapshot carry the same cut in their own envelopes.
+// slots), and the lease view. A lagging peer gets it as is; the durable
+// snapshot carries the same cut in its own envelope.
 func (r *Replica) captureLocked() *CatchupReply {
 	c := &CatchupReply{Applied: r.applied, Store: make(map[string]string, len(r.store))}
 	for k, v := range r.store {
@@ -663,28 +668,6 @@ func (r *Replica) Compact(retain int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.retireBelowLocked(r.applied - retain)
-}
-
-// SnapshotJSON exports the replica's applied state (for external backup).
-func (r *Replica) SnapshotJSON() ([]byte, error) {
-	r.mu.Lock()
-	c := r.captureLocked()
-	r.mu.Unlock()
-	return json.Marshal(replicaSnapshot{Applied: c.Applied, Store: c.Store, Decided: c.Decided})
-}
-
-// InstallSnapshotJSON installs a previously exported state if it is ahead
-// of the replica's own.
-func (r *Replica) InstallSnapshotJSON(data []byte) error {
-	applied, store, decided, err := decodeSnapshot(data)
-	if err != nil {
-		return fmt.Errorf("smr install snapshot: %w", err)
-	}
-	r.mu.Lock()
-	r.installSnapshotLocked(applied, store, decided)
-	r.emitLocked(nil)
-	r.mu.Unlock()
-	return nil
 }
 
 // haltLocked makes the replica refuse work from here on and releases every

@@ -50,6 +50,29 @@ func startMeshCluster(t testing.TB, n, f, e int) ([]*smr.Replica, *transport.Mes
 	return replicas, mesh, cleanup
 }
 
+func TestNewReplicaRejectsBadInput(t *testing.T) {
+	good := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
+	for _, tc := range []struct {
+		name string
+		cfg  consensus.Config
+		tick time.Duration
+	}{
+		{"invalid quorum config", consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10, FastSize: 1, RecoverySize: 1}, time.Millisecond},
+		{"tick 0", good, 0},
+		{"tick < 0", good, -time.Millisecond},
+	} {
+		if r, err := smr.NewReplica(tc.cfg, tc.tick); err == nil {
+			r.Close()
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	r, err := smr.NewReplica(good, time.Millisecond)
+	if err != nil {
+		t.Fatalf("valid input rejected: %v", err)
+	}
+	r.Close()
+}
+
 func TestKVPutGet(t *testing.T) {
 	replicas, cleanup := startCluster(t, 5, 2, 2)
 	defer cleanup()
