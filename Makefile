@@ -35,7 +35,7 @@ test-short:
 # timing assumptions; one that doesn't gets converted to a fake clock
 # (see TestLeaseExpiryUnderFsyncStall for the pattern).
 test-flaky:
-	$(GO) test ./internal/smr ./internal/cluster ./internal/chaos ./internal/node ./internal/wan \
+	$(GO) test ./internal/smr ./internal/shard ./internal/cluster ./internal/chaos ./internal/node ./internal/wan \
 		-race -count=5 -timeout 1200s
 
 # benchmark/ is its own module, so `go build ./...` and `go test ./...`
@@ -103,9 +103,11 @@ fuzz:
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzRangeRouter -fuzztime=30s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
-# recovery — see docs/DURABILITY.md.
+# recovery through the runtime's shared-WAL abort/close — see
+# docs/DURABILITY.md.
 crash:
 	$(GO) test -run '^TestCrash' -v -timeout 300s ./internal/wal/... ./internal/smr/...
+	$(GO) test -run '^TestCrash|^TestRuntime(Crash|Graceful)' -v -timeout 300s ./internal/shard/... ./internal/cluster/...
 
 # Whole-stack chaos campaign: SEEDS consecutive seeded scenarios (live
 # durable cluster + nemesis + linearizability check), starting at SEED.

@@ -1,7 +1,8 @@
 // Kvstore: a replicated key-value store over real TCP loopback — five
-// replicas running state-machine replication on the paper's object-mode
-// protocol, one consensus instance per log slot, with two clients talking
-// to different proxies.
+// processes of the stack cmd/kv ships (internal/cluster), running
+// state-machine replication on the paper's object-mode protocol, one
+// consensus instance per log slot, with two clients talking to different
+// proxies.
 //
 //	go run ./examples/kvstore
 package main
@@ -13,9 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/consensus"
 	"repro/internal/smr"
-	"repro/internal/wan"
 )
 
 func main() {
@@ -27,29 +26,15 @@ func main() {
 func run() error {
 	const n, f, e = 5, 2, 2
 
-	codec := consensus.NewCodec()
-	smr.RegisterMessages(codec)
-
-	// Boot five replicas on loopback TCP with ephemeral ports.
-	fab, err := cluster.NewFabric(n, codec, wan.Topology{}, 0)
+	// Boot five processes on loopback TCP with ephemeral ports.
+	c, err := cluster.New(cluster.Options{N: n, F: f, E: e, TCP: true})
 	if err != nil {
 		return err
 	}
-	defer fab.Close()
+	defer c.Close()
 	replicas := make([]*smr.Replica, n)
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		rep, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			return err
-		}
-		rep.BindTransport(fab.Transport(i))
-		fab.Attach(i, rep.Handle)
-		replicas[i] = rep
-	}
-	for i, rep := range replicas {
-		rep.Start()
-		defer rep.Close()
+	for i := range replicas {
+		replicas[i] = c.Runtime(i).Group(0)
 		fmt.Printf("replica p%d up\n", i)
 	}
 

@@ -243,7 +243,7 @@ func TestSampleStats(t *testing.T) {
 // (the full grids run in the CI report job).
 func TestHotPathRowShape(t *testing.T) {
 	for _, fabric := range []string{"mem", "tcp"} {
-		row, err := hotPathRun(5, 2, 2, fabric, 2, "adaptive", 10)
+		row, err := hotPathRun(5, 2, 2, fabric, 2, 10)
 		if err != nil {
 			t.Fatalf("%s: %v", fabric, err)
 		}

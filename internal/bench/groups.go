@@ -103,7 +103,7 @@ func groupsRun(n, f, e, groups, clients, depth, opsPerClient int) (GroupsRow, er
 	defer os.RemoveAll(dir)
 	c, err := cluster.New(cluster.Options{
 		N: n, F: f, E: e, Groups: groups,
-		Dir: dir, AdaptiveBatch: true, Servers: true,
+		Dir: dir, Servers: true,
 	})
 	if err != nil {
 		return row, err

@@ -16,7 +16,6 @@ import (
 type HotPathRow struct {
 	Transport   string  `json:"transport"` // mem | tcp
 	Clients     int     `json:"clients"`   // concurrent proxies
-	Batching    string  `json:"batching"`  // none | adaptive
 	Ops         int     `json:"ops"`       // committed Puts
 	OpsPerSec   float64 `json:"opsPerSec"`
 	P50Micros   float64 `json:"p50Micros"` // per-Put latency percentiles
@@ -41,9 +40,10 @@ type HotPathReport struct {
 }
 
 // HotPath regenerates F4b: hot-path throughput and latency of the durable
-// (fsync-always) replicated KV store across client counts, batching on and
-// off, and transports. (The committed BENCH_F4.json, measured at 1f02299,
-// also holds `legacy` and `fixed-2ms` rows: paths deleted since.)
+// (fsync-always), adaptively batched replicated KV store across client
+// counts and transports. A batch of one is the 1-client row. (The committed
+// BENCH_F4.json, measured at 1f02299, also holds `none`, `legacy` and
+// `fixed-2ms` rows: an unbatched stack, and paths deleted since.)
 func HotPath() *Result {
 	const n, f, e = 5, 2, 2
 	rep := &HotPathReport{
@@ -56,37 +56,32 @@ func HotPath() *Result {
 	res := &Result{
 		ID:     "F4b",
 		Title:  rep.Title,
-		Header: []string{"transport", "clients", "batching", "ops", "ops/sec", "p50 µs", "p95 µs", "allocs/op", "fsyncs/op"},
+		Header: []string{"transport", "clients", "ops", "ops/sec", "p50 µs", "p95 µs", "allocs/op", "fsyncs/op"},
 		Report: rep,
 	}
 
 	type config struct {
 		transport string
 		clients   int
-		batching  string
 		ops       int
 	}
 	var grid []config
 	for _, clients := range []int{1, 2, 4, 8} {
-		for _, batching := range []string{"none", "adaptive"} {
-			grid = append(grid, config{"mem", clients, batching, rep.OpsPerClient})
-		}
+		grid = append(grid, config{"mem", clients, rep.OpsPerClient})
 	}
 	// TCP is the expensive fabric: a reduced grid keeps F4b's runtime sane.
 	for _, clients := range []int{1, 8} {
-		for _, batching := range []string{"none", "adaptive"} {
-			grid = append(grid, config{"tcp", clients, batching, 30})
-		}
+		grid = append(grid, config{"tcp", clients, 30})
 	}
 
 	for _, c := range grid {
-		row, err := hotPathRun(n, f, e, c.transport, c.clients, c.batching, c.ops)
+		row, err := hotPathRun(n, f, e, c.transport, c.clients, c.ops)
 		if err != nil {
-			res.AddRow(c.transport, c.clients, c.batching, "—", "err: "+err.Error(), "—", "—", "—", "—")
+			res.AddRow(c.transport, c.clients, "—", "err: "+err.Error(), "—", "—", "—", "—")
 			continue
 		}
 		rep.Rows = append(rep.Rows, row)
-		res.AddRow(row.Transport, row.Clients, row.Batching, row.Ops,
+		res.AddRow(row.Transport, row.Clients, row.Ops,
 			fmt.Sprintf("%.0f", row.OpsPerSec),
 			fmt.Sprintf("%.0f", row.P50Micros), fmt.Sprintf("%.0f", row.P95Micros),
 			fmt.Sprintf("%.0f", row.AllocsPerOp), fmt.Sprintf("%.2f", row.FsyncsPerOp))
@@ -99,8 +94,8 @@ func HotPath() *Result {
 // hotPathRun boots one durable cluster — the assembly cmd/kv ships, one
 // group per process — on the requested fabric and hammers it, returning the
 // measured row.
-func hotPathRun(n, f, e int, fabric string, clients int, batching string, opsPerClient int) (HotPathRow, error) {
-	row := HotPathRow{Transport: fabric, Clients: clients, Batching: batching}
+func hotPathRun(n, f, e int, fabric string, clients, opsPerClient int) (HotPathRow, error) {
+	row := HotPathRow{Transport: fabric, Clients: clients}
 	dir, err := os.MkdirTemp("", "bench-f4b-")
 	if err != nil {
 		return row, err
@@ -111,7 +106,6 @@ func hotPathRun(n, f, e int, fabric string, clients int, batching string, opsPer
 		TCP:           fabric == "tcp",
 		Dir:           dir,
 		SnapshotEvery: -1, // keep the run free of snapshot interference
-		AdaptiveBatch: batching == "adaptive",
 	})
 	if err != nil {
 		return row, err

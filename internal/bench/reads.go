@@ -158,7 +158,7 @@ func readsRun(n, f, e, groups int, mode string, readPct, clients, opsPerClient i
 	}
 	cl, err := cluster.New(cluster.Options{
 		N: n, F: f, E: e, Groups: groups, Leases: leases,
-		Dir: dir, AdaptiveBatch: true, Servers: true,
+		Dir: dir, Servers: true,
 	})
 	if err != nil {
 		return row, err

@@ -126,7 +126,7 @@ func Sessions(depth int) *Result {
 // the in-memory fabric with adaptive batching and a client-facing TCP
 // server per process, so the client wire is the variable under test.
 func sessionCluster(n, f, e int) (*cluster.Cluster, error) {
-	return cluster.New(cluster.Options{N: n, F: f, E: e, AdaptiveBatch: true, Servers: true})
+	return cluster.New(cluster.Options{N: n, F: f, E: e, Servers: true})
 }
 
 // runClients is the load-driver skeleton the serving figures share: fn runs

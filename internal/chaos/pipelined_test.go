@@ -24,7 +24,7 @@ import (
 func TestPipelinedSessionsLinearizable(t *testing.T) {
 	const (
 		n, f, e      = 3, 1, 1
-		clients      = 6
+		clients      = 9
 		opsPerClient = 25
 		keys         = 4
 	)
@@ -122,5 +122,18 @@ func TestPipelinedSessionsLinearizable(t *testing.T) {
 	}
 	if rec.Len() != clients*opsPerClient {
 		t.Fatalf("recorded %d ops, want %d", rec.Len(), clients*opsPerClient)
+	}
+	// The verdict covers batches: cluster.New batches as cmd/kv does, so
+	// with two clients per proxy some slot decided an OpBatch under the
+	// flaky fabric.
+	var batch smr.BatchStats
+	for i := 0; i < n; i++ {
+		st := c.Runtime(i).Group(0).BatchStats()
+		batch.Batches += st.Batches
+		batch.Cmds += st.Cmds
+	}
+	t.Logf("batching: %d commands in %d consensus instances", batch.Cmds, batch.Batches)
+	if batch.Cmds <= batch.Batches {
+		t.Fatalf("no write was batched (%d commands, %d instances): the history never exercised OpBatch", batch.Cmds, batch.Batches)
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // Options is what differs between the clusters the repo boots; everything
-// else is the serving configuration (1 ms tick, Δ = 10 ticks, fsync=always
-// when durable, 30 s server op timeout).
+// else is the serving configuration (1 ms tick, Δ = 10 ticks, adaptive
+// batching, fsync=always when durable, 30 s server op timeout).
 type Options struct {
 	// N, F, E are the consensus.Config membership and thresholds.
 	N, F, E int
@@ -35,8 +35,6 @@ type Options struct {
 	Dir string
 	// SnapshotEvery is shard.Durability.SnapshotEvery.
 	SnapshotEvery int
-	// AdaptiveBatch is shard.Options.AdaptiveBatch.
-	AdaptiveBatch bool
 	// Servers fronts every process with a session server on an ephemeral
 	// loopback port (Addrs) whose backend follows restarts.
 	Servers bool
@@ -104,7 +102,7 @@ func (c *Cluster) boot(i int) error {
 		Groups:        c.o.Groups,
 		Config:        consensus.Config{ID: consensus.ProcessID(i), N: c.o.N, F: c.o.F, E: c.o.E, Delta: 10},
 		Tick:          time.Millisecond,
-		AdaptiveBatch: c.o.AdaptiveBatch,
+		AdaptiveBatch: true,
 		Leases:        c.o.Leases,
 	}
 	if c.o.Dir != "" {

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func TestKillRestartReconverges(t *testing.T) {
 		t.Run(fmt.Sprintf("tcp=%t", tcp), func(t *testing.T) {
 			c, err := cluster.New(cluster.Options{
 				N: 3, F: 1, E: 1, Groups: 2, TCP: tcp,
-				Dir: t.TempDir(), AdaptiveBatch: true, Servers: true,
+				Dir: t.TempDir(), Servers: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -72,5 +73,67 @@ func TestKillRestartReconverges(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrashRecoversBatchedWrites crashes every process after a burst of
+// concurrent writes that the batcher provably grouped into OpBatch slots,
+// and reboots them all: recovery has nothing but the shared WALs, so every
+// acknowledged write must come back out of a journaled batch, and the
+// rebooted cluster must keep serving batches on top of them.
+func TestCrashRecoversBatchedWrites(t *testing.T) {
+	const n, writers, rounds = 3, 8, 5
+	c, err := cluster.New(cluster.Options{N: n, F: 1, E: 1, Dir: t.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	burst := func(tag string) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					if err := c.Runtime(0).Put(ctx, fmt.Sprintf("%s-%d-%d", tag, w, r), tag); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("%s burst: %v", tag, err)
+		}
+	}
+	burst("pre")
+	if st := c.Runtime(0).Group(0).BatchStats(); st.Cmds <= st.Batches {
+		t.Fatalf("%d writers formed no batch (%+v): nothing batched to recover", writers, st)
+	}
+	for i := 0; i < n; i++ {
+		c.Kill(i)
+	}
+	for i := 0; i < n; i++ {
+		if err := c.Restart(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst("post")
+	for _, tag := range []string{"pre", "post"} {
+		for w := 0; w < writers; w++ {
+			for r := 0; r < rounds; r++ {
+				k := fmt.Sprintf("%s-%d-%d", tag, w, r)
+				if v, ok, err := c.Runtime(0).GetLinearizable(ctx, k); err != nil || !ok || v != tag {
+					t.Fatalf("%s = %q,%t,%v after the crash", k, v, ok, err)
+				}
+			}
+		}
 	}
 }

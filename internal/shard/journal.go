@@ -61,7 +61,8 @@ func (s *SharedWAL) Group(g int) smr.Journal { return &groupJournal{s: s, g: g} 
 // groupJournal adapts the shared WAL to one group's smr.Journal. Appends,
 // commits, and replays hit the shared log directly (the index space is
 // shared; filtering is the reader's job via the record's group tag).
-// Truncation and lifecycle differ: see each method.
+// Truncation differs: see TruncateBefore. The view has no lifecycle — the
+// runtime syncs, aborts and closes the shared WAL itself.
 type groupJournal struct {
 	s *SharedWAL
 	g int
@@ -101,11 +102,3 @@ func (j *groupJournal) TruncateBefore(index uint64) (int, error) {
 	// racing truncation with a smaller minimum is a harmless no-op.
 	return j.s.w.TruncateBefore(min)
 }
-
-// Close is a no-op: the shared WAL's lifecycle belongs to the runtime, and
-// the smr durability layer never calls Close on an unowned journal anyway.
-func (j *groupJournal) Close() error { return nil }
-
-// Abort is a no-op for the same reason; the runtime aborts the shared WAL
-// itself, before killing the groups.
-func (j *groupJournal) Abort() error { return nil }

@@ -97,9 +97,9 @@ func (m *Mux) Bind(tr transport.Transport) {
 
 // Handle is the inbound handler for the real transport: it unwraps the
 // envelope and delivers to the tagged group. Frames that are not group
-// envelopes, carry an out-of-range id, target a detached group, or fail
-// inner decode are dropped — the transport contract is lossy anyway and
-// protocol timers retransmit.
+// envelopes, carry an out-of-range id, target a group with no handler yet,
+// or fail inner decode are dropped — the transport contract is lossy anyway
+// and protocol timers retransmit.
 func (m *Mux) Handle(from consensus.ProcessID, msg consensus.Message) {
 	gm, ok := msg.(*GroupMessage)
 	if !ok {
@@ -122,8 +122,8 @@ func (m *Mux) Handle(from consensus.ProcessID, msg consensus.Message) {
 }
 
 // View registers group g's inbound handler and returns the transport its
-// replica binds: sends are wrapped with the group id, Close detaches only
-// this group. The real transport stays the caller's to close.
+// replica binds: sends are wrapped with the group id. The real transport
+// stays the caller's to close.
 func (m *Mux) View(g int, h transport.Handler) transport.Transport {
 	m.mu.Lock()
 	m.handlers[g] = h
@@ -175,13 +175,6 @@ func (v *groupView) Stats() transport.Stats {
 	return tr.Stats()
 }
 
-// Close detaches the group's inbound handler; the shared transport belongs
-// to the runtime and outlives any one group.
-func (v *groupView) Close() error {
-	v.m.mu.Lock()
-	if v.g >= 0 && v.g < len(v.m.handlers) {
-		v.m.handlers[v.g] = nil
-	}
-	v.m.mu.Unlock()
-	return nil
-}
+// Close is a no-op: a replica never closes its transport, and the shared
+// one belongs to the runtime.
+func (v *groupView) Close() error { return nil }

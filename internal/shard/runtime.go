@@ -14,8 +14,9 @@ import (
 )
 
 // Runtime hosts N independent consensus groups in one process. Each group
-// is a full smr.Replica — its own Ω detector, slot space, and snapshot
-// store — but the process-wide resources are shared exactly once:
+// is an smr.Replica — its own Ω detector, slot space, and snapshot store —
+// and the Runtime is the one owner of the process-wide resources, which it
+// opens, hands to every group, and alone closes:
 //
 //   - one transport, multiplexed by group-tagged envelopes (mux.go);
 //   - one WAL, interleaving group-tagged records (journal.go);
@@ -24,12 +25,11 @@ import (
 //
 // Keys route to groups through a deterministic Router; the Runtime
 // implements smr.Backend, so the line/session servers route PUT/GET/DEL/
-// GETL transparently and clients cannot tell a sharded process from a
-// single-replica one.
+// GETL transparently and the wire does not show the group count.
 //
-// Construction order mirrors a single replica's: New (which recovers every
-// group from the shared WAL), then build the real transport around
-// Handler(), then BindTransport, then Start.
+// Construction order: New (which recovers every group from the shared WAL),
+// then build the real transport around Handler(), then BindTransport, then
+// Start.
 type Runtime struct {
 	cfg      consensus.Config
 	router   Router
@@ -64,7 +64,12 @@ type Durability struct {
 	// (default 64; <0 disables automatic snapshots).
 	SnapshotEvery int
 	// SyncHook runs before each WAL fsync (tests only; see wal.Options).
+	// Stalling it stalls durability, which must stall every dependent
+	// message and completion.
 	SyncHook func()
+	// FailpointLimit, when >0, injects a crash after that many WAL bytes
+	// (tests only; see wal.Options.FailpointLimit).
+	FailpointLimit int64
 }
 
 // Options configures New.
@@ -110,27 +115,28 @@ func New(opts Options) (*Runtime, error) {
 		cfg:    opts.Config,
 		router: router,
 		mux:    NewMux(opts.Groups),
-		io:     smr.NewSharedIO(),
+		io:     smr.NewIOScheduler(),
 	}
 	if opts.Durability != nil {
 		w, winfo, err := OpenSharedWAL(filepath.Join(opts.Durability.Dir, "wal"), opts.Groups, wal.Options{
-			SegmentBytes: opts.Durability.SegmentBytes,
-			Policy:       opts.Durability.Policy,
-			SyncHook:     opts.Durability.SyncHook,
+			SegmentBytes:   opts.Durability.SegmentBytes,
+			Policy:         opts.Durability.Policy,
+			SyncHook:       opts.Durability.SyncHook,
+			FailpointLimit: opts.Durability.FailpointLimit,
 		})
 		if err != nil {
+			rt.abandon()
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 		rt.shared = w
 		rt.walInfo = winfo
 	}
 	for g := 0; g < opts.Groups; g++ {
-		r, err := smr.NewReplica(opts.Config, opts.Tick)
+		r, err := smr.NewReplica(opts.Config, opts.Tick, rt.io)
 		if err != nil {
 			rt.abandon()
 			return nil, fmt.Errorf("shard: group %d: %w", g, err)
 		}
-		r.ShareIO(rt.io)
 		if opts.AdaptiveBatch {
 			r.EnableAdaptiveBatching(0)
 		}
@@ -167,15 +173,7 @@ func New(opts Options) (*Runtime, error) {
 }
 
 // abandon tears down a partially constructed runtime.
-func (rt *Runtime) abandon() {
-	for _, r := range rt.groups {
-		_ = r.Close()
-	}
-	rt.io.Close()
-	if rt.shared != nil {
-		_ = rt.shared.Close()
-	}
-}
+func (rt *Runtime) abandon() { _ = rt.shutdown(false) }
 
 // Handler returns the inbound handler for the process's real transport:
 // construct the transport with it, then call BindTransport.
@@ -235,34 +233,7 @@ func (rt *Runtime) SyncIO() {
 // Close shuts the runtime down gracefully: every group drains through the
 // shared scheduler, then the scheduler stops, the shared WAL syncs closed,
 // and the transport closes.
-func (rt *Runtime) Close() error {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return nil
-	}
-	rt.closed = true
-	tr := rt.tr
-	rt.mu.Unlock()
-	var firstErr error
-	for _, r := range rt.groups {
-		if err := r.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	rt.io.Close()
-	if rt.shared != nil {
-		if err := rt.shared.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if tr != nil {
-		if err := tr.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+func (rt *Runtime) Close() error { return rt.shutdown(false) }
 
 // Kill simulates a process crash for the chaos harness: the shared WAL is
 // aborted FIRST (queued group commits across every group must fail — and
@@ -270,7 +241,12 @@ func (rt *Runtime) Close() error {
 // then every group is killed, the scheduler drained, and the transport
 // closed. A new Runtime opened on the same data directory runs the real
 // per-group recovery demux.
-func (rt *Runtime) Kill() error {
+func (rt *Runtime) Kill() error { return rt.shutdown(true) }
+
+// shutdown is the one teardown behind Close and Kill; it runs once. crash
+// aborts the WAL before the groups drain instead of syncing it closed
+// after them.
+func (rt *Runtime) shutdown(crash bool) error {
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
@@ -280,17 +256,20 @@ func (rt *Runtime) Kill() error {
 	tr := rt.tr
 	rt.mu.Unlock()
 	var firstErr error
-	if rt.shared != nil {
-		if err := rt.shared.Abort(); err != nil {
-			firstErr = err
-		}
+	if crash && rt.shared != nil {
+		firstErr = rt.shared.Abort()
 	}
 	for _, r := range rt.groups {
-		if err := r.Kill(); err != nil && firstErr == nil {
-			firstErr = err
+		if crash {
+			r.Kill()
+		} else {
+			r.Close()
 		}
 	}
 	rt.io.Close()
+	if !crash && rt.shared != nil {
+		firstErr = rt.shared.Close()
+	}
 	if tr != nil {
 		if err := tr.Close(); err != nil && firstErr == nil {
 			firstErr = err

@@ -217,7 +217,10 @@ func TestRuntimeCrashRecovery(t *testing.T) {
 // TestSingleGroupReadsPreShardingWAL pins backward compatibility: a data
 // directory written by a plain (pre-sharding) smr.Replica must open under
 // a 1-group runtime with all state intact — old records carry no group tag
-// and belong to group 0, whose snapshot dir is the legacy Dir/snap.
+// and belong to group 0, whose snapshot dir is the legacy Dir/snap. The
+// test stands in for the old standalone replica as the owner of each
+// group: its scheduler, and a plain *wal.WAL at Dir/wal as the journal,
+// which is byte for byte what those replicas wrote.
 func TestSingleGroupReadsPreShardingWAL(t *testing.T) {
 	const n, f, e = 3, 1, 1
 	var dirs [3]string
@@ -226,13 +229,21 @@ func TestSingleGroupReadsPreShardingWAL(t *testing.T) {
 	}
 	mesh := transport.NewMesh(n)
 	var reps [3]*smr.Replica
+	var ios [3]*smr.IOScheduler
+	var wals [3]*wal.WAL
 	for i := 0; i < n; i++ {
 		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		rep, err := smr.NewReplica(cfg, time.Millisecond)
+		ios[i] = smr.NewIOScheduler()
+		rep, err := smr.NewReplica(cfg, time.Millisecond, ios[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rep.EnableDurability(smr.DurabilityOptions{Dir: dirs[i], Policy: wal.SyncAlways, SnapshotEvery: 16}); err != nil {
+		w, _, err := wal.Open(filepath.Join(dirs[i], "wal"), wal.Options{Policy: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wals[i] = w
+		if _, err := rep.EnableDurability(smr.DurabilityOptions{Dir: dirs[i], Journal: w, Policy: wal.SyncAlways, SnapshotEvery: 16}); err != nil {
 			t.Fatal(err)
 		}
 		ep, err := mesh.Endpoint(cfg.ID, rep.Handle)
@@ -251,8 +262,10 @@ func TestSingleGroupReadsPreShardingWAL(t *testing.T) {
 			t.Fatalf("put: %v", err)
 		}
 	}
-	for _, rep := range reps {
-		if err := rep.Close(); err != nil {
+	for i, rep := range reps {
+		rep.Close()
+		ios[i].Close()
+		if err := wals[i].Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,15 +12,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/smr"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
-// decideGate wraps a Transport and, once armed, swallows every message by
-// which this replica could teach peers a decision: the decide broadcast,
-// applied-index gossip, and catchup replies. Protocol request/response
-// traffic (1B/2B votes to the proposer) still flows, so the replica can
-// keep deciding locally while the rest of the cluster learns nothing —
-// the "crash between WAL commit and send" window stretched wide open.
+// decideGate wraps a process's endpoint and, once armed, swallows every
+// message by which this replica could teach peers a decision: the decide
+// broadcast, applied-index gossip, and catchup replies. Protocol
+// request/response traffic (1B/2B votes to the proposer) still flows, so
+// the replica can keep deciding locally while the rest of the cluster
+// learns nothing — the "crash between WAL commit and send" window stretched
+// wide open.
 type decideGate struct {
 	transport.Transport
 	armed atomic.Bool
@@ -28,7 +28,7 @@ type decideGate struct {
 
 func (g *decideGate) Send(to consensus.ProcessID, msg consensus.Message) error {
 	if g.armed.Load() {
-		switch m := msg.(type) {
+		switch m := inner(msg).(type) {
 		case *smr.SlotMessage:
 			if m.InnerKind == core.KindDecide {
 				return nil
@@ -49,49 +49,19 @@ func (g *decideGate) Send(to consensus.ProcessID, msg consensus.Message) error {
 // acknowledged before the group commit was durable, the restarted replica
 // would come back without the write.
 func TestAckedWriteSurvivesCrashBeforeDecideSend(t *testing.T) {
-	const n, f, e = 3, 1, 1
-	mesh := transport.NewMesh(n)
-	defer mesh.Close()
-
+	const n = 3
 	base := t.TempDir()
-	dirs := make([]string, n)
-	replicas := make([]*smr.Replica, n)
 	var gate *decideGate
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirs[i] = filepath.Join(base, fmt.Sprintf("r%d", i))
-		if _, err := r.EnableDurability(smr.DurabilityOptions{
-			Dir:    dirs[i],
-			Policy: wal.SyncAlways,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
+	c := newTestCluster(t, n, 1, 1, procOptions{
+		dur: durableUnder(base, nil),
+		bind0: func(tr transport.Transport) transport.Transport {
 			gate = &decideGate{Transport: tr}
-			r.BindTransport(gate)
-		} else {
-			r.BindTransport(tr)
-		}
-		replicas[i] = r
-		r.Start()
-	}
-	defer func() {
-		for _, r := range replicas {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
+			return gate
+		},
+	})
+	replicas := c.replicas()
 
-	srv, err := smr.NewServer(replicas[0], "127.0.0.1:0", 10*time.Second)
+	srv, err := smr.NewBackendServer(c.rts[0], "127.0.0.1:0", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +79,9 @@ func TestAckedWriteSurvivesCrashBeforeDecideSend(t *testing.T) {
 	}
 	// The client holds an acknowledgement. Crash the proposer: abort the
 	// WAL without the graceful final sync and let no further byte out.
-	if err := replicas[0].Kill(); err != nil {
+	if err := c.rts[0].Kill(); err != nil {
 		t.Logf("kill: %v", err) // fd close errors are not the point here
 	}
-	replicas[0] = nil
 
 	// No peer may have learned the decision — the ack must be backed by
 	// the proposer's WAL, not by surviving replicas.
@@ -125,20 +94,9 @@ func TestAckedWriteSurvivesCrashBeforeDecideSend(t *testing.T) {
 	// Restart the proposer from its data directory, fully isolated: a
 	// capture transport instead of the mesh, so recovery can only use what
 	// the crashed process made durable.
-	cfg := consensus.Config{ID: 0, N: n, F: f, E: e, Delta: 10}
-	r0, err := smr.NewReplica(cfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := r0.EnableDurability(smr.DurabilityOptions{
-		Dir:    dirs[0],
-		Policy: wal.SyncAlways,
-	})
-	if err != nil {
-		t.Fatalf("recovery after crash: %v", err)
-	}
-	r0.BindTransport(&captureTr{self: 0})
-	defer r0.Close()
+	rt0, _ := openIsolated(t, 0, filepath.Join(base, "r0"), nil)
+	r0 := rt0.Group(0)
+	info, _ := rt0.Recovery()
 
 	if v, ok := r0.Get("k"); !ok || v != "acked" {
 		t.Fatalf("restarted proposer Get(k) = %q, %t — client-acked write lost after crash (recovery: %+v)",
@@ -154,45 +112,15 @@ func TestAckedWriteSurvivesCrashBeforeDecideSend(t *testing.T) {
 // (never acknowledge them after the WAL is gone) and leave the replica
 // externally silent once it returns.
 func TestKillFailsOutstandingCallsAndIsSilent(t *testing.T) {
-	const n, f, e = 3, 1, 1
-	mesh := transport.NewMesh(n)
-	defer mesh.Close()
-
-	base := t.TempDir()
-	replicas := make([]*smr.Replica, n)
 	var tap *tapTransport
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.EnableDurability(smr.DurabilityOptions{
-			Dir:    filepath.Join(base, fmt.Sprintf("r%d", i)),
-			Policy: wal.SyncAlways,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
+	c := newTestCluster(t, 3, 1, 1, procOptions{
+		dur: durableUnder(t.TempDir(), nil),
+		bind0: func(tr transport.Transport) transport.Transport {
 			tap = &tapTransport{Transport: tr}
-			r.BindTransport(tap)
-		} else {
-			r.BindTransport(tr)
-		}
-		replicas[i] = r
-		r.Start()
-	}
-	defer func() {
-		for i, r := range replicas {
-			if i != 0 {
-				r.Close()
-			}
-		}
-	}()
+			return tap
+		},
+	})
+	replicas := c.replicas()
 
 	kv := smr.NewKV(replicas[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -204,7 +132,7 @@ func TestKillFailsOutstandingCallsAndIsSilent(t *testing.T) {
 	}
 	// Let some calls get in flight, then pull the plug mid-traffic.
 	time.Sleep(2 * time.Millisecond)
-	if err := replicas[0].Kill(); err != nil {
+	if err := c.rts[0].Kill(); err != nil {
 		t.Logf("kill: %v", err)
 	}
 	for i := 0; i < 4; i++ {
@@ -216,7 +144,7 @@ func TestKillFailsOutstandingCallsAndIsSilent(t *testing.T) {
 			t.Fatal("client call still pending after Kill returned")
 		}
 	}
-	tap.armed.Store(true) // count every send from here on
+	tap.arm(0) // count every slot send from here on
 	time.Sleep(150 * time.Millisecond)
 	if got := tap.slotSends.Load(); got != 0 {
 		t.Fatalf("%d slot message(s) left the replica after Kill returned", got)

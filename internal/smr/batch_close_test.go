@@ -23,12 +23,14 @@ func (r *Replica) BatchQueued() int {
 
 // TestBatcherCloseWaitsForFlushers pins the golifecycle fix: close must not
 // return while the flusher goroutine is still running, because the caller
-// (Replica.Close) proceeds to tear down the WAL and transport the flusher
-// would then touch. Before the fix, close returned immediately and the
+// (Replica.Close, then its host) proceeds to tear down the WAL and
+// transport the flusher would then touch. Before the fix, close returned immediately and the
 // flusher kept running into the teardown.
 func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 	// No transport, so no quorum: the flusher stays in Execute until Close.
-	r, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond)
+	io := NewIOScheduler()
+	defer io.Close()
+	r, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +43,7 @@ func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 		t.Fatalf("Submit = %v, want context.Canceled", err)
 	}
 
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	r.Close()
 	b.mu.Lock()
 	flushing := b.flushing
 	b.mu.Unlock()

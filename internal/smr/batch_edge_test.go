@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/smr"
 	"repro/internal/transport"
@@ -19,7 +20,6 @@ import (
 func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 	replicas, cleanup := startCluster(t, 3, 1, 1)
 	defer cleanup()
-	replicas[0].EnableAdaptiveBatching(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -43,7 +43,7 @@ func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 // later submit queues behind the stuck flush, so the test decides exactly
 // what the following chunks carry; release then waits for the held write
 // (the protocol's own retransmission completes it).
-func holdFirstFlush(t *testing.T, mesh *transport.Mesh, r *smr.Replica) (release func()) {
+func holdFirstFlush(t *testing.T, mesh *cluster.Fabric, r *smr.Replica) (release func()) {
 	t.Helper()
 	mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 		return transport.FaultVerdict{Drop: true}
@@ -109,7 +109,6 @@ func TestBatchIdleFlushHonorsCallerContext(t *testing.T) {
 	defer cleanup()
 	replicas[1].Close()
 	replicas[2].Close()
-	replicas[0].EnableAdaptiveBatching(0)
 	kv := smr.NewKV(replicas[0])
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -132,11 +131,10 @@ func TestBatchIdleFlushHonorsCallerContext(t *testing.T) {
 // abandoned waiter channel (capacity 1, ahead of the rider's in the chunk)
 // must absorb the late result without blocking the flusher.
 func TestBatchCtxCancelMidBatch(t *testing.T) {
-	replicas, mesh, cleanup := startMeshCluster(t, 3, 1, 1)
-	defer cleanup()
-	replicas[0].EnableAdaptiveBatching(0)
+	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	replicas := c.replicas()
 	kv := smr.NewKV(replicas[0])
-	release := holdFirstFlush(t, mesh, replicas[0])
+	release := holdFirstFlush(t, c.fab, replicas[0])
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -175,9 +173,8 @@ func TestBatchCtxCancelMidBatch(t *testing.T) {
 // Close racing an in-flight flush: every submission resolves (either
 // applied or ErrClosed), nothing deadlocks, nothing panics.
 func TestBatchCloseRacesFlush(t *testing.T) {
-	replicas, cleanup := startCluster(t, 3, 1, 1)
-	replicas[0].EnableAdaptiveBatching(4)
-	kv := smr.NewKV(replicas[0])
+	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	kv := smr.NewKV(c.replicas()[0])
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -193,7 +190,7 @@ func TestBatchCloseRacesFlush(t *testing.T) {
 		}()
 	}
 	time.Sleep(2 * time.Millisecond)
-	cleanup() // closes all replicas while writes are in flight
+	c.close() // closes every process while writes are in flight
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -204,18 +201,18 @@ func TestBatchCloseRacesFlush(t *testing.T) {
 }
 
 // maxSize is a hard cap: an overflowing queue is split into several
-// batches, each at most maxSize commands, and none are lost.
+// batches, each at most maxSize commands (64, the size every runtime's
+// groups batch with), and none are lost.
 func TestBatchMaxSizeOverflowSplits(t *testing.T) {
-	replicas, mesh, cleanup := startMeshCluster(t, 3, 1, 1)
-	defer cleanup()
-	const maxSize = 4
-	replicas[0].EnableAdaptiveBatching(maxSize)
+	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	replicas := c.replicas()
+	const maxSize = 64
 	kv := smr.NewKV(replicas[0])
-	release := holdFirstFlush(t, mesh, replicas[0])
+	release := holdFirstFlush(t, c.fab, replicas[0])
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	const writers = 10
+	const writers = maxSize + 10
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for i := 0; i < writers; i++ {

@@ -16,7 +16,6 @@ import (
 func TestBatchingGroupsConcurrentWrites(t *testing.T) {
 	replicas, cleanup := startCluster(t, 5, 2, 2)
 	defer cleanup()
-	replicas[0].EnableAdaptiveBatching(0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -63,9 +62,6 @@ func TestBatchingGroupsConcurrentWrites(t *testing.T) {
 func TestBatchingPreservesAgreementAcrossProxies(t *testing.T) {
 	replicas, cleanup := startCluster(t, 5, 2, 1)
 	defer cleanup()
-	for _, r := range replicas {
-		r.EnableAdaptiveBatching(8)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

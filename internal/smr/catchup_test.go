@@ -3,7 +3,6 @@ package smr_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,29 +10,6 @@ import (
 	"repro/internal/smr"
 	"repro/internal/transport"
 )
-
-// gate drops inbound traffic to a replica while closed, simulating a
-// network partition of one member.
-type gate struct {
-	mu    sync.Mutex
-	open  bool
-	inner transport.Handler
-}
-
-func (g *gate) handle(from consensus.ProcessID, msg consensus.Message) {
-	g.mu.Lock()
-	open := g.open
-	g.mu.Unlock()
-	if open {
-		g.inner(from, msg)
-	}
-}
-
-func (g *gate) setOpen(open bool) {
-	g.mu.Lock()
-	g.open = open
-	g.mu.Unlock()
-}
 
 // TestLaggingReplicaCatchesUpViaSnapshot cuts one replica off while the
 // other two retire the slots it missed — by an explicit Compact, and by the
@@ -50,37 +26,14 @@ func TestLaggingReplicaCatchesUpViaSnapshot(t *testing.T) {
 }
 
 func testLaggingReplicaCatchesUp(t *testing.T, writes int, compact bool) {
-	const n, f, e = 3, 1, 1
-	mesh := transport.NewMesh(n)
-	defer mesh.Close()
+	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	replicas := c.replicas()
 
-	replicas := make([]*smr.Replica, n)
-	var lagGate gate
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handler := transport.Handler(r.Handle)
-		if i == 2 {
-			lagGate.inner = r.Handle
-			handler = lagGate.handle
-		}
-		tr, err := mesh.Endpoint(cfg.ID, handler)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.BindTransport(tr)
-		replicas[i] = r
-	}
-	for _, r := range replicas {
-		r.Start()
-		defer r.Close()
-	}
-
-	// Partition replica 2, then commit a batch of writes through p0.
-	lagGate.setOpen(false)
+	// Partition replica 2 (nothing reaches it), then commit a batch of
+	// writes through p0.
+	c.fab.SetFault(func(_, to consensus.ProcessID) transport.FaultVerdict {
+		return transport.FaultVerdict{Drop: to == 2}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	kv := smr.NewKV(replicas[0])
@@ -118,7 +71,7 @@ func testLaggingReplicaCatchesUp(t *testing.T, writes int, compact bool) {
 
 	// Heal the partition; the status gossip announces the healthy applied
 	// index and replica 2 installs a snapshot.
-	lagGate.setOpen(true)
+	c.fab.SetFault(nil)
 	deadline := time.Now().Add(30 * time.Second)
 	for replicas[2].Applied() < writes {
 		if time.Now().After(deadline) {
@@ -143,40 +96,21 @@ func testLaggingReplicaCatchesUp(t *testing.T, writes int, compact bool) {
 }
 
 // TestSnapshotExportInstall takes a state transfer down the path production
-// takes. Replicas 0 and 1 are the live fast quorum; endpoint 2 is the test
+// takes. Processes 0 and 1 are the live fast quorum; endpoint 2 is the test
 // standing in for a straggler: it asks replica 0 for its state and hands the
 // reply to a detached replica 2 through Handle.
 func TestSnapshotExportInstall(t *testing.T) {
-	const n, f, e = 3, 1, 1
-	mesh := transport.NewMesh(n)
-	defer mesh.Close()
+	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	replicas := c.replicas()
 	replies := make(chan *smr.CatchupReply, 1)
-	if _, err := mesh.Endpoint(2, func(_ consensus.ProcessID, msg consensus.Message) {
-		if m, ok := msg.(*smr.CatchupReply); ok {
+	c.fab.Attach(2, func(_ consensus.ProcessID, msg consensus.Message) {
+		if m, ok := inner(msg).(*smr.CatchupReply); ok {
 			select {
 			case replies <- m:
 			default: // one reply is enough; never block the mesh
 			}
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	replicas := make([]*smr.Replica, 2)
-	for i := range replicas {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.BindTransport(tr)
-		r.Start()
-		defer r.Close()
-		replicas[i] = r
-	}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := smr.NewKV(replicas[0]).Put(ctx, "a", "1"); err != nil {
@@ -190,11 +124,7 @@ func TestSnapshotExportInstall(t *testing.T) {
 	case <-ctx.Done():
 		t.Fatal("no catch-up reply")
 	}
-	fresh, err := smr.NewReplica(consensus.Config{ID: 2, N: n, F: f, E: e, Delta: 10}, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
+	fresh := replicas[2]
 	fresh.Handle(0, reply)
 	if v, ok := fresh.Get("a"); !ok || v != "1" {
 		t.Fatalf("restored Get(a) = %q ok=%v", v, ok)

@@ -24,10 +24,11 @@ import (
 // resumes with its promises intact — the property the paper's recovery
 // rule (set R, Lemmas 3 and 7) assumes of a recovering acceptor.
 
-// Journal is the append-log surface the durability layer writes through.
-// *wal.WAL satisfies it; the sharded runtime (internal/shard) substitutes
-// per-group views of one process-wide WAL, so N groups share a single
-// group-commit stream and a single on-disk log.
+// Journal is the append-log surface the durability layer writes through:
+// the sharded runtime (internal/shard) passes per-group views of its one
+// process-wide WAL, so N groups share a single group-commit stream and a
+// single on-disk log; *wal.WAL satisfies it too. There is no Close: whoever
+// opened the log syncs, aborts and closes it.
 type Journal interface {
 	AppendBuffered(payload []byte) (uint64, error)
 	Commit(index uint64) error
@@ -36,22 +37,17 @@ type Journal interface {
 	Stats() wal.Stats
 	TruncateBefore(index uint64) (int, error)
 	Replay(from uint64, fn func(index uint64, payload []byte) error) (wal.ReplayInfo, error)
-	Close() error
-	Abort() error
 }
 
 // DurabilityOptions configures EnableDurability.
 type DurabilityOptions struct {
-	// Dir is the data directory; the WAL lives in Dir/wal and snapshots in
-	// Dir/snap.
+	// Dir is the group's data directory: snapshots live in Dir/snap.
 	Dir string
-	// Journal, when non-nil, substitutes an externally owned journal for
-	// the WAL this call would otherwise open under Dir/wal — the sharded
-	// runtime passes per-group views of one process-wide WAL here (Dir
-	// then only hosts the snapshots). Ownership stays with the caller:
-	// Close leaves the journal open (the owner syncs and closes it once,
-	// after every sharer) and Kill does not abort it (the owner aborts
-	// before killing the sharers, see shard.Runtime.Kill).
+	// Journal is the log the group journals to, opened and owned by the
+	// caller: Close leaves it open (the owner syncs and closes it once,
+	// after every group) and Kill does not abort it (the owner aborts
+	// before killing the groups, see shard.Runtime.Kill). Every replica on
+	// one IOScheduler must be given the same underlying log.
 	Journal Journal
 	// Group tags every record this replica appends to the journal and
 	// filters replay: records carrying another group's id are skipped.
@@ -59,23 +55,14 @@ type DurabilityOptions struct {
 	// to group 0, which is what makes the single-group layout read old
 	// logs unchanged.
 	Group int
-	// Policy is the WAL fsync policy. With SyncInterval the replica drives
-	// the sync from its own timer every SyncEvery.
+	// Policy is the fsync policy Journal was opened with. With SyncInterval
+	// the replica drives the sync from its own timer every SyncEvery.
 	Policy wal.SyncPolicy
 	// SyncEvery is the fsync period under SyncInterval (default 100ms).
 	SyncEvery time.Duration
-	// SegmentBytes caps WAL segment size (default wal.DefaultSegmentBytes).
-	SegmentBytes int64
 	// SnapshotEvery is how many applied commands elapse between automatic
 	// snapshots (default 64; <0 disables automatic snapshots).
 	SnapshotEvery int
-	// FailpointLimit, when >0, injects a crash after that many WAL bytes
-	// (tests only; see wal.Options.FailpointLimit).
-	FailpointLimit int64
-	// SyncHook, when set, runs immediately before each WAL fsync (tests
-	// only; see wal.Options.SyncHook). Stalling it stalls durability, which
-	// must stall every dependent message and completion.
-	SyncHook func()
 }
 
 const defaultSnapshotEvery = 64
@@ -85,7 +72,7 @@ type RecoveryInfo struct {
 	Recovered       bool // any prior on-disk state was found
 	SnapshotApplied int  // applied index of the snapshot used (0 if none)
 	WalRecords      int  // WAL records replayed on top of the snapshot
-	TornTail        bool // the WAL tail was torn and truncated
+	TornTail        bool // replay stopped at a torn record (what opening the log truncated, its owner knows)
 	Applied         int  // applied index after recovery
 	OpenSlots       int  // live slot instances restored
 }
@@ -93,8 +80,7 @@ type RecoveryInfo struct {
 // durable is the replica's persistence state (guarded by Replica.mu).
 type durable struct {
 	wal       Journal
-	ownsWAL   bool // false: shared journal, lifecycle belongs to the sharer
-	group     int  // id tagged into records / matched on replay
+	group     int // id tagged into records / matched on replay
 	snapDir   string
 	snapEvery int
 	policy    wal.SyncPolicy
@@ -154,12 +140,16 @@ type durableSnapshot struct {
 	LeaseRemain int64 `json:"leaseRemain,omitempty"`
 }
 
-// EnableDurability opens (or creates) the durability state under opts.Dir
-// and recovers the replica from it. Call after NewReplica and before
-// BindTransport/Start; the replica must not have processed any input yet.
+// EnableDurability recovers the replica from the snapshots under opts.Dir
+// and the records of opts.Journal, and journals to it from here on. Call
+// after NewReplica and before BindTransport/Start; the replica must not
+// have processed any input yet.
 func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error) {
 	if opts.Dir == "" {
 		return RecoveryInfo{}, fmt.Errorf("smr durability: empty dir")
+	}
+	if opts.Journal == nil {
+		return RecoveryInfo{}, fmt.Errorf("smr durability: no journal")
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
@@ -178,44 +168,17 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 			return RecoveryInfo{}, fmt.Errorf("smr durability: snapshot decode: %w", err)
 		}
 	}
-	var (
-		w     Journal
-		owns  bool
-		oinfo wal.OpenInfo
-	)
-	if opts.Journal != nil {
-		w = opts.Journal
-	} else {
-		ww, oi, err := wal.Open(filepath.Join(opts.Dir, "wal"), wal.Options{
-			SegmentBytes:   opts.SegmentBytes,
-			Policy:         opts.Policy,
-			FailpointLimit: opts.FailpointLimit,
-			SyncHook:       opts.SyncHook,
-		})
-		if err != nil {
-			return RecoveryInfo{}, fmt.Errorf("smr durability: %w", err)
-		}
-		w, owns, oinfo = ww, true, oi
-	}
-	closeOwned := func() {
-		if owns {
-			w.Close()
-		}
-	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.dur != nil {
-		closeOwned()
 		return RecoveryInfo{}, fmt.Errorf("smr durability: already enabled")
 	}
 	if r.closed {
-		closeOwned()
 		return RecoveryInfo{}, ErrClosed
 	}
 	r.dur = &durable{
-		wal:       w,
-		ownsWAL:   owns,
+		wal:       opts.Journal,
 		group:     opts.Group,
 		snapDir:   snapDir,
 		snapEvery: opts.SnapshotEvery,
@@ -227,7 +190,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	info := RecoveryInfo{
 		Recovered:       haveSnap,
 		SnapshotApplied: snap.Applied,
-		TornTail:        oinfo.TornTail,
 	}
 
 	// 1. Snapshot state first: store, applied index, command sequence.
@@ -261,7 +223,7 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 			states[slot] = st
 		}
 	}
-	rinfo, err := w.Replay(snap.WalNext, func(_ uint64, payload []byte) error {
+	rinfo, err := opts.Journal.Replay(snap.WalNext, func(_ uint64, payload []byte) error {
 		var e walEntry
 		if err := json.Unmarshal(payload, &e); err != nil {
 			return fmt.Errorf("smr durability: wal record decode: %w", err)
@@ -288,12 +250,11 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		return nil
 	})
 	if err != nil {
-		closeOwned()
 		r.dur = nil
 		return RecoveryInfo{}, err
 	}
 	info.WalRecords = rinfo.Records
-	info.TornTail = info.TornTail || rinfo.TornTail
+	info.TornTail = rinfo.TornTail
 	if rinfo.Records > 0 {
 		info.Recovered = true
 	}
@@ -317,7 +278,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		s := r.slotLocked(n)
 		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.det)
 		if err := s.node.Restore(st); err != nil {
-			closeOwned()
 			r.dur = nil
 			return RecoveryInfo{}, fmt.Errorf("smr durability: slot %d: %w", n, err)
 		}
@@ -380,8 +340,7 @@ func (r *Replica) scheduleWalSyncLocked() {
 // persistFailLocked poisons the replica after a journaling failure: no
 // state transition may become externally visible without its WAL record,
 // so the only safe continuation is none. The replica refuses work and
-// releases its waiters (haltLocked); its resources stay held until Close
-// or Kill.
+// releases its waiters (haltLocked); Close or Kill still drains it.
 func (r *Replica) persistFailLocked(err error) {
 	if r.dur != nil && r.dur.err == nil {
 		r.dur.err = err
@@ -525,7 +484,8 @@ func (r *Replica) writeSnapshotLocked() {
 	}
 }
 
-// ReplicaInfo is the operational summary served by the INFO command.
+// ReplicaInfo is one group's operational summary (shard.Info renders the
+// INFO line from it).
 type ReplicaInfo struct {
 	Applied       int    `json:"applied"`
 	OpenSlots     int    `json:"openSlots"`
@@ -571,22 +531,6 @@ func (r *Replica) Info() ReplicaInfo {
 		info.SnapshotIndex = r.dur.snapIndex
 	}
 	return info
-}
-
-// String renders the info as the single key=value line the server's INFO
-// command serves.
-func (i ReplicaInfo) String() string {
-	s := fmt.Sprintf("applied=%d open_slots=%d compact_floor=%d durable=%t",
-		i.Applied, i.OpenSlots, i.CompactFloor, i.Durable)
-	if i.Durable {
-		s += fmt.Sprintf(" wal_segments=%d wal_bytes=%d wal_next=%d wal_syncs=%d snapshot_index=%d",
-			i.WalSegments, i.WalBytes, i.WalNextIndex, i.WalSyncs, i.SnapshotIndex)
-	}
-	if i.Lease != nil {
-		s += fmt.Sprintf(" lease_holder=%d lease_valid=%t lease_hits=%d lease_misses=%d read_rounds=%d read_coalesced=%d",
-			i.Lease.Holder, i.Lease.Valid, i.Lease.Hits, i.Lease.Misses, i.Lease.ReadRounds, i.Lease.ReadCoalesced)
-	}
-	return s
 }
 
 // sortedSlots returns m's keys ascending (catchup installs decisions in

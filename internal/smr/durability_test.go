@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"path/filepath"
 	"strings"
@@ -12,115 +13,34 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
 	"repro/internal/wal"
-	"repro/internal/wan"
 )
 
-// durableCluster is a mesh of durable replicas that can be crashed and
-// restarted in place from their data directories.
-type durableCluster struct {
-	t        *testing.T
-	n        int
-	fab      *cluster.Fabric
-	dirs     []string
-	replicas []*smr.Replica
-	opts     func(dir string, i int) smr.DurabilityOptions
-}
-
-func newDurableCluster(t *testing.T, n, f, e int, opts func(dir string, i int) smr.DurabilityOptions) *durableCluster {
+// newDurableCluster boots n processes durable as durableUnder makes them,
+// process i's settings then edited by tweak.
+func newDurableCluster(t *testing.T, n, f, e int, tweak func(i int, d *shard.Durability)) *testCluster {
 	t.Helper()
-	// Mesh endpoints attach exactly once, so restart-in-place tests swap
-	// the replica behind the fabric's endpoint.
-	fab, err := cluster.NewFabric(n, nil, wan.Topology{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &durableCluster{
-		t:        t,
-		n:        n,
-		fab:      fab,
-		dirs:     make([]string, n),
-		replicas: make([]*smr.Replica, n),
-		opts:     opts,
-	}
-	base := t.TempDir()
-	for i := 0; i < n; i++ {
-		c.dirs[i] = filepath.Join(base, fmt.Sprintf("r%d", i))
-	}
-	for i := 0; i < n; i++ {
-		if _, err := c.boot(i, f, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, r := range c.replicas {
-			if r != nil {
-				r.Close()
-			}
-		}
-		c.fab.Close()
-	})
-	return c
-}
-
-// boot builds replica i over its data dir and swaps it into the mesh.
-func (c *durableCluster) boot(i, f, e int) (smr.RecoveryInfo, error) {
-	cfg := consensus.Config{ID: consensus.ProcessID(i), N: c.n, F: f, E: e, Delta: 10}
-	r, err := smr.NewReplica(cfg, time.Millisecond)
-	if err != nil {
-		return smr.RecoveryInfo{}, err
-	}
-	info, err := r.EnableDurability(c.opts(c.dirs[i], i))
-	if err != nil {
-		return smr.RecoveryInfo{}, err
-	}
-	r.BindTransport(c.fab.Transport(i))
-	c.fab.Attach(i, r.Handle)
-	c.replicas[i] = r
-	r.Start()
-	return info, nil
-}
-
-// restart closes (or abandons, if already poisoned) replica i and boots a
-// fresh one from the same data directory.
-func (c *durableCluster) restart(i, f, e int) smr.RecoveryInfo {
-	c.t.Helper()
-	c.fab.Attach(i, nil)
-	if c.replicas[i] != nil {
-		c.replicas[i].Close()
-	}
-	info, err := c.boot(i, f, e)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return info
-}
-
-// waitApplied waits until replica i has applied at least want slots.
-func (c *durableCluster) waitApplied(i, want int, d time.Duration) {
-	c.t.Helper()
-	deadline := time.Now().Add(d)
-	for c.replicas[i].Applied() < want {
-		if time.Now().After(deadline) {
-			c.t.Fatalf("replica %d stuck at %d/%d applied", i, c.replicas[i].Applied(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	dur := durableUnder(t.TempDir(), nil)
+	return newTestCluster(t, n, f, e, procOptions{dur: func(i int) *shard.Durability {
+		d := dur(i)
+		tweak(i, d)
+		return d
+	}})
 }
 
 func TestDurableRestartRecoversAppliedState(t *testing.T) {
-	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
-		return smr.DurabilityOptions{Dir: dir, Policy: wal.SyncNever, SnapshotEvery: 4}
+	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) {
+		d.Policy, d.SnapshotEvery = wal.SyncNever, 4
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	kv := smr.NewKV(c.replicas[0])
+	kv := smr.NewKV(c.replicas()[0])
 	const writes = 10
 	for j := 0; j < writes; j++ {
 		if err := kv.Put(ctx, fmt.Sprintf("k%d", j), fmt.Sprintf("v%d", j)); err != nil {
@@ -131,7 +51,7 @@ func TestDurableRestartRecoversAppliedState(t *testing.T) {
 
 	// Clean restart of replica 1: snapshot + WAL tail must rebuild the
 	// applied store without any help from the cluster.
-	info := c.restart(1, 1, 1)
+	info := c.restart(1)
 	if !info.Recovered {
 		t.Fatal("restart found no durable state")
 	}
@@ -142,16 +62,15 @@ func TestDurableRestartRecoversAppliedState(t *testing.T) {
 		t.Fatalf("recovered applied=%d, want >= %d", info.Applied, writes)
 	}
 	for j := 0; j < writes; j++ {
-		if v, ok := c.replicas[1].Get(fmt.Sprintf("k%d", j)); !ok || v != fmt.Sprintf("v%d", j) {
+		if v, ok := c.rts[1].Get(fmt.Sprintf("k%d", j)); !ok || v != fmt.Sprintf("v%d", j) {
 			t.Fatalf("k%d = %q ok=%v after restart", j, v, ok)
 		}
 	}
 	// The recovered replica keeps serving: more writes through it decide.
-	kv1 := smr.NewKV(c.replicas[1])
-	if err := kv1.Put(ctx, "post", "restart"); err != nil {
+	if err := c.rts[1].Put(ctx, "post", "restart"); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := c.replicas[1].Get("post"); v != "restart" {
+	if v, _ := c.rts[1].Get("post"); v != "restart" {
 		t.Fatalf("post-restart write not applied: %q", v)
 	}
 }
@@ -163,18 +82,14 @@ func TestCrashFailpointUnderWorkloadRecoversAndRejoins(t *testing.T) {
 	// write lands before any crash with a single uncontended proposer, so
 	// the recovered prefix includes fast-path decisions.
 	limits := []int64{0, 0, 2500}
-	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
-		return smr.DurabilityOptions{
-			Dir:            dir,
-			Policy:         wal.SyncAlways,
-			SnapshotEvery:  -1, // keep the whole journal: recovery must come from the WAL
-			FailpointLimit: limits[i],
-		}
+	c := newDurableCluster(t, 3, 1, 1, func(i int, d *shard.Durability) {
+		d.SnapshotEvery = -1 // keep the whole journal: recovery must come from the WAL
+		d.FailpointLimit = limits[i]
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	kv := smr.NewKV(c.replicas[0])
+	kv := smr.NewKV(c.replicas()[0])
 	const writes = 30
 	for j := 0; j < writes; j++ {
 		if err := kv.Put(ctx, fmt.Sprintf("k%d", j), fmt.Sprintf("v%d", j)); err != nil {
@@ -183,9 +98,9 @@ func TestCrashFailpointUnderWorkloadRecoversAndRejoins(t *testing.T) {
 	}
 	// The workload must have tripped replica 2's failpoint.
 	deadline := time.Now().Add(10 * time.Second)
-	for c.replicas[2].Info().Applied >= c.replicas[0].Applied() {
+	for c.rts[2].Info().Applied >= c.rts[0].Info().Applied {
 		if time.Now().After(deadline) {
-			t.Skipf("failpoint not reached: replica 2 applied %d", c.replicas[2].Info().Applied)
+			t.Skipf("failpoint not reached: replica 2 applied %d", c.rts[2].Info().Applied)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -193,7 +108,7 @@ func TestCrashFailpointUnderWorkloadRecoversAndRejoins(t *testing.T) {
 	// Restart in place without the failpoint: the torn record is truncated
 	// and the journaled prefix replays.
 	limits[2] = 0
-	info := c.restart(2, 1, 1)
+	info := c.restart(2)
 	if !info.Recovered {
 		t.Fatal("restart found no durable state")
 	}
@@ -207,14 +122,14 @@ func TestCrashFailpointUnderWorkloadRecoversAndRejoins(t *testing.T) {
 	// The recovered replica rejoins: catchup closes the gap to the others.
 	c.waitApplied(2, writes, 15*time.Second)
 	for j := 0; j < writes; j++ {
-		if v, ok := c.replicas[2].Get(fmt.Sprintf("k%d", j)); !ok || v != fmt.Sprintf("v%d", j) {
+		if v, ok := c.rts[2].Get(fmt.Sprintf("k%d", j)); !ok || v != fmt.Sprintf("v%d", j) {
 			t.Fatalf("k%d = %q ok=%v on recovered replica", j, v, ok)
 		}
 	}
 	// Decided logs must agree wherever both replicas still hold the slot.
 	for slot := 0; slot < writes; slot++ {
-		v0, ok0 := c.replicas[0].LogValue(slot)
-		v2, ok2 := c.replicas[2].LogValue(slot)
+		v0, ok0 := c.rts[0].Group(0).LogValue(slot)
+		v2, ok2 := c.rts[2].Group(0).LogValue(slot)
 		if ok0 && ok2 && v0 != v2 {
 			t.Fatalf("slot %d: %v != %v after recovery", slot, v0, v2)
 		}
@@ -226,8 +141,8 @@ func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
 	// cmd/twostep invoke) must fsync and close the WAL even under
 	// SyncNever, so the restart takes the clean path, not the torn-tail
 	// one.
-	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
-		return smr.DurabilityOptions{Dir: dir, Policy: wal.SyncNever, SnapshotEvery: -1}
+	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) {
+		d.Policy, d.SnapshotEvery = wal.SyncNever, -1
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -237,7 +152,7 @@ func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		kv := smr.NewKV(c.replicas[0])
+		kv := smr.NewKV(c.replicas()[0])
 		for j := 0; ; j++ {
 			select {
 			case <-stop:
@@ -249,15 +164,15 @@ func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
 	}()
 	// Let the workload run, then shut replica 1 down mid-stream.
 	c.waitApplied(1, 3, 10*time.Second)
-	before := c.replicas[1].Applied()
+	before := c.rts[1].Info().Applied
 	c.fab.Attach(1, nil)
-	if err := c.replicas[1].Close(); err != nil {
+	if err := c.rts[1].Close(); err != nil {
 		t.Fatalf("graceful close: %v", err)
 	}
 	close(stop)
 	wg.Wait()
 
-	info, err := c.boot(1, 1, 1)
+	info, err := c.boot(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +185,7 @@ func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
 }
 
 // captureTr records outbound messages so a test can observe what a
-// replica (without a live mesh) says to its peers.
+// process (without a live mesh) says to its peers, group envelope peeled.
 type captureTr struct {
 	self consensus.ProcessID
 
@@ -290,7 +205,7 @@ func (c *captureTr) Send(to consensus.ProcessID, msg consensus.Message) error {
 	c.sent = append(c.sent, struct {
 		to  consensus.ProcessID
 		msg consensus.Message
-	}{to, msg})
+	}{to, inner(msg)})
 	return nil
 }
 
@@ -324,39 +239,54 @@ func slotMsg(t *testing.T, slot int, inner consensus.Message) *smr.SlotMessage {
 	return &smr.SlotMessage{Slot: slot, InnerKind: inner.Kind(), InnerBody: body}
 }
 
+// openIsolated opens process id of a 3-process cluster over dir, bound to a
+// capture transport instead of a fabric: it can only use what dir holds,
+// and the test reads what it tries to say. Not started.
+func openIsolated(t *testing.T, id consensus.ProcessID, dir string, leases *smr.LeaseOptions) (*shard.Runtime, *captureTr) {
+	t.Helper()
+	opts := shard.Options{
+		Groups: 1,
+		Config: consensus.Config{ID: id, N: 3, F: 1, E: 1, Delta: 10},
+		Tick:   time.Millisecond,
+		Leases: leases,
+	}
+	if dir != "" {
+		opts.Durability = &shard.Durability{Dir: dir, Policy: wal.SyncAlways}
+	}
+	rt, err := shard.New(opts)
+	if err != nil {
+		t.Fatalf("open process %d on %q: %v", id, dir, err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	tr := &captureTr{self: id}
+	rt.BindTransport(tr)
+	return rt, tr
+}
+
 func TestDurablePromiseSurvivesRestart(t *testing.T) {
 	// The paper's recovery rule assumes a recovering acceptor still knows
 	// the ballots it joined. Join ballot 5, crash without a clean close,
 	// restart, and check the replica refuses to join the lower ballot 3 —
 	// an amnesiac replica would.
 	dir := t.TempDir()
-	cfg := consensus.Config{ID: 2, N: 3, F: 1, E: 1, Delta: 10}
-	mk := func() (*smr.Replica, *captureTr, smr.RecoveryInfo) {
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		info, err := r.EnableDurability(smr.DurabilityOptions{Dir: dir, Policy: wal.SyncAlways})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := &captureTr{self: cfg.ID}
-		r.BindTransport(tr)
-		r.Start()
-		return r, tr, info
+	mk := func() (*shard.Runtime, *smr.Replica, *captureTr, smr.RecoveryInfo) {
+		rt, tr := openIsolated(t, 2, dir, nil)
+		rt.Start()
+		recs, _ := rt.Recovery()
+		return rt, rt.Group(0), tr, recs[0]
 	}
 
-	r1, tr1, _ := mk()
+	rt1, r1, tr1, _ := mk()
 	r1.Handle(1, slotMsg(t, 0, &core.OneA{Ballot: 5}))
 	r1.SyncIO() // sends are pipelined behind Handle; drain before inspecting
 	replies := tr1.oneBs(t, 0)
 	if len(replies) != 1 || replies[0].Ballot != 5 {
 		t.Fatalf("expected one 1B(5), got %+v", replies)
 	}
-	// Crash: abandon r1 without Close (SyncAlways already made the join
-	// durable). The restarted replica must still hold the promise.
-	r2, tr2, info := mk()
-	defer r2.Close()
+	// Crash (SyncAlways already made the join durable). The restarted
+	// replica must still hold the promise.
+	rt1.Kill()
+	_, r2, tr2, info := mk()
 	if !info.Recovered || info.OpenSlots != 1 {
 		t.Fatalf("recovery info = %+v, want one restored open slot", info)
 	}
@@ -386,14 +316,8 @@ func TestCatchupCarriesDecidedTailForOpenSlots(t *testing.T) {
 	// above the sender's applied index, so receivers close decide gaps
 	// they missed (the decided value of a still-open slot used to be
 	// dropped on the floor).
-	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
-	r, err := smr.NewReplica(cfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	tr := &captureTr{self: 0}
-	r.BindTransport(tr)
+	rt, tr := openIsolated(t, 0, "", nil)
+	r := rt.Group(0)
 
 	cmd := smr.Command{ID: "p9-1", Op: smr.OpPut, Key: "gap", Val: "filled"}
 	v, err := cmd.Encode()
@@ -424,33 +348,19 @@ func TestCatchupCarriesDecidedTailForOpenSlots(t *testing.T) {
 }
 
 func TestCatchupHealsDecideGapsUnderDrops(t *testing.T) {
-	// A shallow mesh (depth 8) drops decide traffic under load; the
-	// periodic status gossip plus the decided tail in CatchupReply must
-	// still converge every replica onto the full log.
-	replicas := make([]*smr.Replica, 3)
-	mesh := transport.NewMeshWithDepth(3, 8)
-	for i := range replicas {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: 3, F: 1, E: 1, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.BindTransport(tr)
-		replicas[i] = r
-	}
-	for _, r := range replicas {
-		r.Start()
-	}
-	defer func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		mesh.Close()
-	}()
+	// Replica 2 loses a third of everything sent to it, decides included
+	// (0 and 1 are a fast quorum without it); the periodic status gossip
+	// plus the decided tail in CatchupReply must still converge every
+	// replica onto the full log.
+	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	replicas := c.replicas()
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(1))
+	c.fab.SetFault(func(_, to consensus.ProcessID) transport.FaultVerdict {
+		mu.Lock()
+		defer mu.Unlock()
+		return transport.FaultVerdict{Drop: to == 2 && rng.Intn(3) == 0}
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -473,18 +383,17 @@ func TestCatchupHealsDecideGapsUnderDrops(t *testing.T) {
 }
 
 func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
-	c := newDurableCluster(t, 3, 1, 1, func(dir string, i int) smr.DurabilityOptions {
-		return smr.DurabilityOptions{Dir: dir, Policy: wal.SyncNever, SnapshotEvery: 5}
+	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) {
+		d.Policy, d.SnapshotEvery = wal.SyncNever, 5
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	kv := smr.NewKV(c.replicas[0])
 	for j := 0; j < 12; j++ {
-		if err := kv.Put(ctx, fmt.Sprintf("i%d", j), "x"); err != nil {
+		if err := c.rts[0].Put(ctx, fmt.Sprintf("i%d", j), "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	info := c.replicas[0].Info()
+	info := c.rts[0].Group(0).Info()
 	if !info.Durable {
 		t.Fatal("Info does not report durability")
 	}
@@ -494,58 +403,74 @@ func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
 	if info.SnapshotIndex == 0 {
 		t.Fatalf("snapshots (every 5 commands) never taken: %+v", info)
 	}
-	if got := info.String(); got == "" {
-		t.Fatal("empty INFO line")
+	if got := c.rts[0].InfoLine(); !strings.Contains(got, "wal_segments=") {
+		t.Fatalf("INFO line lacks the WAL state: %q", got)
 	}
 }
 
 func TestEnableDurabilityTwiceFails(t *testing.T) {
+	// The test is the group's owner here: its scheduler, its WAL.
 	dir := t.TempDir()
-	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
-	r, err := smr.NewReplica(cfg, time.Millisecond)
+	io := smr.NewIOScheduler()
+	defer io.Close()
+	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	r, err := smr.NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
+	if _, err := r.EnableDurability(smr.DurabilityOptions{Journal: w}); err == nil {
+		t.Fatal("empty dir accepted")
 	}
 	if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: dir}); err == nil {
-		t.Fatal("second EnableDurability succeeded")
+		t.Fatal("missing journal accepted")
 	}
-	if _, err := r.EnableDurability(smr.DurabilityOptions{}); err == nil {
-		t.Fatal("empty dir accepted")
+	if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: dir, Journal: w}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: dir, Journal: w}); err == nil {
+		t.Fatal("second EnableDurability succeeded")
 	}
 }
 
 func TestPoisonedReplicaRejectsWork(t *testing.T) {
 	// After a journaling failure nothing may become externally visible, so
 	// the replica refuses work; clients get ErrClosed, not silent
-	// un-journaled progress. It still holds its resources, and Close must
-	// still give them back: the listener, and a data dir that reopens.
+	// un-journaled progress. Its process still holds the resources, and
+	// closing it must still give them back: the listener, and a data dir
+	// that reopens.
 	dir := t.TempDir()
-	cfg := consensus.Config{ID: 0, N: 1, F: 0, E: 0, Delta: 10}
-	r, err := smr.NewReplica(cfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	open := func(failpoint int64) *shard.Runtime {
+		rt, err := shard.New(shard.Options{
+			Groups:     1,
+			Config:     consensus.Config{ID: 0, N: 1, F: 0, E: 0, Delta: 10},
+			Tick:       time.Millisecond,
+			Durability: &shard.Durability{Dir: dir, FailpointLimit: failpoint},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rt.Close() })
+		return rt
 	}
-	defer r.Close()
 	// A tiny failpoint trips on the very first journaled record.
-	if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: dir, FailpointLimit: 20}); err != nil {
-		t.Fatal(err)
-	}
+	rt := open(20)
 	codec := consensus.NewCodec()
-	smr.RegisterMessages(codec)
-	tr, err := transport.NewTCP(0, map[consensus.ProcessID]string{0: "127.0.0.1:0"}, codec, r.Handle)
+	shard.RegisterMessages(codec)
+	tr, err := transport.NewTCP(0, map[consensus.ProcessID]string{0: "127.0.0.1:0"}, codec, rt.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := tr.Addr()
-	r.BindTransport(tr)
-	r.Start()
+	rt.BindTransport(tr)
+	rt.Start()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err = smr.NewKV(r).Put(ctx, "k", "v")
+	err = rt.Put(ctx, "k", "v")
 	if err == nil {
 		t.Fatal("write succeeded past a journaling failure")
 	}
@@ -553,24 +478,17 @@ func TestPoisonedReplicaRejectsWork(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 
-	if err := r.Close(); err != nil {
+	if err := rt.Close(); err != nil {
 		t.Fatalf("close after poisoning: %v", err)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		t.Fatalf("Close left the poisoned replica's listener open: %v", err)
+		t.Fatalf("Close left the poisoned process's listener open: %v", err)
 	}
 	ln.Close()
-	r2, err := smr.NewReplica(cfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if _, err := r2.EnableDurability(smr.DurabilityOptions{Dir: dir}); err != nil {
-		t.Fatalf("reopen the poisoned replica's data dir: %v", err)
-	}
-	r2.Start()
-	if err := smr.NewKV(r2).Put(ctx, "k", "v"); err != nil {
+	rt2 := open(0)
+	rt2.Start()
+	if err := rt2.Put(ctx, "k", "v"); err != nil {
 		t.Fatalf("write on the reopened data dir: %v", err)
 	}
 }
@@ -578,44 +496,32 @@ func TestPoisonedReplicaRejectsWork(t *testing.T) {
 // TestTeardownReleasesBlockedCallers blocks one caller in every way a
 // replica can hold one — Execute, WaitApplied, ReadBarrier (a round leader
 // and a rider) and a batched Submit (a chunk in flight and one queued) — on
-// a replica that can reach no quorum, then stops it each of the three ways.
+// a process that can reach no quorum, then stops it each of the three ways.
 // Every caller must return ErrClosed, none may hang, and the Close that
 // follows must find nothing left to close a second time.
 func TestTeardownReleasesBlockedCallers(t *testing.T) {
-	stops := map[string]func(t *testing.T, r *smr.Replica){
-		"close": func(t *testing.T, r *smr.Replica) { r.Close() },
-		"kill":  func(t *testing.T, r *smr.Replica) { r.Kill() },
-		"poison": func(t *testing.T, r *smr.Replica) {
+	stops := map[string]func(t *testing.T, rt *shard.Runtime){
+		"close": func(t *testing.T, rt *shard.Runtime) { rt.Close() },
+		"kill":  func(t *testing.T, rt *shard.Runtime) { rt.Kill() },
+		"poison": func(t *testing.T, rt *shard.Runtime) {
 			// One record past the WAL failpoint.
 			fat := smr.Command{Op: smr.OpPut, Key: "fat", Val: strings.Repeat("x", 1<<15)}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			if _, err := r.Execute(ctx, fat); !errors.Is(err, smr.ErrClosed) {
+			if _, err := rt.Group(0).Execute(ctx, fat); !errors.Is(err, smr.ErrClosed) {
 				t.Errorf("poisoning write: %v, want ErrClosed", err)
 			}
 		},
 	}
 	for name, stop := range stops {
 		t.Run(name, func(t *testing.T) {
-			// Peers 1 and 2 never attach: nothing proposed here decides.
-			mesh := transport.NewMesh(3)
-			defer mesh.Close()
-			cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
-			r, err := smr.NewReplica(cfg, time.Millisecond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			if _, err := r.EnableDurability(smr.DurabilityOptions{Dir: t.TempDir(), FailpointLimit: 1 << 14}); err != nil {
-				t.Fatal(err)
-			}
-			r.EnableAdaptiveBatching(0)
-			tr, err := mesh.Endpoint(0, r.Handle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.BindTransport(tr)
-			r.Start()
+			// Every link is cut: nothing proposed here decides.
+			c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) { d.FailpointLimit = 1 << 14 })
+			c.fab.SetFault(func(_, _ consensus.ProcessID) transport.FaultVerdict {
+				return transport.FaultVerdict{Drop: true}
+			})
+			rt := c.rts[0]
+			r := rt.Group(0)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
@@ -644,7 +550,7 @@ func TestTeardownReleasesBlockedCallers(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 
-			stop(t, r)
+			stop(t, rt)
 			for range calls {
 				select {
 				case res := <-results:
@@ -655,7 +561,7 @@ func TestTeardownReleasesBlockedCallers(t *testing.T) {
 					t.Fatal("a blocked caller was never released")
 				}
 			}
-			if err := r.Close(); err != nil {
+			if err := rt.Close(); err != nil {
 				t.Errorf("close after %s: %v", name, err)
 			}
 		})

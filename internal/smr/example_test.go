@@ -5,46 +5,29 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/consensus"
+	"repro/internal/cluster"
 	"repro/internal/smr"
-	"repro/internal/transport"
 )
 
-// Example boots a three-replica key-value store on the in-process mesh and
-// performs a replicated write followed by a linearizable read through a
-// different proxy.
+// Example boots a three-process key-value store on the in-process mesh —
+// internal/cluster, the assembly cmd/kv ships, one consensus group per
+// process — and performs a replicated write followed by a linearizable read
+// through a different proxy.
 func Example() {
-	const n, f, e = 3, 1, 1
-	mesh := transport.NewMesh(n)
-	defer mesh.Close()
-
-	replicas := make([]*smr.Replica, n)
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			panic(err)
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			panic(err)
-		}
-		r.BindTransport(tr)
-		replicas[i] = r
+	c, err := cluster.New(cluster.Options{N: 3, F: 1, E: 1})
+	if err != nil {
+		panic(err)
 	}
-	for _, r := range replicas {
-		r.Start()
-		defer r.Close()
-	}
+	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	writer := smr.NewKV(replicas[0])
+	writer := smr.NewKV(c.Runtime(0).Group(0))
 	if err := writer.Put(ctx, "venue", "Huatulco"); err != nil {
 		panic(err)
 	}
-	reader := smr.NewKV(replicas[2])
+	reader := smr.NewKV(c.Runtime(2).Group(0))
 	v, ok, err := reader.GetLinearizable(ctx, "venue")
 	if err != nil {
 		panic(err)

@@ -10,27 +10,44 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
-// tapTransport wraps a Transport and, once armed, counts the slot-protocol
-// messages that actually leave the replica. Status gossip rides along on the
-// same transport but carries no new protocol state, so it is not counted.
+// tapTransport wraps a process's endpoint and, once armed, counts the
+// slot-protocol messages for slots from the armed one up that actually
+// leave it. Status gossip rides along on the same transport but carries no
+// new protocol state, and a decided earlier slot still answers a peer's
+// late vote with its decision; neither is counted.
 type tapTransport struct {
 	transport.Transport
-	armed     atomic.Bool
+	from      atomic.Int64 // armed slot + 1; 0: not armed
 	slotSends atomic.Int64
 }
 
+func (tt *tapTransport) arm(slot int) { tt.from.Store(int64(slot) + 1) }
+
 func (tt *tapTransport) Send(to consensus.ProcessID, msg consensus.Message) error {
-	if tt.armed.Load() {
-		if _, ok := msg.(*smr.SlotMessage); ok {
+	if from := tt.from.Load(); from > 0 {
+		if sm, ok := inner(msg).(*smr.SlotMessage); ok && int64(sm.Slot) >= from-1 {
 			tt.slotSends.Add(1)
 		}
 	}
 	return tt.Transport.Send(to, msg)
+}
+
+// durableUnder makes every process durable at fsync=always under base;
+// hook0, when set, runs before each of process 0's fsyncs.
+func durableUnder(base string, hook0 func()) func(i int) *shard.Durability {
+	return func(i int) *shard.Durability {
+		d := &shard.Durability{Dir: filepath.Join(base, fmt.Sprintf("r%d", i)), Policy: wal.SyncAlways}
+		if i == 0 {
+			d.SyncHook = hook0
+		}
+		return d
+	}
 }
 
 // TestBlockedFsyncStallsSlotMessagesAndCompletions pins the core out-of-lock
@@ -39,10 +56,6 @@ func (tt *tapTransport) Send(to consensus.ProcessID, msg consensus.Message) erro
 // complete — durability gates visibility, not just eventually but per step.
 // Releasing the fsync lets the pipeline drain and the command decide.
 func TestBlockedFsyncStallsSlotMessagesAndCompletions(t *testing.T) {
-	const n, f, e = 3, 1, 1
-	mesh := transport.NewMesh(n)
-	defer mesh.Close()
-
 	stalled := make(chan struct{})
 	release := make(chan struct{})
 	var releaseOnce sync.Once
@@ -59,43 +72,15 @@ func TestBlockedFsyncStallsSlotMessagesAndCompletions(t *testing.T) {
 		<-release
 	}
 
-	base := t.TempDir()
-	replicas := make([]*smr.Replica, n)
 	var tap *tapTransport
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := smr.DurabilityOptions{
-			Dir:    filepath.Join(base, fmt.Sprintf("r%d", i)),
-			Policy: wal.SyncAlways,
-		}
-		if i == 0 {
-			opts.SyncHook = hook
-		}
-		if _, err := r.EnableDurability(opts); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
+	c := newTestCluster(t, 3, 1, 1, procOptions{
+		dur: durableUnder(t.TempDir(), hook),
+		bind0: func(tr transport.Transport) transport.Transport {
 			tap = &tapTransport{Transport: tr}
-			r.BindTransport(tap)
-		} else {
-			r.BindTransport(tr)
-		}
-		replicas[i] = r
-		r.Start()
-	}
-	defer func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-	}()
+			return tap
+		},
+	})
+	replicas := c.replicas() // closed by t.Cleanup: after unblock, a wedged consumer cannot drain
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -106,7 +91,7 @@ func TestBlockedFsyncStallsSlotMessagesAndCompletions(t *testing.T) {
 	replicas[0].SyncIO() // drain the pipeline so the next fsync is ours
 
 	armed.Store(true)
-	tap.armed.Store(true)
+	tap.arm(replicas[0].Applied()) // the write below proposes at or above it
 	done := make(chan error, 1)
 	go func() { done <- kv.Put(ctx, "k", "v") }()
 

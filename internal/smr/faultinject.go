@@ -5,18 +5,16 @@ package smr
 // and a deliberately broken read path that proves the harness's
 // linearizability checker has teeth.
 
-// Kill simulates a process crash: the WAL is closed WITHOUT the final sync
-// (uncommitted buffered records are abandoned, as a power cut would
-// abandon them), no further messages or client acks leave the replica, and
-// every outstanding client call fails. Kill blocks until the I/O consumer
-// has exited, so when it returns the replica is externally silent — the
-// deterministic shutdown barrier the chaos nemesis schedules around. A new
-// replica opened on the same data directory then runs the real
+// Kill is the group's half of a simulated process crash: no further message
+// leaves the replica, every outstanding client call fails, and Kill blocks
+// until the entries it had queued are through the scheduler, so when it
+// returns the replica is externally silent — the deterministic shutdown
+// barrier the chaos nemesis schedules around. The host aborts the WAL first
+// (shard.Runtime.Kill), so queued group commits fail — and fail their
+// client wakeups — rather than make the crashed state durable; a new
+// runtime opened on the same data directory then runs the real
 // crash-recovery path.
-//
-// Contrast with Close, which syncs the WAL on the way down (graceful
-// shutdown must be durable).
-func (r *Replica) Kill() error { return r.shutdown(true) }
+func (r *Replica) Kill() { r.shutdown(true) }
 
 // FaultInjectStaleReads deliberately breaks the replica's read path: once
 // enabled, Get (and therefore GetLinearizable through this replica)

@@ -1,95 +1,55 @@
 package smr
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/transport"
-)
+import "repro/internal/transport"
 
 // IOScheduler is the out-of-lock I/O stage behind the outbox (outbox.go):
 // one consumer goroutine that, per batch of entries, group-commits the WAL
-// once, then sends messages and fires wakeups in FIFO order. Every replica
-// owns a private scheduler by default; the sharded runtime (internal/shard)
-// builds one scheduler and attaches every group's replica to it with
-// ShareIO, so fsyncs from all groups in a process coalesce into a single
-// group-commit stream — the scale-out payoff of the PR 4 outbox design.
+// once, then sends messages and fires wakeups in FIFO order. A process has
+// exactly one, owned by whatever hosts its replicas (shard.Runtime; a test
+// standing in for it): every group's replica is handed the same scheduler,
+// so fsyncs from all groups coalesce into a single group-commit stream.
 //
-// A shared scheduler implies shared fate: every attached replica must
-// append to the same underlying WAL (per-group views of it included), and
-// a commit failure poisons every replica with entries in flight, exactly
-// as a private scheduler poisons its one owner.
+// Sharing implies shared fate: every replica on the scheduler must append
+// to the same underlying WAL (per-group views of it included), and a commit
+// failure poisons every replica with entries in flight.
 type IOScheduler struct {
-	ob *outbox
-
-	// running flips once, when the first entry arrives; the consumer
-	// goroutine exits (closing done) when the owner calls Close.
-	running atomic.Bool
-	mu      sync.Mutex
-	done    chan struct{}
+	ob   *outbox
+	done chan struct{} // closed when the consumer exits
 }
 
-// NewSharedIO builds a scheduler intended to be shared by several replicas
-// via (*Replica).ShareIO. The caller owns it: call Close after every
-// attached replica has been closed or killed.
-func NewSharedIO() *IOScheduler { return newIOScheduler() }
-
-func newIOScheduler() *IOScheduler {
-	return &IOScheduler{ob: newOutbox()}
-}
-
-// start lazily spawns the consumer. The atomic fast path keeps the
-// per-entry cost of the check to one load once running.
-func (s *IOScheduler) start() {
-	if s.running.Load() {
-		return
-	}
-	s.mu.Lock()
-	if !s.running.Load() {
-		s.done = make(chan struct{})
-		s.running.Store(true)
-		go s.loop()
-	}
-	s.mu.Unlock()
+// NewIOScheduler starts a scheduler. The caller owns it: Close it after
+// every replica built on it has been closed or killed.
+func NewIOScheduler() *IOScheduler {
+	s := &IOScheduler{ob: newOutbox(), done: make(chan struct{})}
+	go s.loop()
+	return s
 }
 
 // enqueue hands one entry to the consumer. Called under the producing
 // replica's lock; never blocks (the outbox is unbounded).
-func (s *IOScheduler) enqueue(e outboxEntry) {
-	s.start()
-	s.ob.enqueue(e)
-}
+func (s *IOScheduler) enqueue(e outboxEntry) { s.ob.enqueue(e) }
 
 // barrier blocks until every entry queued before the call has been fully
-// processed — WAL committed, messages sent, waiters woken. Replicas on a
-// shared scheduler use it where private owners would drain-and-stop: it
-// flushes their entries without tearing down the stream the other groups
-// are still using.
+// processed — WAL committed, messages sent, waiters woken. It is how a
+// replica drains its own entries on shutdown without stopping the stream
+// the other groups are still using.
 func (s *IOScheduler) barrier() {
 	done := make(chan struct{})
 	s.enqueue(outboxEntry{done: done})
 	<-done
 }
 
-// Close drains queued entries and stops the consumer. Only the scheduler's
-// owner calls it: the replica itself for a private scheduler, the sharing
-// runtime — after closing every attached replica — for a shared one.
+// Close drains queued entries and stops the consumer.
 func (s *IOScheduler) Close() {
 	s.ob.close()
-	s.mu.Lock()
-	running := s.running.Load()
-	done := s.done
-	s.mu.Unlock()
-	if running {
-		<-done
-	}
+	<-s.done
 }
 
 // loop is the single I/O consumer. Per batch it commits the journal once
 // to the highest index any entry depends on (group commit across every
-// step — and, shared, every group — in the batch), then sends and wakes in
-// FIFO order. A commit failure poisons each entry's replica; from then on
-// entries fail their waiters and send nothing.
+// step of every group in the batch), then sends and wakes in FIFO order. A
+// commit failure poisons each entry's replica; from then on entries fail
+// their waiters and send nothing.
 func (s *IOScheduler) loop() {
 	defer close(s.done)
 	failed := false

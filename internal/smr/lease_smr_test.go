@@ -11,75 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/smr"
-	"repro/internal/transport"
-	"repro/internal/wal"
 )
-
-// leaseClusterOptions configures startLeaseCluster.
-type leaseClusterOptions struct {
-	tick  time.Duration
-	lease *smr.LeaseOptions // nil: leases stay off
-	// durable enables a per-replica WAL under a temp dir (SyncAlways).
-	durable bool
-	// syncHook, when set, is installed on replica 0's WAL only.
-	syncHook func()
-}
-
-// startLeaseCluster boots n replicas over an in-process mesh with the
-// given lease/durability configuration. The returned dirs are the data
-// directories (empty strings without durability).
-func startLeaseCluster(t testing.TB, n, f, e int, o leaseClusterOptions) ([]*smr.Replica, []string, *transport.Mesh, func()) {
-	t.Helper()
-	mesh := transport.NewMesh(n)
-	base := ""
-	if o.durable {
-		base = t.TempDir()
-	}
-	replicas := make([]*smr.Replica, n)
-	dirs := make([]string, n)
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, o.tick)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.lease != nil {
-			if err := r.EnableLeases(*o.lease); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if o.durable {
-			dirs[i] = filepath.Join(base, fmt.Sprintf("r%d", i))
-			opts := smr.DurabilityOptions{Dir: dirs[i], Policy: wal.SyncAlways}
-			if i == 0 {
-				opts.SyncHook = o.syncHook
-			}
-			if _, err := r.EnableDurability(opts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.BindTransport(tr)
-		replicas[i] = r
-	}
-	for _, r := range replicas {
-		r.Start()
-	}
-	cleanup := func() {
-		for _, r := range replicas {
-			if r != nil {
-				r.Close()
-			}
-		}
-		mesh.Close()
-	}
-	return replicas, dirs, mesh, cleanup
-}
 
 // TestLeaseLocalReadZeroIO is the tentpole acceptance check: a GETL served
 // under a valid lease performs zero transport sends and zero WAL appends.
@@ -87,12 +20,11 @@ func startLeaseCluster(t testing.TB, n, f, e int, o leaseClusterOptions) ([]*smr
 // status gossip) is dormant and any I/O measured below would be the read
 // path's own.
 func TestLeaseLocalReadZeroIO(t *testing.T) {
-	replicas, _, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick:    time.Hour,
-		lease:   &smr.LeaseOptions{Duration: time.Hour, Epsilon: 50 * time.Millisecond},
-		durable: true,
-	})
-	defer cleanup()
+	replicas := newTestCluster(t, 3, 1, 1, procOptions{
+		tick:   time.Hour,
+		leases: &smr.LeaseOptions{Duration: time.Hour, Epsilon: 50 * time.Millisecond},
+		dur:    durableUnder(t.TempDir(), nil),
+	}).replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -142,10 +74,9 @@ func TestLeaseLocalReadZeroIO(t *testing.T) {
 // the crashed holder's lease has conservatively expired.
 func TestLeaseCrashRestartForgetsLease(t *testing.T) {
 	lo := &smr.LeaseOptions{Duration: 10 * time.Second, Epsilon: 50 * time.Millisecond}
-	replicas, dirs, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick: time.Millisecond, lease: lo, durable: true,
-	})
-	defer cleanup()
+	base := t.TempDir()
+	c := newTestCluster(t, 3, 1, 1, procOptions{leases: lo, dur: durableUnder(base, nil)})
+	replicas := c.replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -159,26 +90,14 @@ func TestLeaseCrashRestartForgetsLease(t *testing.T) {
 	if !replicas[0].HoldsLease() {
 		t.Fatal("lease not valid after AcquireLease")
 	}
-	if err := replicas[0].Kill(); err != nil {
+	if err := c.rts[0].Kill(); err != nil {
 		t.Logf("kill: %v", err)
 	}
 
 	// Restart the holder from its data directory, isolated on a capture
 	// transport: recovery replays the grant from the WAL alone.
-	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
-	r0, err := smr.NewReplica(cfg, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r0.EnableLeases(*lo); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r0.EnableDurability(smr.DurabilityOptions{Dir: dirs[0], Policy: wal.SyncAlways}); err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	r0.BindTransport(&captureTr{self: 0})
-	defer r0.Close()
-	replicas[0] = nil
+	rt0, _ := openIsolated(t, 0, filepath.Join(base, "r0"), lo)
+	r0 := rt0.Group(0)
 
 	if r0.HoldsLease() {
 		t.Fatal("restarted replica still claims the lease — crash-restart must forget serving rights")
@@ -196,7 +115,7 @@ func TestLeaseCrashRestartForgetsLease(t *testing.T) {
 
 	// A surviving peer is still inside the dead holder's guard window: its
 	// own proposals must be refused with the holder hint.
-	err = smr.NewKV(replicas[1]).Put(ctx, "k", "v2")
+	err := smr.NewKV(replicas[1]).Put(ctx, "k", "v2")
 	if !errors.Is(err, smr.ErrLeaseHeld) {
 		t.Fatalf("peer write during dead holder's guard = %v, want ErrLeaseHeld", err)
 	}
@@ -209,11 +128,9 @@ func TestLeaseCrashRestartForgetsLease(t *testing.T) {
 // must never again serve a local read, and its own writes are refused with
 // the new holder's hint rather than served stale.
 func TestLeaseTakeoverRevokesPreviousHolder(t *testing.T) {
-	replicas, _, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick:  time.Millisecond,
-		lease: &smr.LeaseOptions{Duration: 400 * time.Millisecond, Epsilon: 40 * time.Millisecond},
-	})
-	defer cleanup()
+	replicas := newTestCluster(t, 3, 1, 1, procOptions{
+		leases: &smr.LeaseOptions{Duration: 400 * time.Millisecond, Epsilon: 40 * time.Millisecond},
+	}).replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -291,17 +208,14 @@ func TestLeaseExpiryUnderFsyncStall(t *testing.T) {
 	// All three replicas share one fake lease clock (zero skew; ε still
 	// guards the protocol's real-skew story elsewhere).
 	var fakeClock atomic.Int64
-	replicas, _, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick: time.Millisecond,
-		lease: &smr.LeaseOptions{
+	replicas := newTestCluster(t, 3, 1, 1, procOptions{
+		leases: &smr.LeaseOptions{
 			Duration: 300 * time.Millisecond,
 			Epsilon:  30 * time.Millisecond,
 			Now:      func() time.Duration { return time.Duration(fakeClock.Load()) },
 		},
-		durable:  true,
-		syncHook: hook,
-	})
-	defer cleanup()
+		dur: durableUnder(t.TempDir(), hook),
+	}).replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -372,10 +286,7 @@ func TestReadCoalescingSharesRounds(t *testing.T) {
 			<-release
 		}
 	}
-	replicas, _, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick: time.Millisecond, durable: true, syncHook: hook,
-	})
-	defer cleanup()
+	replicas := newTestCluster(t, 3, 1, 1, procOptions{dur: durableUnder(t.TempDir(), hook)}).replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -426,9 +337,7 @@ func TestReadCoalescingSharesRounds(t *testing.T) {
 // TestPerReadNoopBaseline pins the legacy A/B mode: with SetPerReadNoop
 // every GETL pays its own round, so N reads are N rounds, none coalesced.
 func TestPerReadNoopBaseline(t *testing.T) {
-	replicas, _, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick: time.Millisecond,
-	})
+	replicas, cleanup := startCluster(t, 3, 1, 1)
 	defer cleanup()
 	replicas[0].SetPerReadNoop(true)
 
@@ -458,11 +367,9 @@ func TestPerReadNoopBaseline(t *testing.T) {
 // under -race in CI, it is the data-race net over the lease table, read
 // gate, and counters.
 func TestGETLStormUnderRace(t *testing.T) {
-	replicas, _, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick:  time.Millisecond,
-		lease: &smr.LeaseOptions{Duration: 10 * time.Second, Epsilon: 50 * time.Millisecond},
-	})
-	defer cleanup()
+	replicas := newTestCluster(t, 3, 1, 1, procOptions{
+		leases: &smr.LeaseOptions{Duration: 10 * time.Second, Epsilon: 50 * time.Millisecond},
+	}).replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -520,11 +427,10 @@ func TestGETLStormUnderRace(t *testing.T) {
 // its GETLs become local lease hits there. The legacy client classifies
 // the same refusal as a definite rejection.
 func TestLeaseHeldRedirectMovesClientToHolder(t *testing.T) {
-	replicas, _, _, cleanup := startLeaseCluster(t, 3, 1, 1, leaseClusterOptions{
-		tick:  time.Millisecond,
-		lease: &smr.LeaseOptions{Duration: 10 * time.Second, Epsilon: 50 * time.Millisecond},
+	c := newTestCluster(t, 3, 1, 1, procOptions{
+		leases: &smr.LeaseOptions{Duration: 10 * time.Second, Epsilon: 50 * time.Millisecond},
 	})
-	defer cleanup()
+	replicas := c.replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -542,15 +448,8 @@ func TestLeaseHeldRedirectMovesClientToHolder(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	addrs := make([]string, 3)
-	for i, r := range replicas {
-		srv, err := smr.NewServer(r, "127.0.0.1:0", 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[i] = srv.Addr()
-	}
+	addrs, _, cleanup := serveCluster(t, c)
+	defer cleanup()
 
 	sc, err := smr.NewSessionClient(addrs, smr.SessionOptions{
 		Timeout: 10 * time.Second, Depth: 8, PreferLeader: true,

@@ -6,16 +6,17 @@ import (
 	"repro/internal/consensus"
 )
 
-// The outbox is the replica's out-of-lock I/O stage. Protocol steps run
-// under Replica.mu and only *compute*: outbound messages, WAL records
-// (buffered, not yet fsynced), and waiter wakeups are captured into an
-// outboxEntry and enqueued. A single consumer goroutine then, per batch of
-// entries, (1) group-commits the WAL up to the highest index any entry
-// needs, (2) sends the messages, (3) fires the wakeups — in that order, so
-// the durability invariant "no message or client acknowledgement escapes
-// before its WAL record is durable" holds exactly as it did when the fsync
-// and the sends happened inside the lock, while the lock itself is held
-// only for in-memory work.
+// The outbox is the process's out-of-lock I/O stage: one queue (inside the
+// IOScheduler the host hands every group's replica) for all of them.
+// Protocol steps run under Replica.mu and only *compute*: outbound
+// messages, WAL records (buffered, not yet fsynced), and waiter wakeups are
+// captured into an outboxEntry and enqueued. A single consumer goroutine
+// then, per batch of entries, (1) group-commits the WAL up to the highest
+// index any entry needs, (2) sends the messages, (3) fires the wakeups — in
+// that order, so the durability invariant "no message or client
+// acknowledgement escapes before its WAL record is durable" holds exactly
+// as it did when the fsync and the sends happened inside the lock, while
+// the lock itself is held only for in-memory work.
 //
 // FIFO with a single consumer preserves the per-replica emission order;
 // batching entries per wakeup of the consumer is what turns N protocol
@@ -59,9 +60,8 @@ func (w wakeup) fire(ok bool) {
 
 // outboxEntry is one protocol step's deferred I/O. r is the replica the
 // step ran on — the consumer reads its transport and, on a commit failure,
-// poisons it; a shared scheduler (internal/shard) interleaves entries from
-// many replicas in one queue, so the owner travels with the entry (nil on
-// barrier sentinels). walIdx is the WAL index that must be durable before
+// poisons it; the queue interleaves entries from every group of the
+// process, so the owner travels with the entry (nil on barrier sentinels). walIdx is the WAL index that must be durable before
 // msgs leave or wake fires (0: no durability dependency — no WAL, or a
 // policy that does not sync on the hot path). Producers do NOT wait for
 // their own entry — the pipeline is asynchronous, which is what lets

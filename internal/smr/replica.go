@@ -135,9 +135,11 @@ type slot struct {
 // learn records the slot's decision.
 func (s *slot) learn(v consensus.Value) { s.decided, s.val = true, v }
 
-// Replica is one member of the replicated state machine. It hosts an Ω
-// detector and one object-mode core consensus instance per log slot, and
-// applies decided commands to a key-value store in slot order.
+// Replica is one process's member of one consensus group of the replicated
+// state machine. It hosts an Ω detector and one object-mode core consensus
+// instance per log slot, and applies decided commands to a key-value store
+// in slot order. It is never a process by itself: shard.Runtime builds one
+// per group and owns everything they share (see NewReplica).
 //
 // The slot record is the unit: slots holds every slot from compactFloor up
 // that anything has touched, and nothing else in the replica is keyed by
@@ -164,8 +166,9 @@ type Replica struct {
 
 	// closed: the replica refuses work — Close, Kill, or a journaling
 	// failure poisoned it (haltLocked). released: Close or Kill has run the
-	// teardown that gives back the batcher, the I/O scheduler, the WAL and
-	// the transport. Separate, so a poisoned replica can still be closed.
+	// teardown that stops the batcher and drains this replica's entries out
+	// of the I/O scheduler. Separate, so a poisoned replica can still be
+	// closed.
 	closed   bool
 	released bool
 
@@ -180,13 +183,12 @@ type Replica struct {
 	freeHint int
 	propHint int
 
-	// Out-of-lock I/O (see outbox.go, iosched.go). io is private by default
-	// and shared across groups under the sharded runtime (ShareIO). wakes
-	// accumulates the wakeups of the current locked step; emitLocked drains
-	// it into the outbox.
-	io       *IOScheduler
-	ioShared bool
-	wakes    []wakeup
+	// Out-of-lock I/O (see outbox.go, iosched.go). io is the process's one
+	// scheduler, owned by whoever built the replica. wakes accumulates the
+	// wakeups of the current locked step; emitLocked drains it into the
+	// outbox.
+	io    *IOScheduler
+	wakes []wakeup
 
 	// compactFloor is the lowest slot the table may hold: everything below
 	// has been retired (retireBelowLocked) and stragglers there are served
@@ -212,12 +214,16 @@ type Replica struct {
 	rgate readGate
 }
 
-// NewReplica builds a replica. Call BindTransport, then Start. Flexible
-// quorum sizes (cfg.FastSize/cfg.RecoverySize, see internal/quorum.NewFlex)
-// are validated here and honored by every slot's core node. tick is the
-// period of the status and Ω timers and must be positive: a zero period
-// re-arms them immediately and floods the fabric.
-func NewReplica(cfg consensus.Config, tick time.Duration) (*Replica, error) {
+// NewReplica builds one consensus group's replica on io, the scheduler its
+// host (shard.Runtime) owns and shares between every group of the process —
+// as it owns the WAL behind EnableDurability's Journal and the transport
+// behind BindTransport: the replica uses all three and closes none. Call
+// BindTransport, then Start. Flexible quorum sizes (cfg.FastSize/
+// cfg.RecoverySize, see internal/quorum.NewFlex) are validated here and
+// honored by every slot's core node. tick is the period of the status and Ω
+// timers and must be positive: a zero period re-arms them immediately and
+// floods the fabric.
+func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
 	}
@@ -231,22 +237,8 @@ func NewReplica(cfg consensus.Config, tick time.Duration) (*Replica, error) {
 		det:   omega.New(cfg, 0),
 		slots: make(map[int]*slot),
 		store: make(map[string]string),
-		io:    newIOScheduler(),
+		io:    io,
 	}, nil
-}
-
-// ShareIO attaches the replica to a shared I/O scheduler (NewSharedIO):
-// its WAL commits, sends, and wakeups interleave with every other replica
-// on the same scheduler, and fsyncs coalesce across all of them — the
-// sharded runtime's single group-commit stream. The scheduler's owner must
-// Close it after the replicas; the replicas themselves only flush through
-// it. Call before EnableDurability/Start, and only with a durability setup
-// whose Journal targets the same underlying WAL as every other sharer.
-func (r *Replica) ShareIO(s *IOScheduler) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.io = s
-	r.ioShared = true
 }
 
 // currentTransport reads the bound transport under the lock (the outbox
@@ -694,68 +686,38 @@ func (r *Replica) haltLocked() {
 	}
 }
 
-// Close stops timers, drains the outbox, and closes the WAL (synced: a
-// graceful shutdown leaves no torn tail to recover) and the transport. It
-// also works on a replica a journaling failure already poisoned.
-func (r *Replica) Close() error { return r.shutdown(false) }
+// Close stops timers and drains the replica's queued I/O: when it returns,
+// every entry this replica emitted has been committed, sent and woken. The
+// WAL, the scheduler and the transport stay open — they belong to the host,
+// which syncs and closes them once, after every group (shard.Runtime.Close).
+// It also works on a replica a journaling failure already poisoned.
+func (r *Replica) Close() { r.shutdown(false) }
 
 // shutdown is the one teardown behind Close and Kill. It runs once, also
 // on a replica that was poisoned first: refusing work (closed) and having
-// given the resources back (released) are separate facts. crash selects
-// Kill's two differences: the transport is detached under the lock, and
-// the WAL is aborted before the outbox drains instead of synced after it.
-func (r *Replica) shutdown(crash bool) error {
+// drained (released) are separate facts. crash is Kill's one difference:
+// the transport is detached under the lock, so entries still queued send
+// nothing.
+func (r *Replica) shutdown(crash bool) {
 	r.mu.Lock()
 	if r.released {
 		r.mu.Unlock()
-		return nil
+		return
 	}
 	r.released = true
 	r.haltLocked()
-	tr := r.tr
 	if crash {
-		// The outbox consumer reloads the transport per entry owner, so
-		// entries still queued send nothing after this point.
+		// The outbox consumer reloads the transport per entry owner.
 		r.tr = nil
 	}
 	b := r.batch
-	d := r.dur
 	r.mu.Unlock()
 
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	if b != nil {
 		b.close()
 	}
-	// A shared journal is the runtime's to close or abort, once, around
-	// every group (see shard.Runtime).
-	ownWAL := d != nil && d.ownsWAL
-	if crash && ownWAL {
-		// Before the drain: queued group commits must fail — and fail
-		// their client wakeups — rather than make the "crashed" state
-		// durable.
-		keep(d.wal.Abort())
-	}
-	// Queued entries still commit and send through the WAL and transport,
-	// so drain before closing those. A shared scheduler stays up for the
-	// other replicas on it — a barrier flushes everything this replica
-	// queued (FIFO: everything ahead of it included) without stopping it.
-	if r.ioShared {
-		r.io.barrier()
-	} else {
-		r.io.Close()
-	}
-	if !crash && ownWAL {
-		keep(d.wal.Close())
-	}
-	if tr != nil {
-		keep(tr.Close())
-	}
-	return firstErr
+	// FIFO: everything this replica queued is ahead of the barrier.
+	r.io.barrier()
 }
 
 // slotLocked returns slot n's record, creating it on first touch.

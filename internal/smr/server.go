@@ -14,7 +14,8 @@ import (
 	"time"
 )
 
-// Server exposes a replica to clients over a line-oriented TCP protocol:
+// Server exposes a process's replicas to clients over a line-oriented TCP
+// protocol:
 //
 //	PUT <key> <value>     →  OK
 //	GET <key>             →  VAL <value>  |  NONE
@@ -96,10 +97,9 @@ func (s *Server) Counters() ServerCounters {
 	}
 }
 
-// Backend routes server commands to replicas. A single replica is the
-// trivial backend (NewServer); the sharded runtime (internal/shard)
-// implements Backend so one server fronts every consensus group in the
-// process, routing each key to its group's replica.
+// Backend routes server commands to replicas. The sharded runtime
+// (internal/shard) implements it, so one server fronts every consensus
+// group in the process, routing each key to its group's replica.
 type Backend interface {
 	// Route returns the replica hosting key's consensus group. Every key
 	// must route somewhere: the server calls it only with non-empty keys.
@@ -114,37 +114,9 @@ type Backend interface {
 	InfoLine() string
 }
 
-// singleBackend is the trivial Backend: every command targets one replica.
-type singleBackend struct{ r *Replica }
-
-func (b singleBackend) Route(string) *Replica { return b.r }
-func (b singleBackend) Proxy() *Replica       { return b.r }
-
-func (b singleBackend) StatsLine() string {
-	st, ok := b.r.TransportStats()
-	if !ok {
-		return "ERR no transport bound"
-	}
-	line := "STATS " + st.String()
-	// Lease/read-path counters ride as a suffix so pre-lease consumers
-	// parsing the transport fields keep working unchanged.
-	if ls := b.r.LeaseStats(); ls.Enabled {
-		line += " " + ls.String()
-	}
-	return line
-}
-
-func (b singleBackend) InfoLine() string { return "INFO " + b.r.Info().String() }
-
-// NewServer starts serving clients of replica on addr.
-func NewServer(replica *Replica, addr string, opTimeout time.Duration) (*Server, error) {
-	return NewBackendServer(singleBackend{r: replica}, addr, opTimeout)
-}
-
-// NewBackendServer starts a server whose commands route through b — the
-// seam the sharded runtime plugs N consensus groups into. The wire
-// protocol is unchanged either way: clients cannot tell a sharded server
-// from a single-replica one.
+// NewBackendServer starts serving clients on addr; commands route through
+// b — the seam the sharded runtime plugs N consensus groups into. The wire
+// protocol does not show the group count.
 func NewBackendServer(b Backend, addr string, opTimeout time.Duration) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -404,8 +376,7 @@ func (s *Server) handleLine(line string) string {
 	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
 	defer cancel()
 	// Key-bearing commands route through the backend once the key is
-	// parsed: each key lands on the replica of its consensus group, which
-	// for the trivial backend is always the same one.
+	// parsed: each key lands on the replica of its consensus group.
 	switch strings.ToUpper(verb) {
 	case "PING":
 		return "PONG"

@@ -7,50 +7,178 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/consensus"
+	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
+	"repro/internal/wan"
 )
 
-// startCluster boots n replicas over an in-process mesh.
-func startCluster(t testing.TB, n, f, e int) ([]*smr.Replica, func()) {
-	t.Helper()
-	replicas, _, cleanup := startMeshCluster(t, n, f, e)
-	return replicas, cleanup
+// procOptions is what differs between the processes smr's suites boot.
+// Everything else is fixed: one 1-group shard.Runtime per fabric endpoint,
+// batching adaptively — the process cmd/kv ships, which is the only thing
+// that ever builds an smr.Replica.
+type procOptions struct {
+	tick   time.Duration     // 0: 1 ms
+	leases *smr.LeaseOptions // nil: leases off
+	// dur, when set, makes process i durable with what it returns.
+	dur func(i int) *shard.Durability
+	// bind0, when set, wraps the endpoint process 0 sends through. What it
+	// sees is what the wire carries: group envelopes (see inner).
+	bind0 func(tr transport.Transport) transport.Transport
 }
 
-// startMeshCluster is startCluster for tests that inject faults: it also
-// hands back the mesh.
-func startMeshCluster(t testing.TB, n, f, e int) ([]*smr.Replica, *transport.Mesh, func()) {
+// testCluster is n such processes on the in-process fabric. A process can
+// be closed or crash-killed through its runtime and rebooted in place from
+// its data directory.
+type testCluster struct {
+	t       testing.TB
+	n, f, e int
+	o       procOptions
+	fab     *cluster.Fabric
+	rts     []*shard.Runtime
+	once    sync.Once
+}
+
+func newTestCluster(t testing.TB, n, f, e int, o procOptions) *testCluster {
 	t.Helper()
-	mesh := transport.NewMesh(n)
-	replicas := make([]*smr.Replica, n)
+	fab, err := cluster.NewFabric(n, nil, wan.Topology{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &testCluster{t: t, n: n, f: f, e: e, o: o, fab: fab, rts: make([]*shard.Runtime, n)}
+	t.Cleanup(c.close)
 	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		r, err := smr.NewReplica(cfg, time.Millisecond)
-		if err != nil {
+		if _, err := c.boot(i); err != nil {
 			t.Fatal(err)
 		}
-		tr, err := mesh.Endpoint(cfg.ID, r.Handle)
-		if err != nil {
-			t.Fatal(err)
+	}
+	return c
+}
+
+// open builds process i's runtime (recovering from its data directory when
+// it has one) without attaching it to the fabric. The reported TornTail
+// also covers what opening the WAL truncated.
+func (c *testCluster) open(i int) (*shard.Runtime, smr.RecoveryInfo, error) {
+	opts := shard.Options{
+		Groups:        1,
+		Config:        consensus.Config{ID: consensus.ProcessID(i), N: c.n, F: c.f, E: c.e, Delta: 10},
+		Tick:          c.o.tick,
+		AdaptiveBatch: true,
+		Leases:        c.o.leases,
+	}
+	if opts.Tick == 0 {
+		opts.Tick = time.Millisecond
+	}
+	if c.o.dur != nil {
+		opts.Durability = c.o.dur(i)
+	}
+	rt, err := shard.New(opts)
+	if err != nil {
+		return nil, smr.RecoveryInfo{}, err
+	}
+	var info smr.RecoveryInfo
+	if recs, winfo := rt.Recovery(); len(recs) > 0 {
+		info = recs[0]
+		info.TornTail = info.TornTail || winfo.TornTail
+	}
+	return rt, info, nil
+}
+
+// boot opens process i and puts it behind fabric endpoint i.
+func (c *testCluster) boot(i int) (smr.RecoveryInfo, error) {
+	rt, info, err := c.open(i)
+	if err != nil {
+		return info, err
+	}
+	tr := c.fab.Transport(i)
+	if i == 0 && c.o.bind0 != nil {
+		tr = c.o.bind0(tr)
+	}
+	rt.BindTransport(tr)
+	c.fab.Attach(i, rt.Handler())
+	c.rts[i] = rt
+	rt.Start()
+	return info, nil
+}
+
+// restart closes process i (a no-op if it was closed or killed already)
+// and boots a fresh one from the same data directory.
+func (c *testCluster) restart(i int) smr.RecoveryInfo {
+	c.t.Helper()
+	c.fab.Attach(i, nil)
+	c.rts[i].Close() // what it left on disk is checked by the reboot
+	info, err := c.boot(i)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return info
+}
+
+// replicas returns each process's one group.
+func (c *testCluster) replicas() []*smr.Replica {
+	out := make([]*smr.Replica, c.n)
+	for i, rt := range c.rts {
+		out[i] = rt.Group(0)
+	}
+	return out
+}
+
+// waitApplied waits until process i has applied at least want slots.
+func (c *testCluster) waitApplied(i, want int, d time.Duration) {
+	c.t.Helper()
+	deadline := time.Now().Add(d)
+	for c.rts[i].Group(0).Applied() < want {
+		if time.Now().After(deadline) {
+			c.t.Fatalf("replica %d stuck at %d/%d applied", i, c.rts[i].Group(0).Applied(), want)
 		}
-		r.BindTransport(tr)
-		replicas[i] = r
+		time.Sleep(5 * time.Millisecond)
 	}
-	for _, r := range replicas {
-		r.Start()
-	}
-	cleanup := func() {
-		for _, r := range replicas {
-			r.Close()
+}
+
+func (c *testCluster) close() {
+	c.once.Do(func() {
+		for _, rt := range c.rts {
+			if rt != nil {
+				rt.Close()
+			}
 		}
-		mesh.Close()
+		c.fab.Close()
+	})
+}
+
+// startCluster boots n in-memory processes and returns their replicas.
+func startCluster(t testing.TB, n, f, e int) ([]*smr.Replica, func()) {
+	t.Helper()
+	c := newTestCluster(t, n, f, e, procOptions{})
+	return c.replicas(), c.close
+}
+
+// wireCodec decodes what a group envelope carries.
+var wireCodec = func() *consensus.Codec {
+	c := consensus.NewCodec()
+	smr.RegisterMessages(c)
+	return c
+}()
+
+// inner peels the group envelope off a message a process put on the wire,
+// as the receiving process's mux would.
+func inner(msg consensus.Message) consensus.Message {
+	gm, ok := msg.(*shard.GroupMessage)
+	if !ok {
+		return msg
 	}
-	return replicas, mesh, cleanup
+	m, err := wireCodec.DecodeBody(gm.InnerKind, gm.InnerBody)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func TestNewReplicaRejectsBadInput(t *testing.T) {
+	io := smr.NewIOScheduler()
+	defer io.Close()
 	good := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	for _, tc := range []struct {
 		name string
@@ -61,12 +189,12 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 		{"tick 0", good, 0},
 		{"tick < 0", good, -time.Millisecond},
 	} {
-		if r, err := smr.NewReplica(tc.cfg, tc.tick); err == nil {
+		if r, err := smr.NewReplica(tc.cfg, tc.tick, io); err == nil {
 			r.Close()
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	r, err := smr.NewReplica(good, time.Millisecond)
+	r, err := smr.NewReplica(good, time.Millisecond, io)
 	if err != nil {
 		t.Fatalf("valid input rejected: %v", err)
 	}
