@@ -73,9 +73,12 @@ bench-wan-short:
 # Hot-path microbenchmarks (codec allocs, WAL group commit, full replica
 # pipeline) at a fixed iteration count so CI gets stable allocs/op without
 # waiting for time-based calibration — see docs/PERFORMANCE.md.
+# BenchmarkBatcherDistance is ten bursts of 256 writers a 20 ms round trip
+# from their quorum: cmds/roundtrip above 64 means chunks overlapped.
 microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkSlotWrap|BenchmarkReplicaPipeline' \
 		-benchmem -benchtime=100x -count=2 ./internal/smr
+	$(GO) test -run=NONE -bench 'BenchmarkBatcherDistance' -benchtime=10x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
 

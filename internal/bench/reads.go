@@ -255,7 +255,18 @@ func readsRun(n, f, e, groups int, mode string, readPct, clients, opsPerClient i
 	// Pure-read phase: fsyncs per GETL with no writes in flight. The lease
 	// path's tentpole claim is exactly zero here.
 	const pureReads = 50
+	// The mix's last writes are acknowledged at their proxy while the
+	// other processes still journal the decisions: let those fsyncs land
+	// first, or they are counted against the reads.
 	syncs0 := cl.WalSyncs()
+	for settled := 0; settled < 3; {
+		time.Sleep(5 * time.Millisecond)
+		if now := cl.WalSyncs(); now == syncs0 {
+			settled++
+		} else {
+			syncs0, settled = now, 0
+		}
+	}
 	if _, _, err := mixed(pureReads, 100); err != nil {
 		return row, err
 	}

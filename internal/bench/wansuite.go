@@ -272,19 +272,9 @@ func runWANCell(topoName, proto string, sweep WANSweep, opts WANSuiteOptions) WA
 		return row
 	}
 
-	// Timer budget: Δ must dominate the scaled max RTT so no protocol
-	// timer (and hence no recovery ballot) fires during a healthy sample.
-	maxOneWay := time.Duration(0)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if d := prefix.OneWayDelay(i, j, opts.Scale); d > maxOneWay {
-				maxOneWay = d
-			}
-		}
-	}
 	tick := time.Millisecond
-	delta := consensus.Duration(3*(2*maxOneWay/time.Millisecond) + 100)
-	drain := maxOneWay + 20*time.Millisecond
+	delta := prefix.Delta(opts.Scale)
+	drain := prefix.MaxOneWayDelay(opts.Scale) + 20*time.Millisecond
 
 	fab, err := newWANFabric(prefix, n, opts)
 	if err != nil {

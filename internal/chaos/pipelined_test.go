@@ -12,6 +12,7 @@ import (
 	"repro/internal/linear"
 	"repro/internal/smr"
 	"repro/internal/transport"
+	"repro/internal/wan"
 )
 
 // TestPipelinedSessionsLinearizable is the chaos-short companion for the
@@ -22,6 +23,30 @@ import (
 // linearizable. This is the property the one-op-per-connection client got
 // for free and the demux layer has to re-earn.
 func TestPipelinedSessionsLinearizable(t *testing.T) {
+	pipelinedSessions(t, wan.Topology{}, 0)
+}
+
+// TestPipelinedSessionsOverDistanceLinearizable is the same scenario with
+// the processes a region apart (the nearest peer a 10 ms round trip away),
+// where the batcher overlaps chunks: the run fails unless some proxy had
+// two in consensus at once, so the verdict under drops, duplicates and
+// delays covers proposals pipelined from one proxy, not only one at a time.
+func TestPipelinedSessionsOverDistanceLinearizable(t *testing.T) {
+	full, err := wan.Preset("spread7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := full.Prefix(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipelinedSessions(t, topo, 10/float64(topo.QuorumRTT(0, 2)))
+}
+
+// pipelinedSessions runs the scenario on the Mesh, with topo's delays times
+// scale on every link when a topology is given — and then requires that
+// chunks overlapped.
+func pipelinedSessions(t *testing.T, topo wan.Topology, scale float64) {
 	const (
 		n, f, e      = 3, 1, 1
 		clients      = 9
@@ -30,7 +55,7 @@ func TestPipelinedSessionsLinearizable(t *testing.T) {
 	)
 	// One client-facing TCP server per process — the real wire, so frames,
 	// the executor pool, and batched reply flushes are all in the loop.
-	c, err := cluster.New(cluster.Options{N: n, F: f, E: e, Dir: t.TempDir(), Servers: true})
+	c, err := cluster.New(cluster.Options{N: n, F: f, E: e, Dir: t.TempDir(), Servers: true, Topology: topo, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +156,13 @@ func TestPipelinedSessionsLinearizable(t *testing.T) {
 		st := c.Runtime(i).Group(0).BatchStats()
 		batch.Batches += st.Batches
 		batch.Cmds += st.Cmds
+		batch.Overlapped += st.Overlapped
 	}
-	t.Logf("batching: %d commands in %d consensus instances", batch.Cmds, batch.Batches)
+	t.Logf("batching: %d commands in %d consensus instances, %d of them launched while another was in flight", batch.Cmds, batch.Batches, batch.Overlapped)
 	if batch.Cmds <= batch.Batches {
 		t.Fatalf("no write was batched (%d commands, %d instances): the history never exercised OpBatch", batch.Cmds, batch.Batches)
+	}
+	if topo.N() > 0 && batch.Overlapped == 0 {
+		t.Fatalf("no proxy had two chunks in consensus at once (%d instances): the history never exercised the pipelined batcher", batch.Batches)
 	}
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // Options is what differs between the clusters the repo boots; everything
-// else is the serving configuration (1 ms tick, Δ = 10 ticks, adaptive
-// batching, fsync=always when durable, 30 s server op timeout).
+// else is the serving configuration (1 ms tick, Δ = 10 ticks or what the
+// topology needs, adaptive batching, fsync=always when durable, 30 s server
+// op timeout).
 type Options struct {
 	// N, F, E are the consensus.Config membership and thresholds.
 	N, F, E int
@@ -26,7 +27,8 @@ type Options struct {
 	Leases *smr.LeaseOptions
 	// TCP runs the consensus fabric over loopback TCP instead of the Mesh.
 	TCP bool
-	// Topology and Scale put geo delays on every link (see NewFabric).
+	// Topology and Scale put geo delays on every link (see NewFabric) and
+	// stretch Δ to cover them (wan.Topology.Delta).
 	Topology wan.Topology
 	Scale    float64
 	// Dir, when non-empty, makes the cluster durable: process i keeps its
@@ -98,9 +100,14 @@ func New(o Options) (*Cluster, error) {
 // shared-WAL recovery demux when prior state exists) and attaches it to
 // the fabric.
 func (c *Cluster) boot(i int) error {
+	delta := consensus.Duration(10)
+	if c.o.Topology.N() > 0 {
+		// A round trip near 10 ms would time every ballot out.
+		delta = c.o.Topology.Delta(c.o.Scale)
+	}
 	opts := shard.Options{
 		Groups:        c.o.Groups,
-		Config:        consensus.Config{ID: consensus.ProcessID(i), N: c.o.N, F: c.o.F, E: c.o.E, Delta: 10},
+		Config:        consensus.Config{ID: consensus.ProcessID(i), N: c.o.N, F: c.o.F, E: c.o.E, Delta: delta},
 		Tick:          time.Millisecond,
 		AdaptiveBatch: true,
 		Leases:        c.o.Leases,

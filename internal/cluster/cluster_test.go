@@ -3,12 +3,14 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/smr"
+	"repro/internal/wan"
 )
 
 // TestKillRestartReconverges crash-kills a process mid-stream on each
@@ -80,10 +82,17 @@ func TestKillRestartReconverges(t *testing.T) {
 // concurrent writes that the batcher provably grouped into OpBatch slots,
 // and reboots them all: recovery has nothing but the shared WALs, so every
 // acknowledged write must come back out of a journaled batch, and the
-// rebooted cluster must keep serving batches on top of them.
+// rebooted cluster must keep serving batches on top of them. The crash
+// itself lands on a proposer with at least two chunks in consensus at once
+// (the nearest peer is a 30 ms round trip away, the kill comes sooner), and recovery
+// must bring each of those back whole or not at all.
 func TestCrashRecoversBatchedWrites(t *testing.T) {
-	const n, writers, rounds = 3, 8, 5
-	c, err := cluster.New(cluster.Options{N: n, F: 1, E: 1, Dir: t.TempDir(), SnapshotEvery: -1})
+	const (
+		n, writers, rounds = 3, 8, 5
+		rtt                = 30 * time.Millisecond
+	)
+	topo, scale := spread(t, n, 1, rtt)
+	c, err := cluster.New(cluster.Options{N: n, F: 1, E: 1, Dir: t.TempDir(), SnapshotEvery: -1, Topology: topo, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +123,45 @@ func TestCrashRecoversBatchedWrites(t *testing.T) {
 		}
 	}
 	burst("pre")
-	if st := c.Runtime(0).Group(0).BatchStats(); st.Cmds <= st.Batches {
-		t.Fatalf("%d writers formed no batch (%+v): nothing batched to recover", writers, st)
+	before := c.Runtime(0).Group(0).BatchStats()
+	if before.Cmds <= before.Batches || before.Depth < 2 {
+		t.Fatalf("%d writers over a %v round trip: %+v, want batches formed and depth >= 2", writers, rtt, before)
 	}
-	for i := 0; i < n; i++ {
+
+	// The burst the crash cuts short: more writers than one chunk holds,
+	// killed before any chunk can have heard from a peer.
+	const mid = 64 + writers
+	midKey := func(w int) string { return fmt.Sprintf("mid-%d", w) }
+	acked := make(chan string, mid)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < mid; w++ {
+		wg.Add(1)
+		go func(k string) {
+			defer wg.Done()
+			if err := c.Runtime(0).Put(ctx, k, "mid"); err == nil {
+				acked <- k
+			}
+		}(midKey(w))
+	}
+	for c.Runtime(0).Group(0).BatchStats().Batches < before.Batches+2 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d concurrent writers launched fewer than two chunks: %+v", mid, c.Runtime(0).Group(0).BatchStats())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	c.Kill(0)
+	took := time.Since(start)
+	if took >= rtt {
+		t.Fatalf("the kill came %v into the burst, a round trip is %v: the chunks may no longer have been in flight", took, rtt)
+	}
+	launched := c.Runtime(0).Group(0).BatchStats().Batches - before.Batches
+	for i := 1; i < n; i++ {
 		c.Kill(i)
 	}
+	wg.Wait()
+	close(acked)
+
 	for i := 0; i < n; i++ {
 		if err := c.Restart(i); err != nil {
 			t.Fatal(err)
@@ -135,5 +177,160 @@ func TestCrashRecoversBatchedWrites(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Whole chunks or nothing: a write of the cut burst is there exactly
+	// when the log carries the command it rode in, with all its riders.
+	present := map[string]bool{}
+	for w := 0; w < mid; w++ {
+		// Local reads: the linearizable ones above were the barrier.
+		_, present[midKey(w)] = c.Runtime(0).Get(midKey(w))
+	}
+	for k := range acked {
+		if !present[k] {
+			t.Fatalf("acknowledged write %s lost in the crash", k)
+		}
+	}
+	logged, recovered := map[string]bool{}, 0
+	g := c.Runtime(0).Group(0)
+	for slot := 0; slot < g.Applied(); slot++ {
+		v, ok := g.LogValue(slot)
+		if !ok {
+			continue // applied before the crash: the reboot retired it
+		}
+		cmd, err := smr.DecodeCommand(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := cmd.Subs
+		if cmd.Op != smr.OpBatch {
+			subs = []smr.Command{cmd}
+		}
+		if !strings.HasPrefix(subs[0].Key, "mid-") {
+			continue
+		}
+		recovered++
+		for _, sub := range subs {
+			if !present[sub.Key] {
+				t.Fatalf("slot %d recovered %s, but %s of the same chunk is missing", slot, cmd.ID, sub.Key)
+			}
+			logged[sub.Key] = true
+		}
+	}
+	for k, ok := range present {
+		if ok && !logged[k] {
+			t.Fatalf("%s is in the store but in no recovered chunk", k)
+		}
+	}
+	t.Logf("killed %v into the burst with %d chunks in flight; %d came back whole (%d of %d writes)", took, launched, recovered, len(logged), mid)
+}
+
+// spread is spread7's first n regions with delays scaled so that the fast
+// quorum (n−e processes) of process 0 closes in about rtt.
+func spread(t *testing.T, n, e int, rtt time.Duration) (topo wan.Topology, scale float64) {
+	t.Helper()
+	full, err := wan.Preset("spread7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err = full.Prefix(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := time.Duration(topo.QuorumRTT(0, n-e)) * time.Millisecond
+	return topo, float64(rtt) / float64(floor)
+}
+
+// TestPipelinedBatchesOverDistance is the batcher's reason to overlap
+// chunks: with the fast quorum 20 ms away and fsyncs under a millisecond
+// long, a proposer offered four chunks' worth of writers at once commits
+// them in little over one round trip (two if the first writer's chunk of
+// one has to leave the window first), where one chunk per round trip needs
+// four. The chunks must still take slots in the order they were launched.
+func TestPipelinedBatchesOverDistance(t *testing.T) {
+	const (
+		n, writers = 5, 256
+		rtt        = 20 * time.Millisecond
+	)
+	topo, scale := spread(t, n, 2, rtt)
+	c, err := cluster.New(cluster.Options{N: n, F: 2, E: 2, Dir: t.TempDir(), Topology: topo, Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rt := c.Runtime(0)
+	// A lone writer first: the depth comes from measured commits.
+	for i := 0; i < 3; i++ {
+		if err := rt.Put(ctx, "warm", "up"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rt.Group(0).BatchStats(); st.Depth < 2 || st.Overlapped != 0 {
+		t.Fatalf("after a lone writer over a %v round trip: %+v, want depth >= 2 and nothing overlapped", rtt, st)
+	}
+
+	var keys []string
+	for w := 0; w < writers; w++ {
+		keys = append(keys, fmt.Sprintf("k%d", w))
+	}
+	errs := make(chan error, writers)
+	start := time.Now()
+	for _, k := range keys {
+		go func(k string) { errs <- rt.Put(ctx, k, "v"+k) }(k)
+	}
+	for range keys {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	took := time.Since(start)
+	st := rt.Group(0).BatchStats()
+	t.Logf("%d writes acknowledged in %v (%.1f round trips): %+v", writers, took, float64(took)/float64(rtt), st)
+	if limit := 5 * rtt / 2; took > limit && !raceDetector {
+		t.Errorf("%d concurrent writes took %v, want under %v (2.5 round trips)", writers, took, limit)
+	}
+	if st.Overlapped == 0 {
+		t.Errorf("no chunk was launched while another was in flight: %+v", st)
+	}
+
+	if err := c.WaitConverged(keys, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for _, k := range keys {
+			if v, ok := c.Runtime(i).Get(k); !ok || v != "v"+k {
+				t.Fatalf("process %d has %s=%q,%t", i, k, v, ok)
+			}
+		}
+	}
+	// Batch IDs number the launches (p0-batch-<seq>, seq rising); the log
+	// must carry them in that order.
+	last, batches := int64(-1), 0
+	for slot := 0; slot < rt.Group(0).Applied(); slot++ {
+		v, ok := rt.Group(0).LogValue(slot)
+		if !ok {
+			t.Fatalf("slot %d missing from the log", slot)
+		}
+		cmd, err := smr.DecodeCommand(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmd.Op != smr.OpBatch {
+			continue
+		}
+		var seq int64
+		if _, err := fmt.Sscanf(cmd.ID, "p0-batch-%d", &seq); err != nil {
+			t.Fatalf("slot %d: batch id %q: %v", slot, cmd.ID, err)
+		}
+		if seq <= last {
+			t.Fatalf("slot %d carries launch %d after launch %d: chunks out of launch order", slot, seq, last)
+		}
+		last = seq
+		batches++
+	}
+	if batches < writers/64 {
+		t.Fatalf("%d batches in the log for %d writers", batches, writers)
 	}
 }

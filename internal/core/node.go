@@ -249,6 +249,7 @@ func (n *Node) onTwoB(from consensus.ProcessID, m *TwoB) []consensus.Effect {
 // re-announcements follow on the timer (for lossy transports), after which
 // the node goes quiescent.
 func (n *Node) decide(v consensus.Value) []consensus.Effect {
+	v = n.held(v)
 	n.val = v
 	n.decided = v
 	n.rebroadcasts = decidedRebroadcasts
@@ -267,10 +268,28 @@ func (n *Node) onDecide(v consensus.Value) []consensus.Effect {
 	if !n.decided.IsNone() {
 		return nil
 	}
+	v = n.held(v)
 	n.val = v
 	n.decided = v
 	n.rebroadcasts = decidedRebroadcasts
 	return []consensus.Effect{consensus.Decide{Value: v}}
+}
+
+// held returns v as this node already holds it, when it does. A decision
+// is nearly always for the value the node proposed or voted for, but it
+// arrives in another message, decoded into another copy of the payload; a
+// decided instance lives on in its host's log, and keeping the copy it
+// already had instead halves what each one retains.
+func (n *Node) held(v consensus.Value) consensus.Value {
+	switch v {
+	case n.initialVal:
+		return n.initialVal
+	case n.val:
+		return n.val
+	case n.pendingMax:
+		return n.pendingMax
+	}
+	return v
 }
 
 // onOneA handles a leader's request to join a slow ballot (Figure 1, line 19).

@@ -12,11 +12,16 @@ import (
 // SMR (many client operations per protocol round trip). It sits strictly
 // above the replica: the consensus layer sees one value per slot either way.
 //
-// The window is adaptive: a command finding the batcher idle flushes
-// immediately; commands arriving while that flush is in flight accumulate
-// and go out together the moment it completes. This is the classic
-// group-commit heuristic — batch-what-arrives-during-commit — and costs an
-// uncontended client one goroutine handoff, no timer.
+// One flusher goroutine launches chunks; one goroutine per chunk awaits its
+// outcome and wakes its riders. A command finding the batcher idle is
+// launched at once. What arrives while a chunk's local stage runs — its
+// journal fsync and the hand-off of its Propose to the transport — forms
+// the next chunk, and how many chunks may then be in consensus together is
+// pipelineDepth of two durations measured on every chunk. Where a commit is
+// local work (loopback: fsyncs and CPU) the depth is 1 and the window is
+// the whole in-flight commit, the classic group-commit heuristic; where it
+// is mostly distance, chunks overlap and a proposer is not held to one
+// batch per round trip.
 type batcher struct {
 	replica *Replica
 	maxSize int
@@ -24,15 +29,34 @@ type batcher struct {
 	mu       sync.Mutex
 	pending  []Command
 	waiters  []chan error
-	flushing bool
+	flushing bool // the flusher goroutine is running
 	closed   bool
-	batches  uint64 // consensus instances submitted
-	cmds     uint64 // commands carried by them
+	inflight int // chunks launched and not yet resolved
+	// away counts riders the last resolved chunks released that have not
+	// submitted again since: this batcher's own imminent load in a closed
+	// loop. Arrivals count it down and every take forgets the rest.
+	away int
+	// released is when they were released.
+	released time.Time
+	// commit and stage are the smoothed C (launch → applied) and S (launch →
+	// the chunk's outbox entry processed) that set the depth; lastCommit is
+	// the C of the chunk resolved last, which sets the beat.
+	commit, stage, lastCommit time.Duration
 
-	// wg accounts the flusher goroutine. Add happens under mu alongside the
-	// closed check, so close() — which sets closed under mu and then waits —
-	// either sees the Add or prevents the spawn; a flusher that slipped in
-	// after close would otherwise touch a replica being torn down.
+	batches    uint64 // consensus instances submitted
+	cmds       uint64 // commands carried by them
+	overlapped uint64 // instances submitted while another was in flight
+
+	// poke wakes the flusher out of a wait: a chunk resolved, a gather's
+	// early end was reached, the batcher closed. Capacity 1: the flusher
+	// re-checks its condition, so tokens coalesce.
+	poke chan struct{}
+
+	// wg accounts the flusher and the per-chunk goroutines. Every Add
+	// happens under mu alongside the closed check, so close() — which sets
+	// closed under mu and then waits — either sees the Add or prevents the
+	// spawn; a goroutine that slipped in after close would otherwise touch a
+	// replica being torn down.
 	wg sync.WaitGroup
 }
 
@@ -47,7 +71,7 @@ func (r *Replica) EnableAdaptiveBatching(maxSize int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.batch = &batcher{replica: r, maxSize: maxSize}
+	r.batch = &batcher{replica: r, maxSize: maxSize, poke: make(chan struct{}, 1)}
 }
 
 // BatchStats is the batcher's counter surface (expvar, F4b).
@@ -55,6 +79,10 @@ type BatchStats struct {
 	Mode    string `json:"mode"` // off, adaptive
 	Batches uint64 `json:"batches"`
 	Cmds    uint64 `json:"cmds"`
+	// Overlapped counts the batches launched while another was in flight.
+	Overlapped uint64 `json:"overlapped"`
+	// Depth is how many batches may be in flight at once right now.
+	Depth int `json:"depth"`
 }
 
 // BatchStats reports batching mode and counters.
@@ -67,7 +95,46 @@ func (r *Replica) BatchStats() BatchStats {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BatchStats{Mode: "adaptive", Batches: b.batches, Cmds: b.cmds}
+	return BatchStats{
+		Mode: "adaptive", Batches: b.batches, Cmds: b.cmds,
+		Overlapped: b.overlapped, Depth: pipelineDepth(b.commit, b.stage),
+	}
+}
+
+// maxDepth caps the chunks one proposer keeps in consensus at once.
+const maxDepth = 8
+
+// pipelineDepth is how many chunks may be in consensus at once, from the
+// smoothed time a chunk takes to commit (launch → applied) and the part of
+// it that is this process's own work (launch → journal committed and
+// Propose handed to the transport). A ratio, not a window: a commit that is
+// a handful of local stages long (loopback) is best amortised by batching
+// everything behind it, and overlapping there only halves the batches; one
+// that is mostly waiting on distance amortises nothing while it waits.
+// Without a sample of both there is nothing to overlap on.
+func pipelineDepth(commit, stage time.Duration) int {
+	if commit <= 0 || stage <= 0 {
+		return 1
+	}
+	d := commit / (4 * stage)
+	if d < 1 {
+		return 1
+	}
+	if d > maxDepth {
+		return maxDepth
+	}
+	return int(d)
+}
+
+// smooth folds sample x into the moving average *avg (weight 1/8; the first
+// sample seeds it). Unsmoothed, one loopback chunk in ten sees a commit
+// eight times its stage by chance.
+func smooth(avg *time.Duration, x time.Duration) {
+	if *avg == 0 {
+		*avg = x
+		return
+	}
+	*avg += (x - *avg) / 8
 }
 
 // executeBatched enqueues cmd and blocks until its batch is decided and
@@ -84,10 +151,17 @@ func (b *batcher) executeBatched(ctx context.Context, cmd Command) error {
 	b.pending = append(b.pending, cmd)
 	ch := make(chan error, 1)
 	b.waiters = append(b.waiters, ch)
+	back := false
+	if b.away > 0 {
+		b.away--
+		back = b.away == 0
+	}
 	if !b.flushing {
 		b.flushing = true
 		b.wg.Add(1)
 		go b.flushLoop()
+	} else if back || len(b.pending) == b.maxSize {
+		b.pokeFlusher() // what a gather may be waiting for
 	}
 	b.mu.Unlock()
 
@@ -99,106 +173,224 @@ func (b *batcher) executeBatched(ctx context.Context, cmd Command) error {
 	}
 }
 
-// flushLoop drains the queue in maxSize chunks until it is empty, then
-// parks (flushing=false). While one chunk is in consensus, new arrivals
-// accumulate behind it and form the next chunk — the adaptive window is
-// exactly the in-flight commit's duration.
+func (b *batcher) pokeFlusher() {
+	select {
+	case b.poke <- struct{}{}:
+	default:
+	}
+}
+
+// chunk is one launch: up to maxSize commands and their riders.
+type chunk struct {
+	cmds     []Command
+	waiters  []chan error
+	launched time.Time
+	// sent is closed when the chunk's local stage is over: its journal
+	// records committed, its Propose handed to the transport.
+	sent chan struct{}
+}
+
+// flushLoop launches the queue in maxSize chunks until it is empty, then
+// parks (flushing = false).
 func (b *batcher) flushLoop() {
 	defer b.wg.Done()
-	var woke int
-	var lastFlush time.Duration
+	var prev chan struct{} // the previous launch's sent
 	for {
-		if woke > 2 && lastFlush > 0 {
-			// The waiters just released are this batcher's own future load:
-			// give them one beat to resubmit so the next chunk carries them
-			// all. Without it the loop re-collects before they reach the
-			// queue and the population splits into two half-size batches
-			// alternating forever. The beat is a fraction of the commit just
-			// paid, so it never dominates the cycle, and small populations
-			// (woke <= 2) skip it: for them the delay costs more latency
-			// than the one fsync it could merge.
-			gather := lastFlush / 4
-			if gather > time.Millisecond {
-				gather = time.Millisecond
-			}
-			time.Sleep(gather)
-		}
-		cmds, waiters, ok := b.takeChunk()
+		c, ok := b.nextChunk(prev)
 		if !ok {
 			return
 		}
-		start := time.Now()
-		b.flushOne(cmds, waiters)
-		lastFlush = time.Since(start)
-		woke = len(cmds)
+		b.launch(c)
+		prev = c.sent
 	}
 }
 
-// takeChunk detaches up to maxSize pending commands for flushing; when the
-// queue is empty (or the batcher closed) it parks the batcher instead
-// (flushing = false) and reports false.
-func (b *batcher) takeChunk() ([]Command, []chan error, bool) {
+// nextChunk blocks until a chunk may be launched and detaches it, up to
+// maxSize commands; when the queue is empty (or the batcher closed) it
+// parks the batcher instead (flushing = false) and reports false. A chunk
+// may be launched once the window has room for it, the gather beat is over,
+// and the previous launch's local stage (prev) is too — so what arrives
+// during that stage shares the next fsync and the next slot.
+func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := len(b.pending)
-	if n == 0 || b.closed {
-		b.flushing = false
-		return nil, nil, false
+	for b.takeableLocked() && b.inflight >= pipelineDepth(b.commit, b.stage) {
+		b.waitLocked(nil)
 	}
+	if hold, stretch := b.gatherLocked(); stretch > 0 {
+		b.holdLocked(hold, false)
+		b.holdLocked(stretch-hold, true)
+	}
+	if prev != nil && b.takeableLocked() {
+		// Usually over already: the beat ran beside it.
+		b.mu.Unlock()
+		<-prev
+		b.mu.Lock()
+	}
+	if !b.takeableLocked() {
+		b.flushing = false
+		return chunk{}, false
+	}
+	n := len(b.pending)
 	if n > b.maxSize {
 		n = b.maxSize
 	}
-	cmds := b.pending[:n:n]
-	waiters := b.waiters[:n:n]
+	c := chunk{cmds: b.pending[:n:n], waiters: b.waiters[:n:n], launched: time.Now(), sent: make(chan struct{})}
 	b.pending = b.pending[n:]
 	b.waiters = b.waiters[n:]
-	return cmds, waiters, true
+	b.away = 0
+	b.batches++
+	b.cmds += uint64(n)
+	if b.inflight > 0 {
+		b.overlapped++
+	}
+	b.inflight++
+	b.wg.Add(1) // the chunk's goroutine, see launch
+	return c, true
 }
 
-// flushOne replicates one chunk and distributes the outcome to its
-// waiters. A single command skips the OpBatch wrapper entirely, so an
-// uncontended submit replicates exactly what an unbatched Submit would.
-func (b *batcher) flushOne(cmds []Command, waiters []chan error) {
-	var batch Command
-	if len(cmds) == 1 {
-		batch = cmds[0]
-	} else {
-		batch = Command{Op: OpBatch, Subs: cmds}
+// gatherLocked returns how long the flusher should still hold the next
+// chunk back for company: for hold whatever happens, and up to stretch in
+// all while riders a chunk released are still away. The riders just
+// released are this batcher's own future load, and behind a chunk in flight
+// every straggler would otherwise launch a chunk of one: a beat lets the
+// next chunk carry them all. Without it the population splits into ever
+// smaller cohorts that never re-merge. The beat is a quarter of the commit
+// just paid, capped at 1 ms, so it never dominates the cycle: it runs from
+// the release, or from now behind a chunk in flight. Waking a full cohort
+// and hearing back from it takes longer than that, so where 1 ms is little —
+// a commit of 32 ms and more, which is distance — the hold stretches to 1/32
+// of a commit for as long as someone released is missing. A full chunk does
+// not wait, and neither does a small idle population (away <= 2, nothing in
+// flight): for it the delay costs more latency than the one fsync it could
+// merge.
+func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
+	if !b.gatherableLocked() {
+		return 0, 0
+	}
+	beat := b.lastCommit / 4
+	if beat > time.Millisecond {
+		beat = time.Millisecond
+	}
+	if b.away > 2 {
+		since := time.Since(b.released)
+		hold, stretch = beat-since, b.lastCommit/32-since
+	}
+	if b.inflight > 0 && hold < beat {
+		hold = beat
+	}
+	if hold < 0 {
+		hold = 0
+	}
+	if stretch < hold {
+		stretch = hold
+	}
+	return hold, stretch
+}
+
+// holdLocked holds the next chunk back for d, or until it is full; with
+// untilBack, also only until every rider released is back.
+func (b *batcher) holdLocked(d time.Duration, untilBack bool) {
+	if d <= 0 {
+		return
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for b.gatherableLocked() && !(untilBack && b.away == 0) && b.waitLocked(timer.C) {
+	}
+}
+
+// gatherableLocked reports whether the next chunk could still grow.
+func (b *batcher) gatherableLocked() bool {
+	return b.takeableLocked() && len(b.pending) < b.maxSize
+}
+
+// takeableLocked reports whether there is anything to launch.
+func (b *batcher) takeableLocked() bool { return len(b.pending) > 0 && !b.closed }
+
+// waitLocked releases b.mu until the flusher is poked or timeout fires
+// (false). A nil timeout never fires.
+func (b *batcher) waitLocked(timeout <-chan time.Time) bool {
+	b.mu.Unlock()
+	defer b.mu.Lock()
+	select {
+	case <-b.poke:
+		return true
+	case <-timeout:
+		return false
+	}
+}
+
+// launch proposes one chunk and hands it to its own goroutine, which
+// awaits the outcome. A single command skips the OpBatch wrapper entirely,
+// so an uncontended submit replicates exactly what an unbatched Submit
+// would. Proposing here, on the flusher, is what puts chunks into slots in
+// launch order.
+func (b *batcher) launch(c chunk) {
+	r := b.replica
+	batch := c.cmds[0]
+	if len(c.cmds) > 1 {
+		batch = Command{Op: OpBatch, Subs: c.cmds}
 		// The batch needs its own unique ID (sub-IDs are already unique,
 		// but the batch value must be distinguishable as a whole).
-		b.replica.mu.Lock()
-		b.replica.seq++
-		batch.ID = fmt.Sprintf("%s-batch-%d", b.replica.cfg.ID, b.replica.seq)
-		b.replica.mu.Unlock()
+		r.mu.Lock()
+		r.seq++
+		batch.ID = fmt.Sprintf("%s-batch-%d", r.cfg.ID, r.seq)
+		r.mu.Unlock()
 	}
-	b.mu.Lock()
-	b.batches++
-	b.cmds += uint64(len(cmds))
-	b.mu.Unlock()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	slot, err := b.replica.Execute(ctx, batch)
+	want, err := batch.Encode()
+	var p proposal
 	if err == nil {
-		err = b.replica.WaitApplied(ctx, slot)
+		p, err = r.propose(batch.Op, want, -1, c.sent)
 	}
-	if err == nil && b.replica.takeFenced(slot) {
-		// Same downgrade as Submit: the chunk applied, but a concurrent
-		// leaseholder may not have observed it, so the ack must stay
-		// ambiguous rather than definite.
-		err = ErrLeaseFenced
+	if err != nil {
+		close(c.sent)
+		b.resolve(c, err)
+		return
 	}
-	for _, ch := range waiters {
+	go func() {
+		// The outbox is FIFO: the decision's wakeup is behind sent.
+		<-c.sent
+		b.mu.Lock()
+		smooth(&b.stage, time.Since(c.launched))
+		b.mu.Unlock()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		slot, err := r.await(ctx, batch.Op, want, p)
+		if err == nil {
+			// ErrLeaseFenced is the same downgrade as Submit's: the chunk
+			// applied, but a concurrent leaseholder may not have observed it.
+			err = r.acked(ctx, slot)
+		}
+		b.resolve(c, err)
+	}()
+}
+
+// resolve retires a chunk from the window and distributes its outcome to
+// its riders — in that order, so a rider that submits again at once is
+// counted as back.
+func (b *batcher) resolve(c chunk, err error) {
+	defer b.wg.Done()
+	b.mu.Lock()
+	b.inflight--
+	if err == nil {
+		b.released = time.Now()
+		b.lastCommit = b.released.Sub(c.launched)
+		smooth(&b.commit, b.lastCommit)
+		b.away += len(c.cmds)
+	}
+	b.pokeFlusher()
+	b.mu.Unlock()
+	for _, ch := range c.waiters {
 		ch <- err
 	}
 }
 
-// close fails the queued waiters and waits for the flusher goroutine to
-// exit; chunks already detached by an in-flight flush report their own
-// outcome (the replica is marked closed before close is called, so those
-// flushes fail fast in Execute). Waiting outside b.mu is essential: an
-// in-flight flusher takes the lock to detach its chunk or park, and must
-// not deadlock against its own reaper.
+// close fails the queued waiters and waits for the flusher and every chunk
+// in flight; those report their own outcome (the replica is marked closed
+// before close is called, so they fail fast). Waiting outside b.mu is
+// essential: the goroutines waited for take the lock to detach a chunk,
+// park or retire, and must not deadlock against their own reaper.
 func (b *batcher) close() {
 	b.mu.Lock()
 	b.closed = true
@@ -206,6 +398,7 @@ func (b *batcher) close() {
 		ch <- ErrClosed
 	}
 	b.pending, b.waiters = nil, nil
+	b.pokeFlusher()
 	b.mu.Unlock()
 	b.wg.Wait()
 }

@@ -38,27 +38,49 @@ func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 	}
 }
 
-// holdFirstFlush cuts every mesh link and submits one write, returning once
-// that write's flush is in consensus. Until release heals the mesh, every
-// later submit queues behind the stuck flush, so the test decides exactly
-// what the following chunks carry; release then waits for the held write
-// (the protocol's own retransmission completes it).
-func holdFirstFlush(t *testing.T, mesh *cluster.Fabric, r *smr.Replica) (release func()) {
+// holdWindow cuts every mesh link and fills the batcher's window: it
+// submits one write per chunk the window admits — one for the batcher as it
+// boots, smr.MaxBatchDepth once pipelined — and returns when they are all
+// in consensus. Until release heals the mesh, every later submit queues
+// behind the stuck chunks, so the test decides exactly what the following
+// chunks carry; release then waits for the held writes (the protocol's own
+// retransmission completes them).
+func holdWindow(t *testing.T, mesh *cluster.Fabric, r *smr.Replica, pipelined bool) (release func()) {
 	t.Helper()
 	mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 		return transport.FaultVerdict{Drop: true}
 	})
+	chunks := 1
+	if pipelined {
+		r.PipelineBatches()
+		chunks = smr.MaxBatchDepth
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	held := make(chan error, 1)
-	go func() { held <- smr.NewKV(r).Put(ctx, "held", "v") }()
-	waitFor(t, "the first flush to start", func() bool { return r.BatchStats().Batches == 1 })
+	held := make(chan error, chunks)
+	for i := 0; i < chunks; i++ {
+		i := i
+		go func() { held <- smr.NewKV(r).Put(ctx, fmt.Sprintf("held%d", i), "v") }()
+		// One at a time, so each is a chunk of its own.
+		waitFor(t, "a held chunk to launch", func() bool { return r.BatchInflight() == i+1 })
+	}
 	return func() {
 		t.Helper()
 		defer cancel()
 		mesh.SetFault(nil)
-		if err := <-held; err != nil {
-			t.Fatalf("held write after heal: %v", err)
+		for i := 0; i < chunks; i++ {
+			if err := <-held; err != nil {
+				t.Fatalf("held write after heal: %v", err)
+			}
 		}
+	}
+}
+
+// eachWindow runs test against the batcher as it boots — one chunk at a
+// time — and pipelined to its full depth.
+func eachWindow(t *testing.T, test func(t *testing.T, pipelined bool)) {
+	for _, pipelined := range []bool{false, true} {
+		pipelined := pipelined
+		t.Run(fmt.Sprintf("pipelined=%t", pipelined), func(t *testing.T) { test(t, pipelined) })
 	}
 }
 
@@ -129,132 +151,154 @@ func TestBatchIdleFlushHonorsCallerContext(t *testing.T) {
 // error at the deadline, but the command is already queued: the chunk must
 // still commit, the other rider of the same chunk must succeed, and the
 // abandoned waiter channel (capacity 1, ahead of the rider's in the chunk)
-// must absorb the late result without blocking the flusher.
+// must absorb the late result without blocking the chunk's goroutine — with
+// one chunk in flight ahead of it, or a full window of them.
 func TestBatchCtxCancelMidBatch(t *testing.T) {
-	c := newTestCluster(t, 3, 1, 1, procOptions{})
-	replicas := c.replicas()
-	kv := smr.NewKV(replicas[0])
-	release := holdFirstFlush(t, c.fab, replicas[0])
+	eachWindow(t, func(t *testing.T, pipelined bool) {
+		c := newTestCluster(t, 3, 1, 1, procOptions{})
+		replicas := c.replicas()
+		kv := smr.NewKV(replicas[0])
+		release := holdWindow(t, c.fab, replicas[0], pipelined)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := kv.Put(ctx, "late", "v"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("abandoning caller returned after %v, want ~50ms", waited)
-	}
-	long, cancelLong := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancelLong()
-	rider := make(chan error, 1)
-	go func() { rider <- kv.Put(long, "rider", "v") }()
-	waitFor(t, "the rider to queue behind late", func() bool { return replicas[0].BatchQueued() == 2 })
-	release()
-
-	if err := <-rider; err != nil {
-		t.Fatalf("rider of the abandoned caller's chunk failed: %v", err)
-	}
-	if _, ok := kv.Get("late"); !ok {
-		t.Fatal("abandoned command never committed")
-	}
-	keys := chunkKeys(t, replicas[0])
-	shared := false
-	for _, ks := range keys {
-		if len(ks) == 2 && ks[0] == "late" && ks[1] == "rider" {
-			shared = true
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		if err := kv.Put(ctx, "late", "v"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want deadline exceeded", err)
 		}
-	}
-	if !shared {
-		t.Fatalf("late and rider did not share a chunk: slots carry %v", keys)
-	}
+		if waited := time.Since(start); waited > time.Second {
+			t.Fatalf("abandoning caller returned after %v, want ~50ms", waited)
+		}
+		long, cancelLong := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancelLong()
+		rider := make(chan error, 1)
+		go func() { rider <- kv.Put(long, "rider", "v") }()
+		waitFor(t, "the rider to queue behind late", func() bool { return replicas[0].BatchQueued() == 2 })
+		release()
+
+		if err := <-rider; err != nil {
+			t.Fatalf("rider of the abandoned caller's chunk failed: %v", err)
+		}
+		if _, ok := kv.Get("late"); !ok {
+			t.Fatal("abandoned command never committed")
+		}
+		keys := chunkKeys(t, replicas[0])
+		shared := false
+		for _, ks := range keys {
+			if len(ks) == 2 && ks[0] == "late" && ks[1] == "rider" {
+				shared = true
+			}
+		}
+		if !shared {
+			t.Fatalf("late and rider did not share a chunk: slots carry %v", keys)
+		}
+	})
 }
 
-// Close racing an in-flight flush: every submission resolves (either
-// applied or ErrClosed), nothing deadlocks, nothing panics.
+// Close racing chunks in flight: every submission resolves (either applied
+// or ErrClosed), nothing deadlocks, nothing panics. Pipelined, the writers
+// are several chunks' worth and Close finds them launched, queued and
+// resolving at once.
 func TestBatchCloseRacesFlush(t *testing.T) {
-	c := newTestCluster(t, 3, 1, 1, procOptions{})
-	kv := smr.NewKV(c.replicas()[0])
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const writers = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for i := 0; i < writers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- kv.Put(ctx, fmt.Sprintf("c%d", i), "v")
-		}()
-	}
-	time.Sleep(2 * time.Millisecond)
-	c.close() // closes every process while writes are in flight
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil && !errors.Is(err, smr.ErrClosed) {
-			t.Fatalf("unexpected error: %v", err)
+	eachWindow(t, func(t *testing.T, pipelined bool) {
+		c := newTestCluster(t, 3, 1, 1, procOptions{})
+		kv := smr.NewKV(c.replicas()[0])
+		writers := 24
+		if pipelined {
+			c.replicas()[0].PipelineBatches()
+			writers = 200
 		}
-	}
+
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for i := 0; i < writers; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs <- kv.Put(ctx, fmt.Sprintf("c%d", i), "v")
+			}()
+		}
+		time.Sleep(2 * time.Millisecond)
+		c.close() // closes every process while writes are in flight
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil && !errors.Is(err, smr.ErrClosed) {
+				t.Fatalf("unexpected error: %v", err)
+			}
+		}
+		if n := c.replicas()[0].BatchInflight(); n != 0 {
+			t.Fatalf("%d chunks still in flight after close", n)
+		}
+	})
 }
 
 // maxSize is a hard cap: an overflowing queue is split into several
 // batches, each at most maxSize commands (64, the size every runtime's
-// groups batch with), and none are lost.
+// groups batch with), and none are lost — launched one after the other, or
+// overlapped as the window frees up.
 func TestBatchMaxSizeOverflowSplits(t *testing.T) {
-	c := newTestCluster(t, 3, 1, 1, procOptions{})
-	replicas := c.replicas()
-	const maxSize = 64
-	kv := smr.NewKV(replicas[0])
-	release := holdFirstFlush(t, c.fab, replicas[0])
+	eachWindow(t, func(t *testing.T, pipelined bool) {
+		c := newTestCluster(t, 3, 1, 1, procOptions{})
+		replicas := c.replicas()
+		const maxSize = 64
+		kv := smr.NewKV(replicas[0])
+		release := holdWindow(t, c.fab, replicas[0], pipelined)
+		held := replicas[0].BatchInflight()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const writers = maxSize + 10
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	for i := 0; i < writers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := kv.Put(ctx, fmt.Sprintf("s%d", i), "v"); err != nil {
-				errs <- err
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		const writers = 2*maxSize + 10
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for i := 0; i < writers; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := kv.Put(ctx, fmt.Sprintf("s%d", i), "v"); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		waitFor(t, "the writers to pile up behind the held window", func() bool { return replicas[0].BatchQueued() == writers })
+		release()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		for i := 0; i < writers; i++ {
+			if _, ok := kv.Get(fmt.Sprintf("s%d", i)); !ok {
+				t.Fatalf("s%d missing", i)
 			}
-		}()
-	}
-	waitFor(t, "the writers to pile up behind the held flush", func() bool { return replicas[0].BatchQueued() == writers })
-	release()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	for i := 0; i < writers; i++ {
-		if _, ok := kv.Get(fmt.Sprintf("s%d", i)); !ok {
-			t.Fatalf("s%d missing", i)
 		}
-	}
-	keys := chunkKeys(t, replicas[0])
-	total, full := 0, 0
-	for slot, ks := range keys {
-		if len(ks) > maxSize {
-			t.Fatalf("slot %d batch has %d commands, cap %d", slot, len(ks), maxSize)
+		keys := chunkKeys(t, replicas[0])
+		total, full := 0, 0
+		for slot, ks := range keys {
+			if len(ks) > maxSize {
+				t.Fatalf("slot %d batch has %d commands, cap %d", slot, len(ks), maxSize)
+			}
+			if len(ks) == maxSize {
+				full++
+			}
+			total += len(ks)
 		}
-		if len(ks) == maxSize {
-			full++
+		if total != writers+held {
+			t.Fatalf("log carries %d commands, want %d", total, writers+held)
 		}
-		total += len(ks)
-	}
-	if total != writers+1 {
-		t.Fatalf("log carries %d commands, want %d", total, writers+1)
-	}
-	if full == 0 {
-		t.Fatalf("no full batch among %v: the queue never overflowed maxSize", keys)
-	}
-	if st := replicas[0].BatchStats(); st.Cmds != writers+1 {
-		t.Fatalf("stats cmds = %d, want %d", st.Cmds, writers+1)
-	}
+		if full < 2 {
+			t.Fatalf("%d full batches among %v: the queue never overflowed maxSize", full, keys)
+		}
+		st := replicas[0].BatchStats()
+		if st.Cmds != uint64(writers+held) {
+			t.Fatalf("stats cmds = %d, want %d", st.Cmds, writers+held)
+		}
+		if pipelined && st.Overlapped < uint64(held) {
+			t.Fatalf("stats = %+v: the overflow was not launched into an open window", st)
+		}
+	})
 }

@@ -1,9 +1,10 @@
 package smr_test
 
 // Micro-benchmarks for the replication hot path: command encoding, slot
-// wrapping, and the end-to-end submit pipeline. Run with
+// wrapping (slotwrap_bench_test.go), the end-to-end submit pipeline, and
+// the batcher over distance. Run with
 //
-//	go test -bench 'CommandEncode|SlotWrap|ReplicaPipeline' -benchmem ./internal/smr/
+//	go test -bench 'CommandEncode|SlotWrap|ReplicaPipeline|BatcherDistance' -benchmem ./internal/smr/
 //
 // The encode benchmarks exist to keep allocs/op honest: the pooled codec
 // work (consensus.MarshalPooled, hand-spliced envelopes) is only worth its
@@ -16,8 +17,8 @@ import (
 	"time"
 
 	"repro/internal/consensus"
-	"repro/internal/core"
 	"repro/internal/smr"
+	"repro/internal/transport"
 )
 
 // BenchmarkCommandEncode measures Command → consensus.Value encoding (one
@@ -29,28 +30,6 @@ func BenchmarkCommandEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cmd.Encode(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSlotWrap measures wrapping an inner core message into its
-// slot-addressed wire frame (pooled inner marshal + spliced SlotMessage +
-// spliced outer envelope) — the encode path every inter-replica protocol
-// message takes.
-func BenchmarkSlotWrap(b *testing.B) {
-	codec := consensus.NewCodec()
-	smr.RegisterMessages(codec)
-	inner := &core.OneB{Ballot: 7, VBal: 3, Val: consensus.IntValue(42), Proposer: 2, Decided: consensus.None}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body, err := consensus.MarshalPooled(inner)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sm := &smr.SlotMessage{Slot: 12345, InnerKind: inner.Kind(), InnerBody: body}
-		if _, err := codec.Encode(sm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,4 +51,47 @@ func BenchmarkReplicaPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBatcherDistance is one proposer offered more writers than a
+// chunk holds, a 20 ms round trip (10 ms each way, injected on the Mesh)
+// from its peers: an iteration is 256 concurrent writes, and cmds/roundtrip
+// is how many of them commit per round trip of elapsed time. A batcher with
+// one chunk in consensus at a time cannot exceed its chunk size, 64.
+func BenchmarkBatcherDistance(b *testing.B) {
+	const (
+		submitters = 256
+		oneWay     = 10 * time.Millisecond
+	)
+	// Δ = 10 ticks must outlast the round trip, or every ballot times out.
+	c := newTestCluster(b, 3, 1, 1, procOptions{tick: 5 * time.Millisecond})
+	c.fab.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+		return transport.FaultVerdict{Delay: oneWay}
+	})
+	kv := smr.NewKV(c.replicas()[0])
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	// The depth is measured, not configured: let a lone writer's commits
+	// tell the batcher how far away its quorum is.
+	for i := 0; i < 3; i++ {
+		if err := kv.Put(ctx, "warm", "up"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	errs := make(chan error, submitters)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for w := 0; w < submitters; w++ {
+			go func(w int) { errs <- kv.Put(ctx, fmt.Sprintf("k%d", w), "v") }(w)
+		}
+		for w := 0; w < submitters; w++ {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	roundTrips := float64(b.Elapsed()) / float64(2*oneWay)
+	b.ReportMetric(float64(b.N*submitters)/roundTrips, "cmds/roundtrip")
+	st := c.replicas()[0].BatchStats()
+	b.ReportMetric(float64(st.Cmds)/float64(st.Batches), "cmds/batch")
 }

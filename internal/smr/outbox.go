@@ -65,11 +65,12 @@ func (w wakeup) fire(ok bool) {
 // msgs leave or wake fires (0: no durability dependency — no WAL, or a
 // policy that does not sync on the hot path). Producers do NOT wait for
 // their own entry — the pipeline is asynchronous, which is what lets
-// entries pile up behind an in-flight fsync and share the next one. done
-// is nil on hot-path entries; Replica.SyncIO enqueues a sentinel entry
-// whose done channel the consumer closes once everything ahead of it
-// (FIFO) has been committed, sent, and woken — a barrier for callers that
-// need a step's effects externally visible.
+// entries pile up behind an in-flight fsync and share the next one. done,
+// when non-nil, is closed once the entry and everything ahead of it (FIFO)
+// has been committed, sent, and woken: the batcher hangs one on each
+// chunk's proposal to time its local stage (emitDoneLocked), and
+// Replica.SyncIO enqueues a sentinel entry carrying nothing else — a
+// barrier for callers that need a step's effects externally visible.
 type outboxEntry struct {
 	r      *Replica
 	walIdx uint64

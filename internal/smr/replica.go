@@ -353,7 +353,7 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 			// Decided slot that never ran an instance here (or lost it to
 			// a restart): answer with the decision rather than spinning up
 			// a fresh — amnesiac — instance.
-			out = wrapSlot(s.n, from, &core.DecideMsg{Value: s.val})
+			out = wrapSlot(s.n, &core.DecideMsg{Value: s.val}).sendTo(from)
 			break
 		}
 		inner, err := r.inner.DecodeBody(m.InnerKind, m.InnerBody)
@@ -487,8 +487,8 @@ func (r *Replica) retireBelowLocked(floor int) int {
 
 // Submit replicates cmd and returns once it is decided and applied at this
 // replica, or when ctx is done (the command may still commit afterwards).
-// With EnableAdaptiveBatching, Submits arriving while another is in
-// consensus are grouped into one instance.
+// With EnableAdaptiveBatching, Submits arriving together are grouped into
+// one instance (see batcher).
 func (r *Replica) Submit(ctx context.Context, cmd Command) error {
 	r.mu.Lock()
 	if cmd.ID == "" {
@@ -504,16 +504,7 @@ func (r *Replica) Submit(ctx context.Context, cmd Command) error {
 	if err != nil {
 		return err
 	}
-	if err := r.WaitApplied(ctx, slot); err != nil {
-		return err
-	}
-	if r.takeFenced(slot) {
-		// Decided and applied — but a lease grant in an earlier slot beat
-		// it there, so the holder may have served reads that miss it. The
-		// ack is downgraded to ambiguous (see ErrLeaseFenced).
-		return ErrLeaseFenced
-	}
-	return nil
+	return r.acked(ctx, slot)
 }
 
 // Execute proposes cmd and blocks until a slot decides it, returning the
@@ -529,46 +520,92 @@ func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := -1
-	for {
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return 0, ErrClosed
-		}
-		if cmd.Op != OpLeaseGrant {
-			// Pre-propose lease gate (definite refusal with holder hint);
-			// re-checked per retry — a grant can apply between rounds.
-			if err := r.leaseRefuseLocked(); err != nil {
-				r.mu.Unlock()
-				return 0, err
-			}
-		}
-		n = r.nextFreeSlotLocked(n)
-		s := r.instanceLocked(n)
-		if n >= r.propHint {
-			r.propHint = n + 1
-		}
-		out := r.applySlotLocked(s, s.node.Propose(want))
-		if !r.persistSlotLocked(s) {
-			r.mu.Unlock()
-			return 0, ErrClosed
-		}
-		ch := make(chan consensus.Value, 1)
-		s.waiters = append(s.waiters, ch)
-		r.emitLocked(out)
-		r.mu.Unlock()
+	p, err := r.propose(cmd.Op, want, -1, nil)
+	if err != nil {
+		return 0, err
+	}
+	return r.await(ctx, cmd.Op, want, p)
+}
 
+// proposal is one value proposed in one slot: what propose hands to await.
+type proposal struct {
+	slot int
+	// decided receives the slot's decision, or is closed if the replica
+	// halts first.
+	decided chan consensus.Value
+}
+
+// propose is Execute's first half, in memory under r.mu: it picks the
+// smallest free slot after prev, proposes want there, journals the step and
+// emits it — and waits for none of that I/O, so a caller that proposes
+// again at once (the batcher's flusher) takes slots in call order. sent,
+// when non-nil, is closed once the step's outbox entry has been processed:
+// its journal records committed, the Propose handed to the transport. On an
+// error nothing was proposed and sent is never closed.
+func (r *Replica) propose(op Op, want consensus.Value, prev int, sent chan struct{}) (proposal, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return proposal{}, ErrClosed
+	}
+	if op != OpLeaseGrant {
+		// Pre-propose lease gate (definite refusal with holder hint);
+		// re-checked per retry — a grant can apply between rounds.
+		if err := r.leaseRefuseLocked(); err != nil {
+			return proposal{}, err
+		}
+	}
+	n := r.nextFreeSlotLocked(prev)
+	s := r.instanceLocked(n)
+	if n >= r.propHint {
+		r.propHint = n + 1
+	}
+	out := r.applySlotLocked(s, s.node.Propose(want))
+	if !r.persistSlotLocked(s) {
+		return proposal{}, ErrClosed
+	}
+	ch := make(chan consensus.Value, 1)
+	s.waiters = append(s.waiters, ch)
+	r.emitDoneLocked(out, sent)
+	return proposal{slot: n, decided: ch}, nil
+}
+
+// await is Execute's second half: it blocks until p's slot decides and
+// returns the slot want won, proposing again in a later slot for as long
+// as a competing command wins instead.
+func (r *Replica) await(ctx context.Context, op Op, want consensus.Value, p proposal) (int, error) {
+	for {
 		select {
-		case v := <-ch:
+		case v := <-p.decided:
 			if v == want {
-				return n, nil
+				return p.slot, nil
 			}
-			// A competing command won this slot; try the next.
+			// A competing command won this slot (or the replica halted and
+			// propose says so); try the next.
 		case <-ctx.Done():
 			return 0, fmt.Errorf("smr execute: %w", ctx.Err())
 		}
+		var err error
+		if p, err = r.propose(op, want, p.slot, nil); err != nil {
+			return 0, err
+		}
 	}
+}
+
+// acked is what an acknowledgement needs on top of the decision await
+// returned: the slot applied to the local store, and its fenced mark
+// collected.
+func (r *Replica) acked(ctx context.Context, slot int) error {
+	if err := r.WaitApplied(ctx, slot); err != nil {
+		return err
+	}
+	if r.takeFenced(slot) {
+		// Decided and applied — but a lease grant in an earlier slot beat
+		// it there, so the holder may have served reads that miss it. The
+		// ack is downgraded to ambiguous (see ErrLeaseFenced).
+		return ErrLeaseFenced
+	}
+	return nil
 }
 
 // decidedLocked reports whether slot n's decision is known here.
@@ -760,12 +797,18 @@ func (r *Replica) applySlotLocked(s *slot, effects []consensus.Effect) []outboun
 		case consensus.Send:
 			out = append(out, r.slotSendLocked(s, eff.To, eff.Msg)...)
 		case consensus.Broadcast:
+			// One marshal for every destination: the wire form is immutable.
+			wire := wrapSlot(s.n, eff.Msg)
 			for i := 0; i < r.cfg.N; i++ {
 				to := consensus.ProcessID(i)
-				if to == r.cfg.ID && !eff.Self {
-					continue
+				switch {
+				case to == r.cfg.ID:
+					if eff.Self {
+						out = append(out, r.slotSendLocked(s, to, eff.Msg)...)
+					}
+				case wire != nil:
+					out = append(out, outbound{to: to, msg: wire})
 				}
-				out = append(out, r.slotSendLocked(s, to, eff.Msg)...)
 			}
 		case consensus.StartTimer:
 			id := eff.Timer
@@ -792,17 +835,27 @@ func (r *Replica) slotSendLocked(s *slot, to consensus.ProcessID, msg consensus.
 	if to == r.cfg.ID {
 		return r.applySlotLocked(s, s.node.Deliver(r.cfg.ID, msg))
 	}
-	return wrapSlot(s.n, to, msg)
+	return wrapSlot(s.n, msg).sendTo(to)
 }
 
 // wrapSlot encodes an inner core message for slot n into its SlotMessage
-// wire form: one marshal of the inner body, no envelope round trip.
-func wrapSlot(n int, to consensus.ProcessID, msg consensus.Message) []outbound {
+// wire form: one marshal of the inner body, no envelope round trip. The
+// result is never written again, so one broadcast shares it between its
+// destinations. nil (send nothing) if the body does not marshal.
+func wrapSlot(n int, msg consensus.Message) *SlotMessage {
 	body, err := consensus.MarshalPooled(msg)
 	if err != nil {
 		return nil
 	}
-	return []outbound{{to: to, msg: &SlotMessage{Slot: n, InnerKind: msg.Kind(), InnerBody: body}}}
+	return &SlotMessage{Slot: n, InnerKind: msg.Kind(), InnerBody: body}
+}
+
+// sendTo addresses the wrapped message to one process.
+func (m *SlotMessage) sendTo(to consensus.ProcessID) []outbound {
+	if m == nil {
+		return nil
+	}
+	return []outbound{{to: to, msg: m}}
 }
 
 // decideLocked records a slot decision, applies ready commands, and wakes
@@ -960,10 +1013,14 @@ func (r *Replica) applyDetectorLocked(effects []consensus.Effect) []outbound {
 // each step on its own entry's completion; it serialized every protocol
 // hop behind a full fsync and benchmarked 4× slower than the in-lock
 // baseline at 8 clients.)
-func (r *Replica) emitLocked(out []outbound) {
+func (r *Replica) emitLocked(out []outbound) { r.emitDoneLocked(out, nil) }
+
+// emitDoneLocked is emitLocked with a completion hook: done, when non-nil,
+// is closed once the step's entry has been processed (outboxEntry.done).
+func (r *Replica) emitDoneLocked(out []outbound, done chan struct{}) {
 	wakes := r.wakes
 	r.wakes = nil
-	if len(out) == 0 && len(wakes) == 0 {
+	if len(out) == 0 && len(wakes) == 0 && done == nil {
 		return
 	}
 	var idx uint64
@@ -978,7 +1035,7 @@ func (r *Replica) emitLocked(out []outbound) {
 			}
 		}
 	}
-	r.io.enqueue(outboxEntry{r: r, walIdx: idx, msgs: out, wake: wakes})
+	r.io.enqueue(outboxEntry{r: r, walIdx: idx, msgs: out, wake: wakes, done: done})
 }
 
 // SyncIO is a barrier: it blocks until every protocol step emitted before

@@ -20,7 +20,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var buf bytes.Buffer
-		err := writeFrame(&buf, payload)
+		// As TCP.Send builds it: the payload behind a reserved header.
+		frame := append(make([]byte, frameHeaderLen, frameHeaderLen+len(payload)), payload...)
+		err := writeFrame(&buf, frame)
 		if len(payload) > maxFrame {
 			if !errors.Is(err, ErrOversize) {
 				t.Fatalf("writeFrame(%d bytes) = %v, want ErrOversize", len(payload), err)
@@ -45,4 +47,34 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("round trip changed payload: wrote %d bytes, read %d", len(payload), len(got))
 		}
 	})
+}
+
+// writeCounter records how a frame reached the wire.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// A frame is one Write — header and payload in one syscall and, with
+// TCP_NODELAY, one segment — and what Stats counts for it is what the
+// receiver reads: the payload plus the length prefix.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	payload := []byte(`{"from":0,"msg":{}}`)
+	var w writeCounter
+	if err := writeFrame(&w, append(make([]byte, frameHeaderLen), payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 || w.Len() != frameHeaderLen+len(payload) {
+		t.Fatalf("%d writes of %d bytes in all, want 1 write of %d", w.writes, w.Len(), frameHeaderLen+len(payload))
+	}
+	var scratch []byte
+	got, err := readFrame(&w, &scratch)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back %q, %v", got, err)
+	}
 }

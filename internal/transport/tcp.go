@@ -127,8 +127,9 @@ type TCP struct {
 
 var _ Transport = (*TCP)(nil)
 
-// tcpQueued is one outbound frame plus its earliest write instant (zero
-// when no LinkDelay is configured).
+// tcpQueued is one outbound frame — payload behind its reserved length
+// prefix — plus its earliest write instant (zero when no LinkDelay is
+// configured).
 type tcpQueued struct {
 	frame []byte
 	due   time.Time
@@ -301,15 +302,17 @@ func (t *TCP) Send(to consensus.ProcessID, msg consensus.Message) error {
 	if err != nil {
 		return fmt.Errorf("tcp send: %w", err)
 	}
-	frame := make([]byte, 0, len(`{"from":,"msg":}`)+20+len(body))
+	// The length prefix is reserved ahead of the payload, so the writer
+	// emits header and body in one Write (see writeFrame).
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(`{"from":,"msg":}`)+20+len(body))
 	frame = append(frame, `{"from":`...)
 	frame = strconv.AppendInt(frame, int64(t.self), 10)
 	frame = append(frame, `,"msg":`...)
 	frame = append(frame, body...)
 	frame = append(frame, '}')
-	if len(frame) > maxFrame {
+	if size := len(frame) - frameHeaderLen; size > maxFrame {
 		t.stats.drop(DropOversize, to)
-		return fmt.Errorf("tcp send to %s: %d-byte frame: %w", to, len(frame), ErrOversize)
+		return fmt.Errorf("tcp send to %s: %d-byte frame: %w", to, size, ErrOversize)
 	}
 	p, err := t.peer(to)
 	if err != nil {
@@ -406,7 +409,7 @@ func (t *TCP) writeOne(p *tcpPeer, frame []byte, rng *rand.Rand) {
 		t.stats.drop(DropConn, p.id)
 		return
 	}
-	t.stats.sent(frameHeaderLen + len(frame))
+	t.stats.sent(len(frame))
 }
 
 // dialPeer attempts one connection to p's current address. It fails
@@ -571,17 +574,17 @@ func readFrame(r io.Reader, scratch *[]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// writeFrame emits one length-prefixed frame, refusing sizes the receiving
-// side's readFrame would reject (which would poison the connection there).
+// writeFrame emits one length-prefixed frame in a single Write — one
+// syscall and one segment on a TCP_NODELAY socket. frame is the payload
+// behind frameHeaderLen reserved bytes, which are filled in here. Sizes the
+// receiving side's readFrame would reject (which would poison the connection
+// there) are refused.
 func writeFrame(w io.Writer, frame []byte) error {
-	if len(frame) > maxFrame {
-		return fmt.Errorf("frame of %d bytes: %w", len(frame), ErrOversize)
+	size := len(frame) - frameHeaderLen
+	if size > maxFrame {
+		return fmt.Errorf("frame of %d bytes: %w", size, ErrOversize)
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	binary.BigEndian.PutUint32(frame[:frameHeaderLen], uint32(size))
 	_, err := w.Write(frame)
 	return err
 }

@@ -131,6 +131,18 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCount(t, c0, 1)
+
+	// Both sides count the same wire bytes for a frame: prefix and payload.
+	// (The writer counts after its Write returns: give it a moment.)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		sent, recv := t0.Stats().BytesSent, t1.Stats().BytesRecv
+		if sent != 0 && sent == recv {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("p0 sent %d bytes, p1 received %d", sent, recv)
+		}
+	}
 }
 
 func TestTCPReconnectAfterPeerRestart(t *testing.T) {

@@ -157,6 +157,28 @@ func (t Topology) OneWayDelay(i, j int, scale float64) time.Duration {
 	return time.Duration(float64(t.RTTBetween(i, j)) / 2 * scale * float64(time.Millisecond))
 }
 
+// MaxOneWayDelay returns the largest scaled one-way latency between any two
+// replica slots.
+func (t Topology) MaxOneWayDelay(scale float64) time.Duration {
+	var max time.Duration
+	for i := range t.Slots {
+		for j := range t.Slots {
+			if d := t.OneWayDelay(i, j, scale); d > max {
+				max = d
+			}
+		}
+	}
+	return max
+}
+
+// Delta returns the protocol's Δ, in ticks of one millisecond, for a
+// cluster on this topology: three times the largest scaled round trip plus
+// 100. Δ must dominate the round trip so that no protocol timer — and hence
+// no recovery ballot — fires on a healthy run.
+func (t Topology) Delta(scale float64) consensus.Duration {
+	return consensus.Duration(3*(2*t.MaxOneWayDelay(scale)/time.Millisecond) + 100)
+}
+
 // Prefix returns the topology restricted to its first n slots (deployment
 // order), for protocols needing fewer processes than the topology offers.
 func (t Topology) Prefix(n int) (Topology, error) {
