@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-flaky race benchmark-check bench bench-groups bench-reads bench-wan bench-wan-short microbench report examples vet lint cover fuzz crash chaos chaos-short clean
+.PHONY: all build test test-short test-flaky race benchmark-check bench bench-wan bench-wan-short microbench report examples vet lint cover fuzz crash chaos chaos-short clean
 
 all: build vet lint test
 
@@ -47,22 +47,11 @@ benchmark-check:
 bench:
 	$(GO) test -bench=. -benchmem -timeout 1200s .
 
-# F8 multi-group scale-out figure: aggregate throughput and cluster
-# fsyncs/op vs groups per process — regenerates BENCH_F8.json; see
-# docs/SHARDING.md.
-bench-groups:
-	$(GO) run ./cmd/bench -exp F8 -json .
-
-# F9 read-mix figure: GETL latency/throughput across read ratios with the
-# three read paths (per-read no-op, coalesced barrier, lease) — regenerates
-# BENCH_F9.json; see docs/LEASES.md.
-bench-reads:
-	$(GO) run ./cmd/bench -exp F9 -json .
-
 # F10 WAN suite: per-region commit latency and slow-path rate for every
 # protocol over real TCP with geo delays injected and fsync on —
-# regenerates BENCH_F10.json (~4–5 min: the delays are real); see
-# docs/TESTING.md and docs/PERFORMANCE.md.
+# regenerates BENCH_F10.json, the one committed report outside benchmark/
+# (~4–5 min: the delays are real); see docs/TESTING.md and
+# docs/PERFORMANCE.md.
 bench-wan:
 	$(GO) run ./cmd/bench -exp F10 -json .
 
@@ -82,9 +71,12 @@ microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
 
-# Regenerates EXPERIMENTS-style report on stdout (plus CSVs under ./out).
+# Rewrites EXPERIMENTS.md below its "# Generated report" line (and prints
+# it, plus CSVs under ./out): every registered experiment, F10 in short
+# mode. Commit the result; on an unchanged tree only the stamp and the
+# live-measured tables (T3b, T7, F10) differ.
 report:
-	$(GO) run ./cmd/bench -soak-runs 200 -csv out
+	$(GO) run ./cmd/bench -soak-runs 200 -f10-short -csv out -out EXPERIMENTS.md
 
 examples:
 	$(GO) run ./examples/quickstart

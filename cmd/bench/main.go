@@ -1,19 +1,19 @@
 // Command bench regenerates every table and figure of the reproduction
 // (DESIGN.md §4) and prints them as markdown tables. With -out it also
-// writes the report to a file (EXPERIMENTS.md is produced this way).
+// writes the report to a file (make report rewrites the generated half of
+// EXPERIMENTS.md this way).
 //
 // Usage:
 //
-//	bench                 # run everything
-//	bench -exp T1,F3      # run selected experiments
-//	bench -soak-runs 500  # deeper T5 campaign
-//	bench -out report.md  # additionally write a file
-//	bench -exp F8 -json . # additionally write BENCH_F8.json
+//	bench                        # run everything
+//	bench -exp T1,F3             # run selected experiments
+//	bench -soak-runs 500         # deeper T5 campaign
+//	bench -out EXPERIMENTS.md    # additionally write a file
+//	bench -exp T1,F10 -json .    # additionally write BENCH_T1.json, BENCH_F10.json
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +24,10 @@ import (
 
 	"repro/internal/bench"
 )
+
+// reportMarker heads the generated half of EXPERIMENTS.md: -out keeps a
+// file's text up to and including this line and replaces what follows.
+const reportMarker = "\n# Generated report\n"
 
 func main() {
 	if err := run(); err != nil {
@@ -36,11 +40,10 @@ func run() error {
 	var (
 		expFlag  = flag.String("exp", "", "comma-separated experiment IDs (default: all)")
 		soakRuns = flag.Int("soak-runs", 150, "runs per row for the T5 soak campaign")
-		outPath  = flag.String("out", "", "also write the report to this file")
+		outPath  = flag.String("out", "", "also write the report to this file, below its \"# Generated report\" line if it has one")
 		csvDir   = flag.String("csv", "", "also write each experiment as <dir>/<ID>.csv")
-		jsonDir  = flag.String("json", "", "also write each experiment that has a machine-readable report as <dir>/BENCH_<ID>.json")
+		jsonDir  = flag.String("json", "", "also write each experiment as <dir>/BENCH_<ID>.json")
 		f10Short = flag.Bool("f10-short", false, "run F10 in its CI-sized short mode (Mesh fabric, compressed delays)")
-		pipeline = flag.Int("pipeline", 0, "session-client in-flight depth for F7's deep rows (0 = default 16)")
 	)
 	flag.Parse()
 
@@ -52,96 +55,85 @@ func run() error {
 		}
 	}
 
-	var out io.Writer = os.Stdout
-	var f *os.File
-	if *outPath != "" {
-		var err error
-		f, err = os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
-	}
-
-	fmt.Fprintf(out, "# Reproduction report — Revisiting Lower Bounds for Two-Step Consensus\n\n")
-	fmt.Fprintf(out, "Generated %s by `cmd/bench`. See DESIGN.md §4 for the experiment index.\n\n",
-		time.Now().UTC().Format(time.RFC3339))
-
-	exps := bench.Experiments(*soakRuns)
-	// -pipeline and -f10-short apply wherever F7/F10 run, selected or not.
-	exps["F7"] = func() *bench.Result { return bench.Sessions(*pipeline) }
-	if *f10Short {
-		exps["F10"] = func() *bench.Result { return bench.WANSuite(bench.ShortWANSuiteOptions()) }
-	}
-	ids := bench.ExperimentIDs()
+	exps := bench.Experiments(*soakRuns, *f10Short)
 	if *expFlag != "" {
-		var sel []string
+		var sel []bench.Experiment
 		for _, raw := range strings.Split(*expFlag, ",") {
-			id, ok := resolveExpID(ids, strings.TrimSpace(raw))
+			exp, ok := findExp(exps, strings.TrimSpace(raw))
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (have %v)", strings.TrimSpace(raw), ids)
+				return fmt.Errorf("unknown experiment %q (have %s)", strings.TrimSpace(raw), expIDs(exps))
 			}
-			sel = append(sel, id)
+			sel = append(sel, exp)
 		}
-		ids = sel
+		exps = sel
 	}
-	for _, id := range ids {
+
+	// The file form: what stdout gets, minus the per-experiment timings.
+	var file bytes.Buffer
+	out := io.MultiWriter(os.Stdout, &file)
+	st := bench.NewStamp()
+	fmt.Fprintf(out, "# Reproduction report — Revisiting Lower Bounds for Two-Step Consensus\n\n")
+	fmt.Fprintf(out, "Generated %s at commit %s (%s, GOMAXPROCS %d) by `cmd/bench`. See DESIGN.md §4 for the experiment index.\n\n",
+		st.GeneratedAt, st.Commit, st.GoVersion, st.GOMAXPROCS)
+
+	for _, exp := range exps {
 		start := time.Now()
-		res := exps[id]()
+		res := exp.Run()
 		if _, err := res.WriteTo(out); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "_%s completed in %s_\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("_%s completed in %s_\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
 		if *csvDir != "" {
-			if err := writeCSV(*csvDir, id, res); err != nil {
+			if err := writeFile(filepath.Join(*csvDir, exp.ID+".csv"), res.WriteCSV); err != nil {
 				return err
 			}
 		}
-		if *jsonDir != "" && res.Report != nil {
-			if err := writeReportJSON(filepath.Join(*jsonDir, "BENCH_"+id+".json"), res.Report); err != nil {
+		if *jsonDir != "" {
+			if err := writeFile(filepath.Join(*jsonDir, "BENCH_"+exp.ID+".json"), res.WriteJSON); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
-}
-
-// resolveExpID matches a user-supplied experiment id case-insensitively
-// against the registry (ids like "T3b" are mixed-case).
-func resolveExpID(ids []string, raw string) (string, bool) {
-	for _, id := range ids {
-		if strings.EqualFold(id, raw) {
-			return id, true
+	if *outPath == "" {
+		return nil
+	}
+	var keep []byte
+	if old, err := os.ReadFile(*outPath); err == nil {
+		if i := bytes.Index(old, []byte(reportMarker)); i >= 0 {
+			keep = append(old[:i+len(reportMarker)], '\n')
 		}
 	}
-	return "", false
+	return os.WriteFile(*outPath, append(keep, file.Bytes()...), 0o644)
 }
 
-// writeReportJSON commits an experiment's report to disk with a generation
-// timestamp ahead of its own fields, giving future changes a
-// machine-readable perf trajectory to diff against.
-func writeReportJSON(path string, report any) error {
-	body, err := json.Marshal(report)
+// findExp matches a user-supplied experiment id case-insensitively against
+// the registry (ids like "T3b" are mixed-case).
+func findExp(exps []bench.Experiment, raw string) (bench.Experiment, bool) {
+	for _, exp := range exps {
+		if strings.EqualFold(exp.ID, raw) {
+			return exp, true
+		}
+	}
+	return bench.Experiment{}, false
+}
+
+func expIDs(exps []bench.Experiment) string {
+	ids := make([]string, len(exps))
+	for i, exp := range exps {
+		ids[i] = exp.ID
+	}
+	return strings.Join(ids, " ")
+}
+
+// writeFile creates path and hands it to one of a Result's writers.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	// Reports are structs, so body is an object: splice the stamp in as
-	// its first field (anything else fails json.Indent below).
-	stamp := fmt.Sprintf(`{"generatedAt":%q,`, time.Now().UTC().Format(time.RFC3339))
-	var out bytes.Buffer
-	if err := json.Indent(&out, append([]byte(stamp), body[1:]...), "", "  "); err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	out.WriteByte('\n')
-	return os.WriteFile(path, out.Bytes(), 0o644)
-}
-
-func writeCSV(dir, id string, res *bench.Result) error {
-	f, err := os.Create(dir + "/" + id + ".csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return res.WriteCSV(f)
+	return f.Close()
 }

@@ -18,10 +18,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/consensus"
 	"repro/internal/planner"
 	"repro/internal/quorum"
+	"repro/internal/wan"
 )
 
 func main() {
@@ -117,7 +117,7 @@ func printPlan(m quorum.Mode, plan planner.Plan, req planner.Request) {
 // loadMatrix reads a CSV matrix, or returns the built-in 8-region one.
 func loadMatrix(path string) ([]string, [][]consensus.Duration, error) {
 	if path == "" {
-		sites, rtt := bench.BuiltinWANMatrix()
+		sites, rtt := wan.Sites()
 		return sites, rtt, nil
 	}
 	f, err := os.Open(path)

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -238,52 +241,29 @@ func TestSampleStats(t *testing.T) {
 	}
 }
 
-// The serving figures' row functions, one small row each over the cluster
-// fixture, so `go test` notices when one stops running or changes shape
-// (the full grids run in the CI report job).
-func TestHotPathRowShape(t *testing.T) {
-	for _, fabric := range []string{"mem", "tcp"} {
-		row, err := hotPathRun(5, 2, 2, fabric, 2, 10)
+// TestExperimentIndexInSync holds the two documents that list the
+// experiments to the registry: DESIGN.md §4 has one row per registered ID
+// and EXPERIMENTS.md one generated section, in registry order, and neither
+// names an ID that is not registered.
+func TestExperimentIndexInSync(t *testing.T) {
+	var want []string
+	for _, exp := range Experiments(0, true) {
+		want = append(want, exp.ID)
+	}
+	for file, re := range map[string]string{
+		"../../DESIGN.md":      `(?m)^\| ([TFA]\d+b?) `,
+		"../../EXPERIMENTS.md": `(?m)^## ([TFA]\d+b?) — `,
+	} {
+		body, err := os.ReadFile(file)
 		if err != nil {
-			t.Fatalf("%s: %v", fabric, err)
+			t.Fatal(err)
 		}
-		if row.Ops != 20 || row.OpsPerSec <= 0 || row.P50Micros <= 0 || row.P95Micros < row.P50Micros {
-			t.Errorf("%s: implausible row %+v", fabric, row)
+		var got []string
+		for _, m := range regexp.MustCompile(re).FindAllSubmatch(body, -1) {
+			got = append(got, string(m[1]))
 		}
-		// Durable at fsync=always: every committed Put was fsynced
-		// somewhere, and the fabric carried its votes.
-		if row.FsyncsPerOp <= 0 || row.AllocsPerOp <= 0 || row.Sends == 0 {
-			t.Errorf("%s: row missed the WAL or the fabric: %+v", fabric, row)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s lists %v, the registry has %v", file, got, want)
 		}
-	}
-}
-
-func TestSessionRowShape(t *testing.T) {
-	row, err := sessionRun(3, 1, 1, 2, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Clients != 2 || row.Depth != 4 || row.Ops != 20 || row.OpsPerSec <= 0 || row.P95Micros < row.P50Micros || row.P50Micros <= 0 {
-		t.Errorf("implausible row %+v", row)
-	}
-}
-
-func TestGroupsRowShape(t *testing.T) {
-	row, err := groupsRun(3, 1, 1, 2, 2, 4, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Groups != 2 || row.Clients != 2 || row.Ops != 24 || row.OpsPerSec <= 0 || row.ClusterFsyncsPerOp <= 0 {
-		t.Errorf("implausible row %+v", row)
-	}
-}
-
-func TestReadsRowShape(t *testing.T) {
-	row, err := readsRun(3, 1, 1, 1, "lease", 90, 2, 20)
-	if err != nil {
-		t.Fatal(err) // a lease row that fsyncs on a read is an error: "want exactly 0"
-	}
-	if row.Mode != "lease" || row.Ops != 40 || row.Reads == 0 || row.OpsPerSec <= 0 || row.GetlP99Ms < row.GetlP50Ms {
-		t.Errorf("implausible row %+v", row)
 	}
 }

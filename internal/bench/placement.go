@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/planner"
 	"repro/internal/quorum"
+	"repro/internal/wan"
 )
 
 // Placement regenerates F5: optimal replica placement per consensus
@@ -21,14 +22,11 @@ func Placement() *Result {
 			"formulation", "n", "replica sites", "mean proxy ms", "worst proxy ms",
 		},
 	}
-	sites := make([]string, len(wanRegions))
-	for i, reg := range wanRegions {
-		sites[i] = reg.Name
-	}
+	sites, rtt := wan.Sites()
 	req := planner.Request{
 		F: f, E: e,
 		Sites:     sites,
-		RTT:       wanRTT,
+		RTT:       rtt,
 		Objective: planner.MinimizeMean,
 	}
 	plans, err := planner.Compare(req)

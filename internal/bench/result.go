@@ -1,32 +1,88 @@
-// Package bench is the evaluation harness: it regenerates every table and
-// figure in DESIGN.md §4 from the simulator, the scenario runner, and the
-// lower-bound constructions. Each experiment returns a Result that renders
-// as an aligned ASCII table; cmd/bench runs them all and writes
-// EXPERIMENTS.md.
+// Package bench is the evaluation harness for the paper's claims: it
+// regenerates every table and figure in DESIGN.md §4 from the simulator,
+// the scenario runner, the lower-bound constructions and (T3b, T7, F10)
+// live hosts. Each experiment returns a Result that renders as an aligned
+// ASCII table and, through WriteJSON, as BENCH_<ID>.json; cmd/bench runs
+// them and writes EXPERIMENTS.md. The served KV stack is measured by
+// benchmark/, not here.
 package bench
 
 import (
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
+	"os/exec"
+	"runtime"
 	"strings"
+	"time"
 )
 
-// Result is one regenerated table or figure.
+// Stamp says what a report was measured on, spelled as benchmark/main.go
+// spells it.
+type Stamp struct {
+	Commit      string `json:"commit"`
+	GoVersion   string `json:"go_version"`
+	GOMAXPROCS  int    `json:"gomaxprocs"`
+	GeneratedAt string `json:"generated_at"`
+}
+
+// NewStamp stamps now: HEAD's short hash ("-dirty" when tracked files
+// differ from it, "unknown" outside a git checkout), the toolchain and the
+// core count.
+func NewStamp() Stamp {
+	commit := "unknown"
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=7", "--exclude=*").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return Stamp{
+		Commit: commit, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+	}
+}
+
+// Result is one regenerated table or figure, and the one report envelope:
+// every BENCH_<ID>.json is a Result as WriteJSON marshals it.
 type Result struct {
 	// ID is the experiment identifier from DESIGN.md (e.g. "T1", "F3").
-	ID string
+	ID string `json:"id"`
 	// Title is a one-line description.
-	Title string
+	Title string `json:"title"`
+	// Stamp is filled in by WriteJSON.
+	Stamp
+	// Params are the settings the rows were measured under, for the
+	// experiments that have any (F10: transport, scale, samples, fsync).
+	Params map[string]any `json:"params"`
 	// Header names the columns.
-	Header []string
-	// Rows are the data rows.
-	Rows [][]string
+	Header []string `json:"header"`
+	// Rows are the data rows as rendered cells.
+	Rows [][]string `json:"rows"`
+	// Typed, when non-nil, is the same rows before rendering (F10's
+	// []WANSuiteRow); the JSON form carries it as "rows" instead of the cells.
+	Typed any `json:"-"`
 	// Notes are free-form observations appended under the table.
-	Notes []string
-	// Report, when non-nil, is the experiment's machine-readable form: a
-	// JSON-ready struct that cmd/bench -json writes as BENCH_<ID>.json.
-	Report any
+	Notes []string `json:"-"`
+}
+
+// WriteJSON stamps the result and writes it as indented JSON — the only
+// place a report is marshalled.
+func (r *Result) WriteJSON(w io.Writer) error {
+	r.Stamp = NewStamp()
+	if r.Params == nil {
+		r.Params = map[string]any{}
+	}
+	rows := any(r.Rows)
+	if r.Typed != nil {
+		rows = r.Typed
+	}
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	// The outer Rows shadows the embedded Result's.
+	return enc.Encode(struct {
+		*Result
+		Rows any `json:"rows"`
+	}{r, rows})
 }
 
 // AddRow appends a data row built from the stringified args.

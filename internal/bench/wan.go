@@ -2,12 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/consensus"
 	"repro/internal/protocols"
 	"repro/internal/quorum"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/wan"
 )
 
 // WAN regenerates F3: commit latency of a lone proposer (the client's
@@ -22,13 +24,16 @@ import (
 //
 // This is the paper's C5 claim made concrete: Fast Paxos must both run two
 // more replicas and collect n−e votes out of the larger, farther-flung
-// cluster, so every proxy pays for the extra regions' distance.
+// cluster, so every proxy pays for the extra regions' distance. The regions
+// and RTT matrix are internal/wan's (shared with F5, F10 and cmd/plan), in
+// deployment order: a protocol that needs n processes occupies the first n.
 func WAN() *Result {
 	const f, e = 2, 2
 	nObject := quorum.ObjectMinProcesses(f, e) // 5
 	nFast := quorum.LamportMinProcesses(f, e)  // 7
 	nPlain := quorum.PlainMinProcesses(f)      // 5
 	eEp := quorum.EPaxosFastThreshold(f)       // 2
+	regions, rtt := wan.Sites()
 
 	r := &Result{
 		ID:    "F3",
@@ -38,44 +43,36 @@ func WAN() *Result {
 			fmt.Sprintf("core-object (n=%d)", nObject),
 			fmt.Sprintf("epaxos (n=%d)", nPlain),
 			fmt.Sprintf("fastpaxos (n=%d)", nFast),
-			fmt.Sprintf("paxos (n=%d, leader %s)", nPlain, wanRegions[0].Name),
+			fmt.Sprintf("paxos (n=%d, leader %s)", nPlain, regions[0]),
 		},
 	}
 	for proxy := 0; proxy < nObject; proxy++ {
 		p := consensus.ProcessID(proxy)
 		r.AddRow(
-			wanRegions[proxy].Name,
-			wanLatency(protocols.CoreObjectFactory, nObject, f, e, p),
-			wanLatency(protocols.EPaxosFactory(p), nPlain, f, eEp, p),
-			wanLatency(protocols.FastPaxosFactory, nFast, f, e, p),
-			wanLatency(protocols.PaxosFactory, nPlain, f, e, p),
+			regions[proxy],
+			wanLatency(rtt, protocols.CoreObjectFactory, nObject, f, e, p),
+			wanLatency(rtt, protocols.EPaxosFactory(p), nPlain, f, eEp, p),
+			wanLatency(rtt, protocols.FastPaxosFactory, nFast, f, e, p),
+			wanLatency(rtt, protocols.PaxosFactory, nPlain, f, e, p),
 		)
 	}
 	r.AddNote(fmt.Sprintf("Deployment order: %s | extra fastpaxos regions: %s, %s.",
-		regionNames(nObject), wanRegions[nObject].Name, wanRegions[nObject+1].Name))
+		strings.Join(regions[:nObject], ", "), regions[nObject], regions[nObject+1]))
 	r.AddNote("Fast path latency = RTT to the (n−e)-th closest replica of the protocol's own cluster; the two extra Fast Paxos replicas push that quorum farther for every proxy.")
 	r.AddNote("Paxos pays proxy→leader forwarding plus the leader's quorum round trip, except when the proxy is the leader region itself.")
 	return r
 }
 
-func regionNames(n int) string {
-	s := ""
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			s += ", "
-		}
-		s += wanRegions[i].Name
-	}
-	return s
-}
-
-// wanLatency runs one lone-proposal WAN run and returns the proxy's commit
-// latency formatted in ms.
-func wanLatency(fac runner.Factory, n, f, e int, proxy consensus.ProcessID) string {
+// wanLatency runs one lone-proposal WAN run on the first n regions of rtt
+// and returns the proxy's commit latency formatted in ms.
+func wanLatency(rtt [][]consensus.Duration, fac runner.Factory, n, f, e int, proxy consensus.ProcessID) string {
 	// Δ must upper-bound the one-way delay for the fast path's timers not
 	// to fire mid-flight: use half the max RTT of the submatrix plus
 	// slack.
-	matrix := wanMatrix(n)
+	matrix := make([][]consensus.Duration, n)
+	for i := range matrix {
+		matrix[i] = rtt[i][:n]
+	}
 	policy := sim.NewWAN(matrix, 0, 1)
 	delta := policy.MaxRTT()/2 + 10
 

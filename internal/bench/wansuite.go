@@ -106,7 +106,6 @@ type WANRegionStat struct {
 	// by Scale so it is comparable across runs.
 	FloorMs int     `json:"floorMs"`
 	P50Ms   float64 `json:"p50Ms"`
-	P99Ms   float64 `json:"p99Ms"`
 	MaxMs   float64 `json:"maxMs"`
 	// SlowPathRate is the fraction of samples that did NOT decide on the
 	// protocol's fast path (consensus.FastPathReporter at the proxy).
@@ -128,35 +127,16 @@ type WANSuiteRow struct {
 	Err       string          `json:"err,omitempty"`
 }
 
-// WANSuiteReport is the machine-readable F10 report (BENCH_F10.json).
-type WANSuiteReport struct {
-	ID        string        `json:"id"`
-	Title     string        `json:"title"`
-	Transport string        `json:"transport"`
-	Scale     float64       `json:"scale"`
-	Samples   int           `json:"samples"`
-	Fsync     bool          `json:"fsync"`
-	Rows      []WANSuiteRow `json:"rows"`
-}
-
 // wanValueSeq makes proposal values globally unique across cells and
 // samples, so a stale decide from a previous sample can never be mistaken
 // for the current instance's value.
 var wanValueSeq atomic.Int64
 
-// WANSuite runs the sweep; the raw report rides on Result.Report.
+// WANSuite runs the sweep; the typed rows ride on Result.Typed.
 func WANSuite(opts WANSuiteOptions) *Result {
 	fabric := "mesh"
 	if opts.UseTCP {
 		fabric = "tcp"
-	}
-	report := &WANSuiteReport{
-		ID:        "F10",
-		Title:     "WAN suite",
-		Transport: fabric,
-		Scale:     opts.Scale,
-		Samples:   opts.Samples,
-		Fsync:     opts.Fsync,
 	}
 
 	type cellSpec struct {
@@ -193,15 +173,15 @@ func WANSuite(opts WANSuiteOptions) *Result {
 		}(i, c)
 	}
 	wg.Wait()
-	report.Rows = rows
 
 	res := &Result{
 		ID: "F10",
 		Title: fmt.Sprintf("WAN suite: measured commit latency at the proxy, ms (%s fabric, scale %g, fsync %v)",
 			fabric, opts.Scale, opts.Fsync),
 		Header: []string{"topology", "protocol", "n", "f", "e", "fastQ", "region",
-			"floor ms", "p50 ms", "p99 ms", "slow-path"},
-		Report: report,
+			"floor ms", "p50 ms", "max ms", "slow-path"},
+		Params: map[string]any{"transport": fabric, "scale": opts.Scale, "samples": opts.Samples, "fsync": opts.Fsync},
+		Typed:  rows,
 	}
 	for _, row := range rows {
 		if row.Skip != "" {
@@ -214,12 +194,11 @@ func WANSuite(opts WANSuiteOptions) *Result {
 		}
 		for _, reg := range row.Regions {
 			res.AddRow(row.Topology, row.Protocol, row.N, row.F, row.E, row.FastQ, reg.Region,
-				reg.FloorMs, fmt.Sprintf("%.1f", reg.P50Ms), fmt.Sprintf("%.1f", reg.P99Ms),
+				reg.FloorMs, fmt.Sprintf("%.1f", reg.P50Ms), fmt.Sprintf("%.1f", reg.MaxMs),
 				fmt.Sprintf("%.0f%%", reg.SlowPathRate*100))
 		}
 	}
 	res.AddNote("Measured end-to-end on node.Host: propose at a proxy in each distinct region, wait for its decision. floor ms = analytical RTT to the fast quorum's farthest member (unscaled); measured columns include the Scale factor, codec, loopback, and (when on) an fsync per protocol step.")
-	res.AddNote(fmt.Sprintf("p50 is the sample median; with %d samples per region p99 coincides with the maximum — it bounds, not estimates, the tail.", opts.Samples))
 	res.AddNote("fastpaxos-flex runs the bare-majority fast quorum (quorum.SmallestFastFlex): lower latency than classical Fast Paxos at the same n, paid for with an n-all-but-(n−fast) recovery quorum.")
 	return res
 }
@@ -330,7 +309,6 @@ func runWANProxy(prefix wan.Topology, fab *wanFabric, proto string, n, f, e int,
 	}
 	stat.Samples = lats.N()
 	stat.P50Ms = lats.Percentile(50)
-	stat.P99Ms = lats.Percentile(99)
 	stat.MaxMs = lats.Max()
 	stat.SlowPathRate = float64(slow) / float64(lats.N())
 	return stat, nil

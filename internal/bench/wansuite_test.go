@@ -1,11 +1,17 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/protocols"
 )
+
+// shortWANSuite runs the CI-sized F10 sweep once for the tests that read it.
+var shortWANSuite = sync.OnceValue(func() *Result { return WANSuite(ShortWANSuiteOptions()) })
 
 // TestWANSuiteShortShape runs the CI-sized F10 sweep (Mesh fabric,
 // compressed delays) and checks that every cell produced per-region
@@ -16,13 +22,13 @@ func TestWANSuiteShortShape(t *testing.T) {
 		t.Skip("F10 short still sleeps real scaled WAN delays")
 	}
 	opts := ShortWANSuiteOptions()
-	res := WANSuite(opts)
-	report := res.Report.(*WANSuiteReport)
-	if len(report.Rows) != len(opts.Topologies)*len(opts.Sweeps)*len(opts.Protocols) {
-		t.Fatalf("rows = %d, want %d", len(report.Rows),
+	res := shortWANSuite()
+	rows := res.Typed.([]WANSuiteRow)
+	if len(rows) != len(opts.Topologies)*len(opts.Sweeps)*len(opts.Protocols) {
+		t.Fatalf("rows = %d, want %d", len(rows),
 			len(opts.Topologies)*len(opts.Sweeps)*len(opts.Protocols))
 	}
-	for _, row := range report.Rows {
+	for _, row := range rows {
 		if row.Err != "" {
 			t.Errorf("%s/%s: %s", row.Topology, row.Protocol, row.Err)
 			continue
@@ -54,7 +60,7 @@ func TestWANSuiteShortShape(t *testing.T) {
 	// The short sweep pairs core-object against fastpaxos on spread7: the
 	// C5 ordering must hold per proxy region shared by both deployments.
 	byProto := map[string]WANSuiteRow{}
-	for _, row := range report.Rows {
+	for _, row := range rows {
 		byProto[row.Protocol] = row
 	}
 	obj, fp := byProto[protocols.CoreObject], byProto[protocols.FastPaxos]
@@ -81,5 +87,39 @@ func TestWANSuiteShortShape(t *testing.T) {
 	// (cell, region).
 	if !strings.Contains(res.Title, "mesh") {
 		t.Errorf("title %q does not name the fabric", res.Title)
+	}
+}
+
+// TestEnvelopeOneShape writes a cells-only experiment and the typed-rows
+// one through the one writer: same top-level keys, stamped.
+func TestEnvelopeOneShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("F10 short still sleeps real scaled WAN delays")
+	}
+	want := []string{"id", "title", "commit", "go_version", "gomaxprocs", "generated_at", "params", "header", "rows"}
+	for _, res := range []*Result{Frontier(), shortWANSuite()} {
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var env map[string]json.RawMessage
+		var st Stamp
+		if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(buf.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Commit == "" || st.GoVersion == "" || st.GOMAXPROCS < 1 || st.GeneratedAt == "" {
+			t.Errorf("%s: unstamped envelope: %+v", res.ID, st)
+		}
+		for _, k := range want {
+			if _, ok := env[k]; !ok {
+				t.Errorf("%s: envelope lacks %q", res.ID, k)
+			}
+		}
+		if len(env) != len(want) {
+			t.Errorf("%s: envelope has %d top-level keys, want exactly %v", res.ID, len(env), want)
+		}
 	}
 }

@@ -178,17 +178,6 @@ func (c *Cluster) Restart(i int) error { return c.boot(i) }
 // StallFsync adds d to every WAL fsync on every process; 0 heals.
 func (c *Cluster) StallFsync(d time.Duration) { c.fsyncStall.Store(int64(d)) }
 
-// WalSyncs sums the processes' shared-WAL fsync counters.
-func (c *Cluster) WalSyncs() uint64 {
-	var total uint64
-	for i := 0; i < c.o.N; i++ {
-		if st, ok := c.Runtime(i).WalStats(); ok {
-			total += st.Syncs
-		}
-	}
-	return total
-}
-
 // WaitLeases waits until every group's lease is held by some process (the
 // auto-grant timer takes it once Ω is stable).
 func (c *Cluster) WaitLeases(timeout time.Duration) error {

@@ -1,9 +1,9 @@
 // Package cluster is the one in-process assembly of the stack cmd/kv
 // ships: N processes, each a shard.Runtime over one shared WAL and one
 // fsync scheduler, on one fabric of swappable endpoints, optionally fronted
-// by the session servers. The chaos campaign, the serving figures (F4b, F7,
-// F8, F9) and their tests all boot it, so their verdicts and rows describe
-// the configuration that serves traffic — see docs/TESTING.md.
+// by the session servers. The chaos campaign, T7, examples/kvstore and
+// smr's own suites all boot it, so their verdicts describe the
+// configuration that serves traffic — see docs/TESTING.md.
 package cluster
 
 import (

@@ -12,7 +12,7 @@ import (
 // JSON-tagged with its group id by the smr durability layer) and share one
 // group-commit stream: wal.Commit coalesces concurrent committers, so the
 // fsyncs of N groups collapse into the same fdatasyncs — the scale-out
-// payoff the F8 bench measures. Recovery demuxes by replaying the whole
+// payoff `put-shard4` measures. Recovery demuxes by replaying the whole
 // log once per group and skipping foreign records (smr filters on the
 // group tag); snapshots record a per-group WAL cut-off, and segments are
 // only truncated below the minimum cut-off across all groups.

@@ -74,7 +74,7 @@ func (r *Replica) EnableAdaptiveBatching(maxSize int) {
 	r.batch = &batcher{replica: r, maxSize: maxSize, poke: make(chan struct{}, 1)}
 }
 
-// BatchStats is the batcher's counter surface (expvar, F4b).
+// BatchStats is the batcher's counter surface (expvar, benchmark/).
 type BatchStats struct {
 	Mode    string `json:"mode"` // off, adaptive
 	Batches uint64 `json:"batches"`

@@ -55,7 +55,7 @@ type readGate struct {
 }
 
 // SetPerReadNoop reverts GetLinearizable's fallback to one no-op round per
-// read — the pre-coalescing baseline, kept for A/B measurement (F9 bench).
+// read — the pre-coalescing baseline, kept for A/B measurement (LEASES.md).
 //
 // The read gate carries its own mutex (always acquired before Replica.mu,
 // never while holding it), so Replica.mu is deliberately not taken here.

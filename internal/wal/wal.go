@@ -109,7 +109,7 @@ type Stats struct {
 	NextIndex uint64
 	// Syncs counts group-commit fsyncs of the active segment. With many
 	// concurrent committers it grows slower than the record count — that
-	// ratio (fsyncs/op) is the F4b group-commit metric.
+	// ratio is the group-commit metric (benchmark/'s wal.fsyncs_per_op).
 	Syncs uint64
 }
 
