@@ -62,6 +62,8 @@ bench-wan-short:
 # Hot-path microbenchmarks (codec allocs, WAL group commit, full replica
 # pipeline) at a fixed iteration count so CI gets stable allocs/op without
 # waiting for time-based calibration — see docs/PERFORMANCE.md.
+# BenchmarkReplicaPipeline also prints the write budget at n=3 and n=5:
+# sends/op must read 3(n-1)+e (7, 14) and walrecs/op 2n (6, 10).
 # BenchmarkBatcherDistance is ten bursts of 256 writers a 20 ms round trip
 # from their quorum: cmds/roundtrip above 64 means chunks overlapped.
 microbench:

@@ -85,14 +85,12 @@ type durable struct {
 	snapEvery int
 	policy    wal.SyncPolicy
 	syncEvery time.Duration
-	// buffered is the WAL index of the last record appended without an
-	// inline fsync; critical is the newest record that guards safety — a
-	// promise or vote change a peer may act on. Outbox entries that only
-	// carry messages depend on critical: a decide record is derivable from
-	// the quorum of already-durable accept records that produced it, so a
-	// decide broadcast need not wait for the local bookkeeping to hit disk.
-	// Entries that complete client calls (wakes) depend on buffered — an
-	// acknowledgement promises everything the step journaled is durable.
+	// buffered is the WAL index of the last record appended; critical is the
+	// newest one that guards safety: every state record, and a decision the
+	// instance's journaled state does not already imply (persistDecideLocked).
+	// Outbox entries that only carry messages wait for critical; entries that
+	// complete client calls (wakes) wait for buffered — an acknowledgement
+	// promises everything the step journaled is durable.
 	buffered uint64
 	critical uint64
 	// sinceSnap counts commands applied since the last snapshot.
@@ -270,9 +268,10 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		r.freeHint = r.applied
 	}
 
-	// 5. Rebuild live instances for open slots with their promises intact.
+	// 5. Rebuild live instances for undecided slots, promises intact. A decided
+	// slot stays a value: its last state record predates the decision.
 	for n, st := range states {
-		if n < r.applied {
+		if n < r.applied || r.decidedLocked(n) {
 			continue
 		}
 		s := r.slotLocked(n)
@@ -348,11 +347,17 @@ func (r *Replica) persistFailLocked(err error) {
 	r.haltLocked()
 }
 
-// appendEntryLocked journals one WAL entry; false poisons the replica. The
-// append is buffered — durability is the outbox consumer's job, via Commit,
-// before any dependent message or wakeup escapes; critical marks records
-// whose loss could break safety (see the durable struct).
+// appendEntryLocked journals one WAL entry, if there is a journal; false
+// means the replica is poisoned. The append is buffered — the outbox consumer
+// makes it durable, via Commit, before any dependent message or wakeup
+// escapes; critical marks records whose loss could break safety (see durable).
 func (r *Replica) appendEntryLocked(e walEntry, critical bool) bool {
+	if r.dur == nil {
+		return true
+	}
+	if r.dur.err != nil {
+		return false
+	}
 	e.G = r.dur.group
 	payload, err := json.Marshal(e)
 	if err != nil {
@@ -376,50 +381,38 @@ func (r *Replica) appendEntryLocked(e walEntry, critical bool) bool {
 // any of them escape (flush or waiter wake-up). Returns false (and poisons
 // the replica) on failure.
 func (r *Replica) persistSlotLocked(s *slot) bool {
-	if r.dur == nil {
-		return true
-	}
-	if r.dur.err != nil {
-		return false
-	}
 	if s.node == nil {
 		return true
 	}
 	st := s.node.Snapshot()
-	if s.persisted == st {
-		return true
-	}
-	// A record is sync-critical unless the only field that moved is Decided:
-	// promises and votes must hit disk before any peer sees a message built
-	// on them, while a decision is reconstructible from the quorum of durable
-	// accepts that produced it (the recovery path re-decides the same value).
-	masked := s.persisted
-	masked.Decided = st.Decided
-	if !r.appendEntryLocked(walEntry{Kind: walKindState, Slot: s.n, State: &st}, masked != st) {
+	// Always sync-critical: a proposal, promise or vote of a live instance
+	// must hit disk before any peer sees a message built on it.
+	if st != s.persisted && !r.appendEntryLocked(walEntry{Kind: walKindState, Slot: s.n, State: &st}, true) {
 		return false
 	}
 	s.persisted = st
 	return true
 }
 
-// persistDecideLocked journals a decision before it is applied or any
-// waiter observes it. Bare read no-ops skip the decide record entirely:
-// they carry no state, and the slot's decision is still recoverable — a
-// replica that ran the instance journals it inside the slot's state record
-// (persistSlotLocked fires at decide time because State.Decided moved),
-// and a replica that merely adopted the decide re-learns it from peers via
-// catchup, exactly like a dropped decide message.
-func (r *Replica) persistDecideLocked(slot int, v consensus.Value) bool {
-	if r.dur == nil {
+// persistDecideLocked journals s's decision, in one record, before it is
+// applied or any waiter observes it. The record is sync-critical when the
+// deciding step moved the instance's state in a field other than Decided: at
+// a ballot-0 proposer Val does, and a proposer that forgot its own fast
+// decision would answer a 1A as undecided, which the recovery rule reads as
+// "never decided" (R-exclusion). An acceptor adopting a Decide for its vote,
+// and a slow-ballot leader, move nothing else: any later ballot re-decides
+// their value from the durable votes. A bare read no-op adopted without an
+// instance (catch-up) carries no state and is not journaled.
+func (r *Replica) persistDecideLocked(s *slot, v consensus.Value) bool {
+	critical := false
+	if s.node != nil {
+		st := s.node.Snapshot()
+		st.Decided = s.persisted.Decided
+		critical = st != s.persisted
+	} else if isNoopValue(v.Data) {
 		return true
 	}
-	if r.dur.err != nil {
-		return false
-	}
-	if isNoopValue(v.Data) {
-		return true
-	}
-	return r.appendEntryLocked(walEntry{Kind: walKindDecide, Slot: slot, Val: &v}, false)
+	return r.appendEntryLocked(walEntry{Kind: walKindDecide, Slot: s.n, Val: &v}, critical)
 }
 
 // maybeSnapshotLocked checkpoints the applied state every snapEvery applied

@@ -34,8 +34,7 @@ type wakeup struct {
 	// readOnly marks a wakeup that completes only read barriers (a bare
 	// no-op's Execute waiters, with no WaitApplied waiter released): its
 	// answer depends on no journaled state, so emitLocked lets it ride the
-	// critical watermark instead of forcing the step's bookkeeping to disk
-	// (reads skip the fsync; see persistDecideLocked for the record skip).
+	// critical watermark instead of forcing the step's bookkeeping to disk.
 	readOnly bool
 }
 

@@ -111,10 +111,8 @@ const (
 // whole of a slot's state, so deleting the record retires the slot.
 type slot struct {
 	n int
-	// node is the live instance. nil while nothing has touched the slot's
-	// protocol here, and for a decision adopted without running it (journal
-	// recovery, a peer's catch-up reply): such a slot answers protocol
-	// traffic with the decision instead of starting an amnesiac instance.
+	// node is the live instance: nil until something touches the slot's
+	// protocol here, and again once it is decided (learn, Handle).
 	node *core.Node
 
 	decided bool
@@ -132,8 +130,14 @@ type slot struct {
 	fenced bool
 }
 
-// learn records the slot's decision.
-func (s *slot) learn(v consensus.Value) { s.decided, s.val = true, v }
+// learn records the slot's decision and retires the instance that reached it,
+// timer and journal baseline included. Nothing re-announces it: a peer that
+// missed the Decide heals by Status gossip and catch-up, or by its own ballot.
+func (s *slot) learn(v consensus.Value) {
+	s.decided, s.val = true, v
+	s.timer.stop()
+	s.node, s.persisted = nil, core.State{}
+}
 
 // Replica is one process's member of one consensus group of the replicated
 // state machine. It hosts an Ω detector and one object-mode core consensus
@@ -349,11 +353,12 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 			out = r.catchupReplyLocked(from)
 			break
 		}
-		if s := r.slots[m.Slot]; s != nil && s.decided && s.node == nil {
-			// Decided slot that never ran an instance here (or lost it to
-			// a restart): answer with the decision rather than spinning up
-			// a fresh — amnesiac — instance.
-			out = wrapSlot(s.n, &core.DecideMsg{Value: s.val}).sendTo(from)
+		if s := r.slots[m.Slot]; s != nil && s.decided {
+			// Answer with the decision — except to a Decide: the sender has
+			// it, and two decided replicas would bounce it forever.
+			if m.InnerKind != core.KindDecide {
+				out = wrapSlot(s.n, &core.DecideMsg{Value: s.val}).sendTo(from)
+			}
 			break
 		}
 		inner, err := r.inner.DecodeBody(m.InnerKind, m.InnerBody)
@@ -440,6 +445,10 @@ func (r *Replica) installSnapshotLocked(applied int, store map[string]string, de
 		if n >= r.applied {
 			r.decideLocked(r.slotLocked(n), decided[n])
 		}
+	}
+	// Decisions of our own that were waiting on the prefix the jump filled.
+	if done := r.applyReadyLocked(); len(done) > 0 {
+		r.wakes = append(r.wakes, wakeup{done: done})
 	}
 }
 
@@ -829,10 +838,13 @@ func (r *Replica) applySlotLocked(s *slot, effects []consensus.Effect) []outboun
 	return out
 }
 
-// slotSendLocked routes one slot message: self-addressed messages are
-// delivered inline, the rest go out wrapped.
+// slotSendLocked routes one slot message: self-addressed ones are delivered
+// inline (dropped once the step has decided the slot), the rest go out wrapped.
 func (r *Replica) slotSendLocked(s *slot, to consensus.ProcessID, msg consensus.Message) []outbound {
 	if to == r.cfg.ID {
+		if s.node == nil {
+			return nil
+		}
 		return r.applySlotLocked(s, s.node.Deliver(r.cfg.ID, msg))
 	}
 	return wrapSlot(s.n, msg).sendTo(to)
@@ -859,14 +871,10 @@ func (m *SlotMessage) sendTo(to consensus.ProcessID) []outbound {
 }
 
 // decideLocked records a slot decision, applies ready commands, and wakes
-// waiters. With durability enabled, the decision (and the deciding
-// instance's final state) is journaled before the command is applied or
-// any waiter can observe the outcome.
+// waiters. With durability enabled the decision is journaled, in one record,
+// before the command is applied or any waiter can observe the outcome.
 func (r *Replica) decideLocked(s *slot, v consensus.Value) {
-	if s.decided {
-		return
-	}
-	if !r.persistDecideLocked(s.n, v) || !r.persistSlotLocked(s) {
+	if s.decided || !r.persistDecideLocked(s, v) {
 		return
 	}
 	s.learn(v)

@@ -116,6 +116,16 @@ func (c *testCluster) restart(i int) smr.RecoveryInfo {
 	return info
 }
 
+// tap shows see every message delivered to process i, group envelope on,
+// before the process handles it.
+func (c *testCluster) tap(i int, see func(consensus.Message)) {
+	h := c.rts[i].Handler()
+	c.fab.Attach(i, func(from consensus.ProcessID, msg consensus.Message) {
+		see(msg)
+		h(from, msg)
+	})
+}
+
 // replicas returns each process's one group.
 func (c *testCluster) replicas() []*smr.Replica {
 	out := make([]*smr.Replica, c.n)
