@@ -9,8 +9,12 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# go vet, and gofmt: fails when `gofmt -l` lists a file (.bench_build/ is
+# the benchmark's scratch checkout, not this tree).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Custom static-analysis suite (determinism, quorumarith, lockguard,
 # msgswitch, iolock, codecsym, atomicguard, golifecycle, errtaxonomy) —
@@ -66,10 +70,15 @@ bench-wan-short:
 # sends/op must read 3(n-1)+e (7, 14) and walrecs/op 2n (6, 10).
 # BenchmarkBatcherDistance is ten bursts of 256 writers a 20 ms round trip
 # from their quorum: cmds/roundtrip above 64 means chunks overlapped.
+# BenchmarkReadFallback is the lease-less GETL: ten bursts of 256 readers on
+# the same fixture (roundtrips/burst near 1: barriers overlap like writes),
+# then 1, 8 and 64 closed-loop callers, nine reads to one write, on durable
+# loopback processes, 2000 operations each (ops/s, slots/op).
 microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkSlotWrap|BenchmarkReplicaPipeline' \
 		-benchmem -benchtime=100x -count=2 ./internal/smr
-	$(GO) test -run=NONE -bench 'BenchmarkBatcherDistance' -benchtime=10x -count=2 ./internal/smr
+	$(GO) test -run=NONE -bench 'BenchmarkBatcherDistance|BenchmarkReadFallback/distance' -benchtime=10x -count=2 ./internal/smr
+	$(GO) test -run=NONE -bench 'BenchmarkReadFallback/loopback' -benchtime=2000x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
 

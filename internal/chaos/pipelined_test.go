@@ -45,7 +45,7 @@ func TestPipelinedSessionsOverDistanceLinearizable(t *testing.T) {
 
 // pipelinedSessions runs the scenario on the Mesh, with topo's delays times
 // scale on every link when a topology is given — and then requires that
-// chunks overlapped.
+// chunks overlapped. Either way some chunk must have mixed reads and writes.
 func pipelinedSessions(t *testing.T, topo wan.Topology, scale float64) {
 	const (
 		n, f, e      = 3, 1, 1
@@ -165,4 +165,40 @@ func pipelinedSessions(t *testing.T, topo wan.Topology, scale float64) {
 	if topo.N() > 0 && batch.Overlapped == 0 {
 		t.Fatalf("no proxy had two chunks in consensus at once (%d instances): the history never exercised the pipelined batcher", batch.Batches)
 	}
+	// ...and mixed chunks: a lease-less GETL's barrier is a no-op riding the
+	// batcher beside the writes, so some decided OpBatch must hold both.
+	// (A process that caught up by snapshot retains only the log above it:
+	// the longest retained log counts.)
+	mixed := 0
+	for i := 0; i < n; i++ {
+		mixed = max(mixed, mixedChunks(c.Runtime(i).Group(0)))
+	}
+	t.Logf("mixed chunks: %d decided slots carry a read barrier and a write together", mixed)
+	if mixed == 0 {
+		t.Fatal("no decided chunk held both a read barrier and a write: the history never exercised mixed chunks")
+	}
+}
+
+// mixedChunks counts the retained slots of r's log whose OpBatch carries
+// both a read barrier's no-op and a write.
+func mixedChunks(r *smr.Replica) (mixed int) {
+	for slot := r.Info().CompactFloor; slot < r.Applied(); slot++ {
+		v, ok := r.LogValue(slot)
+		if !ok {
+			continue
+		}
+		cmd, err := smr.DecodeCommand(v)
+		if err != nil || cmd.Op != smr.OpBatch {
+			continue
+		}
+		noop, write := false, false
+		for _, sub := range cmd.Subs {
+			noop = noop || sub.Op == smr.OpNoop
+			write = write || sub.Op == smr.OpPut || sub.Op == smr.OpDelete
+		}
+		if noop && write {
+			mixed++
+		}
+	}
+	return mixed
 }

@@ -318,8 +318,6 @@ func (rt *Runtime) StatsLine() string {
 		agg.Grants += ls.Grants
 		agg.Refused += ls.Refused
 		agg.Fenced += ls.Fenced
-		agg.ReadRounds += ls.ReadRounds
-		agg.ReadCoalesced += ls.ReadCoalesced
 	}
 	if agg.Enabled {
 		agg.Valid = held > 0

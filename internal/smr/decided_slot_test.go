@@ -106,6 +106,44 @@ func TestDecidedSlotDoesNotEchoDecide(t *testing.T) {
 	})
 }
 
+// TestBelowFloorDecideGetsNoSnapshot: a slot message below the compaction
+// floor is answered with a snapshot, the only thing left to say about a
+// retired slot — except a Decide, whose sender has the decision already. At
+// the parent every Decide still in flight for the slots just below a catch-up
+// jump or a restart cost a copy of the store, sent to a proposer that is not
+// behind and adopts nothing from it.
+func TestBelowFloorDecideGetsNoSnapshot(t *testing.T) {
+	const slot = 1
+	rt, tr := openIsolated(t, 0, "", nil)
+	r := rt.Group(0)
+	r.Handle(1, &smr.CatchupReply{Applied: 3, Store: map[string]string{"k": "v"}})
+	if floor := r.Info().CompactFloor; floor != 3 {
+		t.Fatalf("floor %d after a jump to 3", floor)
+	}
+	snapshots := func() (n int) {
+		r.SyncIO()
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		for _, s := range tr.sent {
+			if cr, ok := s.msg.(*smr.CatchupReply); ok && s.to == 1 && cr.Applied == 3 {
+				n++
+			}
+		}
+		if n != len(tr.sent) {
+			t.Fatalf("sent %d messages, %d of them snapshots for the sender", len(tr.sent), n)
+		}
+		return n
+	}
+	r.Handle(1, slotMsg(t, slot, &core.DecideMsg{Value: testValue(t, "old")}))
+	if n := snapshots(); n != 0 {
+		t.Fatalf("a Decide below the floor was answered with %d snapshots", n)
+	}
+	r.Handle(1, slotMsg(t, slot, &core.ProposeMsg{Value: testValue(t, "late")}))
+	if n := snapshots(); n != 1 {
+		t.Fatalf("a Propose below the floor was answered with %d snapshots, want 1", n)
+	}
+}
+
 // TestRecoveredFastDecisionIsNotAnInstance is the case the one-record
 // journal must get right. A ballot-0 proposer's last state record predates
 // its decision (initialVal set, no vote, undecided); the decision is a

@@ -401,16 +401,13 @@ func (r *Replica) persistSlotLocked(s *slot) bool {
 // decision would answer a 1A as undecided, which the recovery rule reads as
 // "never decided" (R-exclusion). An acceptor adopting a Decide for its vote,
 // and a slow-ballot leader, move nothing else: any later ballot re-decides
-// their value from the durable votes. A bare read no-op adopted without an
-// instance (catch-up) carries no state and is not journaled.
+// their value from the durable votes.
 func (r *Replica) persistDecideLocked(s *slot, v consensus.Value) bool {
 	critical := false
 	if s.node != nil {
 		st := s.node.Snapshot()
 		st.Decided = s.persisted.Decided
 		critical = st != s.persisted
-	} else if isNoopValue(v.Data) {
-		return true
 	}
 	return r.appendEntryLocked(walEntry{Kind: walKindDecide, Slot: s.n, Val: &v}, critical)
 }

@@ -245,10 +245,11 @@ func slotMsg(t *testing.T, slot int, inner consensus.Message) *smr.SlotMessage {
 func openIsolated(t *testing.T, id consensus.ProcessID, dir string, leases *smr.LeaseOptions) (*shard.Runtime, *captureTr) {
 	t.Helper()
 	opts := shard.Options{
-		Groups: 1,
-		Config: consensus.Config{ID: id, N: 3, F: 1, E: 1, Delta: 10},
-		Tick:   time.Millisecond,
-		Leases: leases,
+		Groups:        1,
+		Config:        consensus.Config{ID: id, N: 3, F: 1, E: 1, Delta: 10},
+		Tick:          time.Millisecond,
+		AdaptiveBatch: true,
+		Leases:        leases,
 	}
 	if dir != "" {
 		opts.Durability = &shard.Durability{Dir: dir, Policy: wal.SyncAlways}
@@ -494,9 +495,9 @@ func TestPoisonedReplicaRejectsWork(t *testing.T) {
 }
 
 // TestTeardownReleasesBlockedCallers blocks one caller in every way a
-// replica can hold one — Execute, WaitApplied, ReadBarrier (a round leader
-// and a rider) and a batched Submit (a chunk in flight and one queued) — on
-// a process that can reach no quorum, then stops it each of the three ways.
+// replica can hold one — Execute, WaitApplied, and batched Submits and
+// ReadBarriers (riders of the chunk in flight and of the queue behind it) —
+// on a process that can reach no quorum, then stops it each of the three ways.
 // Every caller must return ErrClosed, none may hang, and the Close that
 // follows must find nothing left to close a second time.
 func TestTeardownReleasesBlockedCallers(t *testing.T) {
@@ -527,28 +528,37 @@ func TestTeardownReleasesBlockedCallers(t *testing.T) {
 			defer cancel()
 			put := func(key string) smr.Command { return smr.Command{Op: smr.OpPut, Key: key, Val: "v"} }
 			calls := map[string]func() error{
-				"Execute":            func() error { _, err := r.Execute(ctx, put("e")); return err },
-				"WaitApplied":        func() error { return r.WaitApplied(ctx, 1000) },
-				"ReadBarrier leader": func() error { return r.ReadBarrier(ctx) },
-				"ReadBarrier rider":  func() error { return r.ReadBarrier(ctx) },
-				"Submit in flight":   func() error { return r.Submit(ctx, put("s1")) },
-				"Submit queued":      func() error { return r.Submit(ctx, put("s2")) },
+				"Execute":               func() error { _, err := r.Execute(ctx, put("e")); return err },
+				"WaitApplied":           func() error { return r.WaitApplied(ctx, 1000) },
+				"ReadBarrier in flight": func() error { return r.ReadBarrier(ctx) },
+				"ReadBarrier queued":    func() error { return r.ReadBarrier(ctx) },
+				"Submit queued":         func() error { return r.Submit(ctx, put("s")) },
 			}
 			type result struct {
 				call string
 				err  error
 			}
 			results := make(chan result, len(calls))
-			for call, fn := range calls {
-				go func() { results <- result{call, fn()} }()
-			}
-			// Execute, the read round and the batch flush each hold a slot.
-			for deadline := time.Now().Add(10 * time.Second); r.Info().OpenSlots < 3; {
-				if time.Now().After(deadline) {
-					t.Fatalf("only %d callers reached a slot", r.Info().OpenSlots)
+			launch := func(call string) { go func() { results <- result{call, calls[call]()} }() }
+			waitOpenSlots := func(want int) {
+				for deadline := time.Now().Add(10 * time.Second); r.Info().OpenSlots < want; {
+					if time.Now().After(deadline) {
+						t.Fatalf("only %d callers reached a slot", r.Info().OpenSlots)
+					}
+					time.Sleep(time.Millisecond)
 				}
-				time.Sleep(time.Millisecond)
 			}
+			// The idle batcher launches the first barrier as a chunk of one,
+			// which never decides: every later rider queues behind it.
+			const first = "ReadBarrier in flight"
+			launch(first)
+			waitOpenSlots(1)
+			for call := range calls {
+				if call != first {
+					launch(call)
+				}
+			}
+			waitOpenSlots(2) // Execute's
 
 			stop(t, rt)
 			for range calls {

@@ -2,3 +2,14 @@ package smr
 
 // RetainSlots exposes the retain window to the external test package.
 const RetainSlots = retainSlots
+
+// QueuedCommands reports how many commands wait in r's batcher to be cut
+// into a chunk: a test that needs two riders in one chunk waits for both.
+func (r *Replica) QueuedCommands() int {
+	r.mu.Lock()
+	b := r.batch
+	r.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
+}

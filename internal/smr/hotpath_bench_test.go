@@ -1,10 +1,10 @@
 package smr_test
 
 // Micro-benchmarks for the replication hot path: command encoding, slot
-// wrapping (slotwrap_bench_test.go), the end-to-end submit pipeline, and
-// the batcher over distance. Run with
+// wrapping (slotwrap_bench_test.go), the end-to-end submit pipeline, the
+// batcher over distance, and the lease-less read path. Run with
 //
-//	go test -bench 'CommandEncode|SlotWrap|ReplicaPipeline|BatcherDistance' -benchmem ./internal/smr/
+//	go test -bench 'CommandEncode|SlotWrap|ReplicaPipeline|BatcherDistance|ReadFallback' -benchmem ./internal/smr/
 //
 // The encode benchmarks exist to keep allocs/op honest: the pooled codec
 // work (consensus.MarshalPooled, hand-spliced envelopes) is only worth its
@@ -101,45 +101,113 @@ func BenchmarkReplicaPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkBatcherDistance is one proposer offered more writers than a
-// chunk holds, a 20 ms round trip (10 ms each way, injected on the Mesh)
-// from its peers: an iteration is 256 concurrent writes, and cmds/roundtrip
-// is how many of them commit per round trip of elapsed time. A batcher with
-// one chunk in consensus at a time cannot exceed its chunk size, 64.
-func BenchmarkBatcherDistance(b *testing.B) {
-	const (
-		submitters = 256
-		oneWay     = 10 * time.Millisecond
-	)
+// distanceOneWay is the delay distanceFixture puts on every link.
+const distanceOneWay = 10 * time.Millisecond
+
+// distanceFixture is three processes a 20 ms round trip apart (10 ms each
+// way, injected on the Mesh), warmed by a lone writer at process 0: the
+// batcher's depth is measured, not configured, and those commits tell it how
+// far away its quorum is.
+func distanceFixture(b *testing.B) (*testCluster, *smr.KV, context.Context) {
 	// Δ = 10 ticks must outlast the round trip, or every ballot times out.
 	c := newTestCluster(b, 3, 1, 1, procOptions{tick: 5 * time.Millisecond})
 	c.fab.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
-		return transport.FaultVerdict{Delay: oneWay}
+		return transport.FaultVerdict{Delay: distanceOneWay}
 	})
 	kv := smr.NewKV(c.replicas()[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	// The depth is measured, not configured: let a lone writer's commits
-	// tell the batcher how far away its quorum is.
+	b.Cleanup(cancel)
 	for i := 0; i < 3; i++ {
 		if err := kv.Put(ctx, "warm", "up"); err != nil {
 			b.Fatal(err)
 		}
 	}
-	errs := make(chan error, submitters)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for w := 0; w < submitters; w++ {
-			go func(w int) { errs <- kv.Put(ctx, fmt.Sprintf("k%d", w), "v") }(w)
-		}
-		for w := 0; w < submitters; w++ {
-			if err := <-errs; err != nil {
-				b.Fatal(err)
-			}
+	return c, kv, ctx
+}
+
+// burst runs op on n goroutines at once and waits for them all.
+func burst(b *testing.B, n int, op func(w int) error) {
+	errs := make(chan error, n)
+	for w := 0; w < n; w++ {
+		go func(w int) { errs <- op(w) }(w)
+	}
+	for w := 0; w < n; w++ {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
 		}
 	}
-	roundTrips := float64(b.Elapsed()) / float64(2*oneWay)
+}
+
+// BenchmarkBatcherDistance is one proposer offered more writers than a
+// chunk holds, a 20 ms round trip from its peers: an iteration is 256
+// concurrent writes, and cmds/roundtrip is how many of them commit per round
+// trip of elapsed time. A batcher with one chunk in consensus at a time
+// cannot exceed its chunk size, 64.
+func BenchmarkBatcherDistance(b *testing.B) {
+	const submitters = 256
+	c, kv, ctx := distanceFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst(b, submitters, func(w int) error { return kv.Put(ctx, fmt.Sprintf("k%d", w), "v") })
+	}
+	roundTrips := float64(b.Elapsed()) / float64(2*distanceOneWay)
 	b.ReportMetric(float64(b.N*submitters)/roundTrips, "cmds/roundtrip")
 	st := c.replicas()[0].BatchStats()
 	b.ReportMetric(float64(st.Cmds)/float64(st.Batches), "cmds/batch")
+}
+
+// BenchmarkReadFallback is what a GetLinearizable costs where no lease
+// serves it: a barrier through consensus, then the local read.
+// distance/burst256 is BenchmarkBatcherDistance's fixture with an iteration
+// of 256 concurrent reads: roundtrips/burst is a shape, not a speed — a
+// barrier that cannot overlap rounds pays two where one will do. loopback/cN
+// is N callers in a closed loop, nine reads to one write, on durable
+// processes that fsync every commit; an iteration is one operation per
+// caller, so ops/s and slots/op are the figures to read, not ns/op.
+func BenchmarkReadFallback(b *testing.B) {
+	b.Run("distance/burst256", func(b *testing.B) {
+		c, kv, ctx := distanceFixture(b)
+		r := c.replicas()[0]
+		slots := r.Applied()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			burst(b, 256, func(int) error {
+				_, _, err := kv.GetLinearizable(ctx, "warm")
+				return err
+			})
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(2*distanceOneWay), "roundtrips/burst")
+		b.ReportMetric(float64(r.Applied()-slots)/float64(b.N), "slots/burst")
+	})
+	for _, callers := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("loopback/c%d", callers), func(b *testing.B) {
+			r := newTestCluster(b, 3, 1, 1, procOptions{dur: durableUnder(b.TempDir(), nil)}).replicas()[0]
+			kv := smr.NewKV(r)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+			defer cancel()
+			if err := kv.Put(ctx, "warm", "up"); err != nil {
+				b.Fatal(err)
+			}
+			slots := r.Applied()
+			b.ResetTimer()
+			burst(b, callers, func(w int) error {
+				for i := 0; i < b.N; i++ {
+					var err error
+					if (w+i)%10 == 0 {
+						err = kv.Put(ctx, fmt.Sprintf("k%d", w), "v")
+					} else {
+						_, _, err = kv.GetLinearizable(ctx, "warm")
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			b.StopTimer()
+			ops := float64(b.N * callers)
+			b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/s")
+			b.ReportMetric(float64(r.Applied()-slots)/ops, "slots/op")
+		})
+	}
 }

@@ -2,6 +2,7 @@ package smr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -65,8 +66,9 @@ func (kv *KV) Get(key string) (string, bool) {
 //     zero network round trips (the lease grant was replicated through
 //     consensus, so every other replica refuses to acknowledge commands
 //     the leaseholder has not applied — see internal/lease).
-//  2. No lease anywhere → replicate a no-op read barrier and read local
-//     state; concurrent reads coalesce behind shared rounds (readbarrier.go).
+//  2. No lease anywhere → a no-op through the write batcher (ReadBarrier),
+//     then read local state: the read costs what a write costs, and shares
+//     its slot with whatever reads and writes arrive beside it.
 //  3. Another replica holds the lease → the barrier is refused with
 //     ErrLeaseHeld carrying the holder ("ERR lease held by replica N" on
 //     the wire), which SessionClient's PreferLeader redial follows to the
@@ -85,4 +87,27 @@ func (kv *KV) GetLinearizable(ctx context.Context, key string) (string, bool, er
 	}
 	v, ok := kv.proxy.Get(key)
 	return v, ok, nil
+}
+
+// ReadBarrier ensures every command acknowledged anywhere before this call
+// started has been applied to the local store when it returns: the
+// linearizable-read barrier behind GetLinearizable's non-lease path. It is
+// one no-op Submit, so concurrent barriers and concurrent writes share
+// slots, pipeline to the batcher's depth and are released by the batcher on
+// close, cancel and poison like any other rider. That it is a barrier is the
+// write path's argument: the no-op is enqueued before its chunk is cut and
+// proposed; a write acknowledged before this call began had its slot and
+// every slot below it decided before its ack, so the chunk can win no slot
+// at or below it; and Submit returns after the chunk's slot applied here.
+// Under a foreign lease propose refuses the whole chunk toward the holder
+// (leaseRefuseLocked), as it refuses a lone no-op. ErrLeaseFenced is success
+// here: a fence says a leaseholder may have missed the command, not that
+// this replica has not applied the prefix. (That holder may not have applied
+// this chunk yet, so the next read it serves can miss a write this one
+// returns: open, see ROADMAP.)
+func (r *Replica) ReadBarrier(ctx context.Context) error {
+	if err := r.Submit(ctx, Command{Op: OpNoop}); !errors.Is(err, ErrLeaseFenced) {
+		return err
+	}
+	return nil
 }

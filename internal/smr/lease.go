@@ -363,29 +363,19 @@ type LeaseStats struct {
 	// Fenced counts commands applied but downgraded to ambiguous.
 	Refused uint64 `json:"refused"`
 	Fenced  uint64 `json:"fenced"`
-	// ReadRounds / ReadCoalesced count no-op read barriers and the extra
-	// GETLs that shared one (tracked even with leases disabled).
-	ReadRounds    uint64 `json:"readRounds"`
-	ReadCoalesced uint64 `json:"readCoalesced"`
 }
 
 // String renders the snapshot in the STATS line's key=value idiom.
 func (st LeaseStats) String() string {
 	return fmt.Sprintf(
-		"lease_valid=%t lease_holder=%d lease_hits=%d lease_misses=%d lease_expired=%d lease_revoked=%d lease_grants=%d lease_refused=%d lease_fenced=%d read_rounds=%d read_coalesced=%d",
+		"lease_valid=%t lease_holder=%d lease_hits=%d lease_misses=%d lease_expired=%d lease_revoked=%d lease_grants=%d lease_refused=%d lease_fenced=%d",
 		st.Valid, st.Holder, st.Hits, st.Misses, st.Expired, st.Revoked,
-		st.Grants, st.Refused, st.Fenced, st.ReadRounds, st.ReadCoalesced)
+		st.Grants, st.Refused, st.Fenced)
 }
 
 // LeaseStats snapshots the lease/read counters.
 func (r *Replica) LeaseStats() LeaseStats {
-	r.rgate.mu.Lock()
-	st := LeaseStats{
-		Holder:        -1,
-		ReadRounds:    r.rgate.rounds,
-		ReadCoalesced: r.rgate.coalesced,
-	}
-	r.rgate.mu.Unlock()
+	st := LeaseStats{Holder: -1}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.ls == nil {
@@ -398,14 +388,4 @@ func (r *Replica) LeaseStats() LeaseStats {
 	st.Expired, st.Revoked, st.Grants = r.ls.expired, r.ls.revoked, r.ls.grants
 	st.Refused, st.Fenced = r.ls.refused, r.ls.fencedN
 	return st
-}
-
-// isNoopValue reports whether an encoded command is a bare read no-op.
-// Sound by construction: AppendJSONString escapes every '"', so no key or
-// value a client controls can make a different command's encoding end in
-// an unescaped `,"op":"noop"}` — only a Subs-free, Key/Val-free OpNoop
-// does (a no-op with operands set encodes trailing fields and is treated,
-// conservatively, as a write).
-func isNoopValue(data string) bool {
-	return strings.HasSuffix(data, `,"op":"noop"}`)
 }

@@ -2,15 +2,19 @@ package smr_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/smr"
 )
 
@@ -270,11 +274,113 @@ func TestLeaseExpiryUnderFsyncStall(t *testing.T) {
 	}
 }
 
-// TestReadCoalescingSharesRounds pins the read-index batching shape with
-// leases off entirely: while one GETL's no-op round is pinned at the fsync
-// gate, 31 more GETLs arrive; releasing the gate must retire all 32 with
-// exactly one more round (the first round's barrier does not cover readers
-// that arrived after its no-op was proposed, so they share a second one).
+// TestLeaseFencedChunk builds the race fencing exists for, step by step on an
+// isolated p0 with a frozen lease clock: p0 proposes while no lease is live,
+// and p1's grant wins a slot below p0's proposals before they decide. p0 has
+// A alone in slot 1 (Execute) and one batcher chunk, a Put B and a
+// GetLinearizable, in slot 2; the test is the rest of the cluster and decides
+// slot 1 for the grant and slot 2 for the chunk. p0 then applies its own chunk
+// inside p1's guard: B's ack is downgraded to ErrLeaseFenced with B applied,
+// the read that shared the chunk is a read of B all the same (the barrier
+// asks that p0 applied the prefix, which it did), and A, which lost its slot,
+// is refused toward the holder before it is proposed again.
+func TestLeaseFencedChunk(t *testing.T) {
+	rt, tr := openIsolated(t, 0, "", &smr.LeaseOptions{
+		Duration: time.Second, Now: func() time.Duration { return 0 },
+	})
+	r, kv := rt.Group(0), smr.NewKV(rt.Group(0))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	// proposed waits for p0's Propose in slot and returns the value in it.
+	proposed := func(slot int) consensus.Value {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			tr.mu.Lock()
+			for _, s := range tr.sent {
+				if sm, ok := s.msg.(*smr.SlotMessage); ok && sm.Slot == slot && sm.InnerKind == core.KindPropose {
+					var p core.ProposeMsg
+					if err := json.Unmarshal(sm.InnerBody, &p); err != nil {
+						t.Fatal(err)
+					}
+					tr.mu.Unlock()
+					return p.Value
+				}
+			}
+			tr.mu.Unlock()
+			if time.Now().After(deadline) {
+				t.Fatalf("p0 never proposed in slot %d", slot)
+			}
+		}
+	}
+	decide := func(slot int, v consensus.Value) { r.Handle(1, slotMsg(t, slot, &core.DecideMsg{Value: v})) }
+
+	// A chunk in flight in slot 0 keeps the batcher from launching: B and the
+	// read's no-op queue behind it and are cut together when it resolves.
+	errW, errA, errB := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go func() { errW <- kv.Put(ctx, "w", "vw") }()
+	w := proposed(0)
+	go func() {
+		_, err := r.Execute(ctx, smr.Command{Op: smr.OpPut, Key: "a", Val: "va"})
+		errA <- err
+	}()
+	proposed(1)
+	go func() { errB <- kv.Put(ctx, "b", "vb") }()
+	type getl struct {
+		v   string
+		ok  bool
+		err error
+	}
+	read := make(chan getl, 1)
+	go func() {
+		v, ok, err := kv.GetLinearizable(ctx, "b")
+		read <- getl{v, ok, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); r.QueuedCommands() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d commands queued behind the chunk in flight, want B and the read's no-op", r.QueuedCommands())
+		}
+	}
+	decide(0, w)
+	if err := <-errW; err != nil {
+		t.Fatalf("Put before any lease: %v", err)
+	}
+	chunk := proposed(2)
+	if cmd, err := smr.DecodeCommand(chunk); err != nil || cmd.Op != smr.OpBatch || len(cmd.Subs) != 2 {
+		t.Fatalf("slot 2 carries %+v (%v), want one chunk of B and a no-op", cmd, err)
+	}
+
+	grant, err := smr.Command{ID: "p1-1", Op: smr.OpLeaseGrant, Key: "1", Val: strconv.FormatInt(int64(time.Second), 10)}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide(1, grant)
+	decide(2, chunk)
+
+	if err := <-errB; !errors.Is(err, smr.ErrLeaseFenced) {
+		t.Fatalf("B, applied inside p1's guard, was acknowledged with %v, want ErrLeaseFenced", err)
+	}
+	if v, ok := kv.Get("b"); !ok || v != "vb" {
+		t.Fatalf("fenced B is not applied: b=%q,%t", v, ok)
+	}
+	if got := <-read; got.err != nil || !got.ok || got.v != "vb" {
+		t.Fatalf("the read in B's chunk = %q,%t,%v, want B's value and no error", got.v, got.ok, got.err)
+	}
+	if err := <-errA; !errors.Is(err, smr.ErrLeaseHeld) {
+		t.Fatalf("A lost its slot to the grant and was retried with %v, want ErrLeaseHeld", err)
+	}
+	if _, ok := kv.Get("a"); ok {
+		t.Fatal("refused A is applied")
+	}
+	if ls := r.LeaseStats(); ls.Grants != 1 || ls.Fenced != 1 || ls.Refused != 1 {
+		t.Fatalf("lease stats %+v, want one grant, one fenced chunk, one refusal", ls)
+	}
+}
+
+// TestReadCoalescingSharesRounds pins that lease-less GETLs coalesce in the
+// write batcher, with leases off entirely: while one GETL's no-op is pinned
+// at the fsync gate, 31 more GETLs arrive; releasing the gate must retire all
+// 32 with exactly one more slot (the first slot's no-op does not cover readers
+// that arrived after it was proposed, so they share a second one).
 func TestReadCoalescingSharesRounds(t *testing.T) {
 	var stall atomic.Bool
 	release := make(chan struct{})
@@ -291,11 +397,18 @@ func TestReadCoalescingSharesRounds(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	kv := smr.NewKV(replicas[0])
-	if err := kv.Put(ctx, "k", "v"); err != nil {
-		t.Fatal(err)
+	put := func() {
+		if err := kv.Put(ctx, "k", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One loopback commit in many reads as distance and lets chunks overlap;
+	// here the second chunk has to wait for the first.
+	for put(); replicas[0].BatchStats().Depth > 1; put() {
 	}
 	replicas[0].SyncIO()
-	base := replicas[0].LeaseStats() // ReadRounds counted with leases off too
+	base := replicas[0].BatchStats()
+	applied := replicas[0].Applied()
 
 	stall.Store(true)
 	errs := make(chan error, 32)
@@ -304,12 +417,12 @@ func TestReadCoalescingSharesRounds(t *testing.T) {
 		errs <- err
 	}
 	go getl()
-	// The leader increments ReadRounds before its no-op hits the gate:
-	// poll until the first round is provably in flight.
+	// Batches moves when the flusher cuts the chunk, just before it proposes
+	// it: poll until the first no-op is provably in flight.
 	deadline := time.Now().Add(5 * time.Second)
-	for replicas[0].LeaseStats().ReadRounds != base.ReadRounds+1 {
+	for replicas[0].BatchStats().Batches != base.Batches+1 {
 		if time.Now().After(deadline) {
-			t.Fatal("first read round never started")
+			t.Fatal("first read barrier never launched")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -325,47 +438,22 @@ func TestReadCoalescingSharesRounds(t *testing.T) {
 			t.Fatalf("coalesced GETL: %v", err)
 		}
 	}
-	st := replicas[0].LeaseStats()
-	if got := st.ReadRounds - base.ReadRounds; got != 2 {
-		t.Fatalf("read rounds = %d, want 2 (stats %+v)", got, st)
+	st := replicas[0].BatchStats()
+	if got := st.Batches - base.Batches; got != 2 {
+		t.Fatalf("batches = %d, want 2 (stats %+v)", got, st)
 	}
-	if got := st.ReadCoalesced - base.ReadCoalesced; got != 30 {
-		t.Fatalf("coalesced reads = %d, want 30 (stats %+v)", got, st)
+	if got := st.Cmds - base.Cmds; got != 32 {
+		t.Fatalf("batched commands = %d, want 32 (stats %+v)", got, st)
 	}
-}
-
-// TestPerReadNoopBaseline pins the legacy A/B mode: with SetPerReadNoop
-// every GETL pays its own round, so N reads are N rounds, none coalesced.
-func TestPerReadNoopBaseline(t *testing.T) {
-	replicas, cleanup := startCluster(t, 3, 1, 1)
-	defer cleanup()
-	replicas[0].SetPerReadNoop(true)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	kv := smr.NewKV(replicas[0])
-	if err := kv.Put(ctx, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	base := replicas[0].LeaseStats()
-	for i := 0; i < 5; i++ {
-		if _, _, err := kv.GetLinearizable(ctx, "k"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := replicas[0].LeaseStats()
-	if got := st.ReadRounds - base.ReadRounds; got != 5 {
-		t.Fatalf("per-read-noop rounds = %d, want 5", got)
-	}
-	if st.ReadCoalesced != base.ReadCoalesced {
-		t.Fatalf("per-read-noop coalesced %d reads, want 0", st.ReadCoalesced-base.ReadCoalesced)
+	if got := replicas[0].Applied() - applied; got != 2 {
+		t.Fatalf("32 GETLs took %d slots, want 2", got)
 	}
 }
 
 // TestGETLStormUnderRace hammers the lease read path from 64 goroutines
 // with concurrent writers at the holder and readers at a non-holder; run
-// under -race in CI, it is the data-race net over the lease table, read
-// gate, and counters.
+// under -race in CI, it is the data-race net over the lease table, the
+// barrier through the batcher, and counters.
 func TestGETLStormUnderRace(t *testing.T) {
 	replicas := newTestCluster(t, 3, 1, 1, procOptions{
 		leases: &smr.LeaseOptions{Duration: 10 * time.Second, Epsilon: 50 * time.Millisecond},

@@ -31,11 +31,6 @@ type wakeup struct {
 	v    consensus.Value
 	chs  []chan consensus.Value // Execute waiters; each has capacity 1
 	done []chan struct{}        // WaitApplied waiters
-	// readOnly marks a wakeup that completes only read barriers (a bare
-	// no-op's Execute waiters, with no WaitApplied waiter released): its
-	// answer depends on no journaled state, so emitLocked lets it ride the
-	// critical watermark instead of forcing the step's bookkeeping to disk.
-	readOnly bool
 }
 
 // fire delivers the wakeup. ok=false means the replica failed before the

@@ -151,9 +151,8 @@ func (s *slot) learn(v consensus.Value) {
 // the applied index and store, the compaction floor, the slot hints — plus
 // the host timers, the lease table, the durability watermarks and the
 // step's pending wakeups. It is held for in-memory work only: every send,
-// fsync and caller wakeup leaves through the outbox (emitLocked). The read
-// gate and the batcher carry their own mutexes, taken before mu, never
-// under it.
+// fsync and caller wakeup leaves through the outbox (emitLocked). The
+// batcher carries its own mutex, taken before mu, never under it.
 type Replica struct {
 	cfg   consensus.Config
 	tick  time.Duration
@@ -199,7 +198,8 @@ type Replica struct {
 	// snapshots.
 	compactFloor int
 
-	// batch, when non-nil, groups Submit traffic into OpBatch commands.
+	// batch, when non-nil, groups Submit traffic — writes and read barriers
+	// alike — into OpBatch commands.
 	batch *batcher
 
 	// faultStale deliberately serves overwritten values from faultPrev —
@@ -212,10 +212,8 @@ type Replica struct {
 	dur *durable
 
 	// ls, when non-nil, tracks the replicated leader lease (EnableLeases,
-	// see lease.go); rgate coalesces concurrent linearizable reads behind
-	// shared no-op rounds regardless of leases (see readbarrier.go).
-	ls    *leaseState
-	rgate readGate
+	// see lease.go).
+	ls *leaseState
 }
 
 // NewReplica builds one consensus group's replica on io, the scheduler its
@@ -349,8 +347,11 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 	case *SlotMessage:
 		if m.Slot < r.compactFloor {
 			// The sender is working below our compaction floor: the
-			// slot is retired, but our snapshot covers it.
-			out = r.catchupReplyLocked(from)
+			// slot is retired, but our snapshot covers it. Not for a Decide:
+			// its sender has the decision, and hears of a lag from Status.
+			if m.InnerKind != core.KindDecide {
+				out = r.catchupReplyLocked(from)
+			}
 			break
 		}
 		if s := r.slots[m.Slot]; s != nil && s.decided {
@@ -496,8 +497,9 @@ func (r *Replica) retireBelowLocked(floor int) int {
 
 // Submit replicates cmd and returns once it is decided and applied at this
 // replica, or when ctx is done (the command may still commit afterwards).
-// With EnableAdaptiveBatching, Submits arriving together are grouped into
-// one instance (see batcher).
+// With EnableAdaptiveBatching, Submits arriving together — writes and
+// ReadBarrier's no-ops, the batcher does not tell them apart — are grouped
+// into one instance (see batcher); without it a Submit is one instance.
 func (r *Replica) Submit(ctx context.Context, cmd Command) error {
 	r.mu.Lock()
 	if cmd.ID == "" {
@@ -890,11 +892,6 @@ func (r *Replica) decideLocked(s *slot, v consensus.Value) {
 	s.waiters = nil
 	before := r.applied
 	wk.done = r.applyReadyLocked()
-	// A bare no-op that releases no WaitApplied waiter completes only read
-	// barriers: any write acknowledgement travels through done channels, so
-	// this condition is what keeps the relaxed (critical-only) durability
-	// watermark strictly off the write path.
-	wk.readOnly = isNoopValue(v.Data) && len(wk.done) == 0
 	if len(wk.chs) > 0 || len(wk.done) > 0 {
 		r.wakes = append(r.wakes, wk)
 	}
@@ -1034,13 +1031,9 @@ func (r *Replica) emitDoneLocked(out []outbound, done chan struct{}) {
 	var idx uint64
 	if r.dur != nil && r.dur.policy == wal.SyncAlways {
 		idx = r.dur.critical
-		for _, w := range wakes {
-			if !w.readOnly {
-				// Completing a client call asserts full durability of the
-				// step; only pure read-barrier wakeups may skip it.
-				idx = r.dur.buffered
-				break
-			}
+		if len(wakes) > 0 {
+			// Completing a caller asserts full durability of the step.
+			idx = r.dur.buffered
 		}
 	}
 	r.io.enqueue(outboxEntry{r: r, walIdx: idx, msgs: out, wake: wakes, done: done})

@@ -678,85 +678,3 @@ func checkPut(key, val string) error {
 	}
 	return nil
 }
-
-// Future is one in-flight pipelined write issued with PutAsync or
-// DeleteAsync. Err blocks until the reply arrives (or the timeout passes)
-// and returns the operation's outcome under the usual taxonomy. Async
-// operations are never re-queued across proxies: a failure classifies
-// immediately.
-type Future struct {
-	c    *SessionClient
-	sess *session
-	op   *sessionOp
-	once sync.Once
-	err  error
-}
-
-// resolvedFuture wraps an already-known outcome.
-func resolvedFuture(err error) *Future {
-	f := &Future{err: err}
-	f.once.Do(func() {})
-	return f
-}
-
-// PutAsync issues a pipelined write and returns immediately (blocking
-// only while the session's in-flight window is full). Collect the
-// outcome with Err.
-func (c *SessionClient) PutAsync(key, val string) *Future {
-	if err := checkPut(key, val); err != nil {
-		return resolvedFuture(err)
-	}
-	return c.async("PUT " + key + " " + val)
-}
-
-// DeleteAsync issues a pipelined delete; see PutAsync.
-func (c *SessionClient) DeleteAsync(key string) *Future {
-	if err := checkKey(key); err != nil {
-		return resolvedFuture(&outcomeError{cause: err, maybe: false})
-	}
-	return c.async("DEL " + key)
-}
-
-func (c *SessionClient) async(cmd string) *Future {
-	for attempt := 0; attempt < len(c.addrs); attempt++ {
-		sess, err := c.session()
-		if err != nil {
-			return resolvedFuture(&outcomeError{cause: err, maybe: false})
-		}
-		if sess.legacy {
-			// No pipelining to be had: run the command synchronously.
-			return resolvedFuture(c.write(cmd))
-		}
-		op, err := sess.begin(cmd)
-		if err != nil {
-			// begin fails only before anything is sent: rotate and retry.
-			c.drop(sess, err)
-			continue
-		}
-		return &Future{c: c, sess: sess, op: op}
-	}
-	return resolvedFuture(&outcomeError{cause: ErrNoProxies, maybe: false})
-}
-
-// Err waits for the write's outcome. Non-nil errors match exactly one of
-// ErrMaybeApplied / ErrRejected.
-func (f *Future) Err() error {
-	f.once.Do(func() {
-		res := f.sess.await(f.op, f.c.opts.Timeout)
-		switch {
-		case res.err != nil:
-			if errors.Is(res.err, errOpTimeout) {
-				// Same discipline as the synchronous path: a proxy that
-				// times out is rotated away from.
-				f.c.drop(f.sess, res.err)
-			}
-			f.err = &outcomeError{cause: res.err, maybe: res.sent}
-		case res.reply != "OK":
-			f.err = &outcomeError{
-				cause: fmt.Errorf("smr session: %s", res.reply),
-				maybe: ambiguousReply(res.reply),
-			}
-		}
-	})
-	return f.err
-}

@@ -243,13 +243,6 @@ func TestSessionLegacyFallback(t *testing.T) {
 	if got, err := c.Get("k"); err != nil || got != "v1-value" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	// Async writes still work (executed synchronously underneath).
-	if err := c.PutAsync("k2", "v2").Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.Get("k2"); err != nil || got != "v2" {
-		t.Fatalf("Get(k2) = %q, %v", got, err)
-	}
 }
 
 // sessionScriptServer speaks just enough of the v2 protocol for failure
@@ -470,32 +463,5 @@ func TestSessionConcurrentInFlight(t *testing.T) {
 	}
 	if counters.Sessions == 0 || counters.Frames < goroutines*opsEach {
 		t.Fatalf("server counters %+v: want ≥1 session and ≥%d frames", counters, goroutines*opsEach)
-	}
-}
-
-// TestSessionAsyncPipeline checks the windowed async API end to end: a
-// burst of PutAsync futures must all commit and be visible.
-func TestSessionAsyncPipeline(t *testing.T) {
-	addrs, _, cleanup := startServedCluster(t, 3, 1, 1)
-	defer cleanup()
-	c := newTestSessionClient(t, addrs, smr.SessionOptions{Timeout: 20 * time.Second, Depth: 32})
-
-	const n = 48
-	futures := make([]*smr.Future, n)
-	for i := range futures {
-		futures[i] = c.PutAsync(fmt.Sprintf("a%d", i), fmt.Sprintf("v%d", i))
-	}
-	for i, f := range futures {
-		if err := f.Err(); err != nil {
-			t.Fatalf("async put %d: %v", i, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if got, err := c.Get(fmt.Sprintf("a%d", i)); err != nil || got != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(a%d) = %q, %v", i, got, err)
-		}
-	}
-	if err := c.PutAsync("bad key", "v").Err(); !errors.Is(err, smr.ErrRejected) {
-		t.Fatalf("async put with bad key = %v, want ErrRejected", err)
 	}
 }
