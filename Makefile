@@ -63,9 +63,10 @@ bench-wan:
 bench-wan-short:
 	$(GO) run ./cmd/bench -exp F10 -f10-short
 
-# Hot-path microbenchmarks (codec allocs, WAL group commit, full replica
-# pipeline) at a fixed iteration count so CI gets stable allocs/op without
-# waiting for time-based calibration — see docs/PERFORMANCE.md.
+# Hot-path microbenchmarks (codec allocs out and in, WAL group commit, full
+# replica pipeline) at a fixed iteration count so CI gets stable allocs/op
+# without waiting for time-based calibration — see docs/PERFORMANCE.md.
+# BenchmarkFrameDecode is a vote's way in: frame → group → slot → core.TwoB.
 # BenchmarkReplicaPipeline also prints the write budget at n=3 and n=5:
 # sends/op must read 3(n-1)+e (7, 14) and walrecs/op 2n (6, 10).
 # BenchmarkBatcherDistance is ten bursts of 256 writers a 20 ms round trip
@@ -75,7 +76,7 @@ bench-wan-short:
 # then 1, 8 and 64 closed-loop callers, nine reads to one write, on durable
 # loopback processes, 2000 operations each (ops/s, slots/op).
 microbench:
-	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkSlotWrap|BenchmarkReplicaPipeline' \
+	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkCommandDecode|BenchmarkSlotWrap|BenchmarkFrameDecode|BenchmarkReplicaPipeline' \
 		-benchmem -benchtime=100x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkBatcherDistance|BenchmarkReadFallback/distance' -benchtime=10x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkReadFallback/loopback' -benchtime=2000x -count=2 ./internal/smr
@@ -106,6 +107,9 @@ fuzz:
 	$(GO) test ./internal/transport -run=NONE -fuzz=FuzzFrameRoundTrip -fuzztime=30s
 	$(GO) test ./internal/storage -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=30s
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzSessionFrameRoundTrip -fuzztime=30s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCommandDecode -fuzztime=30s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=30s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=30s
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzRangeRouter -fuzztime=30s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart

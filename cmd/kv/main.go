@@ -9,8 +9,8 @@
 //
 // With -groups N the process hosts N consensus groups sharing one
 // transport, WAL, and fsync stream; keys hash-route across groups
-// transparently (see docs/SHARDING.md). -groups 1 (the default) is
-// byte-compatible with data directories written before sharding.
+// transparently (see docs/SHARDING.md). A data directory is in one binary
+// format (docs/DURABILITY.md); one written by a JSON-era build is refused.
 //
 // Client (reads commands from stdin, PUT/GET/GETL/DEL/STATS/INFO, fails over
 // between proxies; speaks the multiplexed session protocol, falling back to
@@ -99,9 +99,7 @@ func run() error {
 }
 
 // newRuntime builds the serving stack. Replica mode always runs the
-// multi-group runtime — with -groups 1 it hosts a single group whose
-// on-disk layout matches the pre-sharding replica, so existing data
-// directories open unchanged.
+// multi-group runtime — with -groups 1 it hosts a single group.
 func newRuntime(cfg consensus.Config, groups, tickMS int, dur *shard.Durability, lo *smr.LeaseOptions) (*shard.Runtime, error) {
 	return shard.New(shard.Options{
 		Groups:        groups,

@@ -120,25 +120,22 @@ func serverMain(id int, peerList []string, f, e int, object bool, tickMS int, st
 			return err
 		}
 		if last != nil {
-			if err := proto.RestoreJSON(last); err != nil {
+			if err := proto.RestoreState(last); err != nil {
 				w.Close()
 				return err
 			}
-			fmt.Printf("recovered: state=%s (torn tail=%t)\n", last, winfo.TornTail)
+			fmt.Printf("recovered: state=%+v (torn tail=%t)\n", proto.Snapshot(), winfo.TornTail)
 		}
-		persisted := string(last)
+		persisted := proto.Snapshot()
 		host.SetPersist(func() error {
-			st, err := proto.SnapshotJSON()
-			if err != nil {
-				return err
-			}
-			if string(st) == persisted {
+			st := proto.Snapshot()
+			if st == persisted {
 				return nil
 			}
-			if _, err := w.Append(st); err != nil {
+			if _, err := w.Append(proto.AppendState(nil)); err != nil {
 				return err
 			}
-			persisted = string(st)
+			persisted = st
 			return nil
 		}, w.Close)
 	}

@@ -2,42 +2,49 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
 
 // CodecSym cross-checks hand-written encode/decode pairs: the decoder must
-// read the same fixed-width fields, the same number of times, with the same
-// byte order as the encoder writes — and a hand-spliced JSON encoder must
-// emit exactly the keys its struct's json tags declare, so the reflective
-// json.Unmarshal on the decode side sees every field. Wire drift between the
-// two sides of a codec is the single most likely silent bug when a format
-// grows a field (e.g. group-tagged WAL records for the sharded multi-group
-// runtime), because each side round-trips cleanly against itself.
+// read the same fields, the same number of times, as the encoder writes.
+// Wire drift between the two sides of a codec is the single most likely
+// silent bug when a format grows a field, because each side round-trips
+// cleanly against itself.
 //
-// Pairing is by name: a function with binary.<Endian>.PutUintN/AppendUintN
-// calls is an encoder, one with binary.<Endian>.UintN calls is a decoder,
-// and the two are compared when their names agree after stripping a codec
-// verb prefix (Encode/Decode, Parse, Read/Write, Save/Load, Marshal/
-// Unmarshal, Append). The comparison counts calls per width — not offsets —
-// so an encoder that fills the checksum field out of order (wal.EncodeRecord)
+// A field is a call to one of two vocabularies. Fixed-width: a
+// binary.<Endian>.PutUintN/AppendUintN call writes a uintN and a
+// binary.<Endian>.UintN call reads one, and the byte order must agree too.
+// Length-prefixed (internal/consensus/wire.go): a call to any function or
+// method named Append<X> writes an X; a call to one named Decode<X>, or to
+// the consensus.Decoder method that reads an X, reads one. X is whatever
+// the codec is built from — Uvarint, Varint, Value, Ballot, but equally
+// State, Command or Body, so a codec that nests another is held to calling
+// its two halves equally often. Str and Bytes are one wire form, and Count
+// reads what AppendUvarint wrote.
+//
+// Pairing is by name: two functions are compared when their names agree
+// after stripping a codec verb prefix (Encode/Decode, Parse, Read/Write,
+// Save/Load, Marshal/Unmarshal, Append, Restore), methods only with methods
+// of the same receiver — (*TwoB).AppendBody with (*TwoB).DecodeBody. The
+// comparison counts calls per field kind — not offsets, not order — so an
+// encoder that fills the checksum field out of order (wal.EncodeRecord)
 // still matches its in-order decoder.
 var CodecSym = &Analyzer{
 	Name: "codecsym",
-	Doc: "decode must read the same fixed-width fields, count and byte order " +
-		"as encode writes; JSON splices must emit exactly the struct's json tags",
+	Doc: "decode must read the same fields — fixed-width and length-prefixed — " +
+		"as often, and in the same byte order, as encode writes",
 	Run: runCodecSym,
 }
 
-// codecEndpoint is one side of a binary codec: the per-width call counts of
-// one function's fixed-width reads or writes.
+// codecEndpoint is one side of a codec: how often one function writes or
+// reads each kind of field ("uint32", "Varint", "State", ...).
 type codecEndpoint struct {
 	decl    *ast.FuncDecl
-	writes  map[string]int // width ("16"/"32"/"64") -> PutUintN/AppendUintN calls
-	reads   map[string]int // width -> UintN calls
+	encoder bool
+	writes  map[string]int
+	reads   map[string]int
 	endians map[string]bool
 }
 
@@ -49,15 +56,19 @@ func runCodecSym(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkJSONSplice(pass, fd)
-			ep := collectBinaryCalls(pass, fd)
-			if len(ep.writes) == 0 && len(ep.reads) == 0 {
+			ep := collectCodecCalls(pass, fd)
+			switch {
+			case len(ep.writes) > 0 && len(ep.reads) > 0:
+				continue // round-trip helper: both sides in one body
+			case len(ep.writes) > 0 || fd.Name.Name == "AppendBody":
+				ep.encoder = true
+			case len(ep.reads) == 0 && fd.Name.Name != "DecodeBody":
+				// Moves no field. The two methods of consensus.Message are
+				// a codec whatever they call: a DecodeBody reading nothing
+				// is the dropped field at its worst.
 				continue
 			}
-			if len(ep.writes) > 0 && len(ep.reads) > 0 {
-				continue // round-trip helper: both sides in one body
-			}
-			key := codecPairKey(fd.Name.Name)
+			key := codecPairKey(fd)
 			byKey[key] = append(byKey[key], ep)
 		}
 	}
@@ -70,7 +81,7 @@ func runCodecSym(pass *Pass) error {
 		var enc, dec *codecEndpoint
 		ambiguous := false
 		for _, ep := range byKey[k] {
-			if len(ep.writes) > 0 {
+			if ep.encoder {
 				if enc != nil {
 					ambiguous = true
 				}
@@ -90,16 +101,22 @@ func runCodecSym(pass *Pass) error {
 	return nil
 }
 
-// comparePair reports per-width count mismatches and byte-order disagreement
+// comparePair reports per-field count mismatches and byte-order disagreement
 // between an encoder and its decoder.
 func comparePair(pass *Pass, enc, dec *codecEndpoint) {
 	encName, decName := enc.decl.Name.Name, dec.decl.Name.Name
-	for _, width := range []string{"16", "32", "64"} {
-		w, r := enc.writes[width], dec.reads[width]
-		if w != r {
+	fields := map[string]bool{}
+	for f := range enc.writes {
+		fields[f] = true
+	}
+	for f := range dec.reads {
+		fields[f] = true
+	}
+	for _, f := range sortedKeys(fields) {
+		if w, r := enc.writes[f], dec.reads[f]; w != r {
 			pass.Reportf(dec.decl.Pos(),
-				"codec pair %s/%s: encoder writes %d uint%s field(s) but decoder reads %d — the wire formats have drifted",
-				encName, decName, w, width, r)
+				"codec pair %s/%s: encoder writes %d %s field(s) but decoder reads %d — the wire formats have drifted",
+				encName, decName, w, f, r)
 		}
 	}
 	for e := range enc.endians {
@@ -115,23 +132,34 @@ func comparePair(pass *Pass, enc, dec *codecEndpoint) {
 // decoder (encodeFoo/decodeFoo, writeFrame/readFrame, Save/read, ...).
 var codecVerbs = []string{
 	"encode", "decode", "parse", "unmarshal", "marshal",
-	"write", "read", "save", "load", "append", "put", "get",
+	"write", "read", "save", "load", "append", "restore", "put", "get",
 }
 
-// codecPairKey normalizes a function name to its pairing key: lowercase with
-// one leading codec verb removed.
-func codecPairKey(name string) string {
-	n := strings.ToLower(name)
+// codecPairKey normalizes a function to its pairing key: its lowercased name
+// with one leading codec verb removed, behind its receiver type if it has one.
+func codecPairKey(fd *ast.FuncDecl) string {
+	n := strings.ToLower(fd.Name.Name)
 	for _, v := range codecVerbs {
 		if strings.HasPrefix(n, v) {
-			return strings.TrimPrefix(n, v)
+			n = strings.TrimPrefix(n, v)
+			break
 		}
+	}
+	if fd.Recv != nil && len(fd.Recv.List) > 0 {
+		n = strings.ToLower(receiverTypeName(fd)) + "." + n
 	}
 	return n
 }
 
-// collectBinaryCalls tallies fd's encoding/binary fixed-width calls.
-func collectBinaryCalls(pass *Pass, fd *ast.FuncDecl) *codecEndpoint {
+// decoderReads maps each consensus.Decoder method that consumes a field to
+// the field kind the matching Append helper writes.
+var decoderReads = map[string]string{
+	"Uvarint": "Uvarint", "Count": "Uvarint", "Varint": "Varint", "Ballot": "Ballot",
+	"Str": "Bytes", "Bytes": "Bytes", "Bool": "Bool", "Value": "Value",
+}
+
+// collectCodecCalls tallies fd's field writes and reads in both vocabularies.
+func collectCodecCalls(pass *Pass, fd *ast.FuncDecl) *codecEndpoint {
 	ep := &codecEndpoint{
 		decl:    fd,
 		writes:  map[string]int{},
@@ -143,29 +171,59 @@ func collectBinaryCalls(pass *Pass, fd *ast.FuncDecl) *codecEndpoint {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
+		var name string
+		switch fun := call.Fun.(type) {
+		case *ast.Ident:
+			name = fun.Name
+		case *ast.SelectorExpr:
+			name = fun.Sel.Name
+			if endian, ok := binaryEndian(pass, fun.X); ok {
+				switch {
+				case strings.HasPrefix(name, "PutUint"):
+					ep.writes["uint"+strings.TrimPrefix(name, "PutUint")]++
+					ep.endians[endian] = true
+				case strings.HasPrefix(name, "AppendUint"):
+					ep.writes["uint"+strings.TrimPrefix(name, "AppendUint")]++
+					ep.endians[endian] = true
+				case strings.HasPrefix(name, "Uint"):
+					ep.reads["uint"+strings.TrimPrefix(name, "Uint")]++
+					ep.endians[endian] = true
+				}
+				return true
+			}
+			if field, ok := decoderReads[name]; ok && isWireDecoder(typeOf(pass, fun.X)) {
+				ep.reads[field]++
+				return true
+			}
 		}
-		endian, ok := binaryEndian(pass, sel.X)
-		if !ok {
-			return true
-		}
-		name := sel.Sel.Name
+		lower := strings.ToLower(name)
 		switch {
-		case strings.HasPrefix(name, "PutUint"):
-			ep.writes[strings.TrimPrefix(name, "PutUint")]++
-			ep.endians[endian] = true
-		case strings.HasPrefix(name, "AppendUint"):
-			ep.writes[strings.TrimPrefix(name, "AppendUint")]++
-			ep.endians[endian] = true
-		case strings.HasPrefix(name, "Uint"):
-			ep.reads[strings.TrimPrefix(name, "Uint")]++
-			ep.endians[endian] = true
+		case strings.HasPrefix(lower, "append") && len(name) > len("append"):
+			ep.writes[wireField(name[len("append"):])]++
+		case strings.HasPrefix(lower, "decode") && len(name) > len("decode"):
+			ep.reads[wireField(name[len("decode"):])]++
 		}
 		return true
 	})
 	return ep
+}
+
+// wireField names the field kind an Append<X>/Decode<X> helper moves.
+func wireField(x string) string {
+	if x == "Str" {
+		return "Bytes"
+	}
+	return x
+}
+
+// isWireDecoder reports whether t is (a pointer to) a type named Decoder —
+// consensus.Decoder, or a fixture's stand-in for it.
+func isWireDecoder(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Decoder"
 }
 
 // binaryEndian reports whether e is encoding/binary's LittleEndian or
@@ -189,166 +247,7 @@ func binaryEndian(pass *Pass, e ast.Expr) (string, bool) {
 	return sel.Sel.Name, true
 }
 
-// spliceMethodRE names the methods subject to the JSON-splice check: the
-// repository's hand-splice entry points (Command.appendJSON,
-// SlotMessage.AppendBody/MarshalJSON and their future siblings).
-var spliceMethodRE = regexp.MustCompile(`(?i)^(appendjson|appendbody|marshaljson)$`)
-
-// jsonKeyRE extracts object keys from spliced string literals: `{"id":` and
-// `,"subs":[` both yield their key.
-var jsonKeyRE = regexp.MustCompile(`"([A-Za-z_][A-Za-z0-9_]*)":`)
-
-// checkJSONSplice verifies a hand-spliced JSON encoder against the json tags
-// of its receiver struct: every tag must be emitted by some literal in the
-// body, and every key the body emits must be a declared tag. Conditional
-// fields (the omitempty pattern) still appear as literals, so the check is
-// purely lexical over the method body.
-func checkJSONSplice(pass *Pass, fd *ast.FuncDecl) {
-	if fd.Recv == nil || !spliceMethodRE.MatchString(fd.Name.Name) {
-		return
-	}
-	tags := receiverJSONTags(pass, fd)
-	if len(tags) == 0 {
-		return
-	}
-	emitted := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING {
-			return true
-		}
-		for _, m := range jsonKeyRE.FindAllStringSubmatch(lit.Value, -1) {
-			emitted[m[1]] = true
-		}
-		return true
-	})
-	if len(emitted) == 0 {
-		return // delegating method (e.g. MarshalJSON calling AppendBody)
-	}
-	for _, key := range sortedKeys(emitted) {
-		if !tags[key] {
-			pass.Reportf(fd.Pos(),
-				"%s splices JSON key %q that is not a json tag of %s — the reflective decoder will drop it",
-				fd.Name.Name, key, receiverTypeName(fd))
-		}
-	}
-	for _, tag := range sortedKeys(tags) {
-		if !emitted[tag] {
-			pass.Reportf(fd.Pos(),
-				"%s never splices json tag %q of %s — the field is silently lost on the wire",
-				fd.Name.Name, tag, receiverTypeName(fd))
-		}
-	}
-}
-
-// receiverJSONTags returns the json tag names (or field names, for untagged
-// exported fields) of fd's receiver struct; nil when the receiver is not a
-// struct or carries no json tags at all.
-func receiverJSONTags(pass *Pass, fd *ast.FuncDecl) map[string]bool {
-	if len(fd.Recv.List) == 0 {
-		return nil
-	}
-	t := typeOf(pass, fd.Recv.List[0].Type)
-	if t == nil {
-		if tv := pass.TypesInfo.Defs[receiverIdent(fd)]; tv != nil {
-			t = tv.Type()
-		}
-	}
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	tags := map[string]bool{}
-	tagged := false
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() {
-			continue
-		}
-		tag := jsonTagName(st.Tag(i))
-		if tag == "-" {
-			continue
-		}
-		if tag != "" {
-			tagged = true
-			tags[tag] = true
-		} else {
-			tags[f.Name()] = true
-		}
-	}
-	if !tagged {
-		return nil
-	}
-	return tags
-}
-
-// jsonTagName extracts the key name from a struct tag's json section.
-func jsonTagName(tag string) string {
-	st := reflectStructTag(tag, "json")
-	if st == "" {
-		return ""
-	}
-	if i := strings.IndexByte(st, ','); i >= 0 {
-		st = st[:i]
-	}
-	return st
-}
-
-// reflectStructTag is reflect.StructTag.Get for the one key we need, without
-// importing reflect into the analyzer.
-func reflectStructTag(tag, key string) string {
-	for tag != "" {
-		i := 0
-		for i < len(tag) && tag[i] == ' ' {
-			i++
-		}
-		tag = tag[i:]
-		if tag == "" {
-			break
-		}
-		i = 0
-		for i < len(tag) && tag[i] > ' ' && tag[i] != ':' && tag[i] != '"' {
-			i++
-		}
-		if i == 0 || i+1 >= len(tag) || tag[i] != ':' || tag[i+1] != '"' {
-			break
-		}
-		name := tag[:i]
-		tag = tag[i+1:]
-		i = 1
-		for i < len(tag) && tag[i] != '"' {
-			if tag[i] == '\\' {
-				i++
-			}
-			i++
-		}
-		if i >= len(tag) {
-			break
-		}
-		value := tag[1:i]
-		tag = tag[i+1:]
-		if name == key {
-			out := strings.ReplaceAll(value, `\"`, `"`)
-			return out
-		}
-	}
-	return ""
-}
-
-func receiverIdent(fd *ast.FuncDecl) *ast.Ident {
-	if len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return fd.Recv.List[0].Names[0]
-}
-
-// receiverTypeName renders fd's receiver type for diagnostics.
+// receiverTypeName renders fd's receiver type for pairing keys.
 func receiverTypeName(fd *ast.FuncDecl) string {
 	t := fd.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {

@@ -1,10 +1,12 @@
 // Fixture for the codecsym analyzer: encode/decode pairs must agree on the
-// fixed-width fields they write and read, and hand-spliced JSON must emit
-// exactly the receiver struct's json tags.
+// fields they write and read — fixed-width encoding/binary calls and the
+// length-prefixed helpers of internal/consensus/wire.go alike.
 package fixture
 
 import (
 	"encoding/binary"
+
+	"repro/internal/consensus"
 )
 
 // A matched pair: same widths, same counts, same byte order. The decoder
@@ -51,6 +53,18 @@ func decodeOrder(b []byte) uint32 { // want "encoder uses binary.LittleEndian bu
 	return binary.BigEndian.Uint32(b)
 }
 
+// Swapped width: the same number of fields, one of them read at another size.
+func encodeWidth(id uint32, n uint64) []byte {
+	buf := make([]byte, 12)
+	binary.BigEndian.PutUint32(buf[0:4], id)
+	binary.BigEndian.PutUint64(buf[4:12], n)
+	return buf
+}
+
+func decodeWidth(b []byte) (uint32, uint64) { // want "encoder writes 1 uint32 field\\(s\\) but decoder reads 2" "encoder writes 1 uint64 field\\(s\\) but decoder reads 0"
+	return binary.BigEndian.Uint32(b[0:4]), uint64(binary.BigEndian.Uint32(b[4:8]))
+}
+
 // A round-trip helper touches both directions in one body and is no one's
 // pairing partner.
 func roundTripScratch(v uint64) uint64 {
@@ -79,48 +93,69 @@ func decodeReserved(b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b[0:4])
 }
 
-// JSON splice checks: the emitted keys must be exactly the json tags.
-type wireCmd struct {
-	ID  string `json:"id"`
-	Op  string `json:"op"`
-	Key string `json:"key,omitempty"`
+// The length-prefixed vocabulary: Append<X> writes an X; Decode<X>, or the
+// Decoder method reading an X, reads one. A matched pair, with a nested codec
+// (appendInner/decodeInner) and a counted loop.
+type rec struct {
+	ID    string
+	N     int64
+	Flag  bool
+	Inner []rec
 }
 
-// A faithful splice: every tag appears (conditionally is fine), nothing else.
-func (c wireCmd) AppendBody(dst []byte) []byte {
-	dst = append(dst, `{"id":"`...)
-	dst = append(dst, c.ID...)
-	dst = append(dst, `","op":"`...)
-	dst = append(dst, c.Op...)
-	if c.Key != "" {
-		dst = append(dst, `","key":"`...)
-		dst = append(dst, c.Key...)
+func appendRec(dst []byte, r rec) []byte {
+	dst = consensus.AppendStr(dst, r.ID)
+	dst = consensus.AppendVarint(dst, r.N)
+	dst = consensus.AppendBool(dst, r.Flag)
+	dst = consensus.AppendUvarint(dst, uint64(len(r.Inner)))
+	for _, in := range r.Inner {
+		dst = appendRec(dst, in)
 	}
-	return append(dst, `"}`...)
+	return dst
 }
 
-type driftCmd struct {
-	ID  string `json:"id"`
-	Op  string `json:"op"`
-	Val string `json:"val"`
+func decodeRec(d *consensus.Decoder) rec {
+	r := rec{ID: d.Str(), N: d.Varint(), Flag: d.Bool()}
+	for n := d.Count(3); n > 0; n-- {
+		r.Inner = append(r.Inner, decodeRec(d))
+	}
+	return r
 }
 
-func (c driftCmd) appendJSON(dst []byte) []byte { // want "appendJSON splices JSON key \"ops\" that is not a json tag of driftCmd" "appendJSON never splices json tag \"op\" of driftCmd" "appendJSON never splices json tag \"val\" of driftCmd"
-	dst = append(dst, `{"id":"`...)
-	dst = append(dst, c.ID...)
-	dst = append(dst, `","ops":"`...)
-	dst = append(dst, c.Op...)
-	return append(dst, `"}`...)
+// Dropped field: the encoder grew a flag the decoder never reads.
+func appendDropped(dst []byte, r rec) []byte {
+	dst = consensus.AppendStr(dst, r.ID)
+	return consensus.AppendBool(dst, r.Flag)
 }
 
-// A method whose receiver has no json tags is out of scope even when it
-// splices key-shaped literals.
-type untagged struct {
-	Name string
+func decodeDropped(d *consensus.Decoder) rec { // want "encoder writes 1 Bool field\\(s\\) but decoder reads 0"
+	return rec{ID: d.Str()}
 }
 
-func (u untagged) AppendBody(dst []byte) []byte {
-	dst = append(dst, `{"name":"`...)
-	dst = append(dst, u.Name...)
-	return append(dst, `"}`...)
+// Swapped width, varint flavour: written zig-zag, read unsigned.
+func appendSigned(dst []byte, r rec) []byte {
+	return consensus.AppendVarint(dst, r.N)
+}
+
+func decodeSigned(d *consensus.Decoder) rec { // want "encoder writes 0 Uvarint field\\(s\\) but decoder reads 1" "encoder writes 1 Varint field\\(s\\) but decoder reads 0"
+	return rec{N: int64(d.Uvarint())}
+}
+
+// Methods pair only with methods of their own receiver: two message types
+// with AppendBody/DecodeBody each are two pairs, not an ambiguity — and a
+// nested codec dropped on one side is a finding.
+type wrapMsg struct{ Inner rec }
+type flatMsg struct{ N int64 }
+
+func (m *wrapMsg) AppendBody(dst []byte) []byte { return appendRec(dst, m.Inner) }
+func (m *wrapMsg) DecodeBody(body []byte) error { // want "encoder writes 1 Rec field\\(s\\) but decoder reads 0"
+	d := consensus.NewDecoder(body)
+	return d.Finish()
+}
+
+func (m *flatMsg) AppendBody(dst []byte) []byte { return consensus.AppendVarint(dst, m.N) }
+func (m *flatMsg) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.N = d.Varint()
+	return d.Finish()
 }

@@ -12,6 +12,13 @@ func (*Ping) Kind() string { return "fixture.ping" }
 func (*Pong) Kind() string { return "fixture.pong" }
 func (*Quit) Kind() string { return "fixture.quit" }
 
+func (*Ping) AppendBody(dst []byte) []byte { return dst }
+func (*Pong) AppendBody(dst []byte) []byte { return dst }
+func (*Quit) AppendBody(dst []byte) []byte { return dst }
+func (*Ping) DecodeBody([]byte) error      { return nil }
+func (*Pong) DecodeBody([]byte) error      { return nil }
+func (*Quit) DecodeBody([]byte) error      { return nil }
+
 func full(m consensus.Message) { // all three types listed: fine
 	switch m.(type) {
 	case *Ping, *Pong:

@@ -1,16 +1,14 @@
 package consensus
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 )
 
-// Codec translates protocol messages to and from a self-describing JSON wire
-// form, so that the TCP transport can carry any registered message type.
+// Codec translates protocol messages to and from a self-describing wire form
+// — the kind as a length-prefixed string, then the message's own body bytes
+// (wire.go) — so that the TCP transport can carry any registered message type.
 // Message kinds are registered once, at host construction time, via
 // Register; registration is safe for concurrent use.
 type Codec struct {
@@ -55,146 +53,65 @@ func (c *Codec) Kinds() []string {
 	return out
 }
 
-// wireMessage is the self-describing envelope body.
-type wireMessage struct {
-	Kind string          `json:"kind"`
-	Body json.RawMessage `json:"body"`
-}
-
-// encScratch is a pooled encoder: the bytes.Buffer keeps its capacity
-// across uses, so steady-state encoding only allocates the returned slice.
-type encScratch struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	s := &encScratch{}
-	s.enc = json.NewEncoder(&s.buf)
-	return s
-}}
-
-// MarshalPooled encodes v into a pooled scratch buffer and returns a fresh
-// exact-size copy. It is json.Marshal minus the allocation of the
-// intermediate encoder state; hot paths (Command.Encode, the transports)
-// use it for message bodies.
-func MarshalPooled(v any) ([]byte, error) {
-	s := encPool.Get().(*encScratch)
-	s.buf.Reset()
-	if err := s.enc.Encode(v); err != nil {
-		encPool.Put(s)
-		return nil, err
-	}
-	b := s.buf.Bytes()
-	b = b[:len(b)-1] // json.Encoder appends '\n'
-	out := make([]byte, len(b))
-	copy(out, b)
-	encPool.Put(s)
+// MarshalPooled returns the body bytes of msg, freshly allocated at their
+// exact size: what a wrapper (smr.SlotMessage, shard.GroupMessage) carries as
+// its inner body. The error is always nil.
+func MarshalPooled(msg Message) ([]byte, error) {
+	bp := Scratch()
+	b := msg.AppendBody(*bp)
+	out := append([]byte(nil), b...)
+	Release(bp, b)
 	return out, nil
 }
 
-// BodyAppender is an optional fast path for Message implementations: the
-// message splices its own JSON body directly into the wire buffer, so
-// Encode skips both the reflective marshal and the intermediate body copy.
-// The appended bytes must be one valid JSON value.
-type BodyAppender interface {
-	AppendBody(dst []byte) []byte
+// Append appends m's wire form to dst.
+func (c *Codec) Append(dst []byte, m Message) []byte {
+	return m.AppendBody(AppendStr(dst, m.Kind()))
 }
 
-// Encode serializes m into the self-describing wire form. The envelope is
-// spliced by hand around the marshaled body — a single pass with one
-// allocation for the returned frame, instead of re-marshaling the body
-// through a wireMessage round trip.
+// Encode serializes m into the self-describing wire form. The error is
+// always nil.
 func (c *Codec) Encode(m Message) ([]byte, error) {
-	if a, ok := m.(BodyAppender); ok {
-		kind := m.Kind()
-		dst := make([]byte, 0, len(`{"kind":"","body":}`)+len(kind)+256)
-		dst = append(dst, `{"kind":`...)
-		dst = strconv.AppendQuote(dst, kind)
-		dst = append(dst, `,"body":`...)
-		dst = a.AppendBody(dst)
-		return append(dst, '}'), nil
-	}
-	s := encPool.Get().(*encScratch)
-	s.buf.Reset()
-	if err := s.enc.Encode(m); err != nil {
-		encPool.Put(s)
-		return nil, fmt.Errorf("codec encode %s: %w", m.Kind(), err)
-	}
-	body := s.buf.Bytes()
-	body = body[:len(body)-1] // json.Encoder appends '\n'
-	out := AppendWire(make([]byte, 0, len(`{"kind":"","body":}`)+len(m.Kind())+len(body)), m.Kind(), body)
-	encPool.Put(s)
+	bp := Scratch()
+	b := c.Append(*bp, m)
+	out := append([]byte(nil), b...)
+	Release(bp, b)
 	return out, nil
 }
 
-// AppendWire appends the self-describing envelope {"kind":K,"body":B} to
-// dst, splicing body verbatim (it must already be valid JSON; empty encodes
-// as null).
-func AppendWire(dst []byte, kind string, body []byte) []byte {
-	dst = append(dst, `{"kind":`...)
-	dst = strconv.AppendQuote(dst, kind)
-	dst = append(dst, `,"body":`...)
-	if len(body) == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, body...)
-	}
-	return append(dst, '}')
-}
-
-// AppendJSONString appends s to dst as a JSON string literal. Plain ASCII
-// without quotes, backslashes, or control characters — the overwhelmingly
-// common case for IDs, keys, and kinds — is copied straight through;
-// anything else takes encoding/json's escaper (strconv's quoting is NOT
-// JSON: it emits \x and \U escapes JSON parsers reject).
-func AppendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			b, _ := json.Marshal(s)
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
-// wirePool recycles decode envelopes: json.RawMessage's UnmarshalJSON
-// appends into the existing slice, so the body scratch capacity survives
-// across Decode calls.
-var wirePool = sync.Pool{New: func() any { return new(wireMessage) }}
-
-// Decode parses a wire-form message produced by Encode.
+// Decode parses a wire-form message produced by Encode. Byte fields of the
+// result alias data (see Decoder).
 func (c *Codec) Decode(data []byte) (Message, error) {
-	w := wirePool.Get().(*wireMessage)
-	w.Kind = ""
-	w.Body = w.Body[:0]
-	if err := json.Unmarshal(data, w); err != nil {
-		wirePool.Put(w)
-		return nil, fmt.Errorf("codec decode envelope: %w", err)
+	d := NewDecoder(data)
+	kind := d.Bytes()
+	if d.err != nil {
+		return nil, fmt.Errorf("codec decode envelope: %w", d.err)
 	}
-	m, err := c.DecodeBody(w.Kind, w.Body)
-	// The decoded message copies what it needs out of w.Body (string fields
-	// are fresh allocations; RawMessage fields append into the message's own
-	// slice), so the scratch can go straight back to the pool.
-	wirePool.Put(w)
-	return m, err
+	c.mu.RLock()
+	factory := c.factories[string(kind)] // no copy: a map index converts in place
+	c.mu.RUnlock()
+	if factory == nil {
+		return nil, fmt.Errorf("codec decode: unknown kind %q", kind)
+	}
+	return decodeBody(factory(), d.Rest())
 }
 
 // DecodeBody instantiates a registered message kind straight from its body
-// bytes, skipping the envelope parse when the caller already has the parts
-// (the replica's slot-message unwrap path).
+// bytes, for a caller that already has the parts (the mux's group unwrap,
+// the replica's slot unwrap).
 func (c *Codec) DecodeBody(kind string, body []byte) (Message, error) {
 	c.mu.RLock()
-	factory, ok := c.factories[kind]
+	factory := c.factories[kind]
 	c.mu.RUnlock()
-	if !ok {
+	if factory == nil {
 		return nil, fmt.Errorf("codec decode: unknown kind %q", kind)
 	}
-	m := factory()
-	if err := json.Unmarshal(body, m); err != nil {
-		return nil, fmt.Errorf("codec decode %s body: %w", kind, err)
+	return decodeBody(factory(), body)
+}
+
+func decodeBody(m Message, body []byte) (Message, error) {
+	if err := m.DecodeBody(body); err != nil {
+		return nil, fmt.Errorf("codec decode %s body: %w", m.Kind(), err)
 	}
 	return m, nil
 }

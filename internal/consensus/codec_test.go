@@ -1,8 +1,11 @@
 package consensus_test
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/consensus"
@@ -11,12 +14,13 @@ import (
 	"repro/internal/fastpaxos"
 	"repro/internal/omega"
 	"repro/internal/paxos"
+	"repro/internal/shard"
 	"repro/internal/smr"
 )
 
 // fullCodec registers every message kind in the repository, which also
 // proves all kind names are globally unique.
-func fullCodec(t *testing.T) *consensus.Codec {
+func fullCodec(t testing.TB) *consensus.Codec {
 	t.Helper()
 	codec := consensus.NewCodec()
 	core.RegisterMessages(codec)
@@ -24,6 +28,7 @@ func fullCodec(t *testing.T) *consensus.Codec {
 	fastpaxos.RegisterMessages(codec)
 	epaxos.RegisterMessages(codec)
 	smr.RegisterMessages(codec) // includes omega
+	shard.RegisterMessages(codec)
 	return codec
 }
 
@@ -42,16 +47,21 @@ func TestDuplicateRegistrationFails(t *testing.T) {
 	}
 }
 
-func TestRoundTripAllMessageTypes(t *testing.T) {
-	codec := fullCodec(t)
-	v := consensus.Value{Key: 42, Data: "payload"}
-	msgs := []consensus.Message{
+// allMessages is one of every registered kind (some twice, for an optional
+// field), with values JSON could only have carried escaped: bytes ≥ 0x80,
+// NUL, a quote.
+func allMessages() []consensus.Message {
+	v := consensus.Value{Key: 42, Data: "pay\x00load \xff\xfe\""}
+	big := consensus.Value{Key: math.MaxInt64, Data: strings.Repeat("\x80", 64<<10)}
+	holder := 3
+	return []consensus.Message{
 		&core.ProposeMsg{Value: v},
 		&core.OneA{Ballot: 3},
 		&core.OneB{Ballot: 3, VBal: 1, Val: v, Proposer: 2, Decided: consensus.None},
+		&core.OneB{Ballot: 300, VBal: 0, Val: consensus.None, Proposer: consensus.NoProcess, Decided: big},
 		&core.TwoA{Ballot: 3, Value: v},
 		&core.TwoB{Ballot: 0, Value: v},
-		&core.DecideMsg{Value: v},
+		&core.DecideMsg{Value: big},
 		&paxos.Forward{Value: v},
 		&paxos.OneA{Ballot: 9},
 		&paxos.OneB{Ballot: 9, VBal: 2, Val: v},
@@ -72,9 +82,27 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		&epaxos.AcceptOK{Ballot: 6, Value: v},
 		&epaxos.Commit{Value: v},
 		&omega.Heartbeat{},
-		&smr.SlotMessage{Slot: 12, InnerKind: core.KindTwoB, InnerBody: []byte(`{"ballot":0,"value":{"key":1}}`)},
+		&smr.SlotMessage{Slot: 12, InnerKind: core.KindTwoB, InnerBody: []byte{0, 1, 0xff}},
+		&smr.Status{Applied: 1 << 40},
+		&smr.CatchupRequest{From: 0},
+		&smr.CatchupReply{Applied: 7, Store: map[string]string{}},
+		&smr.CatchupReply{
+			Applied:     7,
+			Store:       map[string]string{"": "empty key", "k\xff": "", "a": "1", "b": big.Data},
+			Decided:     map[int]consensus.Value{9: v, 7: big, 130: consensus.IntValue(-1)},
+			LeaseHolder: &holder, LeaseRemain: 1_500_000_000,
+		},
+		&shard.GroupMessage{Group: 3, InnerKind: smr.KindSlot, InnerBody: []byte("opaque at this layer")},
 	}
-	for _, msg := range msgs {
+}
+
+// decode(encode(x)) equals x, and — one canonical form — encoding what was
+// decoded gives back the bytes that were decoded.
+func TestRoundTripAllMessageTypes(t *testing.T) {
+	codec := fullCodec(t)
+	seen := map[string]bool{}
+	for _, msg := range allMessages() {
+		seen[msg.Kind()] = true
 		data, err := codec.Encode(msg)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", msg.Kind(), err)
@@ -86,44 +114,125 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		if !reflect.DeepEqual(got, msg) {
 			t.Errorf("%s: round trip mismatch:\n got %#v\nwant %#v", msg.Kind(), got, msg)
 		}
+		again, _ := codec.Encode(got)
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s: re-encoding differs", msg.Kind())
+		}
+		if body, _ := consensus.MarshalPooled(msg); !bytes.HasSuffix(data, body) || len(data)-len(body) != 1+len(msg.Kind()) {
+			t.Errorf("%s: wire form is not kind then body", msg.Kind())
+		}
+	}
+	for _, kind := range codec.Kinds() {
+		if !seen[kind] {
+			t.Errorf("kind %s is registered but not in the round-trip table", kind)
+		}
 	}
 }
 
-func TestAppendJSONString(t *testing.T) {
-	cases := []string{
-		"",
-		"plain-ascii_0123",
-		`quote " inside`,
-		`back\slash`,
-		"tab\tnewline\nbell\a",
-		"control \x01\x1f",
-		"unicode é ☃ 你好",
-		"emoji \U0001F600 mix",
-		"html <&> stays valid",
+// Every strict prefix of a valid encoding, and the encoding with a byte
+// appended, is refused — no field is optional, nothing trails.
+func TestDecodeRefusesTruncatedAndTrailing(t *testing.T) {
+	codec := fullCodec(t)
+	for _, msg := range allMessages() {
+		data, _ := codec.Encode(msg)
+		if len(data) > 4<<10 {
+			continue // the 64 KiB cases: same code, 64k more iterations
+		}
+		// A wrapper's inner body is the rest of the bytes, whatever they
+		// are: only its own fields can be cut short.
+		inner := 0
+		switch m := msg.(type) {
+		case *smr.SlotMessage:
+			inner = len(m.InnerBody)
+		case *shard.GroupMessage:
+			inner = len(m.InnerBody)
+		}
+		for cut := 0; cut < len(data)-inner; cut++ {
+			if _, err := codec.Decode(data[:cut]); err == nil {
+				t.Errorf("%s: %d-byte prefix of %d decoded", msg.Kind(), cut, len(data))
+			}
+		}
+		if _, err := codec.Decode(append(data[:len(data):len(data)], 0)); err == nil && inner == 0 {
+			t.Errorf("%s: trailing byte accepted", msg.Kind())
+		}
 	}
-	for _, s := range cases {
-		lit := consensus.AppendJSONString(nil, s)
-		var got string
-		if err := json.Unmarshal(lit, &got); err != nil {
-			t.Errorf("%q: produced invalid JSON %q: %v", s, lit, err)
-			continue
+}
+
+func TestDecoderRefusesNonCanonical(t *testing.T) {
+	for name, b := range map[string][]byte{
+		"over-long uvarint": {0x80, 0x00},
+		"11-byte uvarint":   bytes.Repeat([]byte{0xff}, 11),
+	} {
+		d := consensus.NewDecoder(b)
+		d.Uvarint()
+		if d.Finish() == nil {
+			t.Errorf("%s accepted", name)
 		}
-		if got != s {
-			t.Errorf("%q: round trip gave %q", s, got)
+	}
+	d := consensus.NewDecoder([]byte{2})
+	d.Bool()
+	if !errors.Is(d.Finish(), consensus.ErrNotCanonical) {
+		t.Error("bool byte 2 accepted")
+	}
+	// Unsorted map keys are another spelling of the same reply.
+	sorted := (&smr.CatchupReply{Store: map[string]string{"a": "1", "b": "2"}}).AppendBody(nil)
+	swapped := bytes.Replace(sorted, []byte("\x01a\x011\x01b\x012"), []byte("\x01b\x012\x01a\x011"), 1)
+	if bytes.Equal(sorted, swapped) {
+		t.Fatal("test is stale: the store pairs were not found in the encoding")
+	}
+	if err := new(smr.CatchupReply).DecodeBody(swapped); !errors.Is(err, consensus.ErrNotCanonical) {
+		t.Errorf("unsorted store: %v, want ErrNotCanonical", err)
+	}
+}
+
+// A length prefix is checked against the bytes that remain before anything
+// is sized by it: 16 bytes claiming a 2³¹-byte field cost nothing.
+func TestDecoderOversizePrefixAllocatesNothing(t *testing.T) {
+	claim := consensus.AppendUvarint(nil, 1<<31)
+	input := append(claim, make([]byte, 16-len(claim))...)
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		d := consensus.NewDecoder(input)
+		d.Str()
+		err = d.Finish()
+	})
+	if !errors.Is(err, consensus.ErrTruncated) || allocs != 0 {
+		t.Fatalf("err %v with %v allocs, want ErrTruncated with none", err, allocs)
+	}
+	value := append(make([]byte, 8), claim...) // a Value: key, then the data's length
+	allocs = testing.AllocsPerRun(100, func() {
+		d := consensus.NewDecoder(value)
+		d.Value()
+		err = d.Finish()
+	})
+	if !errors.Is(err, consensus.ErrTruncated) || allocs != 0 {
+		t.Fatalf("value: err %v with %v allocs, want ErrTruncated with none", err, allocs)
+	}
+}
+
+func TestVersionedDecoderNamesTheFormat(t *testing.T) {
+	for _, b := range [][]byte{nil, []byte(`{"k":"s"}`), {0}, {2, 0}} {
+		_, err := consensus.NewVersionedDecoder(b, "thing")
+		if !errors.Is(err, consensus.ErrFormatVersion) || !strings.Contains(err.Error(), "thing") || !strings.Contains(err.Error(), "JSON") {
+			t.Errorf("%q: %v", b, err)
 		}
+	}
+	if d, err := consensus.NewVersionedDecoder([]byte{consensus.FormatVersion, 7}, "thing"); err != nil || d.Byte() != 7 || d.Finish() != nil {
+		t.Errorf("version byte not stripped: %v", err)
 	}
 }
 
 func TestDecodeUnknownKind(t *testing.T) {
 	codec := consensus.NewCodec()
-	if _, err := codec.Decode([]byte(`{"kind":"nope","body":{}}`)); err == nil {
-		t.Fatal("unknown kind decoded")
+	data, _ := fullCodec(t).Encode(&omega.Heartbeat{})
+	if _, err := codec.Decode(data); err == nil || !strings.Contains(err.Error(), omega.KindHeartbeat) {
+		t.Fatalf("unknown kind: %v", err)
 	}
 }
 
 func TestDecodeGarbage(t *testing.T) {
 	codec := fullCodec(t)
-	for _, bad := range []string{"", "{", `{"kind":"core.2b","body":"notanobject"}`} {
+	for _, bad := range []string{"", "{", `{"kind":"core.2b","body":{"ballot":0,"value":{"key":1}}}`, "\x07core.2b"} {
 		if _, err := codec.Decode([]byte(bad)); err == nil {
 			t.Errorf("garbage %q decoded", bad)
 		}

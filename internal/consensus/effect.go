@@ -4,8 +4,15 @@ import "fmt"
 
 // Message is implemented by every protocol message. Kind returns a globally
 // unique, stable name used by the wire codec (see codec.go) and by traces.
+// AppendBody appends the message's fields in their binary form (wire.go) and
+// DecodeBody reads exactly those bytes back into the receiver. body may be a
+// window of a buffer its owner reuses: strings are copied out of it, and a
+// wrapper's inner body (smr.SlotMessage, shard.GroupMessage) is a window of
+// it still, for the handler to decode before it returns.
 type Message interface {
 	Kind() string
+	AppendBody(dst []byte) []byte
+	DecodeBody(body []byte) error
 }
 
 // Effect is the closed set of actions a protocol step can request from its

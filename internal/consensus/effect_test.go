@@ -7,7 +7,9 @@ import (
 
 type stubMsg struct{}
 
-func (stubMsg) Kind() string { return "stub.msg" }
+func (stubMsg) Kind() string                 { return "stub.msg" }
+func (stubMsg) AppendBody(dst []byte) []byte { return dst }
+func (stubMsg) DecodeBody([]byte) error      { return nil }
 
 func TestEffectStrings(t *testing.T) {
 	cases := []struct {

@@ -1,37 +1,33 @@
 package consensus_test
 
 import (
+	"bytes"
 	"testing"
-
-	"repro/internal/consensus"
-	"repro/internal/core"
 )
 
 // FuzzCodecDecode asserts the wire decoder never panics and never returns
-// both a message and an error, whatever bytes arrive from the network.
+// both a message and an error, whatever bytes arrive from the network — and
+// that whatever it accepts is the one encoding of what it decoded.
 func FuzzCodecDecode(f *testing.F) {
-	codec := consensus.NewCodec()
-	core.RegisterMessages(codec)
-	seed := [][]byte{
-		[]byte(`{"kind":"core.2b","body":{"ballot":0,"value":{"key":1}}}`),
-		[]byte(`{"kind":"core.1b","body":{}}`),
-		[]byte(`{"kind":"nope","body":{}}`),
-		[]byte(`{`),
-		[]byte(``),
-		[]byte(`{"kind":"core.2b","body":[1,2,3]}`),
+	codec := fullCodec(f)
+	for _, msg := range allMessages() {
+		if data, _ := codec.Encode(msg); len(data) < 4<<10 {
+			f.Add(data)
+		}
 	}
-	for _, s := range seed {
-		f.Add(s)
-	}
+	f.Add([]byte(`{"kind":"core.2b","body":{"ballot":0,"value":{"key":1}}}`))
+	f.Add([]byte("\x04nope"))
+	f.Add([]byte{})
+	f.Add([]byte("\x07core.2b\x00\x00\x00\x00\x00\x00\x00\x00\x01\xff\xff\xff\xff\x0f")) // a 4 GiB value in 5 bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := codec.Decode(data)
-		if err == nil && msg == nil {
-			t.Fatal("nil message with nil error")
+		if (err == nil) == (msg == nil) {
+			t.Fatalf("message %v with error %v", msg, err)
 		}
 		if err == nil {
-			// Whatever decoded must re-encode.
-			if _, err := codec.Encode(msg); err != nil {
-				t.Fatalf("decoded message does not re-encode: %v", err)
+			again, err := codec.Encode(msg)
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("decoded %x, re-encoded %x (%v)", data, again, err)
 			}
 		}
 	})

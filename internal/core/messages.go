@@ -19,40 +19,40 @@ const (
 // ProposeMsg is the fast-ballot proposal broadcast at startup or upon a
 // propose(v) invocation (Figure 1, line 5).
 type ProposeMsg struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // OneA asks processes to join slow ballot Ballot (Figure 1, 1A).
 type OneA struct {
-	Ballot consensus.Ballot `json:"ballot"`
+	Ballot consensus.Ballot
 }
 
 // OneB reports a process's state to the leader of slow ballot Ballot
 // (Figure 1, 1B). Decided is ⊥ (None) unless the sender has decided.
 type OneB struct {
-	Ballot   consensus.Ballot    `json:"ballot"`
-	VBal     consensus.Ballot    `json:"vbal"`
-	Val      consensus.Value     `json:"val"`
-	Proposer consensus.ProcessID `json:"proposer"`
-	Decided  consensus.Value     `json:"decided"`
+	Ballot   consensus.Ballot
+	VBal     consensus.Ballot
+	Val      consensus.Value
+	Proposer consensus.ProcessID
+	Decided  consensus.Value
 }
 
 // TwoA carries the leader's proposal for slow ballot Ballot (Figure 1, 2A).
 type TwoA struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // TwoB is a vote for Value at ballot Ballot, sent to the proposer (fast
 // ballot) or the ballot leader (slow ballots) (Figure 1, 2B).
 type TwoB struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // DecideMsg announces a decided value (Figure 1, Decide).
 type DecideMsg struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // Kind implements consensus.Message.
@@ -72,6 +72,65 @@ func (TwoB) Kind() string { return KindTwoB }
 
 // Kind implements consensus.Message.
 func (DecideMsg) Kind() string { return KindDecide }
+
+// AppendBody and DecodeBody implement consensus.Message: each message's
+// fields in declaration order.
+func (m *ProposeMsg) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *ProposeMsg) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
+
+func (m *OneA) AppendBody(dst []byte) []byte { return consensus.AppendBallot(dst, m.Ballot) }
+func (m *OneA) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot = d.Ballot()
+	return d.Finish()
+}
+
+func (m *OneB) AppendBody(dst []byte) []byte {
+	dst = consensus.AppendBallot(dst, m.Ballot)
+	dst = consensus.AppendBallot(dst, m.VBal)
+	dst = consensus.AppendValue(dst, m.Val)
+	dst = consensus.AppendVarint(dst, int64(m.Proposer))
+	return consensus.AppendValue(dst, m.Decided)
+}
+
+func (m *OneB) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot = d.Ballot()
+	m.VBal = d.Ballot()
+	m.Val = d.Value()
+	m.Proposer = consensus.ProcessID(d.Varint())
+	m.Decided = d.Value()
+	return d.Finish()
+}
+
+func (m *TwoA) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *TwoA) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *TwoB) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *TwoB) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *DecideMsg) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *DecideMsg) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
 
 // String implements fmt.Stringer.
 func (m ProposeMsg) String() string { return fmt.Sprintf("Propose(%s)", m.Value) }

@@ -310,7 +310,9 @@ func TestForeignMessageIgnored(t *testing.T) {
 
 type foreignMsg struct{}
 
-func (foreignMsg) Kind() string { return "other.kind" }
+func (foreignMsg) Kind() string                 { return "other.kind" }
+func (foreignMsg) AppendBody(dst []byte) []byte { return dst }
+func (foreignMsg) DecodeBody([]byte) error      { return nil }
 
 func TestOneBForWrongBallotIgnored(t *testing.T) {
 	n := newTestNode(t, 0, ModeTask)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -19,14 +18,14 @@ import (
 // crash-stop model) must persist the state after every step that changed it
 // and restore before processing further input.
 type State struct {
-	Mode       Mode                `json:"mode"`
-	InitialVal consensus.Value     `json:"initialVal"`
-	Val        consensus.Value     `json:"val"`
-	Proposer   consensus.ProcessID `json:"proposer"`
-	Bal        consensus.Ballot    `json:"bal"`
-	VBal       consensus.Ballot    `json:"vbal"`
-	Decided    consensus.Value     `json:"decided"`
-	PendingMax consensus.Value     `json:"pendingMax"`
+	Mode       Mode
+	InitialVal consensus.Value
+	Val        consensus.Value
+	Proposer   consensus.ProcessID
+	Bal        consensus.Ballot
+	VBal       consensus.Ballot
+	Decided    consensus.Value
+	PendingMax consensus.Value
 }
 
 // Snapshot exports the node's durable state.
@@ -43,13 +42,71 @@ func (n *Node) Snapshot() State {
 	}
 }
 
-// SnapshotJSON exports the durable state as JSON, for journals.
-func (n *Node) SnapshotJSON() ([]byte, error) {
-	data, err := json.Marshal(n.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("core snapshot: %w", err)
+// AppendState appends s in its binary form (consensus/wire.go): mode,
+// proposer and the two ballots, then the four value fields as one reference
+// byte each — 0 for ⊥, otherwise the 1-based position of the value among the
+// distinct non-⊥ values in order of first use — and those values once each.
+// A proposer's InitialVal == Val, an acceptor's Val == Decided: a state
+// carries one copy of its command, not three.
+func AppendState(dst []byte, s State) []byte {
+	dst = append(dst, byte(s.Mode))
+	dst = consensus.AppendVarint(dst, int64(s.Proposer))
+	dst = consensus.AppendBallot(consensus.AppendBallot(dst, s.Bal), s.VBal)
+	var distinct [4]consensus.Value
+	n := 0
+	for _, v := range [4]consensus.Value{s.InitialVal, s.Val, s.Decided, s.PendingMax} {
+		ref := 0
+		if !v.IsNone() {
+			for ref = 1; ref <= n && distinct[ref-1] != v; ref++ {
+			}
+			if ref > n {
+				distinct[n] = v
+				n++
+			}
+		}
+		dst = append(dst, byte(ref))
 	}
-	return data, nil
+	for _, v := range distinct[:n] {
+		dst = consensus.AppendValue(dst, v)
+	}
+	return dst
+}
+
+// DecodeState reads what AppendState wrote, refusing any other numbering of
+// the same values.
+func DecodeState(d *consensus.Decoder) State {
+	s := State{Mode: Mode(d.Byte()), Proposer: consensus.ProcessID(d.Varint()), Bal: d.Ballot(), VBal: d.Ballot()}
+	var refs [4]byte
+	n := 0
+	for i := range refs {
+		switch ref := d.Byte(); {
+		case int(ref) <= n:
+			refs[i] = ref
+		case int(ref) == n+1:
+			refs[i] = ref
+			n++
+		default:
+			d.Fail(consensus.ErrNotCanonical)
+		}
+	}
+	distinct := [5]consensus.Value{consensus.None}
+	for i := 1; i <= n; i++ {
+		distinct[i] = d.Value()
+		for _, seen := range distinct[:i] {
+			if seen == distinct[i] {
+				d.Fail(consensus.ErrNotCanonical)
+			}
+		}
+	}
+	s.InitialVal, s.Val = distinct[refs[0]], distinct[refs[1]]
+	s.Decided, s.PendingMax = distinct[refs[2]], distinct[refs[3]]
+	return s
+}
+
+// AppendState appends the node's durable state behind the format-version
+// byte: the record a journal keeps (cmd/twostep).
+func (n *Node) AppendState(dst []byte) []byte {
+	return AppendState(append(dst, consensus.FormatVersion), n.Snapshot())
 }
 
 // Restore installs a previously exported state on a fresh node. It must be
@@ -71,10 +128,14 @@ func (n *Node) Restore(s State) error {
 	return nil
 }
 
-// RestoreJSON installs a JSON-encoded state.
-func (n *Node) RestoreJSON(data []byte) error {
-	var s State
-	if err := json.Unmarshal(data, &s); err != nil {
+// RestoreState installs a state AppendState encoded.
+func (n *Node) RestoreState(data []byte) error {
+	d, err := consensus.NewVersionedDecoder(data, "core state")
+	if err != nil {
+		return err
+	}
+	s := DecodeState(&d)
+	if err := d.Finish(); err != nil {
 		return fmt.Errorf("core restore: %w", err)
 	}
 	return n.Restore(s)

@@ -51,43 +51,43 @@ const (
 
 // PreAccept is the owner's fast-path proposal.
 type PreAccept struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // PreAcceptOK acknowledges a PreAccept.
 type PreAcceptOK struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // Prepare asks processes to join a recovery ballot.
 type Prepare struct {
-	Ballot consensus.Ballot `json:"ballot"`
+	Ballot consensus.Ballot
 }
 
 // PrepareOK reports instance state to a recovery leader.
 type PrepareOK struct {
-	Ballot    consensus.Ballot `json:"ballot"`
-	VBal      consensus.Ballot `json:"vbal"`
-	Val       consensus.Value  `json:"val"`
-	FastVoted bool             `json:"fastVoted"`
-	Committed consensus.Value  `json:"committed"`
+	Ballot    consensus.Ballot
+	VBal      consensus.Ballot
+	Val       consensus.Value
+	FastVoted bool
+	Committed consensus.Value
 }
 
 // Accept is the slow-path (recovery) proposal at a ballot.
 type Accept struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // AcceptOK is a slow-path vote.
 type AcceptOK struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // Commit announces the instance's decision.
 type Commit struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // Kind implements consensus.Message.
@@ -110,6 +110,67 @@ func (AcceptOK) Kind() string { return KindAcceptOK }
 
 // Kind implements consensus.Message.
 func (Commit) Kind() string { return KindCommit }
+
+// AppendBody and DecodeBody implement consensus.Message: each message's
+// fields in declaration order.
+func (m *PreAccept) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *PreAccept) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
+
+func (m *PreAcceptOK) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *PreAcceptOK) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
+
+func (m *Prepare) AppendBody(dst []byte) []byte { return consensus.AppendBallot(dst, m.Ballot) }
+func (m *Prepare) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot = d.Ballot()
+	return d.Finish()
+}
+
+func (m *PrepareOK) AppendBody(dst []byte) []byte {
+	dst = consensus.AppendBallot(consensus.AppendBallot(dst, m.Ballot), m.VBal)
+	dst = consensus.AppendBool(consensus.AppendValue(dst, m.Val), m.FastVoted)
+	return consensus.AppendValue(dst, m.Committed)
+}
+
+func (m *PrepareOK) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.VBal, m.Val = d.Ballot(), d.Ballot(), d.Value()
+	m.FastVoted, m.Committed = d.Bool(), d.Value()
+	return d.Finish()
+}
+
+func (m *Accept) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *Accept) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *AcceptOK) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *AcceptOK) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *Commit) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *Commit) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
 
 // RegisterMessages registers all epaxos message kinds with codec.
 func RegisterMessages(codec *consensus.Codec) {

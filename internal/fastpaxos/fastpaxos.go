@@ -50,36 +50,36 @@ const (
 // ProposeMsg is the fast-ballot proposal (Lamport's "any value" 2A at the
 // fast ballot, initiated directly by the proposer).
 type ProposeMsg struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // OneA asks acceptors to join a slow ballot.
 type OneA struct {
-	Ballot consensus.Ballot `json:"ballot"`
+	Ballot consensus.Ballot
 }
 
 // OneB reports acceptor state to a slow-ballot coordinator.
 type OneB struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	VBal   consensus.Ballot `json:"vbal"`
-	Val    consensus.Value  `json:"val"`
+	Ballot consensus.Ballot
+	VBal   consensus.Ballot
+	Val    consensus.Value
 }
 
 // TwoA carries the coordinator's slow-ballot proposal.
 type TwoA struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // TwoB is a vote at a ballot.
 type TwoB struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // DecideMsg announces the decision.
 type DecideMsg struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // Kind implements consensus.Message.
@@ -99,6 +99,58 @@ func (TwoB) Kind() string { return KindTwoB }
 
 // Kind implements consensus.Message.
 func (DecideMsg) Kind() string { return KindDecide }
+
+// AppendBody and DecodeBody implement consensus.Message: each message's
+// fields in declaration order.
+func (m *ProposeMsg) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *ProposeMsg) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
+
+func (m *OneA) AppendBody(dst []byte) []byte { return consensus.AppendBallot(dst, m.Ballot) }
+func (m *OneA) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot = d.Ballot()
+	return d.Finish()
+}
+
+func (m *OneB) AppendBody(dst []byte) []byte {
+	dst = consensus.AppendBallot(consensus.AppendBallot(dst, m.Ballot), m.VBal)
+	return consensus.AppendValue(dst, m.Val)
+}
+
+func (m *OneB) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.VBal, m.Val = d.Ballot(), d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *TwoA) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *TwoA) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *TwoB) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *TwoB) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *DecideMsg) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *DecideMsg) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
 
 // RegisterMessages registers all fastpaxos message kinds with codec.
 func RegisterMessages(codec *consensus.Codec) {

@@ -13,7 +13,9 @@ import (
 
 type persistMsg struct{}
 
-func (persistMsg) Kind() string { return "test.persist" }
+func (persistMsg) Kind() string                 { return "test.persist" }
+func (persistMsg) AppendBody(dst []byte) []byte { return dst }
+func (persistMsg) DecodeBody([]byte) error      { return nil }
 
 // shouter broadcasts on every Propose so tests can watch whether a step's
 // outbound traffic survives the persistence hook.

@@ -24,6 +24,14 @@ type Heartbeat struct{}
 // Kind implements consensus.Message.
 func (Heartbeat) Kind() string { return KindHeartbeat }
 
+// AppendBody and DecodeBody implement consensus.Message: a heartbeat has no
+// fields.
+func (*Heartbeat) AppendBody(dst []byte) []byte { return dst }
+func (*Heartbeat) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	return d.Finish()
+}
+
 // RegisterMessages registers the omega message kinds with codec.
 func RegisterMessages(codec *consensus.Codec) {
 	codec.MustRegister(KindHeartbeat, func() consensus.Message { return &Heartbeat{} })

@@ -34,36 +34,36 @@ const (
 
 // Forward carries a proposal from a non-leader to the current leader.
 type Forward struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // OneA is the phase-1 prepare request for a ballot.
 type OneA struct {
-	Ballot consensus.Ballot `json:"ballot"`
+	Ballot consensus.Ballot
 }
 
 // OneB is the phase-1 promise, carrying the highest accepted vote.
 type OneB struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	VBal   consensus.Ballot `json:"vbal"`
-	Val    consensus.Value  `json:"val"`
+	Ballot consensus.Ballot
+	VBal   consensus.Ballot
+	Val    consensus.Value
 }
 
 // TwoA is the phase-2 accept request.
 type TwoA struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // TwoB is the phase-2 vote.
 type TwoB struct {
-	Ballot consensus.Ballot `json:"ballot"`
-	Value  consensus.Value  `json:"value"`
+	Ballot consensus.Ballot
+	Value  consensus.Value
 }
 
 // DecideMsg announces the decision.
 type DecideMsg struct {
-	Value consensus.Value `json:"value"`
+	Value consensus.Value
 }
 
 // Kind implements consensus.Message.
@@ -83,6 +83,58 @@ func (TwoB) Kind() string { return KindTwoB }
 
 // Kind implements consensus.Message.
 func (DecideMsg) Kind() string { return KindDecide }
+
+// AppendBody and DecodeBody implement consensus.Message: each message's
+// fields in declaration order.
+func (m *Forward) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *Forward) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
+
+func (m *OneA) AppendBody(dst []byte) []byte { return consensus.AppendBallot(dst, m.Ballot) }
+func (m *OneA) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot = d.Ballot()
+	return d.Finish()
+}
+
+func (m *OneB) AppendBody(dst []byte) []byte {
+	dst = consensus.AppendBallot(consensus.AppendBallot(dst, m.Ballot), m.VBal)
+	return consensus.AppendValue(dst, m.Val)
+}
+
+func (m *OneB) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.VBal, m.Val = d.Ballot(), d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *TwoA) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *TwoA) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *TwoB) AppendBody(dst []byte) []byte {
+	return consensus.AppendValue(consensus.AppendBallot(dst, m.Ballot), m.Value)
+}
+func (m *TwoB) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Ballot, m.Value = d.Ballot(), d.Value()
+	return d.Finish()
+}
+
+func (m *DecideMsg) AppendBody(dst []byte) []byte { return consensus.AppendValue(dst, m.Value) }
+func (m *DecideMsg) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Value = d.Value()
+	return d.Finish()
+}
 
 // RegisterMessages registers all paxos message kinds with codec.
 func RegisterMessages(codec *consensus.Codec) {

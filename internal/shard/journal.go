@@ -8,8 +8,8 @@ import (
 )
 
 // SharedWAL is one wal.WAL serving every consensus group in a process.
-// Groups append interleaved records into a single index space (each record
-// JSON-tagged with its group id by the smr durability layer) and share one
+// Groups append interleaved records into a single index space (the smr
+// durability layer puts the group id in each record's header) and share one
 // group-commit stream: wal.Commit coalesces concurrent committers, so the
 // fsyncs of N groups collapse into the same fdatasyncs — the scale-out
 // payoff `put-shard4` measures. Recovery demuxes by replaying the whole

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
-	"strconv"
 	"sync"
 
 	"repro/internal/consensus"
@@ -25,37 +23,27 @@ const KindGroup = "shard.group"
 
 // GroupMessage wraps one group's protocol message with its group id.
 type GroupMessage struct {
-	Group     int             `json:"g"`
-	InnerKind string          `json:"innerKind"`
-	InnerBody json.RawMessage `json:"innerBody"`
+	Group     int
+	InnerKind string
+	InnerBody []byte
 }
 
 // Kind implements consensus.Message.
 func (GroupMessage) Kind() string { return KindGroup }
 
-// AppendBody splices the inner body verbatim instead of letting
-// encoding/json re-validate the RawMessage — the same single-buffer encode
-// smr.SlotMessage uses, and just as hot: every inter-replica message in a
-// sharded process takes this wrap on top of the slot wrap. Field names
-// stay in lockstep with the struct tags; decoding remains reflective.
-func (m GroupMessage) AppendBody(dst []byte) []byte {
-	dst = append(dst, `{"g":`...)
-	dst = strconv.AppendInt(dst, int64(m.Group), 10)
-	dst = append(dst, `,"innerKind":`...)
-	dst = strconv.AppendQuote(dst, m.InnerKind)
-	dst = append(dst, `,"innerBody":`...)
-	if len(m.InnerBody) == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, m.InnerBody...)
-	}
-	return append(dst, '}')
+// AppendBody implements consensus.Message: the group, the inner kind, and the
+// inner body as the rest of the bytes.
+func (m *GroupMessage) AppendBody(dst []byte) []byte {
+	dst = consensus.AppendVarint(dst, int64(m.Group))
+	return append(consensus.AppendStr(dst, m.InnerKind), m.InnerBody...)
 }
 
-// MarshalJSON keeps plain json.Marshal on the same spliced encoding.
-func (m GroupMessage) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, len(`{"g":,"innerKind":,"innerBody":}`)+20+len(m.InnerKind)+2+len(m.InnerBody))
-	return m.AppendBody(b), nil
+// DecodeBody implements consensus.Message. InnerBody is a window of body, not
+// a copy: Mux.Handle decodes it before it returns.
+func (m *GroupMessage) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Group, m.InnerKind, m.InnerBody = int(d.Varint()), d.Str(), d.Rest()
+	return d.Finish()
 }
 
 // RegisterMessages registers the group envelope with codec. A sharded
@@ -156,10 +144,7 @@ func (v *groupView) Send(to consensus.ProcessID, msg consensus.Message) error {
 	if tr == nil {
 		return errNoTransport
 	}
-	body, err := consensus.MarshalPooled(msg)
-	if err != nil {
-		return err
-	}
+	body, _ := consensus.MarshalPooled(msg) // the error is always nil
 	return tr.Send(to, &GroupMessage{Group: v.g, InnerKind: msg.Kind(), InnerBody: body})
 }
 

@@ -46,10 +46,7 @@ type Runtime struct {
 }
 
 // Durability configures the shared WAL and per-group snapshots. The WAL
-// lives in Dir/wal — the same place a pre-sharding single replica kept it —
-// and group 0's snapshots in Dir/snap, so a 1-group runtime opens a data
-// directory written before sharding existed unchanged (old records carry
-// no group tag and belong to group 0 by definition). Groups 1+ keep their
+// lives in Dir/wal and group 0's snapshots in Dir/snap; groups 1+ keep their
 // snapshots under Dir/g<i>/snap.
 type Durability struct {
 	// Dir is the process data directory.

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/smr"
+	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -214,88 +216,75 @@ func TestRuntimeCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestSingleGroupReadsPreShardingWAL pins backward compatibility: a data
-// directory written by a plain (pre-sharding) smr.Replica must open under
-// a 1-group runtime with all state intact — old records carry no group tag
-// and belong to group 0, whose snapshot dir is the legacy Dir/snap. The
-// test stands in for the old standalone replica as the owner of each
-// group: its scheduler, and a plain *wal.WAL at Dir/wal as the journal,
-// which is byte for byte what those replicas wrote.
-func TestSingleGroupReadsPreShardingWAL(t *testing.T) {
-	const n, f, e = 3, 1, 1
-	var dirs [3]string
-	for i := range dirs {
-		dirs[i] = t.TempDir()
+// jsonEraDir opens a 1-group runtime on a data directory whose WAL holds one
+// record, and (if snap is set) whose snapshot directory one blob, as the last
+// JSON-writing commit left them — and returns the error and what the WAL
+// holds afterwards.
+func jsonEraDir(t *testing.T, record, snap string) (wal.Stats, error) {
+	t.Helper()
+	dir := t.TempDir()
+	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mesh := transport.NewMesh(n)
-	var reps [3]*smr.Replica
-	var ios [3]*smr.IOScheduler
-	var wals [3]*wal.WAL
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10}
-		ios[i] = smr.NewIOScheduler()
-		rep, err := smr.NewReplica(cfg, time.Millisecond, ios[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, _, err := wal.Open(filepath.Join(dirs[i], "wal"), wal.Options{Policy: wal.SyncAlways})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wals[i] = w
-		if _, err := rep.EnableDurability(smr.DurabilityOptions{Dir: dirs[i], Journal: w, Policy: wal.SyncAlways, SnapshotEvery: 16}); err != nil {
-			t.Fatal(err)
-		}
-		ep, err := mesh.Endpoint(cfg.ID, rep.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.BindTransport(ep)
-		rep.Start()
-		reps[i] = rep
+	if _, err := w.Append([]byte(record)); err != nil {
+		t.Fatal(err)
 	}
-	c := ctx(t)
-	const keys = 40 // past SnapshotEvery, so recovery mixes snapshot + WAL tail
-	kv := smr.NewKV(reps[0])
-	for i := 0; i < keys; i++ {
-		if err := kv.Put(c, fmt.Sprintf("legacy-%d", i), fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatalf("put: %v", err)
-		}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for i, rep := range reps {
-		rep.Close()
-		ios[i].Close()
-		if err := wals[i].Close(); err != nil {
+	if snap != "" {
+		if err := storage.Save(filepath.Join(dir, "snap"), 1, []byte(snap)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mesh.Close()
-
 	rt, err := shard.New(shard.Options{
 		Groups:     1,
-		Config:     consensus.Config{ID: 0, N: n, F: f, E: e, Delta: 10},
+		Config:     consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10},
 		Tick:       time.Millisecond,
-		Durability: &shard.Durability{Dir: dirs[0], Policy: wal.SyncAlways},
+		Durability: &shard.Durability{Dir: dir, Policy: wal.SyncAlways},
 	})
-	if err != nil {
-		t.Fatalf("1-group runtime on pre-sharding dir: %v", err)
+	if err == nil {
+		rt.Close()
 	}
-	defer rt.Close()
-	recov, _ := rt.Recovery()
-	if len(recov) != 1 || !recov[0].Recovered {
-		t.Fatalf("recovery info = %+v, want group 0 recovered", recov)
+	w, _, werr := wal.Open(filepath.Join(dir, "wal"), wal.Options{Policy: wal.SyncAlways})
+	if werr != nil {
+		t.Fatal(werr)
 	}
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("legacy-%d", i)
-		if v, ok := rt.Get(k); !ok || v != fmt.Sprintf("v%d", i) {
-			t.Fatalf("legacy key %s = %q,%v after 1-group open", k, v, ok)
-		}
+	defer w.Close()
+	return w.Stats(), err
+}
+
+const (
+	jsonEraDecide   = `{"k":"d","slot":0,"v":{"key":4611686018427387904,"data":"{\"id\":\"p0-1\",\"op\":\"put\",\"key\":\"a\",\"val\":\"1\"}"}}`
+	jsonEraSnapshot = `{"applied":1,"store":{"a":"1"},"compactFloor":0,"seq":1,"walNext":1}`
+)
+
+// A data directory is never migrated: the version byte refuses a JSON-era
+// WAL record by name, the open fails, and nothing is appended behind it.
+func TestOpenRejectsJSONWAL(t *testing.T) {
+	st, err := jsonEraDir(t, jsonEraDecide, "")
+	if !errors.Is(err, consensus.ErrFormatVersion) || !strings.Contains(err.Error(), "wal record") {
+		t.Fatalf("open on a JSON WAL: %v, want the format-version error naming the WAL record", err)
+	}
+	if st.NextIndex != 2 {
+		t.Fatalf("WAL next index %d after the refused open, want 2: the one fixture record and nothing journaled", st.NextIndex)
 	}
 }
 
-// TestShardedWALLayoutSingleGroup pins the on-disk layout contract the
-// compatibility above rests on: a 1-group runtime writes Dir/wal and
-// Dir/snap exactly where the pre-sharding replica did (no g0 subdir).
+// The same for the snapshot blob, which recovery reads first.
+func TestOpenRejectsJSONSnapshot(t *testing.T) {
+	st, err := jsonEraDir(t, jsonEraDecide, jsonEraSnapshot)
+	if !errors.Is(err, consensus.ErrFormatVersion) || !strings.Contains(err.Error(), "snapshot") {
+		t.Fatalf("open on a JSON snapshot: %v, want the format-version error naming the snapshot", err)
+	}
+	if st.NextIndex != 2 {
+		t.Fatalf("WAL next index %d after the refused open, want 2", st.NextIndex)
+	}
+}
+
+// TestShardedWALLayoutSingleGroup pins the on-disk layout: a 1-group runtime
+// writes Dir/wal and Dir/snap, with no g0 subdirectory.
 func TestShardedWALLayoutSingleGroup(t *testing.T) {
 	dir := t.TempDir()
 	rt, err := shard.New(shard.Options{
@@ -316,7 +305,7 @@ func TestShardedWALLayoutSingleGroup(t *testing.T) {
 		}
 	}
 	if m, _ := filepath.Glob(filepath.Join(dir, "g0")); len(m) != 0 {
-		t.Fatalf("1-group runtime created %v: group 0 must use the legacy layout", m)
+		t.Fatalf("1-group runtime created %v: group 0 lives in the data directory itself", m)
 	}
 }
 
@@ -389,5 +378,76 @@ func TestServerRoutesSharded(t *testing.T) {
 	}
 	if touched < 2 {
 		t.Fatalf("only %d groups touched through the wire", touched)
+	}
+}
+
+// TestInboundBuffersAreNotRetained: a message decoded off the wire is made of
+// windows into the transport's read buffer, which the next frame overwrites.
+// A Propose and then a Decide are decoded out of one buffer, delivered
+// through Mux.Handle → Replica.Handle, and the buffer scribbled over after
+// each: the slot's value, the applied store and — after a restart — the WAL
+// records must all still hold the command.
+func TestInboundBuffersAreNotRetained(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *shard.Runtime {
+		rt, err := shard.New(shard.Options{
+			Groups:     1,
+			Config:     consensus.Config{ID: 1, N: 3, F: 1, E: 1, Delta: 10},
+			Tick:       time.Millisecond,
+			Durability: &shard.Durability{Dir: dir, Policy: wal.SyncAlways, SnapshotEvery: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	rt := open()
+	mesh := transport.NewMesh(3)
+	defer mesh.Close()
+	ep, err := mesh.Endpoint(1, rt.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.BindTransport(ep)
+
+	wire := consensus.NewCodec()
+	shard.RegisterMessages(wire)
+	cmd := smr.Command{ID: "p0-1", Op: smr.OpPut, Key: "key-\xff", Val: strings.Repeat("v", 200)}
+	val, _ := cmd.Encode()
+	buf := make([]byte, 0, 1024)
+	deliver := func(inner consensus.Message) {
+		slot := &smr.SlotMessage{Slot: 0, InnerKind: inner.Kind(), InnerBody: inner.AppendBody(nil)}
+		buf = wire.Append(buf[:0], &shard.GroupMessage{Group: 0, InnerKind: slot.Kind(), InnerBody: slot.AppendBody(nil)})
+		msg, err := wire.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Handler()(0, msg)
+		for i := range buf {
+			buf[i] = 0xAA
+		}
+	}
+	deliver(&core.ProposeMsg{Value: val})
+	deliver(&core.DecideMsg{Value: val})
+	rt.SyncIO()
+
+	if got, ok := rt.Group(0).LogValue(0); !ok || got != val {
+		t.Fatalf("after the buffer was overwritten: slot 0 holds %.40q, %t", got.Data, ok)
+	}
+	if got, ok := rt.Get(cmd.Key); !ok || got != cmd.Val {
+		t.Fatalf("after the buffer was overwritten: store holds %.40q, %t", got, ok)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rt = open()
+	defer rt.Close()
+	if recs, _ := rt.Recovery(); len(recs) != 1 || recs[0].WalRecords < 2 {
+		t.Fatalf("recovery = %+v, want the vote and the decision replayed", recs)
+	}
+	// The slot itself is applied and retired by recovery; what its records
+	// held is what the store now shows.
+	if got, ok := rt.Get(cmd.Key); !ok || got != cmd.Val {
+		t.Fatalf("replayed from the WAL: store holds %.40q, %t", got, ok)
 	}
 }

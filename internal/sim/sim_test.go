@@ -24,6 +24,11 @@ type pong struct{}
 func (ping) Kind() string { return "test.ping" }
 func (pong) Kind() string { return "test.pong" }
 
+func (ping) AppendBody(dst []byte) []byte { return dst }
+func (pong) AppendBody(dst []byte) []byte { return dst }
+func (ping) DecodeBody([]byte) error      { return nil }
+func (pong) DecodeBody([]byte) error      { return nil }
+
 func newEcho(cfg consensus.Config) *echoProto {
 	return &echoProto{cfg: cfg, pongs: make(map[consensus.ProcessID]struct{}), dec: consensus.None}
 }

@@ -2,7 +2,6 @@ package smr_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -126,8 +125,8 @@ func TestPutAllIsAtomic(t *testing.T) {
 	}
 }
 
-// The hand-spliced Command encoding must survive strings encoding/json
-// would escape, nested batches included.
+// The Command encoding must carry strings encoding/json would have escaped,
+// nested batches included, byte for byte.
 func TestCommandEncodeEscaping(t *testing.T) {
 	cmd := smr.Command{
 		ID: "p0-\"quoted\"-1",
@@ -141,9 +140,6 @@ func TestCommandEncodeEscaping(t *testing.T) {
 	v, err := cmd.Encode()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !json.Valid([]byte(v.Data)) {
-		t.Fatalf("invalid JSON: %s", v.Data)
 	}
 	got, err := smr.DecodeCommand(v)
 	if err != nil {

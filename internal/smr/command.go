@@ -9,9 +9,8 @@
 package smr
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/consensus"
 )
@@ -29,22 +28,31 @@ const (
 	OpBatch Op = "batch"
 	// OpLeaseGrant replicates a leader-lease grant (see internal/lease):
 	// Key holds the holder's process ID in decimal, Val the grant length
-	// in nanoseconds. Reusing Key/Val keeps the hand-spliced encoder and
-	// the on-disk WAL format unchanged.
+	// in nanoseconds.
 	OpLeaseGrant Op = "lease"
 )
+
+// opCodes is each Op's byte in an encoded command: its index. 0 is no Op.
+var opCodes = [...]Op{1: OpPut, 2: OpDelete, 3: OpNoop, 4: OpBatch, 5: OpLeaseGrant}
+
+// maxBatchDepth bounds how deep OpBatch commands nest in a decoded command
+// (the batcher wrapping a PutAll makes two levels): a hostile payload must
+// not choose the decoder's recursion depth.
+const maxBatchDepth = 8
+
+var errBatchDepth = errors.New("batches nested too deep")
 
 // Command is one state-machine command.
 type Command struct {
 	// ID uniquely identifies the command (proxy id + sequence).
-	ID string `json:"id"`
+	ID string
 	// Op is the operation.
-	Op Op `json:"op"`
+	Op Op
 	// Key and Val are the operands (Val unused for delete/noop/batch).
-	Key string `json:"key,omitempty"`
-	Val string `json:"val,omitempty"`
+	Key string
+	Val string
 	// Subs are the batched commands when Op is OpBatch.
-	Subs []Command `json:"subs,omitempty"`
+	Subs []Command
 }
 
 // FNV-1a parameters, inlined so hashing a command ID allocates nothing
@@ -55,52 +63,59 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// cmdBufPool recycles Command encode scratch buffers.
-var cmdBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
+// appendCommand appends c in its binary form (consensus/wire.go): the op
+// byte, then ID, Key and Val, then the number of Subs and each of them the
+// same way. ok is false if c or one of its Subs has an Op with no byte.
+func appendCommand(dst []byte, c Command) (_ []byte, ok bool) {
+	code := len(opCodes) - 1
+	for code > 0 && opCodes[code] != c.Op {
+		code--
+	}
+	dst = append(dst, byte(code))
+	dst = consensus.AppendStr(dst, c.ID)
+	dst = consensus.AppendStr(dst, c.Key)
+	dst = consensus.AppendStr(dst, c.Val)
+	dst = consensus.AppendUvarint(dst, uint64(len(c.Subs)))
+	ok = code != 0
+	for _, sub := range c.Subs {
+		var subOK bool
+		dst, subOK = appendCommand(dst, sub)
+		ok = ok && subOK
+	}
+	return dst, ok
+}
 
-// appendJSON splices the command's JSON encoding into dst by hand, matching
-// the struct tags above (omitempty included) so DecodeCommand stays
-// reflective. Commands are the single hottest marshal in the system — one
-// per client operation — and the spliced form needs no encoder state and no
-// intermediate copy.
-func (c Command) appendJSON(dst []byte) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = consensus.AppendJSONString(dst, c.ID)
-	dst = append(dst, `,"op":`...)
-	dst = consensus.AppendJSONString(dst, string(c.Op))
-	if c.Key != "" {
-		dst = append(dst, `,"key":`...)
-		dst = consensus.AppendJSONString(dst, c.Key)
+// decodeCommand reads what appendCommand wrote; depth is how many batches
+// enclose it.
+func decodeCommand(d *consensus.Decoder, depth int) Command {
+	code := d.Byte()
+	if code == 0 || int(code) >= len(opCodes) {
+		d.Fail(consensus.ErrNotCanonical)
+		return Command{}
 	}
-	if c.Val != "" {
-		dst = append(dst, `,"val":`...)
-		dst = consensus.AppendJSONString(dst, c.Val)
-	}
-	if len(c.Subs) > 0 {
-		dst = append(dst, `,"subs":[`...)
-		for i, s := range c.Subs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = s.appendJSON(dst)
+	c := Command{Op: opCodes[code], ID: d.Str(), Key: d.Str(), Val: d.Str()}
+	// An encoded command is at least its op byte and four length prefixes.
+	if n := d.Count(5); n > 0 {
+		if depth == maxBatchDepth {
+			d.Fail(errBatchDepth)
+			return Command{}
 		}
-		dst = append(dst, ']')
+		c.Subs = make([]Command, n)
+		for i := range c.Subs {
+			c.Subs[i] = decodeCommand(d, depth+1)
+		}
 	}
-	return append(dst, '}')
+	return c
 }
 
 // Encode packs the command into a consensus value: the ordering key is a
 // hash of the command ID (ties broken by the serialized payload, keeping
-// the order total), the payload is the JSON encoding. The payload is built
+// the order total), the payload is the binary encoding. The payload is built
 // in a pooled scratch buffer; the only per-call allocation is the payload
-// string itself. The error return is kept for call-site compatibility and
-// is always nil.
+// string itself. The only error is an Op that is none of the constants above.
 func (c Command) Encode() (consensus.Value, error) {
-	bp := cmdBufPool.Get().(*[]byte)
-	b := c.appendJSON((*bp)[:0])
+	bp := consensus.Scratch()
+	b, ok := appendCommand(*bp, c)
 	var h uint64 = fnvOffset64
 	for i := 0; i < len(c.ID); i++ {
 		h ^= uint64(c.ID[i])
@@ -109,15 +124,18 @@ func (c Command) Encode() (consensus.Value, error) {
 	// Clear the top bit so the key stays well above consensus.None.
 	key := int64(h >> 1)
 	v := consensus.Value{Key: key, Data: string(b)}
-	*bp = b
-	cmdBufPool.Put(bp)
+	consensus.Release(bp, b)
+	if !ok {
+		return consensus.Value{}, fmt.Errorf("smr: encode command %q: unknown op", c.ID)
+	}
 	return v, nil
 }
 
 // DecodeCommand unpacks a consensus value produced by Encode.
 func DecodeCommand(v consensus.Value) (Command, error) {
-	var c Command
-	if err := json.Unmarshal([]byte(v.Data), &c); err != nil {
+	d := consensus.NewDecoder([]byte(v.Data))
+	c := decodeCommand(&d, 0)
+	if err := d.Finish(); err != nil {
 		return Command{}, fmt.Errorf("smr: decode command: %w", err)
 	}
 	return c, nil

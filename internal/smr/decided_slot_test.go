@@ -407,3 +407,26 @@ func (s sendTap) Send(to consensus.ProcessID, msg consensus.Message) error {
 	s.see(msg)
 	return s.Transport.Send(to, msg)
 }
+
+// TestDecidedSlotReleasesItsTimer: a decided slot's record lives on for
+// retainSlots, and its stopped new-ballot timer must not live on with it —
+// the *time.Timer's callback holds the slot's closures, some 300 B a slot on
+// every replica for as long as the record is kept.
+func TestDecidedSlotReleasesItsTimer(t *testing.T) {
+	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const writes = 20
+	kv := smr.NewKV(c.replicas()[1])
+	for i := 0; i < writes; i++ {
+		if err := kv.Put(ctx, "k", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range c.replicas() {
+		c.waitApplied(i, writes, 5*time.Second)
+		if decided, timers := r.DecidedSlotTimers(); decided < writes || timers != 0 {
+			t.Fatalf("process %d: %d decided slots, %d of them still hold a timer", i, decided, timers)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package smr
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -51,9 +51,6 @@ type DurabilityOptions struct {
 	Journal Journal
 	// Group tags every record this replica appends to the journal and
 	// filters replay: records carrying another group's id are skipped.
-	// Untagged records — every WAL written before sharding existed — belong
-	// to group 0, which is what makes the single-group layout read old
-	// logs unchanged.
 	Group int
 	// Policy is the fsync policy Journal was opened with. With SyncInterval
 	// the replica drives the sync from its own timer every SyncEvery.
@@ -101,41 +98,126 @@ type durable struct {
 
 // WAL record kinds.
 const (
-	walKindState  = "s" // per-slot durable core state
-	walKindDecide = "d" // a decision learned for a slot
+	walKindState  byte = 's' // per-slot durable core state
+	walKindDecide byte = 'd' // a decision learned for a slot
 )
 
-// walEntry is the JSON payload of one WAL record. G is the consensus group
-// that wrote it: groups interleave records in one shared WAL and recovery
-// demuxes on it. omitempty keeps group 0's records byte-identical to the
-// pre-sharding format, so old WALs replay as group 0 with no version bump.
+// walEntry is one WAL record. G is the consensus group that wrote it: groups
+// interleave records in one shared WAL and recovery demuxes on it. State is
+// the body of a walKindState record, Val of a walKindDecide one.
 type walEntry struct {
-	Kind  string           `json:"k"`
-	G     int              `json:"g,omitempty"`
-	Slot  int              `json:"slot"`
-	State *core.State      `json:"st,omitempty"`
-	Val   *consensus.Value `json:"v,omitempty"`
+	Kind  byte
+	G     int
+	Slot  int
+	State core.State
+	Val   consensus.Value
 }
 
-// durableSnapshot is the JSON blob handed to internal/storage. WalNext is
+// walHeaderLen is the fixed part of a record payload: the format-version
+// byte, the kind, the group (u32) and the slot (u64), big-endian. Fixed so
+// that replay tells whose record it is, and for which slot, from the header.
+const walHeaderLen = 1 + 1 + 4 + 8
+
+// appendWalEntry appends e's record payload: the header, then the state or
+// the value in its binary form.
+func appendWalEntry(dst []byte, e walEntry) []byte {
+	dst = append(dst, consensus.FormatVersion, e.Kind)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(e.G))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(e.Slot))
+	if e.Kind == walKindState {
+		return core.AppendState(dst, e.State)
+	}
+	return consensus.AppendValue(dst, e.Val)
+}
+
+// decodeWalEntry reads a record payload. mine is false, and the body left
+// undecoded, for another group's record or a slot below minSlot.
+func decodeWalEntry(payload []byte, group, minSlot int) (e walEntry, mine bool, err error) {
+	if _, err := consensus.NewVersionedDecoder(payload, "smr durability: wal record"); err != nil {
+		return walEntry{}, false, err
+	}
+	if len(payload) < walHeaderLen {
+		return walEntry{}, false, fmt.Errorf("smr durability: wal record header: %w", consensus.ErrTruncated)
+	}
+	e.Kind = payload[1]
+	e.G = int(binary.BigEndian.Uint32(payload[2:]))
+	e.Slot = int(binary.BigEndian.Uint64(payload[6:]))
+	if e.G != group || e.Slot < minSlot {
+		return e, false, nil
+	}
+	d := consensus.NewDecoder(payload[walHeaderLen:])
+	switch e.Kind {
+	case walKindState:
+		e.State = core.DecodeState(&d)
+	case walKindDecide:
+		e.Val = d.Value()
+	default:
+		d.Fail(consensus.ErrNotCanonical)
+	}
+	if err := d.Finish(); err != nil {
+		return walEntry{}, false, fmt.Errorf("smr durability: wal record decode: %w", err)
+	}
+	return e, true, nil
+}
+
+// durableSnapshot is the blob handed to internal/storage: the cut a lagging
+// peer would be sent (the applied store, the decided tail, the lease view —
+// see captureLocked) plus what only this replica's restart needs. WalNext is
 // the WAL index the snapshot is consistent up to: replay resumes there and
-// everything before it may be truncated.
+// everything before it may be truncated. Slots are the open instances.
+//
+// The lease view is (holder, residual guard ns) — a duration, so recovery (at
+// any later real time) imports a window no shorter than the true one. Own
+// serving rights are never exported to the snapshot's own replica: Import
+// drops self-grants, so a crash-restart always forgets its lease.
 type durableSnapshot struct {
-	Applied      int                     `json:"applied"`
-	Store        map[string]string       `json:"store"`
-	CompactFloor int                     `json:"compactFloor"`
-	Seq          int64                   `json:"seq"`
-	WalNext      uint64                  `json:"walNext"`
-	Slots        map[int]core.State      `json:"slots,omitempty"`
-	Log          map[int]consensus.Value `json:"log,omitempty"`
-	// LeaseHolder/LeaseRemain persist the lease view as (holder, residual
-	// guard ns) — a duration, so recovery (at any later real time) imports
-	// a window no shorter than the true one. Own serving rights are never
-	// exported to the snapshot's own replica: Import drops self-grants, so
-	// a crash-restart always forgets its lease. omitempty keeps lease-free
-	// snapshots byte-identical to the old format.
-	LeaseHolder *int  `json:"leaseHolder,omitempty"`
-	LeaseRemain int64 `json:"leaseRemain,omitempty"`
+	Cut          CatchupReply
+	CompactFloor int
+	Seq          int64
+	WalNext      uint64
+	Slots        map[int]core.State
+}
+
+// appendSnapshot appends s's blob: the format-version byte, the scalars, the
+// open slots in ascending order, then the cut, a CatchupReply body, as the rest.
+func appendSnapshot(dst []byte, s *durableSnapshot) []byte {
+	dst = append(dst, consensus.FormatVersion)
+	dst = consensus.AppendVarint(dst, int64(s.CompactFloor))
+	dst = consensus.AppendVarint(dst, s.Seq)
+	dst = consensus.AppendUvarint(dst, s.WalNext)
+	dst = consensus.AppendUvarint(dst, uint64(len(s.Slots)))
+	for _, n := range sortedSlots(s.Slots) {
+		dst = core.AppendState(consensus.AppendVarint(dst, int64(n)), s.Slots[n])
+	}
+	return s.Cut.AppendBody(dst)
+}
+
+// decodeSnapshot reads what appendSnapshot wrote.
+func decodeSnapshot(blob []byte) (*durableSnapshot, error) {
+	d, err := consensus.NewVersionedDecoder(blob, "smr durability: snapshot")
+	if err != nil {
+		return nil, err
+	}
+	s := &durableSnapshot{CompactFloor: int(d.Varint()), Seq: d.Varint(), WalNext: d.Uvarint()}
+	// An open slot is at least its number and a nine-byte state.
+	if open := d.Count(10); open > 0 {
+		s.Slots = make(map[int]core.State, open)
+		for i, prev := 0, 0; i < open; i++ {
+			n := int(d.Varint())
+			if i > 0 && n <= prev {
+				d.Fail(consensus.ErrNotCanonical)
+			}
+			s.Slots[n], prev = core.DecodeState(&d), n
+		}
+	}
+	rest := d.Rest()
+	if err = d.Finish(); err == nil {
+		err = s.Cut.DecodeBody(rest)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("smr durability: snapshot decode: %w", err)
+	}
+	return s, nil
 }
 
 // EnableDurability recovers the replica from the snapshots under opts.Dir
@@ -160,10 +242,10 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	if err != nil {
 		return RecoveryInfo{}, fmt.Errorf("smr durability: %w", err)
 	}
-	var snap durableSnapshot
+	snap := &durableSnapshot{}
 	if haveSnap {
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			return RecoveryInfo{}, fmt.Errorf("smr durability: snapshot decode: %w", err)
+		if snap, err = decodeSnapshot(blob); err != nil {
+			return RecoveryInfo{}, err
 		}
 	}
 
@@ -187,14 +269,14 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 
 	info := RecoveryInfo{
 		Recovered:       haveSnap,
-		SnapshotApplied: snap.Applied,
+		SnapshotApplied: snap.Cut.Applied,
 	}
 
 	// 1. Snapshot state first: store, applied index, command sequence.
 	if haveSnap {
-		r.applied = snap.Applied
-		r.store = make(map[string]string, len(snap.Store))
-		for k, v := range snap.Store {
+		r.applied = snap.Cut.Applied
+		r.store = make(map[string]string, len(snap.Cut.Store))
+		for k, v := range snap.Cut.Store {
 			r.store[k] = v
 		}
 		if snap.CompactFloor > r.compactFloor {
@@ -203,13 +285,13 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		if snap.Seq > r.seq {
 			r.seq = snap.Seq
 		}
-		for n, v := range snap.Log {
+		for n, v := range snap.Cut.Decided {
 			if n >= r.applied {
 				r.slotLocked(n).learn(v)
 			}
 		}
-		if r.ls != nil && snap.LeaseHolder != nil {
-			r.ls.tab.Import(*snap.LeaseHolder, snap.LeaseRemain, r.ls.now())
+		if r.ls != nil && snap.Cut.LeaseHolder != nil {
+			r.ls.tab.Import(*snap.Cut.LeaseHolder, snap.Cut.LeaseRemain, r.ls.now())
 		}
 	}
 
@@ -217,33 +299,22 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	// decisions, ignoring records for slots the snapshot already covers.
 	states := make(map[int]core.State)
 	for slot, st := range snap.Slots {
-		if slot >= snap.Applied {
+		if slot >= snap.Cut.Applied {
 			states[slot] = st
 		}
 	}
 	rinfo, err := opts.Journal.Replay(snap.WalNext, func(_ uint64, payload []byte) error {
-		var e walEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return fmt.Errorf("smr durability: wal record decode: %w", err)
-		}
-		if e.G != opts.Group {
-			return nil // another group's record in the shared WAL
-		}
-		if e.Slot < snap.Applied {
-			return nil // superseded by the snapshot
+		// Not mine: another group's record in the shared WAL, or a slot the
+		// snapshot supersedes.
+		e, mine, err := decodeWalEntry(payload, opts.Group, snap.Cut.Applied)
+		if err != nil || !mine {
+			return err
 		}
 		switch e.Kind {
 		case walKindState:
-			if e.State != nil {
-				states[e.Slot] = *e.State
-				if !e.State.Decided.IsNone() {
-					r.slotLocked(e.Slot).learn(e.State.Decided)
-				}
-			}
+			states[e.Slot] = e.State
 		case walKindDecide:
-			if e.Val != nil {
-				r.slotLocked(e.Slot).learn(*e.Val)
-			}
+			r.slotLocked(e.Slot).learn(e.Val)
 		}
 		return nil
 	})
@@ -359,12 +430,10 @@ func (r *Replica) appendEntryLocked(e walEntry, critical bool) bool {
 		return false
 	}
 	e.G = r.dur.group
-	payload, err := json.Marshal(e)
-	if err != nil {
-		r.persistFailLocked(err)
-		return false
-	}
-	idx, err := r.dur.wal.AppendBuffered(payload)
+	bp := consensus.Scratch()
+	payload := appendWalEntry(*bp, e)
+	idx, err := r.dur.wal.AppendBuffered(payload) // copies the payload into its frame
+	consensus.Release(bp, payload)
 	if err != nil {
 		r.persistFailLocked(err)
 		return false
@@ -387,7 +456,7 @@ func (r *Replica) persistSlotLocked(s *slot) bool {
 	st := s.node.Snapshot()
 	// Always sync-critical: a proposal, promise or vote of a live instance
 	// must hit disk before any peer sees a message built on it.
-	if st != s.persisted && !r.appendEntryLocked(walEntry{Kind: walKindState, Slot: s.n, State: &st}, true) {
+	if st != s.persisted && !r.appendEntryLocked(walEntry{Kind: walKindState, Slot: s.n, State: st}, true) {
 		return false
 	}
 	s.persisted = st
@@ -409,7 +478,7 @@ func (r *Replica) persistDecideLocked(s *slot, v consensus.Value) bool {
 		st.Decided = s.persisted.Decided
 		critical = st != s.persisted
 	}
-	return r.appendEntryLocked(walEntry{Kind: walKindDecide, Slot: s.n, Val: &v}, critical)
+	return r.appendEntryLocked(walEntry{Kind: walKindDecide, Slot: s.n, Val: v}, critical)
 }
 
 // maybeSnapshotLocked checkpoints the applied state every snapEvery applied
@@ -431,16 +500,11 @@ func (r *Replica) writeSnapshotLocked() {
 	if r.dur == nil || r.dur.err != nil {
 		return
 	}
-	c := r.captureLocked()
 	snap := durableSnapshot{
-		Applied:      c.Applied,
-		Store:        c.Store,
+		Cut:          *r.captureLocked(),
 		CompactFloor: r.compactFloor,
 		Seq:          r.seq,
 		WalNext:      r.dur.wal.NextIndex(),
-		Log:          c.Decided,
-		LeaseHolder:  c.LeaseHolder,
-		LeaseRemain:  c.LeaseRemain,
 	}
 	for n, s := range r.slots {
 		if s.node != nil && n >= r.applied {
@@ -450,11 +514,7 @@ func (r *Replica) writeSnapshotLocked() {
 			snap.Slots[n] = s.node.Snapshot()
 		}
 	}
-	blob, err := json.Marshal(snap)
-	if err != nil {
-		r.persistFailLocked(err)
-		return
-	}
+	blob := appendSnapshot(nil, &snap)
 	// The WAL must be on disk before the snapshot that references WalNext.
 	// Cold path (runs every snapEvery applied commands), so the in-lock
 	// fsync is tolerable; the hot path never comes through here.
@@ -525,7 +585,7 @@ func (r *Replica) Info() ReplicaInfo {
 
 // sortedSlots returns m's keys ascending (catchup installs decisions in
 // slot order so the apply loop advances deterministically).
-func sortedSlots(m map[int]consensus.Value) []int {
+func sortedSlots[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -2,7 +2,6 @@ package smr_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -221,7 +220,7 @@ func (c *captureTr) oneBs(t *testing.T, slot int) []core.OneB {
 			continue
 		}
 		var b core.OneB
-		if err := json.Unmarshal(sm.InnerBody, &b); err != nil {
+		if err := b.DecodeBody(sm.InnerBody); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, b)
@@ -232,11 +231,7 @@ func (c *captureTr) oneBs(t *testing.T, slot int) []core.OneB {
 // slotMsg wraps an inner core message for delivery via Replica.Handle.
 func slotMsg(t *testing.T, slot int, inner consensus.Message) *smr.SlotMessage {
 	t.Helper()
-	body, err := json.Marshal(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &smr.SlotMessage{Slot: slot, InnerKind: inner.Kind(), InnerBody: body}
+	return &smr.SlotMessage{Slot: slot, InnerKind: inner.Kind(), InnerBody: inner.AppendBody(nil)}
 }
 
 // openIsolated opens process id of a 3-process cluster over dir, bound to a

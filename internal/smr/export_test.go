@@ -13,3 +13,19 @@ func (r *Replica) QueuedCommands() int {
 	defer b.mu.Unlock()
 	return len(b.pending)
 }
+
+// DecidedSlotTimers counts r's decided slots and how many of them still
+// reference a *time.Timer.
+func (r *Replica) DecidedSlotTimers() (decided, timers int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.slots {
+		if s.decided {
+			decided++
+			if s.timer.t != nil {
+				timers++
+			}
+		}
+	}
+	return decided, timers
+}

@@ -1,14 +1,14 @@
 package smr_test
 
-// Micro-benchmarks for the replication hot path: command encoding, slot
-// wrapping (slotwrap_bench_test.go), the end-to-end submit pipeline, the
-// batcher over distance, and the lease-less read path. Run with
+// Micro-benchmarks for the replication hot path: command encoding and
+// decoding, slot wrapping and a frame's way back in
+// (slotwrap_bench_test.go), the end-to-end submit pipeline, the batcher over
+// distance, and the lease-less read path. Run with
 //
-//	go test -bench 'CommandEncode|SlotWrap|ReplicaPipeline|BatcherDistance|ReadFallback' -benchmem ./internal/smr/
+//	go test -bench 'CommandEncode|CommandDecode|SlotWrap|FrameDecode|ReplicaPipeline|BatcherDistance|ReadFallback' -benchmem ./internal/smr/
 //
-// The encode benchmarks exist to keep allocs/op honest: the pooled codec
-// work (consensus.MarshalPooled, hand-spliced envelopes) is only worth its
-// complexity while these stay flat.
+// The codec benchmarks exist to keep allocs/op a CI number: an encode is its
+// output, a decode the strings it keeps, and nothing else.
 
 import (
 	"context"
@@ -18,15 +18,16 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
-// BenchmarkCommandEncode measures Command → consensus.Value encoding (one
-// pooled JSON marshal + inline FNV-1a key), the first step of every client
-// submission.
+// BenchmarkCommandEncode measures Command → consensus.Value encoding (the
+// binary form built in a pooled buffer + inline FNV-1a key), the first step
+// of every client submission.
 func BenchmarkCommandEncode(b *testing.B) {
 	cmd := smr.Command{ID: "p0-42", Op: smr.OpPut, Key: "account-1234", Val: "balance=99.50"}
 	b.ReportAllocs()
@@ -34,6 +35,58 @@ func BenchmarkCommandEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := cmd.Encode(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCommandDecode measures consensus.Value → Command, what every
+// replica does once per decided slot: three strings, three allocations (and
+// the scratch copy of the payload once it outgrows the stack).
+func BenchmarkCommandDecode(b *testing.B) {
+	v, err := smr.Command{ID: "p0-42", Op: smr.OpPut, Key: "account-1234", Val: "balance=99.50"}.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := smr.DecodeCommand(v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFrameDecode measures a fast-path vote's way in, the three unwraps
+// TCP.readLoop, Mux.Handle and Replica.Handle do between them: wire form →
+// shard.GroupMessage → smr.SlotMessage → core.TwoB. The wrappers' inner
+// bodies are windows of the frame; what is allocated is the three messages,
+// their kind strings and the vote's value.
+func BenchmarkFrameDecode(b *testing.B) {
+	wire, slots, inner := consensus.NewCodec(), consensus.NewCodec(), consensus.NewCodec()
+	shard.RegisterMessages(wire)
+	smr.RegisterMessages(slots)
+	core.RegisterMessages(inner)
+	val, err := smr.Command{ID: "p0-123456", Op: smr.OpPut, Key: "c0-k17", Val: "v-000000004711"}.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	vote := &core.TwoB{Ballot: 0, Value: val}
+	slot := &smr.SlotMessage{Slot: 123456, InnerKind: vote.Kind(), InnerBody: vote.AppendBody(nil)}
+	frame, _ := wire.Encode(&shard.GroupMessage{Group: 3, InnerKind: slot.Kind(), InnerBody: slot.AppendBody(nil)})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := wire.Decode(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gm := m.(*shard.GroupMessage)
+		if m, err = slots.DecodeBody(gm.InnerKind, gm.InnerBody); err != nil {
+			b.Fatal(err)
+		}
+		sm := m.(*smr.SlotMessage)
+		if m, err = inner.DecodeBody(sm.InnerKind, sm.InnerBody); err != nil || m.(*core.TwoB).Value != val {
+			b.Fatalf("decoded %v, %v", m, err)
 		}
 	}
 }

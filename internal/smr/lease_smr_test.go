@@ -2,7 +2,6 @@ package smr_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -299,7 +298,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 			for _, s := range tr.sent {
 				if sm, ok := s.msg.(*smr.SlotMessage); ok && sm.Slot == slot && sm.InnerKind == core.KindPropose {
 					var p core.ProposeMsg
-					if err := json.Unmarshal(sm.InnerBody, &p); err != nil {
+					if err := p.DecodeBody(sm.InnerBody); err != nil {
 						t.Fatal(err)
 					}
 					tr.mu.Unlock()

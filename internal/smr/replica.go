@@ -2,10 +2,8 @@ package smr
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -24,39 +22,27 @@ const KindSlot = "smr.slot"
 
 // SlotMessage carries one core-protocol message for one log slot.
 type SlotMessage struct {
-	Slot      int             `json:"slot"`
-	InnerKind string          `json:"innerKind"`
-	InnerBody json.RawMessage `json:"innerBody"`
+	Slot      int
+	InnerKind string
+	InnerBody []byte
 }
 
 // Kind implements consensus.Message.
 func (SlotMessage) Kind() string { return KindSlot }
 
-// AppendBody splices the message's JSON body into dst verbatim instead of
-// letting encoding/json re-validate and compact the RawMessage — slot wrap
-// is the hottest encode in the system (every inter-replica protocol message
-// takes it), and implementing consensus.BodyAppender lets codec.Encode
-// build the whole frame in one buffer. The field names must stay in
-// lockstep with the struct tags: decoding remains reflective.
-func (m SlotMessage) AppendBody(dst []byte) []byte {
-	dst = append(dst, `{"slot":`...)
-	dst = strconv.AppendInt(dst, int64(m.Slot), 10)
-	dst = append(dst, `,"innerKind":`...)
-	dst = strconv.AppendQuote(dst, m.InnerKind)
-	dst = append(dst, `,"innerBody":`...)
-	if len(m.InnerBody) == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, m.InnerBody...)
-	}
-	return append(dst, '}')
+// AppendBody implements consensus.Message: the slot, the inner kind, and the
+// inner body as the rest of the bytes.
+func (m *SlotMessage) AppendBody(dst []byte) []byte {
+	dst = consensus.AppendVarint(dst, int64(m.Slot))
+	return append(consensus.AppendStr(dst, m.InnerKind), m.InnerBody...)
 }
 
-// MarshalJSON keeps plain json.Marshal of a SlotMessage (WAL payloads,
-// tests) on the same spliced encoding.
-func (m SlotMessage) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, len(`{"slot":,"innerKind":,"innerBody":}`)+20+len(m.InnerKind)+2+len(m.InnerBody))
-	return m.AppendBody(b), nil
+// DecodeBody implements consensus.Message. InnerBody is a window of body, not
+// a copy: Handle decodes it before it returns.
+func (m *SlotMessage) DecodeBody(body []byte) error {
+	d := consensus.NewDecoder(body)
+	m.Slot, m.InnerKind, m.InnerBody = int(d.Varint()), d.Str(), d.Rest()
+	return d.Finish()
 }
 
 // RegisterMessages registers the smr (and required inner) kinds with codec.
@@ -89,10 +75,13 @@ type timer struct {
 	gen int64
 }
 
+// stop also lets go of the *time.Timer: its callback holds the slot's
+// closures, and a decided slot's record outlives its timer by retainSlots.
 func (tm *timer) stop() {
 	tm.gen++
 	if tm.t != nil {
 		tm.t.Stop()
+		tm.t = nil
 	}
 }
 
@@ -808,17 +797,14 @@ func (r *Replica) applySlotLocked(s *slot, effects []consensus.Effect) []outboun
 		case consensus.Send:
 			out = append(out, r.slotSendLocked(s, eff.To, eff.Msg)...)
 		case consensus.Broadcast:
-			// One marshal for every destination: the wire form is immutable.
+			// One encode for every destination: the wire form is immutable.
 			wire := wrapSlot(s.n, eff.Msg)
 			for i := 0; i < r.cfg.N; i++ {
 				to := consensus.ProcessID(i)
-				switch {
-				case to == r.cfg.ID:
-					if eff.Self {
-						out = append(out, r.slotSendLocked(s, to, eff.Msg)...)
-					}
-				case wire != nil:
+				if to != r.cfg.ID {
 					out = append(out, outbound{to: to, msg: wire})
+				} else if eff.Self {
+					out = append(out, r.slotSendLocked(s, to, eff.Msg)...)
 				}
 			}
 		case consensus.StartTimer:
@@ -853,22 +839,15 @@ func (r *Replica) slotSendLocked(s *slot, to consensus.ProcessID, msg consensus.
 }
 
 // wrapSlot encodes an inner core message for slot n into its SlotMessage
-// wire form: one marshal of the inner body, no envelope round trip. The
-// result is never written again, so one broadcast shares it between its
-// destinations. nil (send nothing) if the body does not marshal.
+// wire form. The result is never written again, so one broadcast shares it
+// between its destinations.
 func wrapSlot(n int, msg consensus.Message) *SlotMessage {
-	body, err := consensus.MarshalPooled(msg)
-	if err != nil {
-		return nil
-	}
+	body, _ := consensus.MarshalPooled(msg) // the error is always nil
 	return &SlotMessage{Slot: n, InnerKind: msg.Kind(), InnerBody: body}
 }
 
 // sendTo addresses the wrapped message to one process.
 func (m *SlotMessage) sendTo(to consensus.ProcessID) []outbound {
-	if m == nil {
-		return nil
-	}
 	return []outbound{{to: to, msg: m}}
 }
 

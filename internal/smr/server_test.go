@@ -249,21 +249,19 @@ func TestServerOversizeLineGetsErrNotDroppedConn(t *testing.T) {
 	}
 }
 
-// TestServerLargeValueNowWorks: a 100 KB value sat beyond the old
-// scanner's 64 KB default and killed the connection; it is well inside
-// MaxLineBytes and must simply work.
+// TestServerLargeValueNowWorks: a 256 KiB value is well inside MaxLineBytes
+// and the transport's frame limit and must simply work — at the fixtures'
+// 1 ms tick: one hop of it through the codecs is far shorter than Δ (when a
+// hop outlasts Δ the protocol never decides, which is what the JSON
+// envelopes did to a 100 KiB value here).
 func TestServerLargeValueNowWorks(t *testing.T) {
-	// cmd/kv's default tick, not the fixture's 1 ms: under the race
-	// detector one hop of a 100 KiB command through the codecs outlasts a
-	// 10 ms Δ, and a protocol whose messages take longer than Δ never
-	// decides.
-	addrs, _, cleanup := serveCluster(t, newTestCluster(t, 3, 1, 1, procOptions{tick: 5 * time.Millisecond}))
+	addrs, _, cleanup := startServedCluster(t, 3, 1, 1)
 	defer cleanup()
 	client := newTestSessionClient(t, addrs[:1], smr.SessionOptions{Timeout: 20 * time.Second, Depth: 1})
 
-	big := strings.Repeat("payload-", 100*1024/8) // 100 KiB
+	big := strings.Repeat("payload-", 256*1024/8) // 256 KiB
 	if err := client.Put("big", big); err != nil {
-		t.Fatalf("Put(100KB): %v", err)
+		t.Fatalf("Put(256KiB): %v", err)
 	}
 	if got, err := client.Get("big"); err != nil || got != big {
 		t.Fatalf("Get(big) = %d bytes, %v; want %d bytes back", len(got), err, len(big))

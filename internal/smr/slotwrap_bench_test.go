@@ -10,12 +10,11 @@ import (
 )
 
 // BenchmarkSlotWrap measures wrapping an inner core message into its
-// slot-addressed wire frame (pooled inner marshal + spliced SlotMessage +
-// spliced outer envelope) — the encode path every inter-replica protocol
-// message takes. send is one message to one peer; broadcast-n5 is what a
+// slot-addressed wire frame (inner body, SlotMessage around it, kind in
+// front) — the encode path every inter-replica protocol message takes. send is one message to one peer; broadcast-n5 is what a
 // proposer or acceptor at n=5 does with a 32-command chunk: interpret the
 // Broadcast effect under Replica.mu, then frame it for the four peers. The
-// inner body must be marshaled once for all four.
+// inner body must be encoded once for all four.
 func BenchmarkSlotWrap(b *testing.B) {
 	codec := consensus.NewCodec()
 	RegisterMessages(codec)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/consensus"
 )
 
 // FuzzFrameRoundTrip drives arbitrary payloads through writeFrame/readFrame
@@ -64,7 +66,7 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // TCP_NODELAY, one segment — and what Stats counts for it is what the
 // receiver reads: the payload plus the length prefix.
 func TestWriteFrameIsOneWrite(t *testing.T) {
-	payload := []byte(`{"from":0,"msg":{}}`)
+	payload := appendFrame(nil, tcpFrame{From: 0, Msg: []byte("\x0bcore.decide")})
 	var w writeCounter
 	if err := writeFrame(&w, append(make([]byte, frameHeaderLen), payload...)); err != nil {
 		t.Fatal(err)
@@ -76,5 +78,32 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 	got, err := readFrame(&w, &scratch)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back %q, %v", got, err)
+	}
+}
+
+// The envelope round-trips, has one form, and refuses anything that does not
+// start with the format version — the parent commit's JSON frame included.
+func TestFrameEnvelopeRoundTrip(t *testing.T) {
+	for _, f := range []tcpFrame{
+		{From: 0, Msg: []byte("x")},
+		{From: 4, Msg: bytes.Repeat([]byte{0xff}, 70<<10)},
+		{From: consensus.NoProcess, Msg: nil},
+	} {
+		enc := appendFrame(nil, f)
+		got, err := decodeFrame(enc)
+		if err != nil || got.From != f.From || !bytes.Equal(got.Msg, f.Msg) {
+			t.Fatalf("from %s: decoded %s, %d bytes, %v", f.From, got.From, len(got.Msg), err)
+		}
+		if again := appendFrame(nil, got); !bytes.Equal(again, enc) {
+			t.Fatalf("from %s: re-encoding differs", f.From)
+		}
+	}
+	for _, bad := range [][]byte{nil, []byte(`{"from":0,"msg":{}}`), {consensus.FormatVersion}, {consensus.FormatVersion, 0x80, 0x00}} {
+		if _, err := decodeFrame(bad); err == nil {
+			t.Errorf("envelope %q decoded", bad)
+		}
+	}
+	if _, err := decodeFrame([]byte(`{"from":0,"msg":{}}`)); !errors.Is(err, consensus.ErrFormatVersion) {
+		t.Errorf("JSON frame: %v, want ErrFormatVersion", err)
 	}
 }

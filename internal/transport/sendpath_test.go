@@ -2,9 +2,9 @@ package transport_test
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -219,19 +219,21 @@ func TestTCPOversizeSendRejected(t *testing.T) {
 	waitCount(t, c1, 1)
 }
 
-// rawFrame writes one length-prefixed tcpFrame with an arbitrary sender id.
-func rawFrame(t *testing.T, conn net.Conn, from int, body json.RawMessage) {
+// framed puts the 4-byte length prefix in front of payload.
+func framed(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// envelope is a frame payload as TCP.Send builds it: version byte, sender,
+// then the codec's encoding of the message.
+func envelope(from int, body []byte) []byte {
+	return append(consensus.AppendVarint([]byte{consensus.FormatVersion}, int64(from)), body...)
+}
+
+// rawFrame writes one length-prefixed frame with an arbitrary sender id.
+func rawFrame(t *testing.T, conn net.Conn, from int, body []byte) {
 	t.Helper()
-	frame, err := json.Marshal(struct {
-		From int             `json:"from"`
-		Msg  json.RawMessage `json:"msg"`
-	}{From: from, Msg: body})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := conn.Write(append(hdr[:], frame...)); err != nil {
+	if _, err := conn.Write(framed(envelope(from, body))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -272,6 +274,98 @@ func TestTCPRejectsUnknownSender(t *testing.T) {
 	st := tr.Stats()
 	if st.DropsByCause[transport.DropBadSender] != 2 {
 		t.Fatalf("bad-sender drops = %d, want 2 (stats: %s)", st.DropsByCause[transport.DropBadSender], st)
+	}
+}
+
+// waitDrops polls tr's counter for cause until it reads want.
+func waitDrops(t *testing.T, tr *transport.TCP, cause transport.DropCause, want uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); tr.Stats().DropsByCause[cause] != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s drops = %d, want %d (stats: %s)", cause, tr.Stats().DropsByCause[cause], want, tr.Stats())
+		}
+	}
+}
+
+// TestTCPCountsBadFrames: an inbound frame that does not decode is counted,
+// not silently skipped. A body the codec refuses — an unknown kind, a
+// truncated message — leaves the connection up (the framing is intact); a
+// first byte that is not the format version (a JSON-era peer) closes it.
+func TestTCPCountsBadFrames(t *testing.T) {
+	codec := testCodec()
+	addrs := map[consensus.ProcessID]string{0: "127.0.0.1:0", 1: "127.0.0.1:7999"}
+	var c collector
+	tr, err := transport.NewTCP(0, addrs, codec, c.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	good, _ := codec.Encode(&core.DecideMsg{Value: consensus.IntValue(9)})
+	rawFrame(t, conn, 1, consensus.AppendStr(nil, "no.such.kind"))
+	rawFrame(t, conn, 1, good[:len(good)-3]) // a binary frame cut short inside its value
+	rawFrame(t, conn, 1, good)
+	waitCount(t, &c, 1) // the connection survived both
+	waitDrops(t, tr, transport.DropBadFrame, 2)
+	if st := tr.Stats(); st.DropsByPeer[1] != 2 || !strings.Contains(st.String(), "bad-frame=2") {
+		t.Fatalf("stats after two undecodable bodies: %s (by peer %v)", st, st.DropsByPeer)
+	}
+
+	// What the parent commit put on the wire.
+	if _, err := conn.Write(framed([]byte(`{"from":1,"msg":{"kind":"core.decide","body":{"value":{"key":9}}}}`))); err != nil {
+		t.Fatal(err)
+	}
+	waitDrops(t, tr, transport.DropBadFrame, 3)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open after a frame of another format version: %v", err)
+	}
+	if got := c.count(); got != 1 {
+		t.Fatalf("delivered %d messages, want 1", got)
+	}
+}
+
+// TestTCPBackToBackFramesDoNotAlias: the read loop reuses one buffer, so a
+// message the handler kept must own its bytes. Two frames arrive in one
+// segment, the second overwriting the buffer the first was decoded from.
+func TestTCPBackToBackFramesDoNotAlias(t *testing.T) {
+	codec := testCodec()
+	addrs := map[consensus.ProcessID]string{0: "127.0.0.1:0", 1: "127.0.0.1:7999"}
+	var c collector
+	tr, err := transport.NewTCP(0, addrs, codec, c.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	first := consensus.Value{Key: 1, Data: strings.Repeat("A", 300)}
+	second := consensus.Value{Key: 2, Data: strings.Repeat("B", 300)}
+	var wire []byte
+	for _, v := range []consensus.Value{first, second} {
+		body, _ := codec.Encode(&core.TwoB{Ballot: 0, Value: v})
+		wire = append(wire, framed(envelope(1, body))...)
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, &c, 2)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if got := c.got[0].(*core.TwoB).Value; got != first {
+		t.Fatalf("first message was overwritten by the second: %.20q…", got.Data)
+	}
+	if got := c.got[1].(*core.TwoB).Value; got != second {
+		t.Fatalf("second message = %.20q…", got.Data)
 	}
 }
 
@@ -316,16 +410,17 @@ func TestStatsString(t *testing.T) {
 		BytesSent:  9801,
 		BytesRecv:  7730,
 		DropsByCause: map[transport.DropCause]uint64{
-			transport.DropConn:      2,
+			transport.DropConn:      1,
 			transport.DropQueueFull: 1,
+			transport.DropBadFrame:  1,
 		},
 	}
-	want := "sends=42 drops=3 (queue-full=1 conn=2) reconnects=1 queued=2 out=9801 in=7730"
+	want := "sends=42 drops=3 (queue-full=1 conn=1 bad-frame=1) reconnects=1 queued=2 out=9801 in=7730"
 	if got := s.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 	merged := s.Merge(transport.Stats{Drops: 1, DropsByCause: map[transport.DropCause]uint64{transport.DropConn: 1}})
-	if merged.Drops != 4 || merged.DropsByCause[transport.DropConn] != 3 {
+	if merged.Drops != 4 || merged.DropsByCause[transport.DropConn] != 2 {
 		t.Fatalf("Merge = %s", merged)
 	}
 }

@@ -30,6 +30,12 @@ const (
 	// not in the address book; it was rejected before reaching protocol
 	// code.
 	DropBadSender DropCause = "bad-sender"
+	// DropBadFrame: an inbound frame did not decode — its first byte is
+	// not this build's format version (the connection is then closed: a
+	// peer on another format never sends anything that parses), or its
+	// kind is unknown or its body malformed (the connection stays). The
+	// peer is the claimed sender where the envelope got that far.
+	DropBadFrame DropCause = "bad-frame"
 	// DropFault: an injected fault (Mesh.SetFault) discarded the message.
 	// Distinct from the organic causes so chaos runs can tell deliberate
 	// loss from real backpressure.
@@ -38,7 +44,7 @@ const (
 
 // dropCauseOrder fixes the rendering order of Stats.String.
 var dropCauseOrder = []DropCause{
-	DropQueueFull, DropConn, DropOversize, DropClosed, DropBadSender, DropFault,
+	DropQueueFull, DropConn, DropOversize, DropClosed, DropBadSender, DropBadFrame, DropFault,
 }
 
 // Stats is a point-in-time snapshot of a transport's counters.
@@ -61,7 +67,7 @@ type Stats struct {
 	// DropsByCause breaks Drops down by cause.
 	DropsByCause map[DropCause]uint64
 	// DropsByPeer breaks Drops down by peer: the destination for outbound
-	// causes, the claimed source for bad-sender.
+	// causes, the claimed source for bad-sender and bad-frame.
 	DropsByPeer map[consensus.ProcessID]uint64
 }
 

@@ -3,13 +3,11 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
@@ -36,11 +34,28 @@ var (
 	ErrOversize = errors.New("frame exceeds size limit")
 )
 
-// tcpFrame is the wire envelope: the sender identity plus the codec's
-// self-describing message encoding.
+// tcpFrame is the wire envelope behind the length prefix: the format-version
+// byte, the sender identity, then the codec's self-describing message
+// encoding as the rest of the frame.
 type tcpFrame struct {
-	From int             `json:"from"`
-	Msg  json.RawMessage `json:"msg"`
+	From consensus.ProcessID
+	Msg  []byte
+}
+
+// appendFrame appends f's envelope to dst.
+func appendFrame(dst []byte, f tcpFrame) []byte {
+	dst = append(dst, consensus.FormatVersion)
+	return append(consensus.AppendVarint(dst, int64(f.From)), f.Msg...)
+}
+
+// decodeFrame reads an envelope; Msg is a window of frame.
+func decodeFrame(frame []byte) (tcpFrame, error) {
+	d, err := consensus.NewVersionedDecoder(frame, "tcp frame")
+	if err != nil {
+		return tcpFrame{}, err
+	}
+	f := tcpFrame{From: consensus.ProcessID(d.Varint()), Msg: d.Rest()}
+	return f, d.Finish()
 }
 
 // TCPOptions tunes the per-peer send path. The zero value of any field
@@ -94,7 +109,7 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
-// TCP is a transport over TCP with 4-byte length-prefixed JSON frames.
+// TCP is a transport over TCP with 4-byte length-prefixed binary frames.
 //
 // Each peer has a bounded outbound queue drained by a dedicated writer
 // goroutine, so a slow or dead peer can never stall sends to healthy ones:
@@ -248,35 +263,37 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	// Per-connection scratch: the frame buffer and envelope are reused
-	// across iterations (json.RawMessage unmarshals by appending into the
-	// existing slice), so a busy link settles into zero steady-state
-	// allocations for framing.
+	// Per-connection scratch: the frame buffer is reused across iterations,
+	// and a decoded message's byte fields are windows of it — the handler
+	// runs to completion, copying what it keeps, before the next read.
 	var buf []byte
-	var f tcpFrame
 	for {
 		frame, err := readFrame(conn, &buf)
 		if err != nil {
 			return
 		}
 		t.stats.received(frameHeaderLen + len(frame))
-		f.From = -1
-		f.Msg = f.Msg[:0]
-		if err := json.Unmarshal(frame, &f); err != nil {
+		f, err := decodeFrame(frame)
+		if err != nil {
+			// Not this format version (or no envelope at all): nothing
+			// else this peer sends will parse either.
+			t.stats.drop(DropBadFrame, consensus.NoProcess)
 			return
 		}
-		from := consensus.ProcessID(f.From)
-		if !t.knownPeer(from) {
+		if !t.knownPeer(f.From) {
 			// A wire-supplied identity that is negative or absent from
 			// the address book never reaches protocol code.
-			t.stats.drop(DropBadSender, from)
+			t.stats.drop(DropBadSender, f.From)
 			continue
 		}
 		msg, err := t.codec.Decode(f.Msg)
 		if err != nil {
-			continue // unknown kind: ignore, stay connected
+			// An unknown kind or a body its kind refuses: the framing is
+			// intact, so stay connected.
+			t.stats.drop(DropBadFrame, f.From)
+			continue
 		}
-		t.handler(from, msg)
+		t.handler(f.From, msg)
 	}
 }
 
@@ -294,26 +311,22 @@ func (t *TCP) knownPeer(p consensus.ProcessID) bool {
 // Send implements Transport: it encodes msg and enqueues the frame on the
 // peer's outbound queue, never blocking on network I/O. A full queue,
 // oversized frame, or closed transport drops the message with an advisory
-// error; the protocols retransmit on their timers. The frame envelope is
-// spliced by hand around the codec output — the message body is marshaled
-// exactly once on this path.
+// error; the protocols retransmit on their timers. The frame is built once,
+// in a pooled buffer, and copied out at its exact size.
 func (t *TCP) Send(to consensus.ProcessID, msg consensus.Message) error {
-	body, err := t.codec.Encode(msg)
-	if err != nil {
-		return fmt.Errorf("tcp send: %w", err)
-	}
 	// The length prefix is reserved ahead of the payload, so the writer
 	// emits header and body in one Write (see writeFrame).
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(`{"from":,"msg":}`)+20+len(body))
-	frame = append(frame, `{"from":`...)
-	frame = strconv.AppendInt(frame, int64(t.self), 10)
-	frame = append(frame, `,"msg":`...)
-	frame = append(frame, body...)
-	frame = append(frame, '}')
-	if size := len(frame) - frameHeaderLen; size > maxFrame {
+	bp := consensus.Scratch()
+	b := append(*bp, make([]byte, frameHeaderLen)...)
+	// The envelope with an empty Msg, and the message appended in its place.
+	b = t.codec.Append(appendFrame(b, tcpFrame{From: t.self}), msg)
+	if size := len(b) - frameHeaderLen; size > maxFrame {
+		consensus.Release(bp, b)
 		t.stats.drop(DropOversize, to)
 		return fmt.Errorf("tcp send to %s: %d-byte frame: %w", to, size, ErrOversize)
 	}
+	frame := append([]byte(nil), b...)
+	consensus.Release(bp, b)
 	p, err := t.peer(to)
 	if err != nil {
 		return err
