@@ -113,11 +113,11 @@ fuzz:
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzRangeRouter -fuzztime=30s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
-# recovery through the runtime's shared-WAL abort/close — see
-# docs/DURABILITY.md.
+# recovery through the runtime's shared-WAL abort/close, the interval fsync
+# and its failure — see docs/DURABILITY.md.
 crash:
 	$(GO) test -run '^TestCrash' -v -timeout 300s ./internal/wal/... ./internal/smr/...
-	$(GO) test -run '^TestCrash|^TestRuntime(Crash|Graceful)' -v -timeout 300s ./internal/shard/... ./internal/cluster/...
+	$(GO) test -run '^TestCrash|^TestRuntime(Crash|Graceful)|^TestIntervalFsync' -v -timeout 300s ./internal/shard/... ./internal/cluster/...
 
 # Whole-stack chaos campaign: SEEDS consecutive seeded scenarios (live
 # durable cluster + nemesis + linearizability check), starting at SEED.

@@ -13,8 +13,7 @@
 // format (docs/DURABILITY.md); one written by a JSON-era build is refused.
 //
 // Client (reads commands from stdin, PUT/GET/GETL/DEL/STATS/INFO, fails over
-// between proxies; speaks the multiplexed session protocol, falling back to
-// the v1 line protocol against older servers):
+// between proxies; speaks the multiplexed session protocol):
 //
 //	kv -connect 127.0.0.1:8100,127.0.0.1:8101,127.0.0.1:8102
 //	> PUT city madrid
@@ -158,7 +157,7 @@ func replicaMain(id int, peerList []string, f, e, groups, tickMS int, statsEvery
 
 	if pprofAddr != "" {
 		dbgAddr, err := debugsrv.Serve(pprofAddr, map[string]func() any{
-			"kv.transport": func() any { st, _ := rt.Group(0).TransportStats(); return st },
+			"kv.transport": func() any { return rt.TransportStats() },
 			"kv.replica":   func() any { return rt.Info() },
 			"kv.batch": func() any {
 				stats := make([]smr.BatchStats, rt.Groups())
@@ -186,9 +185,7 @@ func replicaMain(id int, peerList []string, f, e, groups, tickMS int, statsEvery
 		defer ticker.Stop()
 		go func() {
 			for range ticker.C {
-				if st, ok := rt.Group(0).TransportStats(); ok {
-					fmt.Printf("transport: %s\n", st)
-				}
+				fmt.Printf("transport: %s\n", rt.TransportStats())
 				fmt.Printf("info: %s\n", rt.Info())
 			}
 		}()
@@ -200,9 +197,7 @@ func replicaMain(id int, peerList []string, f, e, groups, tickMS int, statsEvery
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	if st, ok := rt.Group(0).TransportStats(); ok {
-		fmt.Printf("transport (final): %s\n", st)
-	}
+	fmt.Printf("transport (final): %s\n", rt.TransportStats())
 	fmt.Printf("info (final): %s\n", rt.Info())
 	fmt.Println("shutting down")
 	return nil
@@ -233,15 +228,11 @@ func clientMain(addrs []string) error {
 		return err
 	}
 	defer client.Close()
-	// Force the handshake so the mode and leader hint are reportable.
+	// Force the handshake so the leader hint is reportable.
 	if err := client.Ping(); err != nil {
 		return err
 	}
-	if client.Pipelined() {
-		fmt.Printf("connected proxy set: %v (session protocol, leader hint r%d)\n", addrs, client.LeaderHint())
-	} else {
-		fmt.Printf("connected proxy set: %v (server pre-dates sessions; legacy fallback)\n", addrs)
-	}
+	fmt.Printf("connected proxy set: %v (session protocol, leader hint r%d)\n", addrs, client.LeaderHint())
 
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 0, 64*1024), smr.MaxLineBytes)

@@ -26,7 +26,6 @@ var protocolPackages = map[string]bool{
 	"repro/internal/mc":         true,
 	"repro/internal/quorum":     true,
 	"repro/internal/wal":        true,
-	"repro/internal/shard":      true,
 	// The lease table is replayed from the log on recovery, so it must be
 	// as deterministic as the protocols: all time flows in as arguments.
 	"repro/internal/lease": true,
@@ -46,10 +45,14 @@ func IsProtocolPackage(path string) bool { return protocolPackages[path] }
 // rng from the seed; CHAOS.md documents replayability). They legitimately
 // own clocks, timeouts and goroutines — they drive the system under test —
 // so only the two checks that break seed→outcome reproducibility apply:
-// unseeded global randomness and order-sensitive map iteration.
+// unseeded global randomness and order-sensitive map iteration. The sharded
+// runtime is in this tier for its router — two processes disagreeing on a
+// key's group split its history across two logs — while shard.Runtime is the
+// live host of a process and owns its clocks (Ω, gossip, interval fsync).
 var seededPackages = map[string]bool{
 	"repro/internal/chaos":  true,
 	"repro/internal/linear": true,
+	"repro/internal/shard":  true,
 }
 
 // IsSeededPackage reports whether path is subject to the

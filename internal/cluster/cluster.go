@@ -146,7 +146,8 @@ type backend struct {
 }
 
 func (b backend) Route(key string) *smr.Replica { return b.c.Runtime(b.i).Route(key) }
-func (b backend) Proxy() *smr.Replica           { return b.c.Runtime(b.i).Proxy() }
+func (b backend) ID() consensus.ProcessID       { return consensus.ProcessID(b.i) }
+func (b backend) Leader() consensus.ProcessID   { return b.c.Runtime(b.i).Leader() }
 func (b backend) StatsLine() string             { return b.c.Runtime(b.i).StatsLine() }
 func (b backend) InfoLine() string              { return b.c.Runtime(b.i).InfoLine() }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consensus"
+	"repro/internal/omega"
 	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/wan"
@@ -450,4 +451,104 @@ func TestWriteBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIdleBudget counts what an idle process says, whatever it hosts: between
+// two of p0's heartbeats to p1, ten periods apart, p0 sends every peer ten
+// heartbeats and two Status — and nothing else, at one group and at four. Ω
+// and the applied-index gossip are the process's, not the groups'.
+func TestIdleBudget(t *testing.T) {
+	const n, first, window = 3, 3, 10
+	for _, groups := range []int{1, 4} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			c, err := cluster.New(cluster.Options{N: n, F: 1, E: 1, Groups: groups})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var mu sync.Mutex
+			beats := 0                  // p0's heartbeats seen at p1
+			sent := map[string]int{}    // what p0 sent inside the window, by kind
+			done := make(chan struct{}) // closed by the heartbeat that ends it
+			for i := 1; i < n; i++ {
+				h := c.Runtime(i).Handler()
+				c.Fabric().Attach(i, func(from consensus.ProcessID, msg consensus.Message) {
+					if from == 0 {
+						mu.Lock()
+						if i == 1 && msg.Kind() == omega.KindHeartbeat {
+							if beats++; beats == first+window {
+								close(done)
+							}
+						}
+						if beats >= first && beats < first+window {
+							sent[msg.Kind()]++
+						}
+						mu.Unlock()
+					}
+					h(from, msg)
+				})
+			}
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("p1 never saw the heartbeat that closes the window")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			// The other links' edges need not line up with p1's: ±(n−1).
+			near := func(got, want int) bool { return got >= want-(n-1) && got <= want+(n-1) }
+			if hb, st := sent[omega.KindHeartbeat], sent[shard.KindStatus]; !near(hb, window*(n-1)) || !near(st, window/5*(n-1)) || len(sent) != 2 {
+				t.Fatalf("in %d periods p0 sent %v, want %d heartbeats, %d Status and nothing else",
+					window, sent, window*(n-1), window/5*(n-1))
+			}
+		})
+	}
+}
+
+// TestProcessOmegaMovesEveryGroup: Ω is one fact per process, so when p0
+// dies every group's leader entry and leaseholder move to p1 together, and
+// every entry comes back once p0 does.
+func TestProcessOmegaMovesEveryGroup(t *testing.T) {
+	const groups = 4
+	c, err := cluster.New(cluster.Options{
+		N: 3, F: 1, E: 1, Groups: groups, Dir: t.TempDir(),
+		Leases: &smr.LeaseOptions{Duration: 400 * time.Millisecond, Epsilon: 20 * time.Millisecond, AutoGrant: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// led waits until every process in procs names want for every group and
+	// want holds every group's lease.
+	led := func(want int, procs ...int) {
+		t.Helper()
+		var state string
+		for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			ok := true
+			state = ""
+			for _, p := range procs {
+				leaders := c.Runtime(p).GroupLeaders()
+				state += fmt.Sprintf(" p%d:%v", p, leaders)
+				for _, l := range leaders {
+					ok = ok && int(l) == want
+				}
+			}
+			for g := 0; g < groups; g++ {
+				held := c.Runtime(want).Group(g).HoldsLease()
+				state += fmt.Sprintf(" g%d:%t", g, held)
+				ok = ok && held
+			}
+			if ok {
+				return
+			}
+		}
+		t.Fatalf("p%d does not lead and hold all %d groups:%s", want, groups, state)
+	}
+	led(0, 0, 1, 2)
+	c.Kill(0)
+	led(1, 1, 2)
+	if err := c.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	led(0, 0, 1, 2)
 }

@@ -27,8 +27,8 @@ func fullCodec(t testing.TB) *consensus.Codec {
 	paxos.RegisterMessages(codec)
 	fastpaxos.RegisterMessages(codec)
 	epaxos.RegisterMessages(codec)
-	smr.RegisterMessages(codec) // includes omega
-	shard.RegisterMessages(codec)
+	smr.RegisterMessages(codec)
+	shard.RegisterMessages(codec) // includes omega
 	return codec
 }
 
@@ -83,7 +83,6 @@ func allMessages() []consensus.Message {
 		&epaxos.Commit{Value: v},
 		&omega.Heartbeat{},
 		&smr.SlotMessage{Slot: 12, InnerKind: core.KindTwoB, InnerBody: []byte{0, 1, 0xff}},
-		&smr.Status{Applied: 1 << 40},
 		&smr.CatchupRequest{From: 0},
 		&smr.CatchupReply{Applied: 7, Store: map[string]string{}},
 		&smr.CatchupReply{
@@ -93,6 +92,9 @@ func allMessages() []consensus.Message {
 			LeaseHolder: &holder, LeaseRemain: 1_500_000_000,
 		},
 		&shard.GroupMessage{Group: 3, InnerKind: smr.KindSlot, InnerBody: []byte("opaque at this layer")},
+		&shard.Status{},
+		&shard.Status{Applied: []int{1 << 40}},
+		&shard.Status{Applied: []int{0, 1, 2, 3, 127, 128, 1 << 20, 7, 8, 9, 10, 11, 12, 13, 14, 1 << 40}},
 	}
 }
 

@@ -111,12 +111,26 @@ func (d *Detector) Decision() (consensus.Value, bool) { return consensus.None, f
 // Deliver implements consensus.Protocol.
 func (d *Detector) Deliver(from consensus.ProcessID, m consensus.Message) []consensus.Effect {
 	if _, ok := m.(*Heartbeat); ok {
-		if int(from) < len(d.lastHeard) {
-			d.lastHeard[from] = d.epoch
-		}
+		d.Heard(from)
+	}
+	return nil
+}
+
+// Heard records a heartbeat; a sender outside the membership is ignored. A
+// host that owns the period timer and the wire itself (shard.Runtime) drives
+// the detector through Heard and Beat alone and interprets no effects.
+func (d *Detector) Heard(from consensus.ProcessID) {
+	if from >= 0 && int(from) < len(d.lastHeard) {
+		d.lastHeard[from] = d.epoch
 	}
 	d.noteLeader()
-	return nil
+}
+
+// Beat closes one period: the epoch advances, so a process not heard from for
+// more than the timeout falls out of the estimate.
+func (d *Detector) Beat() {
+	d.epoch++
+	d.noteLeader()
 }
 
 // Tick implements consensus.Protocol: advance the epoch and heartbeat again.
@@ -124,8 +138,7 @@ func (d *Detector) Tick(t consensus.TimerID) []consensus.Effect {
 	if t != TimerPeriod {
 		return nil
 	}
-	d.epoch++
-	d.noteLeader()
+	d.Beat()
 	return []consensus.Effect{
 		consensus.Broadcast{Msg: &Heartbeat{}, Self: false},
 		consensus.StartTimer{Timer: TimerPeriod, After: d.cfg.Delta},

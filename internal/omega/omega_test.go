@@ -57,3 +57,29 @@ func TestDetectorInitiallyTrustsLowest(t *testing.T) {
 		t.Fatalf("leader = %s, want p0 before any suspicion", got)
 	}
 }
+
+// A host that owns the clock and the wire drives the detector through Beat
+// and Heard alone: silence demotes, a heartbeat reinstates, and a sender
+// outside the membership is nobody.
+func TestBeatAndHeard(t *testing.T) {
+	d := omega.New(consensus.Config{ID: 2, N: 3, F: 1, E: 1, Delta: 10}, 0)
+	for i := 0; i <= omega.DefaultTimeoutPeriods; i++ {
+		d.Beat()
+		d.Heard(1)
+	}
+	if got := d.Leader(); got != 1 {
+		t.Fatalf("p0 silent for %d periods, p1 heard every one: leader = %s", omega.DefaultTimeoutPeriods+1, got)
+	}
+	d.Heard(-1)
+	d.Heard(3)
+	if got := d.Leader(); got != 1 {
+		t.Fatalf("a heartbeat from outside the membership moved the leader to %s", got)
+	}
+	if d.LeaderStable(1) {
+		t.Fatal("an estimate that just changed reads as stable")
+	}
+	d.Heard(0)
+	if got := d.Leader(); got != 0 {
+		t.Fatalf("p0 heard again: leader = %s", got)
+	}
+}

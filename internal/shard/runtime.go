@@ -8,20 +8,23 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/omega"
 	"repro/internal/smr"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
-// Runtime hosts N independent consensus groups in one process. Each group
-// is an smr.Replica — its own Ω detector, slot space, and snapshot store —
-// and the Runtime is the one owner of the process-wide resources, which it
-// opens, hands to every group, and alone closes:
+// Runtime is one process: it hosts N independent consensus groups, each an
+// smr.Replica with its own slot space, lease and snapshot store, and is the
+// one owner of everything a process has one of, which it opens, hands to
+// every group, and alone closes:
 //
-//   - one transport, multiplexed by group-tagged envelopes (mux.go);
+//   - one transport, shared through group-tagged envelopes (envelope.go);
 //   - one WAL, interleaving group-tagged records (journal.go);
 //   - one outbox/fsync scheduler (smr.IOScheduler), so the group-commit
-//     stream coalesces fsyncs across every group, not just within one.
+//     stream coalesces fsyncs across every group, not just within one;
+//   - one Ω detector, one applied-index gossip and one interval fsync
+//     (process.go): a peer is heard from once per process, not per group.
 //
 // Keys route to groups through a deterministic Router; the Runtime
 // implements smr.Backend, so the line/session servers route PUT/GET/DEL/
@@ -32,13 +35,22 @@ import (
 // Start.
 type Runtime struct {
 	cfg      consensus.Config
+	tick     time.Duration
 	router   Router
-	mux      *Mux
+	inner    *consensus.Codec // decodes what a group envelope carries
 	shared   *SharedWAL
 	io       *smr.IOScheduler
+	leaders  *leaders
 	groups   []*smr.Replica
 	recovery []smr.RecoveryInfo
 	walInfo  wal.OpenInfo
+	// syncEvery is the interval fsync's period, zero under any other policy.
+	syncEvery time.Duration
+
+	// The clocks Start arms (every). shutdown closes stop and waits for them
+	// before the groups close: no tick posts into a scheduler being torn down.
+	stop   chan struct{}
+	clocks sync.WaitGroup
 
 	mu     sync.Mutex
 	tr     transport.Transport
@@ -53,7 +65,8 @@ type Durability struct {
 	Dir string
 	// Policy is the WAL fsync policy (default wal.SyncAlways).
 	Policy wal.SyncPolicy
-	// SyncEvery is the per-group fsync period under wal.SyncInterval.
+	// SyncEvery is the process's fsync period under wal.SyncInterval
+	// (default 100ms).
 	SyncEvery time.Duration
 	// SegmentBytes caps WAL segment size (default wal.DefaultSegmentBytes).
 	SegmentBytes int64
@@ -76,7 +89,8 @@ type Options struct {
 	// Config is the consensus configuration shared by every group: one
 	// process id, one membership, N groups layered over it.
 	Config consensus.Config
-	// Tick is the protocol tick duration (see smr.NewReplica).
+	// Tick is the protocol tick duration, positive: slot timers count in it,
+	// the process heartbeats every Config.Delta ticks and gossips every 5Δ.
 	Tick time.Duration
 	// Router maps keys to groups; nil defaults to NewHashRouter(Groups).
 	// Its group count must match Groups.
@@ -109,11 +123,15 @@ func New(opts Options) (*Runtime, error) {
 		return nil, fmt.Errorf("shard: router spans %d groups, runtime hosts %d", router.Groups(), opts.Groups)
 	}
 	rt := &Runtime{
-		cfg:    opts.Config,
-		router: router,
-		mux:    NewMux(opts.Groups),
-		io:     smr.NewIOScheduler(),
+		cfg:     opts.Config,
+		tick:    opts.Tick,
+		router:  router,
+		inner:   consensus.NewCodec(),
+		io:      smr.NewIOScheduler(),
+		leaders: &leaders{det: omega.New(opts.Config, 0)},
+		stop:    make(chan struct{}),
 	}
+	smr.RegisterMessages(rt.inner)
 	if opts.Durability != nil {
 		w, winfo, err := OpenSharedWAL(filepath.Join(opts.Durability.Dir, "wal"), opts.Groups, wal.Options{
 			SegmentBytes:   opts.Durability.SegmentBytes,
@@ -127,9 +145,15 @@ func New(opts Options) (*Runtime, error) {
 		}
 		rt.shared = w
 		rt.walInfo = winfo
+		if opts.Durability.Policy == wal.SyncInterval {
+			rt.syncEvery = opts.Durability.SyncEvery
+			if rt.syncEvery <= 0 {
+				rt.syncEvery = 100 * time.Millisecond
+			}
+		}
 	}
 	for g := 0; g < opts.Groups; g++ {
-		r, err := smr.NewReplica(opts.Config, opts.Tick, rt.io)
+		r, err := smr.NewReplica(opts.Config, opts.Tick, rt.io, rt.leaders)
 		if err != nil {
 			rt.abandon()
 			return nil, fmt.Errorf("shard: group %d: %w", g, err)
@@ -155,7 +179,6 @@ func New(opts Options) (*Runtime, error) {
 				Journal:       rt.shared.Group(g),
 				Group:         g,
 				Policy:        opts.Durability.Policy,
-				SyncEvery:     opts.Durability.SyncEvery,
 				SnapshotEvery: opts.Durability.SnapshotEvery,
 			})
 			if err != nil {
@@ -174,7 +197,7 @@ func (rt *Runtime) abandon() { _ = rt.shutdown(false) }
 
 // Handler returns the inbound handler for the process's real transport:
 // construct the transport with it, then call BindTransport.
-func (rt *Runtime) Handler() transport.Handler { return rt.mux.Handle }
+func (rt *Runtime) Handler() transport.Handler { return rt.handle }
 
 // BindTransport installs the process transport and binds every group's
 // view of it. The runtime takes ownership: Close/Kill close it after the
@@ -183,16 +206,32 @@ func (rt *Runtime) BindTransport(tr transport.Transport) {
 	rt.mu.Lock()
 	rt.tr = tr
 	rt.mu.Unlock()
-	rt.mux.Bind(tr)
 	for g, r := range rt.groups {
-		r.BindTransport(rt.mux.View(g, r.Handle))
+		r.BindTransport(groupView{rt: rt, g: g})
 	}
 }
 
-// Start boots every group (Ω detector, status gossip).
+// transport returns the bound transport, nil before BindTransport.
+func (rt *Runtime) transport() transport.Transport {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.tr
+}
+
+// Start boots every group and the process's clocks: a heartbeat now and one
+// per Δ, a Status with every statusBeats-th, and the interval fsync.
 func (rt *Runtime) Start() {
 	for _, r := range rt.groups {
 		r.Start()
+	}
+	rt.broadcast(&omega.Heartbeat{})
+	beats := 0
+	rt.every(time.Duration(rt.cfg.Delta)*rt.tick, func() {
+		beats++
+		rt.beat(beats%statusBeats == 0)
+	})
+	if rt.syncEvery > 0 {
+		rt.every(rt.syncEvery, rt.syncWAL)
 	}
 }
 
@@ -227,9 +266,9 @@ func (rt *Runtime) SyncIO() {
 	}
 }
 
-// Close shuts the runtime down gracefully: every group drains through the
-// shared scheduler, then the scheduler stops, the shared WAL syncs closed,
-// and the transport closes.
+// Close shuts the runtime down gracefully: the clocks stop, every group
+// drains through the shared scheduler, then the scheduler stops, the shared
+// WAL syncs closed, and the transport closes.
 func (rt *Runtime) Close() error { return rt.shutdown(false) }
 
 // Kill simulates a process crash for the chaos harness: the shared WAL is
@@ -252,10 +291,12 @@ func (rt *Runtime) shutdown(crash bool) error {
 	rt.closed = true
 	tr := rt.tr
 	rt.mu.Unlock()
+	close(rt.stop)
 	var firstErr error
 	if crash && rt.shared != nil {
 		firstErr = rt.shared.Abort()
 	}
+	rt.clocks.Wait()
 	for _, r := range rt.groups {
 		if crash {
 			r.Kill()
@@ -280,11 +321,21 @@ func (rt *Runtime) Route(key string) *smr.Replica {
 	return rt.groups[rt.router.Group(key)]
 }
 
-// Proxy implements smr.Backend. Group 0 stands in for the process: every
-// group shares the process id, and the OHAI leader hint is advisory — a
-// client optimizing for group 0's leader still reaches every group through
-// whichever process it dials.
-func (rt *Runtime) Proxy() *smr.Replica { return rt.groups[0] }
+// ID implements smr.Backend: the process id every group shares.
+func (rt *Runtime) ID() consensus.ProcessID { return rt.cfg.ID }
+
+// Leader implements smr.Backend: the process's Ω estimate, which the session
+// protocol hands to clients as a proposer-locality hint (the OHAI line).
+func (rt *Runtime) Leader() consensus.ProcessID { return rt.leaders.Leader() }
+
+// TransportStats reports the bound transport's counters (zero before
+// BindTransport): the STATS command and cmd/kv's periodic stats line.
+func (rt *Runtime) TransportStats() transport.Stats {
+	if tr := rt.transport(); tr != nil {
+		return tr.Stats()
+	}
+	return transport.Stats{}
+}
 
 // StatsLine implements smr.Backend: the shared transport's counters (the
 // wire is per-process, not per-group) prefixed with the group count. With
@@ -292,11 +343,7 @@ func (rt *Runtime) Proxy() *smr.Replica { return rt.groups[0] }
 // (lease_groups_held counts groups whose lease this process holds right
 // now); pre-lease consumers parse the unchanged prefix.
 func (rt *Runtime) StatsLine() string {
-	st, ok := rt.groups[0].TransportStats()
-	if !ok {
-		return "ERR no transport bound"
-	}
-	line := fmt.Sprintf("STATS groups=%d %s", len(rt.groups), st.String())
+	line := fmt.Sprintf("STATS groups=%d %s", len(rt.groups), rt.TransportStats())
 	var agg smr.LeaseStats
 	held := 0
 	for _, r := range rt.groups {
@@ -324,13 +371,14 @@ func (rt *Runtime) StatsLine() string {
 	return line
 }
 
-// GroupLeaders returns each group's Ω leader estimate — the per-group
-// leaseholder hint: grants are only proposed by a group's stable Ω leader,
-// so this is where each group's GETLs are expected to be servable locally.
+// GroupLeaders returns the per-group leaseholder hint — where each group's
+// GETLs are expected to be servable locally. Grants are only proposed by the
+// stable Ω leader and Ω is one fact per process: its estimate, once per group.
 func (rt *Runtime) GroupLeaders() []consensus.ProcessID {
 	out := make([]consensus.ProcessID, len(rt.groups))
-	for g, r := range rt.groups {
-		out[g] = r.OmegaLeader()
+	leader := rt.Leader()
+	for g := range out {
+		out[g] = leader
 	}
 	return out
 }

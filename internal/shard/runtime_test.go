@@ -23,18 +23,26 @@ import (
 // shared-WAL durability layer for process i.
 func bootCluster(t *testing.T, groups int, dirs [3]string) (rts [3]*shard.Runtime, mesh *transport.Mesh) {
 	t.Helper()
+	return bootClusterWith(t, groups, func(i int) *shard.Durability {
+		if dirs[i] == "" {
+			return nil
+		}
+		return &shard.Durability{Dir: dirs[i], Policy: wal.SyncAlways, SnapshotEvery: 32}
+	})
+}
+
+// bootClusterWith is bootCluster with process i's durability spelled out.
+func bootClusterWith(t *testing.T, groups int, dur func(i int) *shard.Durability) (rts [3]*shard.Runtime, mesh *transport.Mesh) {
+	t.Helper()
 	const n, f, e = 3, 1, 1
 	mesh = transport.NewMesh(n)
 	for i := 0; i < n; i++ {
-		opts := shard.Options{
-			Groups: groups,
-			Config: consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10},
-			Tick:   time.Millisecond,
-		}
-		if dirs[i] != "" {
-			opts.Durability = &shard.Durability{Dir: dirs[i], Policy: wal.SyncAlways, SnapshotEvery: 32}
-		}
-		rt, err := shard.New(opts)
+		rt, err := shard.New(shard.Options{
+			Groups:     groups,
+			Config:     consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: 10},
+			Tick:       time.Millisecond,
+			Durability: dur(i),
+		})
 		if err != nil {
 			t.Fatalf("shard.New(%d): %v", i, err)
 		}
@@ -384,7 +392,7 @@ func TestServerRoutesSharded(t *testing.T) {
 // TestInboundBuffersAreNotRetained: a message decoded off the wire is made of
 // windows into the transport's read buffer, which the next frame overwrites.
 // A Propose and then a Decide are decoded out of one buffer, delivered
-// through Mux.Handle → Replica.Handle, and the buffer scribbled over after
+// through Runtime.Handler() → Replica.Handle, and the buffer scribbled over after
 // each: the slot's value, the applied store and — after a restart — the WAL
 // records must all still hold the command.
 func TestInboundBuffersAreNotRetained(t *testing.T) {

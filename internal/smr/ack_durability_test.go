@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
 )
@@ -33,7 +34,7 @@ func (g *decideGate) Send(to consensus.ProcessID, msg consensus.Message) error {
 			if m.InnerKind == core.KindDecide {
 				return nil
 			}
-		case *smr.Status, *smr.CatchupReply:
+		case *shard.Status, *smr.CatchupReply:
 			_ = m
 			return nil
 		}
@@ -144,9 +145,9 @@ func TestKillFailsOutstandingCallsAndIsSilent(t *testing.T) {
 			t.Fatal("client call still pending after Kill returned")
 		}
 	}
-	tap.arm(0) // count every slot send from here on
+	tap.arm(0) // count every send from here on: slots, heartbeats, Status
 	time.Sleep(150 * time.Millisecond)
-	if got := tap.slotSends.Load(); got != 0 {
-		t.Fatalf("%d slot message(s) left the replica after Kill returned", got)
+	if got := tap.sends.Load(); got != 0 {
+		t.Fatalf("%d message(s) left the process after Kill returned", got)
 	}
 }

@@ -129,7 +129,7 @@ func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 			// consensus until Close.
 			io := NewIOScheduler()
 			defer io.Close()
-			r, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io)
+			r, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io, FixedLeaders{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,19 +6,12 @@ import (
 	"repro/internal/consensus"
 )
 
-// Wire kinds for replica-level anti-entropy.
+// Wire kinds for replica-level anti-entropy. What sets it off is the host's
+// applied-index gossip (shard.Status, Replica.NoteApplied).
 const (
-	KindStatus         = "smr.status"
 	KindCatchupRequest = "smr.catchup_req"
 	KindCatchupReply   = "smr.catchup_reply"
 )
-
-// Status is the periodic applied-index gossip: each replica announces how
-// many log slots it has applied, so lagging peers discover the gap and ask
-// for a snapshot.
-type Status struct {
-	Applied int
-}
 
 // CatchupRequest asks a peer for state newer than From applied slots.
 type CatchupRequest struct {
@@ -44,22 +37,12 @@ type CatchupReply struct {
 }
 
 // Kind implements consensus.Message.
-func (Status) Kind() string { return KindStatus }
-
-// Kind implements consensus.Message.
 func (CatchupRequest) Kind() string { return KindCatchupRequest }
 
 // Kind implements consensus.Message.
 func (CatchupReply) Kind() string { return KindCatchupReply }
 
 // AppendBody and DecodeBody implement consensus.Message.
-func (m *Status) AppendBody(dst []byte) []byte { return consensus.AppendVarint(dst, int64(m.Applied)) }
-func (m *Status) DecodeBody(body []byte) error {
-	d := consensus.NewDecoder(body)
-	m.Applied = int(d.Varint())
-	return d.Finish()
-}
-
 func (m *CatchupRequest) AppendBody(dst []byte) []byte {
 	return consensus.AppendVarint(dst, int64(m.From))
 }
@@ -122,11 +105,4 @@ func (m *CatchupReply) DecodeBody(body []byte) error {
 		}
 	}
 	return d.Finish()
-}
-
-// registerCatchupMessages is folded into RegisterMessages (replica.go).
-func registerCatchupMessages(codec *consensus.Codec) {
-	codec.MustRegister(KindStatus, func() consensus.Message { return &Status{} })
-	codec.MustRegister(KindCatchupRequest, func() consensus.Message { return &CatchupRequest{} })
-	codec.MustRegister(KindCatchupReply, func() consensus.Message { return &CatchupReply{} })
 }

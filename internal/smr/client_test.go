@@ -48,24 +48,27 @@ func scriptedServer(t *testing.T, reply func(line string) *string) string {
 
 func str(s string) *string { return &s }
 
-// wires are the two generations a SessionClient can end up speaking: v2
-// against a session server, and the one-at-a-time v1 fallback against a
-// server that refuses HELLO. serve starts a scripted server answering each
-// command with reply (nil: close the connection without answering).
+// wires are the two ways a SessionClient reaches a session server: at its
+// first address, and — the only fallback it has from a v1-only server, which
+// refuses the HELLO — at its next one. A refused handshake sent nothing, so
+// every verdict must read as if that server were not in the list. serve
+// starts a scripted server answering each command with reply (nil: close the
+// connection without answering) and returns the client's address list.
 var wires = []struct {
 	name  string
-	serve func(t *testing.T, reply func(cmd string) *string) string
+	serve func(t *testing.T, reply func(cmd string) *string) []string
 }{
-	{"v2", func(t *testing.T, reply func(string) *string) string {
-		return sessionScriptServer(t, func(_, cmd string) *string { return reply(cmd) })
+	{"v2", func(t *testing.T, reply func(string) *string) []string {
+		return []string{sessionScriptServer(t, func(_, cmd string) *string { return reply(cmd) })}
 	}},
-	{"v1 fallback", func(t *testing.T, reply func(string) *string) string {
-		return scriptedServer(t, func(line string) *string {
-			if strings.HasPrefix(line, "HELLO") {
-				return str("ERR unknown command HELLO")
+	{"v1 fallback", func(t *testing.T, reply func(string) *string) []string {
+		v1 := scriptedServer(t, func(line string) *string {
+			if !strings.HasPrefix(line, "HELLO") {
+				t.Errorf("request %q sent to a server that refused the HELLO", line)
 			}
-			return reply(line)
+			return str("ERR unknown command HELLO")
 		})
+		return []string{v1, sessionScriptServer(t, func(_, cmd string) *string { return reply(cmd) })}
 	}},
 }
 
@@ -86,8 +89,8 @@ func TestClientErrorTaxonomy(t *testing.T) {
 			t.Fatalf("errors.Is(err, ErrRejected) = %t, want %t (err: %v)", maybe, !maybe, err)
 		}
 	}
-	serial := func(t *testing.T, addr string, timeout time.Duration) *smr.SessionClient {
-		return newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: timeout, Depth: 1})
+	serial := func(t *testing.T, addrs []string, timeout time.Duration) *smr.SessionClient {
+		return newTestSessionClient(t, addrs, smr.SessionOptions{Timeout: timeout, Depth: 1})
 	}
 
 	t.Run("dial failure is rejected", func(t *testing.T) {
@@ -98,7 +101,7 @@ func TestClientErrorTaxonomy(t *testing.T) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		requireOutcome(t, serial(t, addr, time.Second).Put("k", "v"), false)
+		requireOutcome(t, serial(t, []string{addr}, time.Second).Put("k", "v"), false)
 	})
 
 	for _, w := range wires {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
 )
@@ -307,8 +308,8 @@ func (d *decideDropper) wrap(h transport.Handler) transport.Handler {
 				d.dropped.Add(1)
 				return
 			}
-		case *smr.Status:
-			if s := d.slot.Load(); s >= 0 && int64(m.Applied) > s {
+		case *shard.Status:
+			if s := d.slot.Load(); s >= 0 && int64(m.Applied[0]) > s {
 				d.status.CompareAndSwap(0, time.Now().UnixNano())
 			}
 		case *smr.CatchupReply:
@@ -336,11 +337,11 @@ func TestDroppedDecideHealsWithoutReannouncement(t *testing.T) {
 		if err := smr.NewKV(c.replicas()[1]).Put(ctx, "warm", "up"); err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range c.replicas() {
+		for i, rt := range c.rts {
 			c.waitApplied(i, 1, 5*time.Second)
-			for deadline := time.Now().Add(5 * time.Second); r.OmegaLeader() != 0; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(5 * time.Second); rt.Leader() != 0; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatalf("process %d holds %d for the leader", i, r.OmegaLeader())
+					t.Fatalf("process %d holds %d for the leader", i, rt.Leader())
 				}
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
@@ -52,11 +51,9 @@ type DurabilityOptions struct {
 	// Group tags every record this replica appends to the journal and
 	// filters replay: records carrying another group's id are skipped.
 	Group int
-	// Policy is the fsync policy Journal was opened with. With SyncInterval
-	// the replica drives the sync from its own timer every SyncEvery.
+	// Policy is the fsync policy Journal was opened with. Under SyncInterval
+	// the log's owner drives the periodic sync, once for every group.
 	Policy wal.SyncPolicy
-	// SyncEvery is the fsync period under SyncInterval (default 100ms).
-	SyncEvery time.Duration
 	// SnapshotEvery is how many applied commands elapse between automatic
 	// snapshots (default 64; <0 disables automatic snapshots).
 	SnapshotEvery int
@@ -81,7 +78,6 @@ type durable struct {
 	snapDir   string
 	snapEvery int
 	policy    wal.SyncPolicy
-	syncEvery time.Duration
 	// buffered is the WAL index of the last record appended; critical is the
 	// newest one that guards safety: every state record, and a decision the
 	// instance's journaled state does not already imply (persistDecideLocked).
@@ -234,9 +230,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
-	}
 	snapDir := filepath.Join(opts.Dir, "snap")
 	snapIdx, blob, haveSnap, err := storage.Load(snapDir)
 	if err != nil {
@@ -263,7 +256,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		snapDir:   snapDir,
 		snapEvery: opts.SnapshotEvery,
 		policy:    opts.Policy,
-		syncEvery: opts.SyncEvery,
 		snapIndex: int(snapIdx),
 	}
 
@@ -346,7 +338,7 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 			continue
 		}
 		s := r.slotLocked(n)
-		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.det)
+		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.leaders)
 		if err := s.node.Restore(st); err != nil {
 			r.dur = nil
 			return RecoveryInfo{}, fmt.Errorf("smr durability: slot %d: %w", n, err)
@@ -359,10 +351,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 
 	// 6. Never reuse a command sequence number from a previous life.
 	r.recoverSeqLocked()
-
-	if opts.Policy == wal.SyncInterval {
-		r.scheduleWalSyncLocked()
-	}
 	return info, nil
 }
 
@@ -390,21 +378,6 @@ func (r *Replica) recoverSeqLocked() {
 			bump(cmd)
 		}
 	}
-}
-
-// scheduleWalSyncLocked (re)arms the periodic WAL fsync under SyncInterval.
-func (r *Replica) scheduleWalSyncLocked() {
-	r.armLocked(&r.timers[timerWALSync], r.dur.syncEvery, func() func() {
-		w := r.dur.wal
-		r.scheduleWalSyncLocked()
-		// The fsync runs off the lock; a failure poisons the replica the
-		// same way an in-step persist failure does.
-		return func() {
-			if err := w.Sync(); err != nil {
-				r.ioFail(err)
-			}
-		}
-	})
 }
 
 // persistFailLocked poisons the replica after a journaling failure: no

@@ -414,7 +414,7 @@ func TestEnableDurabilityTwiceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	r, err := smr.NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io)
+	r, err := smr.NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io, smr.FixedLeaders{})
 	if err != nil {
 		t.Fatal(err)
 	}

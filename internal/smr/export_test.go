@@ -1,5 +1,13 @@
 package smr
 
+import "repro/internal/consensus"
+
+// FixedLeaders is the LeaderView of a test that builds a bare replica, with
+// no host to own an Ω: process p, never in doubt.
+type FixedLeaders struct{ consensus.FixedLeader }
+
+func (FixedLeaders) LeaderStable(int64) bool { return true }
+
 // RetainSlots exposes the retain window to the external test package.
 const RetainSlots = retainSlots
 

@@ -20,17 +20,20 @@ import (
 // slot-protocol messages for slots from the armed one up that actually
 // leave it. Status gossip rides along on the same transport but carries no
 // new protocol state, and a decided earlier slot still answers a peer's
-// late vote with its decision; neither is counted.
+// late vote with its decision; neither is counted there — sends counts every
+// message of any kind that leaves once armed, the process's own included.
 type tapTransport struct {
 	transport.Transport
 	from      atomic.Int64 // armed slot + 1; 0: not armed
 	slotSends atomic.Int64
+	sends     atomic.Int64
 }
 
 func (tt *tapTransport) arm(slot int) { tt.from.Store(int64(slot) + 1) }
 
 func (tt *tapTransport) Send(to consensus.ProcessID, msg consensus.Message) error {
 	if from := tt.from.Load(); from > 0 {
+		tt.sends.Add(1)
 		if sm, ok := inner(msg).(*smr.SlotMessage); ok && int64(sm.Slot) >= from-1 {
 			tt.slotSends.Add(1)
 		}

@@ -57,7 +57,7 @@ func BenchmarkCommandDecode(b *testing.B) {
 }
 
 // BenchmarkFrameDecode measures a fast-path vote's way in, the three unwraps
-// TCP.readLoop, Mux.Handle and Replica.Handle do between them: wire form →
+// TCP.readLoop, shard.Runtime.Handler and Replica.Handle do between them: wire form →
 // shard.GroupMessage → smr.SlotMessage → core.TwoB. The wrappers' inner
 // bodies are windows of the frame; what is allocated is the three messages,
 // their kind strings and the vote's value.

@@ -29,6 +29,12 @@ func NewIOScheduler() *IOScheduler {
 // replica's lock; never blocks (the outbox is unbounded).
 func (s *IOScheduler) enqueue(e outboxEntry) { s.ob.enqueue(e) }
 
+// Post queues fn as an entry no replica owns: how the host sends what the
+// process, not a group, has to say (heartbeats, applied-index gossip). fn runs
+// in queue position, after the commit of the batch it is taken with — a disk
+// that hangs silences the process — and never once a commit has failed.
+func (s *IOScheduler) Post(fn func()) { s.enqueue(outboxEntry{post: fn}) }
+
 // barrier blocks until every entry queued before the call has been fully
 // processed — WAL committed, messages sent, waiters woken. It is how a
 // replica drains its own entries on shutdown without stopping the stream
@@ -85,7 +91,7 @@ func (s *IOScheduler) loop() {
 			for _, e := range batch {
 				if failed {
 					if e.r != nil {
-						e.r.ioFail(failErr)
+						e.r.IOFail(failErr)
 					}
 				} else if e.r != nil && len(e.msgs) > 0 {
 					if e.r != lastR {
@@ -97,6 +103,9 @@ func (s *IOScheduler) loop() {
 							_ = lastTr.Send(o.to, o.msg)
 						}
 					}
+				}
+				if e.post != nil && !failed {
+					e.post()
 				}
 				for _, w := range e.wake {
 					w.fire(!failed)

@@ -100,14 +100,24 @@ func (kv *KV) GetLinearizable(ctx context.Context, key string) (string, bool, er
 // every slot below it decided before its ack, so the chunk can win no slot
 // at or below it; and Submit returns after the chunk's slot applied here.
 // Under a foreign lease propose refuses the whole chunk toward the holder
-// (leaseRefuseLocked), as it refuses a lone no-op. ErrLeaseFenced is success
-// here: a fence says a leaseholder may have missed the command, not that
-// this replica has not applied the prefix. (That holder may not have applied
-// this chunk yet, so the next read it serves can miss a write this one
-// returns: open, see ROADMAP.)
+// (leaseRefuseLocked), as it refuses a lone no-op. A fenced barrier is not a
+// barrier: its chunk applied here inside a foreign lease's guard, and the
+// holder, serving lease reads since it applied its own grant, may not have
+// applied that chunk yet — a read returned here could show a write the
+// holder's next read misses. While the guard stands the read is refused
+// toward the holder like one that was never proposed; once it has lapsed the
+// barrier runs again.
 func (r *Replica) ReadBarrier(ctx context.Context) error {
-	if err := r.Submit(ctx, Command{Op: OpNoop}); !errors.Is(err, ErrLeaseFenced) {
-		return err
+	for {
+		err := r.Submit(ctx, Command{Op: OpNoop})
+		if !errors.Is(err, ErrLeaseFenced) {
+			return err
+		}
+		r.mu.Lock()
+		err = r.leaseRefuseLocked()
+		r.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
-	return nil
 }

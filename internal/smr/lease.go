@@ -84,7 +84,8 @@ type leaseState struct {
 	opts  LeaseOptions
 	start time.Time // monotonic origin for now()
 
-	inFlight bool // a grant proposal is in flight (auto-renew dedup)
+	timer    timer // auto-grant / renew; the one host timer no slot owns
+	inFlight bool  // a grant proposal is in flight (auto-renew dedup)
 
 	hits, misses, expired, revoked uint64
 	refused, fencedN, grants       uint64
@@ -307,7 +308,7 @@ func (r *Replica) scheduleLeaseLocked() {
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
-	r.armLocked(&r.timers[timerLease], period, func() func() {
+	r.armLocked(&r.ls.timer, period, func() func() {
 		r.scheduleLeaseLocked()
 		now := r.ls.now()
 		if r.ls.tab.ExpireCheck(now) {
@@ -317,7 +318,7 @@ func (r *Replica) scheduleLeaseLocked() {
 		// Only the stable Ω leader volunteers: one likely grantee per
 		// group, so competing grants (each revoking the other) stay a
 		// transient of leader churn, not the steady state.
-		if !r.ls.inFlight && r.det.Leader() == r.cfg.ID && r.det.LeaderStable(2) {
+		if !r.ls.inFlight && r.leaders.Leader() == r.cfg.ID && r.leaders.LeaderStable(2) {
 			if r.ls.tab.HolderValid(now) {
 				propose = r.ls.tab.Remaining(now) < r.ls.opts.Renew.Nanoseconds()
 			} else {

@@ -23,11 +23,12 @@ import (
 // status gossip) is dormant and any I/O measured below would be the read
 // path's own.
 func TestLeaseLocalReadZeroIO(t *testing.T) {
-	replicas := newTestCluster(t, 3, 1, 1, procOptions{
+	c := newTestCluster(t, 3, 1, 1, procOptions{
 		tick:   time.Hour,
 		leases: &smr.LeaseOptions{Duration: time.Hour, Epsilon: 50 * time.Millisecond},
 		dur:    durableUnder(t.TempDir(), nil),
-	}).replicas()
+	})
+	replicas := c.replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -44,10 +45,7 @@ func TestLeaseLocalReadZeroIO(t *testing.T) {
 	replicas[0].SyncIO()
 	time.Sleep(100 * time.Millisecond) // let straggler acks from peers land
 
-	st0, ok := replicas[0].TransportStats()
-	if !ok {
-		t.Fatal("no transport stats")
-	}
+	st0 := c.rts[0].TransportStats()
 	wal0 := replicas[0].Info().WalNextIndex
 
 	const reads = 200
@@ -58,7 +56,7 @@ func TestLeaseLocalReadZeroIO(t *testing.T) {
 		}
 	}
 
-	st1, _ := replicas[0].TransportStats()
+	st1 := c.rts[0].TransportStats()
 	wal1 := replicas[0].Info().WalNextIndex
 	if st1.Sends != st0.Sends {
 		t.Fatalf("lease reads sent %d transport messages, want 0", st1.Sends-st0.Sends)
@@ -279,10 +277,11 @@ func TestLeaseExpiryUnderFsyncStall(t *testing.T) {
 // A alone in slot 1 (Execute) and one batcher chunk, a Put B and a
 // GetLinearizable, in slot 2; the test is the rest of the cluster and decides
 // slot 1 for the grant and slot 2 for the chunk. p0 then applies its own chunk
-// inside p1's guard: B's ack is downgraded to ErrLeaseFenced with B applied,
-// the read that shared the chunk is a read of B all the same (the barrier
-// asks that p0 applied the prefix, which it did), and A, which lost its slot,
-// is refused toward the holder before it is proposed again.
+// inside p1's guard: B's ack is downgraded to ErrLeaseFenced with B applied;
+// the read that shared the chunk is refused toward the holder (p1 serves lease
+// reads since it applied its grant and may not have applied the chunk yet, so
+// returning B here could be contradicted by p1's next read); and A, which lost
+// its slot, is refused toward the holder before it is proposed again.
 func TestLeaseFencedChunk(t *testing.T) {
 	rt, tr := openIsolated(t, 0, "", &smr.LeaseOptions{
 		Duration: time.Second, Now: func() time.Duration { return 0 },
@@ -361,8 +360,9 @@ func TestLeaseFencedChunk(t *testing.T) {
 	if v, ok := kv.Get("b"); !ok || v != "vb" {
 		t.Fatalf("fenced B is not applied: b=%q,%t", v, ok)
 	}
-	if got := <-read; got.err != nil || !got.ok || got.v != "vb" {
-		t.Fatalf("the read in B's chunk = %q,%t,%v, want B's value and no error", got.v, got.ok, got.err)
+	var held *smr.LeaseHeldError
+	if got := <-read; !errors.Is(got.err, smr.ErrLeaseHeld) || !errors.As(got.err, &held) || held.Holder != 1 {
+		t.Fatalf("the read in B's chunk = %q,%t,%v, want ErrLeaseHeld naming p1", got.v, got.ok, got.err)
 	}
 	if err := <-errA; !errors.Is(err, smr.ErrLeaseHeld) {
 		t.Fatalf("A lost its slot to the grant and was retried with %v, want ErrLeaseHeld", err)
@@ -370,8 +370,8 @@ func TestLeaseFencedChunk(t *testing.T) {
 	if _, ok := kv.Get("a"); ok {
 		t.Fatal("refused A is applied")
 	}
-	if ls := r.LeaseStats(); ls.Grants != 1 || ls.Fenced != 1 || ls.Refused != 1 {
-		t.Fatalf("lease stats %+v, want one grant, one fenced chunk, one refusal", ls)
+	if ls := r.LeaseStats(); ls.Grants != 1 || ls.Fenced != 1 || ls.Refused != 2 {
+		t.Fatalf("lease stats %+v, want one grant, one fenced chunk, A and the read refused", ls)
 	}
 }
 

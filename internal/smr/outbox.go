@@ -55,7 +55,9 @@ func (w wakeup) fire(ok bool) {
 // outboxEntry is one protocol step's deferred I/O. r is the replica the
 // step ran on — the consumer reads its transport and, on a commit failure,
 // poisons it; the queue interleaves entries from every group of the
-// process, so the owner travels with the entry (nil on barrier sentinels). walIdx is the WAL index that must be durable before
+// process, so the owner travels with the entry (nil on barrier sentinels and
+// on the host's own entries, which carry post instead: IOScheduler.Post).
+// walIdx is the WAL index that must be durable before
 // msgs leave or wake fires (0: no durability dependency — no WAL, or a
 // policy that does not sync on the hot path). Producers do NOT wait for
 // their own entry — the pipeline is asynchronous, which is what lets
@@ -70,6 +72,7 @@ type outboxEntry struct {
 	walIdx uint64
 	msgs   []outbound
 	wake   []wakeup
+	post   func()
 	done   chan struct{}
 }
 

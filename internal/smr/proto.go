@@ -13,8 +13,7 @@ package smr
 //	    flight, replies in any order.
 //
 // A v1 client never sends HELLO, so a v2 server serves it unchanged; a v2
-// client that receives an ERR to its HELLO falls back to v1 on the same
-// connection.
+// client whose HELLO is refused has sent nothing and tries its next address.
 
 import (
 	"bufio"

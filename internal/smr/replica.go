@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/omega"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -48,8 +47,8 @@ func (m *SlotMessage) DecodeBody(body []byte) error {
 // RegisterMessages registers the smr (and required inner) kinds with codec.
 func RegisterMessages(codec *consensus.Codec) {
 	codec.MustRegister(KindSlot, func() consensus.Message { return &SlotMessage{} })
-	registerCatchupMessages(codec)
-	omega.RegisterMessages(codec)
+	codec.MustRegister(KindCatchupRequest, func() consensus.Message { return &CatchupRequest{} })
+	codec.MustRegister(KindCatchupReply, func() consensus.Message { return &CatchupReply{} })
 }
 
 // innerCodec decodes slot-wrapped core messages.
@@ -84,15 +83,6 @@ func (tm *timer) stop() {
 		tm.t = nil
 	}
 }
-
-// The host timers that belong to no slot (Replica.timers).
-const (
-	timerStatus  = iota // applied-index gossip
-	timerOmega          // the Ω detector's period
-	timerWALSync        // periodic fsync under wal.SyncInterval
-	timerLease          // lease auto-grant / renew
-	numHostTimers
-)
 
 // slot is everything the host knows about one log slot: the consensus
 // instance deciding it, the decision, the callers blocked on it, its timer,
@@ -129,31 +119,31 @@ func (s *slot) learn(v consensus.Value) {
 }
 
 // Replica is one process's member of one consensus group of the replicated
-// state machine. It hosts an Ω detector and one object-mode core consensus
-// instance per log slot, and applies decided commands to a key-value store
-// in slot order. It is never a process by itself: shard.Runtime builds one
-// per group and owns everything they share (see NewReplica).
+// state machine. It hosts one object-mode core consensus instance per log
+// slot and applies decided commands to a key-value store in slot order. It is
+// never a process by itself: shard.Runtime builds one per group and owns
+// everything a process has one of — the WAL, the I/O scheduler, the transport,
+// Ω, the applied-index gossip and the interval fsync (see NewReplica).
 //
 // The slot record is the unit: slots holds every slot from compactFloor up
 // that anything has touched, and nothing else in the replica is keyed by
 // slot number. Replica.mu guards that table together with what orders it —
 // the applied index and store, the compaction floor, the slot hints — plus
-// the host timers, the lease table, the durability watermarks and the
-// step's pending wakeups. It is held for in-memory work only: every send,
+// the lease table and its timer, the durability watermarks and the step's
+// pending wakeups. It is held for in-memory work only: every send,
 // fsync and caller wakeup leaves through the outbox (emitLocked). The
 // batcher carries its own mutex, taken before mu, never under it.
 type Replica struct {
-	cfg   consensus.Config
-	tick  time.Duration
-	inner *consensus.Codec
+	cfg     consensus.Config
+	tick    time.Duration
+	inner   *consensus.Codec
+	leaders LeaderView
 
 	mu      sync.Mutex
 	tr      transport.Transport
-	det     *omega.Detector
 	slots   map[int]*slot
 	applied int
 	store   map[string]string
-	timers  [numHostTimers]timer
 	seq     int64
 
 	// closed: the replica refuses work — Close, Kill, or a journaling
@@ -205,16 +195,26 @@ type Replica struct {
 	ls *leaseState
 }
 
-// NewReplica builds one consensus group's replica on io, the scheduler its
-// host (shard.Runtime) owns and shares between every group of the process —
-// as it owns the WAL behind EnableDurability's Journal and the transport
-// behind BindTransport: the replica uses all three and closes none. Call
-// BindTransport, then Start. Flexible quorum sizes (cfg.FastSize/
-// cfg.RecoverySize, see internal/quorum.NewFlex) are validated here and
-// honored by every slot's core node. tick is the period of the status and Ω
-// timers and must be positive: a zero period re-arms them immediately and
-// floods the fabric.
-func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler) (*Replica, error) {
+// LeaderView is the process's Ω as a group reads it: the estimate every
+// slot's instance consults, and whether it has held still long enough for the
+// lease timer to volunteer. Reads only, safe from any goroutine; whoever owns
+// the detector behind it (shard.Runtime) feeds it.
+type LeaderView interface {
+	consensus.LeaderOracle
+	LeaderStable(minPeriods int64) bool
+}
+
+// NewReplica builds one consensus group's replica on io and leaders, the
+// scheduler and the Ω its host (shard.Runtime) owns and shares between every
+// group of the process — as it owns the WAL behind EnableDurability's Journal
+// and the transport behind BindTransport: the replica uses all four and
+// closes none. Call BindTransport, then Start. Flexible quorum sizes
+// (cfg.FastSize/cfg.RecoverySize, see internal/quorum.NewFlex) are validated
+// here and honored by every slot's core node. tick is the length of one
+// protocol tick — a slot's new-ballot timer counts in it, as the host's Ω and
+// gossip periods do — and must be positive: a zero period re-arms a timer
+// immediately and floods the fabric.
+func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leaders LeaderView) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
 	}
@@ -222,13 +222,13 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler) (*Rep
 		return nil, fmt.Errorf("smr: tick must be positive, got %v", tick)
 	}
 	return &Replica{
-		cfg:   cfg,
-		tick:  tick,
-		inner: innerCodec(),
-		det:   omega.New(cfg, 0),
-		slots: make(map[int]*slot),
-		store: make(map[string]string),
-		io:    io,
+		cfg:     cfg,
+		tick:    tick,
+		inner:   innerCodec(),
+		leaders: leaders,
+		slots:   make(map[int]*slot),
+		store:   make(map[string]string),
+		io:      io,
 	}, nil
 }
 
@@ -250,19 +250,6 @@ func (r *Replica) journal() Journal {
 	return r.dur.wal
 }
 
-// ID returns this replica's process id.
-func (r *Replica) ID() consensus.ProcessID { return r.cfg.ID }
-
-// OmegaLeader returns the Ω failure detector's current leader estimate —
-// the replica most likely to complete fast-path proposals, which the
-// session protocol hands to clients as a proposer-locality hint (the OHAI
-// line, see docs/SESSIONS.md).
-func (r *Replica) OmegaLeader() consensus.ProcessID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.det.Leader()
-}
-
 // BindTransport installs the transport (which should deliver to Handle).
 func (r *Replica) BindTransport(tr transport.Transport) {
 	r.mu.Lock()
@@ -270,12 +257,10 @@ func (r *Replica) BindTransport(tr transport.Transport) {
 	r.tr = tr
 }
 
-// Start boots the Ω detector and the status gossip. Slots start lazily on
-// first touch.
+// Start arms the lease timer, if the group auto-grants. Slots start lazily
+// on first touch.
 func (r *Replica) Start() {
 	r.mu.Lock()
-	r.emitLocked(r.applyDetectorLocked(r.det.Start()))
-	r.scheduleStatusLocked()
 	if r.ls != nil && r.ls.opts.AutoGrant {
 		r.scheduleLeaseLocked()
 	}
@@ -299,28 +284,6 @@ func (r *Replica) armLocked(tm *timer, d time.Duration, fn func() (unlocked func
 		if unlocked != nil {
 			unlocked()
 		}
-	})
-}
-
-// statusPeriod is the applied-index gossip period, in protocol ticks.
-func (r *Replica) statusPeriod() time.Duration {
-	return time.Duration(5*r.cfg.Delta) * r.tick
-}
-
-// scheduleStatusLocked (re)arms the periodic status broadcast.
-func (r *Replica) scheduleStatusLocked() {
-	r.armLocked(&r.timers[timerStatus], r.statusPeriod(), func() func() {
-		var out []outbound
-		for i := 0; i < r.cfg.N; i++ {
-			if p := consensus.ProcessID(i); p != r.cfg.ID {
-				out = append(out, outbound{to: p, msg: &Status{Applied: r.applied}})
-			}
-		}
-		r.scheduleStatusLocked()
-		// Through the outbox: the advertised applied index must not get
-		// ahead of the journal on disk.
-		r.emitLocked(out)
-		return nil
 	})
 }
 
@@ -359,10 +322,6 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 				out = nil
 			}
 		}
-	case *Status:
-		if m.Applied > r.applied {
-			out = []outbound{{to: from, msg: &CatchupRequest{From: r.applied}}}
-		}
 	case *CatchupRequest:
 		if r.applied > m.From {
 			out = r.catchupReplyLocked(from)
@@ -376,11 +335,20 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 			r.ls.tab.Import(*m.LeaseHolder, m.LeaseRemain, r.ls.now())
 		}
 		r.installSnapshotLocked(m.Applied, m.Store, m.Decided)
-	default:
-		out = r.applyDetectorLocked(r.det.Deliver(from, msg))
 	}
 	r.emitLocked(out)
 	r.mu.Unlock()
+}
+
+// NoteApplied is the host's applied-index gossip reaching this group: peer
+// from has applied that many of the group's slots. A replica behind it asks
+// for the difference.
+func (r *Replica) NoteApplied(from consensus.ProcessID, applied int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed && applied > r.applied {
+		r.emitLocked([]outbound{{to: from, msg: &CatchupRequest{From: r.applied}}})
+	}
 }
 
 // captureLocked cuts the replica's state for someone who will jump to it:
@@ -636,19 +604,6 @@ func (r *Replica) nextFreeSlotLocked(prev int) int {
 	return n
 }
 
-// TransportStats reports the bound transport's counters (false when no
-// transport is bound). Surfaced by the server's STATS command and the
-// periodic stats line in cmd/kv.
-func (r *Replica) TransportStats() (transport.Stats, bool) {
-	r.mu.Lock()
-	tr := r.tr
-	r.mu.Unlock()
-	if tr == nil {
-		return transport.Stats{}, false
-	}
-	return tr.Stats(), true
-}
-
 // Get reads a key from the local (applied) store state.
 func (r *Replica) Get(key string) (string, bool) {
 	r.mu.Lock()
@@ -708,8 +663,8 @@ func (r *Replica) Compact(retain int) int {
 // poisoning) finds nothing left to release.
 func (r *Replica) haltLocked() {
 	r.closed = true
-	for i := range r.timers {
-		r.timers[i].stop()
+	if r.ls != nil {
+		r.ls.timer.stop()
 	}
 	for _, s := range r.slots {
 		s.timer.stop()
@@ -772,7 +727,7 @@ func (r *Replica) slotLocked(n int) *slot {
 func (r *Replica) instanceLocked(n int) *slot {
 	s := r.slotLocked(n)
 	if s.node == nil {
-		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.det)
+		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.leaders)
 		// A brand-new instance is reproducible by the absence of records,
 		// so its state is the baseline: untouched slots journal nothing.
 		s.persisted = s.node.Snapshot()
@@ -959,34 +914,6 @@ func (r *Replica) applyDecodedLocked(cmd Command) {
 	}
 }
 
-// applyDetectorLocked interprets the Ω detector's effects.
-func (r *Replica) applyDetectorLocked(effects []consensus.Effect) []outbound {
-	var out []outbound
-	for _, eff := range effects {
-		switch eff := eff.(type) {
-		case consensus.Send:
-			if eff.To != r.cfg.ID {
-				out = append(out, outbound{to: eff.To, msg: eff.Msg})
-			}
-		case consensus.Broadcast:
-			for i := 0; i < r.cfg.N; i++ {
-				to := consensus.ProcessID(i)
-				if to == r.cfg.ID {
-					continue
-				}
-				out = append(out, outbound{to: to, msg: eff.Msg})
-			}
-		case consensus.StartTimer:
-			id := eff.Timer
-			r.armLocked(&r.timers[timerOmega], time.Duration(eff.After)*r.tick, func() func() {
-				r.emitLocked(r.applyDetectorLocked(r.det.Tick(id)))
-				return nil
-			})
-		}
-	}
-	return out
-}
-
 // emitLocked hands the current step's deferred I/O — out plus any wakeups
 // queued under the lock — to the outbox, tagged with the WAL index that
 // must be durable before the entry's messages leave. The step does NOT
@@ -1042,10 +969,11 @@ func (r *Replica) SyncIO() {
 	<-done
 }
 
-// ioFail poisons the replica after an out-of-lock journal failure (the
-// deferred analogue of a persist failure inside the step). No-op if the
-// replica is already closed.
-func (r *Replica) ioFail(err error) {
+// IOFail poisons the replica after an out-of-lock journal failure (the
+// deferred analogue of a persist failure inside the step): a failed commit in
+// the I/O scheduler, or the host's interval fsync. No-op if the replica is
+// already closed.
+func (r *Replica) IOFail(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.closed {

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/consensus"
 )
 
 // Server exposes a process's replicas to clients over a line-oriented TCP
@@ -104,10 +106,11 @@ type Backend interface {
 	// Route returns the replica hosting key's consensus group. Every key
 	// must route somewhere: the server calls it only with non-empty keys.
 	Route(key string) *Replica
-	// Proxy returns the replica whose identity the session handshake
-	// advertises (the OHAI line) and whose Ω estimate seeds the client's
-	// leader-locality hint.
-	Proxy() *Replica
+	// ID and Leader are what the session handshake advertises (the OHAI
+	// line): the process behind the server, and its Ω estimate — the
+	// client's leader-locality hint.
+	ID() consensus.ProcessID
+	Leader() consensus.ProcessID
 	// StatsLine and InfoLine serve the STATS and INFO commands — the full
 	// reply line including the verb (or "ERR ...").
 	StatsLine() string
@@ -266,8 +269,7 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, hello string) {
 		return
 	}
 	s.ctr.sessions.Add(1)
-	proxy := s.backend.Proxy()
-	replies <- fmt.Sprintf("OHAI %d %d %d", ProtocolVersion, int(proxy.ID()), int(proxy.OmegaLeader()))
+	replies <- fmt.Sprintf("OHAI %d %d %d", ProtocolVersion, int(s.backend.ID()), int(s.backend.Leader()))
 
 	slow := make(chan taggedCmd, sessionBacklog)
 	var execs sync.WaitGroup

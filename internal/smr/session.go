@@ -39,9 +39,9 @@ type SessionOptions struct {
 // SessionClient is the pipelined, multiplexed client: any number of
 // goroutines share one TCP connection, each request carries a tag, many
 // are in flight at once, and a demux goroutine routes replies (which may
-// arrive out of order) back to their callers. Against a pre-session
-// server the client degrades to the one-at-a-time legacy protocol on the
-// same connection, so it can be deployed before its servers.
+// arrive out of order) back to their callers. A server that refuses the
+// HELLO is not one this client can talk to: nothing was sent, so the dial
+// fails as a definite rejection and the next address is tried.
 //
 // Every failed operation matches exactly one of ErrMaybeApplied /
 // ErrRejected. On a connection failure, pending operations whose frames
@@ -195,20 +195,12 @@ func (c *SessionClient) Proxy() string {
 	return c.addrs[c.cur]
 }
 
-// Pipelined reports whether the current connection negotiated the v2
-// session protocol (false: legacy fallback, one request at a time).
-func (c *SessionClient) Pipelined() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sess != nil && !c.sess.legacy
-}
-
 // LeaderHint returns the replica id the current session's server reported
-// as Ω leader, or -1 when unknown (legacy session or not yet connected).
+// as Ω leader, or -1 when not yet connected.
 func (c *SessionClient) LeaderHint() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sess == nil || c.sess.legacy {
+	if c.sess == nil {
 		return -1
 	}
 	return c.sess.leader
@@ -291,7 +283,7 @@ func (c *SessionClient) session() (*session, error) {
 			c.cur = (c.cur + 1) % len(c.addrs)
 			continue
 		}
-		if c.opts.PreferLeader && !c.sticky && !sess.legacy &&
+		if c.opts.PreferLeader && !c.sticky &&
 			sess.leader != sess.replicaID &&
 			sess.leader >= 0 && sess.leader < len(c.addrs) && sess.leader != c.cur {
 			if redir, err := dialSession(c.addrs[sess.leader], c.opts.Timeout, c.opts.Depth); err == nil {
@@ -376,11 +368,8 @@ type sessionOp struct {
 // session is one negotiated connection: a writer goroutine drains the
 // send queue with batched flushes, a demux goroutine routes tagged
 // replies to waiting ops, and a depth semaphore bounds what is in flight.
-// In legacy mode (v1 fallback) the queue and demux are idle and do()
-// serializes round trips.
 type session struct {
 	conn      net.Conn
-	legacy    bool
 	replicaID int
 	leader    int
 
@@ -392,14 +381,11 @@ type session struct {
 	pending map[uint64]*sessionOp
 	nextTag uint64
 	failed  error
-
-	lmu sync.Mutex // legacy mode: one round trip at a time
-	rd  *bufio.Reader
 }
 
 // dialSession connects, negotiates HELLO/OHAI, and starts the session
-// goroutines. A server that rejects HELLO yields a legacy-mode session on
-// the same connection.
+// goroutines. Any other answer to the HELLO fails the dial: no request has
+// been sent, so the caller moves on to its next address.
 func dialSession(addr string, timeout time.Duration, depth int) (*session, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -416,36 +402,23 @@ func dialSession(addr string, timeout time.Duration, depth int) (*session, error
 		conn.Close()
 		return nil, err
 	}
-	s := &session{
-		conn:      conn,
-		replicaID: -1,
-		leader:    -1,
-		sendq:     make(chan *sessionOp, depth),
-		sem:       make(chan struct{}, depth),
-		done:      make(chan struct{}),
-		pending:   make(map[uint64]*sessionOp),
-		rd:        rd,
-	}
-	switch {
-	case strings.HasPrefix(reply, "OHAI "):
-		f := strings.Fields(reply)
-		if len(f) != 4 {
-			conn.Close()
-			return nil, fmt.Errorf("smr session: malformed OHAI %q", clip(reply))
-		}
-		s.replicaID, _ = strconv.Atoi(f[2])
-		s.leader, _ = strconv.Atoi(f[3])
-		conn.SetDeadline(time.Time{})
-		go s.writeLoop()
-		go s.readLoop()
-	case strings.HasPrefix(reply, "ERR "):
-		// A pre-session server: it answered the HELLO with an error and
-		// is waiting for the next command — fall back to v1 right here.
-		s.legacy = true
-	default:
+	f := strings.Fields(reply)
+	if len(f) != 4 || f[0] != "OHAI" {
 		conn.Close()
-		return nil, fmt.Errorf("smr session: unexpected HELLO reply %q", clip(reply))
+		return nil, fmt.Errorf("smr session: HELLO %d refused: %q", ProtocolVersion, clip(reply))
 	}
+	s := &session{
+		conn:    conn,
+		sendq:   make(chan *sessionOp, depth),
+		sem:     make(chan struct{}, depth),
+		done:    make(chan struct{}),
+		pending: make(map[uint64]*sessionOp),
+	}
+	s.replicaID, _ = strconv.Atoi(f[2])
+	s.leader, _ = strconv.Atoi(f[3])
+	conn.SetDeadline(time.Time{})
+	go s.writeLoop()
+	go s.readLoop(rd)
 	return s, nil
 }
 
@@ -462,9 +435,6 @@ func (s *session) alive() bool {
 
 // do runs one command on the session and waits for its result.
 func (s *session) do(cmd string, timeout time.Duration) opResult {
-	if s.legacy {
-		return s.doLegacy(cmd, timeout)
-	}
 	op, err := s.begin(cmd)
 	if err != nil {
 		return opResult{err: err}
@@ -616,9 +586,9 @@ func (s *session) writeLoop() {
 // readLoop demultiplexes tagged replies to their waiting ops. Replies for
 // abandoned tags are dropped; an unparsable line means the stream lost
 // framing and kills the session.
-func (s *session) readLoop() {
+func (s *session) readLoop(rd *bufio.Reader) {
 	for {
-		line, err := readLine(s.rd, MaxLineBytes)
+		line, err := readLine(rd, MaxLineBytes)
 		if err != nil {
 			s.teardown(err)
 			return
@@ -638,33 +608,6 @@ func (s *session) readLoop() {
 		<-s.sem
 		op.ch <- opResult{reply: payload, sent: true}
 	}
-}
-
-// doLegacy is the v1 fallback: one request/reply round trip at a time,
-// serialized, with the connection deadline as the timeout.
-func (s *session) doLegacy(cmd string, timeout time.Duration) opResult {
-	s.lmu.Lock()
-	defer s.lmu.Unlock()
-	if err := s.legacyFailed(); err != nil {
-		return opResult{err: err}
-	}
-	s.conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := s.conn.Write(append([]byte(cmd), '\n')); err != nil {
-		s.teardown(err)
-		return opResult{err: err, sent: true} // a partial write may deliver
-	}
-	line, err := readLine(s.rd, MaxLineBytes)
-	if err != nil {
-		s.teardown(err)
-		return opResult{err: err, sent: true}
-	}
-	return opResult{reply: line, sent: true}
-}
-
-func (s *session) legacyFailed() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
 }
 
 // checkPut validates a PUT's key and value client-side, wrapping

@@ -24,17 +24,13 @@ func newTestSessionClient(t *testing.T, addrs []string, opts smr.SessionOptions)
 }
 
 // TestSessionNegotiation pins the HELLO/OHAI handshake: the client must
-// come up in pipelined mode against a session server and report the
-// server's replica id and Ω-leader hint.
+// come up against a session server and report the server's Ω-leader hint.
 func TestSessionNegotiation(t *testing.T) {
 	addrs, _, cleanup := startServedCluster(t, 3, 1, 1)
 	defer cleanup()
 	c := newTestSessionClient(t, addrs[:1], smr.SessionOptions{Timeout: 10 * time.Second})
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
-	}
-	if !c.Pipelined() {
-		t.Fatal("session client fell back to legacy against a session server")
 	}
 	if l := c.LeaderHint(); l < 0 || l > 2 {
 		t.Fatalf("leader hint = %d, want a replica id", l)
@@ -187,14 +183,14 @@ func TestStatsErrorTaxonomy(t *testing.T) {
 	for _, w := range wires {
 		t.Run(w.name, func(t *testing.T) {
 			t.Run("cut after send is maybe-applied", func(t *testing.T) {
-				addr := w.serve(t, func(string) *string { return nil })
-				c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: time.Second})
+				addrs := w.serve(t, func(string) *string { return nil })
+				c := newTestSessionClient(t, addrs, smr.SessionOptions{Timeout: time.Second})
 				_, err := c.Stats()
 				requireVerdict(t, err, true)
 			})
 			t.Run("weird reply classifies by content", func(t *testing.T) {
-				addr := w.serve(t, func(string) *string { return str("ERR unknown command STATS") })
-				c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: time.Second})
+				addrs := w.serve(t, func(string) *string { return str("ERR unknown command STATS") })
+				c := newTestSessionClient(t, addrs, smr.SessionOptions{Timeout: time.Second})
 				_, err := c.Stats()
 				requireVerdict(t, err, false)
 			})
@@ -202,46 +198,42 @@ func TestStatsErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestSessionLegacyFallback runs the session client against a v1-only
-// server (the scripted server answers HELLO the way the old binary
-// would) and checks it degrades to working one-at-a-time mode.
-func TestSessionLegacyFallback(t *testing.T) {
+// TestSessionRefusesV1Server runs the session client against a v1-only
+// server (the scripted server answers HELLO the way the old binary would):
+// there is no client-side fallback, so the refusal is a definite rejection
+// and nothing but the HELLO was ever sent.
+func TestSessionRefusesV1Server(t *testing.T) {
 	var mu sync.Mutex
-	store := map[string]string{}
+	var lines []string
 	addr := scriptedServer(t, func(line string) *string {
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			return str("ERR empty command")
-		}
 		mu.Lock()
 		defer mu.Unlock()
-		switch fields[0] {
-		case "HELLO":
+		lines = append(lines, line)
+		if strings.HasPrefix(line, "HELLO") {
 			return str("ERR unknown command HELLO")
-		case "PUT":
-			store[fields[1]] = strings.Join(fields[2:], " ")
-			return str("OK")
-		case "GET":
-			if v, ok := store[fields[1]]; ok {
-				return str("VAL " + v)
-			}
-			return str("NONE")
-		default:
-			return str("ERR unknown command " + fields[0])
 		}
+		return str("OK")
 	})
 	c := newTestSessionClient(t, []string{addr}, smr.SessionOptions{Timeout: 2 * time.Second})
-	if err := c.Put("k", "v1-value"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Pipelined() {
-		t.Fatal("client claims pipelined mode against a v1 server")
+	err := c.Put("k", "v1-value")
+	if !errors.Is(err, smr.ErrRejected) || errors.Is(err, smr.ErrMaybeApplied) {
+		t.Fatalf("Put against a v1-only server = %v, want a definite rejection", err)
 	}
 	if c.LeaderHint() != -1 {
-		t.Fatalf("leader hint = %d on a legacy session, want -1", c.LeaderHint())
+		t.Fatalf("leader hint = %d with no session, want -1", c.LeaderHint())
 	}
-	if got, err := c.Get("k"); err != nil || got != "v1-value" {
-		t.Fatalf("Get = %q, %v", got, err)
+	if _, err := c.Get("k"); !errors.Is(err, smr.ErrRejected) {
+		t.Fatalf("Get = %v, want a definite rejection", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range lines {
+		if line != "HELLO 2" {
+			t.Fatalf("the server was sent %q: %q", line, lines)
+		}
+	}
+	if len(lines) == 0 {
+		t.Fatal("the server never saw the HELLO")
 	}
 }
 
@@ -450,9 +442,6 @@ func TestSessionConcurrentInFlight(t *testing.T) {
 	close(errCh)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
-	}
-	if !c.Pipelined() {
-		t.Fatal("lost pipelined mode mid-test")
 	}
 	// All traffic multiplexed over session connections, not one per op.
 	var counters smr.ServerCounters

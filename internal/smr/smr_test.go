@@ -199,12 +199,12 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 		{"tick 0", good, 0},
 		{"tick < 0", good, -time.Millisecond},
 	} {
-		if r, err := smr.NewReplica(tc.cfg, tc.tick, io); err == nil {
+		if r, err := smr.NewReplica(tc.cfg, tc.tick, io, smr.FixedLeaders{}); err == nil {
 			r.Close()
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	r, err := smr.NewReplica(good, time.Millisecond, io)
+	r, err := smr.NewReplica(good, time.Millisecond, io, smr.FixedLeaders{})
 	if err != nil {
 		t.Fatalf("valid input rejected: %v", err)
 	}
