@@ -75,11 +75,15 @@ bench-wan-short:
 # the same fixture (roundtrips/burst near 1: barriers overlap like writes),
 # then 1, 8 and 64 closed-loop callers, nine reads to one write, on durable
 # loopback processes, 2000 operations each (ops/s, slots/op).
+# BenchmarkCatchup is one catch-up between two replicas, as a log suffix of
+# 64 slots and as a snapshot of 8k keys: wire-B/op, frames/op and how long
+# each side holds Replica.mu for it (send-lock-ns/op, recv-lock-ns/op).
 microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkCommandDecode|BenchmarkSlotWrap|BenchmarkFrameDecode|BenchmarkReplicaPipeline' \
 		-benchmem -benchtime=100x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkBatcherDistance|BenchmarkReadFallback/distance' -benchtime=10x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkReadFallback/loopback' -benchtime=2000x -count=2 ./internal/smr
+	$(GO) test -run=NONE -bench 'BenchmarkCatchup' -benchtime=20x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
 
@@ -110,14 +114,17 @@ fuzz:
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCommandDecode -fuzztime=30s
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=30s
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=30s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=30s
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzRangeRouter -fuzztime=30s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
 # recovery through the runtime's shared-WAL abort/close, the interval fsync
-# and its failure — see docs/DURABILITY.md.
+# and its failure, and a process rejoining a 50k-key store over TCP from
+# below every peer's compaction floor — see docs/DURABILITY.md.
 crash:
 	$(GO) test -run '^TestCrash' -v -timeout 300s ./internal/wal/... ./internal/smr/...
 	$(GO) test -run '^TestCrash|^TestRuntime(Crash|Graceful)|^TestIntervalFsync' -v -timeout 300s ./internal/shard/... ./internal/cluster/...
+	$(GO) test -run '^TestLargeStoreRejoinsOverTCP$$' -v -timeout 300s ./internal/cluster -rejoin.keys=50000
 
 # Whole-stack chaos campaign: SEEDS consecutive seeded scenarios (live
 # durable cluster + nemesis + linearizability check), starting at SEED.

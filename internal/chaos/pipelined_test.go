@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/linear"
+	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
 	"repro/internal/wan"
@@ -61,6 +63,11 @@ func pipelinedSessions(t *testing.T, topo wan.Topology, scale float64) {
 	}
 	defer c.Close()
 	addrs := c.Addrs()
+	var mixedMu sync.Mutex
+	mixedSlots := map[int]bool{}
+	for i := 0; i < n; i++ {
+		mixedChunkTap(c, i, &mixedMu, mixedSlots)
+	}
 
 	rec := linear.NewRecorder()
 	var wg sync.WaitGroup
@@ -167,29 +174,32 @@ func pipelinedSessions(t *testing.T, topo wan.Topology, scale float64) {
 	}
 	// ...and mixed chunks: a lease-less GETL's barrier is a no-op riding the
 	// batcher beside the writes, so some decided OpBatch must hold both.
-	// (A process that caught up by snapshot retains only the log above it:
-	// the longest retained log counts.)
-	mixed := 0
-	for i := 0; i < n; i++ {
-		mixed = max(mixed, mixedChunks(c.Runtime(i).Group(0)))
-	}
+	mixedMu.Lock()
+	mixed := len(mixedSlots)
+	mixedMu.Unlock()
 	t.Logf("mixed chunks: %d decided slots carry a read barrier and a write together", mixed)
 	if mixed == 0 {
 		t.Fatal("no decided chunk held both a read barrier and a write: the history never exercised mixed chunks")
 	}
 }
 
-// mixedChunks counts the retained slots of r's log whose OpBatch carries
-// both a read barrier's no-op and a write.
-func mixedChunks(r *smr.Replica) (mixed int) {
-	for slot := r.Info().CompactFloor; slot < r.Applied(); slot++ {
-		v, ok := r.LogValue(slot)
-		if !ok {
-			continue
+// mixedChunkTap watches the Decides delivered to process i and records the
+// slots whose OpBatch carries both a read barrier's no-op and a write. The
+// wire, not the log: a decided value is held only until every peer has
+// applied it.
+func mixedChunkTap(c *cluster.Cluster, i int, mu *sync.Mutex, mixed map[int]bool) {
+	h := c.Runtime(i).Handler()
+	c.Fabric().Attach(i, func(from consensus.ProcessID, msg consensus.Message) {
+		defer h(from, msg)
+		var sm smr.SlotMessage
+		var d core.DecideMsg
+		if gm, ok := msg.(*shard.GroupMessage); !ok || gm.InnerKind != smr.KindSlot || sm.DecodeBody(gm.InnerBody) != nil ||
+			sm.InnerKind != core.KindDecide || d.DecodeBody(sm.InnerBody) != nil {
+			return
 		}
-		cmd, err := smr.DecodeCommand(v)
+		cmd, err := smr.DecodeCommand(d.Value)
 		if err != nil || cmd.Op != smr.OpBatch {
-			continue
+			return
 		}
 		noop, write := false, false
 		for _, sub := range cmd.Subs {
@@ -197,8 +207,9 @@ func mixedChunks(r *smr.Replica) (mixed int) {
 			write = write || sub.Op == smr.OpPut || sub.Op == smr.OpDelete
 		}
 		if noop && write {
-			mixed++
+			mu.Lock()
+			mixed[sm.Slot] = true
+			mu.Unlock()
 		}
-	}
-	return mixed
+	})
 }

@@ -84,9 +84,14 @@ func allMessages() []consensus.Message {
 		&omega.Heartbeat{},
 		&smr.SlotMessage{Slot: 12, InnerKind: core.KindTwoB, InnerBody: []byte{0, 1, 0xff}},
 		&smr.CatchupRequest{From: 0},
+		// The log suffix, empty and not; a snapshot's only part, a middle one
+		// and a last one with the decided tail and the lease view.
+		&smr.CatchupReply{Applied: 7},
+		&smr.CatchupReply{Applied: 131, Decided: map[int]consensus.Value{9: v, 7: big, 130: consensus.IntValue(-1)}},
 		&smr.CatchupReply{Applied: 7, Store: map[string]string{}},
+		&smr.CatchupReply{Applied: 7, Part: 3, Last: 200, Store: map[string]string{"k": "v"}},
 		&smr.CatchupReply{
-			Applied:     7,
+			Applied: 7, Part: 2, Last: 2,
 			Store:       map[string]string{"": "empty key", "k\xff": "", "a": "1", "b": big.Data},
 			Decided:     map[int]consensus.Value{9: v, 7: big, 130: consensus.IntValue(-1)},
 			LeaseHolder: &holder, LeaseRemain: 1_500_000_000,
@@ -213,7 +218,7 @@ func TestDecoderOversizePrefixAllocatesNothing(t *testing.T) {
 }
 
 func TestVersionedDecoderNamesTheFormat(t *testing.T) {
-	for _, b := range [][]byte{nil, []byte(`{"k":"s"}`), {0}, {2, 0}} {
+	for _, b := range [][]byte{nil, []byte(`{"k":"s"}`), {0}, {consensus.FormatVersion - 1, 0}, {consensus.FormatVersion + 1, 0}} {
 		_, err := consensus.NewVersionedDecoder(b, "thing")
 		if !errors.Is(err, consensus.ErrFormatVersion) || !strings.Contains(err.Error(), "thing") || !strings.Contains(err.Error(), "JSON") {
 			t.Errorf("%q: %v", b, err)

@@ -18,7 +18,7 @@ import (
 // FormatVersion is the first byte of every frame, WAL record payload and
 // snapshot blob. It is the whole of format negotiation: anything else —
 // the '{' of a JSON-era record included — is refused, not migrated.
-const FormatVersion byte = 1
+const FormatVersion byte = 2
 
 // Decode errors, matchable with errors.Is. They are values, not formatted,
 // so refusing a hostile length prefix allocates nothing.
@@ -30,7 +30,7 @@ var (
 	// an over-long varint, a flag byte other than 0 or 1, trailing bytes.
 	ErrNotCanonical = errors.New("binary decode: not the canonical encoding")
 	// ErrFormatVersion reports a first byte other than FormatVersion.
-	ErrFormatVersion = errors.New("not binary format version 1 (JSON-era data is refused, not migrated)")
+	ErrFormatVersion = errors.New("not binary format version 2 (older and JSON-era data is refused, not migrated)")
 )
 
 // scratchPool recycles encode buffers: an encoder whose output size is not

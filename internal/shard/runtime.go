@@ -422,7 +422,8 @@ func (i Info) String() string {
 			i.Wal.Segments, i.Wal.Bytes, i.Wal.NextIndex, i.Wal.Syncs)
 	}
 	for g, gi := range i.PerGroup {
-		s += fmt.Sprintf(" g%d_applied=%d g%d_open=%d", g, gi.Applied, g, gi.OpenSlots)
+		s += fmt.Sprintf(" g%d_applied=%d g%d_open=%d g%d_retained=%d g%d_retained_bytes=%d",
+			g, gi.Applied, g, gi.OpenSlots, g, gi.Retained, g, gi.RetainedBytes)
 		if gi.Lease != nil {
 			s += fmt.Sprintf(" g%d_lease_holder=%d g%d_lease_valid=%t",
 				g, gi.Lease.Holder, g, gi.Lease.Valid)

@@ -356,11 +356,11 @@ func (b *batcher) launch(c chunk) {
 		b.mu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
-		slot, err := r.await(ctx, batch.Op, want, p)
+		p, err := r.await(ctx, batch.Op, want, p)
 		if err == nil {
 			// ErrLeaseFenced is the same downgrade as Submit's: the chunk
 			// applied, but a concurrent leaseholder may not have observed it.
-			err = r.acked(ctx, slot)
+			err = r.acked(ctx, p)
 		}
 		b.resolve(c, err)
 	}()

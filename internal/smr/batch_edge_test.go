@@ -156,6 +156,7 @@ func TestBatchIdleFlushHonorsCallerContext(t *testing.T) {
 func TestBatchCtxCancelMidBatch(t *testing.T) {
 	eachWindow(t, func(t *testing.T, pipelined bool) {
 		c := newTestCluster(t, 3, 1, 1, procOptions{})
+		c.pinLogs() // chunkKeys reads the log back
 		replicas := c.replicas()
 		kv := smr.NewKV(replicas[0])
 		release := holdWindow(t, c.fab, replicas[0], pipelined)
@@ -243,6 +244,7 @@ func TestBatchCloseRacesFlush(t *testing.T) {
 func TestBatchMaxSizeOverflowSplits(t *testing.T) {
 	eachWindow(t, func(t *testing.T, pipelined bool) {
 		c := newTestCluster(t, 3, 1, 1, procOptions{})
+		c.pinLogs() // chunkKeys reads the log back
 		replicas := c.replicas()
 		const maxSize = 64
 		kv := smr.NewKV(replicas[0])

@@ -59,8 +59,9 @@ func TestBatchingGroupsConcurrentWrites(t *testing.T) {
 }
 
 func TestBatchingPreservesAgreementAcrossProxies(t *testing.T) {
-	replicas, cleanup := startCluster(t, 5, 2, 1)
-	defer cleanup()
+	c := newTestCluster(t, 5, 2, 1, procOptions{})
+	c.pinLogs()
+	replicas := c.replicas()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

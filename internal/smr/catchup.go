@@ -13,25 +13,38 @@ const (
 	KindCatchupReply   = "smr.catchup_reply"
 )
 
+// partBytes bounds what one state-transfer frame carries — the decided values
+// of a log suffix, the keys and values of a snapshot part — at a quarter of
+// transport's frame limit. One slot or pair rides whatever its size.
+const partBytes = 256 << 10
+
 // CatchupRequest asks a peer for state newer than From applied slots.
 type CatchupRequest struct {
 	From int
 }
 
-// CatchupReply carries a state snapshot: the full store as of Applied
-// applied slots, plus decided values for slots at or above Applied that
-// the sender knows about but has not yet applied (gaps). Installing it
-// replaces the receiver's store, lets it skip every slot below Applied,
-// and closes decide gaps the receiver may have missed to message drops.
+// CatchupReply is one bounded frame of state transfer, in one of two forms.
+//
+// Store == nil, the log suffix: Decided holds the decided values of the slots
+// from the requested one up, at most partBytes of them, and Applied is the
+// sender's applied index — a receiver still below it asks again at once.
+//
+// Store != nil, part Part of 0..Last of a snapshot, for a peer below the
+// compaction floor: a share of the sender's store as of Applied. The receiver
+// assembles one sender's parts of one Applied in order and installs them on
+// the last, which also carries the lease view and, while it has room, the
+// decided values of slots still open at the sender. The durable snapshot
+// holds the same cut as its one part.
 type CatchupReply struct {
-	Applied int
-	Store   map[string]string
-	Decided map[int]consensus.Value
+	Applied    int
+	Part, Last int
+	Store      map[string]string
+	Decided    map[int]consensus.Value
 	// LeaseHolder/LeaseRemain export the sender's lease view (holder and
 	// remaining guard duration in nanoseconds) when leases are enabled: a
 	// snapshot jump skips the grant applies, so the receiver imports the
-	// guard window instead (see lease.Table.Export). LeaseHolder is nil,
-	// and LeaseRemain 0, on a lease-free replica.
+	// guard window instead (see lease.Table.Export). Nil and 0 on a
+	// lease-free replica and on a log suffix.
 	LeaseHolder *int
 	LeaseRemain int64
 }
@@ -53,22 +66,27 @@ func (m *CatchupRequest) DecodeBody(body []byte) error {
 }
 
 // AppendBody writes the maps in ascending key order, so that equal replies
-// are equal bytes; DecodeBody refuses any other order.
+// are equal bytes; DecodeBody refuses any other order, and a part past Last.
 func (m *CatchupReply) AppendBody(dst []byte) []byte {
 	dst = consensus.AppendVarint(dst, int64(m.Applied))
-	dst = consensus.AppendBool(dst, m.LeaseHolder != nil)
-	if m.LeaseHolder != nil {
-		dst = consensus.AppendVarint(dst, int64(*m.LeaseHolder))
-		dst = consensus.AppendVarint(dst, m.LeaseRemain)
-	}
-	keys := make([]string, 0, len(m.Store))
-	for k := range m.Store {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = consensus.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = consensus.AppendStr(consensus.AppendStr(dst, k), m.Store[k])
+	dst = consensus.AppendBool(dst, m.Store != nil)
+	if m.Store != nil {
+		dst = consensus.AppendUvarint(dst, uint64(m.Part))
+		dst = consensus.AppendUvarint(dst, uint64(m.Last))
+		dst = consensus.AppendBool(dst, m.LeaseHolder != nil)
+		if m.LeaseHolder != nil {
+			dst = consensus.AppendVarint(dst, int64(*m.LeaseHolder))
+			dst = consensus.AppendVarint(dst, m.LeaseRemain)
+		}
+		keys := make([]string, 0, len(m.Store))
+		for k := range m.Store {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		dst = consensus.AppendUvarint(dst, uint64(len(keys)))
+		for _, k := range keys {
+			dst = consensus.AppendStr(consensus.AppendStr(dst, k), m.Store[k])
+		}
 	}
 	dst = consensus.AppendUvarint(dst, uint64(len(m.Decided)))
 	for _, n := range sortedSlots(m.Decided) {
@@ -81,18 +99,23 @@ func (m *CatchupReply) DecodeBody(body []byte) error {
 	d := consensus.NewDecoder(body)
 	m.Applied = int(d.Varint())
 	if d.Bool() {
-		h := int(d.Varint())
-		m.LeaseHolder, m.LeaseRemain = &h, d.Varint()
-	}
-	// A pair is at least two length prefixes, a decision a slot and a value.
-	pairs := d.Count(2)
-	m.Store = make(map[string]string, pairs)
-	for i, prev := 0, ""; i < pairs; i++ {
-		k := d.Str()
-		if i > 0 && k <= prev {
+		if m.Part, m.Last = int(d.Uvarint()), int(d.Uvarint()); m.Part > m.Last {
 			d.Fail(consensus.ErrNotCanonical)
 		}
-		m.Store[k], prev = d.Str(), k
+		if d.Bool() {
+			h := int(d.Varint())
+			m.LeaseHolder, m.LeaseRemain = &h, d.Varint()
+		}
+		// A pair is at least two length prefixes, a decision a slot and a value.
+		pairs := d.Count(2)
+		m.Store = make(map[string]string, pairs)
+		for i, prev := 0, ""; i < pairs; i++ {
+			k := d.Str()
+			if i > 0 && k <= prev {
+				d.Fail(consensus.ErrNotCanonical)
+			}
+			m.Store[k], prev = d.Str(), k
+		}
 	}
 	if decided := d.Count(10); decided > 0 {
 		m.Decided = make(map[int]consensus.Value, decided)
@@ -105,4 +128,193 @@ func (m *CatchupReply) DecodeBody(body []byte) error {
 		}
 	}
 	return d.Finish()
+}
+
+// CatchupStats counts this replica's state transfer: log-suffix replies and
+// snapshot parts sent to lagging peers, and snapshots installed from them.
+type CatchupStats struct {
+	SuffixReplies uint64 `json:"suffixReplies"`
+	SnapshotParts uint64 `json:"snapshotParts"`
+	Installed     uint64 `json:"installed"`
+}
+
+// catchupState is the requesting and receiving side of state transfer
+// (guarded by Replica.mu). peerApplied is the applied index each peer last
+// gossiped. One CatchupRequest is out at a time: asked is whom it went to,
+// quiet how many more gossips it silences — its reply clears it, a period's
+// worth (one Status a peer) gives up on it. partial is the snapshot each
+// sender is part-way through, Part counting the next part expected.
+type catchupState struct {
+	peerApplied []int
+	asked       consensus.ProcessID
+	quiet       int
+	partial     map[consensus.ProcessID]*CatchupReply
+	stats       CatchupStats
+}
+
+// NoteApplied is the host's applied-index gossip reaching this group: peer
+// from has applied that many of the group's slots. The index is the retention
+// watermark, and a replica behind it asks for the difference — once per gap,
+// whoever gossips: the peer that reported the most, unless a request is out.
+func (r *Replica) NoteApplied(from consensus.ProcessID, applied int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cu := &r.cu
+	if r.closed || from < 0 || int(from) >= len(cu.peerApplied) {
+		return
+	}
+	if cu.quiet > 0 {
+		if cu.quiet--; cu.quiet == 0 {
+			cu.peerApplied[cu.asked] = 0 // it never answered: not asked again on its last word
+		}
+	}
+	cu.peerApplied[from] = applied
+	r.retireAppliedLocked()
+	if applied > r.applied && cu.quiet == 0 {
+		best := from
+		for p, a := range cu.peerApplied {
+			if a > cu.peerApplied[best] {
+				best = consensus.ProcessID(p)
+			}
+		}
+		r.emitLocked(r.askLocked(best))
+	}
+}
+
+// askLocked requests what to has applied beyond this replica.
+func (r *Replica) askLocked(to consensus.ProcessID) []outbound {
+	r.cu.asked, r.cu.quiet = to, r.cfg.N-1
+	return []outbound{{to: to, msg: &CatchupRequest{From: r.applied}}}
+}
+
+// catchupReplyLocked answers a peer that has applied from slots with what it
+// misses. From the compaction floor up that is a log suffix, the decided
+// values of [from, applied) cut at partBytes: no copy of the store, nothing
+// for the receiver to checkpoint. Below it the slots are gone — or the whole
+// tail is more bytes than the store, and replaying it would cost the receiver
+// more than the jump — and it is sent the store in parts of at most partBytes.
+func (r *Replica) catchupReplyLocked(to consensus.ProcessID, from int) (out []outbound) {
+	if from >= r.compactFloor && r.retainedBytes <= r.storeBytes {
+		c := &CatchupReply{Applied: r.applied, Decided: make(map[int]consensus.Value)}
+		for n, size := from, 0; n < r.applied; n++ {
+			v := r.slots[n].val
+			if size += len(v.Data); size > partBytes && n > from {
+				break
+			}
+			c.Decided[n] = v
+		}
+		r.cu.stats.SuffixReplies++
+		return []outbound{{to: to, msg: c}}
+	}
+	cut := r.captureLocked()
+	part := &CatchupReply{Applied: cut.Applied, Store: make(map[string]string)}
+	parts := []*CatchupReply{part}
+	size := 0
+	for k, v := range cut.Store {
+		if size += len(k) + len(v); size > partBytes && len(part.Store) > 0 {
+			part, size = &CatchupReply{Applied: cut.Applied, Part: len(parts), Store: make(map[string]string)}, len(k)+len(v)
+			parts = append(parts, part)
+		}
+		part.Store[k] = v
+	}
+	part.LeaseHolder, part.LeaseRemain = cut.LeaseHolder, cut.LeaseRemain
+	part.Decided = make(map[int]consensus.Value, len(cut.Decided))
+	for _, n := range sortedSlots(cut.Decided) {
+		if size += len(cut.Decided[n].Data); size > partBytes {
+			break
+		}
+		part.Decided[n] = cut.Decided[n]
+	}
+	for _, p := range parts {
+		p.Last = len(parts) - 1
+		out = append(out, outbound{to: to, msg: p})
+	}
+	r.cu.stats.SnapshotParts += uint64(len(parts))
+	return out
+}
+
+// adoptLocked takes in one catch-up frame: a snapshot part joins its sender's
+// assembly, and the last installs it — the store replaces ours and every slot
+// below its applied index is retired; decided values are then adopted as
+// ordinary decisions, which is all a log suffix is. A suffix that moved this
+// replica and leaves it behind its sender still is answered with the next
+// request, without waiting for the gossip.
+func (r *Replica) adoptLocked(from consensus.ProcessID, m *CatchupReply) []outbound {
+	if from == r.cu.asked {
+		r.cu.quiet = 0
+	}
+	jumped := false
+	if m.Store != nil {
+		if m = r.assembleLocked(from, m); m == nil {
+			return nil
+		}
+		if r.ls != nil && m.LeaseHolder != nil {
+			// The snapshot jump skips the individual grant applies, so
+			// the sender exports its lease view as (holder, remaining):
+			// durations survive the clock-origin change, and importing at
+			// any later instant only shortens the true residual window.
+			r.ls.tab.Import(*m.LeaseHolder, m.LeaseRemain, r.ls.now())
+		}
+		if jumped = m.Applied > r.applied; jumped {
+			r.jumpLocked(m)
+			r.retireBelowLocked(m.Applied)
+			r.cu.stats.Installed++
+		}
+	}
+	before := r.applied
+	for _, n := range sortedSlots(m.Decided) {
+		if n >= r.applied {
+			r.decideLocked(r.slotLocked(n), m.Decided[n])
+		}
+	}
+	// Decisions of our own that were waiting on the prefix a jump filled.
+	if done := r.applyReadyLocked(); len(done) > 0 {
+		r.wakes = append(r.wakes, wakeup{done: done})
+	}
+	// One checkpoint for what the frame applied, not one every snapEvery
+	// slots — and always after a jump: no WAL record backs the store's, and a
+	// crash right after it must not roll the replica back.
+	if jumped {
+		r.writeSnapshotLocked()
+	} else {
+		r.maybeSnapshotLocked(r.applied - before)
+	}
+	if m.Store == nil && r.applied > before && m.Applied > r.applied {
+		return r.askLocked(from)
+	}
+	return nil
+}
+
+// jumpLocked makes cut's store this replica's, as of cut.Applied.
+func (r *Replica) jumpLocked(cut *CatchupReply) {
+	r.store, r.applied, r.storeBytes = cut.Store, cut.Applied, 0
+	for k, v := range cut.Store {
+		r.storeBytes += len(k) + len(v)
+	}
+}
+
+// assembleLocked merges snapshot part m into what from has sent so far and
+// returns the whole cut once its last part is in, nil before. Parts count up
+// from 0 under one Applied and Last; a part 0 starts over, anything else out
+// of turn drops the assembly, and the next request brings a fresh cut.
+func (r *Replica) assembleLocked(from consensus.ProcessID, m *CatchupReply) *CatchupReply {
+	a := r.cu.partial[from]
+	delete(r.cu.partial, from)
+	if m.Part == 0 {
+		a = &CatchupReply{Applied: m.Applied, Last: m.Last, Store: make(map[string]string, len(m.Store)*(m.Last+1))}
+	} else if a == nil || a.Applied != m.Applied || a.Last != m.Last || a.Part != m.Part {
+		return nil
+	}
+	for k, v := range m.Store {
+		a.Store[k] = v
+	}
+	if a.Part++; m.Part < m.Last {
+		r.cu.partial[from] = a
+		if from == r.cu.asked {
+			r.cu.quiet = r.cfg.N - 1 // still arriving: no second request beside it
+		}
+		return nil
+	}
+	a.Decided, a.LeaseHolder, a.LeaseRemain = m.Decided, m.LeaseHolder, m.LeaseRemain
+	return a
 }

@@ -97,7 +97,8 @@ func TestDecodersRefuseOversizeWithoutAllocating(t *testing.T) {
 	record := appendWalEntry(nil, walEntry{Kind: walKindDecide, Slot: 1})
 	record = append(record[:walHeaderLen+8], oversizeClaim()...)
 	snapshot := append([]byte{consensus.FormatVersion, 0, 0, 0}, oversizeClaim()...)
-	store := oversizeClaim(0, 0)
+	suffix := oversizeClaim(0, 0)         // applied 0, a suffix: the count of decided values
+	store := oversizeClaim(0, 1, 0, 0, 0) // applied 0, part 0 of 1, no lease: the count of pairs
 	refuse := map[string]func() error{
 		"command id":   func() error { _, err := DecodeCommand(cmdID); return err },
 		"command subs": func() error { _, err := DecodeCommand(cmdSubs); return err },
@@ -106,6 +107,7 @@ func TestDecodersRefuseOversizeWithoutAllocating(t *testing.T) {
 			return err
 		},
 		"snapshot open slots": func() error { _, err := decodeSnapshot(snapshot); return err },
+		"catch-up suffix":     func() error { return new(CatchupReply).DecodeBody(suffix) },
 		"catch-up store":      func() error { return new(CatchupReply).DecodeBody(store) },
 	}
 	for name, fn := range refuse {
@@ -216,6 +218,83 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if _, err := decodeSnapshot([]byte(`{"applied":1,"store":{}}`)); !errors.Is(err, consensus.ErrFormatVersion) {
 		t.Errorf("json snapshot: %v, want ErrFormatVersion", err)
 	}
+}
+
+func codecCatchupReplies() []*CatchupReply {
+	v := consensus.Value{Key: 1 << 62, Data: "cmd\x00\xff"}
+	holder := 2
+	return []*CatchupReply{
+		{},
+		{Applied: 40, Decided: map[int]consensus.Value{38: v, 39: consensus.IntValue(4)}},
+		{Applied: 40, Store: map[string]string{}},
+		{Applied: 40, Part: 1, Last: 3, Store: map[string]string{"a": "1", "b\xff": ""}},
+		{Applied: 40, Part: 3, Last: 3, Store: map[string]string{"z": ""}, Decided: map[int]consensus.Value{41: v}, LeaseHolder: &holder, LeaseRemain: 5},
+	}
+}
+
+// TestCatchupReplyCodec: both forms round-trip to the same bytes, and the
+// decoder refuses what the encoder never writes — pairs or slots out of
+// order, a part past the last, a form flag that is not one.
+func TestCatchupReplyCodec(t *testing.T) {
+	for i, m := range codecCatchupReplies() {
+		body := m.AppendBody(nil)
+		var got CatchupReply
+		if err := got.DecodeBody(body); err != nil || !reflect.DeepEqual(&got, m) {
+			t.Fatalf("reply %d: decoded %+v, %v", i, got, err)
+		}
+		if again := got.AppendBody(nil); !bytes.Equal(again, body) {
+			t.Fatalf("reply %d: re-encoding differs", i)
+		}
+		for cut := 0; cut < len(body); cut++ {
+			if new(CatchupReply).DecodeBody(body[:cut]) == nil {
+				t.Fatalf("reply %d: %d-byte prefix decoded", i, cut)
+			}
+		}
+	}
+	swap := func(b []byte, old, new string) []byte {
+		out := bytes.Replace(b, []byte(old), []byte(new), 1)
+		if bytes.Equal(out, b) {
+			t.Fatalf("test is stale: %q not found in the encoding", old)
+		}
+		return out
+	}
+	// Applied 3, a suffix, two decided values: slot 2, then slot 1.
+	suffix := consensus.AppendUvarint(consensus.AppendBool(consensus.AppendVarint(nil, 3), false), 2)
+	for _, n := range []int64{2, 1} {
+		suffix = consensus.AppendValue(consensus.AppendVarint(suffix, n), consensus.IntValue(7))
+	}
+	part := (&CatchupReply{Applied: 3, Part: 1, Last: 2, Store: map[string]string{"a": "1", "b": "2"}}).AppendBody(nil)
+	for name, body := range map[string][]byte{
+		"suffix slots out of order": suffix,
+		"pairs out of order":        swap(part, "\x01a\x011\x01b\x012", "\x01b\x012\x01a\x011"),
+		"part past the last":        swap(part, "\x06\x01\x01\x02", "\x06\x01\x03\x02"), // applied 3, part form, part 3 of 0..2
+		"form flag 2":               swap(part, "\x06\x01\x01", "\x06\x02\x01"),
+	} {
+		if err := new(CatchupReply).DecodeBody(body); !errors.Is(err, consensus.ErrNotCanonical) {
+			t.Errorf("%s: %v, want ErrNotCanonical", name, err)
+		}
+	}
+}
+
+// FuzzCatchupReplyDecode: no input panics the catch-up decoder in either
+// form, and whatever it accepts is the one encoding of what it decoded.
+func FuzzCatchupReplyDecode(f *testing.F) {
+	for _, m := range codecCatchupReplies() {
+		f.Add(m.AppendBody(nil))
+	}
+	f.Add(oversizeClaim(0, 1, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var m CatchupReply
+		if m.DecodeBody(body) != nil {
+			return
+		}
+		if m.Part > m.Last || (m.Store == nil && (m.Part != 0 || m.Last != 0 || m.LeaseHolder != nil)) {
+			t.Fatalf("decoded %x into part %d of %d, store %t, lease %t", body, m.Part, m.Last, m.Store != nil, m.LeaseHolder != nil)
+		}
+		if again := m.AppendBody(nil); !bytes.Equal(again, body) {
+			t.Fatalf("decoded %x, re-encoded %x", body, again)
+		}
+	})
 }
 
 // FuzzCommandDecode: no input panics the command decoder, and whatever it

@@ -409,12 +409,14 @@ func (s sendTap) Send(to consensus.ProcessID, msg consensus.Message) error {
 	return s.Transport.Send(to, msg)
 }
 
-// TestDecidedSlotReleasesItsTimer: a decided slot's record lives on for
-// retainSlots, and its stopped new-ballot timer must not live on with it —
-// the *time.Timer's callback holds the slot's closures, some 300 B a slot on
+// TestDecidedSlotReleasesItsTimer: a decided slot's record lives on until
+// every peer is known to have applied it (for retainSlots, behind a silent
+// one), and its stopped new-ballot timer must not live on with it — the
+// *time.Timer's callback holds the slot's closures, some 300 B a slot on
 // every replica for as long as the record is kept.
 func TestDecidedSlotReleasesItsTimer(t *testing.T) {
 	c := newTestCluster(t, 3, 1, 1, procOptions{})
+	c.pinLogs() // the records are what is counted
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const writes = 20

@@ -210,6 +210,9 @@ func decodeSnapshot(blob []byte) (*durableSnapshot, error) {
 	if err = d.Finish(); err == nil {
 		err = s.Cut.DecodeBody(rest)
 	}
+	if err == nil && s.Cut.Store == nil {
+		err = consensus.ErrNotCanonical // a log suffix is not a cut
+	}
 	if err != nil {
 		return nil, fmt.Errorf("smr durability: snapshot decode: %w", err)
 	}
@@ -266,11 +269,7 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 
 	// 1. Snapshot state first: store, applied index, command sequence.
 	if haveSnap {
-		r.applied = snap.Cut.Applied
-		r.store = make(map[string]string, len(snap.Cut.Store))
-		for k, v := range snap.Cut.Store {
-			r.store[k] = v
-		}
+		r.jumpLocked(&snap.Cut)
 		if snap.CompactFloor > r.compactFloor {
 			r.compactFloor = snap.CompactFloor
 		}
@@ -279,7 +278,7 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		}
 		for n, v := range snap.Cut.Decided {
 			if n >= r.applied {
-				r.slotLocked(n).learn(v)
+				r.learnLocked(r.slotLocked(n), v)
 			}
 		}
 		if r.ls != nil && snap.Cut.LeaseHolder != nil {
@@ -306,7 +305,7 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		case walKindState:
 			states[e.Slot] = e.State
 		case walKindDecide:
-			r.slotLocked(e.Slot).learn(e.Val)
+			r.learnLocked(r.slotLocked(e.Slot), e.Val)
 		}
 		return nil
 	})
@@ -510,15 +509,20 @@ func (r *Replica) writeSnapshotLocked() {
 // ReplicaInfo is one group's operational summary (shard.Info renders the
 // INFO line from it).
 type ReplicaInfo struct {
-	Applied       int    `json:"applied"`
-	OpenSlots     int    `json:"openSlots"`
-	CompactFloor  int    `json:"compactFloor"`
-	Durable       bool   `json:"durable"`
-	WalSegments   int    `json:"walSegments,omitempty"`
-	WalBytes      int64  `json:"walBytes,omitempty"`
-	WalNextIndex  uint64 `json:"walNextIndex,omitempty"`
-	WalSyncs      uint64 `json:"walSyncs,omitempty"`
-	SnapshotIndex int    `json:"snapshotIndex,omitempty"`
+	Applied      int `json:"applied"`
+	OpenSlots    int `json:"openSlots"`
+	CompactFloor int `json:"compactFloor"`
+	// Retained counts the decided slot records held for lagging peers and
+	// RetainedBytes the values in them; Catchup, the state transfer so far.
+	Retained      int          `json:"retained"`
+	RetainedBytes int          `json:"retainedBytes"`
+	Catchup       CatchupStats `json:"catchup"`
+	Durable       bool         `json:"durable"`
+	WalSegments   int          `json:"walSegments,omitempty"`
+	WalBytes      int64        `json:"walBytes,omitempty"`
+	WalNextIndex  uint64       `json:"walNextIndex,omitempty"`
+	WalSyncs      uint64       `json:"walSyncs,omitempty"`
+	SnapshotIndex int          `json:"snapshotIndex,omitempty"`
 	// Lease is present when EnableLeases was called (see LeaseStats).
 	Lease *LeaseStats `json:"lease,omitempty"`
 }
@@ -532,17 +536,19 @@ func (r *Replica) Info() ReplicaInfo {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	open := 0
-	for n, s := range r.slots {
-		if s.node != nil && n >= r.applied {
-			open++
-		}
-	}
 	info := ReplicaInfo{
-		Applied:      r.applied,
-		OpenSlots:    open,
-		CompactFloor: r.compactFloor,
-		Lease:        lst,
+		Applied:       r.applied,
+		CompactFloor:  r.compactFloor,
+		RetainedBytes: r.retainedBytes,
+		Catchup:       r.cu.stats,
+		Lease:         lst,
+	}
+	for n, s := range r.slots {
+		if s.decided {
+			info.Retained++
+		} else if s.node != nil && n >= r.applied {
+			info.OpenSlots++
+		}
 	}
 	if r.dur != nil {
 		st := r.dur.wal.Stats()

@@ -237,7 +237,7 @@ func slotMsg(t *testing.T, slot int, inner consensus.Message) *smr.SlotMessage {
 // openIsolated opens process id of a 3-process cluster over dir, bound to a
 // capture transport instead of a fabric: it can only use what dir holds,
 // and the test reads what it tries to say. Not started.
-func openIsolated(t *testing.T, id consensus.ProcessID, dir string, leases *smr.LeaseOptions) (*shard.Runtime, *captureTr) {
+func openIsolated(t testing.TB, id consensus.ProcessID, dir string, leases *smr.LeaseOptions) (*shard.Runtime, *captureTr) {
 	t.Helper()
 	opts := shard.Options{
 		Groups:        1,
@@ -345,9 +345,9 @@ func TestCatchupCarriesDecidedTailForOpenSlots(t *testing.T) {
 
 func TestCatchupHealsDecideGapsUnderDrops(t *testing.T) {
 	// Replica 2 loses a third of everything sent to it, decides included
-	// (0 and 1 are a fast quorum without it); the periodic status gossip
-	// plus the decided tail in CatchupReply must still converge every
-	// replica onto the full log.
+	// (0 and 1 are a fast quorum without it, and hold what it gossips it
+	// still misses); the periodic status gossip plus the log suffix in
+	// CatchupReply must still converge every replica onto the full log.
 	c := newTestCluster(t, 3, 1, 1, procOptions{})
 	replicas := c.replicas()
 	var mu sync.Mutex

@@ -8,8 +8,20 @@ type FixedLeaders struct{ consensus.FixedLeader }
 
 func (FixedLeaders) LeaderStable(int64) bool { return true }
 
-// RetainSlots exposes the retain window to the external test package.
-const RetainSlots = retainSlots
+// RetainSlots and RetainBytes expose the bounds of the decided tail to the
+// external test package.
+const (
+	RetainSlots = retainSlots
+	RetainBytes = retainBytes
+)
+
+// Compact retires every slot below applied−retain and returns the compaction
+// floor in force: a test cutting closer than the peers' gossip has yet.
+func (r *Replica) Compact(retain int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.retireBelowLocked(r.applied - max(retain, 0))
+}
 
 // QueuedCommands reports how many commands wait in r's batcher to be cut
 // into a chunk: a test that needs two riders in one chunk waits for both.

@@ -264,3 +264,71 @@ func BenchmarkReadFallback(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCatchup is one catch-up, request to caught up, between two
+// isolated replicas: what it puts on the wire (wire-B/op, frames/op) and how
+// long each side holds Replica.mu for it (send-lock-ns/op: cutting the reply;
+// recv-lock-ns/op: adopting it). The sender holds 8k keys of 200 B as of slot
+// 64, and 64 decided slots of 1 KiB above that. suffix-64slots is a peer that
+// has the store and misses the slots; snapshot-8k one that has nothing, below
+// the sender's floor. Neither journals: the fsync a durable receiver adds to
+// a snapshot install is storage.save_ms.
+func BenchmarkCatchup(b *testing.B) {
+	base := &smr.CatchupReply{Applied: 64, Store: make(map[string]string, 8000)}
+	for i := 0; i < 8000; i++ {
+		base.Store[fmt.Sprintf("key-%06d", i)] = string(make([]byte, 200))
+	}
+	rt, tr := openIsolated(b, 0, "", nil)
+	sender := rt.Group(0)
+	sender.Handle(1, base)
+	for n := 64; n < 128; n++ {
+		v, err := smr.Command{ID: fmt.Sprintf("p1-%d", n), Op: smr.OpPut, Key: fmt.Sprintf("k%d", n), Val: string(make([]byte, 1<<10))}.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sender.Handle(1, &smr.SlotMessage{Slot: n, InnerKind: core.KindDecide, InnerBody: (&core.DecideMsg{Value: v}).AppendBody(nil)})
+	}
+	for _, bc := range []struct {
+		name      string
+		from      int
+		installed uint64
+	}{{"suffix-64slots", 64, 1}, {"snapshot-8k", 0, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var wire, frames int
+			var sendLock, recvLock time.Duration
+			for i := 0; i < b.N; i++ {
+				rrt, _ := openIsolated(b, 2, "", nil)
+				recv := rrt.Group(0)
+				if bc.from > 0 {
+					recv.Handle(1, base)
+				}
+				tr.mu.Lock()
+				tr.sent = nil
+				tr.mu.Unlock()
+				start := time.Now()
+				sender.Handle(2, &smr.CatchupRequest{From: bc.from})
+				sendLock += time.Since(start)
+				sender.SyncIO()
+				tr.mu.Lock()
+				replies := tr.sent
+				tr.mu.Unlock()
+				for _, s := range replies {
+					wire += len(s.msg.AppendBody(nil))
+					start = time.Now()
+					recv.Handle(0, s.msg)
+					recvLock += time.Since(start)
+				}
+				frames += len(replies)
+				if info := recv.Info(); info.Applied != sender.Applied() || info.Catchup.Installed != bc.installed {
+					b.Fatalf("receiver at %+v after %d frames, sender at %d applied", info, len(replies), sender.Applied())
+				}
+				rrt.Close()
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(wire)/n, "wire-B/op")
+			b.ReportMetric(float64(frames)/n, "frames/op")
+			b.ReportMetric(float64(sendLock.Nanoseconds())/n, "send-lock-ns/op")
+			b.ReportMetric(float64(recvLock.Nanoseconds())/n, "recv-lock-ns/op")
+		})
+	}
+}

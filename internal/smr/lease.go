@@ -164,15 +164,16 @@ func proposerOf(id string) int {
 	return n
 }
 
-// applyLeaseLocked runs the lease state machine for the command applied in
-// slot s.
-func (r *Replica) applyLeaseLocked(s *slot, cmd Command, proposer int) {
+// applyLeaseLocked runs the lease state machine for a command as it applies.
+// fenced: this replica proposed it inside a foreign lease's guard window —
+// the verdict applyReadyLocked hands its waiters (acked: ErrLeaseFenced).
+func (r *Replica) applyLeaseLocked(cmd Command, proposer int) (fenced bool) {
 	now := r.ls.now()
 	if cmd.Op == OpLeaseGrant {
 		h, errH := strconv.Atoi(cmd.Key)
 		dur, errD := strconv.ParseInt(cmd.Val, 10, 64)
 		if errH != nil || errD != nil || h < 0 || h >= r.cfg.N || dur <= 0 {
-			return // malformed grant: ignore rather than poison the table
+			return false // malformed grant: ignore rather than poison the table
 		}
 		if ev := r.ls.tab.ApplyGrant(h, cmd.ID, dur, now); ev.Granted {
 			r.ls.grants++
@@ -180,7 +181,7 @@ func (r *Replica) applyLeaseLocked(s *slot, cmd Command, proposer int) {
 				r.ls.revoked++
 			}
 		}
-		return
+		return false
 	}
 	ev := r.ls.tab.ApplyCommand(proposer, now)
 	if ev.Revoked {
@@ -188,22 +189,8 @@ func (r *Replica) applyLeaseLocked(s *slot, cmd Command, proposer int) {
 	}
 	if ev.Fenced {
 		r.ls.fencedN++
-		// Submit downgrades the ack to ErrLeaseFenced (takeFenced); the
-		// mark lives as long as the slot record does.
-		s.fenced = true
 	}
-}
-
-// takeFenced consumes the fenced mark for a slot (set while applying it).
-func (r *Replica) takeFenced(slot int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.slots[slot]
-	if s == nil || !s.fenced {
-		return false
-	}
-	s.fenced = false
-	return true
+	return ev.Fenced
 }
 
 // leaseRefuseLocked implements the pre-propose gate: while a foreign lease

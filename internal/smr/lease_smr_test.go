@@ -289,27 +289,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 	r, kv := rt.Group(0), smr.NewKV(rt.Group(0))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	// proposed waits for p0's Propose in slot and returns the value in it.
-	proposed := func(slot int) consensus.Value {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			tr.mu.Lock()
-			for _, s := range tr.sent {
-				if sm, ok := s.msg.(*smr.SlotMessage); ok && sm.Slot == slot && sm.InnerKind == core.KindPropose {
-					var p core.ProposeMsg
-					if err := p.DecodeBody(sm.InnerBody); err != nil {
-						t.Fatal(err)
-					}
-					tr.mu.Unlock()
-					return p.Value
-				}
-			}
-			tr.mu.Unlock()
-			if time.Now().After(deadline) {
-				t.Fatalf("p0 never proposed in slot %d", slot)
-			}
-		}
-	}
+	proposed := func(slot int) consensus.Value { return tr.proposed(t, slot) }
 	decide := func(slot int, v consensus.Value) { r.Handle(1, slotMsg(t, slot, &core.DecideMsg{Value: v})) }
 
 	// A chunk in flight in slot 0 keeps the batcher from launching: B and the
@@ -372,6 +352,116 @@ func TestLeaseFencedChunk(t *testing.T) {
 	}
 	if ls := r.LeaseStats(); ls.Grants != 1 || ls.Fenced != 1 || ls.Refused != 2 {
 		t.Fatalf("lease stats %+v, want one grant, one fenced chunk, A and the read refused", ls)
+	}
+}
+
+// proposed waits for the process's Propose in slot and returns the value in it.
+func (c *captureTr) proposed(t *testing.T, slot int) consensus.Value {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		for _, s := range c.sent {
+			if sm, ok := s.msg.(*smr.SlotMessage); ok && sm.Slot == slot && sm.InnerKind == core.KindPropose {
+				var p core.ProposeMsg
+				if err := p.DecodeBody(sm.InnerBody); err != nil {
+					t.Fatal(err)
+				}
+				c.mu.Unlock()
+				return p.Value
+			}
+		}
+		c.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("p%d never proposed in slot %d", c.self, slot)
+		}
+	}
+}
+
+// holdTr is a capture transport whose Send, once armed, blocks until the
+// gate opens: the one I/O consumer stops there, and every wake-up queued
+// behind that send waits with it.
+type holdTr struct {
+	*captureTr
+	armed   atomic.Bool
+	blocked chan struct{} // closed by the first held Send
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (h *holdTr) Send(to consensus.ProcessID, msg consensus.Message) error {
+	if h.armed.Load() {
+		h.once.Do(func() { close(h.blocked) })
+		<-h.gate
+	}
+	return h.captureTr.Send(to, msg)
+}
+
+// TestFencedVerdictSurvivesRetirement: a proposer collects a slot's fenced
+// verdict after the slot applied, and by then the slot's record may be gone —
+// retention follows the peers, and a group whose peers keep up retires a slot
+// as soon as it has applied. p0 proposes B in slot 1 while no lease is live,
+// p1's grant wins slot 0, and B applies inside p1's guard. The test holds the
+// outbox so that the wake-up cannot reach B's proposer, retires the slot
+// (Compact(0)), and lets go: the ack must still be ErrLeaseFenced. At the
+// parent the proposer looked the mark up in the slot record, found none, and
+// acknowledged the write as ordered before the holder's reads.
+func TestFencedVerdictSurvivesRetirement(t *testing.T) {
+	rt, tr := openIsolated(t, 0, "", &smr.LeaseOptions{
+		Duration: time.Second, Now: func() time.Duration { return 0 },
+	})
+	hold := &holdTr{captureTr: tr, blocked: make(chan struct{}), gate: make(chan struct{})}
+	var open sync.Once
+	release := func() { open.Do(func() { close(hold.gate) }) }
+	defer release() // never leave the I/O consumer wedged
+	rt.BindTransport(hold)
+	r, kv := rt.Group(0), smr.NewKV(rt.Group(0))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	decide := func(slot int, v consensus.Value) { r.Handle(1, slotMsg(t, slot, &core.DecideMsg{Value: v})) }
+
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := r.Execute(ctx, smr.Command{Op: smr.OpPut, Key: "a", Val: "va"})
+		errA <- err
+	}()
+	tr.proposed(t, 0)
+	go func() { errB <- kv.Put(ctx, "b", "vb") }()
+	b := tr.proposed(t, 1)
+	grant, err := smr.Command{ID: "p1-1", Op: smr.OpLeaseGrant, Key: "1", Val: strconv.FormatInt(int64(time.Second), 10)}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide(0, grant)
+	if err := <-errA; !errors.Is(err, smr.ErrLeaseHeld) {
+		t.Fatalf("A lost its slot to the grant and was retried with %v, want ErrLeaseHeld", err)
+	}
+
+	// A 1B for a slot nobody uses: its Send is where the consumer stops.
+	hold.armed.Store(true)
+	r.Handle(1, slotMsg(t, 9, &core.OneA{Ballot: 4}))
+	<-hold.blocked
+	decide(1, b)
+	if got := r.Applied(); got != 2 {
+		t.Fatalf("applied %d slots, want the grant and B", got)
+	}
+	if floor := r.Compact(0); floor != 2 {
+		t.Fatalf("floor %d after Compact(0) at 2 applied", floor)
+	}
+	if _, ok := r.LogValue(1); ok {
+		t.Fatal("B's slot is still in the table: the test retired nothing")
+	}
+	select {
+	case err := <-errB:
+		t.Fatalf("B was acknowledged (%v) while the outbox was held", err)
+	default:
+	}
+	hold.armed.Store(false)
+	release()
+	if err := <-errB; !errors.Is(err, smr.ErrLeaseFenced) {
+		t.Fatalf("B, applied inside p1's guard in a slot since retired, was acknowledged with %v, want ErrLeaseFenced", err)
+	}
+	if v, ok := kv.Get("b"); !ok || v != "vb" {
+		t.Fatalf("fenced B is not applied: b=%q,%t", v, ok)
 	}
 }
 

@@ -58,13 +58,17 @@ func innerCodec() *consensus.Codec {
 	return c
 }
 
-// retainSlots is how many applied slots stay in the slot table behind the
-// applied index. A peer at most that far behind is still answered slot by
-// slot, and a Submit can still collect its slot's fenced mark; a peer
-// further behind is below the compaction floor and is served a snapshot.
-// A constant, not an option: far more than a healthy replica one WAN round
-// trip behind ever lags, and it bounds the table at a few MB.
-const retainSlots = 4096
+// retainSlots and retainBytes bound the decided tail behind the applied index,
+// which a lagging peer is sent as a log suffix. The tail follows the slowest
+// peer's gossiped applied index (retireAppliedLocked) — about one gossip
+// period of slots in a healthy group — and these bound what a silent or
+// crashed peer pins: 4096 slots or 16 MiB of values, whichever is less (a slot
+// is a chunk of up to 32 commands of up to 256 KiB, so the count alone bounds
+// nothing). A peer further behind is served a snapshot. Constants, not options.
+const (
+	retainSlots = 4096
+	retainBytes = 16 << 20
+)
 
 // timer is one re-armable host timer (see armLocked). gen moves on every
 // arm and stop, so a callback that already fired but lost the race for
@@ -98,21 +102,40 @@ type slot struct {
 	val     consensus.Value
 
 	waiters      []chan consensus.Value // Execute callers; each has capacity 1
-	applyWaiters []chan struct{}        // WaitApplied callers
+	applyWaiters []*applyWaiter
 
 	timer timer // node's new-ballot timer, the only one core arms
 	// persisted is node's last journaled state (its baseline right after
 	// Start or Restore), so steps that change nothing append nothing.
 	persisted core.State
-	// fenced marks a command this replica proposed inside a foreign lease's
-	// guard window; Submit downgrades its ack to ErrLeaseFenced.
-	fenced bool
 }
 
-// learn records the slot's decision and retires the instance that reached it,
+// applyWaiter is one caller blocked until a slot applies. Whoever detaches it
+// from the slot's record fills in the verdict — applied, and inside a foreign
+// lease's guard or not — before done is closed: the caller needs nothing of
+// the record, which may be retired by then. haltLocked closes done unapplied.
+type applyWaiter struct {
+	done            chan struct{}
+	applied, fenced bool
+}
+
+func (w *applyWaiter) wait(ctx context.Context) (fenced bool, err error) {
+	select {
+	case <-w.done:
+		if !w.applied {
+			return false, ErrClosed
+		}
+		return w.fenced, nil
+	case <-ctx.Done():
+		return false, fmt.Errorf("smr wait applied: %w", ctx.Err())
+	}
+}
+
+// learnLocked records s's decision and retires the instance that reached it,
 // timer and journal baseline included. Nothing re-announces it: a peer that
 // missed the Decide heals by Status gossip and catch-up, or by its own ballot.
-func (s *slot) learn(v consensus.Value) {
+func (r *Replica) learnLocked(s *slot, v consensus.Value) {
+	r.retainedBytes += len(v.Data)
 	s.decided, s.val = true, v
 	s.timer.stop()
 	s.node, s.persisted = nil, core.State{}
@@ -174,8 +197,15 @@ type Replica struct {
 
 	// compactFloor is the lowest slot the table may hold: everything below
 	// has been retired (retireBelowLocked) and stragglers there are served
-	// snapshots.
-	compactFloor int
+	// snapshots. Every slot in [compactFloor, applied) is in the table,
+	// decided. retainedBytes sizes the decided values the table holds and
+	// storeBytes the store's keys and values: a lagging peer is sent the
+	// smaller. cu is the peers' progress and this replica's state transfer
+	// (catchup.go).
+	compactFloor  int
+	retainedBytes int
+	storeBytes    int
+	cu            catchupState
 
 	// batch, when non-nil, groups Submit traffic — writes and read barriers
 	// alike — into OpBatch commands.
@@ -229,6 +259,7 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 		slots:   make(map[int]*slot),
 		store:   make(map[string]string),
 		io:      io,
+		cu:      catchupState{peerApplied: make([]int, cfg.N), partial: map[consensus.ProcessID]*CatchupReply{}},
 	}, nil
 }
 
@@ -302,7 +333,7 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 			// slot is retired, but our snapshot covers it. Not for a Decide:
 			// its sender has the decision, and hears of a lag from Status.
 			if m.InnerKind != core.KindDecide {
-				out = r.catchupReplyLocked(from)
+				out = r.catchupReplyLocked(from, m.Slot)
 			}
 			break
 		}
@@ -324,43 +355,22 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 		}
 	case *CatchupRequest:
 		if r.applied > m.From {
-			out = r.catchupReplyLocked(from)
+			out = r.catchupReplyLocked(from, m.From)
 		}
 	case *CatchupReply:
-		if r.ls != nil && m.LeaseHolder != nil {
-			// The snapshot jump skips the individual grant applies, so
-			// the sender exports its lease view as (holder, remaining):
-			// durations survive the clock-origin change, and importing at
-			// any later instant only shortens the true residual window.
-			r.ls.tab.Import(*m.LeaseHolder, m.LeaseRemain, r.ls.now())
-		}
-		r.installSnapshotLocked(m.Applied, m.Store, m.Decided)
+		out = r.adoptLocked(from, m)
 	}
 	r.emitLocked(out)
 	r.mu.Unlock()
 }
 
-// NoteApplied is the host's applied-index gossip reaching this group: peer
-// from has applied that many of the group's slots. A replica behind it asks
-// for the difference.
-func (r *Replica) NoteApplied(from consensus.ProcessID, applied int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.closed && applied > r.applied {
-		r.emitLocked([]outbound{{to: from, msg: &CatchupRequest{From: r.applied}}})
-	}
-}
-
 // captureLocked cuts the replica's state for someone who will jump to it:
-// a copy of the applied store, the decided values of still-open slots (so
-// a peer that missed decide traffic learns them without re-running those
-// slots), and the lease view. A lagging peer gets it as is; the durable
-// snapshot carries the same cut in its own envelope.
+// the applied store, the decided values of still-open slots (so a peer that
+// missed decide traffic learns them without re-running those slots), and the
+// lease view. Store is r.store itself, not a copy: the durable snapshot
+// encodes it under the lock, a lagging peer is sent copies of it in parts.
 func (r *Replica) captureLocked() *CatchupReply {
-	c := &CatchupReply{Applied: r.applied, Store: make(map[string]string, len(r.store))}
-	for k, v := range r.store {
-		c.Store[k] = v
-	}
+	c := &CatchupReply{Applied: r.applied, Store: r.store}
 	for n, s := range r.slots {
 		if s.decided && n >= r.applied {
 			if c.Decided == nil {
@@ -378,46 +388,16 @@ func (r *Replica) captureLocked() *CatchupReply {
 	return c
 }
 
-// catchupReplyLocked answers a lagging peer with a snapshot.
-func (r *Replica) catchupReplyLocked(to consensus.ProcessID) []outbound {
-	return []outbound{{to: to, msg: r.captureLocked()}}
-}
-
-// installSnapshotLocked adopts a peer's snapshot if it is ahead of us: the
-// store replaces ours and every slot below the snapshot's applied index is
-// retired. Decided values for still-open slots are then adopted as
-// ordinary decisions.
-func (r *Replica) installSnapshotLocked(applied int, store map[string]string, decided map[int]consensus.Value) {
-	if applied > r.applied {
-		r.store = make(map[string]string, len(store))
-		for k, v := range store {
-			r.store[k] = v
-		}
-		r.applied = applied
-		r.retireBelowLocked(applied)
-		// The store jump has no WAL records backing it; checkpoint so a
-		// crash right after catchup does not roll the replica back.
-		r.writeSnapshotLocked()
-	}
-	for _, n := range sortedSlots(decided) {
-		if n >= r.applied {
-			r.decideLocked(r.slotLocked(n), decided[n])
-		}
-	}
-	// Decisions of our own that were waiting on the prefix the jump filled.
-	if done := r.applyReadyLocked(); len(done) > 0 {
-		r.wakes = append(r.wakes, wakeup{done: done})
-	}
-}
-
 // retireBelowLocked discards every slot below floor — instance, timer,
-// decision, journal baseline, fenced mark, all in the one record — and
+// decision, journal baseline, all in the one record — and
 // raises the compaction floor to it, so Handle answers later traffic for
 // those slots with a snapshot and never starts an amnesiac instance in a
 // slot this replica may have voted in. Callers still blocked on a retired
 // slot cannot learn its outcome from us any more: ⊥ tells Execute to retry
 // in a fresh slot, queued as a wakeup so it happens off the critical
-// section. Returns the floor in force; lowering it is a no-op.
+// section. A WaitApplied caller still there was jumped over (the floor never
+// passes applied): its slot applied elsewhere, fenced if the guard the jump
+// imported stands. Returns the floor in force; lowering it is a no-op.
 func (r *Replica) retireBelowLocked(floor int) int {
 	if floor <= r.compactFloor {
 		return r.compactFloor
@@ -426,7 +406,13 @@ func (r *Replica) retireBelowLocked(floor int) int {
 	retire := func(s *slot) {
 		s.timer.stop()
 		wk.chs = append(wk.chs, s.waiters...)
-		wk.done = append(wk.done, s.applyWaiters...)
+		for _, w := range s.applyWaiters {
+			w.applied, w.fenced = true, r.ls != nil && r.ls.tab.Guarded(r.ls.now())
+			wk.done = append(wk.done, w.done)
+		}
+		if s.decided {
+			r.retainedBytes -= len(s.val.Data)
+		}
 		delete(r.slots, s.n)
 	}
 	if floor-r.compactFloor <= len(r.slots) {
@@ -468,16 +454,21 @@ func (r *Replica) Submit(ctx context.Context, cmd Command) error {
 	if b != nil && cmd.Op != OpBatch {
 		return b.executeBatched(ctx, cmd)
 	}
-	slot, err := r.Execute(ctx, cmd)
+	p, err := r.execute(ctx, cmd)
 	if err != nil {
 		return err
 	}
-	return r.acked(ctx, slot)
+	return r.acked(ctx, p)
 }
 
 // Execute proposes cmd and blocks until a slot decides it, returning the
 // slot index. It retries in subsequent slots when a competing command wins.
 func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
+	p, err := r.execute(ctx, cmd)
+	return p.slot, err
+}
+
+func (r *Replica) execute(ctx context.Context, cmd Command) (proposal, error) {
 	if cmd.ID == "" {
 		r.mu.Lock()
 		r.seq++
@@ -486,11 +477,11 @@ func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
 	}
 	want, err := cmd.Encode()
 	if err != nil {
-		return 0, err
+		return proposal{}, err
 	}
 	p, err := r.propose(cmd.Op, want, -1, nil)
 	if err != nil {
-		return 0, err
+		return proposal{}, err
 	}
 	return r.await(ctx, cmd.Op, want, p)
 }
@@ -501,6 +492,8 @@ type proposal struct {
 	// decided receives the slot's decision, or is closed if the replica
 	// halts first.
 	decided chan consensus.Value
+	// applied is in the slot's record before the slot can apply, and retire.
+	applied *applyWaiter
 }
 
 // propose is Execute's first half, in memory under r.mu: it picks the
@@ -532,48 +525,47 @@ func (r *Replica) propose(op Op, want consensus.Value, prev int, sent chan struc
 	if !r.persistSlotLocked(s) {
 		return proposal{}, ErrClosed
 	}
-	ch := make(chan consensus.Value, 1)
-	s.waiters = append(s.waiters, ch)
+	p := proposal{slot: n, decided: make(chan consensus.Value, 1), applied: &applyWaiter{done: make(chan struct{})}}
+	s.waiters = append(s.waiters, p.decided)
+	s.applyWaiters = append(s.applyWaiters, p.applied)
 	r.emitDoneLocked(out, sent)
-	return proposal{slot: n, decided: ch}, nil
+	return p, nil
 }
 
 // await is Execute's second half: it blocks until p's slot decides and
-// returns the slot want won, proposing again in a later slot for as long
-// as a competing command wins instead.
-func (r *Replica) await(ctx context.Context, op Op, want consensus.Value, p proposal) (int, error) {
+// returns the proposal want won with, proposing again in a later slot for as
+// long as a competing command wins instead.
+func (r *Replica) await(ctx context.Context, op Op, want consensus.Value, p proposal) (proposal, error) {
 	for {
 		select {
 		case v := <-p.decided:
 			if v == want {
-				return p.slot, nil
+				return p, nil
 			}
 			// A competing command won this slot (or the replica halted and
 			// propose says so); try the next.
 		case <-ctx.Done():
-			return 0, fmt.Errorf("smr execute: %w", ctx.Err())
+			return proposal{}, fmt.Errorf("smr execute: %w", ctx.Err())
 		}
 		var err error
 		if p, err = r.propose(op, want, p.slot, nil); err != nil {
-			return 0, err
+			return proposal{}, err
 		}
 	}
 }
 
 // acked is what an acknowledgement needs on top of the decision await
-// returned: the slot applied to the local store, and its fenced mark
-// collected.
-func (r *Replica) acked(ctx context.Context, slot int) error {
-	if err := r.WaitApplied(ctx, slot); err != nil {
-		return err
-	}
-	if r.takeFenced(slot) {
+// returned: the slot applied to the local store, and the verdict of the
+// lease table as it applied.
+func (r *Replica) acked(ctx context.Context, p proposal) error {
+	fenced, err := p.applied.wait(ctx)
+	if err == nil && fenced {
 		// Decided and applied — but a lease grant in an earlier slot beat
 		// it there, so the holder may have served reads that miss it. The
 		// ack is downgraded to ambiguous (see ErrLeaseFenced).
-		return ErrLeaseFenced
+		err = ErrLeaseFenced
 	}
-	return nil
+	return err
 }
 
 // decidedLocked reports whether slot n's decision is known here.
@@ -642,18 +634,6 @@ func (r *Replica) LogValue(slot int) (consensus.Value, bool) {
 	return consensus.Value{}, false
 }
 
-// Compact retires every slot below applied−retain (retireBelowLocked) and
-// returns the compaction floor in force. The apply loop already does this
-// continuously with retain = retainSlots; Compact lets a caller cut closer.
-func (r *Replica) Compact(retain int) int {
-	if retain < 0 {
-		retain = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retireBelowLocked(r.applied - retain)
-}
-
 // haltLocked makes the replica refuse work from here on and releases every
 // caller still registered in the slot table: Execute and WaitApplied map
 // the closed channels to ErrClosed. It is the only place those channels
@@ -671,8 +651,8 @@ func (r *Replica) haltLocked() {
 		for _, ch := range s.waiters {
 			close(ch)
 		}
-		for _, ch := range s.applyWaiters {
-			close(ch)
+		for _, w := range s.applyWaiters {
+			close(w.done)
 		}
 		s.waiters, s.applyWaiters = nil, nil
 	}
@@ -775,7 +755,9 @@ func (r *Replica) applySlotLocked(s *slot, effects []consensus.Effect) []outboun
 		case consensus.StopTimer:
 			s.timer.stop()
 		case consensus.Decide:
+			before := r.applied
 			r.decideLocked(s, eff.Value)
+			r.maybeSnapshotLocked(r.applied - before)
 		}
 	}
 	return out
@@ -813,7 +795,7 @@ func (r *Replica) decideLocked(s *slot, v consensus.Value) {
 	if s.decided || !r.persistDecideLocked(s, v) {
 		return
 	}
-	s.learn(v)
+	r.learnLocked(s, v)
 	if s.n == r.freeHint {
 		for r.decidedLocked(r.freeHint) {
 			r.freeHint++
@@ -824,27 +806,46 @@ func (r *Replica) decideLocked(s *slot, v consensus.Value) {
 	// and off the critical section.
 	wk := wakeup{v: v, chs: s.waiters}
 	s.waiters = nil
-	before := r.applied
 	wk.done = r.applyReadyLocked()
 	if len(wk.chs) > 0 || len(wk.done) > 0 {
 		r.wakes = append(r.wakes, wk)
 	}
-	r.maybeSnapshotLocked(r.applied - before)
 }
 
 // applyReadyLocked is the one place applied advances slot by slot: it
-// applies every decided command at the frontier in slot order, detaches
-// the WaitApplied callers those slots release (the caller queues their
-// wakeup), and retires what fell out of the retain window behind it.
+// applies every decided command at the frontier in slot order, hands the
+// callers waiting on those slots their verdict and detaches them (the caller
+// queues their wakeup), and retires what no peer needs any more behind it.
 func (r *Replica) applyReadyLocked() (done []chan struct{}) {
 	for s := r.slots[r.applied]; s != nil && s.decided; s = r.slots[r.applied] {
-		r.applyCommandLocked(s)
-		done = append(done, s.applyWaiters...)
+		fenced := r.applyCommandLocked(s)
+		for _, w := range s.applyWaiters {
+			w.applied, w.fenced = true, fenced
+			done = append(done, w.done)
+		}
 		s.applyWaiters = nil
 		r.applied++
 	}
-	r.retireBelowLocked(r.applied - retainSlots)
+	r.retireAppliedLocked()
 	return done
+}
+
+// retireAppliedLocked raises the compaction floor to the lowest applied index
+// a peer last gossiped — what the slowest still needs as a log suffix — but
+// holds no more than retainSlots slots and retainBytes of values for it: a
+// peer that says nothing, or lags further, is served a snapshot. A stale or
+// lowered index is safe: it only decides which of the two a request gets.
+func (r *Replica) retireAppliedLocked() {
+	floor := r.applied
+	for p, a := range r.cu.peerApplied {
+		if consensus.ProcessID(p) != r.cfg.ID && a < floor {
+			floor = a
+		}
+	}
+	r.retireBelowLocked(max(floor, r.applied-retainSlots))
+	for r.retainedBytes > retainBytes && r.compactFloor < r.applied {
+		r.retireBelowLocked(r.compactFloor + 1)
+	}
 }
 
 // WaitApplied blocks until the given slot has been applied to the store.
@@ -858,55 +859,46 @@ func (r *Replica) WaitApplied(ctx context.Context, slot int) error {
 		r.mu.Unlock()
 		return ErrClosed
 	}
-	ch := make(chan struct{})
+	w := &applyWaiter{done: make(chan struct{})}
 	s := r.slotLocked(slot)
-	s.applyWaiters = append(s.applyWaiters, ch)
+	s.applyWaiters = append(s.applyWaiters, w)
 	r.mu.Unlock()
-	select {
-	case <-ch:
-		// The channel also closes when the replica shuts down or fails
-		// before the slot applies; re-check rather than report success.
-		r.mu.Lock()
-		applied := slot < r.applied
-		r.mu.Unlock()
-		if !applied {
-			return ErrClosed
-		}
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("smr wait applied: %w", ctx.Err())
-	}
+	_, err := w.wait(ctx)
+	return err
 }
 
 // applyCommandLocked applies slot s's decided command to the store; s is
-// the slot at the applied index.
-func (r *Replica) applyCommandLocked(s *slot) {
+// the slot at the applied index. fenced: see applyLeaseLocked.
+func (r *Replica) applyCommandLocked(s *slot) (fenced bool) {
 	cmd, err := DecodeCommand(s.val)
 	if err != nil {
-		if r.ls != nil {
-			// Unparseable commands still revoke conservatively: an
-			// unknown proposer must not leave a lease looking live.
-			r.applyLeaseLocked(s, Command{}, -1)
-		}
-		return // unparseable command: treated as a no-op
+		// Unparseable commands still revoke conservatively: an unknown
+		// proposer must not leave a lease looking live. Otherwise a no-op.
+		return r.ls != nil && r.applyLeaseLocked(Command{}, -1)
 	}
 	if r.ls != nil {
-		r.applyLeaseLocked(s, cmd, proposerOf(cmd.ID))
+		fenced = r.applyLeaseLocked(cmd, proposerOf(cmd.ID))
 	}
 	r.applyDecodedLocked(cmd)
+	return fenced
 }
 
 func (r *Replica) applyDecodedLocked(cmd Command) {
 	switch cmd.Op {
-	case OpPut:
-		if r.faultStale {
-			if old, ok := r.store[cmd.Key]; ok && old != cmd.Val {
-				r.faultPrev[cmd.Key] = old
-			}
+	case OpPut, OpDelete:
+		old, had := r.store[cmd.Key]
+		if had {
+			r.storeBytes -= len(cmd.Key) + len(old)
+		}
+		if cmd.Op == OpDelete {
+			delete(r.store, cmd.Key)
+			break
+		}
+		if r.faultStale && had && old != cmd.Val {
+			r.faultPrev[cmd.Key] = old
 		}
 		r.store[cmd.Key] = cmd.Val
-	case OpDelete:
-		delete(r.store, cmd.Key)
+		r.storeBytes += len(cmd.Key) + len(cmd.Val)
 	case OpBatch:
 		for _, sub := range cmd.Subs {
 			r.applyDecodedLocked(sub)

@@ -126,6 +126,21 @@ func (c *testCluster) tap(i int, see func(consensus.Message)) {
 	})
 }
 
+// pinLogs loses every applied-index gossip from here on: no process hears
+// that its peers caught up, so every log keeps its decided tail (up to
+// smr.RetainSlots) for the test to read back. Nothing heals by catch-up
+// meanwhile.
+func (c *testCluster) pinLogs() {
+	for i, rt := range c.rts {
+		h := rt.Handler()
+		c.fab.Attach(i, func(from consensus.ProcessID, msg consensus.Message) {
+			if _, gossip := msg.(*shard.Status); !gossip {
+				h(from, msg)
+			}
+		})
+	}
+}
+
 // replicas returns each process's one group.
 func (c *testCluster) replicas() []*smr.Replica {
 	out := make([]*smr.Replica, c.n)
@@ -240,8 +255,9 @@ func TestKVPutGet(t *testing.T) {
 }
 
 func TestConcurrentProxiesConvergeOnOneLog(t *testing.T) {
-	replicas, cleanup := startCluster(t, 5, 2, 1)
-	defer cleanup()
+	c := newTestCluster(t, 5, 2, 1, procOptions{})
+	c.pinLogs()
+	replicas := c.replicas()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
