@@ -69,8 +69,11 @@ bench-wan-short:
 # BenchmarkFrameDecode is a vote's way in: frame → group → slot → core.TwoB.
 # BenchmarkReplicaPipeline also prints the write budget at n=3 and n=5:
 # sends/op must read 3(n-1)+e (7, 14) and walrecs/op 2n (6, 10).
-# BenchmarkBatcherDistance is ten bursts of 256 writers a 20 ms round trip
-# from their quorum: cmds/roundtrip above 64 means chunks overlapped.
+# BenchmarkBatcherDistance/warm is ten bursts of 256 writers a 20 ms round
+# trip from their quorum: cmds/roundtrip above 64 means chunks overlapped.
+# /cold is the first burst at ten fresh proposers: roundtrips/burst near 1
+# means a proposer that has measured nothing assumes distance (2 if its
+# first chunk has to commit before a second one goes).
 # BenchmarkReadFallback is the lease-less GETL: ten bursts of 256 readers on
 # the same fixture (roundtrips/burst near 1: barriers overlap like writes),
 # then 1, 8 and 64 closed-loop callers, nine reads to one write, on durable

@@ -256,12 +256,12 @@ func spread(t *testing.T, n, e int, rtt time.Duration) (topo wan.Topology, scale
 // TestPipelinedBatchesOverDistance is the batcher's reason to overlap
 // chunks: with the fast quorum 20 ms away and fsyncs under a millisecond
 // long, a proposer offered four chunks' worth of writers at once commits
-// them in little over one round trip (two if the first writer's chunk of
-// one has to leave the window first), where one chunk per round trip needs
+// them in little over one round trip, where one chunk per round trip needs
 // four. The chunks must still take slots in the order they were launched.
 // A lease-less GetLinearizable is a rider like any other: a burst of reads
 // overlaps its chunks under the same bound, where a barrier that ran one
-// round at a time needed a round trip per round.
+// round at a time needed a round trip per round. cold is the same burst at
+// a proposer that has measured nothing yet.
 func TestPipelinedBatchesOverDistance(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -279,36 +279,96 @@ func TestPipelinedBatchesOverDistance(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) { pipelinedBurstOverDistance(t, tc.op, tc.writes) })
 	}
+	t.Run("cold", coldBurstOverDistance)
 }
 
-func pipelinedBurstOverDistance(t *testing.T, op func(ctx context.Context, rt *shard.Runtime, k string) error, writes bool) {
-	const n, writers = 5, 256
-	rtt := 20 * time.Millisecond
+// TestPipelinedBatchesOverDistance's cluster has distanceN processes, and a
+// burst offers p0 distanceWriters calls at once: four chunks' worth.
+const distanceN, distanceWriters = 5, 256
+
+// distanceCluster boots TestPipelinedBatchesOverDistance's cluster: durable,
+// p0's fast quorum rtt away. p0, the one proposer, hears no applied-index
+// gossip: nobody tells it that its peers caught up, so its log keeps every
+// slot for convergedInLaunchOrder.
+func distanceCluster(t *testing.T) (c *cluster.Cluster, rt *shard.Runtime, rtt time.Duration) {
+	t.Helper()
+	rtt = 20 * time.Millisecond
 	if raceDetector {
 		// Instrumented, and beside the other packages' tests on the same
 		// cores, the local stage of a commit runs to milliseconds: keep it
 		// the small part of a commit that it is uninstrumented.
 		rtt *= 4
 	}
-	topo, scale := spread(t, n, 2, rtt)
-	c, err := cluster.New(cluster.Options{N: n, F: 2, E: 2, Dir: t.TempDir(), Topology: topo, Scale: scale})
+	topo, scale := spread(t, distanceN, 2, rtt)
+	c, err := cluster.New(cluster.Options{N: distanceN, F: 2, E: 2, Dir: t.TempDir(), Topology: topo, Scale: scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rt := c.Runtime(0)
-	// p0, the one proposer, hears no applied-index gossip: nobody tells it
-	// that its peers caught up, so its log keeps every slot for the order
-	// check at the end.
+	t.Cleanup(c.Close)
+	rt = c.Runtime(0)
 	h := rt.Handler()
 	c.Fabric().Attach(0, func(from consensus.ProcessID, msg consensus.Message) {
 		if _, gossip := msg.(*shard.Status); !gossip {
 			h(from, msg)
 		}
 	})
-	// A lone writer first: the depth comes from measured commits.
+	return c, rt, rtt
+}
+
+// coldBurstOverDistance offers the burst to a p0 that has committed nothing:
+// it assumes distance, so its first chunk (of one writer) is still in
+// consensus when the rest of the burst is in flight behind it in full
+// chunks. Counted when the first writer returns: at a proposer that waited
+// for its first commit sample that is one chunk launched and none
+// overlapped, and the burst takes two round trips.
+func coldBurstOverDistance(t *testing.T) {
+	c, rt, rtt := distanceCluster(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var (
+		first   sync.Once
+		atFirst smr.BatchStats
+		keys    []string
+	)
+	errs := make(chan error, distanceWriters)
+	start := time.Now()
+	for w := 0; w < distanceWriters; w++ {
+		k := fmt.Sprintf("cold-k%d", w)
+		keys = append(keys, k)
+		go func() {
+			err := rt.Put(ctx, k, "v"+k)
+			first.Do(func() { atFirst = rt.Group(0).BatchStats() })
+			errs <- err
+		}()
+	}
+	for w := 0; w < distanceWriters; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	took := time.Since(start)
+	st := rt.Group(0).BatchStats()
+	t.Logf("cold burst: %d writes acknowledged in %v (%.2f round trips); when the first returned: %+v; at the end: %+v",
+		distanceWriters, took, float64(took)/float64(rtt), atFirst, st)
+	if atFirst.Batches < 5 || atFirst.Overlapped < 4 {
+		t.Errorf("when the first writer returned: %+v, want >= 5 chunks launched and >= 4 overlapped", atFirst)
+	}
+	if st.Batches > 8 {
+		t.Errorf("the burst took %d chunks, want <= 8 (a chunk of one, then full ones): %+v", st.Batches, st)
+	}
+	if limit := 3 * rtt / 2; took > limit && !raceDetector {
+		t.Errorf("the cold burst took %v, want under %v", took, limit)
+	}
+	convergedInLaunchOrder(t, c, keys)
+}
+
+func pipelinedBurstOverDistance(t *testing.T, op func(ctx context.Context, rt *shard.Runtime, k string) error, writes bool) {
+	const writers = distanceWriters
+	c, rt, rtt := distanceCluster(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// A lone writer first, so the depth comes from measured commits (the cold
+	// subtest is the burst without it).
 	for i := 0; i < 3; i++ {
 		if err := rt.Put(ctx, "warm", "up"); err != nil {
 			t.Fatal(err)
@@ -363,11 +423,18 @@ func pipelinedBurstOverDistance(t *testing.T, op func(ctx context.Context, rt *s
 	if st.Overlapped == 0 {
 		t.Errorf("no chunk was launched while another was in flight: %+v", st)
 	}
+	convergedInLaunchOrder(t, c, keys)
+}
 
+// convergedInLaunchOrder waits until every process holds k = "v"+k for each
+// of keys, then checks that p0's log carries a burst's worth of batches, in
+// launch order.
+func convergedInLaunchOrder(t *testing.T, c *cluster.Cluster, keys []string) {
+	t.Helper()
 	if err := c.WaitConverged(keys, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < distanceN; i++ {
 		for _, k := range keys {
 			if v, ok := c.Runtime(i).Get(k); !ok || v != "v"+k {
 				t.Fatalf("process %d has %s=%q,%t", i, k, v, ok)
@@ -376,6 +443,7 @@ func pipelinedBurstOverDistance(t *testing.T, op func(ctx context.Context, rt *s
 	}
 	// Batch IDs number the launches (p0-batch-<seq>, seq rising); the log
 	// must carry them in that order.
+	rt := c.Runtime(0)
 	last, batches := int64(-1), 0
 	for slot := 0; slot < rt.Group(0).Applied(); slot++ {
 		v, ok := rt.Group(0).LogValue(slot)
@@ -399,8 +467,8 @@ func pipelinedBurstOverDistance(t *testing.T, op func(ctx context.Context, rt *s
 		last = seq
 		batches++
 	}
-	if batches < writers/64 {
-		t.Fatalf("%d batches in the log for %d writers", batches, writers)
+	if batches < distanceWriters/64 {
+		t.Fatalf("%d batches in the log for a burst of %d", batches, distanceWriters)
 	}
 }
 

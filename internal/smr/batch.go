@@ -21,7 +21,7 @@ import (
 // local work (loopback: fsyncs and CPU) the depth is 1 and the window is
 // the whole in-flight commit, the classic group-commit heuristic; where it
 // is mostly distance, chunks overlap and a proposer is not held to one
-// batch per round trip.
+// batch per round trip. Until a chunk has committed, it assumes distance.
 type batcher struct {
 	replica *Replica
 	maxSize int
@@ -111,10 +111,14 @@ const maxDepth = 8
 // a handful of local stages long (loopback) is best amortised by batching
 // everything behind it, and overlapping there only halves the batches; one
 // that is mostly waiting on distance amortises nothing while it waits.
-// Without a sample of both there is nothing to overlap on.
+// Before the first commit sample it is maxDepth: taking loopback for distance
+// costs a cold burst a round trip, distance for loopback a few small chunks
+// overlapping a first commit of about a millisecond. A commit sample implies
+// a stage sample (the chunk's goroutine takes the stage first, and smooth
+// never leaves a sampled average at 0).
 func pipelineDepth(commit, stage time.Duration) int {
-	if commit <= 0 || stage <= 0 {
-		return 1
+	if commit <= 0 {
+		return maxDepth
 	}
 	d := commit / (4 * stage)
 	if d < 1 {
@@ -128,8 +132,10 @@ func pipelineDepth(commit, stage time.Duration) int {
 
 // smooth folds sample x into the moving average *avg (weight 1/8; the first
 // sample seeds it). Unsmoothed, one loopback chunk in ten sees a commit
-// eight times its stage by chance.
+// eight times its stage by chance. A sample counts as at least 1 ns: 0 means
+// "not measured yet".
 func smooth(avg *time.Duration, x time.Duration) {
+	x = max(x, 1)
 	if *avg == 0 {
 		*avg = x
 		return
@@ -260,17 +266,18 @@ func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 // the release, or from now behind a chunk in flight. Waking a full cohort
 // and hearing back from it takes longer than that, so where 1 ms is little —
 // a commit of 32 ms and more, which is distance — the hold stretches to 1/32
-// of a commit for as long as someone released is missing. A full chunk does
-// not wait, and neither does a small idle population (away <= 2, nothing in
-// flight): for it the delay costs more latency than the one fsync it could
-// merge.
+// of a commit for as long as someone released is missing. Before the first
+// commit the beat is the cap: a cold burst arrives one writer at a time, and
+// each would fill the window with a chunk of one. A full chunk does not wait,
+// and neither does a small idle population (away <= 2, nothing in flight):
+// for it the delay costs more latency than the one fsync it could merge.
 func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
 	if !b.gatherableLocked() {
 		return 0, 0
 	}
-	beat := b.lastCommit / 4
-	if beat > time.Millisecond {
-		beat = time.Millisecond
+	beat := time.Millisecond
+	if b.lastCommit > 0 && b.lastCommit/4 < beat {
+		beat = b.lastCommit / 4
 	}
 	if b.away > 2 {
 		since := time.Since(b.released)

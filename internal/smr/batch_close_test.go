@@ -41,7 +41,8 @@ func (r *Replica) PipelineBatches() {
 	b.commit, b.stage, b.lastCommit = time.Minute, time.Millisecond, time.Minute
 }
 
-// The depth rule: overlap only when a commit is many local stages long.
+// The depth rule: overlap only when a commit is many local stages long, and
+// before anything committed, assume it is.
 func TestPipelineDepth(t *testing.T) {
 	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
 	for _, tc := range []struct {
@@ -52,9 +53,8 @@ func TestPipelineDepth(t *testing.T) {
 		{"loopback under load", ms(3.8), ms(1.0), 1},
 		{"loopback idle", ms(1.2), ms(0.3), 1},
 		{"put-wan", ms(80), ms(1.1), maxDepth},
-		{"nothing measured", 0, 0, 1},
-		{"no stage sample", ms(80), 0, 1},
-		{"no commit sample", 0, ms(1.1), 1},
+		{"nothing measured", 0, 0, maxDepth},
+		{"no commit sample", 0, ms(1.1), maxDepth},
 		{"regional", ms(15), ms(1.0), 3},
 		{"exactly two", ms(8), ms(1.0), 2},
 		{"just under two", ms(7.9), ms(1.0), 1},
@@ -62,6 +62,18 @@ func TestPipelineDepth(t *testing.T) {
 		if got := pipelineDepth(tc.commit, tc.stage); got != tc.want {
 			t.Errorf("%s: pipelineDepth(%v, %v) = %d, want %d", tc.name, tc.commit, tc.stage, got, tc.want)
 		}
+	}
+	// A commit sample implies a stage sample (launch takes the stage first),
+	// and a sample too short for the clock still counts: pipelineDepth never
+	// divides by a stage of 0.
+	var stage time.Duration
+	smooth(&stage, 0)
+	if stage <= 0 {
+		t.Fatalf("a stage sample of 0 left the average at %v: unmeasured", stage)
+	}
+	smooth(&stage, 0)
+	if got := pipelineDepth(ms(80), stage); got != maxDepth {
+		t.Errorf("pipelineDepth(80ms, %v) = %d, want %d", stage, got, maxDepth)
 	}
 }
 
@@ -86,7 +98,8 @@ func TestPipelineDepthSmoothing(t *testing.T) {
 }
 
 // The gather rule: a blind beat as ever, and a stretch only over distance
-// and only while released riders are missing.
+// and only while released riders are missing. Before the first commit the
+// beat is its 1 ms cap.
 func TestGatherRule(t *testing.T) {
 	const ms = time.Millisecond
 	near := func(got, want time.Duration) bool { return got <= want && got > want-200*time.Microsecond }
@@ -105,7 +118,8 @@ func TestGatherRule(t *testing.T) {
 		{"put-wan late rider", 80 * ms, 1, 3, 0, 2 * ms, 0, 500 * time.Microsecond},
 		{"straggler behind a chunk in flight", 80 * ms, 1, 0, 1, time.Minute, ms, ms},
 		{"a full chunk queued", 80 * ms, 4, 31, 1, 0, 0, 0},
-		{"nothing measured yet", 0, 1, 31, 1, 0, 0, 0},
+		{"nothing measured yet", 0, 1, 31, 1, 0, ms, ms},
+		{"a cold batcher's first write", 0, 1, 0, 0, 0, 0, 0},
 	} {
 		b := &batcher{maxSize: 4, lastCommit: tc.commit, away: tc.away, inflight: tc.inflight}
 		b.pending = make([]Command, tc.pending)

@@ -39,23 +39,34 @@ func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 }
 
 // holdWindow cuts every mesh link and fills the batcher's window: it
-// submits one write per chunk the window admits — one for the batcher as it
-// boots, smr.MaxBatchDepth once pipelined — and returns when they are all
-// in consensus. Until release heals the mesh, every later submit queues
+// submits one write per chunk the window admits — one once loopback commits
+// are measured, smr.MaxBatchDepth once pipelined — and returns when they are
+// all in consensus. Until release heals the mesh, every later submit queues
 // behind the stuck chunks, so the test decides exactly what the following
 // chunks carry; release then waits for the held writes (the protocol's own
 // retransmission completes them).
 func holdWindow(t *testing.T, mesh *cluster.Fabric, r *smr.Replica, pipelined bool) (release func()) {
 	t.Helper()
-	mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
-		return transport.FaultVerdict{Drop: true}
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	chunks := 1
 	if pipelined {
 		r.PipelineBatches()
 		chunks = smr.MaxBatchDepth
+	} else {
+		// A cold batcher assumes distance, and one loopback commit in many
+		// reads as distance too: write until the window is one chunk.
+		warm := func() {
+			if err := smr.NewKV(r).Put(ctx, "warm", "up"); err != nil {
+				cancel()
+				t.Fatal(err)
+			}
+		}
+		for warm(); r.BatchStats().Depth > 1; warm() {
+		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+		return transport.FaultVerdict{Drop: true}
+	})
 	held := make(chan error, chunks)
 	for i := 0; i < chunks; i++ {
 		i := i
@@ -75,8 +86,8 @@ func holdWindow(t *testing.T, mesh *cluster.Fabric, r *smr.Replica, pipelined bo
 	}
 }
 
-// eachWindow runs test against the batcher as it boots — one chunk at a
-// time — and pipelined to its full depth.
+// eachWindow runs test against the batcher one chunk at a time, as
+// loopback commits set it, and pipelined to its full depth.
 func eachWindow(t *testing.T, test func(t *testing.T, pipelined bool)) {
 	for _, pipelined := range []bool{false, true} {
 		pipelined := pipelined
@@ -250,6 +261,7 @@ func TestBatchMaxSizeOverflowSplits(t *testing.T) {
 		kv := smr.NewKV(replicas[0])
 		release := holdWindow(t, c.fab, replicas[0], pipelined)
 		held := replicas[0].BatchInflight()
+		before := int(replicas[0].BatchStats().Cmds) // the held writes and any warm-up
 
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -289,15 +301,15 @@ func TestBatchMaxSizeOverflowSplits(t *testing.T) {
 			}
 			total += len(ks)
 		}
-		if total != writers+held {
-			t.Fatalf("log carries %d commands, want %d", total, writers+held)
+		if total != writers+before {
+			t.Fatalf("log carries %d commands, want %d", total, writers+before)
 		}
 		if full < 2 {
 			t.Fatalf("%d full batches among %v: the queue never overflowed maxSize", full, keys)
 		}
 		st := replicas[0].BatchStats()
-		if st.Cmds != uint64(writers+held) {
-			t.Fatalf("stats cmds = %d, want %d", st.Cmds, writers+held)
+		if st.Cmds != uint64(writers+before) {
+			t.Fatalf("stats cmds = %d, want %d", st.Cmds, writers+before)
 		}
 		if pipelined && st.Overlapped < uint64(held) {
 			t.Fatalf("stats = %+v: the overflow was not launched into an open window", st)

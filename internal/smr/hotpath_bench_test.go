@@ -157,19 +157,24 @@ func BenchmarkReplicaPipeline(b *testing.B) {
 // distanceOneWay is the delay distanceFixture puts on every link.
 const distanceOneWay = 10 * time.Millisecond
 
-// distanceFixture is three processes a 20 ms round trip apart (10 ms each
-// way, injected on the Mesh), warmed by a lone writer at process 0: the
-// batcher's depth is measured, not configured, and those commits tell it how
-// far away its quorum is.
-func distanceFixture(b *testing.B) (*testCluster, *smr.KV, context.Context) {
+// coldDistanceFixture is three processes a 20 ms round trip apart (10 ms
+// each way, injected on the Mesh), none of which has committed anything.
+func coldDistanceFixture(b *testing.B) (*testCluster, *smr.KV, context.Context) {
 	// Δ = 10 ticks must outlast the round trip, or every ballot times out.
 	c := newTestCluster(b, 3, 1, 1, procOptions{tick: 5 * time.Millisecond})
 	c.fab.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 		return transport.FaultVerdict{Delay: distanceOneWay}
 	})
-	kv := smr.NewKV(c.replicas()[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	b.Cleanup(cancel)
+	return c, smr.NewKV(c.replicas()[0]), ctx
+}
+
+// distanceFixture is coldDistanceFixture warmed by a lone writer at process
+// 0: the batcher's depth is measured, not configured, and those commits tell
+// it how far away its quorum is.
+func distanceFixture(b *testing.B) (*testCluster, *smr.KV, context.Context) {
+	c, kv, ctx := coldDistanceFixture(b)
 	for i := 0; i < 3; i++ {
 		if err := kv.Put(ctx, "warm", "up"); err != nil {
 			b.Fatal(err)
@@ -192,21 +197,41 @@ func burst(b *testing.B, n int, op func(w int) error) {
 }
 
 // BenchmarkBatcherDistance is one proposer offered more writers than a
-// chunk holds, a 20 ms round trip from its peers: an iteration is 256
-// concurrent writes, and cmds/roundtrip is how many of them commit per round
-// trip of elapsed time. A batcher with one chunk in consensus at a time
-// cannot exceed its chunk size, 64.
+// chunk holds, a 20 ms round trip from its peers. warm: an iteration is 256
+// concurrent writes at a proposer that has measured its commits, and
+// cmds/roundtrip is how many of them commit per round trip of elapsed time;
+// a batcher with one chunk in consensus at a time cannot exceed its chunk
+// size, 64. cold: an iteration is the first burst of 256 at a fresh fixture
+// (built and torn down off the clock), and roundtrips/burst is about 1 when
+// a proposer that has measured nothing overlaps its chunks, 2 when its first
+// chunk has to commit before a second one goes.
 func BenchmarkBatcherDistance(b *testing.B) {
 	const submitters = 256
-	c, kv, ctx := distanceFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		burst(b, submitters, func(w int) error { return kv.Put(ctx, fmt.Sprintf("k%d", w), "v") })
+	put := func(kv *smr.KV, ctx context.Context) func(w int) error {
+		return func(w int) error { return kv.Put(ctx, fmt.Sprintf("k%d", w), "v") }
 	}
-	roundTrips := float64(b.Elapsed()) / float64(2*distanceOneWay)
-	b.ReportMetric(float64(b.N*submitters)/roundTrips, "cmds/roundtrip")
-	st := c.replicas()[0].BatchStats()
-	b.ReportMetric(float64(st.Cmds)/float64(st.Batches), "cmds/batch")
+	b.Run("warm", func(b *testing.B) {
+		c, kv, ctx := distanceFixture(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			burst(b, submitters, put(kv, ctx))
+		}
+		roundTrips := float64(b.Elapsed()) / float64(2*distanceOneWay)
+		b.ReportMetric(float64(b.N*submitters)/roundTrips, "cmds/roundtrip")
+		st := c.replicas()[0].BatchStats()
+		b.ReportMetric(float64(st.Cmds)/float64(st.Batches), "cmds/batch")
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			c, kv, ctx := coldDistanceFixture(b)
+			b.StartTimer()
+			burst(b, submitters, put(kv, ctx))
+			b.StopTimer()
+			c.close()
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(2*distanceOneWay), "roundtrips/burst")
+	})
 }
 
 // BenchmarkReadFallback is what a GetLinearizable costs where no lease

@@ -274,9 +274,9 @@ func TestLeaseExpiryUnderFsyncStall(t *testing.T) {
 // TestLeaseFencedChunk builds the race fencing exists for, step by step on an
 // isolated p0 with a frozen lease clock: p0 proposes while no lease is live,
 // and p1's grant wins a slot below p0's proposals before they decide. p0 has
-// A alone in slot 1 (Execute) and one batcher chunk, a Put B and a
-// GetLinearizable, in slot 2; the test is the rest of the cluster and decides
-// slot 1 for the grant and slot 2 for the chunk. p0 then applies its own chunk
+// A alone in slot a (Execute) and one batcher chunk, a Put B and a
+// GetLinearizable, in slot a+1; the test is the rest of the cluster and decides
+// slot a for the grant and slot a+1 for the chunk. p0 then applies its own chunk
 // inside p1's guard: B's ack is downgraded to ErrLeaseFenced with B applied;
 // the read that shared the chunk is refused toward the holder (p1 serves lease
 // reads since it applied its grant and may not have applied the chunk yet, so
@@ -292,16 +292,21 @@ func TestLeaseFencedChunk(t *testing.T) {
 	proposed := func(slot int) consensus.Value { return tr.proposed(t, slot) }
 	decide := func(slot int, v consensus.Value) { r.Handle(1, slotMsg(t, slot, &core.DecideMsg{Value: v})) }
 
-	// A chunk in flight in slot 0 keeps the batcher from launching: B and the
-	// read's no-op queue behind it and are cut together when it resolves.
-	errW, errA, errB := make(chan error, 1), make(chan error, 1), make(chan error, 1)
-	go func() { errW <- kv.Put(ctx, "w", "vw") }()
-	w := proposed(0)
+	// A window full of chunks in flight (a cold batcher's: nothing has
+	// committed yet) keeps the batcher from launching: B and the read's no-op
+	// queue behind it and are cut together when it resolves.
+	const a = smr.MaxBatchDepth
+	errW, errA, errB := make(chan error, a), make(chan error, 1), make(chan error, 1)
+	var ws []consensus.Value
+	for slot := 0; slot < a; slot++ {
+		go func() { errW <- kv.Put(ctx, fmt.Sprintf("w%d", slot), "vw") }()
+		ws = append(ws, proposed(slot))
+	}
 	go func() {
 		_, err := r.Execute(ctx, smr.Command{Op: smr.OpPut, Key: "a", Val: "va"})
 		errA <- err
 	}()
-	proposed(1)
+	proposed(a)
 	go func() { errB <- kv.Put(ctx, "b", "vb") }()
 	type getl struct {
 		v   string
@@ -315,24 +320,26 @@ func TestLeaseFencedChunk(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(5 * time.Second); r.QueuedCommands() != 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d commands queued behind the chunk in flight, want B and the read's no-op", r.QueuedCommands())
+			t.Fatalf("%d commands queued behind the window in flight, want B and the read's no-op", r.QueuedCommands())
 		}
 	}
-	decide(0, w)
-	if err := <-errW; err != nil {
-		t.Fatalf("Put before any lease: %v", err)
+	for slot, w := range ws {
+		decide(slot, w)
+		if err := <-errW; err != nil {
+			t.Fatalf("Put before any lease: %v", err)
+		}
 	}
-	chunk := proposed(2)
+	chunk := proposed(a + 1)
 	if cmd, err := smr.DecodeCommand(chunk); err != nil || cmd.Op != smr.OpBatch || len(cmd.Subs) != 2 {
-		t.Fatalf("slot 2 carries %+v (%v), want one chunk of B and a no-op", cmd, err)
+		t.Fatalf("slot %d carries %+v (%v), want one chunk of B and a no-op", a+1, cmd, err)
 	}
 
 	grant, err := smr.Command{ID: "p1-1", Op: smr.OpLeaseGrant, Key: "1", Val: strconv.FormatInt(int64(time.Second), 10)}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	decide(1, grant)
-	decide(2, chunk)
+	decide(a, grant)
+	decide(a+1, chunk)
 
 	if err := <-errB; !errors.Is(err, smr.ErrLeaseFenced) {
 		t.Fatalf("B, applied inside p1's guard, was acknowledged with %v, want ErrLeaseFenced", err)
