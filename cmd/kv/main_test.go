@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/consensus"
+	"repro/internal/quorum"
 	"repro/internal/smr"
 )
 
@@ -23,6 +25,20 @@ func TestServingRuntimeBatchesAdaptively(t *testing.T) {
 		if mode := rt.Group(g).BatchStats().Mode; mode != "adaptive" {
 			t.Errorf("group %d batch mode = %q, want adaptive", g, mode)
 		}
+	}
+}
+
+// TestServingRuntimeRefusesBelowTheBound: two peers at the default -f 1 -e 1
+// are fewer than the 2f+1 = 3 a consensus object needs, so the process does
+// not start, and says why.
+func TestServingRuntimeRefusesBelowTheBound(t *testing.T) {
+	cfg := consensus.Config{ID: 0, N: 2, F: 1, E: 1, Delta: 10}
+	rt, err := newRuntime(cfg, 1, 5, nil, nil)
+	if !errors.Is(err, quorum.ErrInfeasible) {
+		if err == nil {
+			rt.Close()
+		}
+		t.Fatalf("two peers at f=1 e=1: %v, want %v", err, quorum.ErrInfeasible)
 	}
 }
 

@@ -138,7 +138,7 @@ func (t *Table) ApplyGrant(h int, id string, dur, now int64) Event {
 		// Someone else holds the lease: raise the conservative window.
 		// We block our own proposals (and local reads) until it lapses.
 		t.guardHolder = h
-		t.guardUntil = max64(t.guardUntil, now+dur+t.cfg.Epsilon)
+		t.guardUntil = max(t.guardUntil, now+dur+t.cfg.Epsilon)
 		t.ownValid = false
 		return ev
 	}
@@ -247,13 +247,6 @@ func (t *Table) Import(holder int, remain, now int64) {
 	}
 	t.holder = holder
 	t.guardHolder = holder
-	t.guardUntil = max64(t.guardUntil, now+remain)
+	t.guardUntil = max(t.guardUntil, now+remain)
 	t.ownValid = false
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

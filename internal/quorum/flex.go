@@ -101,7 +101,7 @@ func FlexFastSide(n, recovery int) int { return (2*n-recovery)/2 + 1 }
 // size on n processes given fast quorums of size fast: the least q1 with
 // q1 + 2·fast > 2n. (The classic-intersection requirement adds q1 ≥ f+1;
 // NewFlex enforces both.)
-func FlexClassicSide(n, fast int) int { return maxInt(2*(n-fast)+1, 1) }
+func FlexClassicSide(n, fast int) int { return max(2*(n-fast)+1, 1) }
 
 // SmallestFastFlex returns the flexible configuration with the smallest
 // sound fast quorum on n processes — a bare majority, paid for with a

@@ -49,15 +49,15 @@ func PlainMinProcesses(f int) int { return 2*f + 1 }
 
 // TaskMinProcesses returns max{2e+f, 2f+1}: the tight bound for an
 // f-resilient e-two-step consensus task (Theorem 5).
-func TaskMinProcesses(f, e int) int { return maxInt(2*e+f, 2*f+1) }
+func TaskMinProcesses(f, e int) int { return max(2*e+f, 2*f+1) }
 
 // ObjectMinProcesses returns max{2e+f−1, 2f+1}: the tight bound for an
 // f-resilient e-two-step consensus object (Theorem 6).
-func ObjectMinProcesses(f, e int) int { return maxInt(2*e+f-1, 2*f+1) }
+func ObjectMinProcesses(f, e int) int { return max(2*e+f-1, 2*f+1) }
 
 // LamportMinProcesses returns max{2e+f+1, 2f+1}: Lamport's lower bound for
 // fast consensus, matched by Fast Paxos.
-func LamportMinProcesses(f, e int) int { return maxInt(2*e+f+1, 2*f+1) }
+func LamportMinProcesses(f, e int) int { return max(2*e+f+1, 2*f+1) }
 
 // TaskFastSide returns 2e+f, the fast-path side of the Task bound's
 // max{2e+f, 2f+1}. The lower-bound constructions (internal/lowerbound) and
@@ -141,7 +141,7 @@ func MaxFastThreshold(mode Mode, n, f int) int {
 // repository implements only the crash-failure protocols; the constant is
 // provided so deployment planning (internal/planner, cmd/plan) can size a
 // prospective Byzantine deployment for comparison.
-func ByzantineFastMinProcesses(f, e int) int { return maxInt(3*f+2*e-1, 3*f+1) }
+func ByzantineFastMinProcesses(f, e int) int { return max(3*f+2*e-1, 3*f+1) }
 
 // EPaxosFastThreshold returns e = ⌈(f+1)/2⌉, the fast-path crash tolerance
 // Egalitarian Paxos achieves on 2f+1 processes (paper, §1). Note
@@ -152,10 +152,3 @@ func EPaxosFastThreshold(f int) int { return (f + 2) / 2 }
 // EPaxosFastQuorum returns f + ⌊(f+1)/2⌋, the EPaxos fast-path quorum size
 // (including the command leader) on 2f+1 processes.
 func EPaxosFastQuorum(f int) int { return f + (f+1)/2 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -159,7 +159,7 @@ func New(opts Options) (*Runtime, error) {
 			return nil, fmt.Errorf("shard: group %d: %w", g, err)
 		}
 		if opts.AdaptiveBatch {
-			r.EnableAdaptiveBatching(0)
+			r.EnableAdaptiveBatching()
 		}
 		if opts.Leases != nil {
 			// Before EnableDurability: recovery replays grant commands into

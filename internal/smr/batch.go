@@ -60,18 +60,18 @@ type batcher struct {
 	wg sync.WaitGroup
 }
 
+// maxChunk caps the commands one batch carries.
+const maxChunk = 64
+
 // EnableAdaptiveBatching turns on write batching for this replica's
 // Submit-based APIs (KV included; see the batcher comment): no window to
-// wait out when idle, full batching under concurrency. maxSize caps one
-// batch (0 = default 64). Must be called before the replica is shared
-// between goroutines.
-func (r *Replica) EnableAdaptiveBatching(maxSize int) {
-	if maxSize <= 0 {
-		maxSize = 64
-	}
+// wait out when idle, full batching under concurrency, up to maxChunk
+// commands a batch. Must be called before the replica is shared between
+// goroutines.
+func (r *Replica) EnableAdaptiveBatching() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.batch = &batcher{replica: r, maxSize: maxSize, poke: make(chan struct{}, 1)}
+	r.batch = &batcher{replica: r, maxSize: maxChunk, poke: make(chan struct{}, 1)}
 }
 
 // BatchStats is the batcher's counter surface (expvar, benchmark/).

@@ -148,8 +148,9 @@ func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 				t.Fatal(err)
 			}
 			const maxSize, riders = 4, 14
-			r.EnableAdaptiveBatching(maxSize)
+			r.EnableAdaptiveBatching()
 			b := r.batch
+			b.maxSize = maxSize
 			wantInflight := 1
 			if pipelined {
 				r.PipelineBatches()

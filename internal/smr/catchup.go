@@ -142,13 +142,13 @@ type CatchupStats struct {
 // (guarded by Replica.mu). peerApplied is the applied index each peer last
 // gossiped. One CatchupRequest is out at a time: asked is whom it went to,
 // quiet how many more gossips it silences — its reply clears it, a period's
-// worth (one Status a peer) gives up on it. partial is the snapshot each
-// sender is part-way through, Part counting the next part expected.
+// worth (one Status a peer) gives up on it. partial holds the parts of the
+// snapshot each sender is part-way through.
 type catchupState struct {
 	peerApplied []int
 	asked       consensus.ProcessID
 	quiet       int
-	partial     map[consensus.ProcessID]*CatchupReply
+	partial     map[consensus.ProcessID][]*CatchupReply
 	stats       CatchupStats
 }
 
@@ -170,7 +170,7 @@ func (r *Replica) NoteApplied(from consensus.ProcessID, applied int) {
 	}
 	cu.peerApplied[from] = applied
 	r.retireAppliedLocked()
-	if applied > r.applied && cu.quiet == 0 {
+	if applied > r.m.applied && cu.quiet == 0 {
 		best := from
 		for p, a := range cu.peerApplied {
 			if a > cu.peerApplied[best] {
@@ -184,7 +184,7 @@ func (r *Replica) NoteApplied(from consensus.ProcessID, applied int) {
 // askLocked requests what to has applied beyond this replica.
 func (r *Replica) askLocked(to consensus.ProcessID) []outbound {
 	r.cu.asked, r.cu.quiet = to, r.cfg.N-1
-	return []outbound{{to: to, msg: &CatchupRequest{From: r.applied}}}
+	return []outbound{{to: to, msg: &CatchupRequest{From: r.m.applied}}}
 }
 
 // catchupReplyLocked answers a peer that has applied from slots with what it
@@ -194,9 +194,9 @@ func (r *Replica) askLocked(to consensus.ProcessID) []outbound {
 // tail is more bytes than the store, and replaying it would cost the receiver
 // more than the jump — and it is sent the store in parts of at most partBytes.
 func (r *Replica) catchupReplyLocked(to consensus.ProcessID, from int) (out []outbound) {
-	if from >= r.compactFloor && r.retainedBytes <= r.storeBytes {
-		c := &CatchupReply{Applied: r.applied, Decided: make(map[int]consensus.Value)}
-		for n, size := from, 0; n < r.applied; n++ {
+	if from >= r.compactFloor && r.retainedBytes <= r.m.bytes() {
+		c := &CatchupReply{Applied: r.m.applied, Decided: make(map[int]consensus.Value)}
+		for n, size := from, 0; n < r.m.applied; n++ {
 			v := r.slots[n].val
 			if size += len(v.Data); size > partBytes && n > from {
 				break
@@ -206,27 +206,8 @@ func (r *Replica) catchupReplyLocked(to consensus.ProcessID, from int) (out []ou
 		r.cu.stats.SuffixReplies++
 		return []outbound{{to: to, msg: c}}
 	}
-	cut := r.captureLocked()
-	part := &CatchupReply{Applied: cut.Applied, Store: make(map[string]string)}
-	parts := []*CatchupReply{part}
-	size := 0
-	for k, v := range cut.Store {
-		if size += len(k) + len(v); size > partBytes && len(part.Store) > 0 {
-			part, size = &CatchupReply{Applied: cut.Applied, Part: len(parts), Store: make(map[string]string)}, len(k)+len(v)
-			parts = append(parts, part)
-		}
-		part.Store[k] = v
-	}
-	part.LeaseHolder, part.LeaseRemain = cut.LeaseHolder, cut.LeaseRemain
-	part.Decided = make(map[int]consensus.Value, len(cut.Decided))
-	for _, n := range sortedSlots(cut.Decided) {
-		if size += len(cut.Decided[n].Data); size > partBytes {
-			break
-		}
-		part.Decided[n] = cut.Decided[n]
-	}
+	parts := r.cutLocked(partBytes)
 	for _, p := range parts {
-		p.Last = len(parts) - 1
 		out = append(out, outbound{to: to, msg: p})
 	}
 	r.cu.stats.SnapshotParts += uint64(len(parts))
@@ -234,36 +215,30 @@ func (r *Replica) catchupReplyLocked(to consensus.ProcessID, from int) (out []ou
 }
 
 // adoptLocked takes in one catch-up frame: a snapshot part joins its sender's
-// assembly, and the last installs it — the store replaces ours and every slot
-// below its applied index is retired; decided values are then adopted as
-// ordinary decisions, which is all a log suffix is. A suffix that moved this
-// replica and leaves it behind its sender still is answered with the next
-// request, without waiting for the gossip.
+// assembly, and the last installs it in the machine if it is ahead, retiring
+// every slot below its applied index; decided values are then adopted as
+// ordinary decisions, which is all a log suffix is. A suffix that
+// moved this replica and leaves it behind its sender still is answered with
+// the next request, without waiting for the gossip.
 func (r *Replica) adoptLocked(from consensus.ProcessID, m *CatchupReply) []outbound {
 	if from == r.cu.asked {
 		r.cu.quiet = 0
 	}
 	jumped := false
 	if m.Store != nil {
-		if m = r.assembleLocked(from, m); m == nil {
+		parts := r.assembleLocked(from, m)
+		if parts == nil {
 			return nil
 		}
-		if r.ls != nil && m.LeaseHolder != nil {
-			// The snapshot jump skips the individual grant applies, so
-			// the sender exports its lease view as (holder, remaining):
-			// durations survive the clock-origin change, and importing at
-			// any later instant only shortens the true residual window.
-			r.ls.tab.Import(*m.LeaseHolder, m.LeaseRemain, r.ls.now())
-		}
-		if jumped = m.Applied > r.applied; jumped {
-			r.jumpLocked(m)
+		if jumped = m.Applied > r.m.applied; jumped {
+			r.m.install(r.ls.now(), parts...)
 			r.retireBelowLocked(m.Applied)
 			r.cu.stats.Installed++
 		}
 	}
-	before := r.applied
+	before := r.m.applied
 	for _, n := range sortedSlots(m.Decided) {
-		if n >= r.applied {
+		if n >= r.m.applied {
 			r.decideLocked(r.slotLocked(n), m.Decided[n])
 		}
 	}
@@ -277,44 +252,32 @@ func (r *Replica) adoptLocked(from consensus.ProcessID, m *CatchupReply) []outbo
 	if jumped {
 		r.writeSnapshotLocked()
 	} else {
-		r.maybeSnapshotLocked(r.applied - before)
+		r.maybeSnapshotLocked(r.m.applied - before)
 	}
-	if m.Store == nil && r.applied > before && m.Applied > r.applied {
+	if m.Store == nil && r.m.applied > before && m.Applied > r.m.applied {
 		return r.askLocked(from)
 	}
 	return nil
 }
 
-// jumpLocked makes cut's store this replica's, as of cut.Applied.
-func (r *Replica) jumpLocked(cut *CatchupReply) {
-	r.store, r.applied, r.storeBytes = cut.Store, cut.Applied, 0
-	for k, v := range cut.Store {
-		r.storeBytes += len(k) + len(v)
-	}
-}
-
-// assembleLocked merges snapshot part m into what from has sent so far and
-// returns the whole cut once its last part is in, nil before. Parts count up
-// from 0 under one Applied and Last; a part 0 starts over, anything else out
-// of turn drops the assembly, and the next request brings a fresh cut.
-func (r *Replica) assembleLocked(from consensus.ProcessID, m *CatchupReply) *CatchupReply {
-	a := r.cu.partial[from]
+// assembleLocked adds snapshot part m to what from has sent of its cut and
+// returns the parts once the last is in, nil before. Parts count up from 0
+// under one Applied and Last; a part 0 starts over, anything else out of turn
+// drops the assembly, and the next request brings a fresh cut.
+func (r *Replica) assembleLocked(from consensus.ProcessID, m *CatchupReply) []*CatchupReply {
+	parts := r.cu.partial[from]
 	delete(r.cu.partial, from)
 	if m.Part == 0 {
-		a = &CatchupReply{Applied: m.Applied, Last: m.Last, Store: make(map[string]string, len(m.Store)*(m.Last+1))}
-	} else if a == nil || a.Applied != m.Applied || a.Last != m.Last || a.Part != m.Part {
+		parts = nil
+	} else if len(parts) != m.Part || parts[0].Applied != m.Applied || parts[0].Last != m.Last {
 		return nil
 	}
-	for k, v := range m.Store {
-		a.Store[k] = v
-	}
-	if a.Part++; m.Part < m.Last {
-		r.cu.partial[from] = a
+	if parts = append(parts, m); m.Part < m.Last {
+		r.cu.partial[from] = parts
 		if from == r.cu.asked {
 			r.cu.quiet = r.cfg.N - 1 // still arriving: no second request beside it
 		}
 		return nil
 	}
-	a.Decided, a.LeaseHolder, a.LeaseRemain = m.Decided, m.LeaseHolder, m.LeaseRemain
-	return a
+	return parts
 }

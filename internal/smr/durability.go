@@ -158,7 +158,7 @@ func decodeWalEntry(payload []byte, group, minSlot int) (e walEntry, mine bool, 
 
 // durableSnapshot is the blob handed to internal/storage: the cut a lagging
 // peer would be sent (the applied store, the decided tail, the lease view —
-// see captureLocked) plus what only this replica's restart needs. WalNext is
+// see kvMachine.cut) plus what only this replica's restart needs. WalNext is
 // the WAL index the snapshot is consistent up to: replay resumes there and
 // everything before it may be truncated. Slots are the open instances.
 //
@@ -262,32 +262,26 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		snapIndex: int(snapIdx),
 	}
 
-	info := RecoveryInfo{
-		Recovered:       haveSnap,
-		SnapshotApplied: snap.Cut.Applied,
-	}
+	info := RecoveryInfo{SnapshotApplied: snap.Cut.Applied}
 
-	// 1. Snapshot state first: store, applied index, command sequence.
+	// 1. Snapshot state first: the machine's cut, the compaction floor, and
+	// the command sequence as of the snapshot.
 	if haveSnap {
-		r.jumpLocked(&snap.Cut)
-		if snap.CompactFloor > r.compactFloor {
-			r.compactFloor = snap.CompactFloor
-		}
-		if snap.Seq > r.seq {
-			r.seq = snap.Seq
-		}
+		r.m.install(r.ls.now(), &snap.Cut)
+		r.compactFloor = max(r.compactFloor, snap.CompactFloor)
+		r.seq = max(r.seq, snap.Seq)
 		for n, v := range snap.Cut.Decided {
-			if n >= r.applied {
+			if n >= r.m.applied {
 				r.learnLocked(r.slotLocked(n), v)
 			}
-		}
-		if r.ls != nil && snap.Cut.LeaseHolder != nil {
-			r.ls.tab.Import(*snap.Cut.LeaseHolder, snap.Cut.LeaseRemain, r.ls.now())
 		}
 	}
 
 	// 2. WAL tail on top: collect the last journaled state per slot and any
-	// decisions, ignoring records for slots the snapshot already covers.
+	// decisions, ignoring records for slots the snapshot already covers. A
+	// command this replica proposed after the snapshot is in one of them, as a
+	// decision or as a state's proposal: the sequence moves past its ID, so
+	// no command of a previous life shares an ID with a new one.
 	states := make(map[int]core.State)
 	for slot, st := range snap.Slots {
 		if slot >= snap.Cut.Applied {
@@ -304,8 +298,10 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		switch e.Kind {
 		case walKindState:
 			states[e.Slot] = e.State
+			r.passOwnIDsLocked(e.State.InitialVal)
 		case walKindDecide:
 			r.learnLocked(r.slotLocked(e.Slot), e.Val)
+			r.passOwnIDsLocked(e.Val)
 		}
 		return nil
 	})
@@ -313,11 +309,8 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		r.dur = nil
 		return RecoveryInfo{}, err
 	}
-	info.WalRecords = rinfo.Records
-	info.TornTail = rinfo.TornTail
-	if rinfo.Records > 0 {
-		info.Recovered = true
-	}
+	info.Recovered = haveSnap || rinfo.Records > 0
+	info.WalRecords, info.TornTail = rinfo.Records, rinfo.TornTail
 
 	// 3. Re-apply decided commands in slot order.
 	r.applyReadyLocked()
@@ -325,15 +318,13 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	// 4. A restarted replica must never re-enter a slot below its applied
 	// index with a fresh (amnesiac) instance: retire them all, so stragglers
 	// there are served snapshots instead.
-	r.retireBelowLocked(r.applied)
-	if r.applied > r.freeHint {
-		r.freeHint = r.applied
-	}
+	r.retireBelowLocked(r.m.applied)
+	r.freeHint = max(r.freeHint, r.m.applied)
 
 	// 5. Rebuild live instances for undecided slots, promises intact. A decided
 	// slot stays a value: its last state record predates the decision.
 	for n, st := range states {
-		if n < r.applied || r.decidedLocked(n) {
+		if n < r.m.applied || r.decidedLocked(n) {
 			continue
 		}
 		s := r.slotLocked(n)
@@ -346,35 +337,19 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		r.applySlotLocked(s, s.node.Start())
 		info.OpenSlots++
 	}
-	info.Applied = r.applied
-
-	// 6. Never reuse a command sequence number from a previous life.
-	r.recoverSeqLocked()
+	info.Applied = r.m.applied
 	return info, nil
 }
 
-// recoverSeqLocked bumps r.seq past any of this replica's own command IDs
-// visible in the recovered log, so restarted clients never collide with
-// pre-crash commands.
-func (r *Replica) recoverSeqLocked() {
-	prefix := fmt.Sprintf("%s-", r.cfg.ID)
-	var bump func(cmd Command)
-	bump = func(cmd Command) {
-		if strings.HasPrefix(cmd.ID, prefix) {
-			if n, err := strconv.ParseInt(strings.TrimPrefix(cmd.ID, prefix), 10, 64); err == nil && n > r.seq {
-				r.seq = n
-			}
-		}
-		for _, sub := range cmd.Subs {
-			bump(sub)
-		}
-	}
-	for _, s := range r.slots {
-		if !s.decided {
-			continue
-		}
-		if cmd, err := DecodeCommand(s.val); err == nil {
-			bump(cmd)
+// passOwnIDsLocked raises seq to the newest of this replica's command IDs in
+// v ("p0-17", "p0-batch-18"; a batch's riders included). A value that is no
+// command, or none of ours, changes nothing.
+func (r *Replica) passOwnIDsLocked(v consensus.Value) {
+	cmd, _ := DecodeCommand(v) // Command{} if v is none: no ID
+	for _, c := range append([]Command{cmd}, cmd.Subs...) {
+		if proposerOf(c.ID) == int(r.cfg.ID) {
+			seq, _ := strconv.ParseInt(c.ID[strings.LastIndexByte(c.ID, '-')+1:], 10, 64)
+			r.seq = max(r.seq, seq)
 		}
 	}
 }
@@ -473,13 +448,13 @@ func (r *Replica) writeSnapshotLocked() {
 		return
 	}
 	snap := durableSnapshot{
-		Cut:          *r.captureLocked(),
+		Cut:          *r.cutLocked(0)[0],
 		CompactFloor: r.compactFloor,
 		Seq:          r.seq,
 		WalNext:      r.dur.wal.NextIndex(),
 	}
 	for n, s := range r.slots {
-		if s.node != nil && n >= r.applied {
+		if s.node != nil && n >= r.m.applied {
 			if snap.Slots == nil {
 				snap.Slots = make(map[int]core.State)
 			}
@@ -495,11 +470,11 @@ func (r *Replica) writeSnapshotLocked() {
 		r.persistFailLocked(err)
 		return
 	}
-	if err := storage.Save(r.dur.snapDir, uint64(r.applied), blob); err != nil {
+	if err := storage.Save(r.dur.snapDir, uint64(r.m.applied), blob); err != nil {
 		r.persistFailLocked(err)
 		return
 	}
-	r.dur.snapIndex = r.applied
+	r.dur.snapIndex = r.m.applied
 	r.dur.sinceSnap = 0
 	if _, err := r.dur.wal.TruncateBefore(snap.WalNext); err != nil {
 		r.persistFailLocked(err)
@@ -537,7 +512,7 @@ func (r *Replica) Info() ReplicaInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	info := ReplicaInfo{
-		Applied:       r.applied,
+		Applied:       r.m.applied,
 		CompactFloor:  r.compactFloor,
 		RetainedBytes: r.retainedBytes,
 		Catchup:       r.cu.stats,
@@ -546,7 +521,7 @@ func (r *Replica) Info() ReplicaInfo {
 	for n, s := range r.slots {
 		if s.decided {
 			info.Retained++
-		} else if s.node != nil && n >= r.applied {
+		} else if s.node != nil && n >= r.m.applied {
 			info.OpenSlots++
 		}
 	}

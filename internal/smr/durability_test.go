@@ -183,6 +183,63 @@ func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
 	}
 }
 
+// TestCrashRestartNeverReusesCommandIDs: a crashed replica comes back handing
+// out command IDs past every one of its previous life that its journal holds —
+// in the snapshot, in a decision, or as its proposal in a slot still open at
+// the crash. A lease grant is its ID and fields that never change, so a reused
+// ID can make a new grant byte-identical to an old one.
+func TestCrashRestartNeverReusesCommandIDs(t *testing.T) {
+	for name, tc := range map[string]struct {
+		snapshotEvery int
+		open          bool
+	}{
+		"no snapshot":               {snapshotEvery: -1},
+		"a snapshot every 4":        {snapshotEvery: 4},
+		"an own proposal left open": {snapshotEvery: -1, open: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) { d.SnapshotEvery = tc.snapshotEvery })
+			r := c.rts[0].Group(0)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			for j := 0; j < 10; j++ {
+				if err := smr.NewKV(r).Put(ctx, fmt.Sprintf("k%d", j), "v"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			proposed := make(chan error, 1)
+			if tc.open {
+				// No quorum: the proposal stays open, and journaled.
+				c.fab.SetFault(func(_, _ consensus.ProcessID) transport.FaultVerdict { return transport.FaultVerdict{Drop: true} })
+				go func() {
+					_, err := r.Execute(ctx, smr.Command{Op: smr.OpPut, Key: "open", Val: "v"})
+					proposed <- err
+				}()
+				for deadline := time.Now().Add(5 * time.Second); r.Info().OpenSlots == 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the proposal never opened a slot")
+					}
+				}
+				r.SyncIO()
+			}
+			used := r.Seq()
+			c.fab.Attach(0, nil)
+			c.rts[0].Kill()
+			if tc.open {
+				if err := <-proposed; !errors.Is(err, smr.ErrClosed) {
+					t.Fatalf("the open proposal returned %v at the crash, want ErrClosed", err)
+				}
+			}
+			if _, err := c.boot(0); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.rts[0].Group(0).Seq(); got < used {
+				t.Fatalf("restarted at sequence %d after handing out %d: its next IDs were used before", got, used)
+			}
+		})
+	}
+}
+
 // captureTr records outbound messages so a test can observe what a
 // process (without a live mesh) says to its peers, group envelope peeled.
 type captureTr struct {

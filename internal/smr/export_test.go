@@ -20,7 +20,15 @@ const (
 func (r *Replica) Compact(retain int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.retireBelowLocked(r.applied - max(retain, 0))
+	return r.retireBelowLocked(r.m.applied - max(retain, 0))
+}
+
+// Seq is the last command sequence number r handed out: the next ID it makes
+// is one past it.
+func (r *Replica) Seq() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq
 }
 
 // QueuedCommands reports how many commands wait in r's batcher to be cut

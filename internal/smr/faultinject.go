@@ -25,8 +25,5 @@ func (r *Replica) Kill() { r.shutdown(true) }
 func (r *Replica) FaultInjectStaleReads() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.faultStale = true
-	if r.faultPrev == nil {
-		r.faultPrev = make(map[string]string)
-	}
+	r.m.injectStaleReads()
 }

@@ -20,12 +20,12 @@ func NewKV(proxy *Replica) *KV { return &KV{proxy: proxy} }
 // Put replicates a write and returns once it is decided and applied at the
 // proxy.
 func (kv *KV) Put(ctx context.Context, key, val string) error {
-	return kv.execute(ctx, Command{Op: OpPut, Key: key, Val: val})
+	return kv.proxy.Submit(ctx, Command{Op: OpPut, Key: key, Val: val})
 }
 
 // Delete replicates a deletion.
 func (kv *KV) Delete(ctx context.Context, key string) error {
-	return kv.execute(ctx, Command{Op: OpDelete, Key: key})
+	return kv.proxy.Submit(ctx, Command{Op: OpDelete, Key: key})
 }
 
 // PutAll replicates several writes atomically: they occupy one log slot (an
@@ -44,11 +44,7 @@ func (kv *KV) PutAll(ctx context.Context, kvs map[string]string) error {
 	for i, k := range keys {
 		subs = append(subs, Command{ID: fmt.Sprintf("sub-%d", i), Op: OpPut, Key: k, Val: kvs[k]})
 	}
-	return kv.execute(ctx, Command{Op: OpBatch, Subs: subs})
-}
-
-func (kv *KV) execute(ctx context.Context, cmd Command) error {
-	return kv.proxy.Submit(ctx, cmd)
+	return kv.proxy.Submit(ctx, Command{Op: OpBatch, Subs: subs})
 }
 
 // Get reads from the proxy's applied state. Reads are served locally and

@@ -77,10 +77,10 @@ type LeaseOptions struct {
 }
 
 // leaseState is the replica-side lease machinery around the deterministic
-// lease.Table. All fields are guarded by Replica.mu except opts/start,
-// which are immutable after EnableLeases.
+// lease.Table, which the machine holds (kvMachine.leases): the clock, the
+// auto-grant timer and the counters. All fields are guarded by Replica.mu
+// except opts/start, which are immutable after EnableLeases.
 type leaseState struct {
-	tab   *lease.Table
 	opts  LeaseOptions
 	start time.Time // monotonic origin for now()
 
@@ -94,12 +94,29 @@ type leaseState struct {
 // now reads this replica's monotonic clock (nanoseconds since
 // EnableLeases); time.Since uses the runtime's monotonic reading, so wall
 // clock jumps cannot move lease windows. A LeaseOptions.Now hook replaces
-// the clock wholesale (fake-clock tests).
+// the clock wholesale (fake-clock tests). Without leases it reads 0: the
+// machine has no table to read it.
 func (ls *leaseState) now() int64 {
-	if ls.opts.Now != nil {
+	switch {
+	case ls == nil:
+		return 0
+	case ls.opts.Now != nil:
 		return ls.opts.Now().Nanoseconds()
 	}
 	return time.Since(ls.start).Nanoseconds()
+}
+
+// count adds what applying a command did to the lease table to the counters.
+func (ls *leaseState) count(ev lease.Event) {
+	if ev.Granted {
+		ls.grants++
+	}
+	if ev.Revoked {
+		ls.revoked++
+	}
+	if ev.Fenced {
+		ls.fencedN++
+	}
 }
 
 // EnableLeases switches on replicated leader leases for this replica. Must
@@ -133,16 +150,13 @@ func (r *Replica) EnableLeases(opts LeaseOptions) error {
 	if r.ls != nil {
 		return errors.New("smr leases: already enabled")
 	}
-	r.ls = &leaseState{
-		tab: lease.New(lease.Config{
-			Self:     int(r.cfg.ID),
-			Duration: opts.Duration.Nanoseconds(),
-			Epsilon:  opts.Epsilon.Nanoseconds(),
-			Unsafe:   opts.UnsafeZeroEpsilon,
-		}),
-		opts:  opts,
-		start: time.Now(),
-	}
+	r.m.leases = lease.New(lease.Config{
+		Self:     int(r.cfg.ID),
+		Duration: opts.Duration.Nanoseconds(),
+		Epsilon:  opts.Epsilon.Nanoseconds(),
+		Unsafe:   opts.UnsafeZeroEpsilon,
+	})
+	r.ls = &leaseState{opts: opts, start: time.Now()}
 	return nil
 }
 
@@ -164,35 +178,6 @@ func proposerOf(id string) int {
 	return n
 }
 
-// applyLeaseLocked runs the lease state machine for a command as it applies.
-// fenced: this replica proposed it inside a foreign lease's guard window —
-// the verdict applyReadyLocked hands its waiters (acked: ErrLeaseFenced).
-func (r *Replica) applyLeaseLocked(cmd Command, proposer int) (fenced bool) {
-	now := r.ls.now()
-	if cmd.Op == OpLeaseGrant {
-		h, errH := strconv.Atoi(cmd.Key)
-		dur, errD := strconv.ParseInt(cmd.Val, 10, 64)
-		if errH != nil || errD != nil || h < 0 || h >= r.cfg.N || dur <= 0 {
-			return false // malformed grant: ignore rather than poison the table
-		}
-		if ev := r.ls.tab.ApplyGrant(h, cmd.ID, dur, now); ev.Granted {
-			r.ls.grants++
-			if ev.Revoked {
-				r.ls.revoked++
-			}
-		}
-		return false
-	}
-	ev := r.ls.tab.ApplyCommand(proposer, now)
-	if ev.Revoked {
-		r.ls.revoked++
-	}
-	if ev.Fenced {
-		r.ls.fencedN++
-	}
-	return ev.Fenced
-}
-
 // leaseRefuseLocked implements the pre-propose gate: while a foreign lease
 // is conservatively live this replica must not acknowledge commands it
 // proposes (the holder could serve reads that miss them), so it refuses
@@ -203,14 +188,14 @@ func (r *Replica) leaseRefuseLocked() error {
 		return nil
 	}
 	now := r.ls.now()
-	if r.ls.tab.ExpireCheck(now) {
+	if r.m.leases.ExpireCheck(now) {
 		r.ls.expired++
 	}
-	if !r.ls.tab.Guarded(now) {
+	if !r.m.leases.Guarded(now) {
 		return nil
 	}
 	r.ls.refused++
-	return &LeaseHeldError{Holder: r.ls.tab.GuardHolder()}
+	return &LeaseHeldError{Holder: r.m.leases.GuardHolder()}
 }
 
 // LeaseRead serves a linearizable read from local applied state when this
@@ -223,15 +208,15 @@ func (r *Replica) LeaseRead(key string) (val string, ok, served bool) {
 		return "", false, false
 	}
 	now := r.ls.now()
-	if r.ls.tab.ExpireCheck(now) {
+	if r.m.leases.ExpireCheck(now) {
 		r.ls.expired++
 	}
-	if !r.ls.tab.HolderValid(now) {
+	if !r.m.leases.HolderValid(now) {
 		r.ls.misses++
 		return "", false, false
 	}
 	r.ls.hits++
-	val, ok = r.getLocked(key)
+	val, ok = r.m.get(key)
 	return val, ok, true
 }
 
@@ -256,7 +241,7 @@ func (r *Replica) AcquireLease(ctx context.Context) error {
 	durNs := r.ls.opts.Duration.Nanoseconds()
 	// Propose-time anchor, recorded before the command can possibly apply
 	// anywhere: every replica's guard window starts at or after it.
-	r.ls.tab.NoteProposed(id, r.ls.now())
+	r.m.leases.NoteProposed(id, r.ls.now())
 	r.mu.Unlock()
 
 	cmd := Command{
@@ -274,7 +259,7 @@ func (r *Replica) AcquireLease(ctx context.Context) error {
 		if r.ls != nil {
 			// If the grant decides anyway it applies without a pending
 			// entry and confers no serving rights — conservative.
-			r.ls.tab.DropProposed(id)
+			r.m.leases.DropProposed(id)
 		}
 		r.mu.Unlock()
 	}
@@ -285,7 +270,7 @@ func (r *Replica) AcquireLease(ctx context.Context) error {
 func (r *Replica) HoldsLease() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ls != nil && r.ls.tab.HolderValid(r.ls.now())
+	return r.ls != nil && r.m.leases.HolderValid(r.ls.now())
 }
 
 // scheduleLeaseLocked (re)arms the auto-grant/renew timer. Period is a
@@ -298,7 +283,7 @@ func (r *Replica) scheduleLeaseLocked() {
 	r.armLocked(&r.ls.timer, period, func() func() {
 		r.scheduleLeaseLocked()
 		now := r.ls.now()
-		if r.ls.tab.ExpireCheck(now) {
+		if r.m.leases.ExpireCheck(now) {
 			r.ls.expired++
 		}
 		propose := false
@@ -306,10 +291,10 @@ func (r *Replica) scheduleLeaseLocked() {
 		// group, so competing grants (each revoking the other) stay a
 		// transient of leader churn, not the steady state.
 		if !r.ls.inFlight && r.leaders.Leader() == r.cfg.ID && r.leaders.LeaderStable(2) {
-			if r.ls.tab.HolderValid(now) {
-				propose = r.ls.tab.Remaining(now) < r.ls.opts.Renew.Nanoseconds()
+			if r.m.leases.HolderValid(now) {
+				propose = r.m.leases.Remaining(now) < r.ls.opts.Renew.Nanoseconds()
 			} else {
-				propose = !r.ls.tab.Guarded(now)
+				propose = !r.m.leases.Guarded(now)
 			}
 		}
 		if !propose {
@@ -370,8 +355,8 @@ func (r *Replica) LeaseStats() LeaseStats {
 		return st
 	}
 	st.Enabled = true
-	st.Valid = r.ls.tab.HolderValid(r.ls.now())
-	st.Holder = r.ls.tab.Holder()
+	st.Valid = r.m.leases.HolderValid(r.ls.now())
+	st.Holder = r.m.leases.Holder()
 	st.Hits, st.Misses = r.ls.hits, r.ls.misses
 	st.Expired, st.Revoked, st.Grants = r.ls.expired, r.ls.revoked, r.ls.grants
 	st.Refused, st.Fenced = r.ls.refused, r.ls.fencedN

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/quorum"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -51,12 +52,13 @@ func RegisterMessages(codec *consensus.Codec) {
 	codec.MustRegister(KindCatchupReply, func() consensus.Message { return &CatchupReply{} })
 }
 
-// innerCodec decodes slot-wrapped core messages.
-func innerCodec() *consensus.Codec {
+// innerCodec decodes slot-wrapped core messages: one for every replica, as a
+// codec is never written after its registrations.
+var innerCodec = func() *consensus.Codec {
 	c := consensus.NewCodec()
 	core.RegisterMessages(c)
 	return c
-}
+}()
 
 // retainSlots and retainBytes bound the decided tail behind the applied index,
 // which a lagging peer is sent as a log suffix. The tail follows the slowest
@@ -143,31 +145,30 @@ func (r *Replica) learnLocked(s *slot, v consensus.Value) {
 
 // Replica is one process's member of one consensus group of the replicated
 // state machine. It hosts one object-mode core consensus instance per log
-// slot and applies decided commands to a key-value store in slot order. It is
-// never a process by itself: shard.Runtime builds one per group and owns
-// everything a process has one of — the WAL, the I/O scheduler, the transport,
-// Ω, the applied-index gossip and the interval fsync (see NewReplica).
+// slot and hands the decided values, in slot order, to its key-value machine
+// (m, see kvMachine). It is never a process by itself: shard.Runtime builds
+// one per group and owns everything a process has one of — the WAL, the I/O
+// scheduler, the transport, Ω, the applied-index gossip and the interval
+// fsync (see NewReplica).
 //
 // The slot record is the unit: slots holds every slot from compactFloor up
 // that anything has touched, and nothing else in the replica is keyed by
 // slot number. Replica.mu guards that table together with what orders it —
-// the applied index and store, the compaction floor, the slot hints — plus
-// the lease table and its timer, the durability watermarks and the step's
-// pending wakeups. It is held for in-memory work only: every send,
-// fsync and caller wakeup leaves through the outbox (emitLocked). The
-// batcher carries its own mutex, taken before mu, never under it.
+// the machine and its applied index, the compaction floor, the slot hints —
+// plus the lease timer, the durability watermarks and the step's pending
+// wakeups. It is held for in-memory work only: every send, fsync and caller
+// wakeup leaves through the outbox (emitLocked). The batcher carries its own
+// mutex, taken before mu, never under it.
 type Replica struct {
 	cfg     consensus.Config
 	tick    time.Duration
-	inner   *consensus.Codec
 	leaders LeaderView
 
-	mu      sync.Mutex
-	tr      transport.Transport
-	slots   map[int]*slot
-	applied int
-	store   map[string]string
-	seq     int64
+	mu    sync.Mutex
+	tr    transport.Transport
+	slots map[int]*slot
+	m     kvMachine
+	seq   int64 // the last of this replica's command IDs, never reused
 
 	// closed: the replica refuses work — Close, Kill, or a journaling
 	// failure poisoned it (haltLocked). released: Close or Kill has run the
@@ -198,30 +199,23 @@ type Replica struct {
 	// compactFloor is the lowest slot the table may hold: everything below
 	// has been retired (retireBelowLocked) and stragglers there are served
 	// snapshots. Every slot in [compactFloor, applied) is in the table,
-	// decided. retainedBytes sizes the decided values the table holds and
-	// storeBytes the store's keys and values: a lagging peer is sent the
-	// smaller. cu is the peers' progress and this replica's state transfer
-	// (catchup.go).
+	// decided. retainedBytes sizes the decided values the table holds: a
+	// lagging peer is sent those or the store, whichever is smaller. cu is the
+	// peers' progress and this replica's state transfer (catchup.go).
 	compactFloor  int
 	retainedBytes int
-	storeBytes    int
 	cu            catchupState
 
 	// batch, when non-nil, groups Submit traffic — writes and read barriers
 	// alike — into OpBatch commands.
 	batch *batcher
 
-	// faultStale deliberately serves overwritten values from faultPrev —
-	// the chaos harness's "teeth" fault (see FaultInjectStaleReads).
-	faultStale bool
-	faultPrev  map[string]string
-
 	// dur, when non-nil, journals slot state to a WAL and checkpoints the
 	// applied store into snapshots (see durability.go).
 	dur *durable
 
-	// ls, when non-nil, tracks the replicated leader lease (EnableLeases,
-	// see lease.go).
+	// ls, when non-nil, serves and renews the replicated leader lease whose
+	// table the machine applies (EnableLeases, see lease.go).
 	ls *leaseState
 }
 
@@ -238,9 +232,11 @@ type LeaderView interface {
 // scheduler and the Ω its host (shard.Runtime) owns and shares between every
 // group of the process — as it owns the WAL behind EnableDurability's Journal
 // and the transport behind BindTransport: the replica uses all four and
-// closes none. Call BindTransport, then Start. Flexible quorum sizes
-// (cfg.FastSize/cfg.RecoverySize, see internal/quorum.NewFlex) are validated
-// here and honored by every slot's core node. tick is the length of one
+// closes none. Call BindTransport, then Start. A configuration below the
+// paper's bound for a consensus object (Theorem 6: quorum.Check) is refused
+// with quorum.ErrInfeasible; flexible quorum sizes (cfg.FastSize/
+// cfg.RecoverySize, see internal/quorum.NewFlex) are checked against theirs
+// instead and honored by every slot's core node. tick is the length of one
 // protocol tick — a slot's new-ballot timer counts in it, as the host's Ω and
 // gossip periods do — and must be positive: a zero period re-arms a timer
 // immediately and floods the fabric.
@@ -248,18 +244,22 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("smr: %w", err)
 	}
+	if !cfg.Flexible() {
+		if err := quorum.Check(quorum.Object, cfg.N, cfg.F, cfg.E); err != nil {
+			return nil, fmt.Errorf("smr: %w", err)
+		}
+	}
 	if tick <= 0 {
 		return nil, fmt.Errorf("smr: tick must be positive, got %v", tick)
 	}
 	return &Replica{
 		cfg:     cfg,
 		tick:    tick,
-		inner:   innerCodec(),
 		leaders: leaders,
 		slots:   make(map[int]*slot),
-		store:   make(map[string]string),
+		m:       kvMachine{n: cfg.N, store: make(map[string]string)},
 		io:      io,
-		cu:      catchupState{peerApplied: make([]int, cfg.N), partial: map[consensus.ProcessID]*CatchupReply{}},
+		cu:      catchupState{peerApplied: make([]int, cfg.N), partial: map[consensus.ProcessID][]*CatchupReply{}},
 	}, nil
 }
 
@@ -345,7 +345,7 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 			}
 			break
 		}
-		inner, err := r.inner.DecodeBody(m.InnerKind, m.InnerBody)
+		inner, err := innerCodec.DecodeBody(m.InnerKind, m.InnerBody)
 		if err == nil {
 			s := r.instanceLocked(m.Slot)
 			out = r.applySlotLocked(s, s.node.Deliver(from, inner))
@@ -354,7 +354,7 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 			}
 		}
 	case *CatchupRequest:
-		if r.applied > m.From {
+		if r.m.applied > m.From {
 			out = r.catchupReplyLocked(from, m.From)
 		}
 	case *CatchupReply:
@@ -364,28 +364,17 @@ func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
 	r.mu.Unlock()
 }
 
-// captureLocked cuts the replica's state for someone who will jump to it:
-// the applied store, the decided values of still-open slots (so a peer that
-// missed decide traffic learns them without re-running those slots), and the
-// lease view. Store is r.store itself, not a copy: the durable snapshot
-// encodes it under the lock, a lagging peer is sent copies of it in parts.
-func (r *Replica) captureLocked() *CatchupReply {
-	c := &CatchupReply{Applied: r.applied, Store: r.store}
+// cutLocked is the machine's cut (kvMachine.cut) with the decided values of
+// the slots still open here, so a peer that missed their Decides learns them
+// without re-running those slots.
+func (r *Replica) cutLocked(limit int) []*CatchupReply {
+	decided := make(map[int]consensus.Value)
 	for n, s := range r.slots {
-		if s.decided && n >= r.applied {
-			if c.Decided == nil {
-				c.Decided = make(map[int]consensus.Value)
-			}
-			c.Decided[n] = s.val
+		if s.decided && n >= r.m.applied {
+			decided[n] = s.val
 		}
 	}
-	if r.ls != nil {
-		if h, remain := r.ls.tab.Export(r.ls.now()); h >= 0 && remain > 0 {
-			c.LeaseHolder = &h
-			c.LeaseRemain = remain
-		}
-	}
-	return c
+	return r.m.cut(limit, r.ls.now(), decided)
 }
 
 // retireBelowLocked discards every slot below floor — instance, timer,
@@ -407,7 +396,7 @@ func (r *Replica) retireBelowLocked(floor int) int {
 		s.timer.stop()
 		wk.chs = append(wk.chs, s.waiters...)
 		for _, w := range s.applyWaiters {
-			w.applied, w.fenced = true, r.ls != nil && r.ls.tab.Guarded(r.ls.now())
+			w.applied, w.fenced = true, r.ls != nil && r.m.leases.Guarded(r.ls.now())
 			wk.done = append(wk.done, w.done)
 		}
 		if s.decided {
@@ -580,16 +569,7 @@ func (r *Replica) decidedLocked(n int) bool {
 // O(1) amortized instead of rescanning from prev on every contended submit.
 // propHint keeps concurrent local proposals out of each other's slots.
 func (r *Replica) nextFreeSlotLocked(prev int) int {
-	n := prev + 1
-	if n < r.applied {
-		n = r.applied
-	}
-	if n < r.freeHint {
-		n = r.freeHint
-	}
-	if n < r.propHint {
-		n = r.propHint
-	}
+	n := max(prev+1, r.m.applied, r.freeHint, r.propHint)
 	for r.decidedLocked(n) {
 		n++
 	}
@@ -600,27 +580,14 @@ func (r *Replica) nextFreeSlotLocked(prev int) int {
 func (r *Replica) Get(key string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.getLocked(key)
-}
-
-// getLocked is Get under the lock, shared with LeaseRead so the lease
-// validity check and the store read are one atomic step (and lease reads
-// honor the chaos harness's stale-read fault injection).
-func (r *Replica) getLocked(key string) (string, bool) {
-	if r.faultStale {
-		if v, ok := r.faultPrev[key]; ok {
-			return v, true
-		}
-	}
-	v, ok := r.store[key]
-	return v, ok
+	return r.m.get(key)
 }
 
 // Applied returns the number of log slots applied to the store.
 func (r *Replica) Applied() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.applied
+	return r.m.applied
 }
 
 // LogValue returns the decided value of a slot, if any (retired slots
@@ -755,9 +722,9 @@ func (r *Replica) applySlotLocked(s *slot, effects []consensus.Effect) []outboun
 		case consensus.StopTimer:
 			s.timer.stop()
 		case consensus.Decide:
-			before := r.applied
+			before := r.m.applied
 			r.decideLocked(s, eff.Value)
-			r.maybeSnapshotLocked(r.applied - before)
+			r.maybeSnapshotLocked(r.m.applied - before)
 		}
 	}
 	return out
@@ -812,19 +779,21 @@ func (r *Replica) decideLocked(s *slot, v consensus.Value) {
 	}
 }
 
-// applyReadyLocked is the one place applied advances slot by slot: it
-// applies every decided command at the frontier in slot order, hands the
+// applyReadyLocked is the one place applied advances slot by slot: it hands
+// the machine every decided value at the frontier in slot order, hands the
 // callers waiting on those slots their verdict and detaches them (the caller
 // queues their wakeup), and retires what no peer needs any more behind it.
 func (r *Replica) applyReadyLocked() (done []chan struct{}) {
-	for s := r.slots[r.applied]; s != nil && s.decided; s = r.slots[r.applied] {
-		fenced := r.applyCommandLocked(s)
+	for s := r.slots[r.m.applied]; s != nil && s.decided; s = r.slots[r.m.applied] {
+		ev := r.m.apply(s.val, r.ls.now())
+		if r.ls != nil {
+			r.ls.count(ev)
+		}
 		for _, w := range s.applyWaiters {
-			w.applied, w.fenced = true, fenced
+			w.applied, w.fenced = true, ev.Fenced
 			done = append(done, w.done)
 		}
 		s.applyWaiters = nil
-		r.applied++
 	}
 	r.retireAppliedLocked()
 	return done
@@ -836,14 +805,14 @@ func (r *Replica) applyReadyLocked() (done []chan struct{}) {
 // peer that says nothing, or lags further, is served a snapshot. A stale or
 // lowered index is safe: it only decides which of the two a request gets.
 func (r *Replica) retireAppliedLocked() {
-	floor := r.applied
+	floor := r.m.applied
 	for p, a := range r.cu.peerApplied {
 		if consensus.ProcessID(p) != r.cfg.ID && a < floor {
 			floor = a
 		}
 	}
-	r.retireBelowLocked(max(floor, r.applied-retainSlots))
-	for r.retainedBytes > retainBytes && r.compactFloor < r.applied {
+	r.retireBelowLocked(max(floor, r.m.applied-retainSlots))
+	for r.retainedBytes > retainBytes && r.compactFloor < r.m.applied {
 		r.retireBelowLocked(r.compactFloor + 1)
 	}
 }
@@ -851,7 +820,7 @@ func (r *Replica) retireAppliedLocked() {
 // WaitApplied blocks until the given slot has been applied to the store.
 func (r *Replica) WaitApplied(ctx context.Context, slot int) error {
 	r.mu.Lock()
-	if slot < r.applied {
+	if slot < r.m.applied {
 		r.mu.Unlock()
 		return nil
 	}
@@ -865,45 +834,6 @@ func (r *Replica) WaitApplied(ctx context.Context, slot int) error {
 	r.mu.Unlock()
 	_, err := w.wait(ctx)
 	return err
-}
-
-// applyCommandLocked applies slot s's decided command to the store; s is
-// the slot at the applied index. fenced: see applyLeaseLocked.
-func (r *Replica) applyCommandLocked(s *slot) (fenced bool) {
-	cmd, err := DecodeCommand(s.val)
-	if err != nil {
-		// Unparseable commands still revoke conservatively: an unknown
-		// proposer must not leave a lease looking live. Otherwise a no-op.
-		return r.ls != nil && r.applyLeaseLocked(Command{}, -1)
-	}
-	if r.ls != nil {
-		fenced = r.applyLeaseLocked(cmd, proposerOf(cmd.ID))
-	}
-	r.applyDecodedLocked(cmd)
-	return fenced
-}
-
-func (r *Replica) applyDecodedLocked(cmd Command) {
-	switch cmd.Op {
-	case OpPut, OpDelete:
-		old, had := r.store[cmd.Key]
-		if had {
-			r.storeBytes -= len(cmd.Key) + len(old)
-		}
-		if cmd.Op == OpDelete {
-			delete(r.store, cmd.Key)
-			break
-		}
-		if r.faultStale && had && old != cmd.Val {
-			r.faultPrev[cmd.Key] = old
-		}
-		r.store[cmd.Key] = cmd.Val
-		r.storeBytes += len(cmd.Key) + len(cmd.Val)
-	case OpBatch:
-		for _, sub := range cmd.Subs {
-			r.applyDecodedLocked(sub)
-		}
-	}
 }
 
 // emitLocked hands the current step's deferred I/O — out plus any wakeups

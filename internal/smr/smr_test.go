@@ -2,6 +2,7 @@ package smr_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consensus"
+	"repro/internal/quorum"
 	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
@@ -222,6 +224,52 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 	r, err := smr.NewReplica(good, time.Millisecond, io, smr.FixedLeaders{})
 	if err != nil {
 		t.Fatalf("valid input rejected: %v", err)
+	}
+	r.Close()
+}
+
+// TestNewReplicaRefusesBelowTheBound: a group of n processes tolerating f
+// crashes, e of them on the fast path, needs n ≥ max{2e+f−1, 2f+1} (Theorem 6);
+// one process fewer and some schedule loses an acknowledged write, so the
+// replica is refused. Flexible quorum sizes are checked against their own
+// bound instead.
+func TestNewReplicaRefusesBelowTheBound(t *testing.T) {
+	io := smr.NewIOScheduler()
+	defer io.Close()
+	for _, tc := range []struct {
+		n, f, e int
+		ok      bool
+	}{
+		{1, 0, 0, true},
+		{2, 1, 0, false}, // 2f+1 binds
+		{2, 1, 1, false},
+		{3, 1, 1, true},
+		{4, 2, 1, false},
+		{5, 2, 1, true},
+		{4, 2, 2, false},
+		{5, 2, 2, true},
+		{6, 3, 2, false},
+		{7, 3, 2, true},
+		{7, 3, 3, false}, // 2e+f−1 binds: 8
+		{8, 3, 3, true},
+	} {
+		cfg := consensus.Config{ID: 0, N: tc.n, F: tc.f, E: tc.e, Delta: 10}
+		r, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{})
+		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, quorum.ErrInfeasible) {
+			t.Errorf("n=%d f=%d e=%d: %v, want accepted %t", tc.n, tc.f, tc.e, err, tc.ok)
+		}
+		if err == nil {
+			r.Close()
+		}
+	}
+	flex, err := quorum.SmallestFastFlex(7, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := consensus.Config{ID: 0, N: 7, F: 3, E: 3, Delta: 10, FastSize: flex.Fast, RecoverySize: flex.Recovery}
+	r, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{})
+	if err != nil {
+		t.Fatalf("flexible n=7 f=3 e=3 (%+v): %v", flex, err)
 	}
 	r.Close()
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,6 +367,51 @@ func TestTCPBackToBackFramesDoNotAlias(t *testing.T) {
 	}
 	if got := c.got[1].(*core.TwoB).Value; got != second {
 		t.Fatalf("second message = %.20q…", got.Data)
+	}
+}
+
+// TestTCPCountsASendBeforeItsDelivery: a frame is in the sender's Sends before
+// the receiver can have handled it, so a count taken on the receiving side
+// never runs ahead of the sending side's. The receiver checks it on every one
+// of 2000 frames, while the sender's writer is still returning from the write.
+func TestTCPCountsASendBeforeItsDelivery(t *testing.T) {
+	const frames = 2000
+	codec := testCodec()
+	addrs := map[consensus.ProcessID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
+	var handled, ahead atomic.Uint64 // ahead: frames handled while Sends said fewer
+	t0, err := transport.NewTCP(0, addrs, codec, func(consensus.ProcessID, consensus.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Close()
+	t1, err := transport.NewTCP(1, addrs, codec, func(consensus.ProcessID, consensus.Message) {
+		if n := handled.Add(1); t0.Stats().Sends < n {
+			ahead.Add(1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	t0.SetPeerAddr(1, t1.Addr())
+
+	// Frames that fill the socket buffers, so the writer often parks inside a
+	// write and is slow to come back from it; 250 at a time, to bound the queue.
+	msg := &core.DecideMsg{Value: consensus.Value{Key: 1, Data: strings.Repeat("x", 16<<10)}}
+	for sent := 0; sent < frames; {
+		for end := sent + 250; sent < end; sent++ {
+			if err := t0.Send(1, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(10 * time.Second); handled.Load() < uint64(sent); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d frames handled (sender: %s)", handled.Load(), sent, t0.Stats())
+			}
+		}
+	}
+	if n := ahead.Load(); n > 0 {
+		t.Fatalf("%d of %d frames were handled before the sender counted them", n, frames)
 	}
 }
 

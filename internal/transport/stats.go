@@ -168,6 +168,13 @@ func (c *counters) sent(bytes int) {
 	c.bytesSent.Add(uint64(bytes))
 }
 
+// unsent turns what sent counted before a write that then failed into a drop.
+func (c *counters) unsent(bytes int, cause DropCause, peer consensus.ProcessID) {
+	c.sends.Add(^uint64(0))
+	c.bytesSent.Add(-uint64(bytes))
+	c.drop(cause, peer)
+}
+
 func (c *counters) received(bytes int) {
 	c.bytesRecv.Add(uint64(bytes))
 }

@@ -416,13 +416,14 @@ func (t *TCP) writeOne(p *tcpPeer, frame []byte, rng *rand.Rand) {
 		conn = c
 	}
 	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	// Counted before the write: the receiver may handle the frame before
+	// writeFrame returns, and a send must never show up after its delivery.
+	t.stats.sent(len(frame))
 	if err := writeFrame(conn, frame); err != nil {
 		p.dropConn(conn)
 		t.armBackoff(p, rng)
-		t.stats.drop(DropConn, p.id)
-		return
+		t.stats.unsent(len(frame), DropConn, p.id)
 	}
-	t.stats.sent(len(frame))
 }
 
 // dialPeer attempts one connection to p's current address. It fails
