@@ -39,7 +39,7 @@ test-short:
 # timing assumptions; one that doesn't gets converted to a fake clock
 # (see TestLeaseExpiryUnderFsyncStall for the pattern).
 test-flaky:
-	$(GO) test ./internal/smr ./internal/shard ./internal/cluster ./internal/chaos ./internal/node ./internal/wan ./internal/transport \
+	$(GO) test ./internal/smr ./internal/shard ./internal/cluster ./internal/chaos ./internal/wan ./internal/transport \
 		-race -count=5 -timeout 1200s
 
 # benchmark/ is its own module, so `go build ./...` and `go test ./...`
@@ -98,7 +98,6 @@ report:
 	$(GO) run ./cmd/bench -soak-runs 200 -f10-short -csv out -out EXPERIMENTS.md
 
 examples:
-	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/lowerbound
 	$(GO) run ./examples/kvstore
 	$(GO) run ./examples/wan

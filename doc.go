@@ -9,6 +9,6 @@
 // table and figure of the reproduction (see DESIGN.md and EXPERIMENTS.md).
 //
 // Entry points: cmd/bench (regenerate the evaluation), cmd/simrun (explore
-// single scenarios), cmd/twostep (live TCP cluster), and the runnable
-// walkthroughs under examples/.
+// single scenarios), cmd/kv (a live TCP key-value cluster: every PUT is a
+// consensus instance), and the runnable walkthroughs under examples/.
 package repro

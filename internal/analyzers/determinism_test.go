@@ -53,7 +53,6 @@ func TestIsProtocolPackage(t *testing.T) {
 		"repro/internal/quorum":    true,
 		"repro/internal/lease":     true,  // replayed on recovery: clock values arrive as arguments
 		"repro/internal/sim":       false, // the simulator owns the clock
-		"repro/internal/node":      false, // the live host owns the network
 		"repro/internal/bench":     false,
 	} {
 		if got := analyzers.IsProtocolPackage(path); got != want {

@@ -15,7 +15,6 @@ import (
 var hostPackages = map[string]bool{
 	"repro/internal/transport": true,
 	"repro/internal/smr":       true,
-	"repro/internal/node":      true,
 	"repro/internal/chaos":     true,
 	"repro/internal/shard":     true,
 	"repro/internal/lease":     true,

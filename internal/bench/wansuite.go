@@ -14,20 +14,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/epaxos"
 	"repro/internal/fastpaxos"
-	"repro/internal/node"
 	"repro/internal/protocols"
 	"repro/internal/quorum"
 	"repro/internal/wan"
 )
 
 // F10 — the WAN scenario suite. Where F3 computes geo latency analytically
-// on the simulator, F10 measures it end-to-end: real protocol stacks on
-// node.Host over a real fabric (TCP with a per-peer one-way delay shim, or
-// Mesh with a deterministic delay injector for the CI short mode), with
-// durability on (an fsync per protocol step) when requested. Each cell of
-// the sweep deploys a protocol on the first n slots of a wan.Topology
-// preset and, for every distinct region, measures propose→decide latency at
-// a proxy in that region plus the slow-path rate via
+// on the simulator, F10 measures it end-to-end: one real protocol instance
+// per process, each on a driver (wandriver.go), over a real fabric (TCP
+// with a per-peer one-way delay shim, or Mesh with a deterministic delay
+// injector for the CI short mode), with durability on (an fsync per
+// protocol step) when requested. Each cell of the sweep deploys a protocol
+// on the first n slots of a wan.Topology preset and, for every distinct
+// region, measures propose→decide latency at a proxy in that region plus
+// the slow-path rate via
 // consensus.FastPathReporter. The per-region tables are the paper's C5
 // claim made empirical: the task/object protocols assemble their smaller
 // fast quorums region-hops earlier than Fast Paxos on spread placements.
@@ -198,7 +198,7 @@ func WANSuite(opts WANSuiteOptions) *Result {
 				fmt.Sprintf("%.0f%%", reg.SlowPathRate*100))
 		}
 	}
-	res.AddNote("Measured end-to-end on node.Host: propose at a proxy in each distinct region, wait for its decision. floor ms = analytical RTT to the fast quorum's farthest member (unscaled); measured columns include the Scale factor, codec, loopback, and (when on) an fsync per protocol step.")
+	res.AddNote("Measured end-to-end, one protocol instance per process: propose at a proxy in each distinct region, wait for its decision. floor ms = analytical RTT to the fast quorum's farthest member (unscaled); measured columns include the Scale factor, codec, loopback, and (when on) an fsync per protocol step.")
 	res.AddNote("fastpaxos-flex runs the bare-majority fast quorum (quorum.SmallestFastFlex): lower latency than classical Fast Paxos at the same n, paid for with an n-all-but-(n−fast) recovery quorum.")
 	return res
 }
@@ -283,7 +283,7 @@ func runWANCell(topoName, proto string, sweep WANSweep, opts WANSuiteOptions) WA
 }
 
 // runWANProxy measures opts.Samples one-shot instances (plus a discarded
-// warm-up) with the proxy at the given slot. Each sample boots fresh hosts
+// warm-up) with the proxy at the given slot. Each sample boots fresh drivers
 // on the cell's shared fabric; between samples the fabric drains for the
 // max one-way delay so no stale frame leaks into the next instance.
 func runWANProxy(prefix wan.Topology, fab *wanFabric, proto string, n, f, e int,
@@ -316,14 +316,14 @@ func runWANProxy(prefix wan.Topology, fab *wanFabric, proto string, n, f, e int,
 
 // runWANSample boots one fresh cluster on the fabric, proposes at the
 // proxy, and returns its commit latency and whether it decided on the fast
-// path. It waits for every host to decide before tearing down, so the only
+// path. It waits for every process to decide before tearing down, so the only
 // frames left in flight are bounded by one one-way delay.
 func runWANSample(fab *wanFabric, proto string, n, f, e int,
 	delta consensus.Duration, tick time.Duration,
 	proxy consensus.ProcessID, opts WANSuiteOptions) (time.Duration, bool, error) {
 
 	oracle := consensus.FixedLeader(proxy)
-	hosts := make([]*node.Host, n)
+	drivers := make([]*driver, n)
 	nodes := make([]consensus.Protocol, n)
 	for i := 0; i < n; i++ {
 		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: f, E: e, Delta: delta}
@@ -331,34 +331,30 @@ func runWANSample(fab *wanFabric, proto string, n, f, e int,
 		if err != nil {
 			return 0, false, err
 		}
-		h := node.New(n, fab.Transport(i), tick, p)
-		if fab.persist != nil {
-			h.SetPersist(fab.persist[i], nil)
-		}
-		hosts[i] = h
+		drivers[i] = newDriver(n, fab.Transport(i), tick, p, fab.persist[i])
 		nodes[i] = p
-		fab.Attach(i, h.Handle)
+		fab.Attach(i, drivers[i].Handle)
 	}
 	defer func() {
-		for i := range hosts {
+		for i := range drivers {
 			fab.Attach(i, nil)
-			hosts[i].Close()
+			drivers[i].Close()
 		}
 	}()
-	for _, h := range hosts {
-		h.Start()
+	for _, d := range drivers {
+		d.Start()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
-	hosts[proxy].Propose(consensus.IntValue(wanValueSeq.Add(1)))
-	if _, err := hosts[proxy].WaitDecision(ctx); err != nil {
+	drivers[proxy].Propose(consensus.IntValue(wanValueSeq.Add(1)))
+	if _, err := drivers[proxy].WaitDecision(ctx); err != nil {
 		return 0, false, fmt.Errorf("proxy decision: %w", err)
 	}
 	lat := time.Since(start)
-	for i, h := range hosts {
-		if _, err := h.WaitDecision(ctx); err != nil {
+	for i, d := range drivers {
+		if _, err := d.WaitDecision(ctx); err != nil {
 			return 0, false, fmt.Errorf("process %d decision: %w", i, err)
 		}
 	}
@@ -384,9 +380,8 @@ func buildWANProto(proto string, cfg consensus.Config, proxy consensus.ProcessID
 }
 
 // wanFabric is one cell's shared delivery fabric: per-slot endpoints with
-// the topology's delays installed (they outlive the per-sample hosts, whose
-// Close does not tear them down) and, with Fsync, a per-slot durability
-// hook.
+// the topology's delays installed (they outlive the per-sample drivers)
+// and, with Fsync, a per-slot durability hook (nil without).
 type wanFabric struct {
 	*cluster.Fabric
 	persist []func() error
@@ -394,7 +389,7 @@ type wanFabric struct {
 }
 
 func newWANFabric(prefix wan.Topology, n int, opts WANSuiteOptions) (*wanFabric, error) {
-	fab := &wanFabric{}
+	fab := &wanFabric{persist: make([]func() error, n)}
 	var closers []func()
 	fab.close = func() {
 		for _, c := range closers {
@@ -407,7 +402,6 @@ func newWANFabric(prefix wan.Topology, n int, opts WANSuiteOptions) (*wanFabric,
 	}
 
 	if opts.Fsync {
-		fab.persist = make([]func() error, n)
 		for i := 0; i < n; i++ {
 			f, err := os.CreateTemp("", "bench-f10-wal-*.log")
 			if err != nil {

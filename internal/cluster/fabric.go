@@ -18,7 +18,7 @@ import (
 // Fabric is n endpoints on one delivery fabric — the in-process Mesh, or
 // loopback TCP on ephemeral ports — that outlive whatever is attached to
 // them: a transport's Close is a no-op and its handler is swappable, so a
-// crash-restarted process (or F10's fresh host per sample) comes back
+// crash-restarted process (or F10's fresh driver per sample) comes back
 // behind the same endpoint, like a listener reopening on the same port.
 type Fabric struct {
 	mesh  *transport.Mesh  // nil on TCP

@@ -7,8 +7,9 @@
 // Protocols are pure, deterministic state machines: they never touch the
 // network or the clock directly. Instead every entry point returns a slice of
 // Effect values (send a message, broadcast, start a timer, announce a
-// decision) that the host — either the discrete-event simulator in
-// internal/sim or the live node host in internal/node — interprets. This is
+// decision) that the host — the discrete-event simulator in internal/sim, a
+// log slot of internal/smr's replica, or F10's single-instance driver in
+// internal/bench — interprets. This is
 // what lets the same protocol code run in reproducible simulated executions
 // (including the adversarial lower-bound constructions of the paper's
 // Appendix B) and on a real TCP cluster.

@@ -104,7 +104,8 @@ func DecodeState(d *consensus.Decoder) State {
 }
 
 // AppendState appends the node's durable state behind the format-version
-// byte: the record a journal keeps (cmd/twostep).
+// byte: one opaque record of the instance, what a host that journals whole
+// protocol instances (rather than smr's per-slot core.State) keeps.
 func (n *Node) AppendState(dst []byte) []byte {
 	return AppendState(append(dst, consensus.FormatVersion), n.Snapshot())
 }

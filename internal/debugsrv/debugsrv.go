@@ -1,7 +1,6 @@
-// Package debugsrv serves the operational debug surface shared by the
-// long-running binaries (cmd/kv, cmd/twostep): net/http/pprof profiling
-// endpoints plus expvar counters for the hot-path observables — transport
-// send/drop counts, WAL fsync totals, batch sizes. It exists so a perf
+// Package debugsrv serves the operational debug surface of the long-running
+// binary (cmd/kv): net/http/pprof profiling endpoints plus expvar counters
+// for the hot-path observables — transport send/drop counts, WAL fsync totals, batch sizes. It exists so a perf
 // regression in a deployed replica can be diagnosed with stock Go tooling
 // (`go tool pprof`, `curl /debug/vars`) instead of bespoke log scraping.
 package debugsrv

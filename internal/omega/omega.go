@@ -5,10 +5,12 @@
 // recently; after GST all correct processes converge on the same lowest-id
 // correct process.
 //
-// The detector is itself a deterministic consensus.Protocol (heartbeats are
-// messages, periods are timers), so it runs both under the simulator and on
-// live transports, side by side with a consensus protocol that consumes it
-// through the consensus.LeaderOracle interface.
+// The detector owns no clock and no wire: its host (shard.Runtime, one per
+// process) broadcasts a Heartbeat and calls Beat once per period, calls
+// Heard for every heartbeat that arrives, and hands the detector to the
+// consensus instances it runs as their consensus.LeaderOracle. The
+// simulator needs none of this: sim.Cluster.Oracle answers from its global
+// view.
 package omega
 
 import (
@@ -37,9 +39,6 @@ func RegisterMessages(codec *consensus.Codec) {
 	codec.MustRegister(KindHeartbeat, func() consensus.Message { return &Heartbeat{} })
 }
 
-// TimerPeriod drives heartbeat emission and suspicion evaluation.
-const TimerPeriod consensus.TimerID = "omega.period"
-
 // DefaultTimeoutPeriods is how many silent periods make a process suspect.
 const DefaultTimeoutPeriods = 3
 
@@ -52,16 +51,13 @@ type Detector struct {
 	lastHeard []int64 // epoch at which each process was last heard
 
 	// Leader-stability tracking (LeaderStable): the current estimate and
-	// the epoch at which it last changed, refreshed on every Deliver/Tick.
+	// the epoch at which it last changed, refreshed on every Beat/Heard.
 	lastLeader   consensus.ProcessID
 	leaderSince  int64
 	leaderInited bool
 }
 
-var (
-	_ consensus.Protocol     = (*Detector)(nil)
-	_ consensus.LeaderOracle = (*Detector)(nil)
-)
+var _ consensus.LeaderOracle = (*Detector)(nil)
 
 // New builds a detector. timeoutPeriods ≤ 0 selects DefaultTimeoutPeriods.
 func New(cfg consensus.Config, timeoutPeriods int) *Detector {
@@ -75,9 +71,6 @@ func New(cfg consensus.Config, timeoutPeriods int) *Detector {
 	}
 	return d
 }
-
-// ID implements consensus.Protocol.
-func (d *Detector) ID() consensus.ProcessID { return d.cfg.ID }
 
 // Leader implements consensus.LeaderOracle: the lowest-id process heard from
 // within the timeout window (always including ourselves).
@@ -94,31 +87,8 @@ func (d *Detector) Leader() consensus.ProcessID {
 	return d.cfg.ID
 }
 
-// Start implements consensus.Protocol: begin heartbeating immediately.
-func (d *Detector) Start() []consensus.Effect {
-	return []consensus.Effect{
-		consensus.Broadcast{Msg: &Heartbeat{}, Self: false},
-		consensus.StartTimer{Timer: TimerPeriod, After: d.cfg.Delta},
-	}
-}
-
-// Propose implements consensus.Protocol (no-op: Ω has no proposals).
-func (d *Detector) Propose(consensus.Value) []consensus.Effect { return nil }
-
-// Decision implements consensus.Protocol (Ω never decides).
-func (d *Detector) Decision() (consensus.Value, bool) { return consensus.None, false }
-
-// Deliver implements consensus.Protocol.
-func (d *Detector) Deliver(from consensus.ProcessID, m consensus.Message) []consensus.Effect {
-	if _, ok := m.(*Heartbeat); ok {
-		d.Heard(from)
-	}
-	return nil
-}
-
-// Heard records a heartbeat; a sender outside the membership is ignored. A
-// host that owns the period timer and the wire itself (shard.Runtime) drives
-// the detector through Heard and Beat alone and interprets no effects.
+// Heard records a heartbeat from a peer; a sender outside the membership is
+// ignored.
 func (d *Detector) Heard(from consensus.ProcessID) {
 	if from >= 0 && int(from) < len(d.lastHeard) {
 		d.lastHeard[from] = d.epoch
@@ -131,18 +101,6 @@ func (d *Detector) Heard(from consensus.ProcessID) {
 func (d *Detector) Beat() {
 	d.epoch++
 	d.noteLeader()
-}
-
-// Tick implements consensus.Protocol: advance the epoch and heartbeat again.
-func (d *Detector) Tick(t consensus.TimerID) []consensus.Effect {
-	if t != TimerPeriod {
-		return nil
-	}
-	d.Beat()
-	return []consensus.Effect{
-		consensus.Broadcast{Msg: &Heartbeat{}, Self: false},
-		consensus.StartTimer{Timer: TimerPeriod, After: d.cfg.Delta},
-	}
 }
 
 // noteLeader refreshes the stability tracking after any event that can

@@ -5,31 +5,58 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/omega"
-	"repro/internal/sim"
 )
 
+// The detectors run one Beat/Heard schedule, as shard.Runtime drives them:
+// each period every live process beats, and its heartbeat reaches every
+// other live process in the same period — or, before GST, some a period
+// late. p0 crashes at period 5 and p1 at period 20: the survivors trust p1
+// in between and p2 at the end.
 func TestDetectorConvergesOnLowestCorrect(t *testing.T) {
-	const n = 5
-	delta := consensus.Duration(10)
-	cl, err := sim.New(sim.Options{
-		N:       n,
-		Delta:   delta,
-		Policy:  sim.NewPartialSync(delta, 0, delta, 1),
-		Horizon: consensus.Time(100 * delta),
-	})
-	if err != nil {
-		t.Fatal(err)
+	const n, periods, gst = 5, 100, 30
+	crashAt := map[int]int{0: 5, 1: 20}
+	up := func(p, period int) bool {
+		at, crashes := crashAt[p]
+		return !crashes || period < at
 	}
 	detectors := make([]*omega.Detector, n)
-	for i := 0; i < n; i++ {
-		cfg := consensus.Config{ID: consensus.ProcessID(i), N: n, F: 2, E: 1, Delta: delta}
-		detectors[i] = omega.New(cfg, 0)
-		cl.SetNode(consensus.ProcessID(i), detectors[i])
+	for i := range detectors {
+		detectors[i] = omega.New(consensus.Config{ID: consensus.ProcessID(i), N: n, F: 2, E: 1, Delta: 10}, 0)
 	}
-	cl.ScheduleCrash(0, consensus.Time(5*delta))
-	cl.ScheduleCrash(1, consensus.Time(20*delta))
-	cl.Run(nil)
-
+	type link struct{ from, to int }
+	var late []link
+	for k := 0; k < periods; k++ {
+		for p := 0; p < n; p++ {
+			if up(p, k) {
+				detectors[p].Beat()
+			}
+		}
+		held := late
+		late = nil
+		for _, l := range held {
+			if up(l.to, k) {
+				detectors[l.to].Heard(consensus.ProcessID(l.from))
+			}
+		}
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				switch {
+				case to == from || !up(from, k) || !up(to, k):
+				case k < gst && (from+to+k)%3 == 0:
+					late = append(late, link{from, to})
+				default:
+					detectors[to].Heard(consensus.ProcessID(from))
+				}
+			}
+		}
+		if k == 19 {
+			for i := 1; i < n; i++ {
+				if got := detectors[i].Leader(); got != 1 {
+					t.Errorf("period %d, detector %d: leader = %s, want p1", k, i, got)
+				}
+			}
+		}
+	}
 	for i := 2; i < n; i++ {
 		if got := detectors[i].Leader(); got != 2 {
 			t.Errorf("detector %d: leader = %s, want p2", i, got)
@@ -40,10 +67,10 @@ func TestDetectorConvergesOnLowestCorrect(t *testing.T) {
 func TestDetectorTrustsSelfWhenAlone(t *testing.T) {
 	cfg := consensus.Config{ID: 3, N: 5, F: 2, E: 1, Delta: 10}
 	d := omega.New(cfg, 2)
-	// Without any heartbeats, after enough epochs everyone below us is
+	// Without any heartbeats, after enough periods everyone below us is
 	// suspected and we elect ourselves.
 	for i := 0; i < 10; i++ {
-		d.Tick(omega.TimerPeriod)
+		d.Beat()
 	}
 	if got := d.Leader(); got != 3 {
 		t.Fatalf("leader = %s, want self p3", got)

@@ -319,7 +319,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	// index with a fresh (amnesiac) instance: retire them all, so stragglers
 	// there are served snapshots instead.
 	r.retireBelowLocked(r.m.applied)
-	r.freeHint = max(r.freeHint, r.m.applied)
 
 	// 5. Rebuild live instances for undecided slots, promises intact. A decided
 	// slot stays a value: its last state record predates the decision.

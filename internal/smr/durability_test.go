@@ -136,10 +136,9 @@ func TestCrashFailpointUnderWorkloadRecoversAndRejoins(t *testing.T) {
 }
 
 func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
-	// A graceful shutdown (what the SIGTERM handlers in cmd/kv and
-	// cmd/twostep invoke) must fsync and close the WAL even under
-	// SyncNever, so the restart takes the clean path, not the torn-tail
-	// one.
+	// A graceful shutdown (what cmd/kv's SIGTERM handler invokes) must
+	// fsync and close the WAL even under SyncNever, so the restart takes the
+	// clean path, not the torn-tail one.
 	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) {
 		d.Policy, d.SnapshotEvery = wal.SyncNever, -1
 	})

@@ -154,7 +154,7 @@ func (r *Replica) learnLocked(s *slot, v consensus.Value) {
 // The slot record is the unit: slots holds every slot from compactFloor up
 // that anything has touched, and nothing else in the replica is keyed by
 // slot number. Replica.mu guards that table together with what orders it —
-// the machine and its applied index, the compaction floor, the slot hints —
+// the machine and its applied index, the compaction floor, the proposal hint —
 // plus the lease timer, the durability watermarks and the step's pending
 // wakeups. It is held for in-memory work only: every send, fsync and caller
 // wakeup leaves through the outbox (emitLocked). The batcher carries its own
@@ -178,15 +178,11 @@ type Replica struct {
 	closed   bool
 	released bool
 
-	// freeHint is a monotonic lower bound on the smallest undecided slot,
-	// advanced by decideLocked so nextFreeSlotLocked does not rescan the
-	// decided prefix on every contended submit. propHint is one past the
-	// newest slot this replica proposed in: concurrent local Executes must
-	// land in distinct slots, or they all race for the same one and the
-	// losers pay a conflict round (with I/O off the lock the race window is
-	// the whole pipeline, not just the in-lock step, so this is load-bearing
-	// for parallel submits).
-	freeHint int
+	// propHint is one past the newest slot this replica proposed in:
+	// concurrent local Executes must land in distinct slots, or they all race
+	// for the same one and the losers pay a conflict round (with I/O off the
+	// lock the race window is the whole pipeline, not just the in-lock step,
+	// so this is load-bearing for parallel submits).
 	propHint int
 
 	// Out-of-lock I/O (see outbox.go, iosched.go). io is the process's one
@@ -564,12 +560,12 @@ func (r *Replica) decidedLocked(n int) bool {
 }
 
 // nextFreeSlotLocked returns the smallest slot after prev this replica has
-// neither seen decided nor already proposed in. freeHint bounds the scan
-// from below: decideLocked keeps it past the decided prefix, so the loop is
-// O(1) amortized instead of rescanning from prev on every contended submit.
+// neither seen decided nor already proposed in. The applied index bounds the
+// scan from below — every slot under it is decided — so the loop is O(1)
+// amortized instead of rescanning from prev on every contended submit.
 // propHint keeps concurrent local proposals out of each other's slots.
 func (r *Replica) nextFreeSlotLocked(prev int) int {
-	n := max(prev+1, r.m.applied, r.freeHint, r.propHint)
+	n := max(prev+1, r.m.applied, r.propHint)
 	for r.decidedLocked(n) {
 		n++
 	}
@@ -763,11 +759,6 @@ func (r *Replica) decideLocked(s *slot, v consensus.Value) {
 		return
 	}
 	r.learnLocked(s, v)
-	if s.n == r.freeHint {
-		for r.decidedLocked(r.freeHint) {
-			r.freeHint++
-		}
-	}
 	// Waiters are detached from the table here but woken by emitLocked /
 	// the outbox consumer — after the decision's WAL records are durable,
 	// and off the critical section.

@@ -1,7 +1,6 @@
 // Package wal implements the segmented, append-only write-ahead log behind
-// the durable SMR replica (internal/smr) and the durable single-shot host
-// (cmd/twostep). The paper's recovery procedure (Lemmas 3 and 7) reasons
-// about the state a process reports after a failure — its current ballot,
+// the durable SMR replica (internal/smr). The paper's recovery procedure
+// (Lemmas 3 and 7) reasons about the state a process reports after a failure — its current ballot,
 // its last vote, its decision. A crash-RECOVERY deployment of the protocol
 // is sound only if that state survives the crash, which is exactly what
 // this package provides: every record is framed with a CRC32C checksum,
