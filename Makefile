@@ -73,14 +73,21 @@ bench-wan-short:
 # trip from their quorum: cmds/roundtrip above 64 means chunks overlapped.
 # /cold is the first burst at ten fresh proposers: roundtrips/burst near 1
 # means a proposer that has measured nothing assumes distance (2 if its
-# first chunk has to commit before a second one goes).
+# first chunk has to commit before a second one goes). /closed32 is 32
+# closed-loop writers a 50 ms round trip away, ten chunks: held_us/chunk well
+# under 1000 means a released cohort is waited for, not held a blind 1 ms
+# beat, and cmds/batch near 32 that it stayed one chunk.
 # BenchmarkReadFallback is the lease-less GETL: ten bursts of 256 readers on
 # the same fixture (roundtrips/burst near 1: barriers overlap like writes),
 # then 1, 8 and 64 closed-loop callers, nine reads to one write, on durable
-# loopback processes, 2000 operations each (ops/s, slots/op).
+# loopback processes, 2000 operations each (ops/s, slots/op, and
+# held_us/slot: the loopback gather beat, which stays blind).
 # BenchmarkCatchup is one catch-up between two replicas, as a log suffix of
 # 64 slots and as a snapshot of 8k keys: wire-B/op, frames/op and how long
 # each side holds Replica.mu for it (send-lock-ns/op, recv-lock-ns/op).
+# BenchmarkLinkDelay is the WAN shim's own error: late_us/frame is how late
+# a frame arrives past its 37.5 ms injected delay (a Go timer on an idle
+# process fires up to a millisecond late).
 microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkCommandDecode|BenchmarkSlotWrap|BenchmarkFrameDecode|BenchmarkReplicaPipeline' \
 		-benchmem -benchtime=100x -count=2 ./internal/smr
@@ -89,6 +96,7 @@ microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkCatchup' -benchtime=20x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
+	$(GO) test -run=NONE -bench 'BenchmarkLinkDelay' -benchtime=40x -count=2 ./internal/transport
 
 # Rewrites EXPERIMENTS.md below its "# Generated report" line (and prints
 # it, plus CSVs under ./out): every registered experiment, F10 in short

@@ -261,8 +261,12 @@ func spread(t *testing.T, n, e int, rtt time.Duration) (topo wan.Topology, scale
 // A lease-less GetLinearizable is a rider like any other: a burst of reads
 // overlaps its chunks under the same bound, where a barrier that ran one
 // round at a time needed a round trip per round. cold is the same burst at
-// a proposer that has measured nothing yet.
+// a proposer that has measured nothing yet; closed32 is a closed loop of a
+// cohort, put-wan's load. It runs first: right before cold under the race
+// detector it made about one cold burst in ten take all of its first 64
+// writers into its first chunk, which cold counts as not overlapping.
 func TestPipelinedBatchesOverDistance(t *testing.T) {
+	t.Run("closed32", closedLoopOverDistance)
 	for _, tc := range []struct {
 		name string
 		op   func(ctx context.Context, rt *shard.Runtime, k string) error
@@ -287,12 +291,11 @@ func TestPipelinedBatchesOverDistance(t *testing.T) {
 const distanceN, distanceWriters = 5, 256
 
 // distanceCluster boots TestPipelinedBatchesOverDistance's cluster: durable,
-// p0's fast quorum rtt away. p0, the one proposer, hears no applied-index
-// gossip: nobody tells it that its peers caught up, so its log keeps every
-// slot for convergedInLaunchOrder.
-func distanceCluster(t *testing.T) (c *cluster.Cluster, rt *shard.Runtime, rtt time.Duration) {
+// p0's fast quorum about rtt away, the round trip it returns. p0, the one
+// proposer, hears no applied-index gossip: nobody tells it that its peers
+// caught up, so its log keeps every slot for convergedInLaunchOrder.
+func distanceCluster(t *testing.T, rtt time.Duration) (*cluster.Cluster, *shard.Runtime, time.Duration) {
 	t.Helper()
-	rtt = 20 * time.Millisecond
 	if raceDetector {
 		// Instrumented, and beside the other packages' tests on the same
 		// cores, the local stage of a commit runs to milliseconds: keep it
@@ -305,7 +308,7 @@ func distanceCluster(t *testing.T) (c *cluster.Cluster, rt *shard.Runtime, rtt t
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	rt = c.Runtime(0)
+	rt := c.Runtime(0)
 	h := rt.Handler()
 	c.Fabric().Attach(0, func(from consensus.ProcessID, msg consensus.Message) {
 		if _, gossip := msg.(*shard.Status); !gossip {
@@ -322,7 +325,7 @@ func distanceCluster(t *testing.T) (c *cluster.Cluster, rt *shard.Runtime, rtt t
 // for its first commit sample that is one chunk launched and none
 // overlapped, and the burst takes two round trips.
 func coldBurstOverDistance(t *testing.T) {
-	c, rt, rtt := distanceCluster(t)
+	c, rt, rtt := distanceCluster(t, 20*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var (
@@ -362,9 +365,91 @@ func coldBurstOverDistance(t *testing.T) {
 	convergedInLaunchOrder(t, c, keys)
 }
 
+// closedLoopOverDistance is put-wan's load in process: 32 callers in a
+// closed loop at p0, whose fast quorum is 50 ms away, so 1/32 of a commit is
+// more than the 1 ms beat. There a released cohort is waited for, not timed:
+// after a warm-up, at least 80 % of the chunks carry all 32 callers, and a
+// chunk is held back for company under 0.5 ms on average (outside the race
+// detector), where a blind beat holds every cohort's chunk for a millisecond
+// and more.
+func closedLoopOverDistance(t *testing.T) {
+	const callers, warmup, chunks = 32, 10, 20
+	_, rt, rtt := distanceCluster(t, 50*time.Millisecond)
+	g := rt.Group(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	errs := make(chan error, callers)
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				if err := rt.Put(ctx, fmt.Sprintf("c%d", w), fmt.Sprint(i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	stopCallers := func() { stop.Store(true); wg.Wait() }
+	defer stopCallers()
+	// waitApplied polls until p0 has applied n slots, or a caller failed.
+	waitApplied := func(n int) {
+		t.Helper()
+		for g.Applied() < n {
+			select {
+			case err := <-errs:
+				t.Fatal(err)
+			case <-ctx.Done():
+				t.Fatalf("%d of %d slots applied: %v", g.Applied(), n, ctx.Err())
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	waitApplied(warmup)
+	from, before := g.Applied(), g.BatchStats()
+	waitApplied(from + chunks)
+	to, after := g.Applied(), g.BatchStats()
+	stopCallers()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	full := 0
+	for slot := from; slot < to; slot++ {
+		v, ok := g.LogValue(slot)
+		if !ok {
+			t.Fatalf("slot %d missing from the log", slot)
+		}
+		cmd, err := smr.DecodeCommand(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cmd.Subs) == callers {
+			full++
+		}
+	}
+	launched := after.Batches - before.Batches
+	held := (after.Held - before.Held) / time.Duration(launched)
+	t.Logf("%d callers, %v round trip: %d of %d chunks carried all of them; %d chunks launched, held %v each on average",
+		callers, rtt, full, to-from, launched, held)
+	if 5*full < 4*(to-from) {
+		t.Errorf("%d of %d chunks carried all %d callers, want >= 80 %%", full, to-from, callers)
+	}
+	// Instrumented, the riders' own return takes about as long as the bound.
+	if held >= 500*time.Microsecond && !raceDetector {
+		t.Errorf("a chunk was held back %v on average, want < 0.5 ms: a released cohort waited out a blind beat", held)
+	}
+}
+
 func pipelinedBurstOverDistance(t *testing.T, op func(ctx context.Context, rt *shard.Runtime, k string) error, writes bool) {
 	const writers = distanceWriters
-	c, rt, rtt := distanceCluster(t)
+	c, rt, rtt := distanceCluster(t, 20*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// A lone writer first, so the depth comes from measured commits (the cold

@@ -31,7 +31,9 @@ type batcher struct {
 	waiters  []chan error
 	flushing bool // the flusher goroutine is running
 	closed   bool
-	inflight int // chunks launched and not yet resolved
+	// inflight holds the launch times of the chunks in consensus, oldest
+	// first.
+	inflight []time.Time
 	// away counts riders the last resolved chunks released that have not
 	// submitted again since: this batcher's own imminent load in a closed
 	// loop. Arrivals count it down and every take forgets the rest.
@@ -42,6 +44,8 @@ type batcher struct {
 	// the chunk's outbox entry processed) that set the depth; lastCommit is
 	// the C of the chunk resolved last, which sets the beat.
 	commit, stage, lastCommit time.Duration
+	// held is the flusher's time spent holding chunks back for company.
+	held time.Duration
 
 	batches    uint64 // consensus instances submitted
 	cmds       uint64 // commands carried by them
@@ -83,6 +87,9 @@ type BatchStats struct {
 	Overlapped uint64 `json:"overlapped"`
 	// Depth is how many batches may be in flight at once right now.
 	Depth int `json:"depth"`
+	// Held is the time the flusher spent holding chunks back for company
+	// (beat and stretch, see gatherLocked), summed over every chunk.
+	Held time.Duration `json:"held_ns"`
 }
 
 // BatchStats reports batching mode and counters.
@@ -98,6 +105,7 @@ func (r *Replica) BatchStats() BatchStats {
 	return BatchStats{
 		Mode: "adaptive", Batches: b.batches, Cmds: b.cmds,
 		Overlapped: b.overlapped, Depth: pipelineDepth(b.commit, b.stage),
+		Held: b.held,
 	}
 }
 
@@ -214,21 +222,23 @@ func (b *batcher) flushLoop() {
 // nextChunk blocks until a chunk may be launched and detaches it, up to
 // maxSize commands; when the queue is empty (or the batcher closed) it
 // parks the batcher instead (flushing = false) and reports false. A chunk
-// may be launched once the window has room for it, the gather beat is over,
+// may be launched once the window has room for it, the gather is over,
 // and the previous launch's local stage (prev) is too — so what arrives
 // during that stage shares the next fsync and the next slot.
 func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for b.takeableLocked() && b.inflight >= pipelineDepth(b.commit, b.stage) {
+	for b.takeableLocked() && len(b.inflight) >= pipelineDepth(b.commit, b.stage) {
 		b.waitLocked(nil)
 	}
 	if hold, stretch := b.gatherLocked(); stretch > 0 {
+		start := time.Now()
 		b.holdLocked(hold, false)
 		b.holdLocked(stretch-hold, true)
+		b.held += time.Since(start)
 	}
 	if prev != nil && b.takeableLocked() {
-		// Usually over already: the beat ran beside it.
+		// Usually over already: the gather ran beside it.
 		b.mu.Unlock()
 		<-prev
 		b.mu.Lock()
@@ -247,10 +257,10 @@ func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 	b.away = 0
 	b.batches++
 	b.cmds += uint64(n)
-	if b.inflight > 0 {
+	if len(b.inflight) > 0 {
 		b.overlapped++
 	}
-	b.inflight++
+	b.inflight = append(b.inflight, c.launched)
 	b.wg.Add(1) // the chunk's goroutine, see launch
 	return c, true
 }
@@ -265,12 +275,20 @@ func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 // just paid, capped at 1 ms, so it never dominates the cycle: it runs from
 // the release, or from now behind a chunk in flight. Waking a full cohort
 // and hearing back from it takes longer than that, so where 1 ms is little —
-// a commit of 32 ms and more, which is distance — the hold stretches to 1/32
-// of a commit for as long as someone released is missing. Before the first
-// commit the beat is the cap: a cold burst arrives one writer at a time, and
-// each would fill the window with a chunk of one. A full chunk does not wait,
-// and neither does a small idle population (away <= 2, nothing in flight):
-// for it the delay costs more latency than the one fsync it could merge.
+// a commit of 32 ms and more, which is distance — a released cohort is
+// waited for, not timed: no blind hold, with or without a chunk in flight,
+// and a stretch of up to 1/32 of a commit that ends when the cohort is back
+// (cohortAwayLocked). What is left of a beat once the flusher gets to it is a
+// timer shorter than the runtime's millisecond rounding (an idle Go process
+// sleeps in whole milliseconds), and such a timer is not a beat: it fires
+// when the next millisecond is up, well after the cohort is back. On
+// loopback the blind beat stays, because where several cohorts share a
+// batcher it is also what lets the other cohort's stragglers in. Before the
+// first commit the beat is the cap: a cold burst arrives one writer at a
+// time, and each would fill the window with a chunk of one. A full chunk
+// does not wait, and neither does a small idle population (away <= 2,
+// nothing in flight): for it the delay costs more latency than the one
+// fsync it could merge.
 func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
 	if !b.gatherableLocked() {
 		return 0, 0
@@ -282,8 +300,11 @@ func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
 	if b.away > 2 {
 		since := time.Since(b.released)
 		hold, stretch = beat-since, b.lastCommit/32-since
+		if b.lastCommit/32 > beat {
+			return 0, max(stretch, 0)
+		}
 	}
-	if b.inflight > 0 && hold < beat {
+	if len(b.inflight) > 0 && hold < beat {
 		hold = beat
 	}
 	if hold < 0 {
@@ -296,15 +317,29 @@ func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
 }
 
 // holdLocked holds the next chunk back for d, or until it is full; with
-// untilBack, also only until every rider released is back.
+// untilBack, also only while the cohort is away.
 func (b *batcher) holdLocked(d time.Duration, untilBack bool) {
 	if d <= 0 {
 		return
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	for b.gatherableLocked() && !(untilBack && b.away == 0) && b.waitLocked(timer.C) {
+	for b.gatherableLocked() && (!untilBack || b.cohortAwayLocked()) && b.waitLocked(timer.C) {
 	}
+}
+
+// cohortAwayLocked reports whether part of the cohort the chunk resolved
+// last released is still away: a rider it released has not submitted
+// again, or a chunk launched less than 1/32 of a commit after it is still in
+// consensus. That chunk carries the same cohort's stragglers and is due
+// back within the stretch; a released cohort that left without it would
+// stay split from it, one chunk of stragglers behind, for good.
+func (b *batcher) cohortAwayLocked() bool {
+	if b.away > 0 {
+		return true
+	}
+	launched := b.released.Add(-b.lastCommit) // of the chunk resolved last
+	return len(b.inflight) > 0 && b.inflight[0].Sub(launched) < b.lastCommit/32
 }
 
 // gatherableLocked reports whether the next chunk could still grow.
@@ -379,7 +414,12 @@ func (b *batcher) launch(c chunk) {
 func (b *batcher) resolve(c chunk, err error) {
 	defer b.wg.Done()
 	b.mu.Lock()
-	b.inflight--
+	for i, at := range b.inflight {
+		if at.Equal(c.launched) {
+			b.inflight = append(b.inflight[:i], b.inflight[i+1:]...)
+			break
+		}
+	}
 	if err == nil {
 		b.released = time.Now()
 		b.lastCommit = b.released.Sub(c.launched)

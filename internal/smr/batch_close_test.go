@@ -28,7 +28,7 @@ func (r *Replica) BatchInflight() int {
 	b := r.batch
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.inflight
+	return len(b.inflight)
 }
 
 // PipelineBatches makes the batcher believe a commit is almost all
@@ -97,9 +97,10 @@ func TestPipelineDepthSmoothing(t *testing.T) {
 	}
 }
 
-// The gather rule: a blind beat as ever, and a stretch only over distance
-// and only while released riders are missing. Before the first commit the
-// beat is its 1 ms cap.
+// The gather rule: a blind beat on loopback and behind a chunk in flight, and
+// over distance, where 1/32 of a commit exceeds the beat, no blind hold for a
+// released cohort, only a stretch while some of its riders are missing.
+// Before the first commit the beat is its 1 ms cap.
 func TestGatherRule(t *testing.T) {
 	const ms = time.Millisecond
 	near := func(got, want time.Duration) bool { return got <= want && got > want-200*time.Microsecond }
@@ -113,20 +114,48 @@ func TestGatherRule(t *testing.T) {
 		{"idle, two alternating writers", 3800 * time.Microsecond, 1, 2, 0, 0, 0, 0},
 		{"loopback cohort released", 3800 * time.Microsecond, 1, 18, 0, 0, 950 * time.Microsecond, 950 * time.Microsecond},
 		{"open loop, arrival after an idle gap", 3800 * time.Microsecond, 1, 5, 0, 5 * ms, 0, 0},
-		{"put-wan cohort released", 80 * ms, 1, 31, 0, 0, ms, 2500 * time.Microsecond},
-		{"put-wan cohort, a straggler chunk in flight", 80 * ms, 1, 31, 1, 0, ms, 2500 * time.Microsecond},
+		{"put-wan cohort released", 80 * ms, 1, 31, 0, 0, 0, 2500 * time.Microsecond},
+		{"put-wan cohort, a straggler chunk in flight", 80 * ms, 1, 31, 1, 0, 0, 2500 * time.Microsecond},
 		{"put-wan late rider", 80 * ms, 1, 3, 0, 2 * ms, 0, 500 * time.Microsecond},
 		{"straggler behind a chunk in flight", 80 * ms, 1, 0, 1, time.Minute, ms, ms},
 		{"a full chunk queued", 80 * ms, 4, 31, 1, 0, 0, 0},
 		{"nothing measured yet", 0, 1, 31, 1, 0, ms, ms},
 		{"a cold batcher's first write", 0, 1, 0, 0, 0, 0, 0},
 	} {
-		b := &batcher{maxSize: 4, lastCommit: tc.commit, away: tc.away, inflight: tc.inflight}
+		b := &batcher{maxSize: 4, lastCommit: tc.commit, away: tc.away, inflight: make([]time.Time, tc.inflight)}
 		b.pending = make([]Command, tc.pending)
 		b.released = time.Now().Add(-tc.sinceRelease)
 		hold, stretch := b.gatherLocked()
 		if !near(hold, tc.hold) || !near(stretch, tc.stretch) {
 			t.Errorf("%s: hold %v stretching to %v, want %v stretching to %v", tc.name, hold, stretch, tc.hold, tc.stretch)
+		}
+	}
+}
+
+// The cohort a chunk released is away while one of its riders is, or while a
+// chunk launched less than 1/32 of a commit after it — its stragglers — is
+// still in consensus; a chunk launched later carries another cohort.
+func TestCohortAway(t *testing.T) {
+	const ms = time.Millisecond
+	released := time.Now()
+	launched := released.Add(-80 * ms) // the chunk resolved last
+	for _, tc := range []struct {
+		name     string
+		away     int
+		inflight []time.Duration // launched this long after it
+		want     bool
+	}{
+		{"every rider back, nothing in flight", 0, nil, false},
+		{"a rider away", 1, nil, true},
+		{"its stragglers' chunk in flight", 0, []time.Duration{ms}, true},
+		{"another cohort's chunk in flight", 0, []time.Duration{40 * ms}, false},
+	} {
+		b := &batcher{away: tc.away, released: released, lastCommit: 80 * ms}
+		for _, d := range tc.inflight {
+			b.inflight = append(b.inflight, launched.Add(d))
+		}
+		if got := b.cohortAwayLocked(); got != tc.want {
+			t.Errorf("%s: cohortAwayLocked() = %t, want %t", tc.name, got, tc.want)
 		}
 	}
 }
@@ -179,7 +208,7 @@ func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 
 			r.Close()
 			b.mu.Lock()
-			flushing, inflight := b.flushing, b.inflight
+			flushing, inflight := b.flushing, len(b.inflight)
 			b.mu.Unlock()
 			if flushing || inflight != 0 {
 				t.Fatalf("Close returned with flusher running = %t and %d chunks in flight", flushing, inflight)

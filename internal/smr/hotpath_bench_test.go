@@ -154,16 +154,17 @@ func BenchmarkReplicaPipeline(b *testing.B) {
 	}
 }
 
-// distanceOneWay is the delay distanceFixture puts on every link.
-const distanceOneWay = 10 * time.Millisecond
+// distanceOneWay is the delay distanceFixture puts on every link; farOneWay
+// is one where 1/32 of a commit is more than the batcher's 1 ms gather beat.
+const distanceOneWay, farOneWay = 10 * time.Millisecond, 25 * time.Millisecond
 
-// coldDistanceFixture is three processes a 20 ms round trip apart (10 ms
-// each way, injected on the Mesh), none of which has committed anything.
-func coldDistanceFixture(b *testing.B) (*testCluster, *smr.KV, context.Context) {
+// coldDistanceFixture is three processes a round trip of twice oneWay apart
+// (injected on the Mesh), none of which has committed anything.
+func coldDistanceFixture(b *testing.B, oneWay time.Duration) (*testCluster, *smr.KV, context.Context) {
 	// Δ = 10 ticks must outlast the round trip, or every ballot times out.
-	c := newTestCluster(b, 3, 1, 1, procOptions{tick: 5 * time.Millisecond})
+	c := newTestCluster(b, 3, 1, 1, procOptions{tick: oneWay / 2})
 	c.fab.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
-		return transport.FaultVerdict{Delay: distanceOneWay}
+		return transport.FaultVerdict{Delay: oneWay}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	b.Cleanup(cancel)
@@ -173,8 +174,8 @@ func coldDistanceFixture(b *testing.B) (*testCluster, *smr.KV, context.Context) 
 // distanceFixture is coldDistanceFixture warmed by a lone writer at process
 // 0: the batcher's depth is measured, not configured, and those commits tell
 // it how far away its quorum is.
-func distanceFixture(b *testing.B) (*testCluster, *smr.KV, context.Context) {
-	c, kv, ctx := coldDistanceFixture(b)
+func distanceFixture(b *testing.B, oneWay time.Duration) (*testCluster, *smr.KV, context.Context) {
+	c, kv, ctx := coldDistanceFixture(b, oneWay)
 	for i := 0; i < 3; i++ {
 		if err := kv.Put(ctx, "warm", "up"); err != nil {
 			b.Fatal(err)
@@ -204,14 +205,18 @@ func burst(b *testing.B, n int, op func(w int) error) {
 // size, 64. cold: an iteration is the first burst of 256 at a fresh fixture
 // (built and torn down off the clock), and roundtrips/burst is about 1 when
 // a proposer that has measured nothing overlaps its chunks, 2 when its first
-// chunk has to commit before a second one goes.
+// chunk has to commit before a second one goes. closed32: 32 callers in a
+// closed loop a 50 ms round trip away, an iteration one chunk committed after
+// a warm-up; held_us/chunk is how long the flusher held a chunk back for
+// company (a released cohort is waited for, not timed: well under the 1 ms
+// beat), and cmds/batch near 32 means the cohort stayed whole.
 func BenchmarkBatcherDistance(b *testing.B) {
 	const submitters = 256
 	put := func(kv *smr.KV, ctx context.Context) func(w int) error {
 		return func(w int) error { return kv.Put(ctx, fmt.Sprintf("k%d", w), "v") }
 	}
 	b.Run("warm", func(b *testing.B) {
-		c, kv, ctx := distanceFixture(b)
+		c, kv, ctx := distanceFixture(b, distanceOneWay)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			burst(b, submitters, put(kv, ctx))
@@ -224,13 +229,51 @@ func BenchmarkBatcherDistance(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.StopTimer()
 		for i := 0; i < b.N; i++ {
-			c, kv, ctx := coldDistanceFixture(b)
+			c, kv, ctx := coldDistanceFixture(b, distanceOneWay)
 			b.StartTimer()
 			burst(b, submitters, put(kv, ctx))
 			b.StopTimer()
 			c.close()
 		}
 		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/float64(2*distanceOneWay), "roundtrips/burst")
+	})
+	b.Run("closed32", func(b *testing.B) {
+		const callers, warmup = 32, 10
+		c, kv, ctx := distanceFixture(b, farOneWay)
+		r := c.replicas()[0]
+		var stop atomic.Bool
+		errs := make(chan error, callers)
+		for w := 0; w < callers; w++ {
+			go func() {
+				for i := 0; !stop.Load(); i++ {
+					if err := kv.Put(ctx, fmt.Sprintf("c%d", w), fmt.Sprint(i)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		waitApplied := func(n int) {
+			for r.Applied() < n && ctx.Err() == nil {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		waitApplied(r.Applied() + warmup)
+		before := r.BatchStats()
+		b.ResetTimer()
+		waitApplied(r.Applied() + b.N)
+		b.StopTimer()
+		after := r.BatchStats()
+		stop.Store(true)
+		for w := 0; w < callers; w++ {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+		chunks := float64(after.Batches - before.Batches)
+		b.ReportMetric(float64((after.Held-before.Held).Microseconds())/chunks, "held_us/chunk")
+		b.ReportMetric(float64(after.Cmds-before.Cmds)/chunks, "cmds/batch")
 	})
 }
 
@@ -241,10 +284,12 @@ func BenchmarkBatcherDistance(b *testing.B) {
 // barrier that cannot overlap rounds pays two where one will do. loopback/cN
 // is N callers in a closed loop, nine reads to one write, on durable
 // processes that fsync every commit; an iteration is one operation per
-// caller, so ops/s and slots/op are the figures to read, not ns/op.
+// caller, so ops/s and slots/op are the figures to read, not ns/op, and
+// held_us/slot is how long the flusher held each slot's chunk back for
+// company: on loopback the blind gather beat, measured.
 func BenchmarkReadFallback(b *testing.B) {
 	b.Run("distance/burst256", func(b *testing.B) {
-		c, kv, ctx := distanceFixture(b)
+		c, kv, ctx := distanceFixture(b, distanceOneWay)
 		r := c.replicas()[0]
 		slots := r.Applied()
 		b.ResetTimer()
@@ -266,7 +311,7 @@ func BenchmarkReadFallback(b *testing.B) {
 			if err := kv.Put(ctx, "warm", "up"); err != nil {
 				b.Fatal(err)
 			}
-			slots := r.Applied()
+			slots, before := r.Applied(), r.BatchStats()
 			b.ResetTimer()
 			burst(b, callers, func(w int) error {
 				for i := 0; i < b.N; i++ {
@@ -286,6 +331,8 @@ func BenchmarkReadFallback(b *testing.B) {
 			ops := float64(b.N * callers)
 			b.ReportMetric(ops/b.Elapsed().Seconds(), "ops/s")
 			b.ReportMetric(float64(r.Applied()-slots)/ops, "slots/op")
+			held := r.BatchStats().Held - before.Held
+			b.ReportMetric(float64(held.Microseconds())/float64(r.Applied()-slots), "held_us/slot")
 		})
 	}
 }
