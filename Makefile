@@ -125,7 +125,6 @@ fuzz:
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=30s
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=30s
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=30s
-	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzRangeRouter -fuzztime=30s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
 # recovery through the runtime's shared-WAL abort/close, the interval fsync

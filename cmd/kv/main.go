@@ -101,12 +101,11 @@ func run() error {
 // multi-group runtime — with -groups 1 it hosts a single group.
 func newRuntime(cfg consensus.Config, groups, tickMS int, dur *shard.Durability, lo *smr.LeaseOptions) (*shard.Runtime, error) {
 	return shard.New(shard.Options{
-		Groups:        groups,
-		Config:        cfg,
-		Tick:          time.Duration(tickMS) * time.Millisecond,
-		Durability:    dur,
-		AdaptiveBatch: true,
-		Leases:        lo,
+		Groups:     groups,
+		Config:     cfg,
+		Tick:       time.Duration(tickMS) * time.Millisecond,
+		Durability: dur,
+		Leases:     lo,
 	})
 }
 

@@ -1,19 +1,22 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/quorum"
 	"repro/internal/smr"
 )
 
-// TestServingRuntimeBatchesAdaptively pins the serving configuration: the
-// runtime replica mode builds must have the adaptive batcher on in every
-// group (the shipped server once ran unbatched and its kv.batch expvar
-// said "off", while the benchmark claimed to assemble the same stack).
+// TestServingRuntimeBatchesAdaptively pins the serving configuration: every
+// group of the runtime replica mode builds hands its writes to the batcher
+// (the shipped server once ran unbatched, while the benchmark claimed to
+// assemble the same stack). Unbound, no write can commit, but each is
+// launched as a chunk.
 func TestServingRuntimeBatchesAdaptively(t *testing.T) {
 	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	rt, err := newRuntime(cfg, 2, 5, nil, nil)
@@ -22,8 +25,14 @@ func TestServingRuntimeBatchesAdaptively(t *testing.T) {
 	}
 	defer rt.Close()
 	for g := 0; g < rt.Groups(); g++ {
-		if mode := rt.Group(g).BatchStats().Mode; mode != "adaptive" {
-			t.Errorf("group %d batch mode = %q, want adaptive", g, mode)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		err := rt.Group(g).Put(ctx, "k", "v")
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("group %d: a write with no peers returned %v", g, err)
+		}
+		if st := rt.Group(g).BatchStats(); st.Batches != 1 || st.Cmds != 1 {
+			t.Errorf("group %d batch stats = %+v, want the write launched as one chunk", g, st)
 		}
 	}
 }

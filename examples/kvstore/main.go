@@ -42,8 +42,7 @@ func run() error {
 	defer cancel()
 
 	// Two clients, two different proxies.
-	alice := smr.NewKV(replicas[0])
-	bob := smr.NewKV(replicas[3])
+	alice, bob := replicas[0], replicas[3]
 
 	// A Put returns once its slot has applied at the proxy, and slots apply
 	// in order: the proxy's applied index names the slot the write won. (The
@@ -53,7 +52,7 @@ func run() error {
 	fmt.Println()
 	for _, w := range []struct {
 		who      string
-		kv       *smr.KV
+		kv       *smr.Replica
 		proxy    int
 		key, val string
 	}{
@@ -78,7 +77,7 @@ func run() error {
 	}
 	for _, c := range []struct {
 		name string
-		kv   *smr.KV
+		kv   *smr.Replica
 	}{{"alice@p0", alice}, {"bob@p3", bob}} {
 		venue, _ := c.kv.Get("venue")
 		year, _ := c.kv.Get("year")

@@ -222,7 +222,7 @@ func TestLeaseTeethZeroEpsilon(t *testing.T) {
 		defer cancel()
 
 		rec := linear.NewRecorder()
-		kv0, kv1 := smr.NewKV(replicas[0]), smr.NewKV(replicas[1])
+		kv0, kv1 := replicas[0], replicas[1]
 
 		p := rec.Invoke(0, linear.KindPut, "k", "v1")
 		if err := kv0.Put(ctx, "k", "v1"); err != nil {

@@ -106,11 +106,10 @@ func (c *Cluster) boot(i int) error {
 		delta = c.o.Topology.Delta(c.o.Scale)
 	}
 	opts := shard.Options{
-		Groups:        c.o.Groups,
-		Config:        consensus.Config{ID: consensus.ProcessID(i), N: c.o.N, F: c.o.F, E: c.o.E, Delta: delta},
-		Tick:          time.Millisecond,
-		AdaptiveBatch: true,
-		Leases:        c.o.Leases,
+		Groups: c.o.Groups,
+		Config: consensus.Config{ID: consensus.ProcessID(i), N: c.o.N, F: c.o.F, E: c.o.E, Delta: delta},
+		Tick:   time.Millisecond,
+		Leases: c.o.Leases,
 	}
 	if c.o.Dir != "" {
 		opts.Durability = &shard.Durability{

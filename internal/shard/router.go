@@ -1,27 +1,13 @@
 package shard
 
-import (
-	"fmt"
-	"sort"
-)
-
-// A Router maps every key to one of a fixed number of consensus groups.
-// Routing must be a pure function of the key: the same key must land on
-// the same group in every process and across restarts, because each group
-// is an independent consensus log — a key that wandered between groups
-// would see two unrelated histories. Routers therefore hold no mutable
-// state and never consult clocks, randomness, or local load.
-type Router interface {
-	// Groups returns the number of groups the router spreads keys over.
-	Groups() int
-	// Group returns the group id for key, in [0, Groups()).
-	Group(key string) int
-}
-
-// HashRouter is the default router: FNV-1a over the key's bytes, modulo
-// the group count. FNV-1a is defined byte-by-byte with fixed constants, so
-// the mapping is identical on every architecture and in every process —
-// the property the determinism tests pin with golden values.
+// HashRouter maps every key to one of a fixed number of consensus groups:
+// FNV-1a over the key's bytes, modulo the group count. Routing must be a pure
+// function of the key: the same key must land on the same group in every
+// process and across restarts, because each group is an independent consensus
+// log — a key that wandered between groups would see two unrelated histories.
+// FNV-1a is defined byte-by-byte with fixed constants, so the mapping is
+// identical on every architecture and in every process — the property the
+// determinism tests pin with golden values.
 type HashRouter struct {
 	n int
 }
@@ -35,10 +21,10 @@ func NewHashRouter(n int) HashRouter {
 	return HashRouter{n: n}
 }
 
-// Groups implements Router.
+// Groups returns the number of groups the router spreads keys over.
 func (r HashRouter) Groups() int { return r.n }
 
-// Group implements Router.
+// Group returns the group id for key, in [0, Groups()).
 func (r HashRouter) Group(key string) int {
 	return int(fnv64a(key) % uint64(r.n))
 }
@@ -58,35 +44,4 @@ func fnv64a(s string) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// RangeRouter routes by key order: len(bounds)+1 groups, where group 0
-// serves keys below bounds[0], group i serves [bounds[i-1], bounds[i]),
-// and the last group serves everything from the last bound up. Range
-// routing keeps contiguous keyspaces together (scans, prefix locality) at
-// the cost of needing a placement decision; planner.PlanGroups derives
-// bounds from a key sample so the initial assignment is balanced.
-type RangeRouter struct {
-	bounds []string
-}
-
-// NewRangeRouter builds a range router from strictly ascending split
-// bounds. An empty bounds slice yields a single group.
-func NewRangeRouter(bounds []string) (RangeRouter, error) {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return RangeRouter{}, fmt.Errorf("shard: range bounds not strictly ascending at %d (%q <= %q)", i, bounds[i], bounds[i-1])
-		}
-	}
-	cp := make([]string, len(bounds))
-	copy(cp, bounds)
-	return RangeRouter{bounds: cp}, nil
-}
-
-// Groups implements Router.
-func (r RangeRouter) Groups() int { return len(r.bounds) + 1 }
-
-// Group implements Router: the number of bounds at or below key.
-func (r RangeRouter) Group(key string) int {
-	return sort.Search(len(r.bounds), func(i int) bool { return r.bounds[i] > key })
 }

@@ -106,65 +106,3 @@ func TestHashRouterDegenerate(t *testing.T) {
 		t.Fatalf("Group = %d, want 0", g)
 	}
 }
-
-func TestRangeRouter(t *testing.T) {
-	r, err := NewRangeRouter([]string{"g", "n", "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Groups() != 4 {
-		t.Fatalf("Groups() = %d, want 4", r.Groups())
-	}
-	cases := map[string]int{
-		"":      0, // empty key sorts before every bound
-		"apple": 0,
-		"f":     0,
-		"g":     1, // bounds are inclusive lower ends
-		"melon": 1,
-		"n":     2,
-		"pear":  2,
-		"t":     3,
-		"zebra": 3,
-		" ":     0, // whitespace sorts below printable bounds
-		"\x01":  0,
-	}
-	for k, want := range cases {
-		if got := r.Group(k); got != want {
-			t.Errorf("Group(%q) = %d, want %d", k, got, want)
-		}
-	}
-}
-
-func TestRangeRouterEmptyBounds(t *testing.T) {
-	r, err := NewRangeRouter(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Groups() != 1 || r.Group("k") != 0 {
-		t.Fatalf("empty-bounds router: Groups=%d Group=%d, want 1/0", r.Groups(), r.Group("k"))
-	}
-}
-
-func TestRangeRouterRejectsUnsortedBounds(t *testing.T) {
-	if _, err := NewRangeRouter([]string{"m", "a"}); err == nil {
-		t.Fatal("descending bounds accepted")
-	}
-	if _, err := NewRangeRouter([]string{"m", "m"}); err == nil {
-		t.Fatal("duplicate bounds accepted")
-	}
-}
-
-// TestRangeRouterImmutableBounds guards the defensive copy: mutating the
-// caller's slice after construction must not change routing.
-func TestRangeRouterImmutableBounds(t *testing.T) {
-	bounds := []string{"m"}
-	r, err := NewRangeRouter(bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := r.Group("x")
-	bounds[0] = "z"
-	if after := r.Group("x"); after != before {
-		t.Fatalf("router followed caller mutation: %d -> %d", before, after)
-	}
-}

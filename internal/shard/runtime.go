@@ -26,7 +26,7 @@ import (
 //   - one Ω detector, one applied-index gossip and one interval fsync
 //     (process.go): a peer is heard from once per process, not per group.
 //
-// Keys route to groups through a deterministic Router; the Runtime
+// Keys route to groups through a deterministic HashRouter; the Runtime
 // implements smr.Backend, so the line/session servers route PUT/GET/DEL/
 // GETL transparently and the wire does not show the group count.
 //
@@ -36,7 +36,7 @@ import (
 type Runtime struct {
 	cfg      consensus.Config
 	tick     time.Duration
-	router   Router
+	router   HashRouter
 	inner    *consensus.Codec // decodes what a group envelope carries
 	shared   *SharedWAL
 	io       *smr.IOScheduler
@@ -92,19 +92,16 @@ type Options struct {
 	// Tick is the protocol tick duration, positive: slot timers count in it,
 	// the process heartbeats every Config.Delta ticks and gossips every 5Δ.
 	Tick time.Duration
-	// Router maps keys to groups; nil defaults to NewHashRouter(Groups).
-	// Its group count must match Groups.
-	Router Router
 	// Durability, when non-nil, enables the shared WAL + per-group
 	// snapshots under Durability.Dir.
 	Durability *Durability
-	// AdaptiveBatch enables per-group adaptive write batching
-	// (smr.EnableAdaptiveBatching) — the serving configuration; leave off
-	// for latency-measuring setups that want one command per slot.
+	// AdaptiveBatch selects nothing: every group batches its writes. It is
+	// kept only for callers that still set it.
 	AdaptiveBatch bool
 	// Leases, when non-nil, enables replicated leader leases on every
-	// group (smr.EnableLeases): each group tracks its own leaseholder, so
-	// GETLs on a key whose group this process leads are served locally.
+	// group (smr.ReplicaOptions.Leases): each group tracks its own
+	// leaseholder, so GETLs on a key whose group this process leads are
+	// served locally.
 	Leases *smr.LeaseOptions
 }
 
@@ -115,17 +112,10 @@ func New(opts Options) (*Runtime, error) {
 	if opts.Groups < 1 {
 		return nil, fmt.Errorf("shard: groups must be >= 1, got %d", opts.Groups)
 	}
-	router := opts.Router
-	if router == nil {
-		router = NewHashRouter(opts.Groups)
-	}
-	if router.Groups() != opts.Groups {
-		return nil, fmt.Errorf("shard: router spans %d groups, runtime hosts %d", router.Groups(), opts.Groups)
-	}
 	rt := &Runtime{
 		cfg:     opts.Config,
 		tick:    opts.Tick,
-		router:  router,
+		router:  NewHashRouter(opts.Groups),
 		inner:   consensus.NewCodec(),
 		io:      smr.NewIOScheduler(),
 		leaders: &leaders{det: omega.New(opts.Config, 0)},
@@ -153,38 +143,26 @@ func New(opts Options) (*Runtime, error) {
 		}
 	}
 	for g := 0; g < opts.Groups; g++ {
-		r, err := smr.NewReplica(opts.Config, opts.Tick, rt.io, rt.leaders)
-		if err != nil {
-			rt.abandon()
-			return nil, fmt.Errorf("shard: group %d: %w", g, err)
-		}
-		if opts.AdaptiveBatch {
-			r.EnableAdaptiveBatching()
-		}
-		if opts.Leases != nil {
-			// Before EnableDurability: recovery replays grant commands into
-			// the lease table.
-			if err := r.EnableLeases(*opts.Leases); err != nil {
-				rt.abandon()
-				return nil, fmt.Errorf("shard: group %d: %w", g, err)
-			}
-		}
+		ro := smr.ReplicaOptions{Leases: opts.Leases}
 		if opts.Durability != nil {
 			dir := opts.Durability.Dir
 			if g > 0 {
 				dir = filepath.Join(dir, fmt.Sprintf("g%d", g))
 			}
-			info, err := r.EnableDurability(smr.DurabilityOptions{
+			ro.Durability = &smr.DurabilityOptions{
 				Dir:           dir,
 				Journal:       rt.shared.Group(g),
 				Group:         g,
 				Policy:        opts.Durability.Policy,
 				SnapshotEvery: opts.Durability.SnapshotEvery,
-			})
-			if err != nil {
-				rt.abandon()
-				return nil, fmt.Errorf("shard: group %d: %w", g, err)
 			}
+		}
+		r, info, err := smr.NewReplica(opts.Config, opts.Tick, rt.io, rt.leaders, ro)
+		if err != nil {
+			rt.abandon()
+			return nil, fmt.Errorf("shard: group %d: %w", g, err)
+		}
+		if opts.Durability != nil {
 			rt.recovery = append(rt.recovery, info)
 		}
 		rt.groups = append(rt.groups, r)
@@ -242,7 +220,7 @@ func (rt *Runtime) Groups() int { return len(rt.groups) }
 func (rt *Runtime) Group(g int) *smr.Replica { return rt.groups[g] }
 
 // Router returns the runtime's key router.
-func (rt *Runtime) Router() Router { return rt.router }
+func (rt *Runtime) Router() HashRouter { return rt.router }
 
 // Recovery reports what each group reconstructed on open (empty without
 // durability), plus whether the shared WAL's tail was torn.
@@ -434,12 +412,12 @@ func (i Info) String() string {
 
 // Put routes key to its group and replicates the write.
 func (rt *Runtime) Put(ctx context.Context, key, val string) error {
-	return smr.NewKV(rt.Route(key)).Put(ctx, key, val)
+	return rt.Route(key).Put(ctx, key, val)
 }
 
 // Delete routes key to its group and replicates the delete.
 func (rt *Runtime) Delete(ctx context.Context, key string) error {
-	return smr.NewKV(rt.Route(key)).Delete(ctx, key)
+	return rt.Route(key).Delete(ctx, key)
 }
 
 // Get reads key from its group's local applied state.
@@ -449,5 +427,5 @@ func (rt *Runtime) Get(key string) (string, bool) {
 
 // GetLinearizable reads key through its group's consensus log.
 func (rt *Runtime) GetLinearizable(ctx context.Context, key string) (string, bool, error) {
-	return smr.NewKV(rt.Route(key)).GetLinearizable(ctx, key)
+	return rt.Route(key).GetLinearizable(ctx, key)
 }

@@ -128,6 +128,33 @@ func TestRuntimeRoutesAcrossGroups(t *testing.T) {
 	}
 }
 
+// TestRuntimeAlwaysBatches: a runtime built without AdaptiveBatch batches
+// anyway — every group hands its writes to the batcher, so concurrent writes
+// to one group share slots.
+func TestRuntimeAlwaysBatches(t *testing.T) {
+	rts, mesh := bootCluster(t, 1, [3]string{}) // AdaptiveBatch left false
+	defer mesh.Close()
+	defer func() {
+		for _, rt := range rts {
+			rt.Close()
+		}
+	}()
+	c := ctx(t)
+	const writers = 16
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
+		go func(i int) { errs <- rts[0].Put(c, fmt.Sprintf("key-%d", i), "v") }(i)
+	}
+	for i := 0; i < writers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rts[0].Group(0).BatchStats(); st.Cmds != writers || st.Batches >= writers {
+		t.Fatalf("batch stats = %+v, want %d commands in fewer than %d batches", st, writers, writers)
+	}
+}
+
 // TestRuntimeGracefulRecovery writes through a durable sharded cluster,
 // closes it, and reopens each process from disk: every group's state must
 // come back from the demuxed shared WAL + per-group snapshots.

@@ -123,7 +123,7 @@ func TestKillFailsOutstandingCallsAndIsSilent(t *testing.T) {
 	})
 	replicas := c.replicas()
 
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	results := make(chan error, 4)

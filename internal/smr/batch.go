@@ -67,20 +67,8 @@ type batcher struct {
 // maxChunk caps the commands one batch carries.
 const maxChunk = 64
 
-// EnableAdaptiveBatching turns on write batching for this replica's
-// Submit-based APIs (KV included; see the batcher comment): no window to
-// wait out when idle, full batching under concurrency, up to maxChunk
-// commands a batch. Must be called before the replica is shared between
-// goroutines.
-func (r *Replica) EnableAdaptiveBatching() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.batch = &batcher{replica: r, maxSize: maxChunk, poke: make(chan struct{}, 1)}
-}
-
 // BatchStats is the batcher's counter surface (expvar, benchmark/).
 type BatchStats struct {
-	Mode    string `json:"mode"` // off, adaptive
 	Batches uint64 `json:"batches"`
 	Cmds    uint64 `json:"cmds"`
 	// Overlapped counts the batches launched while another was in flight.
@@ -92,18 +80,13 @@ type BatchStats struct {
 	Held time.Duration `json:"held_ns"`
 }
 
-// BatchStats reports batching mode and counters.
+// BatchStats reports the batcher's counters.
 func (r *Replica) BatchStats() BatchStats {
-	r.mu.Lock()
 	b := r.batch
-	r.mu.Unlock()
-	if b == nil {
-		return BatchStats{Mode: "off"}
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BatchStats{
-		Mode: "adaptive", Batches: b.batches, Cmds: b.cmds,
+		Batches: b.batches, Cmds: b.cmds,
 		Overlapped: b.overlapped, Depth: pipelineDepth(b.commit, b.stage),
 		Held: b.held,
 	}
@@ -267,28 +250,30 @@ func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 
 // gatherLocked returns how long the flusher should still hold the next
 // chunk back for company: for hold whatever happens, and up to stretch in
-// all while riders a chunk released are still away. The riders just
-// released are this batcher's own future load, and behind a chunk in flight
-// every straggler would otherwise launch a chunk of one: a beat lets the
-// next chunk carry them all. Without it the population splits into ever
+// all while the cohort the chunks resolved last released is away. The riders
+// just released are this batcher's own future load, and behind a chunk in
+// flight every straggler would otherwise launch a chunk of one: a beat lets
+// the next chunk carry them all. Without it the population splits into ever
 // smaller cohorts that never re-merge. The beat is a quarter of the commit
 // just paid, capped at 1 ms, so it never dominates the cycle: it runs from
 // the release, or from now behind a chunk in flight. Waking a full cohort
 // and hearing back from it takes longer than that, so where 1 ms is little —
 // a commit of 32 ms and more, which is distance — a released cohort is
-// waited for, not timed: no blind hold, with or without a chunk in flight,
-// and a stretch of up to 1/32 of a commit that ends when the cohort is back
-// (cohortAwayLocked). What is left of a beat once the flusher gets to it is a
-// timer shorter than the runtime's millisecond rounding (an idle Go process
-// sleeps in whole milliseconds), and such a timer is not a beat: it fires
-// when the next millisecond is up, well after the cohort is back. On
-// loopback the blind beat stays, because where several cohorts share a
-// batcher it is also what lets the other cohort's stragglers in. Before the
-// first commit the beat is the cap: a cold burst arrives one writer at a
-// time, and each would fill the window with a chunk of one. A full chunk
-// does not wait, and neither does a small idle population (away <= 2,
-// nothing in flight): for it the delay costs more latency than the one
-// fsync it could merge.
+// waited for, not timed: no blind hold, however few of its riders are still
+// missing, and a stretch of up to 1/32 of a commit that ends when the cohort
+// is back (cohortAwayLocked). What is left of a beat once the flusher gets to
+// it is a timer shorter than the runtime's millisecond rounding (an idle Go
+// process sleeps in whole milliseconds), and such a timer is not a beat: it
+// fires when the next millisecond is up, well after the cohort is back. Once
+// the cohort's chunk has left, what arrives is its stragglers, and they are
+// held a beat behind it as on loopback, so that they leave together; the
+// next release waits for their chunk. On loopback the blind beat stays,
+// because where several cohorts share a batcher it is also what lets the
+// other cohort's stragglers in. Before the first commit the beat is the cap:
+// a cold burst arrives one writer at a time, and each would fill the window
+// with a chunk of one. A full chunk does not wait, and on loopback neither
+// does a small idle population (away <= 2, nothing in flight): for it the
+// delay costs more latency than the one fsync it could merge.
 func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
 	if !b.gatherableLocked() {
 		return 0, 0
@@ -297,23 +282,17 @@ func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
 	if b.lastCommit > 0 && b.lastCommit/4 < beat {
 		beat = b.lastCommit / 4
 	}
+	if b.lastCommit/32 > beat && !b.tookSinceReleaseLocked() {
+		return 0, max(b.lastCommit/32-time.Since(b.released), 0)
+	}
 	if b.away > 2 {
-		since := time.Since(b.released)
-		hold, stretch = beat-since, b.lastCommit/32-since
-		if b.lastCommit/32 > beat {
-			return 0, max(stretch, 0)
-		}
+		hold = beat - time.Since(b.released)
 	}
 	if len(b.inflight) > 0 && hold < beat {
 		hold = beat
 	}
-	if hold < 0 {
-		hold = 0
-	}
-	if stretch < hold {
-		stretch = hold
-	}
-	return hold, stretch
+	hold = max(hold, 0)
+	return hold, hold
 }
 
 // holdLocked holds the next chunk back for d, or until it is full; with
@@ -329,17 +308,27 @@ func (b *batcher) holdLocked(d time.Duration, untilBack bool) {
 }
 
 // cohortAwayLocked reports whether part of the cohort the chunk resolved
-// last released is still away: a rider it released has not submitted
-// again, or a chunk launched less than 1/32 of a commit after it is still in
-// consensus. That chunk carries the same cohort's stragglers and is due
-// back within the stretch; a released cohort that left without it would
-// stay split from it, one chunk of stragglers behind, for good.
+// last released is still away: a rider it released has not submitted again,
+// or a chunk launched less than half a commit after it — closer behind it
+// than ahead of it — is still in consensus. That chunk carries the cohort's
+// stragglers (late riders held a beat, or a cold burst's second chunk, which
+// the cold beat launches a millisecond or two after the first), or a cohort
+// that split from it and drifted with the commits' jitter. A released cohort
+// that left without it would stay split from it for good; one that waits a
+// stretch for it closes the gap by up to 1/32 of a commit each round, until
+// the two launch together.
 func (b *batcher) cohortAwayLocked() bool {
 	if b.away > 0 {
 		return true
 	}
 	launched := b.released.Add(-b.lastCommit) // of the chunk resolved last
-	return len(b.inflight) > 0 && b.inflight[0].Sub(launched) < b.lastCommit/32
+	return len(b.inflight) > 0 && b.inflight[0].Sub(launched) < b.lastCommit/2
+}
+
+// tookSinceReleaseLocked reports whether a chunk was launched since the last
+// release: what arrives now arrived after its cohort left.
+func (b *batcher) tookSinceReleaseLocked() bool {
+	return len(b.inflight) > 0 && b.inflight[len(b.inflight)-1].After(b.released)
 }
 
 // gatherableLocked reports whether the next chunk could still grow.
@@ -365,9 +354,8 @@ func (b *batcher) waitLocked(timeout <-chan time.Time) bool {
 
 // launch proposes one chunk and hands it to its own goroutine, which
 // awaits the outcome. A single command skips the OpBatch wrapper entirely,
-// so an uncontended submit replicates exactly what an unbatched Submit
-// would. Proposing here, on the flusher, is what puts chunks into slots in
-// launch order.
+// so an uncontended submit replicates the command itself. Proposing here,
+// on the flusher, is what puts chunks into slots in launch order.
 func (b *batcher) launch(c chunk) {
 	r := b.replica
 	batch := c.cmds[0]

@@ -99,8 +99,9 @@ func TestPipelineDepthSmoothing(t *testing.T) {
 
 // The gather rule: a blind beat on loopback and behind a chunk in flight, and
 // over distance, where 1/32 of a commit exceeds the beat, no blind hold for a
-// released cohort, only a stretch while some of its riders are missing.
-// Before the first commit the beat is its 1 ms cap.
+// released cohort — however few of its riders are missing — only a stretch
+// while some are; a rider back after its cohort's chunk left is held a beat
+// behind it. Before the first commit the beat is its 1 ms cap.
 func TestGatherRule(t *testing.T) {
 	const ms = time.Millisecond
 	near := func(got, want time.Duration) bool { return got <= want && got > want-200*time.Microsecond }
@@ -108,23 +109,33 @@ func TestGatherRule(t *testing.T) {
 		name                    string
 		commit                  time.Duration
 		pending, away, inflight int
-		sinceRelease            time.Duration
-		hold, stretch           time.Duration
+		// took: the newest chunk in flight was launched since the release.
+		took          bool
+		sinceRelease  time.Duration
+		hold, stretch time.Duration
 	}{
-		{"idle, two alternating writers", 3800 * time.Microsecond, 1, 2, 0, 0, 0, 0},
-		{"loopback cohort released", 3800 * time.Microsecond, 1, 18, 0, 0, 950 * time.Microsecond, 950 * time.Microsecond},
-		{"open loop, arrival after an idle gap", 3800 * time.Microsecond, 1, 5, 0, 5 * ms, 0, 0},
-		{"put-wan cohort released", 80 * ms, 1, 31, 0, 0, 0, 2500 * time.Microsecond},
-		{"put-wan cohort, a straggler chunk in flight", 80 * ms, 1, 31, 1, 0, 0, 2500 * time.Microsecond},
-		{"put-wan late rider", 80 * ms, 1, 3, 0, 2 * ms, 0, 500 * time.Microsecond},
-		{"straggler behind a chunk in flight", 80 * ms, 1, 0, 1, time.Minute, ms, ms},
-		{"a full chunk queued", 80 * ms, 4, 31, 1, 0, 0, 0},
-		{"nothing measured yet", 0, 1, 31, 1, 0, ms, ms},
-		{"a cold batcher's first write", 0, 1, 0, 0, 0, 0, 0},
+		{"idle, two alternating writers", 3800 * time.Microsecond, 1, 2, 0, false, 0, 0, 0},
+		{"loopback cohort released", 3800 * time.Microsecond, 1, 18, 0, false, 0, 950 * time.Microsecond, 950 * time.Microsecond},
+		{"open loop, arrival after an idle gap", 3800 * time.Microsecond, 1, 5, 0, false, 5 * ms, 0, 0},
+		{"put-wan cohort released", 80 * ms, 1, 31, 0, false, 0, 0, 2500 * time.Microsecond},
+		{"put-wan cohort, a straggler chunk in flight", 80 * ms, 1, 31, 1, false, 0, 0, 2500 * time.Microsecond},
+		{"put-wan late rider", 80 * ms, 1, 3, 0, false, 2 * ms, 0, 500 * time.Microsecond},
+		{"put-wan cohort, its last rider away", 80 * ms, 31, 1, 0, false, 0, 0, 2500 * time.Microsecond},
+		{"put-wan rider back after its cohort's chunk left", 80 * ms, 1, 0, 1, true, 3 * ms, ms, ms},
+		{"loopback straggler behind a chunk in flight", 3800 * time.Microsecond, 1, 0, 1, true, time.Minute, 950 * time.Microsecond, 950 * time.Microsecond},
+		{"a full chunk queued", 80 * ms, 64, 31, 1, false, 0, 0, 0},
+		{"nothing measured yet", 0, 1, 31, 1, false, 0, ms, ms},
+		{"a cold batcher's first write", 0, 1, 0, 0, false, 0, 0, 0},
 	} {
-		b := &batcher{maxSize: 4, lastCommit: tc.commit, away: tc.away, inflight: make([]time.Time, tc.inflight)}
+		b := &batcher{maxSize: 64, lastCommit: tc.commit, away: tc.away}
 		b.pending = make([]Command, tc.pending)
 		b.released = time.Now().Add(-tc.sinceRelease)
+		for i := 0; i < tc.inflight; i++ {
+			b.inflight = append(b.inflight, b.released.Add(-time.Millisecond))
+		}
+		if tc.took {
+			b.inflight[len(b.inflight)-1] = b.released.Add(time.Microsecond)
+		}
 		hold, stretch := b.gatherLocked()
 		if !near(hold, tc.hold) || !near(stretch, tc.stretch) {
 			t.Errorf("%s: hold %v stretching to %v, want %v stretching to %v", tc.name, hold, stretch, tc.hold, tc.stretch)
@@ -133,8 +144,9 @@ func TestGatherRule(t *testing.T) {
 }
 
 // The cohort a chunk released is away while one of its riders is, or while a
-// chunk launched less than 1/32 of a commit after it — its stragglers — is
-// still in consensus; a chunk launched later carries another cohort.
+// chunk launched less than half a commit after it — its stragglers, or a
+// cohort split from it — is still in consensus; a chunk launched later is
+// nearer the next release than this one.
 func TestCohortAway(t *testing.T) {
 	const ms = time.Millisecond
 	released := time.Now()
@@ -148,7 +160,8 @@ func TestCohortAway(t *testing.T) {
 		{"every rider back, nothing in flight", 0, nil, false},
 		{"a rider away", 1, nil, true},
 		{"its stragglers' chunk in flight", 0, []time.Duration{ms}, true},
-		{"another cohort's chunk in flight", 0, []time.Duration{40 * ms}, false},
+		{"a split cohort's chunk in flight", 0, []time.Duration{7 * ms}, true},
+		{"the chunk ahead of it in flight", 0, []time.Duration{60 * ms}, false},
 	} {
 		b := &batcher{away: tc.away, released: released, lastCommit: 80 * ms}
 		for _, d := range tc.inflight {
@@ -172,12 +185,11 @@ func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 			// consensus until Close.
 			io := NewIOScheduler()
 			defer io.Close()
-			r, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io, FixedLeaders{})
+			r, _, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io, FixedLeaders{}, ReplicaOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			const maxSize, riders = 4, 14
-			r.EnableAdaptiveBatching()
 			b := r.batch
 			b.maxSize = maxSize
 			wantInflight := 1

@@ -23,7 +23,7 @@ func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	for i := 0; i < 3; i++ {
 		if err := kv.Put(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
@@ -33,8 +33,8 @@ func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 		t.Fatalf("applied %d slots for 3 idle writes, want 3", applied)
 	}
 	st := replicas[0].BatchStats()
-	if st.Mode != "adaptive" || st.Batches != 3 || st.Cmds != 3 {
-		t.Fatalf("stats = %+v, want adaptive 3/3", st)
+	if st.Batches != 3 || st.Cmds != 3 {
+		t.Fatalf("stats = %+v, want 3 batches of 3 commands", st)
 	}
 }
 
@@ -56,7 +56,7 @@ func holdWindow(t *testing.T, mesh *cluster.Fabric, r *smr.Replica, pipelined bo
 		// A cold batcher assumes distance, and one loopback commit in many
 		// reads as distance too: write until the window is one chunk.
 		warm := func() {
-			if err := smr.NewKV(r).Put(ctx, "warm", "up"); err != nil {
+			if err := r.Put(ctx, "warm", "up"); err != nil {
 				cancel()
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func holdWindow(t *testing.T, mesh *cluster.Fabric, r *smr.Replica, pipelined bo
 	held := make(chan error, chunks)
 	for i := 0; i < chunks; i++ {
 		i := i
-		go func() { held <- smr.NewKV(r).Put(ctx, fmt.Sprintf("held%d", i), "v") }()
+		go func() { held <- r.Put(ctx, fmt.Sprintf("held%d", i), "v") }()
 		// One at a time, so each is a chunk of its own.
 		waitFor(t, "a held chunk to launch", func() bool { return r.BatchInflight() == i+1 })
 	}
@@ -142,7 +142,7 @@ func TestBatchIdleFlushHonorsCallerContext(t *testing.T) {
 	defer cleanup()
 	replicas[1].Close()
 	replicas[2].Close()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -169,7 +169,7 @@ func TestBatchCtxCancelMidBatch(t *testing.T) {
 		c := newTestCluster(t, 3, 1, 1, procOptions{})
 		c.pinLogs() // chunkKeys reads the log back
 		replicas := c.replicas()
-		kv := smr.NewKV(replicas[0])
+		kv := replicas[0]
 		release := holdWindow(t, c.fab, replicas[0], pipelined)
 
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -214,7 +214,7 @@ func TestBatchCtxCancelMidBatch(t *testing.T) {
 func TestBatchCloseRacesFlush(t *testing.T) {
 	eachWindow(t, func(t *testing.T, pipelined bool) {
 		c := newTestCluster(t, 3, 1, 1, procOptions{})
-		kv := smr.NewKV(c.replicas()[0])
+		kv := c.replicas()[0]
 		writers := 24
 		if pipelined {
 			c.replicas()[0].PipelineBatches()
@@ -258,7 +258,7 @@ func TestBatchMaxSizeOverflowSplits(t *testing.T) {
 		c.pinLogs() // chunkKeys reads the log back
 		replicas := c.replicas()
 		const maxSize = 64
-		kv := smr.NewKV(replicas[0])
+		kv := replicas[0]
 		release := holdWindow(t, c.fab, replicas[0], pipelined)
 		held := replicas[0].BatchInflight()
 		before := int(replicas[0].BatchStats().Cmds) // the held writes and any warm-up

@@ -3,6 +3,7 @@ package smr_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func TestBatchingGroupsConcurrentWrites(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 
 	const writers = 16
 	var wg sync.WaitGroup
@@ -72,7 +73,7 @@ func TestBatchingPreservesAgreementAcrossProxies(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			kv := smr.NewKV(r)
+			kv := r
 			for j := 0; j < 4; j++ {
 				if err := kv.Put(ctx, fmt.Sprintf("p%d-%d", ri, j), "v"); err != nil {
 					errs <- fmt.Errorf("proxy %d: %w", ri, err)
@@ -102,28 +103,41 @@ func TestBatchingPreservesAgreementAcrossProxies(t *testing.T) {
 	}
 }
 
-func TestPutAllIsAtomic(t *testing.T) {
+// An OpBatch is one command to the batcher: its writes occupy one log slot,
+// so every replica applies either all of them or none, with no interleaved
+// foreign writes.
+func TestOpBatchIsAtomic(t *testing.T) {
 	replicas, cleanup := startCluster(t, 3, 1, 1)
 	defer cleanup()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
-
-	if err := kv.PutAll(ctx, map[string]string{"a": "1", "b": "2", "c": "3"}); err != nil {
+	kvs := map[string]string{"a": "1", "b": "2", "c": "3"}
+	if err := replicas[0].Submit(ctx, batchOf(kvs)); err != nil {
 		t.Fatal(err)
 	}
 	// All three writes visible, and they occupy exactly one slot.
-	for k, want := range map[string]string{"a": "1", "b": "2", "c": "3"} {
-		if got, ok := kv.Get(k); !ok || got != want {
+	for k, want := range kvs {
+		if got, ok := replicas[0].Get(k); !ok || got != want {
 			t.Fatalf("%s = %q ok=%v", k, got, ok)
 		}
 	}
 	if applied := replicas[0].Applied(); applied != 1 {
 		t.Fatalf("applied %d slots, want 1 (atomic batch)", applied)
 	}
-	if err := kv.PutAll(ctx, nil); err != nil {
-		t.Fatalf("empty PutAll: %v", err)
+}
+
+// batchOf is one OpBatch command putting every pair of kvs, in key order.
+func batchOf(kvs map[string]string) smr.Command {
+	keys := make([]string, 0, len(kvs))
+	for k := range kvs {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	batch := smr.Command{Op: smr.OpBatch}
+	for i, k := range keys {
+		batch.Subs = append(batch.Subs, smr.Command{ID: fmt.Sprintf("sub-%d", i), Op: smr.OpPut, Key: k, Val: kvs[k]})
+	}
+	return batch
 }
 
 // The Command encoding must carry strings encoding/json would have escaped,

@@ -44,7 +44,7 @@ func testLaggingReplicaCatchesUp(t *testing.T, writes int, compact bool) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	for i := 0; i < writes; i++ {
 		if err := kv.Put(ctx, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func testLaggingReplicaCatchesUp(t *testing.T, writes int, compact bool) {
 	}
 
 	// And the caught-up replica can serve writes again.
-	kv2 := smr.NewKV(replicas[2])
+	kv2 := replicas[2]
 	if err := kv2.Put(ctx, "after", "catchup"); err != nil {
 		t.Fatalf("write through caught-up replica: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestSnapshotExportInstall(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := smr.NewKV(replicas[0]).Put(ctx, "a", "1"); err != nil {
+	if err := replicas[0].Put(ctx, "a", "1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,7 +151,7 @@ func TestCompactKeepsRetainedWindow(t *testing.T) {
 	replicas := c.replicas()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	for i := 0; i < 5; i++ {
 		if err := kv.Put(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
@@ -259,13 +259,13 @@ func TestCatchupShipsSuffix(t *testing.T) {
 	replicas := c.replicas()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	// Enough keys that a copy of the store would dwarf the suffix.
 	big := map[string]string{}
 	for i := 0; i < 200; i++ {
 		big[fmt.Sprintf("fill%d", i)] = strings.Repeat("x", 100)
 	}
-	if err := kv.PutAll(ctx, big); err != nil {
+	if err := kv.Submit(ctx, batchOf(big)); err != nil {
 		t.Fatal(err)
 	}
 	c.waitRetired(1)
@@ -334,7 +334,7 @@ func TestCatchupSuffixIsChunked(t *testing.T) {
 	replicas := c.replicas()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	// A store bigger than the gap, or the store is what the peers would send.
 	if err := kv.Put(ctx, "pad", strings.Repeat("p", 2*valueSize)); err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func TestRetireFollowsPeerApplied(t *testing.T) {
 	const period = 5 * 10 * time.Millisecond // a Status every 5Δ, Δ = 10 ticks of 1 ms
 	c := newTestCluster(t, 3, 1, 1, procOptions{dur: durableUnder(t.TempDir(), nil)})
 	r0 := c.replicas()[0]
-	kv := smr.NewKV(r0)
+	kv := r0
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	type mark struct {

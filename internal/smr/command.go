@@ -36,7 +36,7 @@ const (
 var opCodes = [...]Op{1: OpPut, 2: OpDelete, 3: OpNoop, 4: OpBatch, 5: OpLeaseGrant}
 
 // maxBatchDepth bounds how deep OpBatch commands nest in a decoded command
-// (the batcher wrapping a PutAll makes two levels): a hostile payload must
+// (the batcher wrapping a submitted OpBatch makes two levels): a hostile payload must
 // not choose the decoder's recursion depth.
 const maxBatchDepth = 8
 

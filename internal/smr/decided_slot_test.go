@@ -334,7 +334,7 @@ func TestDroppedDecideHealsWithoutReannouncement(t *testing.T) {
 	// Process 1 proposes; every process holds 0 for the leader.
 	boot := func(t *testing.T, o procOptions) (*testCluster, int) {
 		c := newTestCluster(t, 3, 1, 1, o)
-		if err := smr.NewKV(c.replicas()[1]).Put(ctx, "warm", "up"); err != nil {
+		if err := c.replicas()[1].Put(ctx, "warm", "up"); err != nil {
 			t.Fatal(err)
 		}
 		for i, rt := range c.rts {
@@ -353,7 +353,7 @@ func TestDroppedDecideHealsWithoutReannouncement(t *testing.T) {
 		d := &decideDropper{drop: func() bool { return true }}
 		d.slot.Store(int64(slot))
 		c.fab.Attach(2, d.wrap(c.rts[2].Handler()))
-		if err := smr.NewKV(c.replicas()[1]).Put(ctx, "k", "v"); err != nil {
+		if err := c.replicas()[1].Put(ctx, "k", "v"); err != nil {
 			t.Fatal(err)
 		}
 		c.waitApplied(2, slot+1, 5*time.Second)
@@ -383,7 +383,7 @@ func TestDroppedDecideHealsWithoutReannouncement(t *testing.T) {
 		d.slot.Store(int64(slot))
 		c.fab.Attach(0, d.wrap(c.rts[0].Handler()))
 		start := time.Now()
-		if err := smr.NewKV(c.replicas()[1]).Put(ctx, "k", "v"); err != nil {
+		if err := c.replicas()[1].Put(ctx, "k", "v"); err != nil {
 			t.Fatal(err)
 		}
 		c.waitApplied(0, slot+1, 5*time.Second)
@@ -420,7 +420,7 @@ func TestDecidedSlotReleasesItsTimer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	const writes = 20
-	kv := smr.NewKV(c.replicas()[1])
+	kv := c.replicas()[1]
 	for i := 0; i < writes; i++ {
 		if err := kv.Put(ctx, "k", "v"); err != nil {
 			t.Fatal(err)

@@ -38,7 +38,8 @@ type Journal interface {
 	Replay(from uint64, fn func(index uint64, payload []byte) error) (wal.ReplayInfo, error)
 }
 
-// DurabilityOptions configures EnableDurability.
+// DurabilityOptions configures a replica's journal and snapshots
+// (ReplicaOptions.Durability).
 type DurabilityOptions struct {
 	// Dir is the group's data directory: snapshots live in Dir/snap.
 	Dir string
@@ -61,7 +62,7 @@ type DurabilityOptions struct {
 
 const defaultSnapshotEvery = 64
 
-// RecoveryInfo reports what EnableDurability reconstructed.
+// RecoveryInfo reports what NewReplica recovered (zero without durability).
 type RecoveryInfo struct {
 	Recovered       bool // any prior on-disk state was found
 	SnapshotApplied int  // applied index of the snapshot used (0 if none)
@@ -219,11 +220,11 @@ func decodeSnapshot(blob []byte) (*durableSnapshot, error) {
 	return s, nil
 }
 
-// EnableDurability recovers the replica from the snapshots under opts.Dir
-// and the records of opts.Journal, and journals to it from here on. Call
-// after NewReplica and before BindTransport/Start; the replica must not
-// have processed any input yet.
-func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error) {
+// recoverFrom, NewReplica's last step, recovers the replica from the
+// snapshots under opts.Dir and the records of opts.Journal, which it journals
+// to from then on. A state it cannot restore refuses the replica before any
+// restored slot's timer is armed.
+func (r *Replica) recoverFrom(opts DurabilityOptions) (RecoveryInfo, error) {
 	if opts.Dir == "" {
 		return RecoveryInfo{}, fmt.Errorf("smr durability: empty dir")
 	}
@@ -247,12 +248,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.dur != nil {
-		return RecoveryInfo{}, fmt.Errorf("smr durability: already enabled")
-	}
-	if r.closed {
-		return RecoveryInfo{}, ErrClosed
-	}
 	r.dur = &durable{
 		wal:       opts.Journal,
 		group:     opts.Group,
@@ -306,7 +301,6 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		return nil
 	})
 	if err != nil {
-		r.dur = nil
 		return RecoveryInfo{}, err
 	}
 	info.Recovered = haveSnap || rinfo.Records > 0
@@ -321,7 +315,10 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 	r.retireBelowLocked(r.m.applied)
 
 	// 5. Rebuild live instances for undecided slots, promises intact. A decided
-	// slot stays a value: its last state record predates the decision.
+	// slot stays a value: its last state record predates the decision. Every
+	// state is restored before any instance starts — starting arms the slot's
+	// timer — so a refused one leaves no timer behind.
+	var open []*slot
 	for n, st := range states {
 		if n < r.m.applied || r.decidedLocked(n) {
 			continue
@@ -329,14 +326,15 @@ func (r *Replica) EnableDurability(opts DurabilityOptions) (RecoveryInfo, error)
 		s := r.slotLocked(n)
 		s.node = core.NewUnchecked(r.cfg, core.ModeObject, core.DefaultOptions(), r.leaders)
 		if err := s.node.Restore(st); err != nil {
-			r.dur = nil
 			return RecoveryInfo{}, fmt.Errorf("smr durability: slot %d: %w", n, err)
 		}
 		s.persisted = st
-		r.applySlotLocked(s, s.node.Start())
-		info.OpenSlots++
+		open = append(open, s)
 	}
-	info.Applied = r.m.applied
+	for _, s := range open {
+		r.applySlotLocked(s, s.node.Start())
+	}
+	info.OpenSlots, info.Applied = len(open), r.m.applied
 	return info, nil
 }
 
@@ -497,7 +495,7 @@ type ReplicaInfo struct {
 	WalNextIndex  uint64       `json:"walNextIndex,omitempty"`
 	WalSyncs      uint64       `json:"walSyncs,omitempty"`
 	SnapshotIndex int          `json:"snapshotIndex,omitempty"`
-	// Lease is present when EnableLeases was called (see LeaseStats).
+	// Lease is present when the replica was built with leases (see LeaseStats).
 	Lease *LeaseStats `json:"lease,omitempty"`
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/smr"
 )
 
 // Example boots a three-process key-value store on the in-process mesh —
@@ -23,11 +22,11 @@ func Example() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	writer := smr.NewKV(c.Runtime(0).Group(0))
+	writer := c.Runtime(0).Group(0)
 	if err := writer.Put(ctx, "venue", "Huatulco"); err != nil {
 		panic(err)
 	}
-	reader := smr.NewKV(c.Runtime(2).Group(0))
+	reader := c.Runtime(2).Group(0)
 	v, ok, err := reader.GetLinearizable(ctx, "venue")
 	if err != nil {
 		panic(err)

@@ -34,9 +34,7 @@ func (r *Replica) Seq() int64 {
 // QueuedCommands reports how many commands wait in r's batcher to be cut
 // into a chunk: a test that needs two riders in one chunk waits for both.
 func (r *Replica) QueuedCommands() int {
-	r.mu.Lock()
 	b := r.batch
-	r.mu.Unlock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.pending)

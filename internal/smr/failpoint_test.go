@@ -87,7 +87,7 @@ func TestBlockedFsyncStallsSlotMessagesAndCompletions(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	if err := kv.Put(ctx, "warm", "up"); err != nil {
 		t.Fatalf("warm-up put: %v", err)
 	}

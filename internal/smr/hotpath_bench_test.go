@@ -125,7 +125,7 @@ func BenchmarkReplicaPipeline(b *testing.B) {
 				}
 				return slotMsgs.Load(), recs
 			}
-			kv := smr.NewKV(c.replicas()[0])
+			kv := c.replicas()[0]
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 			defer cancel()
 			if err := kv.Put(ctx, "warm", "up"); err != nil {
@@ -160,7 +160,7 @@ const distanceOneWay, farOneWay = 10 * time.Millisecond, 25 * time.Millisecond
 
 // coldDistanceFixture is three processes a round trip of twice oneWay apart
 // (injected on the Mesh), none of which has committed anything.
-func coldDistanceFixture(b *testing.B, oneWay time.Duration) (*testCluster, *smr.KV, context.Context) {
+func coldDistanceFixture(b *testing.B, oneWay time.Duration) (*testCluster, *smr.Replica, context.Context) {
 	// Δ = 10 ticks must outlast the round trip, or every ballot times out.
 	c := newTestCluster(b, 3, 1, 1, procOptions{tick: oneWay / 2})
 	c.fab.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
@@ -168,13 +168,13 @@ func coldDistanceFixture(b *testing.B, oneWay time.Duration) (*testCluster, *smr
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	b.Cleanup(cancel)
-	return c, smr.NewKV(c.replicas()[0]), ctx
+	return c, c.replicas()[0], ctx
 }
 
 // distanceFixture is coldDistanceFixture warmed by a lone writer at process
 // 0: the batcher's depth is measured, not configured, and those commits tell
 // it how far away its quorum is.
-func distanceFixture(b *testing.B, oneWay time.Duration) (*testCluster, *smr.KV, context.Context) {
+func distanceFixture(b *testing.B, oneWay time.Duration) (*testCluster, *smr.Replica, context.Context) {
 	c, kv, ctx := coldDistanceFixture(b, oneWay)
 	for i := 0; i < 3; i++ {
 		if err := kv.Put(ctx, "warm", "up"); err != nil {
@@ -212,7 +212,7 @@ func burst(b *testing.B, n int, op func(w int) error) {
 // beat), and cmds/batch near 32 means the cohort stayed whole.
 func BenchmarkBatcherDistance(b *testing.B) {
 	const submitters = 256
-	put := func(kv *smr.KV, ctx context.Context) func(w int) error {
+	put := func(kv *smr.Replica, ctx context.Context) func(w int) error {
 		return func(w int) error { return kv.Put(ctx, fmt.Sprintf("k%d", w), "v") }
 	}
 	b.Run("warm", func(b *testing.B) {
@@ -305,7 +305,7 @@ func BenchmarkReadFallback(b *testing.B) {
 	for _, callers := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("loopback/c%d", callers), func(b *testing.B) {
 			r := newTestCluster(b, 3, 1, 1, procOptions{dur: durableUnder(b.TempDir(), nil)}).replicas()[0]
-			kv := smr.NewKV(r)
+			kv := r
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 			defer cancel()
 			if err := kv.Put(ctx, "warm", "up"); err != nil {

@@ -3,62 +3,34 @@ package smr
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
 )
 
-// KV is the client-facing API of the replicated key-value store, bound to
-// one replica acting as this client's proxy (Schneider's SMR pattern, as in
-// the paper's introduction).
-type KV struct {
-	proxy *Replica
-}
+// The client-facing key-value API: a replica serves it as its clients' proxy
+// (Schneider's SMR pattern, as in the paper's introduction).
 
-// NewKV wraps a replica as a key-value client.
-func NewKV(proxy *Replica) *KV { return &KV{proxy: proxy} }
-
-// Put replicates a write and returns once it is decided and applied at the
-// proxy.
-func (kv *KV) Put(ctx context.Context, key, val string) error {
-	return kv.proxy.Submit(ctx, Command{Op: OpPut, Key: key, Val: val})
+// Put replicates a write and returns once it is decided and applied here.
+func (r *Replica) Put(ctx context.Context, key, val string) error {
+	return r.Submit(ctx, Command{Op: OpPut, Key: key, Val: val})
 }
 
 // Delete replicates a deletion.
-func (kv *KV) Delete(ctx context.Context, key string) error {
-	return kv.proxy.Submit(ctx, Command{Op: OpDelete, Key: key})
+func (r *Replica) Delete(ctx context.Context, key string) error {
+	return r.Submit(ctx, Command{Op: OpDelete, Key: key})
 }
 
-// PutAll replicates several writes atomically: they occupy one log slot (an
-// OpBatch command), so every replica applies either all of them or none,
-// with no interleaved foreign writes.
-func (kv *KV) PutAll(ctx context.Context, kvs map[string]string) error {
-	if len(kvs) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(kvs))
-	for k := range kvs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic encoding
-	subs := make([]Command, 0, len(kvs))
-	for i, k := range keys {
-		subs = append(subs, Command{ID: fmt.Sprintf("sub-%d", i), Op: OpPut, Key: k, Val: kvs[k]})
-	}
-	return kv.proxy.Submit(ctx, Command{Op: OpBatch, Subs: subs})
-}
-
-// Get reads from the proxy's applied state. Reads are served locally and
-// reflect every write this client performed through the same proxy (the
-// proxy applies a slot before acknowledging it). Reads of other clients'
-// writes may lag; use GetLinearizable for a read that observes every write
+// Get reads key from this replica's applied state. It reflects every write
+// acknowledged through this replica (a slot applies here before its ack), but
+// writes acknowledged elsewhere may lag: GetLinearizable observes every write
 // acknowledged anywhere before it started.
-func (kv *KV) Get(key string) (string, bool) {
-	return kv.proxy.Get(key)
+func (r *Replica) Get(key string) (string, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.m.get(key)
 }
 
 // GetLinearizable performs a linearizable read, three-tiered:
 //
-//  1. The proxy holds a valid lease → serve from local applied state with
+//  1. This replica holds a valid lease → serve from local applied state with
 //     zero network round trips (the lease grant was replicated through
 //     consensus, so every other replica refuses to acknowledge commands
 //     the leaseholder has not applied — see internal/lease).
@@ -74,14 +46,14 @@ func (kv *KV) Get(key string) (string, bool) {
 // tier 1 because acknowledgements elsewhere are refused or fenced while
 // the lease is live, tier 2 because an acknowledged write's slot decides
 // below the barrier no-op's slot.
-func (kv *KV) GetLinearizable(ctx context.Context, key string) (string, bool, error) {
-	if v, ok, served := kv.proxy.LeaseRead(key); served {
+func (r *Replica) GetLinearizable(ctx context.Context, key string) (string, bool, error) {
+	if v, ok, served := r.LeaseRead(key); served {
 		return v, ok, nil
 	}
-	if err := kv.proxy.ReadBarrier(ctx); err != nil {
+	if err := r.ReadBarrier(ctx); err != nil {
 		return "", false, err
 	}
-	v, ok := kv.proxy.Get(key)
+	v, ok := r.Get(key)
 	return v, ok, nil
 }
 

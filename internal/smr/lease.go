@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/lease"
 )
 
@@ -48,7 +49,7 @@ func (e *LeaseHeldError) Is(target error) bool {
 // leaseHeldPrefix is the wire form of LeaseHeldError behind "ERR ".
 const leaseHeldPrefix = "ERR lease held by replica "
 
-// LeaseOptions configures replicated leader leases (EnableLeases).
+// LeaseOptions configures replicated leader leases (ReplicaOptions.Leases).
 type LeaseOptions struct {
 	// Duration is the grant length. Default 2s.
 	Duration time.Duration
@@ -56,13 +57,10 @@ type LeaseOptions struct {
 	// ε before nominal expiry, everyone else keeps blocking ε after it.
 	// Default 50ms. Must satisfy 2ε < Duration.
 	Epsilon time.Duration
-	// Renew is the renew-ahead window: the auto-grant timer proposes a
-	// fresh grant when less than this much of the lease remains. Default
-	// Duration/3.
-	Renew time.Duration
 	// AutoGrant arms a timer that acquires and renews the lease whenever
-	// this replica is the stable Ω leader. Off, leases are only taken by
-	// explicit AcquireLease calls (tests, benches).
+	// this replica is the stable Ω leader, renewing once less than a third
+	// of the lease remains. Off, leases are only taken by explicit
+	// AcquireLease calls (tests, benches).
 	AutoGrant bool
 	// UnsafeZeroEpsilon forces ε=0 AND disables the guard window and
 	// fencing — the deliberately broken mode that the ε=0 teeth test uses
@@ -70,16 +68,16 @@ type LeaseOptions struct {
 	// Never enable outside tests.
 	UnsafeZeroEpsilon bool
 	// Now, when set, replaces the replica's monotonic lease clock: it must
-	// return nondecreasing elapsed time since EnableLeases. Tests advance a
-	// fake clock past expiry with it instead of sleeping out real lease
-	// windows. Nil uses the runtime's monotonic clock.
+	// return nondecreasing elapsed time since the replica was built. Tests
+	// advance a fake clock past expiry with it instead of sleeping out real
+	// lease windows. Nil uses the runtime's monotonic clock.
 	Now func() time.Duration
 }
 
 // leaseState is the replica-side lease machinery around the deterministic
 // lease.Table, which the machine holds (kvMachine.leases): the clock, the
 // auto-grant timer and the counters. All fields are guarded by Replica.mu
-// except opts/start, which are immutable after EnableLeases.
+// except opts/start, which are immutable after construction.
 type leaseState struct {
 	opts  LeaseOptions
 	start time.Time // monotonic origin for now()
@@ -92,7 +90,7 @@ type leaseState struct {
 }
 
 // now reads this replica's monotonic clock (nanoseconds since
-// EnableLeases); time.Since uses the runtime's monotonic reading, so wall
+// construction); time.Since uses the runtime's monotonic reading, so wall
 // clock jumps cannot move lease windows. A LeaseOptions.Now hook replaces
 // the clock wholesale (fake-clock tests). Without leases it reads 0: the
 // machine has no table to read it.
@@ -119,12 +117,9 @@ func (ls *leaseState) count(ev lease.Event) {
 	}
 }
 
-// EnableLeases switches on replicated leader leases for this replica. Must
-// be called before EnableDurability (recovery replays grant commands into
-// the lease table — a replayed own grant deliberately confers no serving
-// rights, while a replayed foreign grant must raise the conservative guard)
-// and before Start (which arms the auto-grant timer).
-func (r *Replica) EnableLeases(opts LeaseOptions) error {
+// newLeaseState fills in opts' defaults and starts the lease clock; the
+// auto-grant timer waits for Start.
+func newLeaseState(opts LeaseOptions) (*leaseState, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = 2 * time.Second
 	}
@@ -134,31 +129,24 @@ func (r *Replica) EnableLeases(opts LeaseOptions) error {
 		opts.Epsilon = 50 * time.Millisecond
 	}
 	if !opts.UnsafeZeroEpsilon && 2*opts.Epsilon >= opts.Duration {
-		return fmt.Errorf("smr leases: 2ε (%v) must be smaller than the lease duration (%v)", 2*opts.Epsilon, opts.Duration)
+		return nil, fmt.Errorf("smr leases: 2ε (%v) must be smaller than the lease duration (%v)", 2*opts.Epsilon, opts.Duration)
 	}
-	if opts.Renew <= 0 {
-		opts.Renew = opts.Duration / 3
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
-	}
-	if r.dur != nil {
-		return errors.New("smr leases: EnableLeases must precede EnableDurability (recovery replays grants)")
-	}
-	if r.ls != nil {
-		return errors.New("smr leases: already enabled")
-	}
-	r.m.leases = lease.New(lease.Config{
-		Self:     int(r.cfg.ID),
-		Duration: opts.Duration.Nanoseconds(),
-		Epsilon:  opts.Epsilon.Nanoseconds(),
-		Unsafe:   opts.UnsafeZeroEpsilon,
-	})
-	r.ls = &leaseState{opts: opts, start: time.Now()}
-	return nil
+	return &leaseState{opts: opts, start: time.Now()}, nil
 }
+
+// table is a fresh lease table for replica self under these options.
+func (ls *leaseState) table(self consensus.ProcessID) *lease.Table {
+	return lease.New(lease.Config{
+		Self:     int(self),
+		Duration: ls.opts.Duration.Nanoseconds(),
+		Epsilon:  ls.opts.Epsilon.Nanoseconds(),
+		Unsafe:   ls.opts.UnsafeZeroEpsilon,
+	})
+}
+
+// renewAhead is how much of an own lease may remain when the auto-grant timer
+// proposes a fresh grant: a third of it.
+func (ls *leaseState) renewAhead() time.Duration { return ls.opts.Duration / 3 }
 
 // proposerOf extracts the proposing replica from a command ID ("p3-17",
 // "p3-batch-4" → 3). Unknown shapes (sub-commands, external IDs) map to -1:
@@ -276,10 +264,7 @@ func (r *Replica) HoldsLease() bool {
 // scheduleLeaseLocked (re)arms the auto-grant/renew timer. Period is a
 // fraction of the renew window so expiry is noticed promptly.
 func (r *Replica) scheduleLeaseLocked() {
-	period := r.ls.opts.Renew / 2
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
+	period := max(r.ls.renewAhead()/2, 5*time.Millisecond)
 	r.armLocked(&r.ls.timer, period, func() func() {
 		r.scheduleLeaseLocked()
 		now := r.ls.now()
@@ -292,7 +277,7 @@ func (r *Replica) scheduleLeaseLocked() {
 		// transient of leader churn, not the steady state.
 		if !r.ls.inFlight && r.leaders.Leader() == r.cfg.ID && r.leaders.LeaderStable(2) {
 			if r.m.leases.HolderValid(now) {
-				propose = r.m.leases.Remaining(now) < r.ls.opts.Renew.Nanoseconds()
+				propose = r.m.leases.Remaining(now) < r.ls.renewAhead().Nanoseconds()
 			} else {
 				propose = !r.m.leases.Guarded(now)
 			}
@@ -317,7 +302,7 @@ func (r *Replica) scheduleLeaseLocked() {
 // LeaseStats is a point-in-time snapshot of the lease and read-path
 // counters, surfaced through STATS and expvar.
 type LeaseStats struct {
-	// Enabled: EnableLeases was called.
+	// Enabled: the replica was built with leases.
 	Enabled bool `json:"enabled"`
 	// Valid: this replica holds a live lease right now.
 	Valid bool `json:"valid"`

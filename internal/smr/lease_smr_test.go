@@ -32,7 +32,7 @@ func TestLeaseLocalReadZeroIO(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	if err := kv.Put(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestLeaseCrashRestartForgetsLease(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	if err := kv.Put(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestLeaseCrashRestartForgetsLease(t *testing.T) {
 
 	// A surviving peer is still inside the dead holder's guard window: its
 	// own proposals must be refused with the holder hint.
-	err := smr.NewKV(replicas[1]).Put(ctx, "k", "v2")
+	err := replicas[1].Put(ctx, "k", "v2")
 	if !errors.Is(err, smr.ErrLeaseHeld) {
 		t.Fatalf("peer write during dead holder's guard = %v, want ErrLeaseHeld", err)
 	}
@@ -135,7 +135,7 @@ func TestLeaseTakeoverRevokesPreviousHolder(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	kv0 := smr.NewKV(replicas[0])
+	kv0 := replicas[0]
 	if err := kv0.Put(ctx, "k", "v1"); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestLeaseExpiryUnderFsyncStall(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	if err := kv.Put(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 	rt, tr := openIsolated(t, 0, "", &smr.LeaseOptions{
 		Duration: time.Second, Now: func() time.Duration { return 0 },
 	})
-	r, kv := rt.Group(0), smr.NewKV(rt.Group(0))
+	r := rt.Group(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	proposed := func(slot int) consensus.Value { return tr.proposed(t, slot) }
@@ -299,7 +299,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 	errW, errA, errB := make(chan error, a), make(chan error, 1), make(chan error, 1)
 	var ws []consensus.Value
 	for slot := 0; slot < a; slot++ {
-		go func() { errW <- kv.Put(ctx, fmt.Sprintf("w%d", slot), "vw") }()
+		go func() { errW <- r.Put(ctx, fmt.Sprintf("w%d", slot), "vw") }()
 		ws = append(ws, proposed(slot))
 	}
 	go func() {
@@ -307,7 +307,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 		errA <- err
 	}()
 	proposed(a)
-	go func() { errB <- kv.Put(ctx, "b", "vb") }()
+	go func() { errB <- r.Put(ctx, "b", "vb") }()
 	type getl struct {
 		v   string
 		ok  bool
@@ -315,7 +315,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 	}
 	read := make(chan getl, 1)
 	go func() {
-		v, ok, err := kv.GetLinearizable(ctx, "b")
+		v, ok, err := r.GetLinearizable(ctx, "b")
 		read <- getl{v, ok, err}
 	}()
 	for deadline := time.Now().Add(5 * time.Second); r.QueuedCommands() != 2; time.Sleep(time.Millisecond) {
@@ -344,7 +344,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 	if err := <-errB; !errors.Is(err, smr.ErrLeaseFenced) {
 		t.Fatalf("B, applied inside p1's guard, was acknowledged with %v, want ErrLeaseFenced", err)
 	}
-	if v, ok := kv.Get("b"); !ok || v != "vb" {
+	if v, ok := r.Get("b"); !ok || v != "vb" {
 		t.Fatalf("fenced B is not applied: b=%q,%t", v, ok)
 	}
 	var held *smr.LeaseHeldError
@@ -354,7 +354,7 @@ func TestLeaseFencedChunk(t *testing.T) {
 	if err := <-errA; !errors.Is(err, smr.ErrLeaseHeld) {
 		t.Fatalf("A lost its slot to the grant and was retried with %v, want ErrLeaseHeld", err)
 	}
-	if _, ok := kv.Get("a"); ok {
+	if _, ok := r.Get("a"); ok {
 		t.Fatal("refused A is applied")
 	}
 	if ls := r.LeaseStats(); ls.Grants != 1 || ls.Fenced != 1 || ls.Refused != 2 {
@@ -421,7 +421,7 @@ func TestFencedVerdictSurvivesRetirement(t *testing.T) {
 	release := func() { open.Do(func() { close(hold.gate) }) }
 	defer release() // never leave the I/O consumer wedged
 	rt.BindTransport(hold)
-	r, kv := rt.Group(0), smr.NewKV(rt.Group(0))
+	r := rt.Group(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	decide := func(slot int, v consensus.Value) { r.Handle(1, slotMsg(t, slot, &core.DecideMsg{Value: v})) }
@@ -432,7 +432,7 @@ func TestFencedVerdictSurvivesRetirement(t *testing.T) {
 		errA <- err
 	}()
 	tr.proposed(t, 0)
-	go func() { errB <- kv.Put(ctx, "b", "vb") }()
+	go func() { errB <- r.Put(ctx, "b", "vb") }()
 	b := tr.proposed(t, 1)
 	grant, err := smr.Command{ID: "p1-1", Op: smr.OpLeaseGrant, Key: "1", Val: strconv.FormatInt(int64(time.Second), 10)}.Encode()
 	if err != nil {
@@ -467,7 +467,7 @@ func TestFencedVerdictSurvivesRetirement(t *testing.T) {
 	if err := <-errB; !errors.Is(err, smr.ErrLeaseFenced) {
 		t.Fatalf("B, applied inside p1's guard in a slot since retired, was acknowledged with %v, want ErrLeaseFenced", err)
 	}
-	if v, ok := kv.Get("b"); !ok || v != "vb" {
+	if v, ok := r.Get("b"); !ok || v != "vb" {
 		t.Fatalf("fenced B is not applied: b=%q,%t", v, ok)
 	}
 }
@@ -492,7 +492,7 @@ func TestReadCoalescingSharesRounds(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	kv := smr.NewKV(replicas[0])
+	kv := replicas[0]
 	put := func() {
 		if err := kv.Put(ctx, "k", "v"); err != nil {
 			t.Fatal(err)
@@ -557,8 +557,8 @@ func TestGETLStormUnderRace(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	kv0 := smr.NewKV(replicas[0])
-	kv1 := smr.NewKV(replicas[1])
+	kv0 := replicas[0]
+	kv1 := replicas[1]
 	if err := kv0.Put(ctx, "k", "v0"); err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestLeaseHeldRedirectMovesClientToHolder(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	if err := smr.NewKV(replicas[0]).Put(ctx, "k", "v"); err != nil {
+	if err := replicas[0].Put(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if err := replicas[1].AcquireLease(ctx); err != nil {

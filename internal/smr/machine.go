@@ -19,7 +19,7 @@ type kvMachine struct {
 	applied    int // slots applied; apply takes slot applied's value next
 	store      map[string]string
 	storeBytes int          // the keys and values in store
-	leases     *lease.Table // nil until EnableLeases
+	leases     *lease.Table // nil without leases
 	// stale, once non-nil, maps each overwritten key to its previous value,
 	// which get serves: the chaos harness's "teeth" fault (FaultInjectStaleReads).
 	stale map[string]string

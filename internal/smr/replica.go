@@ -202,8 +202,8 @@ type Replica struct {
 	retainedBytes int
 	cu            catchupState
 
-	// batch, when non-nil, groups Submit traffic — writes and read barriers
-	// alike — into OpBatch commands.
+	// batch groups Submit traffic — writes and read barriers alike — into
+	// OpBatch commands.
 	batch *batcher
 
 	// dur, when non-nil, journals slot state to a WAL and checkpoints the
@@ -211,7 +211,7 @@ type Replica struct {
 	dur *durable
 
 	// ls, when non-nil, serves and renews the replicated leader lease whose
-	// table the machine applies (EnableLeases, see lease.go).
+	// table the machine applies (see lease.go).
 	ls *leaseState
 }
 
@@ -224,9 +224,19 @@ type LeaderView interface {
 	LeaderStable(minPeriods int64) bool
 }
 
+// ReplicaOptions is what a replica may be built with beyond its group's
+// configuration: each part is on when non-nil.
+type ReplicaOptions struct {
+	// Leases enables replicated leader leases (see LeaseOptions).
+	Leases *LeaseOptions
+	// Durability journals the replica to a WAL and recovers it from there
+	// and its snapshots (see DurabilityOptions).
+	Durability *DurabilityOptions
+}
+
 // NewReplica builds one consensus group's replica on io and leaders, the
 // scheduler and the Ω its host (shard.Runtime) owns and shares between every
-// group of the process — as it owns the WAL behind EnableDurability's Journal
+// group of the process — as it owns the WAL behind opts.Durability's Journal
 // and the transport behind BindTransport: the replica uses all four and
 // closes none. Call BindTransport, then Start. A configuration below the
 // paper's bound for a consensus object (Theorem 6: quorum.Check) is refused
@@ -236,19 +246,26 @@ type LeaderView interface {
 // protocol tick — a slot's new-ballot timer counts in it, as the host's Ω and
 // gossip periods do — and must be positive: a zero period re-arms a timer
 // immediately and floods the fabric.
-func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leaders LeaderView) (*Replica, error) {
+//
+// The replica is built in the one order that works: the lease table first,
+// because recovery replays grant commands into it (a replayed own grant
+// confers no serving rights, a replayed foreign one raises the guard); then
+// the write batcher every Submit goes through; then, with durability,
+// recovery (see recoverFrom), whose report is the RecoveryInfo. A refused
+// construction leaves nothing running.
+func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leaders LeaderView, opts ReplicaOptions) (*Replica, RecoveryInfo, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("smr: %w", err)
+		return nil, RecoveryInfo{}, fmt.Errorf("smr: %w", err)
 	}
 	if !cfg.Flexible() {
 		if err := quorum.Check(quorum.Object, cfg.N, cfg.F, cfg.E); err != nil {
-			return nil, fmt.Errorf("smr: %w", err)
+			return nil, RecoveryInfo{}, fmt.Errorf("smr: %w", err)
 		}
 	}
 	if tick <= 0 {
-		return nil, fmt.Errorf("smr: tick must be positive, got %v", tick)
+		return nil, RecoveryInfo{}, fmt.Errorf("smr: tick must be positive, got %v", tick)
 	}
-	return &Replica{
+	r := &Replica{
 		cfg:     cfg,
 		tick:    tick,
 		leaders: leaders,
@@ -256,7 +273,24 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 		m:       kvMachine{n: cfg.N, store: make(map[string]string)},
 		io:      io,
 		cu:      catchupState{peerApplied: make([]int, cfg.N), partial: map[consensus.ProcessID][]*CatchupReply{}},
-	}, nil
+	}
+	if opts.Leases != nil {
+		ls, err := newLeaseState(*opts.Leases)
+		if err != nil {
+			return nil, RecoveryInfo{}, err
+		}
+		r.ls = ls
+		r.m.leases = ls.table(cfg.ID)
+	}
+	r.batch = &batcher{replica: r, maxSize: maxChunk, poke: make(chan struct{}, 1)}
+	var info RecoveryInfo
+	if opts.Durability != nil {
+		var err error
+		if info, err = r.recoverFrom(*opts.Durability); err != nil {
+			return nil, RecoveryInfo{}, err
+		}
+	}
+	return r, info, nil
 }
 
 // currentTransport reads the bound transport under the lock (the outbox
@@ -425,50 +459,40 @@ func (r *Replica) retireBelowLocked(floor int) int {
 
 // Submit replicates cmd and returns once it is decided and applied at this
 // replica, or when ctx is done (the command may still commit afterwards).
-// With EnableAdaptiveBatching, Submits arriving together — writes and
-// ReadBarrier's no-ops, the batcher does not tell them apart — are grouped
-// into one instance (see batcher); without it a Submit is one instance.
+// Submits arriving together — writes and ReadBarrier's no-ops, the batcher
+// does not tell them apart — are grouped into one instance (see batcher); an
+// OpBatch rides as one command, so its writes share one slot.
 func (r *Replica) Submit(ctx context.Context, cmd Command) error {
+	if cmd.ID == "" {
+		cmd.ID = r.nextID()
+	}
+	return r.batch.executeBatched(ctx, cmd)
+}
+
+// nextID is a fresh command ID of this replica's.
+func (r *Replica) nextID() string {
 	r.mu.Lock()
-	if cmd.ID == "" {
-		r.seq++
-		cmd.ID = fmt.Sprintf("%s-%d", r.cfg.ID, r.seq)
-	}
-	b := r.batch
-	r.mu.Unlock()
-	if b != nil && cmd.Op != OpBatch {
-		return b.executeBatched(ctx, cmd)
-	}
-	p, err := r.execute(ctx, cmd)
-	if err != nil {
-		return err
-	}
-	return r.acked(ctx, p)
+	defer r.mu.Unlock()
+	r.seq++
+	return fmt.Sprintf("%s-%d", r.cfg.ID, r.seq)
 }
 
-// Execute proposes cmd and blocks until a slot decides it, returning the
-// slot index. It retries in subsequent slots when a competing command wins.
+// Execute proposes cmd by itself, past the batcher, and blocks until a slot
+// decides it, returning the slot index. It retries in subsequent slots when a
+// competing command wins.
 func (r *Replica) Execute(ctx context.Context, cmd Command) (int, error) {
-	p, err := r.execute(ctx, cmd)
-	return p.slot, err
-}
-
-func (r *Replica) execute(ctx context.Context, cmd Command) (proposal, error) {
 	if cmd.ID == "" {
-		r.mu.Lock()
-		r.seq++
-		cmd.ID = fmt.Sprintf("%s-%d", r.cfg.ID, r.seq)
-		r.mu.Unlock()
+		cmd.ID = r.nextID()
 	}
 	want, err := cmd.Encode()
 	if err != nil {
-		return proposal{}, err
+		return 0, err
 	}
 	p, err := r.propose(cmd.Op, want, -1, nil)
-	if err != nil {
-		return proposal{}, err
+	if err == nil {
+		p, err = r.await(ctx, cmd.Op, want, p)
 	}
-	return r.await(ctx, cmd.Op, want, p)
+	return p.slot, err
 }
 
 // proposal is one value proposed in one slot: what propose hands to await.
@@ -572,13 +596,6 @@ func (r *Replica) nextFreeSlotLocked(prev int) int {
 	return n
 }
 
-// Get reads a key from the local (applied) store state.
-func (r *Replica) Get(key string) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m.get(key)
-}
-
 // Applied returns the number of log slots applied to the store.
 func (r *Replica) Applied() int {
 	r.mu.Lock()
@@ -645,12 +662,9 @@ func (r *Replica) shutdown(crash bool) {
 		// The outbox consumer reloads the transport per entry owner.
 		r.tr = nil
 	}
-	b := r.batch
 	r.mu.Unlock()
 
-	if b != nil {
-		b.close()
-	}
+	r.batch.close()
 	// FIFO: everything this replica queued is ahead of the barrier.
 	r.io.barrier()
 }

@@ -390,7 +390,7 @@ func (s *Server) handleLine(line string) string {
 		if !hasArgs || rest == "" || strings.Contains(rest, " ") {
 			return "ERR usage: GET <key>"
 		}
-		if v, ok := NewKV(s.backend.Route(rest)).Get(rest); ok {
+		if v, ok := s.backend.Route(rest).Get(rest); ok {
 			return "VAL " + v
 		}
 		return "NONE"
@@ -401,7 +401,7 @@ func (s *Server) handleLine(line string) string {
 		if !hasArgs || rest == "" || strings.Contains(rest, " ") {
 			return "ERR usage: GETL <key>"
 		}
-		v, ok, err := NewKV(s.backend.Route(rest)).GetLinearizable(ctx, rest)
+		v, ok, err := s.backend.Route(rest).GetLinearizable(ctx, rest)
 		if err != nil {
 			return "ERR " + err.Error()
 		}
@@ -414,7 +414,7 @@ func (s *Server) handleLine(line string) string {
 		if !hasArgs || key == "" || !ok {
 			return "ERR usage: PUT <key> <value>"
 		}
-		if err := NewKV(s.backend.Route(key)).Put(ctx, key, val); err != nil {
+		if err := s.backend.Route(key).Put(ctx, key, val); err != nil {
 			return "ERR " + err.Error()
 		}
 		return "OK"
@@ -422,7 +422,7 @@ func (s *Server) handleLine(line string) string {
 		if !hasArgs || rest == "" || strings.Contains(rest, " ") {
 			return "ERR usage: DEL <key>"
 		}
-		if err := NewKV(s.backend.Route(rest)).Delete(ctx, rest); err != nil {
+		if err := s.backend.Route(rest).Delete(ctx, rest); err != nil {
 			return "ERR " + err.Error()
 		}
 		return "OK"

@@ -34,7 +34,7 @@ func BenchmarkSlotWrap(b *testing.B) {
 	b.Run("broadcast-n5", func(b *testing.B) {
 		io := NewIOScheduler()
 		defer io.Close()
-		r, err := NewReplica(consensus.Config{ID: 0, N: 5, F: 2, E: 2, Delta: 10}, time.Millisecond, io, FixedLeaders{})
+		r, _, err := NewReplica(consensus.Config{ID: 0, N: 5, F: 2, E: 2, Delta: 10}, time.Millisecond, io, FixedLeaders{}, ReplicaOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
