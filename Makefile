@@ -127,12 +127,12 @@ fuzz:
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=30s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
-# recovery through the runtime's shared-WAL abort/close, the interval fsync
-# and its failure, and a process rejoining a 50k-key store over TCP from
+# recovery through the runtime's shared-WAL abort/close, a torn log failing
+# every group's writes, and a process rejoining a 50k-key store over TCP from
 # below every peer's compaction floor — see docs/DURABILITY.md.
 crash:
 	$(GO) test -run '^TestCrash' -v -timeout 300s ./internal/wal/... ./internal/smr/...
-	$(GO) test -run '^TestCrash|^TestRuntime(Crash|Graceful)|^TestIntervalFsync' -v -timeout 300s ./internal/shard/... ./internal/cluster/...
+	$(GO) test -run '^TestCrash|^TestRuntime(Crash|Graceful)|^TestLogFailurePoisonsEveryGroup$$' -v -timeout 300s ./internal/shard/... ./internal/cluster/...
 	$(GO) test -run '^TestLargeStoreRejoinsOverTCP$$' -v -timeout 300s ./internal/cluster -rejoin.keys=50000
 
 # Whole-stack chaos campaign: SEEDS consecutive seeded scenarios (live

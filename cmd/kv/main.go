@@ -5,12 +5,14 @@
 // is consensus port + 1000):
 //
 //	kv -id 0 -peers 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 -f 1 -e 1 \
-//	   -data-dir /var/lib/kv0 -fsync always
+//	   -data-dir /var/lib/kv0
 //
-// With -groups N the process hosts N consensus groups sharing one
-// transport, WAL, and fsync stream; keys hash-route across groups
-// transparently (see docs/SHARDING.md). A data directory is in one binary
-// format (docs/DURABILITY.md); one written by a JSON-era build is refused.
+// With -data-dir nothing the replica says leaves the process before the
+// records it depends on are fsynced; there is no policy to choose. With
+// -groups N the process hosts N consensus groups sharing one transport,
+// WAL, and fsync stream; keys hash-route across groups transparently (see
+// docs/SHARDING.md). A data directory is in one binary format
+// (docs/DURABILITY.md); one written by a JSON-era build is refused.
 //
 // Client (reads commands from stdin, PUT/GET/GETL/DEL/STATS/INFO, fails over
 // between proxies; speaks the multiplexed session protocol):
@@ -40,7 +42,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 func main() {
@@ -60,9 +61,7 @@ func run() error {
 		tickMS  = flag.Int("tick", 5, "milliseconds per protocol tick (Δ = 10 ticks)")
 		stats   = flag.Duration("stats", 30*time.Second, "period between transport stats lines (0 disables)")
 		connect = flag.String("connect", "", "client mode: comma-separated client addresses")
-		dataDir = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty runs in-memory")
-		fsync   = flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
-		fsyncIv = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync period under -fsync interval")
+		dataDir = flag.String("data-dir", "", "durability directory (WAL + snapshots), fsynced before anything leaves the process; empty runs in-memory")
 		snapEv  = flag.Int("snap-every", 64, "applied commands between snapshots (<0 disables)")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof and expvar debug endpoints on this address (e.g. 127.0.0.1:6060)")
 		leases  = flag.Bool("leases", false, "enable replicated leader leases: the stable Ω leader of each group auto-acquires a lease and serves GETL from local state (docs/LEASES.md)")
@@ -79,16 +78,7 @@ func run() error {
 	}
 	var dur *shard.Durability
 	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsync)
-		if err != nil {
-			return err
-		}
-		dur = &shard.Durability{
-			Dir:           *dataDir,
-			Policy:        policy,
-			SyncEvery:     *fsyncIv,
-			SnapshotEvery: *snapEv,
-		}
+		dur = &shard.Durability{Dir: *dataDir, SnapshotEvery: *snapEv}
 	}
 	var lo *smr.LeaseOptions
 	if *leases {

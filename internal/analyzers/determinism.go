@@ -13,7 +13,8 @@ import (
 // arithmetic they share. The WAL is listed too: recovery replays it to
 // rebuild protocol state, so a hidden clock or goroutine there would unsound
 // crash-recovery the same way it unsounds replay — which is why the WAL owns
-// no fsync timer (SyncInterval is host-driven). The simulator and the live
+// no fsync timer: its host's I/O scheduler commits it (smr.IOScheduler), and
+// a host that wants timed fsyncs calls Sync itself. The simulator and the live
 // host are deliberately NOT listed — they own the clock and the network on
 // the protocols' behalf.
 var protocolPackages = map[string]bool{
@@ -48,7 +49,7 @@ func IsProtocolPackage(path string) bool { return protocolPackages[path] }
 // unseeded global randomness and order-sensitive map iteration. The sharded
 // runtime is in this tier for its router — two processes disagreeing on a
 // key's group split its history across two logs — while shard.Runtime is the
-// live host of a process and owns its clocks (Ω, gossip, interval fsync).
+// live host of a process and owns its clocks (Ω, gossip).
 var seededPackages = map[string]bool{
 	"repro/internal/chaos":  true,
 	"repro/internal/linear": true,

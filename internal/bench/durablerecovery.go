@@ -41,6 +41,7 @@ func DurableRecovery() *Result {
 		)
 	}
 	r.AddNote("append µs/op includes the per-record fsync under `always` and a host-driven Sync every %d appends under `interval`; `never` defers everything to the OS.", syncEveryAppends)
+	r.AddNote("the served stack runs only `always`: shard.New refuses the other two, which let a vote or an ack leave before its record is on disk. They are measured here as the cost that rule pays.")
 	r.AddNote("crash: recovered counts records surviving an injected torn write (the record being written when the crash hit is cut mid-frame and must be truncated away on restart, hence n/n+1).")
 	r.AddNote("after snapshot cut: a snapshot is saved at the midpoint, the WAL truncated behind it, and the tail replayed — the steady-state restart path of a snapshotting replica.")
 	return r

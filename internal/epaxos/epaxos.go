@@ -246,9 +246,6 @@ func NewUnchecked(cfg consensus.Config, owner consensus.ProcessID, omega consens
 // ID implements consensus.Protocol.
 func (n *Node) ID() consensus.ProcessID { return n.cfg.ID }
 
-// Owner returns the instance's command leader.
-func (n *Node) Owner() consensus.ProcessID { return n.owner }
-
 // Decision implements consensus.Protocol.
 func (n *Node) Decision() (consensus.Value, bool) {
 	if n.decided.IsNone() {

@@ -78,15 +78,6 @@ type Plan struct {
 	MaxLatency  consensus.Duration
 }
 
-// Describe renders the plan against the request's site names.
-func (p Plan) Describe(req Request) string {
-	names := make([]string, len(p.Replicas))
-	for i, s := range p.Replicas {
-		names[i] = req.Sites[s]
-	}
-	return fmt.Sprintf("n=%d at %v; mean proxy commit %.0f, worst %d", p.N, names, p.MeanLatency, p.MaxLatency)
-}
-
 // Solve finds the optimal placement for the request.
 func Solve(req Request) (Plan, error) {
 	if req.F < 0 || req.E < 0 || req.E > req.F {

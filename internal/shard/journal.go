@@ -10,9 +10,10 @@ import (
 // SharedWAL is one wal.WAL serving every consensus group in a process.
 // Groups append interleaved records into a single index space (the smr
 // durability layer puts the group id in each record's header) and share one
-// group-commit stream: wal.Commit coalesces concurrent committers, so the
-// fsyncs of N groups collapse into the same fdatasyncs — the scale-out
-// payoff `put-shard4` measures. Recovery demuxes by replaying the whole
+// group-commit stream: the runtime's IOScheduler, built on this log, commits
+// it once per batch of every group's steps, so the fsyncs of N groups
+// collapse into the same fdatasyncs — the scale-out payoff `put-shard4`
+// measures. Recovery demuxes by replaying the whole
 // log once per group and skipping foreign records (smr filters on the
 // group tag); snapshots record a per-group WAL cut-off, and segments are
 // only truncated below the minimum cut-off across all groups.
@@ -41,9 +42,6 @@ func OpenSharedWAL(dir string, groups int, opts wal.Options) (*SharedWAL, wal.Op
 // the cluster-fsyncs-per-op metric sums Syncs across processes).
 func (s *SharedWAL) Stats() wal.Stats { return s.w.Stats() }
 
-// Sync forces an fsync of the underlying WAL.
-func (s *SharedWAL) Sync() error { return s.w.Sync() }
-
 // Close syncs and closes the underlying WAL. The runtime calls it once,
 // after every group's replica has shut down.
 func (s *SharedWAL) Close() error { return s.w.Close() }
@@ -58,11 +56,12 @@ func (s *SharedWAL) Abort() error { return s.w.Abort() }
 // durability layer writes through.
 func (s *SharedWAL) Group(g int) smr.Journal { return &groupJournal{s: s, g: g} }
 
-// groupJournal adapts the shared WAL to one group's smr.Journal. Appends,
-// commits, and replays hit the shared log directly (the index space is
-// shared; filtering is the reader's job via the record's group tag).
-// Truncation differs: see TruncateBefore. The view has no lifecycle — the
-// runtime syncs, aborts and closes the shared WAL itself.
+// groupJournal adapts the shared WAL to one group's smr.Journal. Appends
+// and replays hit the shared log directly (the index space is shared;
+// filtering is the reader's job via the record's group tag), and the
+// runtime's IOScheduler commits them. Truncation differs: see
+// TruncateBefore. The view has no lifecycle — the runtime aborts and closes
+// the shared WAL itself.
 type groupJournal struct {
 	s *SharedWAL
 	g int
@@ -72,10 +71,8 @@ func (j *groupJournal) AppendBuffered(payload []byte) (uint64, error) {
 	return j.s.w.AppendBuffered(payload)
 }
 
-func (j *groupJournal) Commit(index uint64) error { return j.s.w.Commit(index) }
-func (j *groupJournal) Sync() error               { return j.s.w.Sync() }
-func (j *groupJournal) NextIndex() uint64         { return j.s.w.NextIndex() }
-func (j *groupJournal) Stats() wal.Stats          { return j.s.w.Stats() }
+func (j *groupJournal) Sync() error       { return j.s.w.Sync() }
+func (j *groupJournal) NextIndex() uint64 { return j.s.w.NextIndex() }
 
 func (j *groupJournal) Replay(from uint64, fn func(index uint64, payload []byte) error) (wal.ReplayInfo, error) {
 	return j.s.w.Replay(from, fn)

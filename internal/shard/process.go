@@ -8,9 +8,9 @@ import (
 	"repro/internal/omega"
 )
 
-// The three clocks that belong to no slot and to no group: Ω (a fact about
-// processes — the lowest-id one heard from recently), the applied-index gossip
-// and the interval fsync. Everything the process sends for itself is posted on
+// The two clocks that belong to no slot and to no group: Ω (a fact about
+// processes — the lowest-id one heard from recently) and the applied-index
+// gossip. Everything the process sends for itself is posted on
 // the shared IOScheduler, not sent from the timer: a Status must stay behind
 // the queued Decide it advertises (a peer told of an applied index it has not
 // been sent asks for the whole store), and a disk that hangs must silence the
@@ -153,14 +153,4 @@ func (rt *Runtime) broadcast(msg consensus.Message) {
 			}
 		}
 	})
-}
-
-// syncWAL is the interval fsync: once per period for the one log, however
-// many groups wrote to it. A failure poisons every group.
-func (rt *Runtime) syncWAL() {
-	if err := rt.shared.Sync(); err != nil {
-		for _, r := range rt.groups {
-			r.IOFail(err)
-		}
-	}
 }

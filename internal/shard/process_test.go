@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,36 +14,20 @@ import (
 	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
-// TestIntervalFsyncOncePerProcess drives wal.SyncInterval through the
-// runtime: four groups write into one log and one clock syncs it. Writes are
-// acknowledged while an fsync hangs (no Commit on the hot path), become
-// durable within a few periods, cost at most one fsync per period however
-// many groups wrote — and when the log cannot be synced any more, every group
-// is poisoned, not only the one whose append found out.
-func TestIntervalFsyncOncePerProcess(t *testing.T) {
-	const groups, period = 4, 5 * time.Millisecond
+// TestLogFailurePoisonsEveryGroup: four groups journal to one log, and a log
+// that can no longer be made durable fails every group's writes, not only
+// those of the group whose write found out. Process 0's log tears under group
+// 0's first record; a write into each other group then fails with ErrClosed
+// and is never acknowledged.
+func TestLogFailurePoisonsEveryGroup(t *testing.T) {
+	const groups = 4
 	base := t.TempDir()
-	var hooks atomic.Int64
-	var hold atomic.Bool
-	release := make(chan struct{})
-	var once sync.Once
-	unblock := func() { once.Do(func() { close(release) }) }
-	defer unblock()
 	rts, mesh := bootClusterWith(t, groups, func(i int) *shard.Durability {
-		d := &shard.Durability{
-			Dir: filepath.Join(base, fmt.Sprintf("p%d", i)), Policy: wal.SyncInterval,
-			SyncEvery: period, SnapshotEvery: -1,
-		}
+		d := &shard.Durability{Dir: filepath.Join(base, fmt.Sprintf("p%d", i)), SnapshotEvery: -1}
 		if i == 0 {
-			d.SyncHook = func() {
-				hooks.Add(1)
-				if hold.Load() {
-					<-release
-				}
-			}
+			d.FailpointLimit = 20 // the segment header fits, no record does
 		}
 		return d
 	})
@@ -54,7 +37,6 @@ func TestIntervalFsyncOncePerProcess(t *testing.T) {
 			rt.Close()
 		}
 	}()
-	c := ctx(t)
 	// keys[g] routes to group g.
 	var keys [groups]string
 	for i, found := 0, 0; found < groups; i++ {
@@ -63,82 +45,16 @@ func TestIntervalFsyncOncePerProcess(t *testing.T) {
 			keys[g], found = k, found+1
 		}
 	}
-	putAll := func(val string) {
-		t.Helper()
-		for _, k := range keys {
-			if err := rts[0].Put(c, k, val); err != nil {
-				t.Fatalf("put %s: %v", k, err)
-			}
-		}
-	}
-	syncs := func() uint64 {
-		st, _ := rts[0].WalStats()
-		return st.Syncs
-	}
-
-	putAll("warm")
-	// An fsync that hangs stalls no acknowledgement.
-	hold.Store(true)
-	for deadline, h := time.Now().Add(5*time.Second), hooks.Load(); hooks.Load() == h; time.Sleep(time.Millisecond) {
-		putAll("wake the clock") // an idle log has nothing to sync
-		if time.Now().After(deadline) {
-			t.Fatal("the interval fsync never ran")
-		}
-	}
-	putAll("acked while the fsync hangs")
-	hold.Store(false)
-	unblock()
-
-	// Durable within a few periods: the second fsync from here started after
-	// every write above was acknowledged.
-	for deadline, s := time.Now().Add(5*time.Second), syncs(); syncs() < s+2; time.Sleep(period) {
-		putAll("keep the log dirty")
-		if time.Now().After(deadline) {
-			t.Fatalf("%d fsyncs in 5 s of writes at a %v period", syncs()-s, period)
-		}
-	}
-
-	// One fsync per period, not one per group that wrote.
-	const periods = 40
-	h0, t0 := hooks.Load(), time.Now()
-	for time.Since(t0) < periods*period {
-		putAll("busy")
-	}
-	// +2: a tick buffered before the window opened, and the window's own edge.
-	if got, most := hooks.Load()-h0, int64(time.Since(t0)/period)+2; got > most || got == 0 {
-		t.Fatalf("%d fsyncs in %v of writes to %d groups, want at most %d (one per %v)", got, time.Since(t0), groups, most, period)
-	}
-
-	// The log fails under group 0's append; the next interval fsync tells
-	// the three groups that appended nothing since.
-	rts[0].Close()
-	dur := &shard.Durability{
-		Dir: filepath.Join(base, "p0"), Policy: wal.SyncInterval,
-		SyncEvery: period, SnapshotEvery: -1, FailpointLimit: 1,
-	}
-	rt, err := shard.New(shard.Options{
-		Groups: groups, Tick: time.Millisecond, Durability: dur,
-		Config: consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts[0] = rt
-	ep, err := mesh.Endpoint(0, rt.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.BindTransport(ep)
-	rt.Start()
-	short, cancel := context.WithTimeout(c, 2*time.Second)
+	c, cancel := context.WithTimeout(ctx(t), 5*time.Second)
 	defer cancel()
-	if err := rt.Put(short, keys[0], "torn"); !errors.Is(err, smr.ErrClosed) {
-		t.Fatalf("put into a log that cannot be written = %v, want ErrClosed", err)
+	for g, k := range keys {
+		if err := rts[0].Put(c, k, "torn"); !errors.Is(err, smr.ErrClosed) {
+			t.Fatalf("put into group %d of a log that cannot be written = %v, want ErrClosed", g, err)
+		}
 	}
-	for g := 0; g < groups; g++ {
-		// WaitApplied journals nothing: only the host can have told group g.
-		if err := rt.Group(g).WaitApplied(short, 1<<30); !errors.Is(err, smr.ErrClosed) {
-			t.Fatalf("group %d after the interval fsync failed: %v, want ErrClosed", g, err)
+	for g, k := range keys {
+		if v, ok := rts[0].Get(k); ok {
+			t.Fatalf("group %d applied %q from a log that cannot be written", g, v)
 		}
 	}
 }

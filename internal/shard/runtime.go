@@ -21,10 +21,11 @@ import (
 //
 //   - one transport, shared through group-tagged envelopes (envelope.go);
 //   - one WAL, interleaving group-tagged records (journal.go);
-//   - one outbox/fsync scheduler (smr.IOScheduler), so the group-commit
-//     stream coalesces fsyncs across every group, not just within one;
-//   - one Ω detector, one applied-index gossip and one interval fsync
-//     (process.go): a peer is heard from once per process, not per group.
+//   - one outbox/fsync scheduler (smr.IOScheduler) built on that WAL, which
+//     commits it before anything a record guards leaves the process, so the
+//     group-commit stream coalesces fsyncs across every group;
+//   - one Ω detector and one applied-index gossip (process.go): a peer is
+//     heard from once per process, not per group.
 //
 // Keys route to groups through a deterministic HashRouter; the Runtime
 // implements smr.Backend, so the line/session servers route PUT/GET/DEL/
@@ -44,8 +45,6 @@ type Runtime struct {
 	groups   []*smr.Replica
 	recovery []smr.RecoveryInfo
 	walInfo  wal.OpenInfo
-	// syncEvery is the interval fsync's period, zero under any other policy.
-	syncEvery time.Duration
 
 	// The clocks Start arms (every). shutdown closes stop and waits for them
 	// before the groups close: no tick posts into a scheduler being torn down.
@@ -59,17 +58,17 @@ type Runtime struct {
 
 // Durability configures the shared WAL and per-group snapshots. The WAL
 // lives in Dir/wal and group 0's snapshots in Dir/snap; groups 1+ keep their
-// snapshots under Dir/g<i>/snap.
+// snapshots under Dir/g<i>/snap. There is one durability rule and nothing
+// selects it: no promise, vote, decision or acknowledgement leaves the
+// process before the record it depends on is on stable storage — the
+// recovering acceptor the paper's recovery rule assumes.
 type Durability struct {
 	// Dir is the process data directory.
 	Dir string
-	// Policy is the WAL fsync policy (default wal.SyncAlways).
+	// Policy selects nothing: New accepts only its zero value,
+	// wal.SyncAlways, the rule above. It is kept only for callers that
+	// still set it.
 	Policy wal.SyncPolicy
-	// SyncEvery is the process's fsync period under wal.SyncInterval
-	// (default 100ms).
-	SyncEvery time.Duration
-	// SegmentBytes caps WAL segment size (default wal.DefaultSegmentBytes).
-	SegmentBytes int64
 	// SnapshotEvery is the per-group snapshot period in applied commands
 	// (default 64; <0 disables automatic snapshots).
 	SnapshotEvery int
@@ -106,8 +105,10 @@ type Options struct {
 }
 
 // New builds the runtime and recovers every group from the shared WAL (one
-// replay pass per group; each pass skips the other groups' records).
-// Groups are numbered 0..Groups-1.
+// replay pass per group; each pass skips the other groups' records): the
+// WAL first, then the scheduler that commits it, then the groups. Groups are
+// numbered 0..Groups-1. A Durability.Policy other than wal.SyncAlways is
+// refused.
 func New(opts Options) (*Runtime, error) {
 	if opts.Groups < 1 {
 		return nil, fmt.Errorf("shard: groups must be >= 1, got %d", opts.Groups)
@@ -117,31 +118,25 @@ func New(opts Options) (*Runtime, error) {
 		tick:    opts.Tick,
 		router:  NewHashRouter(opts.Groups),
 		inner:   consensus.NewCodec(),
-		io:      smr.NewIOScheduler(),
 		leaders: &leaders{det: omega.New(opts.Config, 0)},
 		stop:    make(chan struct{}),
 	}
 	smr.RegisterMessages(rt.inner)
-	if opts.Durability != nil {
-		w, winfo, err := OpenSharedWAL(filepath.Join(opts.Durability.Dir, "wal"), opts.Groups, wal.Options{
-			SegmentBytes:   opts.Durability.SegmentBytes,
-			Policy:         opts.Durability.Policy,
-			SyncHook:       opts.Durability.SyncHook,
-			FailpointLimit: opts.Durability.FailpointLimit,
+	var log *wal.WAL
+	if d := opts.Durability; d != nil {
+		if d.Policy != wal.SyncAlways {
+			return nil, fmt.Errorf("shard: fsync policy %q refused: nothing leaves the process before the records it depends on are on stable storage (%q)", d.Policy, wal.SyncAlways)
+		}
+		w, winfo, err := OpenSharedWAL(filepath.Join(d.Dir, "wal"), opts.Groups, wal.Options{
+			SyncHook:       d.SyncHook,
+			FailpointLimit: d.FailpointLimit,
 		})
 		if err != nil {
-			rt.abandon()
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		rt.shared = w
-		rt.walInfo = winfo
-		if opts.Durability.Policy == wal.SyncInterval {
-			rt.syncEvery = opts.Durability.SyncEvery
-			if rt.syncEvery <= 0 {
-				rt.syncEvery = 100 * time.Millisecond
-			}
-		}
+		rt.shared, rt.walInfo, log = w, winfo, w.w
 	}
+	rt.io = smr.NewIOScheduler(log)
 	for g := 0; g < opts.Groups; g++ {
 		ro := smr.ReplicaOptions{Leases: opts.Leases}
 		if opts.Durability != nil {
@@ -153,7 +148,6 @@ func New(opts Options) (*Runtime, error) {
 				Dir:           dir,
 				Journal:       rt.shared.Group(g),
 				Group:         g,
-				Policy:        opts.Durability.Policy,
 				SnapshotEvery: opts.Durability.SnapshotEvery,
 			}
 		}
@@ -197,7 +191,7 @@ func (rt *Runtime) transport() transport.Transport {
 }
 
 // Start boots every group and the process's clocks: a heartbeat now and one
-// per Δ, a Status with every statusBeats-th, and the interval fsync.
+// per Δ, and a Status with every statusBeats-th.
 func (rt *Runtime) Start() {
 	for _, r := range rt.groups {
 		r.Start()
@@ -208,9 +202,6 @@ func (rt *Runtime) Start() {
 		beats++
 		rt.beat(beats%statusBeats == 0)
 	})
-	if rt.syncEvery > 0 {
-		rt.every(rt.syncEvery, rt.syncWAL)
-	}
 }
 
 // Groups returns the number of groups hosted.

@@ -344,6 +344,32 @@ func TestShardedWALLayoutSingleGroup(t *testing.T) {
 	}
 }
 
+// TestNewRefusesFsyncPolicies: the served stack has one durability rule —
+// nothing leaves the process before its records are on stable storage — so
+// a policy that would let a vote or an ack out first is refused, by name,
+// before anything is opened.
+func TestNewRefusesFsyncPolicies(t *testing.T) {
+	for _, policy := range []wal.SyncPolicy{wal.SyncInterval, wal.SyncNever} {
+		dir := t.TempDir()
+		rt, err := shard.New(shard.Options{
+			Groups:     1,
+			Config:     consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10},
+			Tick:       time.Millisecond,
+			Durability: &shard.Durability{Dir: dir, Policy: policy},
+		})
+		if err == nil {
+			rt.Close()
+			t.Fatalf("policy %v accepted", policy)
+		}
+		if !strings.Contains(err.Error(), policy.String()) {
+			t.Errorf("policy %v refused without naming it: %v", policy, err)
+		}
+		if m, _ := filepath.Glob(filepath.Join(dir, "*")); len(m) != 0 {
+			t.Errorf("policy %v refused after creating %v", policy, m)
+		}
+	}
+}
+
 // TestServerRoutesSharded fronts a sharded cluster with the stock TCP
 // servers (Backend seam) and drives all four commands through a pipelined
 // session client: routing must be invisible on the wire.

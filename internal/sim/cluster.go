@@ -107,9 +107,6 @@ func (c *Cluster) Now() consensus.Time { return c.now }
 // Trace returns the (live) execution trace.
 func (c *Cluster) Trace() *trace.Trace { return c.tr }
 
-// Alive reports whether p has not crashed.
-func (c *Cluster) Alive(p consensus.ProcessID) bool { return c.alive[p] }
-
 // ScheduleCrash makes p crash at time at (before deliveries on that tick).
 func (c *Cluster) ScheduleCrash(p consensus.ProcessID, at consensus.Time) {
 	c.push(&event{at: at, prio: prioCrash, kind: evCrash, p: p})
@@ -172,16 +169,6 @@ func (c *Cluster) AllDecided() bool {
 			continue
 		}
 		if _, ok := c.nodes[i].Decision(); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// DecidedAll reports whether every process in ps has decided.
-func (c *Cluster) DecidedAll(ps []consensus.ProcessID) bool {
-	for _, p := range ps {
-		if _, ok := c.nodes[p].Decision(); !ok {
 			return false
 		}
 	}

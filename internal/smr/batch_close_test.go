@@ -183,7 +183,7 @@ func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 		t.Run(fmt.Sprintf("pipelined=%t", pipelined), func(t *testing.T) {
 			// No transport, so no quorum: every launched chunk stays in
 			// consensus until Close.
-			io := NewIOScheduler()
+			io := NewIOScheduler(nil)
 			defer io.Close()
 			r, _, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io, FixedLeaders{}, ReplicaOptions{})
 			if err != nil {

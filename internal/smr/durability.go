@@ -25,15 +25,14 @@ import (
 
 // Journal is the append-log surface the durability layer writes through:
 // the sharded runtime (internal/shard) passes per-group views of its one
-// process-wide WAL, so N groups share a single group-commit stream and a
-// single on-disk log; *wal.WAL satisfies it too. There is no Close: whoever
-// opened the log syncs, aborts and closes it.
+// process-wide WAL, so N groups share a single on-disk log; *wal.WAL
+// satisfies it too. Appends are buffered: the process's IOScheduler, built
+// on the same log, commits them. There is no Close: whoever opened the log
+// syncs, aborts and closes it.
 type Journal interface {
 	AppendBuffered(payload []byte) (uint64, error)
-	Commit(index uint64) error
 	Sync() error
 	NextIndex() uint64
-	Stats() wal.Stats
 	TruncateBefore(index uint64) (int, error)
 	Replay(from uint64, fn func(index uint64, payload []byte) error) (wal.ReplayInfo, error)
 }
@@ -46,15 +45,12 @@ type DurabilityOptions struct {
 	// Journal is the log the group journals to, opened and owned by the
 	// caller: Close leaves it open (the owner syncs and closes it once,
 	// after every group) and Kill does not abort it (the owner aborts
-	// before killing the groups, see shard.Runtime.Kill). Every replica on
-	// one IOScheduler must be given the same underlying log.
+	// before killing the groups, see shard.Runtime.Kill). It must be the
+	// log the replica's IOScheduler was built on, or a view of it.
 	Journal Journal
 	// Group tags every record this replica appends to the journal and
 	// filters replay: records carrying another group's id are skipped.
 	Group int
-	// Policy is the fsync policy Journal was opened with. Under SyncInterval
-	// the log's owner drives the periodic sync, once for every group.
-	Policy wal.SyncPolicy
 	// SnapshotEvery is how many applied commands elapse between automatic
 	// snapshots (default 64; <0 disables automatic snapshots).
 	SnapshotEvery int
@@ -78,7 +74,6 @@ type durable struct {
 	group     int // id tagged into records / matched on replay
 	snapDir   string
 	snapEvery int
-	policy    wal.SyncPolicy
 	// buffered is the WAL index of the last record appended; critical is the
 	// newest one that guards safety: every state record, and a decision the
 	// instance's journaled state does not already imply (persistDecideLocked).
@@ -253,7 +248,6 @@ func (r *Replica) recoverFrom(opts DurabilityOptions) (RecoveryInfo, error) {
 		group:     opts.Group,
 		snapDir:   snapDir,
 		snapEvery: opts.SnapshotEvery,
-		policy:    opts.Policy,
 		snapIndex: int(snapIdx),
 	}
 
@@ -364,8 +358,7 @@ func (r *Replica) persistFailLocked(err error) {
 
 // appendEntryLocked journals one WAL entry, if there is a journal; false
 // means the replica is poisoned. The append is buffered — the outbox consumer
-// makes it durable, via Commit, before any dependent message or wakeup
-// escapes; critical marks records whose loss could break safety (see durable).
+// commits it before any dependent message or wakeup escapes; critical marks records whose loss could break safety (see durable).
 func (r *Replica) appendEntryLocked(e walEntry, critical bool) bool {
 	if r.dur == nil {
 		return true
@@ -489,12 +482,11 @@ type ReplicaInfo struct {
 	Retained      int          `json:"retained"`
 	RetainedBytes int          `json:"retainedBytes"`
 	Catchup       CatchupStats `json:"catchup"`
-	Durable       bool         `json:"durable"`
-	WalSegments   int          `json:"walSegments,omitempty"`
-	WalBytes      int64        `json:"walBytes,omitempty"`
-	WalNextIndex  uint64       `json:"walNextIndex,omitempty"`
-	WalSyncs      uint64       `json:"walSyncs,omitempty"`
-	SnapshotIndex int          `json:"snapshotIndex,omitempty"`
+	// Durable says the group journals; the log itself is the process's, and
+	// its host reports it once (shard.Info.Wal). SnapshotIndex is the
+	// applied index of this group's newest snapshot.
+	Durable       bool `json:"durable"`
+	SnapshotIndex int  `json:"snapshotIndex,omitempty"`
 	// Lease is present when the replica was built with leases (see LeaseStats).
 	Lease *LeaseStats `json:"lease,omitempty"`
 }
@@ -523,12 +515,7 @@ func (r *Replica) Info() ReplicaInfo {
 		}
 	}
 	if r.dur != nil {
-		st := r.dur.wal.Stats()
 		info.Durable = true
-		info.WalSegments = st.Segments
-		info.WalBytes = st.Bytes
-		info.WalNextIndex = st.NextIndex
-		info.WalSyncs = st.Syncs
 		info.SnapshotIndex = r.dur.snapIndex
 	}
 	return info

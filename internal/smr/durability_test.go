@@ -33,9 +33,7 @@ func newDurableCluster(t *testing.T, n, f, e int, tweak func(i int, d *shard.Dur
 }
 
 func TestDurableRestartRecoversAppliedState(t *testing.T) {
-	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) {
-		d.Policy, d.SnapshotEvery = wal.SyncNever, 4
-	})
+	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) { d.SnapshotEvery = 4 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
@@ -136,12 +134,10 @@ func TestCrashFailpointUnderWorkloadRecoversAndRejoins(t *testing.T) {
 }
 
 func TestCrashGracefulShutdownRecoversWithoutTornTail(t *testing.T) {
-	// A graceful shutdown (what cmd/kv's SIGTERM handler invokes) must
-	// fsync and close the WAL even under SyncNever, so the restart takes the
-	// clean path, not the torn-tail one.
-	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) {
-		d.Policy, d.SnapshotEvery = wal.SyncNever, -1
-	})
+	// A graceful shutdown (what cmd/kv's SIGTERM handler invokes) in the
+	// middle of a stream of writes must fsync and close the WAL, so the
+	// restart takes the clean path, not the torn-tail one.
+	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) { d.SnapshotEvery = -1 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
@@ -434,9 +430,7 @@ func TestCatchupHealsDecideGapsUnderDrops(t *testing.T) {
 }
 
 func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
-	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) {
-		d.Policy, d.SnapshotEvery = wal.SyncNever, 5
-	})
+	c := newDurableCluster(t, 3, 1, 1, func(_ int, d *shard.Durability) { d.SnapshotEvery = 5 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	for j := 0; j < 12; j++ {
@@ -448,8 +442,8 @@ func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
 	if !info.Durable {
 		t.Fatal("Info does not report durability")
 	}
-	if info.Applied < 12 || info.WalSegments < 1 || info.WalBytes <= 0 {
-		t.Fatalf("implausible info: %+v", info)
+	if st, ok := c.rts[0].WalStats(); info.Applied < 12 || !ok || st.Segments < 1 || st.Bytes <= 0 {
+		t.Fatalf("implausible info: %+v, WAL %+v", info, st)
 	}
 	if info.SnapshotIndex == 0 {
 		t.Fatalf("snapshots (every 5 commands) never taken: %+v", info)
@@ -465,13 +459,13 @@ func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
 func TestEnableDurabilityTwiceFails(t *testing.T) {
 	// The test is the group's owner here: its scheduler, its WAL.
 	dir := t.TempDir()
-	io := smr.NewIOScheduler()
-	defer io.Close()
 	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	io := smr.NewIOScheduler(w)
+	defer io.Close()
 	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	open := func(d smr.DurabilityOptions) (*smr.Replica, error) {
 		r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, smr.ReplicaOptions{Durability: &d})

@@ -22,7 +22,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/smr"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 // BenchmarkCommandEncode measures Command → consensus.Value encoding (the
@@ -92,9 +91,10 @@ func BenchmarkFrameDecode(b *testing.B) {
 }
 
 // BenchmarkReplicaPipeline measures one committed write end to end on a
-// Mesh of journaling processes (fsync off, so ns/op is the stack and not the
-// disk): encode, slot allocation, consensus round, journal records, apply,
-// waiter wakeup through the outbox. Besides allocs/op it reports the write
+// Mesh of journaling processes, each committing its log before anything
+// leaves it, as the served stack does: encode, slot allocation, consensus
+// round, journal records and their fsyncs, apply, waiter wakeup through the
+// outbox. Besides allocs/op it reports the write
 // budget without a 50 s benchmark run — sends/op (slot messages delivered;
 // heartbeats and Status gossip, which follow the clock and not the load, are
 // left out; the Figure-1 fast path is 3(n−1)+e) and walrecs/op (2n) —
@@ -106,7 +106,7 @@ func BenchmarkReplicaPipeline(b *testing.B) {
 			dur := durableUnder(b.TempDir(), nil)
 			c := newTestCluster(b, tc.n, tc.f, tc.e, procOptions{dur: func(i int) *shard.Durability {
 				d := dur(i)
-				d.Policy, d.SnapshotEvery = wal.SyncNever, -1
+				d.SnapshotEvery = -1
 				return d
 			}})
 			var slotMsgs atomic.Uint64

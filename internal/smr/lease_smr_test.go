@@ -46,7 +46,7 @@ func TestLeaseLocalReadZeroIO(t *testing.T) {
 	time.Sleep(100 * time.Millisecond) // let straggler acks from peers land
 
 	st0 := c.rts[0].TransportStats()
-	wal0 := replicas[0].Info().WalNextIndex
+	wal0, _ := c.rts[0].WalStats()
 
 	const reads = 200
 	for i := 0; i < reads; i++ {
@@ -57,12 +57,12 @@ func TestLeaseLocalReadZeroIO(t *testing.T) {
 	}
 
 	st1 := c.rts[0].TransportStats()
-	wal1 := replicas[0].Info().WalNextIndex
+	wal1, _ := c.rts[0].WalStats()
 	if st1.Sends != st0.Sends {
 		t.Fatalf("lease reads sent %d transport messages, want 0", st1.Sends-st0.Sends)
 	}
-	if wal1 != wal0 {
-		t.Fatalf("lease reads appended %d WAL records, want 0", wal1-wal0)
+	if wal1.NextIndex != wal0.NextIndex {
+		t.Fatalf("lease reads appended %d WAL records, want 0", wal1.NextIndex-wal0.NextIndex)
 	}
 	if ls := replicas[0].LeaseStats(); ls.Hits < reads {
 		t.Fatalf("lease hits = %d, want >= %d (stats %+v)", ls.Hits, reads, ls)

@@ -4,16 +4,18 @@ import (
 	"sync"
 
 	"repro/internal/consensus"
+	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
-// The outbox is the process's out-of-lock I/O stage: one queue (inside the
-// IOScheduler the host hands every group's replica) for all of them.
+// The outbox is the process's out-of-lock I/O stage: one queue, the
+// IOScheduler the host hands every group's replica, for all of them.
 // Protocol steps run under Replica.mu and only *compute*: outbound
 // messages, WAL records (buffered, not yet fsynced), and waiter wakeups are
 // captured into an outboxEntry and enqueued. A single consumer goroutine
-// then, per batch of entries, (1) group-commits the WAL up to the highest
-// index any entry needs, (2) sends the messages, (3) fires the wakeups — in
-// that order, so the durability invariant "no message or client
+// then, per batch of entries, (1) group-commits the process's log up to the
+// highest index any entry needs, (2) sends the messages, (3) fires the
+// wakeups — in that order, so the durability rule "no message or client
 // acknowledgement escapes before its WAL record is durable" holds exactly
 // as it did when the fsync and the sends happened inside the lock, while
 // the lock itself is held only for in-memory work.
@@ -57,13 +59,12 @@ func (w wakeup) fire(ok bool) {
 // poisons it; the queue interleaves entries from every group of the
 // process, so the owner travels with the entry (nil on barrier sentinels and
 // on the host's own entries, which carry post instead: IOScheduler.Post).
-// walIdx is the WAL index that must be durable before
-// msgs leave or wake fires (0: no durability dependency — no WAL, or a
-// policy that does not sync on the hot path). Producers do NOT wait for
-// their own entry — the pipeline is asynchronous, which is what lets
-// entries pile up behind an in-flight fsync and share the next one. done,
-// when non-nil, is closed once the entry and everything ahead of it (FIFO)
-// has been committed, sent, and woken: the batcher hangs one on each
+// walIdx is the index of the process's log that must be durable before
+// msgs leave or wake fires (0: no durability dependency). Producers do NOT
+// wait for their own entry — the pipeline is asynchronous, which is what
+// lets entries pile up behind an in-flight fsync and share the next one.
+// done, when non-nil, is closed once the entry and everything ahead of it
+// (FIFO) has been committed, sent, and woken: the batcher hangs one on each
 // chunk's proposal to time its local stage (emitDoneLocked), and
 // Replica.SyncIO enqueues a sentinel entry carrying nothing else — a
 // barrier for callers that need a step's effects externally visible.
@@ -76,31 +77,46 @@ type outboxEntry struct {
 	done   chan struct{}
 }
 
-// outbox is the unbounded FIFO between protocol steps (producers, under
-// Replica.mu) and the consumer goroutine. Unbounded on purpose: enqueue
-// runs while the replica lock is held and must never block, and a bounded
-// channel would deadlock Close (producer stuck on a full queue vs consumer
-// needing the lock the producer holds).
-type outbox struct {
+// IOScheduler is the outbox: the unbounded FIFO between protocol steps
+// (producers, under Replica.mu) and its one consumer goroutine, which
+// commits the process's log. A process has exactly one, owned by whatever
+// hosts its replicas (shard.Runtime; a test standing in for it), and every
+// group's replica is handed the same one, so fsyncs from all groups
+// coalesce into a single group-commit stream. Sharing is shared fate: a
+// commit failure fails every entry from then on, whichever group queued it.
+//
+// Unbounded on purpose: enqueue runs while a replica lock is held and must
+// never block, and a bounded channel would deadlock Close (producer stuck
+// on a full queue vs consumer needing the lock the producer holds).
+type IOScheduler struct {
+	log  *wal.WAL      // nil: an in-memory process
+	done chan struct{} // closed when the consumer exits
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []outboxEntry
 	closed bool
 }
 
-func newOutbox() *outbox {
-	ob := &outbox{}
-	ob.cond = sync.NewCond(&ob.mu)
-	return ob
+// NewIOScheduler starts the scheduler of a process whose one log is log
+// (nil for a process that journals nothing): every durable replica built on
+// it must journal to that log, directly or through a per-group view. The
+// caller owns both: Close the scheduler after every replica built on it has
+// been closed or killed, and the log after that.
+func NewIOScheduler(log *wal.WAL) *IOScheduler {
+	s := &IOScheduler{log: log, done: make(chan struct{})}
+	s.cond = sync.NewCond(&s.mu)
+	go s.loop()
+	return s
 }
 
-// enqueue appends one entry without ever blocking. After close, nothing
+// enqueue appends one entry without ever blocking. After Close, nothing
 // will perform the entry's I/O, but its waiters must not leak: they are
 // failed on the spot.
-func (ob *outbox) enqueue(e outboxEntry) {
-	ob.mu.Lock()
-	if ob.closed {
-		ob.mu.Unlock()
+func (s *IOScheduler) enqueue(e outboxEntry) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		for _, w := range e.wake {
 			w.fire(false)
 		}
@@ -109,30 +125,101 @@ func (ob *outbox) enqueue(e outboxEntry) {
 		}
 		return
 	}
-	ob.queue = append(ob.queue, e)
-	ob.cond.Signal()
-	ob.mu.Unlock()
+	s.queue = append(s.queue, e)
+	s.cond.Signal()
+	s.mu.Unlock()
 }
 
 // take removes and returns everything queued, blocking while the queue is
-// empty. more=false means the outbox is closed AND drained: the consumer
+// empty. more=false means the scheduler is closed AND drained: the consumer
 // processes the returned batch (possibly empty) and exits.
-func (ob *outbox) take() (batch []outboxEntry, more bool) {
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
-	for len(ob.queue) == 0 && !ob.closed {
-		ob.cond.Wait()
+func (s *IOScheduler) take() (batch []outboxEntry, more bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) == 0 && !s.closed {
+		s.cond.Wait()
 	}
-	batch = ob.queue
-	ob.queue = nil
-	return batch, !ob.closed
+	batch = s.queue
+	s.queue = nil
+	return batch, !s.closed
 }
 
-// close stops the outbox: queued entries are still drained by the consumer,
-// new entries are rejected (their waiters failed).
-func (ob *outbox) close() {
-	ob.mu.Lock()
-	ob.closed = true
-	ob.cond.Broadcast()
-	ob.mu.Unlock()
+// Post queues fn as an entry no replica owns: how the host sends what the
+// process, not a group, has to say (heartbeats, applied-index gossip). fn runs
+// in queue position, after the commit of the batch it is taken with — a disk
+// that hangs silences the process — and never once a commit has failed.
+func (s *IOScheduler) Post(fn func()) { s.enqueue(outboxEntry{post: fn}) }
+
+// barrier blocks until every entry queued before the call has been fully
+// processed — WAL committed, messages sent, waiters woken. It is how a
+// replica drains its own entries on shutdown without stopping the stream
+// the other groups are still using.
+func (s *IOScheduler) barrier() {
+	done := make(chan struct{})
+	s.enqueue(outboxEntry{done: done})
+	<-done
+}
+
+// Close drains queued entries and stops the consumer: entries queued later
+// are rejected, their waiters failed.
+func (s *IOScheduler) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	<-s.done
+}
+
+// loop is the single I/O consumer. Per batch it commits the log once to the
+// highest index any entry depends on (group commit across every step of
+// every group in the batch), then sends and wakes in FIFO order. A commit
+// failure poisons each entry's replica; from then on entries fail their
+// waiters and send nothing.
+func (s *IOScheduler) loop() {
+	defer close(s.done)
+	var failErr error
+	for {
+		batch, more := s.take()
+		var maxIdx uint64
+		for _, e := range batch {
+			maxIdx = max(maxIdx, e.walIdx)
+		}
+		if failErr == nil && maxIdx > 0 {
+			failErr = s.log.Commit(maxIdx)
+		}
+		// The transport is reloaded per owner change, not per batch: Kill
+		// detaches it under the replica lock, and entries queued behind the
+		// detach must send nothing.
+		var lastR *Replica
+		var lastTr transport.Transport
+		for _, e := range batch {
+			if failErr != nil {
+				if e.r != nil {
+					e.r.IOFail(failErr)
+				}
+			} else if e.r != nil && len(e.msgs) > 0 {
+				if e.r != lastR {
+					lastR = e.r
+					lastTr = e.r.currentTransport()
+				}
+				if lastTr != nil {
+					for _, o := range e.msgs {
+						_ = lastTr.Send(o.to, o.msg)
+					}
+				}
+			}
+			if e.post != nil && failErr == nil {
+				e.post()
+			}
+			for _, w := range e.wake {
+				w.fire(failErr == nil)
+			}
+			if e.done != nil {
+				close(e.done)
+			}
+		}
+		if !more {
+			return
+		}
+	}
 }

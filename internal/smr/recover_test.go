@@ -19,13 +19,13 @@ import (
 // refused replica is never handed to anyone who could close it.
 func TestRefusedRecoveryArmsNoTimer(t *testing.T) {
 	dir := t.TempDir()
-	io := NewIOScheduler()
-	defer io.Close()
-	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Policy: wal.SyncAlways})
+	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	io := NewIOScheduler(w)
+	defer io.Close()
 	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	// journal records slot's state as an instance of mode left it right after
 	// this replica proposed there.
@@ -49,7 +49,7 @@ func TestRefusedRecoveryArmsNoTimer(t *testing.T) {
 	before := w.NextIndex()
 
 	r, _, err := NewReplica(cfg, time.Millisecond, io, FixedLeaders{}, ReplicaOptions{
-		Durability: &DurabilityOptions{Dir: dir, Journal: w, Policy: wal.SyncAlways},
+		Durability: &DurabilityOptions{Dir: dir, Journal: w},
 	})
 	if err == nil {
 		r.Close()

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/transport"
-	"repro/internal/wal"
 )
 
 // ErrClosed is returned by operations on a closed replica.
@@ -148,8 +147,8 @@ func (r *Replica) learnLocked(s *slot, v consensus.Value) {
 // slot and hands the decided values, in slot order, to its key-value machine
 // (m, see kvMachine). It is never a process by itself: shard.Runtime builds
 // one per group and owns everything a process has one of — the WAL, the I/O
-// scheduler, the transport, Ω, the applied-index gossip and the interval
-// fsync (see NewReplica).
+// scheduler that commits it, the transport, Ω and the applied-index gossip
+// (see NewReplica).
 //
 // The slot record is the unit: slots holds every slot from compactFloor up
 // that anything has touched, and nothing else in the replica is keyed by
@@ -185,10 +184,9 @@ type Replica struct {
 	// so this is load-bearing for parallel submits).
 	propHint int
 
-	// Out-of-lock I/O (see outbox.go, iosched.go). io is the process's one
-	// scheduler, owned by whoever built the replica. wakes accumulates the
-	// wakeups of the current locked step; emitLocked drains it into the
-	// outbox.
+	// Out-of-lock I/O (see outbox.go). io is the process's one scheduler,
+	// owned by whoever built the replica. wakes accumulates the wakeups of
+	// the current locked step; emitLocked drains it into the outbox.
 	io    *IOScheduler
 	wakes []wakeup
 
@@ -238,7 +236,9 @@ type ReplicaOptions struct {
 // scheduler and the Ω its host (shard.Runtime) owns and shares between every
 // group of the process — as it owns the WAL behind opts.Durability's Journal
 // and the transport behind BindTransport: the replica uses all four and
-// closes none. Call BindTransport, then Start. A configuration below the
+// closes none. A durable replica's records are committed by io, so io must
+// have been built on the log its Journal writes to; one built without a log
+// is refused. Call BindTransport, then Start. A configuration below the
 // paper's bound for a consensus object (Theorem 6: quorum.Check) is refused
 // with quorum.ErrInfeasible; flexible quorum sizes (cfg.FastSize/
 // cfg.RecoverySize, see internal/quorum.NewFlex) are checked against theirs
@@ -264,6 +264,9 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 	}
 	if tick <= 0 {
 		return nil, RecoveryInfo{}, fmt.Errorf("smr: tick must be positive, got %v", tick)
+	}
+	if opts.Durability != nil && io.log == nil {
+		return nil, RecoveryInfo{}, fmt.Errorf("smr: a durable replica on a scheduler without a log: nothing would commit its records")
 	}
 	r := &Replica{
 		cfg:     cfg,
@@ -299,16 +302,6 @@ func (r *Replica) currentTransport() transport.Transport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.tr
-}
-
-// journal returns the durability journal, nil without durability.
-func (r *Replica) journal() Journal {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dur == nil {
-		return nil
-	}
-	return r.dur.wal
 }
 
 // BindTransport installs the transport (which should deliver to Handle).
@@ -862,7 +855,7 @@ func (r *Replica) emitDoneLocked(out []outbound, done chan struct{}) {
 		return
 	}
 	var idx uint64
-	if r.dur != nil && r.dur.policy == wal.SyncAlways {
+	if r.dur != nil {
 		idx = r.dur.critical
 		if len(wakes) > 0 {
 			// Completing a caller asserts full durability of the step.
@@ -873,8 +866,8 @@ func (r *Replica) emitDoneLocked(out []outbound, done chan struct{}) {
 }
 
 // SyncIO is a barrier: it blocks until every protocol step emitted before
-// the call is fully flushed — WAL records committed (under fsync-always),
-// outbound messages handed to the transport, waiters woken. The hot path
+// the call is fully flushed — WAL records committed, outbound messages
+// handed to the transport, waiters woken. The hot path
 // pipelines I/O behind Handle/Execute, so a caller that needs "effects
 // externally visible now" (tests inspecting a capture transport, orderly
 // shutdown sequences) calls SyncIO instead of assuming the triggering call
@@ -887,7 +880,7 @@ func (r *Replica) SyncIO() {
 		return
 	}
 	var idx uint64
-	if r.dur != nil && r.dur.policy == wal.SyncAlways {
+	if r.dur != nil {
 		idx = r.dur.buffered
 	}
 	done := make(chan struct{})
@@ -898,8 +891,7 @@ func (r *Replica) SyncIO() {
 
 // IOFail poisons the replica after an out-of-lock journal failure (the
 // deferred analogue of a persist failure inside the step): a failed commit in
-// the I/O scheduler, or the host's interval fsync. No-op if the replica is
-// already closed.
+// the I/O scheduler. No-op if the replica is already closed.
 func (r *Replica) IOFail(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

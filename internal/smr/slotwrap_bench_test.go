@@ -32,7 +32,7 @@ func BenchmarkSlotWrap(b *testing.B) {
 	})
 
 	b.Run("broadcast-n5", func(b *testing.B) {
-		io := NewIOScheduler()
+		io := NewIOScheduler(nil)
 		defer io.Close()
 		r, _, err := NewReplica(consensus.Config{ID: 0, N: 5, F: 2, E: 2, Delta: 10}, time.Millisecond, io, FixedLeaders{}, ReplicaOptions{})
 		if err != nil {

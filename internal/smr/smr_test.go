@@ -207,26 +207,34 @@ func inner(msg consensus.Message) consensus.Message {
 func TestNewReplicaRejectsBadInput(t *testing.T) {
 	// The test is the group's owner here: its scheduler, its WAL.
 	dir := t.TempDir()
-	io := smr.NewIOScheduler()
-	defer io.Close()
 	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	io := smr.NewIOScheduler(w)
+	defer io.Close()
+	bare := smr.NewIOScheduler(nil) // an in-memory process: nothing commits a journal
+	defer bare.Close()
 	good := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	for _, tc := range []struct {
 		name string
 		cfg  consensus.Config
 		tick time.Duration
+		io   *smr.IOScheduler // nil: io
 		opts smr.ReplicaOptions
 	}{
-		{"invalid quorum config", consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10, FastSize: 1, RecoverySize: 1}, time.Millisecond, smr.ReplicaOptions{}},
-		{"tick 0", good, 0, smr.ReplicaOptions{}},
-		{"tick < 0", good, -time.Millisecond, smr.ReplicaOptions{}},
-		{"2ε >= lease duration", good, time.Millisecond, smr.ReplicaOptions{Leases: &smr.LeaseOptions{Duration: 100 * time.Millisecond, Epsilon: 50 * time.Millisecond}}},
+		{"invalid quorum config", consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10, FastSize: 1, RecoverySize: 1}, time.Millisecond, nil, smr.ReplicaOptions{}},
+		{"tick 0", good, 0, nil, smr.ReplicaOptions{}},
+		{"tick < 0", good, -time.Millisecond, nil, smr.ReplicaOptions{}},
+		{"2ε >= lease duration", good, time.Millisecond, nil, smr.ReplicaOptions{Leases: &smr.LeaseOptions{Duration: 100 * time.Millisecond, Epsilon: 50 * time.Millisecond}}},
+		{"durable on a scheduler without a log", good, time.Millisecond, bare, smr.ReplicaOptions{Durability: &smr.DurabilityOptions{Dir: dir, Journal: w}}},
 	} {
-		if r, _, err := smr.NewReplica(tc.cfg, tc.tick, io, smr.FixedLeaders{}, tc.opts); err == nil {
+		sched := io
+		if tc.io != nil {
+			sched = tc.io
+		}
+		if r, _, err := smr.NewReplica(tc.cfg, tc.tick, sched, smr.FixedLeaders{}, tc.opts); err == nil {
 			r.Close()
 			t.Errorf("%s: accepted", tc.name)
 		}
@@ -247,7 +255,7 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 // replica is refused. Flexible quorum sizes are checked against their own
 // bound instead.
 func TestNewReplicaRefusesBelowTheBound(t *testing.T) {
-	io := smr.NewIOScheduler()
+	io := smr.NewIOScheduler(nil)
 	defer io.Close()
 	for _, tc := range []struct {
 		n, f, e int

@@ -41,20 +41,6 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses the -fsync flag values always/interval/never.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
-	}
-}
-
 // DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
 // is zero.
 const DefaultSegmentBytes = 4 << 20

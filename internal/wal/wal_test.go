@@ -160,21 +160,6 @@ func TestReplayIsRepeatable(t *testing.T) {
 	}
 }
 
-func TestSyncPolicyParse(t *testing.T) {
-	for _, s := range []string{"always", "interval", "never"} {
-		p, err := wal.ParseSyncPolicy(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.String() != s {
-			t.Fatalf("round trip %q -> %q", s, p.String())
-		}
-	}
-	if _, err := wal.ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-}
-
 func TestOversizeRecordRejected(t *testing.T) {
 	dir := t.TempDir()
 	w, _, err := wal.Open(dir, wal.Options{})

@@ -129,20 +129,6 @@ func (t Topology) N() int { return len(t.Slots) }
 // Region returns the region name of a replica slot.
 func (t Topology) Region(slot int) string { return t.Regions[t.Slots[slot]] }
 
-// RegionNames returns the distinct region names actually used by slots, in
-// slot order (first appearance).
-func (t Topology) RegionNames() []string {
-	seen := make(map[int]bool, len(t.Regions))
-	out := make([]string, 0, len(t.Regions))
-	for _, reg := range t.Slots {
-		if !seen[reg] {
-			seen[reg] = true
-			out = append(out, t.Regions[reg])
-		}
-	}
-	return out
-}
-
 // RTTBetween returns the round-trip time between two replica slots, in
 // milliseconds. Slots in the same region are 0ms apart.
 func (t Topology) RTTBetween(i, j int) consensus.Duration {
