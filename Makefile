@@ -88,6 +88,11 @@ bench-wan-short:
 # BenchmarkLinkDelay is the WAN shim's own error: late_us/frame is how late
 # a frame arrives past its 37.5 ms injected delay (a Go timer on an idle
 # process fires up to a millisecond late).
+# BenchmarkTCPLinkHeap is what an idle TCP link keeps on the heap: heap_B/link
+# is the live-heap growth (after runtime.GC) of opening 16 links with one
+# frame each, both ends in the process. A link's queue follows its traffic,
+# so this is its sockets and peer state (about 1.5 KB); a fixed 1024-slot
+# queue would add 49,152 B.
 microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkCommandDecode|BenchmarkSlotWrap|BenchmarkFrameDecode|BenchmarkReplicaPipeline' \
 		-benchmem -benchtime=100x -count=2 ./internal/smr
@@ -97,6 +102,7 @@ microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
 	$(GO) test -run=NONE -bench 'BenchmarkLinkDelay' -benchtime=40x -count=2 ./internal/transport
+	$(GO) test -run=NONE -bench 'BenchmarkTCPLinkHeap' -benchtime=5x -count=2 ./internal/transport
 
 # Rewrites EXPERIMENTS.md below its "# Generated report" line (and prints
 # it, plus CSVs under ./out): every registered experiment, F10 in short

@@ -8,10 +8,10 @@ import (
 
 // hostPackages are the import paths whose goroutines must be tied to a
 // shutdown mechanism. These are the layers that own goroutines on the
-// protocols' behalf — per-peer writers, the outbox consumer, accept loops,
-// chaos clients — and they multiply per consensus group once the sharded
-// multi-group runtime (ROADMAP open item 1) lands, so an unaccounted
-// goroutine here becomes a per-group leak.
+// protocols' behalf — per-peer writers, the I/O scheduler, accept loops,
+// chaos clients — and some of them multiply per consensus group under the
+// sharded multi-group runtime, so an unaccounted goroutine here becomes a
+// per-group leak.
 var hostPackages = map[string]bool{
 	"repro/internal/transport": true,
 	"repro/internal/smr":       true,

@@ -24,7 +24,8 @@ const (
 	DropConn DropCause = "conn"
 	// DropOversize: the encoded frame exceeded maxFrame.
 	DropOversize DropCause = "oversize"
-	// DropClosed: the transport was already closed.
+	// DropClosed: the transport was already closed, or it closed before
+	// the peer's writer wrote an accepted frame.
 	DropClosed DropCause = "closed"
 	// DropBadSender: an inbound frame named a sender that is negative or
 	// not in the address book; it was rejected before reaching protocol

@@ -6,9 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/consensus"
@@ -61,8 +62,10 @@ func decodeFrame(frame []byte) (tcpFrame, error) {
 // TCPOptions tunes the per-peer send path. The zero value of any field
 // selects its default.
 type TCPOptions struct {
-	// QueueDepth bounds each peer's outbound queue (default 1024). When
-	// the queue is full Send drops the message and returns ErrQueueFull.
+	// QueueDepth bounds each peer's outbound queue (default 1024): the
+	// frames accepted to wait behind the one the peer's writer holds. When
+	// that many wait, Send drops the message and returns ErrQueueFull. The
+	// queue's memory follows what is queued, not this bound.
 	QueueDepth int
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
@@ -114,10 +117,12 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // Each peer has a bounded outbound queue drained by a dedicated writer
 // goroutine, so a slow or dead peer can never stall sends to healthy ones:
 // Send only enqueues (or drops, when the queue is full) and returns
-// immediately. The writer dials lazily, applies write deadlines, and
-// reconnects with capped exponential backoff plus jitter; while the link is
-// down its frames are dropped, which the protocols tolerate through timer
-// retransmission. Stats exposes send/drop/reconnect counters.
+// immediately. The queue is a slice that grows with what is queued; the
+// writer takes all of it at each wake. The writer dials lazily, applies
+// write deadlines, and reconnects with capped exponential backoff plus
+// jitter; while the link is down its frames are dropped, which the
+// protocols tolerate through timer retransmission. Stats exposes
+// send/drop/reconnect counters.
 type TCP struct {
 	self    consensus.ProcessID
 	codec   *consensus.Codec
@@ -131,7 +136,7 @@ type TCP struct {
 	dialCtx    context.Context
 	dialCancel context.CancelFunc
 
-	stats counters
+	stats *counters // a pointer: a peer counts an enqueue under its own lock
 
 	mu      sync.Mutex
 	addrs   map[consensus.ProcessID]string
@@ -150,13 +155,24 @@ type tcpQueued struct {
 	due   time.Time
 }
 
+// maxSpareFrames caps the capacity of a drained queue buffer the writer keeps
+// for reuse: a burst's larger buffer goes back to the GC once it is written,
+// so a link's memory follows its traffic instead of its worst case.
+const maxSpareFrames = 64
+
 // tcpPeer is one peer's outbound state: the frame queue its writer drains
 // and the link state shared between the writer and SetPeerAddr/Close.
 type tcpPeer struct {
-	id    consensus.ProcessID
-	queue chan tcpQueued
+	id   consensus.ProcessID
+	wake chan struct{} // one slot: each Send signals; a pending wake covers later frames
+	// waiting counts accepted frames behind the one the writer holds. Send
+	// checks and raises it under mu; the writer lowers it without the lock,
+	// which only makes room.
+	waiting atomic.Int64
 
 	mu       sync.Mutex
+	queue    []tcpQueued // accepted frames the writer has not taken, in send order
+	spare    []tcpQueued // an empty buffer of at most maxSpareFrames: the queue's next
 	conn     net.Conn
 	closed   bool
 	everConn bool          // a dial has succeeded before (next success is a reconnect)
@@ -197,6 +213,7 @@ func NewTCPWithOptions(
 		codec:      codec,
 		handler:    handler,
 		opts:       opts.withDefaults(),
+		stats:      new(counters),
 		ln:         ln,
 		dialCtx:    ctx,
 		dialCancel: cancel,
@@ -337,14 +354,15 @@ func (t *TCP) Send(to consensus.ProcessID, msg consensus.Message) error {
 			q.due = time.Now().Add(d)
 		}
 	}
-	select {
-	case p.queue <- q:
-		t.stats.enqueue()
-		return nil
-	default:
-		t.stats.drop(DropQueueFull, to)
-		return fmt.Errorf("tcp send to %s: %w", to, ErrQueueFull)
+	if err := p.push(q, t.opts.QueueDepth, t.stats); err != nil {
+		cause := DropQueueFull
+		if errors.Is(err, ErrClosed) {
+			cause = DropClosed
+		}
+		t.stats.drop(cause, to)
+		return fmt.Errorf("tcp send to %s: %w", to, err)
 	}
+	return nil
 }
 
 // peer returns (starting if needed) the outbound queue state for a peer.
@@ -361,43 +379,78 @@ func (t *TCP) peer(to consensus.ProcessID) (*tcpPeer, error) {
 	if _, ok := t.addrs[to]; !ok {
 		return nil, fmt.Errorf("tcp: no address for %s", to)
 	}
-	p := &tcpPeer{id: to, queue: make(chan tcpQueued, t.opts.QueueDepth)}
+	p := &tcpPeer{id: to, wake: make(chan struct{}, 1)}
 	t.peers[to] = p
 	t.wg.Add(1)
 	go t.writeLoop(p)
 	return p, nil
 }
 
-// writeLoop drains one peer's queue until the transport closes.
+// writeLoop drains one peer's queue until the transport closes: each wake
+// it takes the whole queue in one lock and writes it in order.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
-	// Jitter source; transport is a host package, so wall-clock seeding is
-	// fine (the determinism contract covers only the protocol packages).
-	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(p.id)<<32))
 	for {
 		select {
 		case <-t.dialCtx.Done():
-			p.shutdown()
+			t.closePeer(p, false, nil)
 			return
-		case q := <-p.queue:
-			t.stats.dequeue()
-			if !q.due.IsZero() {
-				// LinkDelay shim: hold the frame until its due instant.
-				// Later frames' windows overlap (stamps are taken at
-				// enqueue), so a busy link still pipelines.
-				if wait := time.Until(q.due); wait > 0 {
-					timer := time.NewTimer(wait)
-					select {
-					case <-t.dialCtx.Done():
-						timer.Stop()
-						p.shutdown()
-						return
-					case <-timer.C:
-					}
-				}
-			}
-			t.writeOne(p, q.frame, rng)
+		case <-p.wake:
 		}
+		batch := p.take()
+		for i, q := range batch {
+			batch[i] = tcpQueued{} // free each frame once written, not at the batch's end
+			p.waiting.Add(-1)
+			t.stats.dequeue()
+			if !t.await(q.due) {
+				t.closePeer(p, true, batch[i+1:])
+				return
+			}
+			t.writeOne(p, q.frame)
+		}
+		p.recycle(batch)
+	}
+}
+
+// await holds a frame until its due instant, the LinkDelay shim (a zero due
+// time does not wait). Later frames' windows overlap (stamps are taken at
+// enqueue), so a busy link still pipelines. It reports false, at once, when
+// the transport has closed.
+func (t *TCP) await(due time.Time) bool {
+	wait := time.Until(due)
+	if wait <= 0 {
+		select {
+		case <-t.dialCtx.Done():
+			return false
+		default:
+			return true
+		}
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-t.dialCtx.Done():
+		return false
+	case <-timer.C:
+		return true
+	}
+}
+
+// closePeer ends p's writer. Every frame Send accepted and the writer never
+// wrote is a closed drop: the one in the writer's hand (held), the untouched
+// rest of its batch, and whatever is still queued.
+func (t *TCP) closePeer(p *tcpPeer, held bool, rest []tcpQueued) {
+	p.shutdown() // after this no Send appends, so take sees the last frames
+	waiting := len(rest) + len(p.take())
+	unwritten := waiting
+	if held {
+		unwritten++
+	}
+	for range waiting {
+		t.stats.dequeue()
+	}
+	for range unwritten {
+		t.stats.drop(DropClosed, p.id)
 	}
 }
 
@@ -405,10 +458,10 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 // backoff window — frames due before the next allowed dial are dropped
 // immediately so the writer never stalls on a dead peer) and performs one
 // deadline-bounded framed write. Any failure drops the frame.
-func (t *TCP) writeOne(p *tcpPeer, frame []byte, rng *rand.Rand) {
+func (t *TCP) writeOne(p *tcpPeer, frame []byte) {
 	conn := p.current()
 	if conn == nil {
-		c, ok := t.dialPeer(p, rng)
+		c, ok := t.dialPeer(p)
 		if !ok {
 			t.stats.drop(DropConn, p.id)
 			return
@@ -421,14 +474,14 @@ func (t *TCP) writeOne(p *tcpPeer, frame []byte, rng *rand.Rand) {
 	t.stats.sent(len(frame))
 	if err := writeFrame(conn, frame); err != nil {
 		p.dropConn(conn)
-		t.armBackoff(p, rng)
+		t.armBackoff(p)
 		t.stats.unsent(len(frame), DropConn, p.id)
 	}
 }
 
 // dialPeer attempts one connection to p's current address. It fails
 // immediately (without blocking) while the backoff window is open.
-func (t *TCP) dialPeer(p *tcpPeer, rng *rand.Rand) (net.Conn, bool) {
+func (t *TCP) dialPeer(p *tcpPeer) (net.Conn, bool) {
 	if !p.dialDue() {
 		return nil, false
 	}
@@ -441,7 +494,7 @@ func (t *TCP) dialPeer(p *tcpPeer, rng *rand.Rand) (net.Conn, bool) {
 	d := net.Dialer{Timeout: t.opts.DialTimeout}
 	c, err := d.DialContext(t.dialCtx, "tcp", addr)
 	if err != nil {
-		t.armBackoff(p, rng)
+		t.armBackoff(p)
 		return nil, false
 	}
 	reconnected, adopted := p.adopt(c)
@@ -457,19 +510,72 @@ func (t *TCP) dialPeer(p *tcpPeer, rng *rand.Rand) (net.Conn, bool) {
 
 // armBackoff opens p's backoff window after a dial or write failure,
 // doubling the delay up to BackoffMax with up to 50% jitter.
-func (t *TCP) armBackoff(p *tcpPeer, rng *rand.Rand) {
+func (t *TCP) armBackoff(p *tcpPeer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b := p.backoff
 	if b < t.opts.BackoffMin {
 		b = t.opts.BackoffMin
 	}
-	jitter := time.Duration(rng.Int63n(int64(b)/2 + 1))
+	jitter := time.Duration(rand.Int64N(int64(b)/2 + 1))
 	p.nextDial = time.Now().Add(b + jitter)
 	p.backoff = 2 * b
 	if p.backoff > t.opts.BackoffMax {
 		p.backoff = t.opts.BackoffMax
 	}
+}
+
+// push appends q to the queue and wakes the writer. It refuses with
+// ErrClosed once the peer is shut down and with ErrQueueFull while depth
+// accepted frames wait behind the writer's.
+func (p *tcpPeer) push(q tcpQueued, depth int, stats *counters) error {
+	if err := p.enqueue(q, depth, stats); err != nil {
+		return err
+	}
+	select {
+	case p.wake <- struct{}{}:
+	default: // a wake is already pending
+	}
+	return nil
+}
+
+// enqueue is push's critical section. push wakes the writer after it, outside
+// the lock, so that the writer does not wake only to wait for the lock; a
+// wake still pending from an earlier push covers this frame too.
+func (p *tcpPeer) enqueue(q tcpQueued, depth int, stats *counters) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return ErrClosed
+	}
+	if p.waiting.Load() >= int64(depth) {
+		return ErrQueueFull
+	}
+	p.queue = append(p.queue, q)
+	p.waiting.Add(1)
+	stats.enqueue()
+	return nil
+}
+
+// take hands the writer every queued frame, in send order, and gives the
+// queue the spare buffer.
+func (p *tcpPeer) take() []tcpQueued {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	batch := p.queue
+	p.queue, p.spare = p.spare, nil
+	return batch
+}
+
+// recycle keeps a written batch's buffer as the queue's next one, unless a
+// burst grew it past maxSpareFrames.
+func (p *tcpPeer) recycle(batch []tcpQueued) {
+	if cap(batch) > maxSpareFrames {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.spare = batch[:0]
 }
 
 // current returns the established connection, if any.
