@@ -20,7 +20,7 @@ import (
 func BenchmarkTCPLinkHeap(b *testing.B) {
 	const links = 16
 	codec := testCodec()
-	var total uint64
+	var total int64
 	for i := 0; i < b.N; i++ {
 		addrs := make(map[consensus.ProcessID]string, links+1)
 		for p := 0; p <= links; p++ {
@@ -49,7 +49,7 @@ func BenchmarkTCPLinkHeap(b *testing.B) {
 		for p := 0; p < links; p++ {
 			<-arrived
 		}
-		total += heapAfterGC() - before
+		total += int64(heapAfterGC()) - int64(before) // signed: the heap may shrink
 		for _, tr := range peers {
 			tr.Close()
 		}

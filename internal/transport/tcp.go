@@ -9,7 +9,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/consensus"
@@ -117,8 +116,8 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // Each peer has a bounded outbound queue drained by a dedicated writer
 // goroutine, so a slow or dead peer can never stall sends to healthy ones:
 // Send only enqueues (or drops, when the queue is full) and returns
-// immediately. The queue is a slice that grows with what is queued; the
-// writer takes all of it at each wake. The writer dials lazily, applies
+// immediately. The queue is a slice that grows with what is queued and
+// keeps a small buffer once it empties. The writer dials lazily, applies
 // write deadlines, and reconnects with capped exponential backoff plus
 // jitter; while the link is down its frames are dropped, which the
 // protocols tolerate through timer retransmission. Stats exposes
@@ -155,7 +154,7 @@ type tcpQueued struct {
 	due   time.Time
 }
 
-// maxSpareFrames caps the capacity of a drained queue buffer the writer keeps
+// maxSpareFrames caps the capacity of an emptied queue buffer a peer keeps
 // for reuse: a burst's larger buffer goes back to the GC once it is written,
 // so a link's memory follows its traffic instead of its worst case.
 const maxSpareFrames = 64
@@ -165,14 +164,12 @@ const maxSpareFrames = 64
 type tcpPeer struct {
 	id   consensus.ProcessID
 	wake chan struct{} // one slot: each Send signals; a pending wake covers later frames
-	// waiting counts accepted frames behind the one the writer holds. Send
-	// checks and raises it under mu; the writer lowers it without the lock,
-	// which only makes room.
-	waiting atomic.Int64
 
-	mu       sync.Mutex
-	queue    []tcpQueued // accepted frames the writer has not taken, in send order
-	spare    []tcpQueued // an empty buffer of at most maxSpareFrames: the queue's next
+	mu sync.Mutex
+	// queue[head:] are the accepted frames the writer has not taken, in
+	// send order; queue[:head] are taken and zeroed.
+	queue    []tcpQueued
+	head     int
 	conn     net.Conn
 	closed   bool
 	everConn bool          // a dial has succeeded before (next success is a reconnect)
@@ -387,28 +384,28 @@ func (t *TCP) peer(to consensus.ProcessID) (*tcpPeer, error) {
 }
 
 // writeLoop drains one peer's queue until the transport closes: each wake
-// it takes the whole queue in one lock and writes it in order.
+// it writes frames in order until the queue is empty.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	for {
 		select {
 		case <-t.dialCtx.Done():
-			t.closePeer(p, false, nil)
+			t.closePeer(p, false)
 			return
 		case <-p.wake:
 		}
-		batch := p.take()
-		for i, q := range batch {
-			batch[i] = tcpQueued{} // free each frame once written, not at the batch's end
-			p.waiting.Add(-1)
+		for {
+			q, ok := p.pop()
+			if !ok {
+				break
+			}
 			t.stats.dequeue()
 			if !t.await(q.due) {
-				t.closePeer(p, true, batch[i+1:])
+				t.closePeer(p, true)
 				return
 			}
 			t.writeOne(p, q.frame)
 		}
-		p.recycle(batch)
 	}
 }
 
@@ -437,19 +434,21 @@ func (t *TCP) await(due time.Time) bool {
 }
 
 // closePeer ends p's writer. Every frame Send accepted and the writer never
-// wrote is a closed drop: the one in the writer's hand (held), the untouched
-// rest of its batch, and whatever is still queued.
-func (t *TCP) closePeer(p *tcpPeer, held bool, rest []tcpQueued) {
-	p.shutdown() // after this no Send appends, so take sees the last frames
-	waiting := len(rest) + len(p.take())
-	unwritten := waiting
-	if held {
-		unwritten++
-	}
+// wrote is a closed drop: the one in the writer's hand (held) and whatever
+// is still queued.
+func (t *TCP) closePeer(p *tcpPeer, held bool) {
+	p.shutdown() // after this no Send appends, so the queue holds the last frames
+	p.mu.Lock()
+	waiting := len(p.queue) - p.head
+	p.queue, p.head = nil, 0
+	p.mu.Unlock()
 	for range waiting {
 		t.stats.dequeue()
 	}
-	for range unwritten {
+	if held {
+		waiting++
+	}
+	for range waiting {
 		t.stats.drop(DropClosed, p.id)
 	}
 }
@@ -529,9 +528,25 @@ func (t *TCP) armBackoff(p *tcpPeer) {
 // ErrClosed once the peer is shut down and with ErrQueueFull while depth
 // accepted frames wait behind the writer's.
 func (p *tcpPeer) push(q tcpQueued, depth int, stats *counters) error {
-	if err := p.enqueue(q, depth, stats); err != nil {
-		return err
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return ErrClosed
 	}
+	if len(p.queue)-p.head >= depth {
+		p.mu.Unlock()
+		return ErrQueueFull
+	}
+	if len(p.queue) == cap(p.queue) && 2*p.head >= len(p.queue) {
+		// A queue that never empties would otherwise grow past its taken
+		// frames forever: slide the waiting ones to the front instead.
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
+	p.queue = append(p.queue, q)
+	stats.enqueue()
+	p.mu.Unlock()
 	select {
 	case p.wake <- struct{}{}:
 	default: // a wake is already pending
@@ -539,43 +554,27 @@ func (p *tcpPeer) push(q tcpQueued, depth int, stats *counters) error {
 	return nil
 }
 
-// enqueue is push's critical section. push wakes the writer after it, outside
-// the lock, so that the writer does not wake only to wait for the lock; a
-// wake still pending from an earlier push covers this frame too.
-func (p *tcpPeer) enqueue(q tcpQueued, depth int, stats *counters) error {
+// pop hands the writer the oldest queued frame, if any. An emptied queue
+// keeps its buffer for the next frames unless a burst grew it past
+// maxSpareFrames.
+func (p *tcpPeer) pop() (tcpQueued, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
+	if p.head == len(p.queue) {
+		return tcpQueued{}, false
 	}
-	if p.waiting.Load() >= int64(depth) {
-		return ErrQueueFull
+	q := p.queue[p.head]
+	p.queue[p.head] = tcpQueued{} // the writer's copy is the frame's last reference
+	p.head++
+	if p.head == len(p.queue) {
+		if cap(p.queue) > maxSpareFrames {
+			p.queue = nil
+		} else {
+			p.queue = p.queue[:0]
+		}
+		p.head = 0
 	}
-	p.queue = append(p.queue, q)
-	p.waiting.Add(1)
-	stats.enqueue()
-	return nil
-}
-
-// take hands the writer every queued frame, in send order, and gives the
-// queue the spare buffer.
-func (p *tcpPeer) take() []tcpQueued {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	batch := p.queue
-	p.queue, p.spare = p.spare, nil
-	return batch
-}
-
-// recycle keeps a written batch's buffer as the queue's next one, unless a
-// burst grew it past maxSpareFrames.
-func (p *tcpPeer) recycle(batch []tcpQueued) {
-	if cap(batch) > maxSpareFrames {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.spare = batch[:0]
+	return q, true
 }
 
 // current returns the established connection, if any.
