@@ -75,10 +75,10 @@ func TestTCPCloseCountsUnwrittenFrames(t *testing.T) {
 	}
 }
 
-// TestTCPFIFOAcrossBatches: the writer takes whatever is queued at each
-// wake, so 5000 frames sent in bursts of 1 to 199 cross many batches of
-// many sizes. They arrive in send order, with and without LinkDelay.
-func TestTCPFIFOAcrossBatches(t *testing.T) {
+// TestTCPFIFOAcrossBursts: 5000 frames sent in bursts of 1 to 199 empty,
+// refill, grow and slide the peer's queue many times over. They arrive in
+// send order, with and without LinkDelay.
+func TestTCPFIFOAcrossBursts(t *testing.T) {
 	const frames = 5000
 	for _, tc := range []struct {
 		name  string
