@@ -95,7 +95,7 @@ bench-wan-short:
 # queue would add 49,152 B.
 microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkCommandEncode|BenchmarkCommandDecode|BenchmarkSlotWrap|BenchmarkFrameDecode|BenchmarkReplicaPipeline' \
-		-benchmem -benchtime=100x -count=2 ./internal/smr
+		-benchmem -benchtime=100x -count=2 ./internal/smr ./internal/smr/slotlog
 	$(GO) test -run=NONE -bench 'BenchmarkBatcherDistance|BenchmarkReadFallback/distance' -benchtime=10x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkReadFallback/loopback' -benchtime=2000x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkCatchup' -benchtime=20x -count=2 ./internal/smr
@@ -131,6 +131,8 @@ fuzz:
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=30s
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=30s
 	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=30s
+	$(GO) test ./internal/smr/slotlog -run=NONE -fuzz=FuzzSlotLog -fuzztime=30s
+	$(GO) test ./internal/linear -run=NONE -fuzz=FuzzCheckVsBrute -fuzztime=30s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
 # recovery through the runtime's shared-WAL abort/close, a torn log failing

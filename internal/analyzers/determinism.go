@@ -30,6 +30,9 @@ var protocolPackages = map[string]bool{
 	// The lease table is replayed from the log on recovery, so it must be
 	// as deterministic as the protocols: all time flows in as arguments.
 	"repro/internal/lease": true,
+	// A replica's slot log is replayed input for input and must yield the
+	// same effects, byte for byte; its host carries out the I/O and clocks.
+	"repro/internal/smr/slotlog": true,
 	// Geo topologies are pure arithmetic over the RTT matrix; a hidden
 	// clock or random jitter there would make WAN delay schedules
 	// unreproducible across runs of the same topology and scale.

@@ -47,13 +47,15 @@ func TestIsSeededPackage(t *testing.T) {
 
 func TestIsProtocolPackage(t *testing.T) {
 	for path, want := range map[string]bool{
-		"repro/internal/core":      true,
-		"repro/internal/consensus": true,
-		"repro/internal/mc":        true,
-		"repro/internal/quorum":    true,
-		"repro/internal/lease":     true,  // replayed on recovery: clock values arrive as arguments
-		"repro/internal/sim":       false, // the simulator owns the clock
-		"repro/internal/bench":     false,
+		"repro/internal/core":        true,
+		"repro/internal/consensus":   true,
+		"repro/internal/mc":          true,
+		"repro/internal/quorum":      true,
+		"repro/internal/lease":       true,  // replayed on recovery: clock values arrive as arguments
+		"repro/internal/smr/slotlog": true,  // replayed input for input: the host owns the clocks and I/O
+		"repro/internal/smr":         false, // the host of the slot log
+		"repro/internal/sim":         false, // the simulator owns the clock
+		"repro/internal/bench":       false,
 	} {
 		if got := analyzers.IsProtocolPackage(path); got != want {
 			t.Errorf("IsProtocolPackage(%q) = %v, want %v", path, got, want)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/shard"
 	"repro/internal/smr"
+	"repro/internal/smr/slotlog"
 	"repro/internal/transport"
 )
 
@@ -92,7 +93,7 @@ func TestLargeStoreRejoinsOverTCP(t *testing.T) {
 	h := c.Runtime(2).Handler()
 	c.Fabric().Attach(2, func(from consensus.ProcessID, msg consensus.Message) {
 		var m smr.CatchupReply
-		if gm, ok := msg.(*shard.GroupMessage); ok && gm.InnerKind == smr.KindCatchupReply && m.DecodeBody(gm.InnerBody) == nil {
+		if gm, ok := msg.(*shard.GroupMessage); ok && gm.InnerKind == slotlog.KindCatchupReply && m.DecodeBody(gm.InnerBody) == nil {
 			n := 0
 			for k, v := range m.Store {
 				n += len(k) + len(v)

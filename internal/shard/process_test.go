@@ -13,6 +13,7 @@ import (
 	"repro/internal/omega"
 	"repro/internal/shard"
 	"repro/internal/smr"
+	"repro/internal/smr/slotlog"
 	"repro/internal/transport"
 )
 
@@ -111,8 +112,8 @@ func TestHandlerDropsMalformedProcessMessages(t *testing.T) {
 		{"status, one group over", 1, &shard.Status{Applied: ahead(groups + 1)}, 0},
 		{"heartbeat from p-1", -1, &omega.Heartbeat{}, 0},
 		{"heartbeat from p3 of 3", 3, &omega.Heartbeat{}, 0},
-		{"envelope for group -1", 1, &shard.GroupMessage{Group: -1, InnerKind: smr.KindCatchupRequest}, 0},
-		{"envelope for group 4 of 4", 1, &shard.GroupMessage{Group: groups, InnerKind: smr.KindCatchupRequest}, 0},
+		{"envelope for group -1", 1, &shard.GroupMessage{Group: -1, InnerKind: slotlog.KindCatchupRequest}, 0},
+		{"envelope for group 4 of 4", 1, &shard.GroupMessage{Group: groups, InnerKind: slotlog.KindCatchupRequest}, 0},
 		{"status, every group ahead", 1, &shard.Status{Applied: ahead(groups)}, groups},
 	} {
 		tr.mu.Lock()

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/smr/slotlog"
 )
 
 // batcher accumulates commands and replicates them as a single OpBatch
@@ -12,9 +14,9 @@ import (
 // SMR (many client operations per protocol round trip). It sits strictly
 // above the replica: the consensus layer sees one value per slot either way.
 //
-// One flusher goroutine launches chunks; one goroutine per chunk awaits its
-// outcome and wakes its riders. A command finding the batcher idle is
-// launched at once. What arrives while a chunk's local stage runs — its
+// One flusher goroutine launches chunks; the log step that applies a chunk's
+// slot resolves it and wakes its riders. A command finding the batcher idle
+// is launched at once. What arrives while a chunk's local stage runs — its
 // journal fsync and the hand-off of its Propose to the transport — forms
 // the next chunk, and how many chunks may then be in consensus together is
 // pipelineDepth of two durations measured on every chunk. Where a commit is
@@ -56,11 +58,11 @@ type batcher struct {
 	// re-checks its condition, so tokens coalesce.
 	poke chan struct{}
 
-	// wg accounts the flusher and the per-chunk goroutines. Every Add
-	// happens under mu alongside the closed check, so close() — which sets
-	// closed under mu and then waits — either sees the Add or prevents the
-	// spawn; a goroutine that slipped in after close would otherwise touch a
-	// replica being torn down.
+	// wg accounts the flusher and the chunks in flight. Every Add happens
+	// under mu alongside the closed check, so close() — which sets closed
+	// under mu and then waits — either sees the Add or prevents the spawn; a
+	// flusher that slipped in after close would otherwise touch a replica
+	// being torn down.
 	wg sync.WaitGroup
 }
 
@@ -105,8 +107,8 @@ const maxDepth = 8
 // Before the first commit sample it is maxDepth: taking loopback for distance
 // costs a cold burst a round trip, distance for loopback a few small chunks
 // overlapping a first commit of about a millisecond. A commit sample implies
-// a stage sample (the chunk's goroutine takes the stage first, and smooth
-// never leaves a sampled average at 0).
+// a stage sample (the outbox runs a chunk's stage callback before its
+// verdict, and smooth never leaves a sampled average at 0).
 func pipelineDepth(commit, stage time.Duration) int {
 	if commit <= 0 {
 		return maxDepth
@@ -193,8 +195,8 @@ func (b *batcher) flushLoop() {
 	defer b.wg.Done()
 	var prev chan struct{} // the previous launch's sent
 	for {
-		c, ok := b.nextChunk(prev)
-		if !ok {
+		c := b.nextChunk(prev)
+		if c == nil {
 			return
 		}
 		b.launch(c)
@@ -204,11 +206,11 @@ func (b *batcher) flushLoop() {
 
 // nextChunk blocks until a chunk may be launched and detaches it, up to
 // maxSize commands; when the queue is empty (or the batcher closed) it
-// parks the batcher instead (flushing = false) and reports false. A chunk
+// parks the batcher instead (flushing = false) and returns nil. A chunk
 // may be launched once the window has room for it, the gather is over,
 // and the previous launch's local stage (prev) is too — so what arrives
 // during that stage shares the next fsync and the next slot.
-func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
+func (b *batcher) nextChunk(prev chan struct{}) *chunk {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.takeableLocked() && len(b.inflight) >= pipelineDepth(b.commit, b.stage) {
@@ -228,13 +230,13 @@ func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 	}
 	if !b.takeableLocked() {
 		b.flushing = false
-		return chunk{}, false
+		return nil
 	}
 	n := len(b.pending)
 	if n > b.maxSize {
 		n = b.maxSize
 	}
-	c := chunk{cmds: b.pending[:n:n], waiters: b.waiters[:n:n], launched: time.Now(), sent: make(chan struct{})}
+	c := &chunk{cmds: b.pending[:n:n], waiters: b.waiters[:n:n], launched: time.Now(), sent: make(chan struct{})}
 	b.pending = b.pending[n:]
 	b.waiters = b.waiters[n:]
 	b.away = 0
@@ -244,8 +246,8 @@ func (b *batcher) nextChunk(prev chan struct{}) (chunk, bool) {
 		b.overlapped++
 	}
 	b.inflight = append(b.inflight, c.launched)
-	b.wg.Add(1) // the chunk's goroutine, see launch
-	return c, true
+	b.wg.Add(1) // the chunk, until resolve
+	return c
 }
 
 // gatherLocked returns how long the flusher should still hold the next
@@ -352,54 +354,32 @@ func (b *batcher) waitLocked(timeout <-chan time.Time) bool {
 	}
 }
 
-// launch proposes one chunk and hands it to its own goroutine, which
-// awaits the outcome. A single command skips the OpBatch wrapper entirely,
-// so an uncontended submit replicates the command itself. Proposing here,
-// on the flusher, is what puts chunks into slots in launch order.
-func (b *batcher) launch(c chunk) {
-	r := b.replica
-	batch := c.cmds[0]
-	if len(c.cmds) > 1 {
-		batch = Command{Op: OpBatch, Subs: c.cmds}
-		// The batch needs its own unique ID (sub-IDs are already unique,
-		// but the batch value must be distinguishable as a whole).
-		r.mu.Lock()
-		r.seq++
-		batch.ID = fmt.Sprintf("%s-batch-%d", r.cfg.ID, r.seq)
-		r.mu.Unlock()
-	}
-	want, err := batch.Encode()
-	var p proposal
-	if err == nil {
-		p, err = r.propose(batch.Op, want, -1, c.sent)
-	}
+// launch proposes one chunk; the step that applies its slot — or refuses,
+// or closes it — resolves it. A single command skips the OpBatch wrapper
+// entirely, so an uncontended submit replicates the command itself.
+// Proposing here, on the flusher, is what puts chunks into slots in launch
+// order.
+func (b *batcher) launch(c *chunk) {
+	err := b.replica.propose(c.cmds, func(v slotlog.Verdict) { b.resolve(c, verdictErr(v)) }, func() { b.staged(c) })
 	if err != nil {
 		close(c.sent)
 		b.resolve(c, err)
-		return
 	}
-	go func() {
-		// The outbox is FIFO: the decision's wakeup is behind sent.
-		<-c.sent
-		b.mu.Lock()
-		smooth(&b.stage, time.Since(c.launched))
-		b.mu.Unlock()
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		p, err := r.await(ctx, batch.Op, want, p)
-		if err == nil {
-			// ErrLeaseFenced is the same downgrade as Submit's: the chunk
-			// applied, but a concurrent leaseholder may not have observed it.
-			err = r.acked(ctx, p)
-		}
-		b.resolve(c, err)
-	}()
+}
+
+// staged ends c's local stage: its journal records are committed and its
+// Propose handed to the transport.
+func (b *batcher) staged(c *chunk) {
+	b.mu.Lock()
+	smooth(&b.stage, time.Since(c.launched))
+	b.mu.Unlock()
+	close(c.sent)
 }
 
 // resolve retires a chunk from the window and distributes its outcome to
 // its riders — in that order, so a rider that submits again at once is
 // counted as back.
-func (b *batcher) resolve(c chunk, err error) {
+func (b *batcher) resolve(c *chunk, err error) {
 	defer b.wg.Done()
 	b.mu.Lock()
 	for i, at := range b.inflight {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/smr"
+	"repro/internal/smr/slotlog"
 	"repro/internal/transport"
 )
 
@@ -309,7 +310,7 @@ func TestCatchupShipsSuffix(t *testing.T) {
 	if info.Catchup.Installed != 0 || info.SnapshotIndex != snapBefore || !slices.Equal(snapshotFiles(t, filepath.Join(base, "r2")), filesBefore) {
 		t.Fatalf("healing a Decide gap installed %d snapshots and moved the durable one %d -> %d", info.Catchup.Installed, snapBefore, info.SnapshotIndex)
 	}
-	sent := smr.CatchupStats{}
+	sent := slotlog.CatchupStats{}
 	for _, r := range replicas[:2] {
 		st := r.Info().Catchup
 		sent.SuffixReplies += st.SuffixReplies

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/smr/slotlog"
 )
 
 // codecCommands are commands the JSON encoding could only carry escaped, or
@@ -59,11 +60,6 @@ func TestCommandCodecRoundTrip(t *testing.T) {
 
 func TestCommandDecodeRefuses(t *testing.T) {
 	good, _ := Command{ID: "p0-1", Op: OpBatch, Subs: []Command{{ID: "a", Op: OpPut, Key: "k", Val: "v"}}}.Encode()
-	deep := Command{ID: "leaf", Op: OpNoop}
-	for i := 0; i <= maxBatchDepth; i++ {
-		deep = Command{ID: "b", Op: OpBatch, Subs: []Command{deep}}
-	}
-	tooDeep, _ := deep.Encode()
 	for name, data := range map[string]string{
 		"empty":             "",
 		"op byte 0":         "\x00" + good.Data[1:],
@@ -71,7 +67,6 @@ func TestCommandDecodeRefuses(t *testing.T) {
 		"truncated":         good.Data[:len(good.Data)-1],
 		"trailing byte":     good.Data + "\x00",
 		"json":              `{"id":"p0-1","op":"put","key":"k","val":"v"}`,
-		"nested too deep":   tooDeep.Data,
 		"more subs claimed": good.Data[:8] + "\x7f" + good.Data[9:],
 	} {
 		if c, err := DecodeCommand(consensus.Value{Data: data}); err == nil {
@@ -94,7 +89,7 @@ func oversizeClaim(head ...byte) []byte {
 func TestDecodersRefuseOversizeWithoutAllocating(t *testing.T) {
 	cmdID := consensus.Value{Data: string(oversizeClaim(1))}
 	cmdSubs := consensus.Value{Data: string(oversizeClaim(4, 0, 0, 0))}
-	record := appendWalEntry(nil, walEntry{Kind: walKindDecide, Slot: 1})
+	record := appendWalEntry(nil, slotlog.Record{Kind: slotlog.RecDecide, Slot: 1})
 	record = append(record[:walHeaderLen+8], oversizeClaim()...)
 	snapshot := append([]byte{consensus.FormatVersion, 0, 0, 0}, oversizeClaim()...)
 	suffix := oversizeClaim(0, 0)         // applied 0, a suffix: the count of decided values
@@ -124,14 +119,14 @@ func TestDecodersRefuseOversizeWithoutAllocating(t *testing.T) {
 	}
 }
 
-func codecWalEntries() []walEntry {
+func codecWalEntries() []slotlog.Record {
 	v := consensus.Value{Key: 1 << 62, Data: "cmd\x00\xff"}
-	return []walEntry{
-		{Kind: walKindDecide, G: 0, Slot: 0, Val: v},
-		{Kind: walKindDecide, G: 15, Slot: 1 << 40, Val: consensus.Value{Key: 3, Data: strings.Repeat("\x80", 64<<10)}},
-		{Kind: walKindState, G: 3, Slot: 77, State: core.State{
+	return []slotlog.Record{
+		{Kind: slotlog.RecDecide, G: 0, Slot: 0, Val: v},
+		{Kind: slotlog.RecDecide, G: 15, Slot: 1 << 40, Val: consensus.Value{Key: 3, Data: strings.Repeat("\x80", 64<<10)}},
+		{Kind: slotlog.RecState, G: 3, Slot: 77, State: core.State{
 			Mode: core.ModeObject, InitialVal: v, Val: v, Proposer: 0, Decided: consensus.None, PendingMax: consensus.None}},
-		{Kind: walKindState, G: 0, Slot: 5, State: core.State{
+		{Kind: slotlog.RecState, G: 0, Slot: 5, State: core.State{
 			Mode: core.ModeObject, InitialVal: consensus.None, Val: v, Proposer: 2, Bal: 7, VBal: 7, Decided: v, PendingMax: consensus.IntValue(9)}},
 	}
 }
@@ -166,7 +161,7 @@ func TestWalEntryCodecRoundTrip(t *testing.T) {
 	}
 	for name, p := range map[string][]byte{
 		"json":         []byte(`{"k":"d","slot":0,"v":{"key":1}}`),
-		"short header": {consensus.FormatVersion, walKindDecide, 0, 0},
+		"short header": {consensus.FormatVersion, slotlog.RecDecide, 0, 0},
 		"unknown kind": append([]byte{consensus.FormatVersion, 'x'}, make([]byte, 12)...),
 	} {
 		if _, _, err := decodeWalEntry(p, 0, 0); err == nil {
@@ -178,10 +173,10 @@ func TestWalEntryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func codecSnapshots() []*durableSnapshot {
+func codecSnapshots() []*slotlog.Snapshot {
 	v := consensus.Value{Key: 1 << 62, Data: "cmd\x00\xff"}
 	holder := 1
-	return []*durableSnapshot{
+	return []*slotlog.Snapshot{
 		{Cut: CatchupReply{Store: map[string]string{}}},
 		{
 			Cut: CatchupReply{

@@ -1,6 +1,9 @@
 package smr
 
-import "repro/internal/consensus"
+import (
+	"repro/internal/consensus"
+	"repro/internal/smr/slotlog"
+)
 
 // FixedLeaders is the LeaderView of a test that builds a bare replica, with
 // no host to own an Ω: process p, never in doubt.
@@ -11,8 +14,8 @@ func (FixedLeaders) LeaderStable(int64) bool { return true }
 // RetainSlots and RetainBytes expose the bounds of the decided tail to the
 // external test package.
 const (
-	RetainSlots = retainSlots
-	RetainBytes = retainBytes
+	RetainSlots = slotlog.RetainSlots
+	RetainBytes = slotlog.RetainBytes
 )
 
 // Compact retires every slot below applied−retain and returns the compaction
@@ -20,7 +23,8 @@ const (
 func (r *Replica) Compact(retain int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.retireBelowLocked(r.m.applied - max(retain, 0))
+	r.stepLocked(slotlog.Input{Kind: slotlog.Retire, Slot: r.log.Applied() - max(retain, 0)}, nil, nil)
+	return r.log.Info().CompactFloor
 }
 
 // Seq is the last command sequence number r handed out: the next ID it makes
@@ -28,7 +32,7 @@ func (r *Replica) Compact(retain int) int {
 func (r *Replica) Seq() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.seq
+	return r.log.Seq()
 }
 
 // QueuedCommands reports how many commands wait in r's batcher to be cut
@@ -41,17 +45,14 @@ func (r *Replica) QueuedCommands() int {
 }
 
 // DecidedSlotTimers counts r's decided slots and how many of them still
-// reference a *time.Timer.
+// hold a *time.Timer.
 func (r *Replica) DecidedSlotTimers() (decided, timers int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range r.slots {
-		if s.decided {
-			decided++
-			if s.timer.t != nil {
-				timers++
-			}
+	for n := range r.timers.slots {
+		if _, ok := r.log.Value(n); ok {
+			timers++
 		}
 	}
-	return decided, timers
+	return r.log.Info().Retained, timers
 }

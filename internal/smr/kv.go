@@ -25,7 +25,7 @@ func (r *Replica) Delete(ctx context.Context, key string) error {
 func (r *Replica) Get(key string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.m.get(key)
+	return r.log.Get(key)
 }
 
 // GetLinearizable performs a linearizable read, three-tiered:
@@ -67,8 +67,8 @@ func (r *Replica) GetLinearizable(ctx context.Context, key string) (string, bool
 // proposed; a write acknowledged before this call began had its slot and
 // every slot below it decided before its ack, so the chunk can win no slot
 // at or below it; and Submit returns after the chunk's slot applied here.
-// Under a foreign lease propose refuses the whole chunk toward the holder
-// (leaseRefuseLocked), as it refuses a lone no-op. A fenced barrier is not a
+// Under a foreign lease the log refuses the whole chunk toward the holder
+// (slotlog.Log.Gate), as it refuses a lone no-op. A fenced barrier is not a
 // barrier: its chunk applied here inside a foreign lease's guard, and the
 // holder, serving lease reads since it applied its own grant, may not have
 // applied that chunk yet — a read returned here could show a write the
@@ -82,10 +82,10 @@ func (r *Replica) ReadBarrier(ctx context.Context) error {
 			return err
 		}
 		r.mu.Lock()
-		err = r.leaseRefuseLocked()
+		holder, held := r.log.Gate(r.ls.now())
 		r.mu.Unlock()
-		if err != nil {
-			return err
+		if held {
+			return &LeaseHeldError{Holder: holder}
 		}
 	}
 }

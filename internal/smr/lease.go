@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/consensus"
@@ -75,18 +74,16 @@ type LeaseOptions struct {
 }
 
 // leaseState is the replica-side lease machinery around the deterministic
-// lease.Table, which the machine holds (kvMachine.leases): the clock, the
-// auto-grant timer and the counters. All fields are guarded by Replica.mu
-// except opts/start, which are immutable after construction.
+// lease.Table, which the log's machine holds: the clock and the auto-grant
+// timer; the counters are the log's. timer and inFlight are guarded by
+// Replica.mu; opts, self and start are immutable after construction.
 type leaseState struct {
 	opts  LeaseOptions
+	self  consensus.ProcessID
 	start time.Time // monotonic origin for now()
 
-	timer    timer // auto-grant / renew; the one host timer no slot owns
-	inFlight bool  // a grant proposal is in flight (auto-renew dedup)
-
-	hits, misses, expired, revoked uint64
-	refused, fencedN, grants       uint64
+	timer    *time.Timer // auto-grant / renew; the one host timer no slot owns
+	inFlight bool        // a grant proposal is in flight (auto-renew dedup)
 }
 
 // now reads this replica's monotonic clock (nanoseconds since
@@ -104,22 +101,9 @@ func (ls *leaseState) now() int64 {
 	return time.Since(ls.start).Nanoseconds()
 }
 
-// count adds what applying a command did to the lease table to the counters.
-func (ls *leaseState) count(ev lease.Event) {
-	if ev.Granted {
-		ls.grants++
-	}
-	if ev.Revoked {
-		ls.revoked++
-	}
-	if ev.Fenced {
-		ls.fencedN++
-	}
-}
-
 // newLeaseState fills in opts' defaults and starts the lease clock; the
 // auto-grant timer waits for Start.
-func newLeaseState(opts LeaseOptions) (*leaseState, error) {
+func newLeaseState(opts LeaseOptions, self consensus.ProcessID) (*leaseState, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = 2 * time.Second
 	}
@@ -131,13 +115,16 @@ func newLeaseState(opts LeaseOptions) (*leaseState, error) {
 	if !opts.UnsafeZeroEpsilon && 2*opts.Epsilon >= opts.Duration {
 		return nil, fmt.Errorf("smr leases: 2ε (%v) must be smaller than the lease duration (%v)", 2*opts.Epsilon, opts.Duration)
 	}
-	return &leaseState{opts: opts, start: time.Now()}, nil
+	return &leaseState{opts: opts, self: self, start: time.Now()}, nil
 }
 
-// table is a fresh lease table for replica self under these options.
-func (ls *leaseState) table(self consensus.ProcessID) *lease.Table {
+// table is a fresh lease table under these options; nil without leases.
+func (ls *leaseState) table() *lease.Table {
+	if ls == nil {
+		return nil
+	}
 	return lease.New(lease.Config{
-		Self:     int(self),
+		Self:     int(ls.self),
 		Duration: ls.opts.Duration.Nanoseconds(),
 		Epsilon:  ls.opts.Epsilon.Nanoseconds(),
 		Unsafe:   ls.opts.UnsafeZeroEpsilon,
@@ -148,64 +135,13 @@ func (ls *leaseState) table(self consensus.ProcessID) *lease.Table {
 // proposes a fresh grant: a third of it.
 func (ls *leaseState) renewAhead() time.Duration { return ls.opts.Duration / 3 }
 
-// proposerOf extracts the proposing replica from a command ID ("p3-17",
-// "p3-batch-4" → 3). Unknown shapes (sub-commands, external IDs) map to -1:
-// the lease table treats them as foreign, which revokes conservatively and
-// never fences. A forged "pN-" prefix cannot break safety — refusal and
-// fencing key on the *proposing replica's own* guard state, not on the ID;
-// proposer identity only decides whether a command renews or revokes.
-func proposerOf(id string) int {
-	i := strings.IndexByte(id, '-')
-	if i < 2 || id[0] != 'p' {
-		return -1
-	}
-	n, err := strconv.Atoi(id[1:i])
-	if err != nil || n < 0 {
-		return -1
-	}
-	return n
-}
-
-// leaseRefuseLocked implements the pre-propose gate: while a foreign lease
-// is conservatively live this replica must not acknowledge commands it
-// proposes (the holder could serve reads that miss them), so it refuses
-// them outright — a definite rejection carrying the holder hint, safe to
-// retry at the leaseholder.
-func (r *Replica) leaseRefuseLocked() error {
-	if r.ls == nil {
-		return nil
-	}
-	now := r.ls.now()
-	if r.m.leases.ExpireCheck(now) {
-		r.ls.expired++
-	}
-	if !r.m.leases.Guarded(now) {
-		return nil
-	}
-	r.ls.refused++
-	return &LeaseHeldError{Holder: r.m.leases.GuardHolder()}
-}
-
 // LeaseRead serves a linearizable read from local applied state when this
 // replica holds a valid lease. served=false means the caller must fall
 // back to a read barrier (or a leader hint).
 func (r *Replica) LeaseRead(key string) (val string, ok, served bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ls == nil || r.closed {
-		return "", false, false
-	}
-	now := r.ls.now()
-	if r.m.leases.ExpireCheck(now) {
-		r.ls.expired++
-	}
-	if !r.m.leases.HolderValid(now) {
-		r.ls.misses++
-		return "", false, false
-	}
-	r.ls.hits++
-	val, ok = r.m.get(key)
-	return val, ok, true
+	return r.log.LeaseRead(r.ls.now(), key)
 }
 
 // AcquireLease replicates a lease grant naming this replica as holder. It
@@ -215,80 +151,40 @@ func (r *Replica) LeaseRead(key string) (val string, ok, served bool) {
 // Grants bypass the write batcher deliberately: a grant folded into an
 // OpBatch would lose its identity as a grant command.
 func (r *Replica) AcquireLease(ctx context.Context) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
 	if r.ls == nil {
-		r.mu.Unlock()
 		return errors.New("smr leases: not enabled")
 	}
-	r.seq++
-	id := fmt.Sprintf("%s-%d", r.cfg.ID, r.seq)
-	durNs := r.ls.opts.Duration.Nanoseconds()
-	// Propose-time anchor, recorded before the command can possibly apply
-	// anywhere: every replica's guard window starts at or after it.
-	r.m.leases.NoteProposed(id, r.ls.now())
-	r.mu.Unlock()
-
-	cmd := Command{
-		ID:  id,
+	_, err := r.Execute(ctx, Command{
 		Op:  OpLeaseGrant,
-		Key: strconv.Itoa(int(r.cfg.ID)),
-		Val: strconv.FormatInt(durNs, 10),
-	}
-	slot, err := r.Execute(ctx, cmd)
-	if err == nil {
-		err = r.WaitApplied(ctx, slot)
-	}
-	if err != nil {
-		r.mu.Lock()
-		if r.ls != nil {
-			// If the grant decides anyway it applies without a pending
-			// entry and confers no serving rights — conservative.
-			r.m.leases.DropProposed(id)
-		}
-		r.mu.Unlock()
-	}
+		Key: strconv.Itoa(int(r.ls.self)),
+		Val: strconv.FormatInt(r.ls.opts.Duration.Nanoseconds(), 10),
+	})
 	return err
 }
 
 // HoldsLease reports whether this replica can serve lease reads right now.
-func (r *Replica) HoldsLease() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ls != nil && r.m.leases.HolderValid(r.ls.now())
-}
+func (r *Replica) HoldsLease() bool { return r.LeaseStats().Valid }
 
 // scheduleLeaseLocked (re)arms the auto-grant/renew timer. Period is a
 // fraction of the renew window so expiry is noticed promptly.
 func (r *Replica) scheduleLeaseLocked() {
 	period := max(r.ls.renewAhead()/2, 5*time.Millisecond)
-	r.armLocked(&r.ls.timer, period, func() func() {
+	r.ls.timer = time.AfterFunc(period, func() {
+		r.mu.Lock()
+		if r.log.Halted() {
+			r.mu.Unlock()
+			return
+		}
 		r.scheduleLeaseLocked()
-		now := r.ls.now()
-		if r.m.leases.ExpireCheck(now) {
-			r.ls.expired++
-		}
-		propose := false
-		// Only the stable Ω leader volunteers: one likely grantee per
-		// group, so competing grants (each revoking the other) stay a
-		// transient of leader churn, not the steady state.
-		if !r.ls.inFlight && r.leaders.Leader() == r.cfg.ID && r.leaders.LeaderStable(2) {
-			if r.m.leases.HolderValid(now) {
-				propose = r.m.leases.Remaining(now) < r.ls.renewAhead().Nanoseconds()
-			} else {
-				propose = !r.m.leases.Guarded(now)
-			}
-		}
-		if !propose {
-			return nil
-		}
-		r.ls.inFlight = true
-		// The proposal runs in the timer's goroutine, off the lock and
-		// bounded by the context.
-		return func() {
+		want := r.log.WantsGrant(r.ls.now(), r.ls.renewAhead().Nanoseconds())
+		// Only the stable Ω leader volunteers: one likely grantee per group,
+		// so competing grants (each revoking the other) stay a transient of
+		// leader churn, not the steady state.
+		lead := r.timers.leaders
+		propose := want && !r.ls.inFlight && lead.Leader() == r.ls.self && lead.LeaderStable(2)
+		r.ls.inFlight = r.ls.inFlight || propose
+		r.mu.Unlock()
+		if propose {
 			ctx, cancel := context.WithTimeout(context.Background(), r.ls.opts.Duration)
 			_ = r.AcquireLease(ctx)
 			cancel()
@@ -299,51 +195,9 @@ func (r *Replica) scheduleLeaseLocked() {
 	})
 }
 
-// LeaseStats is a point-in-time snapshot of the lease and read-path
-// counters, surfaced through STATS and expvar.
-type LeaseStats struct {
-	// Enabled: the replica was built with leases.
-	Enabled bool `json:"enabled"`
-	// Valid: this replica holds a live lease right now.
-	Valid bool `json:"valid"`
-	// Holder is the applied-log leaseholder (-1 none/revoked).
-	Holder int `json:"holder"`
-	// Hits/Misses count GETLs served from the local lease vs fallen back.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Expired counts own-lease expiries; Revoked counts applied-log
-	// revocations (a command from a non-holder); Grants counts applied
-	// grants.
-	Expired uint64 `json:"expired"`
-	Revoked uint64 `json:"revoked"`
-	Grants  uint64 `json:"grants"`
-	// Refused counts commands rejected pre-propose under a foreign lease;
-	// Fenced counts commands applied but downgraded to ambiguous.
-	Refused uint64 `json:"refused"`
-	Fenced  uint64 `json:"fenced"`
-}
-
-// String renders the snapshot in the STATS line's key=value idiom.
-func (st LeaseStats) String() string {
-	return fmt.Sprintf(
-		"lease_valid=%t lease_holder=%d lease_hits=%d lease_misses=%d lease_expired=%d lease_revoked=%d lease_grants=%d lease_refused=%d lease_fenced=%d",
-		st.Valid, st.Holder, st.Hits, st.Misses, st.Expired, st.Revoked,
-		st.Grants, st.Refused, st.Fenced)
-}
-
 // LeaseStats snapshots the lease/read counters.
 func (r *Replica) LeaseStats() LeaseStats {
-	st := LeaseStats{Holder: -1}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ls == nil {
-		return st
-	}
-	st.Enabled = true
-	st.Valid = r.m.leases.HolderValid(r.ls.now())
-	st.Holder = r.m.leases.Holder()
-	st.Hits, st.Misses = r.ls.hits, r.ls.misses
-	st.Expired, st.Revoked, st.Grants = r.ls.expired, r.ls.revoked, r.ls.grants
-	st.Refused, st.Fenced = r.ls.refused, r.ls.fencedN
-	return st
+	return r.log.LeaseStats(r.ls.now())
 }

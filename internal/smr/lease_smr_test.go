@@ -271,6 +271,68 @@ func TestLeaseExpiryUnderFsyncStall(t *testing.T) {
 	}
 }
 
+// TestRefusalWaitsForNoCommit pins that the verdicts which promise nothing a
+// journal record backs — a write the lease gate refuses before proposing, a
+// wait on a slot already applied — return while the process's fsync is
+// stalled, instead of queueing behind the stalled commit for another step's
+// record.
+func TestRefusalWaitsForNoCommit(t *testing.T) {
+	var stall atomic.Bool
+	release, stalled := make(chan struct{}), make(chan struct{}, 1)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	hook := func() {
+		if stall.Load() {
+			select {
+			case stalled <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+	}
+	// A frozen lease clock: p1's guard stands at p0 for the whole test.
+	replicas := newTestCluster(t, 3, 1, 1, procOptions{
+		leases: &smr.LeaseOptions{
+			Duration: 300 * time.Millisecond,
+			Epsilon:  30 * time.Millisecond,
+			Now:      func() time.Duration { return 0 },
+		},
+		dur: durableUnder(t.TempDir(), hook),
+	}).replicas()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := replicas[1].AcquireLease(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for replicas[0].LeaseStats().Holder != 1 {
+		if ctx.Err() != nil {
+			t.Fatalf("p0 never applied p1's grant (stats %+v)", replicas[0].LeaseStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	applied := replicas[0].Applied()
+
+	// p1's write makes p0 journal its vote, and p0's commit of it hangs.
+	stall.Store(true)
+	go func() { _ = replicas[1].Put(ctx, "k", "v") }()
+	select {
+	case <-stalled:
+	case <-ctx.Done():
+		t.Fatal("p0 never fsynced its vote for p1's write")
+	}
+
+	wctx, wcancel := context.WithTimeout(ctx, 2*time.Second)
+	defer wcancel()
+	if err := replicas[0].Put(wctx, "x", "y"); !errors.Is(err, smr.ErrLeaseHeld) {
+		t.Fatalf("write at p0 under p1's guard, fsync stalled = %v, want ErrLeaseHeld at once", err)
+	}
+	if err := replicas[0].WaitApplied(wctx, applied-1); err != nil {
+		t.Fatalf("wait on applied slot %d, fsync stalled = %v, want nil at once", applied-1, err)
+	}
+}
+
 // TestLeaseFencedChunk builds the race fencing exists for, step by step on an
 // isolated p0 with a frozen lease clock: p0 proposes while no lease is live,
 // and p1's grant wins a slot below p0's proposals before they decide. p0 has

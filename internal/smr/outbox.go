@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/consensus"
+	"repro/internal/smr/slotlog"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -11,47 +12,32 @@ import (
 // The outbox is the process's out-of-lock I/O stage: one queue, the
 // IOScheduler the host hands every group's replica, for all of them.
 // Protocol steps run under Replica.mu and only *compute*: outbound
-// messages, WAL records (buffered, not yet fsynced), and waiter wakeups are
-// captured into an outboxEntry and enqueued. A single consumer goroutine
+// messages, WAL records (buffered, not yet fsynced), and callers' verdicts
+// are captured into an outboxEntry and enqueued. A single consumer goroutine
 // then, per batch of entries, (1) group-commits the process's log up to the
-// highest index any entry needs, (2) sends the messages, (3) fires the
-// wakeups — in that order, so the durability rule "no message or client
-// acknowledgement escapes before its WAL record is durable" holds exactly
-// as it did when the fsync and the sends happened inside the lock, while
-// the lock itself is held only for in-memory work.
+// highest index any entry needs, (2) sends the messages, (3) ends the
+// callers' waits — in that order, so the durability rule "no message or
+// client acknowledgement escapes before its WAL record is durable" holds
+// exactly as it did when the fsync and the sends happened inside the lock,
+// while the lock itself is held only for in-memory work.
 //
 // FIFO with a single consumer preserves the per-replica emission order;
 // batching entries per wakeup of the consumer is what turns N protocol
 // steps' records into one fdatasync (wal.Commit coalesces further across
 // concurrent committers).
 
-// wakeup is a deferred waiter notification. The channels are detached from
-// the replica's slot table at queue time (under the lock), so haltLocked —
-// which closes only channels still registered in the table — can never
-// double-close one that a pending wakeup owns.
-type wakeup struct {
-	v    consensus.Value
-	chs  []chan consensus.Value // Execute waiters; each has capacity 1
-	done []chan struct{}        // WaitApplied waiters
+// delivery is one caller's verdict, detached from the replica's riders at
+// queue time: as the log gave it, or Closed if the entry's commit failed.
+type delivery struct {
+	fn func(slotlog.Verdict)
+	v  slotlog.Verdict
 }
 
-// fire delivers the wakeup. ok=false means the replica failed before the
-// entry's records became durable: value waiters see a closed channel
-// (Execute maps that to ErrClosed) and applied waiters are released to
-// re-check the replica state.
-func (w wakeup) fire(ok bool) {
-	if ok {
-		for _, ch := range w.chs {
-			ch <- w.v
-		}
-	} else {
-		for _, ch := range w.chs {
-			close(ch)
-		}
+func (d delivery) fire(ok bool) {
+	if !ok {
+		d.v.Outcome = slotlog.Closed
 	}
-	for _, ch := range w.done {
-		close(ch)
-	}
+	d.fn(d.v)
 }
 
 // outboxEntry is one protocol step's deferred I/O. r is the replica the
@@ -63,18 +49,18 @@ func (w wakeup) fire(ok bool) {
 // msgs leave or wake fires (0: no durability dependency). Producers do NOT
 // wait for their own entry — the pipeline is asynchronous, which is what
 // lets entries pile up behind an in-flight fsync and share the next one.
-// done, when non-nil, is closed once the entry and everything ahead of it
-// (FIFO) has been committed, sent, and woken: the batcher hangs one on each
-// chunk's proposal to time its local stage (emitDoneLocked), and
-// Replica.SyncIO enqueues a sentinel entry carrying nothing else — a
-// barrier for callers that need a step's effects externally visible.
+// done, when non-nil, runs once the entry and everything ahead of it (FIFO)
+// has been committed, sent, and woken: the batcher hangs one on each chunk's
+// proposal to time its local stage, and Replica.SyncIO enqueues a sentinel
+// entry carrying nothing else — a barrier for callers that need a step's
+// effects externally visible.
 type outboxEntry struct {
 	r      *Replica
 	walIdx uint64
-	msgs   []outbound
-	wake   []wakeup
+	msgs   []consensus.Send
+	wake   []delivery
 	post   func()
-	done   chan struct{}
+	done   func()
 }
 
 // IOScheduler is the outbox: the unbounded FIFO between protocol steps
@@ -121,7 +107,7 @@ func (s *IOScheduler) enqueue(e outboxEntry) {
 			w.fire(false)
 		}
 		if e.done != nil {
-			close(e.done)
+			e.done()
 		}
 		return
 	}
@@ -156,7 +142,7 @@ func (s *IOScheduler) Post(fn func()) { s.enqueue(outboxEntry{post: fn}) }
 // the other groups are still using.
 func (s *IOScheduler) barrier() {
 	done := make(chan struct{})
-	s.enqueue(outboxEntry{done: done})
+	s.enqueue(outboxEntry{done: func() { close(done) }})
 	<-done
 }
 
@@ -204,7 +190,7 @@ func (s *IOScheduler) loop() {
 				}
 				if lastTr != nil {
 					for _, o := range e.msgs {
-						_ = lastTr.Send(o.to, o.msg)
+						_ = lastTr.Send(o.To, o.Msg)
 					}
 				}
 			}
@@ -215,7 +201,7 @@ func (s *IOScheduler) loop() {
 				w.fire(failErr == nil)
 			}
 			if e.done != nil {
-				close(e.done)
+				e.done()
 			}
 		}
 		if !more {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/smr/slotlog"
 	"repro/internal/wal"
 )
 
@@ -37,7 +38,7 @@ func TestRefusedRecoveryArmsNoTimer(t *testing.T) {
 			t.Fatal(err)
 		}
 		node.Propose(v)
-		if _, err := w.Append(appendWalEntry(nil, walEntry{Kind: walKindState, Slot: slot, State: node.Snapshot()})); err != nil {
+		if _, err := w.Append(appendWalEntry(nil, slotlog.Record{Kind: slotlog.RecState, Slot: slot, State: node.Snapshot()})); err != nil {
 			t.Fatal(err)
 		}
 	}
