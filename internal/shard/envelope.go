@@ -66,8 +66,9 @@ func (rt *Runtime) deliver(from consensus.ProcessID, gm *GroupMessage) {
 	rt.groups[gm.Group].Handle(from, inner)
 }
 
-// groupView is the transport.Transport group g's replica binds. BindTransport
-// builds it, so the real transport is there; it stays the Runtime's to close.
+// groupView is the transport.Transport group g's replica is built with. It
+// reads the process transport only when it sends (Runtime.send), so it exists
+// before BindTransport; the transport stays the Runtime's to close.
 type groupView struct {
 	rt *Runtime
 	g  int
@@ -79,7 +80,7 @@ func (v groupView) Self() consensus.ProcessID { return v.rt.cfg.ID }
 // Send wraps msg in the group envelope and hands it to the real transport.
 func (v groupView) Send(to consensus.ProcessID, msg consensus.Message) error {
 	body, _ := consensus.MarshalPooled(msg) // the error is always nil
-	return v.rt.transport().Send(to, &GroupMessage{Group: v.g, InnerKind: msg.Kind(), InnerBody: body})
+	return v.rt.send(to, &GroupMessage{Group: v.g, InnerKind: msg.Kind(), InnerBody: body})
 }
 
 // Stats implements transport.Transport: the counters are the shared

@@ -138,18 +138,12 @@ func (rt *Runtime) beat(status bool) {
 }
 
 // broadcast posts msg to every peer on the I/O scheduler. Once shutdown has
-// begun the post sends nothing: a killed process says nothing more.
+// begun the post sends nothing (send).
 func (rt *Runtime) broadcast(msg consensus.Message) {
 	rt.io.Post(func() {
-		rt.mu.Lock()
-		tr, closed := rt.tr, rt.closed
-		rt.mu.Unlock()
-		if tr == nil || closed {
-			return
-		}
 		for i := 0; i < rt.cfg.N; i++ {
 			if p := consensus.ProcessID(i); p != rt.cfg.ID {
-				_ = tr.Send(p, msg) // lossy by contract: the next period repeats it
+				_ = rt.send(p, msg) // lossy by contract: the next period repeats it
 			}
 		}
 	})

@@ -19,11 +19,14 @@ import (
 // one owner of everything a process has one of, which it opens, hands to
 // every group, and alone closes:
 //
-//   - one transport, shared through group-tagged envelopes (envelope.go);
-//   - one WAL, interleaving group-tagged records (journal.go);
-//   - one outbox/fsync scheduler (smr.IOScheduler) built on that WAL, which
-//     commits it before anything a record guards leaves the process, so the
-//     group-commit stream coalesces fsyncs across every group;
+//   - one transport, shared through group-tagged envelopes (envelope.go):
+//     each group sends on a view of it, fixed when the group is built;
+//   - one WAL, interleaving group-tagged records;
+//   - one outbox/fsync scheduler (smr.IOScheduler) built on that WAL, the
+//     groups' only handle on it: it commits the log before anything a
+//     record guards leaves the process, so the group-commit stream coalesces
+//     fsyncs across every group, and truncates it below every group's
+//     snapshot;
 //   - one Ω detector and one applied-index gossip (process.go): a peer is
 //     heard from once per process, not per group.
 //
@@ -33,13 +36,14 @@ import (
 //
 // Construction order: New (which recovers every group from the shared WAL),
 // then build the real transport around Handler(), then BindTransport, then
-// Start.
+// Start. A group that sends before BindTransport, or once shutdown has
+// begun, sends nothing.
 type Runtime struct {
 	cfg      consensus.Config
 	tick     time.Duration
 	router   HashRouter
 	inner    *consensus.Codec // decodes what a group envelope carries
-	shared   *SharedWAL
+	log      *wal.WAL         // nil: no durability
 	io       *smr.IOScheduler
 	leaders  *leaders
 	groups   []*smr.Replica
@@ -122,21 +126,20 @@ func New(opts Options) (*Runtime, error) {
 		stop:    make(chan struct{}),
 	}
 	smr.RegisterMessages(rt.inner)
-	var log *wal.WAL
 	if d := opts.Durability; d != nil {
 		if d.Policy != wal.SyncAlways {
 			return nil, fmt.Errorf("shard: fsync policy %q refused: nothing leaves the process before the records it depends on are on stable storage (%q)", d.Policy, wal.SyncAlways)
 		}
-		w, winfo, err := OpenSharedWAL(filepath.Join(d.Dir, "wal"), opts.Groups, wal.Options{
+		w, winfo, err := wal.Open(filepath.Join(d.Dir, "wal"), wal.Options{
 			SyncHook:       d.SyncHook,
 			FailpointLimit: d.FailpointLimit,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		rt.shared, rt.walInfo, log = w, winfo, w.w
+		rt.log, rt.walInfo = w, winfo
 	}
-	rt.io = smr.NewIOScheduler(log)
+	rt.io = smr.NewIOScheduler(rt.log, opts.Groups)
 	for g := 0; g < opts.Groups; g++ {
 		ro := smr.ReplicaOptions{Leases: opts.Leases}
 		if opts.Durability != nil {
@@ -146,12 +149,11 @@ func New(opts Options) (*Runtime, error) {
 			}
 			ro.Durability = &smr.DurabilityOptions{
 				Dir:           dir,
-				Journal:       rt.shared.Group(g),
 				Group:         g,
 				SnapshotEvery: opts.Durability.SnapshotEvery,
 			}
 		}
-		r, info, err := smr.NewReplica(opts.Config, opts.Tick, rt.io, rt.leaders, ro)
+		r, info, err := smr.NewReplica(opts.Config, opts.Tick, rt.io, rt.leaders, groupView{rt: rt, g: g}, ro)
 		if err != nil {
 			rt.abandon()
 			return nil, fmt.Errorf("shard: group %d: %w", g, err)
@@ -171,23 +173,25 @@ func (rt *Runtime) abandon() { _ = rt.shutdown(false) }
 // construct the transport with it, then call BindTransport.
 func (rt *Runtime) Handler() transport.Handler { return rt.handle }
 
-// BindTransport installs the process transport and binds every group's
-// view of it. The runtime takes ownership: Close/Kill close it after the
-// groups.
+// BindTransport installs the process transport, which every group's view
+// sends on from here on. The runtime takes ownership: Close/Kill close it
+// after the groups.
 func (rt *Runtime) BindTransport(tr transport.Transport) {
 	rt.mu.Lock()
 	rt.tr = tr
 	rt.mu.Unlock()
-	for g, r := range rt.groups {
-		r.BindTransport(groupView{rt: rt, g: g})
-	}
 }
 
-// transport returns the bound transport, nil before BindTransport.
-func (rt *Runtime) transport() transport.Transport {
+// send hands msg to the bound transport. Before BindTransport, and once
+// shutdown has begun, it drops msg: a killed process says nothing more.
+func (rt *Runtime) send(to consensus.ProcessID, msg consensus.Message) error {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.tr
+	tr, closed := rt.tr, rt.closed
+	rt.mu.Unlock()
+	if tr == nil || closed {
+		return nil
+	}
+	return tr.Send(to, msg)
 }
 
 // Start boots every group and the process's clocks: a heartbeat now and one
@@ -221,10 +225,10 @@ func (rt *Runtime) Recovery() ([]smr.RecoveryInfo, wal.OpenInfo) {
 
 // WalStats reports the shared WAL's counters (false without durability).
 func (rt *Runtime) WalStats() (wal.Stats, bool) {
-	if rt.shared == nil {
+	if rt.log == nil {
 		return wal.Stats{}, false
 	}
-	return rt.shared.Stats(), true
+	return rt.log.Stats(), true
 }
 
 // SyncIO barriers every group's outbox: when it returns, all I/O emitted
@@ -235,21 +239,23 @@ func (rt *Runtime) SyncIO() {
 	}
 }
 
-// Close shuts the runtime down gracefully: the clocks stop, every group
-// drains through the shared scheduler, then the scheduler stops, the shared
-// WAL syncs closed, and the transport closes.
+// Close shuts the runtime down gracefully: nothing is sent from here on, the
+// clocks stop, every group drains through the shared scheduler (committing
+// and waking what it queued), then the scheduler stops, the shared WAL syncs
+// closed, and the transport closes.
 func (rt *Runtime) Close() error { return rt.shutdown(false) }
 
-// Kill simulates a process crash for the chaos harness: the shared WAL is
-// aborted FIRST (queued group commits across every group must fail — and
-// fail their client wakeups — rather than make the crashed state durable),
-// then every group is killed, the scheduler drained, and the transport
-// closed. A new Runtime opened on the same data directory runs the real
-// per-group recovery demux.
+// Kill simulates a process crash for the chaos harness: nothing is sent from
+// here on, and the shared WAL is aborted FIRST (queued group commits across
+// every group must fail — and fail their client wakeups — rather than make
+// the crashed state durable), then every group is closed, the scheduler
+// drained, and the transport closed. A new Runtime opened on the same data
+// directory runs the real per-group recovery demux.
 func (rt *Runtime) Kill() error { return rt.shutdown(true) }
 
-// shutdown is the one teardown behind Close and Kill; it runs once. crash
-// aborts the WAL before the groups drain instead of syncing it closed
+// shutdown is the one teardown behind Close and Kill; it runs once. Setting
+// closed silences every group's view and the process's own posts (send).
+// crash aborts the WAL before the groups drain instead of syncing it closed
 // after them.
 func (rt *Runtime) shutdown(crash bool) error {
 	rt.mu.Lock()
@@ -262,20 +268,16 @@ func (rt *Runtime) shutdown(crash bool) error {
 	rt.mu.Unlock()
 	close(rt.stop)
 	var firstErr error
-	if crash && rt.shared != nil {
-		firstErr = rt.shared.Abort()
+	if crash && rt.log != nil {
+		firstErr = rt.log.Abort()
 	}
 	rt.clocks.Wait()
 	for _, r := range rt.groups {
-		if crash {
-			r.Kill()
-		} else {
-			r.Close()
-		}
+		r.Close()
 	}
 	rt.io.Close()
-	if !crash && rt.shared != nil {
-		firstErr = rt.shared.Close()
+	if !crash && rt.log != nil {
+		firstErr = rt.log.Close()
 	}
 	if tr != nil {
 		if err := tr.Close(); err != nil && firstErr == nil {
@@ -300,7 +302,10 @@ func (rt *Runtime) Leader() consensus.ProcessID { return rt.leaders.Leader() }
 // TransportStats reports the bound transport's counters (zero before
 // BindTransport): the STATS command and cmd/kv's periodic stats line.
 func (rt *Runtime) TransportStats() transport.Stats {
-	if tr := rt.transport(); tr != nil {
+	rt.mu.Lock()
+	tr := rt.tr
+	rt.mu.Unlock()
+	if tr != nil {
 		return tr.Stats()
 	}
 	return transport.Stats{}
@@ -368,9 +373,9 @@ type Info struct {
 
 // Info collects the runtime summary.
 func (rt *Runtime) Info() Info {
-	info := Info{Groups: len(rt.groups), Durable: rt.shared != nil}
-	if rt.shared != nil {
-		info.Wal = rt.shared.Stats()
+	info := Info{Groups: len(rt.groups), Durable: rt.log != nil}
+	if rt.log != nil {
+		info.Wal = rt.log.Stats()
 	}
 	for _, r := range rt.groups {
 		gi := r.Info()

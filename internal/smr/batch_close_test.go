@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/transport"
 )
 
 // MaxBatchDepth exposes the pipelining cap to the external batch tests.
@@ -39,6 +40,17 @@ func (r *Replica) PipelineBatches() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.commit, b.stage, b.lastCommit = time.Minute, time.Millisecond, time.Minute
+}
+
+// SerialBatches makes the batcher believe a commit is a millisecond of
+// loopback work and its local stage an hour, which holds it at depth 1 for
+// the next hundred-odd chunks whatever they measure: a test's one-chunk
+// window stays one chunk even when a sample reads loopback as distance.
+func (r *Replica) SerialBatches() {
+	b := r.batch
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.commit, b.stage, b.lastCommit = time.Millisecond, time.Hour, time.Millisecond
 }
 
 // The depth rule: overlap only when a commit is many local stages long, and
@@ -181,11 +193,17 @@ func TestCohortAway(t *testing.T) {
 func TestBatcherCloseWaitsForFlushers(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pipelined=%t", pipelined), func(t *testing.T) {
-			// No transport, so no quorum: every launched chunk stays in
-			// consensus until Close.
-			io := NewIOScheduler(nil)
+			// A mesh no peer listens on, so no quorum: every launched chunk
+			// stays in consensus until Close.
+			mesh := transport.NewMesh(3)
+			defer mesh.Close()
+			tr, err := mesh.Endpoint(0, func(consensus.ProcessID, consensus.Message) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			io := NewIOScheduler(nil, 1)
 			defer io.Close()
-			r, _, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io, FixedLeaders{}, ReplicaOptions{})
+			r, _, err := NewReplica(consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}, time.Millisecond, io, FixedLeaders{}, tr, ReplicaOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,9 +39,9 @@ func TestAdaptiveBatchingIdleFastPath(t *testing.T) {
 }
 
 // holdWindow cuts every mesh link and fills the batcher's window: it
-// submits one write per chunk the window admits — one once loopback commits
-// are measured, smr.MaxBatchDepth once pipelined — and returns when they are
-// all in consensus. Until release heals the mesh, every later submit queues
+// submits one write per chunk the window admits — one at a serial depth,
+// smr.MaxBatchDepth once pipelined — and returns when they are all in
+// consensus. Until release heals the mesh, every later submit queues
 // behind the stuck chunks, so the test decides exactly what the following
 // chunks carry; release then waits for the held writes (the protocol's own
 // retransmission completes them).
@@ -53,16 +53,7 @@ func holdWindow(t *testing.T, mesh *cluster.Fabric, r *smr.Replica, pipelined bo
 		r.PipelineBatches()
 		chunks = smr.MaxBatchDepth
 	} else {
-		// A cold batcher assumes distance, and one loopback commit in many
-		// reads as distance too: write until the window is one chunk.
-		warm := func() {
-			if err := r.Put(ctx, "warm", "up"); err != nil {
-				cancel()
-				t.Fatal(err)
-			}
-		}
-		for warm(); r.BatchStats().Depth > 1; warm() {
-		}
+		r.SerialBatches()
 	}
 	mesh.SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
 		return transport.FaultVerdict{Drop: true}
@@ -261,7 +252,7 @@ func TestBatchMaxSizeOverflowSplits(t *testing.T) {
 		kv := replicas[0]
 		release := holdWindow(t, c.fab, replicas[0], pipelined)
 		held := replicas[0].BatchInflight()
-		before := int(replicas[0].BatchStats().Cmds) // the held writes and any warm-up
+		before := int(replicas[0].BatchStats().Cmds) // the held writes
 
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/smr/slotlog"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // The durability layer turns the replica from the paper's crash-stop model
@@ -22,33 +21,16 @@ import (
 // resumes with its promises intact — the property the paper's recovery
 // rule (set R, Lemmas 3 and 7) assumes of a recovering acceptor.
 
-// Journal is the append-log surface the durability layer writes through:
-// the sharded runtime (internal/shard) passes per-group views of its one
-// process-wide WAL, so N groups share a single on-disk log; *wal.WAL
-// satisfies it too. Appends are buffered: the process's IOScheduler, built
-// on the same log, commits them. There is no Close: whoever opened the log
-// syncs, aborts and closes it.
-type Journal interface {
-	AppendBuffered(payload []byte) (uint64, error)
-	Sync() error
-	NextIndex() uint64
-	TruncateBefore(index uint64) (int, error)
-	Replay(from uint64, fn func(index uint64, payload []byte) error) (wal.ReplayInfo, error)
-}
-
 // DurabilityOptions configures a replica's journal and snapshots
-// (ReplicaOptions.Durability).
+// (ReplicaOptions.Durability). The journal is the log the replica's
+// IOScheduler was built on, which the scheduler's owner opened and alone
+// syncs, aborts and closes.
 type DurabilityOptions struct {
 	// Dir is the group's data directory: snapshots live in Dir/snap.
 	Dir string
-	// Journal is the log the group journals to, opened and owned by the
-	// caller: Close leaves it open (the owner syncs and closes it once,
-	// after every group) and Kill does not abort it (the owner aborts
-	// before killing the groups, see shard.Runtime.Kill). It must be the
-	// log the replica's IOScheduler was built on, or a view of it.
-	Journal Journal
 	// Group tags every record this replica appends to the journal and
-	// filters replay: records carrying another group's id are skipped.
+	// filters replay: records carrying another group's id are skipped. It
+	// names one of the scheduler's groups, whose truncation floor it sets.
 	Group int
 	// SnapshotEvery is how many applied commands elapse between automatic
 	// snapshots (default 64; <0 disables automatic snapshots).
@@ -67,7 +49,7 @@ type RecoveryInfo struct {
 	OpenSlots       int  // live slot instances restored
 }
 
-// durable is the replica's journal and snapshot store (guarded by
+// durable is the replica's journal and snapshot state (guarded by
 // Replica.mu): the group its records carry and the newest snapshot's index.
 // buffered is the WAL index of the last record appended; critical is the
 // newest one that guards safety (slotlog.Record's Critical). Outbox entries
@@ -75,7 +57,6 @@ type RecoveryInfo struct {
 // wait for buffered — an acknowledgement promises everything the step
 // journaled is durable.
 type durable struct {
-	wal                Journal
 	group              int
 	snapDir            string
 	buffered, critical uint64
@@ -186,13 +167,13 @@ func decodeSnapshot(blob []byte) (*slotlog.Snapshot, error) {
 }
 
 // recoverFrom, NewReplica's last step, builds the replica's log from the
-// snapshots under opts.Dir and the records of opts.Journal.
+// snapshots under opts.Dir and the group's records in the scheduler's log.
 func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (RecoveryInfo, error) {
 	if opts.Dir == "" {
 		return RecoveryInfo{}, fmt.Errorf("smr durability: empty dir")
 	}
-	if opts.Journal == nil {
-		return RecoveryInfo{}, fmt.Errorf("smr durability: no journal")
+	if opts.Group < 0 || opts.Group >= len(r.io.floors) {
+		return RecoveryInfo{}, fmt.Errorf("smr durability: group %d on a scheduler of %d groups", opts.Group, len(r.io.floors))
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
@@ -211,12 +192,12 @@ func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (Rec
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.dur = &durable{wal: opts.Journal, group: opts.Group, snapDir: snapDir, snapIndex: int(snapIdx)}
+	r.dur = &durable{group: opts.Group, snapDir: snapDir, snapIndex: int(snapIdx)}
 	r.log = slotlog.New(cfg, r.ls.table(), max(opts.SnapshotEvery, 0))
 	if haveSnap {
 		r.stepLocked(slotlog.Input{Kind: slotlog.Restore, Snap: snap}, nil, nil)
 	}
-	rinfo, err := opts.Journal.Replay(snap.WalNext, func(_ uint64, payload []byte) error {
+	rinfo, err := r.io.log.Replay(snap.WalNext, func(_ uint64, payload []byte) error {
 		// Not mine: another group's record in the shared WAL, or a slot the
 		// snapshot supersedes.
 		rec, mine, err := decodeWalEntry(payload, opts.Group, snap.Cut.Applied)
@@ -241,8 +222,9 @@ func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (Rec
 	}, nil
 }
 
-// journalLocked appends a step's records to the journal, if there is one,
-// buffered for the outbox consumer to commit; false means an append failed.
+// journalLocked appends a step's records to the scheduler's log, if the
+// replica is durable, buffered for the outbox consumer to commit; false means
+// an append failed.
 func (r *Replica) journalLocked(recs []slotlog.Record) bool {
 	if r.dur == nil {
 		return true
@@ -251,7 +233,7 @@ func (r *Replica) journalLocked(recs []slotlog.Record) bool {
 		bp := consensus.Scratch()
 		rec.G = r.dur.group
 		payload := appendWalEntry(*bp, rec)
-		idx, err := r.dur.wal.AppendBuffered(payload) // copies the payload into its frame
+		idx, err := r.io.log.AppendBuffered(payload) // copies the payload into its frame
 		consensus.Release(bp, payload)
 		if err != nil {
 			return false
@@ -264,24 +246,25 @@ func (r *Replica) journalLocked(recs []slotlog.Record) bool {
 	return true
 }
 
-// saveLocked saves a snapshot and truncates the WAL behind it.
+// saveLocked saves a snapshot and truncates the WAL behind it, as far as the
+// process's other groups allow.
 func (r *Replica) saveLocked(snap *slotlog.Snapshot) bool {
 	if snap == nil || r.dur == nil {
 		return true
 	}
-	snap.WalNext = r.dur.wal.NextIndex()
+	snap.WalNext = r.io.log.NextIndex()
 	blob := appendSnapshot(nil, snap)
 	// The WAL must be on disk before the snapshot that references WalNext:
 	// a cold path, so the in-lock fsync is tolerable.
 	//lint:allow iolock snapshot cut must be atomic with the state it captures
-	if err := r.dur.wal.Sync(); err != nil {
+	if err := r.io.log.Sync(); err != nil {
 		return false
 	}
 	if err := storage.Save(r.dur.snapDir, uint64(snap.Cut.Applied), blob); err != nil {
 		return false
 	}
 	r.dur.snapIndex = snap.Cut.Applied
-	_, err := r.dur.wal.TruncateBefore(snap.WalNext)
+	_, err := r.io.truncateBefore(r.dur.group, snap.WalNext)
 	return err == nil
 }
 

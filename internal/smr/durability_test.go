@@ -455,7 +455,8 @@ func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
 
 // TestEnableDurabilityTwiceFails: durability is a NewReplica option, so a
 // replica is made durable once, at construction, or not at all. What is left
-// to refuse is an incomplete option: no data dir, or no journal.
+// to refuse is an incomplete option: no data dir, or a group the scheduler
+// keeps no truncation floor for.
 func TestEnableDurabilityTwiceFails(t *testing.T) {
 	// The test is the group's owner here: its scheduler, its WAL.
 	dir := t.TempDir()
@@ -464,22 +465,22 @@ func TestEnableDurabilityTwiceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	io := smr.NewIOScheduler(w)
+	io := smr.NewIOScheduler(w, 1)
 	defer io.Close()
 	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	open := func(d smr.DurabilityOptions) (*smr.Replica, error) {
-		r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, smr.ReplicaOptions{Durability: &d})
+		r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, nil, smr.ReplicaOptions{Durability: &d})
 		return r, err
 	}
-	if r, err := open(smr.DurabilityOptions{Journal: w}); err == nil {
+	if r, err := open(smr.DurabilityOptions{}); err == nil {
 		r.Close()
 		t.Fatal("empty dir accepted")
 	}
-	if r, err := open(smr.DurabilityOptions{Dir: dir}); err == nil {
+	if r, err := open(smr.DurabilityOptions{Dir: dir, Group: 1}); err == nil {
 		r.Close()
-		t.Fatal("missing journal accepted")
+		t.Fatal("group 1 accepted on a one-group scheduler")
 	}
-	r, err := open(smr.DurabilityOptions{Dir: dir, Journal: w})
+	r, err := open(smr.DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

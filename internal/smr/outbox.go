@@ -1,11 +1,11 @@
 package smr
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/consensus"
 	"repro/internal/smr/slotlog"
-	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -41,7 +41,7 @@ func (d delivery) fire(ok bool) {
 }
 
 // outboxEntry is one protocol step's deferred I/O. r is the replica the
-// step ran on — the consumer reads its transport and, on a commit failure,
+// step ran on — the consumer sends on its view and, on a commit failure,
 // poisons it; the queue interleaves entries from every group of the
 // process, so the owner travels with the entry (nil on barrier sentinels and
 // on the host's own entries, which carry post instead: IOScheduler.Post).
@@ -70,6 +70,8 @@ type outboxEntry struct {
 // group's replica is handed the same one, so fsyncs from all groups
 // coalesce into a single group-commit stream. Sharing is shared fate: a
 // commit failure fails every entry from then on, whichever group queued it.
+// It is also the groups' only handle on that log: they append, replay and
+// truncate through it (truncateBefore keeps the segments any group needs).
 //
 // Unbounded on purpose: enqueue runs while a replica lock is held and must
 // never block, and a bounded channel would deadlock Close (producer stuck
@@ -82,18 +84,39 @@ type IOScheduler struct {
 	cond   *sync.Cond
 	queue  []outboxEntry
 	closed bool
+
+	// floors[g] is group g's truncation request — the log index its newest
+	// snapshot is consistent up to — under floorMu. A group that has not
+	// snapshotted, or whose replica is not built yet, pins 0: its state
+	// still lives only in the log.
+	floorMu sync.Mutex
+	floors  []uint64
 }
 
 // NewIOScheduler starts the scheduler of a process whose one log is log
-// (nil for a process that journals nothing): every durable replica built on
-// it must journal to that log, directly or through a per-group view. The
-// caller owns both: Close the scheduler after every replica built on it has
-// been closed or killed, and the log after that.
-func NewIOScheduler(log *wal.WAL) *IOScheduler {
-	s := &IOScheduler{log: log, done: make(chan struct{})}
+// (nil for a process that journals nothing) and whose groups are numbered
+// 0..groups-1. The caller owns the log: Close the scheduler after every
+// replica built on it has been closed, and the log after that.
+func NewIOScheduler(log *wal.WAL, groups int) *IOScheduler {
+	s := &IOScheduler{log: log, done: make(chan struct{}), floors: make([]uint64, groups)}
 	s.cond = sync.NewCond(&s.mu)
 	go s.loop()
 	return s
+}
+
+// truncateBefore records group g's floor and truncates the log below the
+// minimum floor across all groups: a segment may only go once no group
+// needs it for recovery. Floors only rise, so a stale request lowers
+// nothing; a group that snapshots rarely simply keeps the tail long —
+// correctness never depends on truncation happening.
+func (s *IOScheduler) truncateBefore(g int, index uint64) (int, error) {
+	s.floorMu.Lock()
+	s.floors[g] = max(s.floors[g], index)
+	min := slices.Min(s.floors)
+	s.floorMu.Unlock()
+	// Out of the floor lock: truncation takes the log's own lock, and a
+	// racing truncation with a smaller minimum is a harmless no-op.
+	return s.log.TruncateBefore(min)
 }
 
 // enqueue appends one entry without ever blocking. After Close, nothing
@@ -173,25 +196,14 @@ func (s *IOScheduler) loop() {
 		if failErr == nil && maxIdx > 0 {
 			failErr = s.log.Commit(maxIdx)
 		}
-		// The transport is reloaded per owner change, not per batch: Kill
-		// detaches it under the replica lock, and entries queued behind the
-		// detach must send nothing.
-		var lastR *Replica
-		var lastTr transport.Transport
 		for _, e := range batch {
 			if failErr != nil {
 				if e.r != nil {
 					e.r.IOFail(failErr)
 				}
-			} else if e.r != nil && len(e.msgs) > 0 {
-				if e.r != lastR {
-					lastR = e.r
-					lastTr = e.r.currentTransport()
-				}
-				if lastTr != nil {
-					for _, o := range e.msgs {
-						_ = lastTr.Send(o.To, o.Msg)
-					}
+			} else {
+				for _, o := range e.msgs {
+					_ = e.r.tr.Send(o.To, o.Msg)
 				}
 			}
 			if e.post != nil && failErr == nil {

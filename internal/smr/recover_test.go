@@ -25,7 +25,7 @@ func TestRefusedRecoveryArmsNoTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	io := NewIOScheduler(w)
+	io := NewIOScheduler(w, 1)
 	defer io.Close()
 	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	// journal records slot's state as an instance of mode left it right after
@@ -49,8 +49,8 @@ func TestRefusedRecoveryArmsNoTimer(t *testing.T) {
 	journal(open, core.ModeTask)
 	before := w.NextIndex()
 
-	r, _, err := NewReplica(cfg, time.Millisecond, io, FixedLeaders{}, ReplicaOptions{
-		Durability: &DurabilityOptions{Dir: dir, Journal: w},
+	r, _, err := NewReplica(cfg, time.Millisecond, io, FixedLeaders{}, nil, ReplicaOptions{
+		Durability: &DurabilityOptions{Dir: dir},
 	})
 	if err == nil {
 		r.Close()

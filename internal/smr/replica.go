@@ -58,7 +58,9 @@ func RegisterMessages(codec *consensus.Codec) {
 // state machine. Its log (slotlog.Log) decides; the replica carries that out
 // (carryOutLocked). It is never a process by itself: shard.Runtime builds one
 // per group and owns what a process has one of — the WAL, the I/O scheduler
-// io that commits it, the transport, Ω and the applied-index gossip.
+// io that is the group's only handle on it, the transport tr is the group's
+// view of, Ω and the applied-index gossip. tr and io are fixed at
+// construction.
 //
 // mu guards the log, the timers and the riders (what ends each caller's
 // wait, by token), and is held for in-memory work only — but for a snapshot,
@@ -104,19 +106,19 @@ type ReplicaOptions struct {
 	Durability *DurabilityOptions
 }
 
-// NewReplica builds one consensus group's replica on io and leaders, the
-// scheduler and the Ω its host (shard.Runtime) owns and shares between every
-// group of the process — as it owns the WAL behind opts.Durability's Journal
-// and the transport behind BindTransport: the replica uses all four and
-// closes none. A durable replica's records are committed by io, so io must
-// have been built on the log its Journal writes to. Call BindTransport, then
-// Start. A configuration below the paper's bound for a consensus object
-// (Theorem 6: quorum.Check) is refused with quorum.ErrInfeasible; flexible
-// quorum sizes (cfg.FastSize/cfg.RecoverySize) are checked against theirs.
+// NewReplica builds one consensus group's replica on io, leaders and tr —
+// the scheduler, the Ω and the group's send view that its host
+// (shard.Runtime) owns: io and leaders are shared by every group of the
+// process, tr tags the group on the process's one transport. The replica
+// uses all three and closes none. A durable replica journals through io, so
+// io must have been built on a log. Call Start next. A configuration below
+// the paper's bound for a consensus object (Theorem 6: quorum.Check) is
+// refused with quorum.ErrInfeasible; flexible quorum sizes
+// (cfg.FastSize/cfg.RecoverySize) are checked against theirs.
 // tick is the length of one protocol tick, in which slot timers count; it
 // must be positive. The lease table comes before recovery, which replays
 // grants into it. A refused construction leaves nothing running.
-func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leaders LeaderView, opts ReplicaOptions) (*Replica, RecoveryInfo, error) {
+func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leaders LeaderView, tr transport.Transport, opts ReplicaOptions) (*Replica, RecoveryInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("smr: %w", err)
 	}
@@ -132,6 +134,7 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 		return nil, RecoveryInfo{}, fmt.Errorf("smr: a durable replica on a scheduler without a log: nothing would commit its records")
 	}
 	r := &Replica{
+		tr:     tr,
 		io:     io,
 		timers: timers{tick: tick, leaders: leaders, slots: make(map[int]*time.Timer)},
 		riders: make(map[int64]func(slotlog.Verdict)),
@@ -153,21 +156,6 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 		return nil, RecoveryInfo{}, err
 	}
 	return r, info, nil
-}
-
-// currentTransport reads the bound transport (the outbox consumer reloads it
-// per entry owner so Kill's detach is respected).
-func (r *Replica) currentTransport() transport.Transport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tr
-}
-
-// BindTransport installs the transport (which should deliver to Handle).
-func (r *Replica) BindTransport(tr transport.Transport) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tr = tr
 }
 
 // Start arms the lease timer, if the group auto-grants. Slots start lazily
@@ -393,21 +381,14 @@ func (r *Replica) LogValue(slot int) (consensus.Value, bool) {
 }
 
 // Close stops timers and drains the replica's queued I/O: when it returns,
-// every entry this replica emitted has been committed, sent and woken. The
-// WAL, the scheduler and the transport stay open — they belong to the host
-// (shard.Runtime.Close). It also works on a poisoned or closed replica.
-func (r *Replica) Close() { r.shutdown(false) }
-
-// shutdown is the one teardown behind Close and Kill. crash is Kill's one
-// difference: the transport is detached under the lock, so entries still
-// queued send nothing.
-func (r *Replica) shutdown(crash bool) {
+// every entry this replica emitted has been committed, handed to its view
+// and woken, and every outstanding call has failed. The WAL, the scheduler and the
+// transport stay open — they belong to the host, which also decides whether
+// the queued entries still reach the wire (shard.Runtime.Close and Kill).
+// It also works on a poisoned or closed replica.
+func (r *Replica) Close() {
 	r.mu.Lock()
 	r.haltLocked()
-	if crash {
-		// The outbox consumer reloads the transport per entry owner.
-		r.tr = nil
-	}
 	r.mu.Unlock()
 
 	r.batch.close()
@@ -442,13 +423,6 @@ func (r *Replica) IOFail(err error) {
 	defer r.mu.Unlock()
 	r.haltLocked()
 }
-
-// Kill is the group's half of a simulated process crash (chaos): no further
-// message leaves the replica, every outstanding call fails, and when Kill
-// returns the replica's queued entries are through and it is externally
-// silent. The host aborts the WAL first (shard.Runtime.Kill), so queued
-// commits fail rather than make the crashed state durable.
-func (r *Replica) Kill() { r.shutdown(true) }
 
 // FaultInjectStaleReads breaks the read path on purpose: Get then returns an
 // overwritten key's previous value, which the chaos suite's teeth test must

@@ -212,9 +212,9 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	io := smr.NewIOScheduler(w)
+	io := smr.NewIOScheduler(w, 1)
 	defer io.Close()
-	bare := smr.NewIOScheduler(nil) // an in-memory process: nothing commits a journal
+	bare := smr.NewIOScheduler(nil, 1) // an in-memory process: nothing commits a journal
 	defer bare.Close()
 	good := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
 	for _, tc := range []struct {
@@ -228,20 +228,20 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 		{"tick 0", good, 0, nil, smr.ReplicaOptions{}},
 		{"tick < 0", good, -time.Millisecond, nil, smr.ReplicaOptions{}},
 		{"2ε >= lease duration", good, time.Millisecond, nil, smr.ReplicaOptions{Leases: &smr.LeaseOptions{Duration: 100 * time.Millisecond, Epsilon: 50 * time.Millisecond}}},
-		{"durable on a scheduler without a log", good, time.Millisecond, bare, smr.ReplicaOptions{Durability: &smr.DurabilityOptions{Dir: dir, Journal: w}}},
+		{"durable on a scheduler without a log", good, time.Millisecond, bare, smr.ReplicaOptions{Durability: &smr.DurabilityOptions{Dir: dir}}},
 	} {
 		sched := io
 		if tc.io != nil {
 			sched = tc.io
 		}
-		if r, _, err := smr.NewReplica(tc.cfg, tc.tick, sched, smr.FixedLeaders{}, tc.opts); err == nil {
+		if r, _, err := smr.NewReplica(tc.cfg, tc.tick, sched, smr.FixedLeaders{}, nil, tc.opts); err == nil {
 			r.Close()
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	r, _, err := smr.NewReplica(good, time.Millisecond, io, smr.FixedLeaders{}, smr.ReplicaOptions{
+	r, _, err := smr.NewReplica(good, time.Millisecond, io, smr.FixedLeaders{}, nil, smr.ReplicaOptions{
 		Leases:     &smr.LeaseOptions{},
-		Durability: &smr.DurabilityOptions{Dir: dir, Journal: w},
+		Durability: &smr.DurabilityOptions{Dir: dir},
 	})
 	if err != nil {
 		t.Fatalf("valid input rejected: %v", err)
@@ -255,7 +255,7 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 // replica is refused. Flexible quorum sizes are checked against their own
 // bound instead.
 func TestNewReplicaRefusesBelowTheBound(t *testing.T) {
-	io := smr.NewIOScheduler(nil)
+	io := smr.NewIOScheduler(nil, 1)
 	defer io.Close()
 	for _, tc := range []struct {
 		n, f, e int
@@ -275,7 +275,7 @@ func TestNewReplicaRefusesBelowTheBound(t *testing.T) {
 		{8, 3, 3, true},
 	} {
 		cfg := consensus.Config{ID: 0, N: tc.n, F: tc.f, E: tc.e, Delta: 10}
-		r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, smr.ReplicaOptions{})
+		r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, nil, smr.ReplicaOptions{})
 		if tc.ok != (err == nil) || !tc.ok && !errors.Is(err, quorum.ErrInfeasible) {
 			t.Errorf("n=%d f=%d e=%d: %v, want accepted %t", tc.n, tc.f, tc.e, err, tc.ok)
 		}
@@ -288,7 +288,7 @@ func TestNewReplicaRefusesBelowTheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := consensus.Config{ID: 0, N: 7, F: 3, E: 3, Delta: 10, FastSize: flex.Fast, RecoverySize: flex.Recovery}
-	r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, smr.ReplicaOptions{})
+	r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, nil, smr.ReplicaOptions{})
 	if err != nil {
 		t.Fatalf("flexible n=7 f=3 e=3 (%+v): %v", flex, err)
 	}
