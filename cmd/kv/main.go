@@ -61,7 +61,7 @@ func run() error {
 		tickMS  = flag.Int("tick", 5, "milliseconds per protocol tick (Δ = 10 ticks)")
 		stats   = flag.Duration("stats", 30*time.Second, "period between transport stats lines (0 disables)")
 		connect = flag.String("connect", "", "client mode: comma-separated client addresses")
-		dataDir = flag.String("data-dir", "", "durability directory (WAL + snapshots), fsynced before anything leaves the process; empty runs in-memory")
+		dataDir = flag.String("data-dir", "", "durability directory (a WAL, snapshots journaled in it), fsynced before anything leaves the process; empty runs in-memory")
 		snapEv  = flag.Int("snap-every", 64, "applied commands between snapshots (<0 disables)")
 		pprof   = flag.String("pprof", "", "serve net/http/pprof and expvar debug endpoints on this address (e.g. 127.0.0.1:6060)")
 		leases  = flag.Bool("leases", false, "enable replicated leader leases: the stable Ω leader of each group auto-acquires a lease and serves GETL from local state (docs/LEASES.md)")

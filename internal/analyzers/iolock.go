@@ -6,21 +6,20 @@ import (
 	"strings"
 )
 
-// IOLock flags blocking I/O — transport sends and WAL fsyncs — performed
-// while a mutex is held. The hot-path contract (internal/smr/outbox.go) is
-// that protocol steps compute under Replica.mu and defer their I/O to the
-// outbox consumer; an fsync or network write inside the critical section
-// serializes every other step in the process behind it, which is exactly
-// the regression the out-of-lock overhaul removed. "Held" is a lexical,
-// package-local heuristic: either the call sits between a sync.Mutex
-// Lock() and its Unlock() in the same function body, or the enclosing
-// function's name ends in "Locked" (the repository convention for "caller
-// holds the lock"). The one deliberate exception — the snapshot cut —
-// carries //lint:allow iolock.
+// IOLock flags blocking I/O — transport sends, WAL fsyncs, snapshot file
+// saves — performed while a mutex is held. The hot-path contract
+// (internal/smr/outbox.go) is that protocol steps compute under Replica.mu
+// and defer their I/O to the outbox consumer; an fsync or network write
+// inside the critical section serializes every other step in the process
+// behind it, which is exactly the regression the out-of-lock overhaul
+// removed. "Held" is a lexical, package-local heuristic: either the call sits
+// between a sync.Mutex Lock() and its Unlock() in the same function body, or
+// the enclosing function's name ends in "Locked" (the repository convention
+// for "caller holds the lock"). The tree carries no exception.
 var IOLock = &Analyzer{
 	Name: "iolock",
-	Doc: "no transport Send or WAL fsync (Append/Sync/Commit) while a " +
-		"mutex is held or inside a *Locked method",
+	Doc: "no transport Send, WAL fsync (Append/Sync/Commit) or storage.Save " +
+		"while a mutex is held or inside a *Locked method",
 	Run: runIOLock,
 }
 
@@ -102,10 +101,15 @@ func typeOf(pass *Pass, e ast.Expr) types.Type {
 
 // blockingIOCall classifies sel as one of the watched blocking operations:
 // a Send on any type from internal/transport (the Transport interface or a
-// concrete implementation), or a WAL method that fsyncs — Append (inline
-// fsync under SyncAlways), Sync, Commit. AppendBuffered is deliberately
-// absent: it only stages bytes, durability is the group commit's job.
+// concrete implementation), a WAL method that fsyncs — Append (inline
+// fsync under SyncAlways), Sync, Commit — or storage.Save, a file's write,
+// fsync and rename. AppendBuffered is deliberately absent: it only stages
+// bytes, durability is the group commit's job.
 func blockingIOCall(pass *Pass, sel *ast.SelectorExpr) string {
+	if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
+		fn.Name() == "Save" && strings.HasSuffix(fn.Pkg().Path(), "internal/storage") {
+		return "snapshot save (storage.Save)"
+	}
 	t := typeOf(pass, sel.X)
 	if t == nil {
 		return ""

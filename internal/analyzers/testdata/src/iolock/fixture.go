@@ -1,12 +1,13 @@
-// Fixture for the iolock analyzer: no transport Send or WAL fsync while a
-// mutex is held, whether the lock is taken in the function or implied by
-// the *Locked naming convention.
+// Fixture for the iolock analyzer: no transport Send, WAL fsync or snapshot
+// file save while a mutex is held, whether the lock is taken in the function
+// or implied by the *Locked naming convention.
 package fixture
 
 import (
 	"sync"
 
 	"repro/internal/consensus"
+	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -50,6 +51,19 @@ func (r *replica) fsyncUnderLock(payload []byte) {
 // caller holds it, so the fsync is still in a critical section.
 func (r *replica) appendLocked(payload []byte) {
 	_, _ = r.wal.Append(payload) // want "WAL fsync \\(Append\\) while a mutex is held"
+}
+
+// saveLocked writes a snapshot file — write, fsync, rename, directory
+// fsync — in the caller's critical section.
+func (r *replica) saveLocked(dir string, payload []byte) error {
+	return storage.Save(dir, 1, payload) // want "snapshot save \\(storage.Save\\) while a mutex is held"
+}
+
+func (r *replica) saveAfterUnlock(dir string, payload []byte) error {
+	r.mu.Lock()
+	r.out = nil
+	r.mu.Unlock()
+	return storage.Save(dir, 1, payload) // off the lock: fine
 }
 
 func (r *replica) snapshotCutLocked(payload []byte) {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -15,8 +14,8 @@ import (
 // fsync policy it measures the append-path latency, then simulates a crash
 // (a torn write injected through the WAL failpoint), restarts, and reports
 // how much the replay recovered and how long it took — the crash-restart
-// column. A final column shows the replay cost after a snapshot has
-// truncated the log behind it.
+// column. A final column shows what a restart replays after a snapshot,
+// journaled as a record, has truncated the log behind it.
 func DurableRecovery() *Result {
 	r := &Result{
 		ID:    "T3b",
@@ -43,7 +42,7 @@ func DurableRecovery() *Result {
 	r.AddNote("append µs/op includes the per-record fsync under `always` and a host-driven Sync every %d appends under `interval`; `never` defers everything to the OS.", syncEveryAppends)
 	r.AddNote("the served stack runs only `always`: shard.New refuses the other two, which let a vote or an ack leave before its record is on disk. They are measured here as the cost that rule pays.")
 	r.AddNote("crash: recovered counts records surviving an injected torn write (the record being written when the crash hit is cut mid-frame and must be truncated away on restart, hence n/n+1).")
-	r.AddNote("after snapshot cut: a snapshot is saved at the midpoint, the WAL truncated behind it, and the tail replayed — the steady-state restart path of a snapshotting replica.")
+	r.AddNote("after snapshot cut: a snapshot is journaled as a record, the WAL truncated behind it once it is durable, and what is left replayed — the steady-state restart path of a snapshotting replica, whose snapshots are WAL records.")
 	return r
 }
 
@@ -127,23 +126,22 @@ func durableRecoveryCase(pol wal.SyncPolicy) (durableRecoveryResult, error) {
 	res.recovered = rep.Records
 	res.torn = info.TornTail || rep.TornTail
 
-	// Phase 4: snapshot at the midpoint, truncate the log behind it, replay
-	// the tail — a snapshotting replica's steady-state restart.
-	cut := uint64(benchAppends / 2)
-	if err := storage.Save(dir, cut, payload); err != nil {
+	// Phase 4: journal a snapshot, truncate the log to it once it is durable
+	// and replay what is left — a snapshotting replica's steady-state restart.
+	cut, err := w2.AppendBuffered(payload)
+	if err == nil {
+		err = w2.Commit(cut)
+	}
+	if err == nil {
+		_, err = w2.TruncateBefore(cut)
+	}
+	if err == nil {
+		_, err = w2.Replay(0, func(uint64, []byte) error { res.afterCut++; return nil })
+	}
+	if err != nil {
 		w2.Close()
 		return res, err
 	}
-	if _, err := w2.TruncateBefore(cut); err != nil {
-		w2.Close()
-		return res, err
-	}
-	tail := 0
-	if _, err := w2.Replay(cut, func(uint64, []byte) error { tail++; return nil }); err != nil {
-		w2.Close()
-		return res, err
-	}
-	res.afterCut = tail
 	res.cutSegments = w2.Stats().Segments
 	return res, w2.Close()
 }

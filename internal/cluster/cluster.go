@@ -32,7 +32,7 @@ type Options struct {
 	Topology wan.Topology
 	Scale    float64
 	// Dir, when non-empty, makes the cluster durable: process i keeps its
-	// shared WAL and snapshots under Dir/p<i> and can be Killed and
+	// shared WAL, snapshots included, under Dir/p<i> and can be Killed and
 	// Restarted from there.
 	Dir string
 	// SnapshotEvery is shard.Durability.SnapshotEvery.

@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -15,13 +17,13 @@ import (
 )
 
 // Runtime is one process: it hosts N independent consensus groups, each an
-// smr.Replica with its own slot space, lease and snapshot store, and is the
+// smr.Replica with its own slot space, lease and snapshots, and is the
 // one owner of everything a process has one of, which it opens, hands to
 // every group, and alone closes:
 //
 //   - one transport, shared through group-tagged envelopes (envelope.go):
 //     each group sends on a view of it, fixed when the group is built;
-//   - one WAL, interleaving group-tagged records;
+//   - one WAL, interleaving group-tagged records, snapshots included;
 //   - one outbox/fsync scheduler (smr.IOScheduler) built on that WAL, the
 //     groups' only handle on it: it commits the log before anything a
 //     record guards leaves the process, so the group-commit stream coalesces
@@ -60,12 +62,11 @@ type Runtime struct {
 	closed bool
 }
 
-// Durability configures the shared WAL and per-group snapshots. The WAL
-// lives in Dir/wal and group 0's snapshots in Dir/snap; groups 1+ keep their
-// snapshots under Dir/g<i>/snap. There is one durability rule and nothing
-// selects it: no promise, vote, decision or acknowledgement leaves the
-// process before the record it depends on is on stable storage — the
-// recovering acceptor the paper's recovery rule assumes.
+// Durability configures the shared WAL, which holds every group's records
+// and snapshots: a process's durable state is Dir/wal alone. There is one
+// durability rule and nothing selects it: no promise, vote, decision or
+// acknowledgement leaves the process before the record it depends on is on
+// stable storage — the recovering acceptor the paper's recovery rule assumes.
 type Durability struct {
 	// Dir is the process data directory.
 	Dir string
@@ -95,8 +96,7 @@ type Options struct {
 	// Tick is the protocol tick duration, positive: slot timers count in it,
 	// the process heartbeats every Config.Delta ticks and gossips every 5Δ.
 	Tick time.Duration
-	// Durability, when non-nil, enables the shared WAL + per-group
-	// snapshots under Durability.Dir.
+	// Durability, when non-nil, enables the shared WAL under Durability.Dir.
 	Durability *Durability
 	// AdaptiveBatch selects nothing: every group batches its writes. It is
 	// kept only for callers that still set it.
@@ -112,7 +112,8 @@ type Options struct {
 // replay pass per group; each pass skips the other groups' records): the
 // WAL first, then the scheduler that commits it, then the groups. Groups are
 // numbered 0..Groups-1. A Durability.Policy other than wal.SyncAlways is
-// refused.
+// refused, and so is a snapshot file of the older layout (Dir/snap/*,
+// Dir/g<i>/snap/*), which nothing reads though the WAL was truncated behind it.
 func New(opts Options) (*Runtime, error) {
 	if opts.Groups < 1 {
 		return nil, fmt.Errorf("shard: groups must be >= 1, got %d", opts.Groups)
@@ -130,6 +131,11 @@ func New(opts Options) (*Runtime, error) {
 		if d.Policy != wal.SyncAlways {
 			return nil, fmt.Errorf("shard: fsync policy %q refused: nothing leaves the process before the records it depends on are on stable storage (%q)", d.Policy, wal.SyncAlways)
 		}
+		for _, pattern := range []string{"snap/*", "g*/snap/*"} {
+			if old, _ := fs.Glob(os.DirFS(d.Dir), pattern); len(old) > 0 {
+				return nil, fmt.Errorf("shard: %s is a snapshot file of an older data layout: snapshots are WAL records now, and this directory's WAL was truncated behind that file", filepath.Join(d.Dir, old[0]))
+			}
+		}
 		w, winfo, err := wal.Open(filepath.Join(d.Dir, "wal"), wal.Options{
 			SyncHook:       d.SyncHook,
 			FailpointLimit: d.FailpointLimit,
@@ -143,15 +149,7 @@ func New(opts Options) (*Runtime, error) {
 	for g := 0; g < opts.Groups; g++ {
 		ro := smr.ReplicaOptions{Leases: opts.Leases}
 		if opts.Durability != nil {
-			dir := opts.Durability.Dir
-			if g > 0 {
-				dir = filepath.Join(dir, fmt.Sprintf("g%d", g))
-			}
-			ro.Durability = &smr.DurabilityOptions{
-				Dir:           dir,
-				Group:         g,
-				SnapshotEvery: opts.Durability.SnapshotEvery,
-			}
+			ro.Durability = &smr.DurabilityOptions{Group: g, SnapshotEvery: opts.Durability.SnapshotEvery}
 		}
 		r, info, err := smr.NewReplica(opts.Config, opts.Tick, rt.io, rt.leaders, groupView{rt: rt, g: g}, ro)
 		if err != nil {

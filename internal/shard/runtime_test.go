@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/smr"
-	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -157,7 +158,7 @@ func TestRuntimeAlwaysBatches(t *testing.T) {
 
 // TestRuntimeGracefulRecovery writes through a durable sharded cluster,
 // closes it, and reopens each process from disk: every group's state must
-// come back from the demuxed shared WAL + per-group snapshots.
+// come back from the demuxed shared WAL.
 func TestRuntimeGracefulRecovery(t *testing.T) {
 	const groups = 4
 	var dirs [3]string
@@ -180,7 +181,7 @@ func TestRuntimeGracefulRecovery(t *testing.T) {
 	}
 	mesh.Close()
 
-	// Reopen process 0 alone: recovery is local (snapshot + WAL), no
+	// Reopen process 0 alone: recovery is local (the WAL), no
 	// transport or peers needed.
 	rt, err := shard.New(shard.Options{
 		Groups:     groups,
@@ -252,9 +253,9 @@ func TestRuntimeCrashRecovery(t *testing.T) {
 }
 
 // jsonEraDir opens a 1-group runtime on a data directory whose WAL holds one
-// record, and (if snap is set) whose snapshot directory one blob, as the last
-// JSON-writing commit left them — and returns the error and what the WAL
-// holds afterwards.
+// record, and (if snap is set) whose snapshot directory one snapshot file, as
+// the last JSON-writing commit left them — and returns the error and what the
+// WAL holds afterwards.
 func jsonEraDir(t *testing.T, record, snap string) (wal.Stats, error) {
 	t.Helper()
 	dir := t.TempDir()
@@ -269,9 +270,7 @@ func jsonEraDir(t *testing.T, record, snap string) (wal.Stats, error) {
 		t.Fatal(err)
 	}
 	if snap != "" {
-		if err := storage.Save(filepath.Join(dir, "snap"), 1, []byte(snap)); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, filepath.Join(dir, "snap", oldSnapName), snap)
 	}
 	rt, err := shard.New(shard.Options{
 		Groups:     1,
@@ -288,6 +287,20 @@ func jsonEraDir(t *testing.T, record, snap string) (wal.Stats, error) {
 	}
 	defer w.Close()
 	return w.Stats(), err
+}
+
+// oldSnapName is the name the older layout gave the snapshot of applied index 1.
+const oldSnapName = "snap-0000000000000001.snap"
+
+// writeFile writes body to path, making its directory.
+func writeFile(t *testing.T, path, body string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 const (
@@ -307,11 +320,12 @@ func TestOpenRejectsJSONWAL(t *testing.T) {
 	}
 }
 
-// The same for the snapshot blob, which recovery reads first.
+// The same for a JSON-era snapshot, which is a file of the older layout:
+// nothing reads it any more, so the open refuses it by name before the WAL.
 func TestOpenRejectsJSONSnapshot(t *testing.T) {
 	st, err := jsonEraDir(t, jsonEraDecide, jsonEraSnapshot)
-	if !errors.Is(err, consensus.ErrFormatVersion) || !strings.Contains(err.Error(), "snapshot") {
-		t.Fatalf("open on a JSON snapshot: %v, want the format-version error naming the snapshot", err)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join("snap", oldSnapName)) {
+		t.Fatalf("open on a JSON snapshot: %v, want the older-layout error naming the snapshot file", err)
 	}
 	if st.NextIndex != 2 {
 		t.Fatalf("WAL next index %d after the refused open, want 2", st.NextIndex)
@@ -319,7 +333,7 @@ func TestOpenRejectsJSONSnapshot(t *testing.T) {
 }
 
 // TestShardedWALLayoutSingleGroup pins the on-disk layout: a 1-group runtime
-// writes Dir/wal and Dir/snap, with no g0 subdirectory.
+// writes Dir/wal, with no g0 subdirectory.
 func TestShardedWALLayoutSingleGroup(t *testing.T) {
 	dir := t.TempDir()
 	rt, err := shard.New(shard.Options{
@@ -341,6 +355,81 @@ func TestShardedWALLayoutSingleGroup(t *testing.T) {
 	}
 	if m, _ := filepath.Glob(filepath.Join(dir, "g0")); len(m) != 0 {
 		t.Fatalf("1-group runtime created %v: group 0 lives in the data directory itself", m)
+	}
+}
+
+// TestNewRefusesOldSnapshotLayout: a snapshot file where the older layout
+// kept group 0's (Dir/snap) or group i's (Dir/g<i>/snap) holds state whose
+// WAL prefix was truncated, and nothing reads it now: the open is refused
+// with an error that names the file, before the WAL is opened.
+func TestNewRefusesOldSnapshotLayout(t *testing.T) {
+	for _, sub := range []string{"snap", filepath.Join("g1", "snap")} {
+		dir := t.TempDir()
+		file := filepath.Join(dir, sub, oldSnapName)
+		writeFile(t, file, "SNAP0001")
+		rt, err := shard.New(shard.Options{
+			Groups:     2,
+			Config:     consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10},
+			Tick:       time.Millisecond,
+			Durability: &shard.Durability{Dir: dir},
+		})
+		if err == nil {
+			rt.Close()
+			t.Fatalf("a snapshot file in %s accepted", sub)
+		}
+		if !strings.Contains(err.Error(), file) {
+			t.Fatalf("refusing %s: %v, want the error to name the file", file, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "wal")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("the refused open made a WAL: %v", err)
+		}
+	}
+}
+
+// TestDataDirHoldsOnlyWAL: a durable process's state is its WAL alone. After
+// a run in which every group of every process journals snapshots, each data
+// directory holds wal/ and nothing else.
+func TestDataDirHoldsOnlyWAL(t *testing.T) {
+	const groups = 2
+	var dirs [3]string
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	rts, mesh := bootClusterWith(t, groups, func(i int) *shard.Durability {
+		return &shard.Durability{Dir: dirs[i], SnapshotEvery: 4}
+	})
+	c := ctx(t)
+	for i := 0; i < 64; i++ {
+		if err := rts[0].Put(c, fmt.Sprintf("key-%d", i), "v"); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	for i, rt := range rts {
+		rt.SyncIO()
+		for g := 0; g < groups; g++ {
+			if info := rt.Group(g).Info(); info.SnapshotIndex == 0 {
+				t.Fatalf("process %d group %d took no snapshot in %d applied", i, g, info.Applied)
+			}
+		}
+	}
+	for _, rt := range rts {
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mesh.Close()
+	for i, dir := range dirs {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, []string{"wal"}) {
+			t.Fatalf("process %d's data directory holds %v, want [wal]", i, names)
+		}
 	}
 }
 

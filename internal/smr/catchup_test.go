@@ -3,7 +3,6 @@ package smr_test
 import (
 	"context"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/smr"
 	"repro/internal/smr/slotlog"
 	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
 // TestLaggingReplicaCatchesUpViaSnapshot cuts one replica off while the
@@ -233,25 +233,31 @@ func (c *testCluster) waitRetired(want int) {
 	}
 }
 
-// snapshotFiles lists the snapshot files under a process's data directory.
-func snapshotFiles(t *testing.T, dir string) (names []string) {
+// snapshotRecords counts the snapshot records in the journal of a closed
+// process under dir: those whose kind, the payload's second byte, is
+// slotlog.RecSnap.
+func snapshotRecords(t *testing.T, dir string) (n int) {
 	t.Helper()
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Base(filepath.Dir(path)) == "snap" {
-			names = append(names, path)
-		}
-		return err
-	})
+	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return names
+	defer w.Close()
+	if _, err := w.Replay(0, func(_ uint64, p []byte) error {
+		if len(p) > 1 && p[1] == slotlog.RecSnap {
+			n++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestCatchupShipsSuffix: a replica that missed k Decides is sent those k
 // decided values — one reply, as long as the k commands, with no store in it —
-// and adopts them as decisions: nothing is installed and no snapshot file is
-// written. At the parent it was sent the whole store and checkpointed it
+// and adopts them as decisions: nothing is installed and no snapshot is
+// journaled. At the parent it was sent the whole store and checkpointed it
 // under the lock.
 func TestCatchupShipsSuffix(t *testing.T) {
 	const k = 10
@@ -273,7 +279,7 @@ func TestCatchupShipsSuffix(t *testing.T) {
 	tap := &catchupTap{lo: 1, hi: 1 + k}
 	tap.hold.Store(true) // one Status after the last write: one gap, not several
 	c.fab.Attach(2, tap.wrap(c.rts[2].Handler()))
-	filesBefore, snapBefore := snapshotFiles(t, filepath.Join(base, "r2")), replicas[2].Info().SnapshotIndex
+	snapBefore := replicas[2].Info().SnapshotIndex
 
 	size := 0
 	for i := 0; i < k; i++ {
@@ -307,7 +313,7 @@ func TestCatchupShipsSuffix(t *testing.T) {
 		t.Fatalf("the reply is %d bytes for %d commands of %d bytes", n, k, size)
 	}
 	info := replicas[2].Info()
-	if info.Catchup.Installed != 0 || info.SnapshotIndex != snapBefore || !slices.Equal(snapshotFiles(t, filepath.Join(base, "r2")), filesBefore) {
+	if info.Catchup.Installed != 0 || info.SnapshotIndex != snapBefore {
 		t.Fatalf("healing a Decide gap installed %d snapshots and moved the durable one %d -> %d", info.Catchup.Installed, snapBefore, info.SnapshotIndex)
 	}
 	sent := slotlog.CatchupStats{}
@@ -323,6 +329,10 @@ func TestCatchupShipsSuffix(t *testing.T) {
 		if v, ok := replicas[2].Get(fmt.Sprintf("k%d", i)); !ok || v != "v" {
 			t.Fatalf("k%d = %q,%t after the suffix", i, v, ok)
 		}
+	}
+	c.close()
+	if n := snapshotRecords(t, filepath.Join(base, "r2")); n != 0 {
+		t.Fatalf("healing a Decide gap journaled %d snapshot records", n)
 	}
 }
 
@@ -639,5 +649,72 @@ func TestOneRequestPerGap(t *testing.T) {
 		if step.do(); !slices.Equal(asked(), step.want) {
 			t.Fatalf("%s: requests went to %v, want %v", step.what, asked(), step.want)
 		}
+	}
+}
+
+// TestInstallSendsNothingBeforeItsSnapshotIsDurable: a snapshot install
+// jumps the store with no journal record behind it, so the snapshot the
+// replica journals right after it is critical. With the fsync stalled, the
+// replica installs a peer's cut and is then asked, below its new floor, for
+// state it only has from that cut: its answer waits for the snapshot's
+// commit, and leaves once the fsync is released.
+func TestInstallSendsNothingBeforeItsSnapshotIsDurable(t *testing.T) {
+	var stall atomic.Bool
+	release, stalled := make(chan struct{}), make(chan struct{}, 1)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	hook := func() {
+		if stall.Load() {
+			select {
+			case stalled <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+	}
+	rt, err := shard.New(shard.Options{
+		Groups:     1,
+		Config:     consensus.Config{ID: 2, N: 3, F: 1, E: 1, Delta: 10},
+		Tick:       time.Millisecond,
+		Durability: &shard.Durability{Dir: t.TempDir(), SyncHook: hook},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &captureTr{self: 2}
+	rt.BindTransport(tr)
+	defer func() { unblock(); rt.Close() }() // a stalled consumer cannot drain
+	r := rt.Group(0)
+	sent := func() int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.sent)
+	}
+
+	stall.Store(true)
+	r.Handle(0, &smr.CatchupReply{Applied: 5, Store: map[string]string{"k": "v"}})
+	if r.Applied() != 5 {
+		t.Fatalf("applied %d after the cut, want 5", r.Applied())
+	}
+	r.Handle(1, slotMsg(t, 0, &core.OneA{Ballot: 1}))
+	time.Sleep(50 * time.Millisecond) // room to leak
+	if n := sent(); n != 0 {
+		t.Fatalf("%d messages left before the snapshot backing the install was durable", n)
+	}
+	select {
+	case <-stalled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("nothing committed the installed snapshot")
+	}
+
+	unblock()
+	r.SyncIO()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if len(tr.sent) != 1 || tr.sent[0].to != 1 {
+		t.Fatalf("sent %+v once the fsync was released, want the cut to process 1", tr.sent)
+	}
+	if c, ok := tr.sent[0].msg.(*smr.CatchupReply); !ok || c.Applied != 5 || c.Store["k"] != "v" {
+		t.Fatalf("answered slot 0 below the floor with %+v, want the installed cut", tr.sent[0].msg)
 	}
 }

@@ -91,14 +91,14 @@ func TestDecodersRefuseOversizeWithoutAllocating(t *testing.T) {
 	cmdSubs := consensus.Value{Data: string(oversizeClaim(4, 0, 0, 0))}
 	record := appendWalEntry(nil, slotlog.Record{Kind: slotlog.RecDecide, Slot: 1})
 	record = append(record[:walHeaderLen+8], oversizeClaim()...)
-	snapshot := append([]byte{consensus.FormatVersion, 0, 0, 0}, oversizeClaim()...)
-	suffix := oversizeClaim(0, 0)         // applied 0, a suffix: the count of decided values
-	store := oversizeClaim(0, 1, 0, 0, 0) // applied 0, part 0 of 1, no lease: the count of pairs
+	snapshot := oversizeClaim(consensus.FormatVersion, 0) // sequence 0: the count of open slots
+	suffix := oversizeClaim(0, 0)                         // applied 0, a suffix: the count of decided values
+	store := oversizeClaim(0, 1, 0, 0, 0)                 // applied 0, part 0 of 1, no lease: the count of pairs
 	refuse := map[string]func() error{
 		"command id":   func() error { _, err := DecodeCommand(cmdID); return err },
 		"command subs": func() error { _, err := DecodeCommand(cmdSubs); return err },
 		"wal decide value": func() error {
-			_, _, err := decodeWalEntry(record, 0, 0)
+			_, _, err := decodeWalEntry(record, 0)
 			return err
 		},
 		"snapshot open slots": func() error { _, err := decodeSnapshot(snapshot); return err },
@@ -128,29 +128,27 @@ func codecWalEntries() []slotlog.Record {
 			Mode: core.ModeObject, InitialVal: v, Val: v, Proposer: 0, Decided: consensus.None, PendingMax: consensus.None}},
 		{Kind: slotlog.RecState, G: 0, Slot: 5, State: core.State{
 			Mode: core.ModeObject, InitialVal: consensus.None, Val: v, Proposer: 2, Bal: 7, VBal: 7, Decided: v, PendingMax: consensus.IntValue(9)}},
+		{Kind: slotlog.RecSnap, G: 0, Slot: 0, Snap: codecSnapshots()[0]},
 	}
 }
 
 func TestWalEntryCodecRoundTrip(t *testing.T) {
 	for i, e := range codecWalEntries() {
 		p := appendWalEntry(nil, e)
-		got, mine, err := decodeWalEntry(p, e.G, 0)
-		if err != nil || !mine || got != e {
+		got, mine, err := decodeWalEntry(p, e.G)
+		if err != nil || !mine || !reflect.DeepEqual(got, e) {
 			t.Fatalf("entry %d: decoded %+v, mine %t, %v", i, got, mine, err)
 		}
 		if again := appendWalEntry(nil, got); !bytes.Equal(again, p) {
 			t.Fatalf("entry %d: re-encoding differs", i)
 		}
-		// Another group's record, and a slot the snapshot covers, are told
-		// from the header: the body may be anything.
+		// Another group's record is told from the header: the body may be
+		// anything.
 		junk := append(p[:walHeaderLen:walHeaderLen], 0xff, 0xff)
-		if _, mine, err := decodeWalEntry(junk, e.G+1, 0); mine || err != nil {
+		if _, mine, err := decodeWalEntry(junk, e.G+1); mine || err != nil {
 			t.Fatalf("entry %d: a neighbour's record: mine %t, %v", i, mine, err)
 		}
-		if _, mine, err := decodeWalEntry(junk, e.G, e.Slot+1); mine || err != nil {
-			t.Fatalf("entry %d: a superseded slot: mine %t, %v", i, mine, err)
-		}
-		if _, _, err := decodeWalEntry(junk, e.G, 0); err == nil {
+		if _, _, err := decodeWalEntry(junk, e.G); err == nil {
 			t.Fatalf("entry %d: a junk body decoded", i)
 		}
 	}
@@ -164,11 +162,11 @@ func TestWalEntryCodecRoundTrip(t *testing.T) {
 		"short header": {consensus.FormatVersion, slotlog.RecDecide, 0, 0},
 		"unknown kind": append([]byte{consensus.FormatVersion, 'x'}, make([]byte, 12)...),
 	} {
-		if _, _, err := decodeWalEntry(p, 0, 0); err == nil {
+		if _, _, err := decodeWalEntry(p, 0); err == nil {
 			t.Errorf("%s record decoded", name)
 		}
 	}
-	if _, _, err := decodeWalEntry([]byte(`{"k":"d"}`), 0, 0); !errors.Is(err, consensus.ErrFormatVersion) {
+	if _, _, err := decodeWalEntry([]byte(`{"k":"d"}`), 0); !errors.Is(err, consensus.ErrFormatVersion) {
 		t.Errorf("json record: %v, want ErrFormatVersion", err)
 	}
 }
@@ -185,7 +183,7 @@ func codecSnapshots() []*slotlog.Snapshot {
 				Decided:     map[int]consensus.Value{901: v, 905: consensus.IntValue(4)},
 				LeaseHolder: &holder, LeaseRemain: 1_999_999_999,
 			},
-			CompactFloor: 880, Seq: 4123, WalNext: 1 << 33,
+			Seq: 4123,
 			Slots: map[int]core.State{
 				900: {Mode: core.ModeObject, InitialVal: v, Val: v, Proposer: 0, Decided: consensus.None, PendingMax: consensus.None},
 				903: {Mode: core.ModeObject, InitialVal: consensus.None, Val: v, Proposer: 2, Bal: 6, VBal: 6, Decided: consensus.None, PendingMax: consensus.None},
@@ -324,7 +322,7 @@ func FuzzWalEntryDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"k":"s","slot":3,"st":{"mode":2}}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		e, mine, err := decodeWalEntry(payload, 0, 0)
+		e, mine, err := decodeWalEntry(payload, 0)
 		if err != nil || !mine {
 			return
 		}

@@ -1,33 +1,30 @@
 package smr
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/smr/slotlog"
-	"repro/internal/storage"
 )
 
 // The durability layer turns the replica from the paper's crash-stop model
 // into crash-recovery: every per-slot durable fact (current ballot, last
 // vote, decided value) is journaled to a WAL before any message or client
 // acknowledgement that depends on it leaves the process, and the applied
-// store state is checkpointed into atomic snapshots so the WAL can be
-// truncated. On restart the replica replays snapshot + WAL tail and
-// resumes with its promises intact — the property the paper's recovery
-// rule (set R, Lemmas 3 and 7) assumes of a recovering acceptor.
+// store state is checkpointed into it as snapshot records, so it can be
+// truncated. A restart replays the newest whole snapshot and the records after
+// it, promises intact — what the paper's recovery rule (set R, Lemmas 3 and 7)
+// assumes of a recovering acceptor.
 
 // DurabilityOptions configures a replica's journal and snapshots
 // (ReplicaOptions.Durability). The journal is the log the replica's
 // IOScheduler was built on, which the scheduler's owner opened and alone
-// syncs, aborts and closes.
+// syncs, aborts and closes; the replica's snapshots are records in it.
 type DurabilityOptions struct {
-	// Dir is the group's data directory: snapshots live in Dir/snap.
-	Dir string
 	// Group tags every record this replica appends to the journal and
 	// filters replay: records carrying another group's id are skipped. It
 	// names one of the scheduler's groups, whose truncation floor it sets.
@@ -43,24 +40,21 @@ const defaultSnapshotEvery = 64
 type RecoveryInfo struct {
 	Recovered       bool // any prior on-disk state was found
 	SnapshotApplied int  // applied index of the snapshot used (0 if none)
-	WalRecords      int  // WAL records replayed on top of the snapshot
+	WalRecords      int  // WAL records replayed, the snapshot's among them
 	TornTail        bool // replay stopped at a torn record (what opening the log truncated, its owner knows)
 	Applied         int  // applied index after recovery
 	OpenSlots       int  // live slot instances restored
 }
 
-// durable is the replica's journal and snapshot state (guarded by
-// Replica.mu): the group its records carry and the newest snapshot's index.
-// buffered is the WAL index of the last record appended; critical is the
-// newest one that guards safety (slotlog.Record's Critical). Outbox entries
-// that only carry messages wait for critical; entries that complete callers
-// wait for buffered — an acknowledgement promises everything the step
-// journaled is durable.
+// durable is the replica's journal state (guarded by Replica.mu): the group
+// its records carry. buffered is the WAL index of the last record appended;
+// critical is the newest one that guards safety (slotlog.Record's Critical).
+// Outbox entries that only carry messages wait for critical; entries that
+// complete callers wait for buffered — an acknowledgement promises everything
+// the step journaled is durable.
 type durable struct {
 	group              int
-	snapDir            string
 	buffered, critical uint64
-	snapIndex          int
 }
 
 // A WAL record is the log's (slotlog.Record) with the group that wrote it,
@@ -72,21 +66,24 @@ type durable struct {
 // that replay tells whose record it is, and for which slot, from the header.
 const walHeaderLen = 1 + 1 + 4 + 8
 
-// appendWalEntry appends e's record payload: the header, then the state or
-// the value in its binary form.
+// appendWalEntry appends e's record payload: the header, then the state, the
+// value or the snapshot part in its binary form.
 func appendWalEntry(dst []byte, e slotlog.Record) []byte {
 	dst = append(dst, consensus.FormatVersion, e.Kind)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(e.G))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(e.Slot))
-	if e.Kind == slotlog.RecState {
+	switch e.Kind {
+	case slotlog.RecState:
 		return core.AppendState(dst, e.State)
+	case slotlog.RecSnap:
+		return appendSnapshot(dst, e.Snap)
 	}
 	return consensus.AppendValue(dst, e.Val)
 }
 
 // decodeWalEntry reads a record payload. mine is false, and the body left
-// undecoded, for another group's record or a slot below minSlot.
-func decodeWalEntry(payload []byte, group, minSlot int) (e slotlog.Record, mine bool, err error) {
+// undecoded, for another group's record.
+func decodeWalEntry(payload []byte, group int) (e slotlog.Record, mine bool, err error) {
 	if _, err := consensus.NewVersionedDecoder(payload, "smr durability: wal record"); err != nil {
 		return slotlog.Record{}, false, err
 	}
@@ -96,7 +93,7 @@ func decodeWalEntry(payload []byte, group, minSlot int) (e slotlog.Record, mine 
 	e.Kind = payload[1]
 	e.G = int(binary.BigEndian.Uint32(payload[2:]))
 	e.Slot = int(binary.BigEndian.Uint64(payload[6:]))
-	if e.G != group || e.Slot < minSlot {
+	if e.G != group {
 		return e, false, nil
 	}
 	d := consensus.NewDecoder(payload[walHeaderLen:])
@@ -105,6 +102,9 @@ func decodeWalEntry(payload []byte, group, minSlot int) (e slotlog.Record, mine 
 		e.State = core.DecodeState(&d)
 	case slotlog.RecDecide:
 		e.Val = d.Value()
+	case slotlog.RecSnap:
+		e.Snap, err = decodeSnapshot(d.Rest())
+		return e, err == nil, err
 	default:
 		d.Fail(consensus.ErrNotCanonical)
 	}
@@ -114,15 +114,13 @@ func decodeWalEntry(payload []byte, group, minSlot int) (e slotlog.Record, mine 
 	return e, true, nil
 }
 
-// appendSnapshot appends s's blob, which is handed to internal/storage (replay
-// resumes at WalNext, and everything before it may be truncated): the
-// format-version byte, the scalars, the open slots in ascending order, then
-// the cut, a CatchupReply body, as the rest.
+// appendSnapshot appends the blob of s, one part of a snapshot, which is a
+// snapshot record's body: the format-version byte, the sequence, the open
+// slots in ascending order, then the cut's part, a CatchupReply body, as the
+// rest.
 func appendSnapshot(dst []byte, s *slotlog.Snapshot) []byte {
 	dst = append(dst, consensus.FormatVersion)
-	dst = consensus.AppendVarint(dst, int64(s.CompactFloor))
 	dst = consensus.AppendVarint(dst, s.Seq)
-	dst = consensus.AppendUvarint(dst, s.WalNext)
 	dst = consensus.AppendUvarint(dst, uint64(len(s.Slots)))
 	open := make([]int, 0, len(s.Slots))
 	for n := range s.Slots {
@@ -141,7 +139,7 @@ func decodeSnapshot(blob []byte) (*slotlog.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &slotlog.Snapshot{CompactFloor: int(d.Varint()), Seq: d.Varint(), WalNext: d.Uvarint()}
+	s := &slotlog.Snapshot{Seq: d.Varint()}
 	// An open slot is at least its number and a nine-byte state.
 	if open := d.Count(10); open > 0 {
 		s.Slots = make(map[int]core.State, open)
@@ -167,40 +165,21 @@ func decodeSnapshot(blob []byte) (*slotlog.Snapshot, error) {
 }
 
 // recoverFrom, NewReplica's last step, builds the replica's log from the
-// snapshots under opts.Dir and the group's records in the scheduler's log.
+// group's records in the scheduler's log, in one pass: a snapshot read back
+// whole resets the log, and the records after it replay on top.
 func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (RecoveryInfo, error) {
-	if opts.Dir == "" {
-		return RecoveryInfo{}, fmt.Errorf("smr durability: empty dir")
-	}
 	if opts.Group < 0 || opts.Group >= len(r.io.floors) {
 		return RecoveryInfo{}, fmt.Errorf("smr durability: group %d on a scheduler of %d groups", opts.Group, len(r.io.floors))
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
 	}
-	snapDir := filepath.Join(opts.Dir, "snap")
-	snapIdx, blob, haveSnap, err := storage.Load(snapDir)
-	if err != nil {
-		return RecoveryInfo{}, fmt.Errorf("smr durability: %w", err)
-	}
-	snap := &slotlog.Snapshot{}
-	if haveSnap {
-		if snap, err = decodeSnapshot(blob); err != nil {
-			return RecoveryInfo{}, err
-		}
-	}
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.dur = &durable{group: opts.Group, snapDir: snapDir, snapIndex: int(snapIdx)}
+	r.dur = &durable{group: opts.Group}
 	r.log = slotlog.New(cfg, r.ls.table(), max(opts.SnapshotEvery, 0))
-	if haveSnap {
-		r.stepLocked(slotlog.Input{Kind: slotlog.Restore, Snap: snap}, nil, nil)
-	}
-	rinfo, err := r.io.log.Replay(snap.WalNext, func(_ uint64, payload []byte) error {
-		// Not mine: another group's record in the shared WAL, or a slot the
-		// snapshot supersedes.
-		rec, mine, err := decodeWalEntry(payload, opts.Group, snap.Cut.Applied)
+	rinfo, err := r.io.log.Replay(0, func(_ uint64, payload []byte) error {
+		rec, mine, err := decodeWalEntry(payload, opts.Group)
 		if err == nil && mine {
 			r.stepLocked(slotlog.Input{Kind: slotlog.Recover, Record: rec}, nil, nil)
 		}
@@ -209,6 +188,7 @@ func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (Rec
 	if err != nil {
 		return RecoveryInfo{}, err
 	}
+	snapAt := r.log.Info().SnapshotIndex
 	eff := r.log.Step(slotlog.Input{Kind: slotlog.Open, Now: r.ls.now()})
 	if eff.Err != nil {
 		return RecoveryInfo{}, eff.Err
@@ -216,18 +196,18 @@ func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (Rec
 	r.carryOutLocked(eff, nil)
 	li := r.log.Info()
 	return RecoveryInfo{
-		Recovered: haveSnap || rinfo.Records > 0, SnapshotApplied: snap.Cut.Applied,
+		Recovered: rinfo.Records > 0, SnapshotApplied: snapAt,
 		WalRecords: rinfo.Records, TornTail: rinfo.TornTail,
 		Applied: li.Applied, OpenSlots: li.OpenSlots,
 	}, nil
 }
 
 // journalLocked appends a step's records to the scheduler's log, if the
-// replica is durable, buffered for the outbox consumer to commit; false means
-// an append failed.
-func (r *Replica) journalLocked(recs []slotlog.Record) bool {
+// replica is durable, buffered for the outbox consumer to commit; cut is the
+// place of a snapshot among them, and ok false means an append failed.
+func (r *Replica) journalLocked(recs []slotlog.Record) (cut snapCut, ok bool) {
 	if r.dur == nil {
-		return true
+		return cut, true
 	}
 	for _, rec := range recs {
 		bp := consensus.Scratch()
@@ -236,46 +216,26 @@ func (r *Replica) journalLocked(recs []slotlog.Record) bool {
 		idx, err := r.io.log.AppendBuffered(payload) // copies the payload into its frame
 		consensus.Release(bp, payload)
 		if err != nil {
-			return false
+			return snapCut{}, false
 		}
 		r.dur.buffered = idx
 		if rec.Critical {
 			r.dur.critical = idx
 		}
+		if rec.Kind == slotlog.RecSnap {
+			cut = snapCut{g: r.dur.group, from: cmp.Or(cut.from, idx), to: idx}
+		}
 	}
-	return true
-}
-
-// saveLocked saves a snapshot and truncates the WAL behind it, as far as the
-// process's other groups allow.
-func (r *Replica) saveLocked(snap *slotlog.Snapshot) bool {
-	if snap == nil || r.dur == nil {
-		return true
-	}
-	snap.WalNext = r.io.log.NextIndex()
-	blob := appendSnapshot(nil, snap)
-	// The WAL must be on disk before the snapshot that references WalNext:
-	// a cold path, so the in-lock fsync is tolerable.
-	//lint:allow iolock snapshot cut must be atomic with the state it captures
-	if err := r.io.log.Sync(); err != nil {
-		return false
-	}
-	if err := storage.Save(r.dur.snapDir, uint64(snap.Cut.Applied), blob); err != nil {
-		return false
-	}
-	r.dur.snapIndex = snap.Cut.Applied
-	_, err := r.io.truncateBefore(r.dur.group, snap.WalNext)
-	return err == nil
+	return cut, true
 }
 
 // ReplicaInfo is one group's operational summary (shard.Info renders the
 // INFO line from it): the log's, whether the group journals (its host reports
-// the log itself), its newest snapshot's index, and its lease counters.
+// the log itself), and its lease counters.
 type ReplicaInfo struct {
 	slotlog.Info
-	Durable       bool        `json:"durable"`
-	SnapshotIndex int         `json:"snapshotIndex,omitempty"`
-	Lease         *LeaseStats `json:"lease,omitempty"`
+	Durable bool        `json:"durable"`
+	Lease   *LeaseStats `json:"lease,omitempty"`
 }
 
 // Info reports the replica's applied index, open slots, and durability
@@ -287,10 +247,5 @@ func (r *Replica) Info() ReplicaInfo {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	info := ReplicaInfo{Info: r.log.Info(), Lease: lst}
-	if r.dur != nil {
-		info.Durable = true
-		info.SnapshotIndex = r.dur.snapIndex
-	}
-	return info
+	return ReplicaInfo{Info: r.log.Info(), Durable: r.dur != nil, Lease: lst}
 }

@@ -455,8 +455,7 @@ func TestDurableInfoReportsWalAndSnapshotState(t *testing.T) {
 
 // TestEnableDurabilityTwiceFails: durability is a NewReplica option, so a
 // replica is made durable once, at construction, or not at all. What is left
-// to refuse is an incomplete option: no data dir, or a group the scheduler
-// keeps no truncation floor for.
+// to refuse is a group the scheduler keeps no truncation floor for.
 func TestEnableDurabilityTwiceFails(t *testing.T) {
 	// The test is the group's owner here: its scheduler, its WAL.
 	dir := t.TempDir()
@@ -472,15 +471,11 @@ func TestEnableDurabilityTwiceFails(t *testing.T) {
 		r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, nil, smr.ReplicaOptions{Durability: &d})
 		return r, err
 	}
-	if r, err := open(smr.DurabilityOptions{}); err == nil {
-		r.Close()
-		t.Fatal("empty dir accepted")
-	}
-	if r, err := open(smr.DurabilityOptions{Dir: dir, Group: 1}); err == nil {
+	if r, err := open(smr.DurabilityOptions{Group: 1}); err == nil {
 		r.Close()
 		t.Fatal("group 1 accepted on a one-group scheduler")
 	}
-	r, err := open(smr.DurabilityOptions{Dir: dir})
+	r, err := open(smr.DurabilityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,8 +343,8 @@ func BenchmarkReadFallback(b *testing.B) {
 // recv-lock-ns/op: adopting it). The sender holds 8k keys of 200 B as of slot
 // 64, and 64 decided slots of 1 KiB above that. suffix-64slots is a peer that
 // has the store and misses the slots; snapshot-8k one that has nothing, below
-// the sender's floor. Neither journals: the fsync a durable receiver adds to
-// a snapshot install is storage.save_ms.
+// the sender's floor. Neither journals: a durable receiver journals an
+// install's snapshot as records that its later sends wait to commit.
 func BenchmarkCatchup(b *testing.B) {
 	base := &smr.CatchupReply{Applied: 64, Store: make(map[string]string, 8000)}
 	for i := 0; i < 8000; i++ {

@@ -46,7 +46,8 @@ func (d delivery) fire(ok bool) {
 // process, so the owner travels with the entry (nil on barrier sentinels and
 // on the host's own entries, which carry post instead: IOScheduler.Post).
 // walIdx is the index of the process's log that must be durable before
-// msgs leave or wake fires (0: no durability dependency). Producers do NOT
+// msgs leave or wake fires (0: no durability dependency); cut, a snapshot the
+// step journaled. Producers do NOT
 // wait for their own entry — the pipeline is asynchronous, which is what
 // lets entries pile up behind an in-flight fsync and share the next one.
 // done, when non-nil, runs once the entry and everything ahead of it (FIFO)
@@ -57,6 +58,7 @@ func (d delivery) fire(ok bool) {
 type outboxEntry struct {
 	r      *Replica
 	walIdx uint64
+	cut    snapCut
 	msgs   []consensus.Send
 	wake   []delivery
 	post   func()
@@ -85,10 +87,10 @@ type IOScheduler struct {
 	queue  []outboxEntry
 	closed bool
 
-	// floors[g] is group g's truncation request — the log index its newest
-	// snapshot is consistent up to — under floorMu. A group that has not
-	// snapshotted, or whose replica is not built yet, pins 0: its state
-	// still lives only in the log.
+	// floors[g] is group g's truncation request — the index of the first
+	// record of its newest durable snapshot — under floorMu. A group that
+	// has not snapshotted, or whose replica is not built yet, pins 0: its
+	// state still lives only in the log.
 	floorMu sync.Mutex
 	floors  []uint64
 }
@@ -102,6 +104,13 @@ func NewIOScheduler(log *wal.WAL, groups int) *IOScheduler {
 	s.cond = sync.NewCond(&s.mu)
 	go s.loop()
 	return s
+}
+
+// snapCut is a snapshot's records in the log, from..to, of group g (to 0:
+// none): once to is durable, g needs nothing before from.
+type snapCut struct {
+	g        int
+	from, to uint64
 }
 
 // truncateBefore records group g's floor and truncates the log below the
@@ -181,20 +190,27 @@ func (s *IOScheduler) Close() {
 
 // loop is the single I/O consumer. Per batch it commits the log once to the
 // highest index any entry depends on (group commit across every step of
-// every group in the batch), then sends and wakes in FIFO order. A commit
-// failure poisons each entry's replica; from then on entries fail their
-// waiters and send nothing.
+// every group in the batch), then sends and wakes in FIFO order, then
+// truncates the log behind each snapshot a commit has made durable (none
+// waits for a commit of its own). A commit or truncation failure poisons each
+// entry's replica; from then on entries fail their waiters and send nothing.
 func (s *IOScheduler) loop() {
 	defer close(s.done)
 	var failErr error
+	var committed uint64
+	var cuts []snapCut // not yet known durable
 	for {
 		batch, more := s.take()
 		var maxIdx uint64
 		for _, e := range batch {
 			maxIdx = max(maxIdx, e.walIdx)
+			if e.cut.to > 0 {
+				cuts = append(cuts, e.cut)
+			}
 		}
 		if failErr == nil && maxIdx > 0 {
 			failErr = s.log.Commit(maxIdx)
+			committed = max(committed, maxIdx)
 		}
 		for _, e := range batch {
 			if failErr != nil {
@@ -215,6 +231,10 @@ func (s *IOScheduler) loop() {
 			if e.done != nil {
 				e.done()
 			}
+		}
+		for failErr == nil && len(cuts) > 0 && cuts[0].to <= committed {
+			_, failErr = s.truncateBefore(cuts[0].g, cuts[0].from)
+			cuts = cuts[1:]
 		}
 		if !more {
 			return

@@ -97,7 +97,7 @@ func TestIOSchedulerFloorPinsUnbuiltGroup(t *testing.T) {
 			every = 1
 		}
 		r, info, err := NewReplica(cfg, time.Millisecond, io, FixedLeaders{}, nil, ReplicaOptions{
-			Durability: &DurabilityOptions{Dir: filepath.Join(dir, fmt.Sprintf("g%d", g)), Group: g, SnapshotEvery: every},
+			Durability: &DurabilityOptions{Group: g, SnapshotEvery: every},
 		})
 		if err != nil {
 			t.Fatalf("group %d: %v", g, err)

@@ -63,11 +63,11 @@ func RegisterMessages(codec *consensus.Codec) {
 // construction.
 //
 // mu guards the log, the timers and the riders (what ends each caller's
-// wait, by token), and is held for in-memory work only — but for a snapshot,
-// which is saved in the step that calls for it. batch groups Submit traffic
+// wait, by token), and is held for in-memory work only: journal appends are
+// buffered, and the outbox consumer commits them. batch groups Submit traffic
 // into OpBatch commands, under its own mutex, under which nothing takes mu.
-// dur, when non-nil, journals and saves snapshots (durability.go); ls, when
-// non-nil, runs the lease timer (lease.go).
+// dur, when non-nil, journals (durability.go); ls, when non-nil, runs the
+// lease timer (lease.go).
 type Replica struct {
 	mu     sync.Mutex
 	log    *slotlog.Log
@@ -101,8 +101,8 @@ type LeaderView interface {
 type ReplicaOptions struct {
 	// Leases enables replicated leader leases (see LeaseOptions).
 	Leases *LeaseOptions
-	// Durability journals the replica to a WAL and recovers it from there
-	// and its snapshots (see DurabilityOptions).
+	// Durability journals the replica, snapshots included, to a WAL and
+	// recovers it from there (see DurabilityOptions).
 	Durability *DurabilityOptions
 }
 
@@ -207,11 +207,13 @@ func (r *Replica) stepLocked(in slotlog.Input, rider func(slotlog.Verdict), done
 // queuing the sends and verdicts as one outbox entry tagged with the WAL
 // index they wait for. The step does not wait for that I/O: while one
 // fdatasync runs, later steps' entries pile up behind it and share the next.
-// A journal or snapshot failure poisons the replica: no step may become
-// externally visible without its WAL record, so the only safe continuation
-// is none — the step sends nothing, and its callers are closed.
+// A journaled snapshot rides the entry, for the consumer to truncate behind.
+// A journal failure poisons the replica: no step may become externally
+// visible without its WAL record, so the only safe continuation is none —
+// the step sends nothing, and its callers are closed.
 func (r *Replica) carryOutLocked(eff slotlog.Effects, done func()) {
-	if !r.journalLocked(eff.Records) || !r.saveLocked(eff.Snapshot) {
+	cut, ok := r.journalLocked(eff.Records)
+	if !ok {
 		r.haltLocked()
 		eff.Sends, eff.Timers = nil, nil
 		for i := range eff.Verdicts {
@@ -228,7 +230,7 @@ func (r *Replica) carryOutLocked(eff slotlog.Effects, done func()) {
 			wake = append(wake, delivery{fn: fn, v: v})
 		}
 	}
-	if len(eff.Sends) == 0 && len(wake) == 0 && done == nil {
+	if len(eff.Sends) == 0 && len(wake) == 0 && done == nil && cut.to == 0 {
 		return
 	}
 	var idx uint64
@@ -237,7 +239,7 @@ func (r *Replica) carryOutLocked(eff slotlog.Effects, done func()) {
 			idx = r.dur.buffered
 		}
 	}
-	r.io.enqueue(outboxEntry{r: r, walIdx: idx, msgs: eff.Sends, wake: wake, done: done})
+	r.io.enqueue(outboxEntry{r: r, walIdx: idx, cut: cut, msgs: eff.Sends, wake: wake, done: done})
 }
 
 // armLocked carries out one timer effect: Arm 0 stops the slot's timer,

@@ -235,7 +235,7 @@ func (l *Log) catchupReply(to consensus.ProcessID, from int) {
 		l.send(to, c)
 		return
 	}
-	parts := l.cut(partBytes)
+	parts := l.m.cut(partBytes, l.now, l.decidedAbove())
 	for _, p := range parts {
 		l.send(to, p)
 	}
@@ -261,8 +261,9 @@ func (l *Log) adopt(from consensus.ProcessID, m *CatchupReply) {
 			l.retireBelow(m.Applied)
 			l.cu.stats.Installed++
 			// No journal record backs the store's jump, and a crash right
-			// after it must not roll the log back: checkpoint it now.
-			l.snapDue = true
+			// after it must not roll the log back: checkpoint it now, and
+			// let nothing out before the checkpoint is durable.
+			l.snapDue, l.snapInstall = true, true
 		}
 	}
 	before := l.m.applied

@@ -47,11 +47,12 @@ func appendRecord(dst []byte, r Record) []byte {
 	dst = consensus.AppendVarint(dst, int64(r.Slot))
 	dst = core.AppendState(dst, r.State)
 	dst = consensus.AppendValue(dst, r.Val)
+	dst = appendSnap(dst, r.Snap)
 	return consensus.AppendBool(dst, r.Critical)
 }
 
 func decodeRecord(d *consensus.Decoder) Record {
-	return Record{Kind: d.Byte(), G: int(d.Varint()), Slot: int(d.Varint()), State: core.DecodeState(d), Val: d.Value(), Critical: d.Bool()}
+	return Record{Kind: d.Byte(), G: int(d.Varint()), Slot: int(d.Varint()), State: core.DecodeState(d), Val: d.Value(), Snap: decodeSnap(d), Critical: d.Bool()}
 }
 
 func appendSnap(dst []byte, s *Snapshot) []byte {
@@ -60,9 +61,7 @@ func appendSnap(dst []byte, s *Snapshot) []byte {
 		return dst
 	}
 	dst = consensus.AppendStr(dst, string(s.Cut.AppendBody(nil)))
-	dst = consensus.AppendVarint(dst, int64(s.CompactFloor))
 	dst = consensus.AppendVarint(dst, s.Seq)
-	dst = consensus.AppendUvarint(dst, s.WalNext)
 	dst = consensus.AppendUvarint(dst, uint64(len(s.Slots)))
 	for _, n := range sortedKeys(s.Slots) {
 		dst = core.AppendState(consensus.AppendVarint(dst, int64(n)), s.Slots[n])
@@ -78,7 +77,7 @@ func decodeSnap(d *consensus.Decoder) *Snapshot {
 	if err := s.Cut.DecodeBody(d.Bytes()); err != nil {
 		d.Fail(err)
 	}
-	s.CompactFloor, s.Seq, s.WalNext = int(d.Varint()), d.Varint(), d.Uvarint()
+	s.Seq = d.Varint()
 	if n := d.Count(10); n > 0 {
 		s.Slots = make(map[int]core.State, n)
 		for i := 0; i < n; i++ {
@@ -102,7 +101,6 @@ func AppendInput(dst []byte, in Input) []byte {
 		b = consensus.AppendVarint(b, v)
 	}
 	b = appendRecord(b, in.Record)
-	b = appendSnap(b, in.Snap)
 	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
 }
 
@@ -125,7 +123,7 @@ func NextInput(stream []byte) (Input, []byte, error) {
 	}
 	in.Token, in.Slot, in.Arm = d.Varint(), int(d.Varint()), int(d.Varint())
 	in.Leader, in.Applied = consensus.ProcessID(d.Varint()), int(d.Varint())
-	in.Record, in.Snap = decodeRecord(&d), decodeSnap(&d)
+	in.Record = decodeRecord(&d)
 	return in, stream[k+int(n):], d.Finish()
 }
 
@@ -139,7 +137,6 @@ func AppendEffects(dst []byte, e Effects) []byte {
 	for _, t := range e.Timers {
 		dst = consensus.AppendVarint(consensus.AppendVarint(consensus.AppendVarint(dst, int64(t.Slot)), int64(t.Arm)), int64(t.After))
 	}
-	dst = appendSnap(dst, e.Snapshot)
 	dst = consensus.AppendUvarint(dst, uint64(len(e.Sends)))
 	for _, s := range e.Sends {
 		dst = appendMsg(consensus.AppendVarint(dst, int64(s.To)), s.Msg)

@@ -4,8 +4,9 @@
 // state transfer between peers. A Log has no goroutine, clock, lock, file or
 // socket: each input is one call to Step, with the lease clock's reading in
 // it, which returns what it calls for — journal records, sends, timer arms,
-// verdicts for waiting callers, a snapshot — for its host (smr.Replica) to
-// carry out. The same inputs fed to a fresh Log yield the same effects.
+// verdicts for waiting callers, snapshots as records — for its host
+// (smr.Replica) to carry out. The same inputs fed to a fresh Log yield the
+// same effects.
 package slotlog
 
 import (
@@ -39,8 +40,7 @@ const (
 	Deliver                 // message Msg arrived from From
 	Fire                    // slot Slot's timer, armed as Arm, fired while Ω named Leader
 	Gossip                  // peer From has applied Applied slots
-	Restore                 // the snapshot Snap was loaded
-	Recover                 // the journal record Record was read back after it
+	Recover                 // the journal record Record was read back
 	Open                    // recovery is over
 	Retire                  // every slot below Slot is retired (a test cutting closer than the gossip)
 	Halt                    // the host stops: every caller is closed, and no later input does anything
@@ -59,39 +59,38 @@ type Input struct {
 	Leader    consensus.ProcessID
 	Applied   int
 	Record    Record
-	Snap      *Snapshot
 }
 
 // Effects is what one input calls for, in the order the host carries it
-// out: Records are journaled, in order; Timers are armed and stopped;
-// Snapshot is saved; then Sends leave once every critical record — of this
+// out: Records are journaled, in order (a due snapshot's last); Timers are
+// armed and stopped; then Sends leave once every critical record — of this
 // step or an earlier one — is durable, and Verdicts once every record is.
 // Token is the caller a Propose or Wait registered; Err, a journaled state
 // Open could not restore: nothing is armed, and the log must not run.
 type Effects struct {
 	Records  []Record
 	Timers   []Timer
-	Snapshot *Snapshot
 	Sends    []consensus.Send
 	Verdicts []Verdict
 	Token    int64
 	Err      error
 }
 
-// Record kinds: a slot instance's durable state, and a slot's decision.
-const RecState, RecDecide byte = 's', 'd'
+// Record kinds: an instance's durable state, a decision, a snapshot part.
+const RecState, RecDecide, RecSnap byte = 's', 'd', 'c'
 
 // Record is one journal record; G is the group its host tags it with.
 // Critical marks a record whose loss could break safety: every state record,
-// and a decision the instance's journaled state does not already imply
-// (decide). Sends wait for critical records; verdicts, which complete
-// callers, wait for every record.
+// a decision the instance's journaled state does not already imply (decide),
+// and a snapshot that backs a catch-up install (adopt). Sends wait for
+// critical records; verdicts, which complete callers, wait for every record.
 type Record struct {
 	Kind     byte
 	G        int
 	Slot     int
 	State    core.State      // RecState
 	Val      consensus.Value // RecDecide
+	Snap     *Snapshot       // RecSnap, whose Slot is its applied index
 	Critical bool
 }
 
@@ -122,16 +121,14 @@ type Verdict struct {
 	Holder  int
 }
 
-// Snapshot is what a durable replica checkpoints: the cut a lagging peer
-// would be sent (the applied store, the decided tail, the lease view), the
-// compaction floor, the command sequence and the open slots' states. WalNext
-// is its saver's: the journal index the snapshot is consistent up to.
+// Snapshot is one record of a checkpoint of the log: Cut is a part of the cut
+// a lagging peer would be sent; the last also carries every decided value
+// above the applied index, room or not, the sequence and the open slots'
+// states. Recovery resets the log to a whole snapshot, and ignores a torn one.
 type Snapshot struct {
-	Cut          CatchupReply
-	CompactFloor int
-	Seq          int64
-	WalNext      uint64
-	Slots        map[int]core.State
+	Cut   CatchupReply
+	Seq   int64
+	Slots map[int]core.State
 }
 
 // slot is everything the log knows about one log slot, so deleting its
@@ -169,7 +166,8 @@ type rider struct {
 // race for one and the losers pay a conflict round. Stragglers below floor
 // are served snapshots; retained sizes the decided values the table holds, as
 // a lagging peer is sent those or the store, whichever is smaller. A snapshot
-// is due every snapEvery applied commands (0: none). restored holds the
+// is due every snapEvery applied commands (0: none), and critical after an
+// install; snapAt is the newest one's applied index. restored holds the
 // journaled states of open slots until Open; eff, the step's effects so far.
 type Log struct {
 	cfg                  consensus.Config
@@ -183,7 +181,8 @@ type Log struct {
 	arms                 int                   // the last timer arming handed out
 	tokens               int64                 // the last caller token handed out
 	snapEvery, sinceSnap int
-	snapDue              bool
+	snapDue, snapInstall bool
+	snapAt               int
 	restored             map[int]core.State
 	halted               bool
 	leases               LeaseStats
@@ -235,8 +234,6 @@ func (l *Log) Step(in Input) Effects {
 		l.fire(in.Slot, in.Arm, in.Leader)
 	case Gossip:
 		l.gossip(in.From, in.Applied)
-	case Restore:
-		l.restore(in.Snap)
 	case Recover:
 		l.recover(in.Record)
 	case Open:
@@ -251,7 +248,7 @@ func (l *Log) Step(in Input) Effects {
 		}
 	}
 	if l.snapDue {
-		l.eff.Snapshot, l.snapDue = l.snapshot(), false
+		l.snapshot()
 	}
 	if seen != nil {
 		seen(l.eff)
@@ -517,6 +514,9 @@ func (l *Log) decide(s *slot, v consensus.Value) {
 // it: a peer that missed the Decide heals by gossip and catch-up, or by its
 // own ballot.
 func (l *Log) learn(s *slot, v consensus.Value) {
+	if s.decided {
+		return // read back twice: from its record and a snapshot after it
+	}
 	l.retained += len(v.Data)
 	s.decided, s.val = true, v
 	l.stop(s)
@@ -635,10 +635,16 @@ func (l *Log) instance(n int) *slot {
 	return s
 }
 
-// snapshot is the checkpoint of the log as it stands.
-func (l *Log) snapshot() *Snapshot {
-	l.sinceSnap = 0
-	snap := &Snapshot{Cut: *l.cut(0)[0], CompactFloor: l.floor, Seq: l.seq}
+// snapshot journals the log as it stands, one record a part (Snapshot),
+// critical when it backs an install.
+func (l *Log) snapshot() {
+	for _, p := range l.m.cut(partBytes, l.now, nil) {
+		l.eff.Records = append(l.eff.Records, Record{Kind: RecSnap, Slot: p.Applied, Snap: &Snapshot{Cut: *p}, Critical: l.snapInstall})
+	}
+	last := l.eff.Records[len(l.eff.Records)-1].Snap
+	// Every decision: a decided slot has no instance, so one left out would
+	// start amnesiac once the journal behind the snapshot is truncated.
+	last.Cut.Decided, last.Seq = l.decidedAbove(), l.seq
 	open := map[int]core.State{}
 	for n, s := range l.slots {
 		if s.node != nil && n >= l.m.applied {
@@ -646,19 +652,19 @@ func (l *Log) snapshot() *Snapshot {
 		}
 	}
 	if len(open) > 0 {
-		snap.Slots = open
+		last.Slots = open
 	}
-	return snap
+	l.sinceSnap, l.snapDue, l.snapInstall, l.snapAt = 0, false, false, l.m.applied
 }
 
-// cut is the machine's cut (kvMachine.cut) with the decided values above the
-// applied index, so a peer that missed their Decides learns them.
-func (l *Log) cut(limit int) []*CatchupReply {
+// decidedAbove is the decided values of the slots at and above the applied
+// index, which a cut carries: a peer that missed their Decides learns them.
+func (l *Log) decidedAbove() map[int]consensus.Value {
 	decided := make(map[int]consensus.Value)
 	for n, s := range l.slots {
 		if s.decided && n >= l.m.applied {
 			decided[n] = s.val
 		}
 	}
-	return l.m.cut(limit, l.now, decided)
+	return decided
 }

@@ -82,8 +82,11 @@ func TestStaleFireIsIgnored(t *testing.T) {
 // and in every Effects, what guards a send or a verdict is in it or behind
 // it — a live instance's state is journaled, as a critical record, by the
 // step that moved it, and a caller is told a slot applied only once the
-// slot's decision is journaled (or a snapshot installed past it). The seeds
-// under testdata/fuzz are inputs of the replay test's capture.
+// slot's decision is journaled (or a snapshot installed past it); and the
+// snapshot a step journals is critical exactly when it backs an install —
+// nothing that depends on the jump may leave before it is durable — while a
+// periodic one, which restates what the journal holds, waits for nothing.
+// The seeds under testdata/fuzz are inputs of the replay test's capture.
 func FuzzSlotLog(f *testing.F) {
 	v, _ := Command{ID: "p0-1", Op: OpPut, Key: "k", Val: "v"}.Encode()
 	seed := AppendInput(nil, Input{Kind: Propose, Cmds: []Command{{Op: OpPut, Key: "a", Val: "1"}}})
@@ -115,16 +118,25 @@ func FuzzSlotLog(f *testing.F) {
 			if l.m.applied < applied || l.floor < floor {
 				t.Fatalf("%+v moved applied %d → %d, floor %d → %d", in, applied, l.m.applied, floor, l.floor)
 			}
-			if l.cu.stats.Installed > installs {
+			install, snapshots := l.cu.stats.Installed > installs, 0
+			if install {
 				installed = in.Msg.(*CatchupReply).Applied
 			}
 			for _, r := range eff.Records {
+				if r.Kind == RecSnap {
+					if snapshots++; r.Critical != install {
+						t.Fatalf("a snapshot part journaled critical=%t by a step that installed=%t", r.Critical, install)
+					}
+				}
 				if r.Kind == RecState && !r.Critical {
 					t.Fatalf("slot %d's state journaled as not critical", r.Slot)
 				}
 				if r.Kind == RecDecide {
 					journaled[r.Slot] = true
 				}
+			}
+			if install && snapshots == 0 {
+				t.Fatalf("an install at %d journaled no snapshot", installed)
 			}
 			for n, s := range l.slots {
 				if s.node != nil && s.node.Snapshot() != s.persisted {

@@ -94,22 +94,18 @@ func (m *kvMachine) bytes() int { return m.storeBytes }
 // cut is the machine as of its applied index in parts of at most limit bytes
 // of keys and values (a pair past it rides alone). The last part also carries
 // the lease view and, while it has room, decided: the values of slots above
-// the applied index the caller knows. limit 0 is one part whose Store is the
-// store itself, not a copy: the durable snapshot, encoded under the lock.
+// the applied index the caller knows.
 func (m *kvMachine) cut(limit int, now int64, decided map[int]consensus.Value) []*CatchupReply {
-	last := &CatchupReply{Applied: m.applied, Store: m.store}
+	last := &CatchupReply{Applied: m.applied, Store: make(map[string]string)}
 	parts := []*CatchupReply{last}
 	size := 0
-	if limit > 0 {
-		last.Store = make(map[string]string)
-		for _, k := range sortedKeys(m.store) {
-			v := m.store[k]
-			if size += len(k) + len(v); size > limit && len(last.Store) > 0 {
-				last, size = &CatchupReply{Applied: m.applied, Part: len(parts), Store: make(map[string]string)}, len(k)+len(v)
-				parts = append(parts, last)
-			}
-			last.Store[k] = v
+	for _, k := range sortedKeys(m.store) {
+		v := m.store[k]
+		if size += len(k) + len(v); size > limit && len(last.Store) > 0 {
+			last, size = &CatchupReply{Applied: m.applied, Part: len(parts), Store: make(map[string]string)}, len(k)+len(v)
+			parts = append(parts, last)
 		}
+		last.Store[k] = v
 	}
 	if m.leases != nil {
 		// A duration, which survives the change of clock origin: imported at
@@ -120,7 +116,7 @@ func (m *kvMachine) cut(limit int, now int64, decided map[int]consensus.Value) [
 	}
 	last.Decided = make(map[int]consensus.Value, len(decided))
 	for _, n := range sortedKeys(decided) {
-		if size += len(decided[n].Data); limit > 0 && size > limit {
+		if size += len(decided[n].Data); size > limit {
 			break
 		}
 		last.Decided[n] = decided[n]

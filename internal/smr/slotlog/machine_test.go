@@ -152,11 +152,6 @@ func TestMachineCutInstallsAcrossParts(t *testing.T) {
 		t.Fatalf("installed lease view: holder %d, guard %d", to.leases.Holder(), to.leases.GuardHolder())
 	}
 
-	// The durable snapshot's cut is one part, the store itself.
-	whole := from.cut(0, now, open)
-	if len(whole) != 1 || len(whole[0].Store) != len(from.store) || len(whole[0].Decided) != 1 {
-		t.Fatalf("cut(0): %d parts", len(whole))
-	}
 }
 
 // Under the stale-read fault a key reads back as it was before its last

@@ -67,7 +67,10 @@ func kindOf(in slotlog.Input) string {
 	case *slotlog.SlotMessage:
 		return "slot message"
 	}
-	return [...]string{"", "propose", "wait", "cancel", "deliver", "fire", "gossip", "restore", "recover", "open", "retire", "halt"}[in.Kind]
+	if in.Kind == slotlog.Recover && in.Record.Kind == slotlog.RecSnap {
+		return "restore"
+	}
+	return [...]string{"", "propose", "wait", "cancel", "deliver", "fire", "gossip", "recover", "open", "retire", "halt"}[in.Kind]
 }
 
 // TestReplayIsByteForByte records every input process 1's log takes during a

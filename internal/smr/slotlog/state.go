@@ -10,32 +10,25 @@ import (
 	"repro/internal/lease"
 )
 
-// restore installs a snapshot, before any journal record; Open restarts its
-// open slots.
-func (l *Log) restore(snap *Snapshot) {
-	l.m.install(l.now, &snap.Cut)
-	l.floor = max(l.floor, snap.CompactFloor)
-	l.seq = max(l.seq, snap.Seq)
-	for _, n := range sortedKeys(snap.Cut.Decided) {
-		if n >= l.m.applied {
-			l.learn(l.slot(n), snap.Cut.Decided[n])
-		}
-	}
-	for n, st := range snap.Slots {
-		if n >= snap.Cut.Applied {
-			l.restored[n] = st
-		}
-	}
-}
+// journal keys the assembly of a snapshot read back from the journal among
+// the peers' (catchupState.partial): no peer has its id.
+const journal consensus.ProcessID = -1
 
 // recover takes in one journal record: a slot's last state wins, a decision
-// is learned, and the sequence moves past any ID of this replica's in it, so
-// no command of a previous life shares an ID with a new one.
+// is learned, a snapshot's part joins its run, and the sequence moves past any
+// ID of this replica's in it, so no command of a previous life shares an ID
+// with a new one.
 func (l *Log) recover(rec Record) {
 	v := rec.Val
-	if rec.Kind == RecState {
+	switch rec.Kind {
+	case RecSnap:
+		if parts := l.assemble(journal, &rec.Snap.Cut); parts != nil {
+			l.restore(parts, rec.Snap)
+		}
+		return
+	case RecState:
 		l.restored[rec.Slot], v = rec.State, rec.State.InitialVal
-	} else {
+	default:
 		l.learn(l.slot(rec.Slot), v)
 	}
 	cmd, _ := DecodeCommand(v) // Command{} if v is none: no ID
@@ -43,6 +36,24 @@ func (l *Log) recover(rec Record) {
 		if proposerOf(c.ID) == int(l.cfg.ID) {
 			seq, _ := strconv.ParseInt(c.ID[strings.LastIndexByte(c.ID, '-')+1:], 10, 64)
 			l.seq = max(l.seq, seq)
+		}
+	}
+}
+
+// restore resets the log to a snapshot read back whole, last its last part's
+// record: what the journal held before it is superseded (and below its
+// applied index, retired by Open).
+func (l *Log) restore(parts []*CatchupReply, last *Snapshot) {
+	l.m.install(l.now, parts...)
+	l.seq, l.snapAt = max(l.seq, last.Seq), l.m.applied
+	for _, n := range sortedKeys(last.Cut.Decided) {
+		if n >= l.m.applied {
+			l.learn(l.slot(n), last.Cut.Decided[n])
+		}
+	}
+	for n, st := range last.Slots {
+		if n >= l.m.applied {
+			l.restored[n] = st
 		}
 	}
 }
@@ -73,6 +84,7 @@ func (l *Log) open() {
 		l.interpret(s, s.node.Start())
 	}
 	l.restored, l.sinceSnap, l.snapDue = nil, 0, false
+	delete(l.cu.partial, journal) // a torn snapshot: the journal ended inside it
 }
 
 // Applied is the number of slots applied to the store.
@@ -107,11 +119,12 @@ type Info struct {
 	Retained      int          `json:"retained"`
 	RetainedBytes int          `json:"retainedBytes"`
 	Catchup       CatchupStats `json:"catchup"`
+	SnapshotIndex int          `json:"snapshotIndex,omitempty"` // the newest snapshot's applied index
 }
 
-// Info reports the log's applied index, open slots and retention.
+// Info reports the log's applied index, open slots, retention and snapshot.
 func (l *Log) Info() Info {
-	info := Info{Applied: l.m.applied, CompactFloor: l.floor, RetainedBytes: l.retained, Catchup: l.cu.stats}
+	info := Info{Applied: l.m.applied, CompactFloor: l.floor, RetainedBytes: l.retained, Catchup: l.cu.stats, SnapshotIndex: l.snapAt}
 	for n, s := range l.slots {
 		if s.decided {
 			info.Retained++

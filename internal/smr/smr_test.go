@@ -228,7 +228,7 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 		{"tick 0", good, 0, nil, smr.ReplicaOptions{}},
 		{"tick < 0", good, -time.Millisecond, nil, smr.ReplicaOptions{}},
 		{"2ε >= lease duration", good, time.Millisecond, nil, smr.ReplicaOptions{Leases: &smr.LeaseOptions{Duration: 100 * time.Millisecond, Epsilon: 50 * time.Millisecond}}},
-		{"durable on a scheduler without a log", good, time.Millisecond, bare, smr.ReplicaOptions{Durability: &smr.DurabilityOptions{Dir: dir}}},
+		{"durable on a scheduler without a log", good, time.Millisecond, bare, smr.ReplicaOptions{Durability: &smr.DurabilityOptions{}}},
 	} {
 		sched := io
 		if tc.io != nil {
@@ -241,7 +241,7 @@ func TestNewReplicaRejectsBadInput(t *testing.T) {
 	}
 	r, _, err := smr.NewReplica(good, time.Millisecond, io, smr.FixedLeaders{}, nil, smr.ReplicaOptions{
 		Leases:     &smr.LeaseOptions{},
-		Durability: &smr.DurabilityOptions{Dir: dir},
+		Durability: &smr.DurabilityOptions{},
 	})
 	if err != nil {
 		t.Fatalf("valid input rejected: %v", err)

@@ -345,14 +345,6 @@ func (w *WAL) Sync() error {
 	return w.commitLocked(w.next - 1)
 }
 
-// NextIndex returns the index the next appended record will get. Snapshots
-// record it as their replay cut-off.
-func (w *WAL) NextIndex() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.next
-}
-
 // Stats reports segment count and on-disk bytes.
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
