@@ -1,7 +1,7 @@
-// Package storage writes and reads atomic store snapshots for the durable
-// SMR replica. A snapshot is one opaque blob keyed by the applied index it
-// covers; internal/smr serializes its state into the blob and internal/wal
-// records appended after the snapshot's cut-off complete it. Writes are
+// Package storage writes and reads atomic snapshot files: one opaque blob
+// keyed by an index. The replicated store no longer uses it — its snapshots
+// are records in its WAL (internal/smr) — and benchmark/'s storage probe
+// measures what a file costs to save and load. Writes are
 // atomic in the temp-file + rename sense: a crash at any point leaves
 // either the previous snapshot or the new one, never a half-written file
 // (the blob is additionally CRC32C-framed, so even a corrupted rename
