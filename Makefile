@@ -119,20 +119,22 @@ examples:
 cover:
 	$(GO) test ./internal/... -cover -short -timeout 300s
 
-# 30 seconds of coverage-guided fuzzing on each fuzz target.
+# Coverage-guided fuzzing, FUZZTIME (30s) on each fuzz target: the one list
+# of them (CI runs `make fuzz FUZZTIME=10s`).
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/consensus -run=NONE -fuzz=FuzzCodecDecode -fuzztime=30s
-	$(GO) test ./internal/core -run=NONE -fuzz=FuzzDeliverRobustness -fuzztime=30s
-	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzRecordCodec -fuzztime=30s
-	$(GO) test ./internal/transport -run=NONE -fuzz=FuzzFrameRoundTrip -fuzztime=30s
-	$(GO) test ./internal/storage -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=30s
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzSessionFrameRoundTrip -fuzztime=30s
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCommandDecode -fuzztime=30s
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=30s
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=30s
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=30s
-	$(GO) test ./internal/smr/slotlog -run=NONE -fuzz=FuzzSlotLog -fuzztime=30s
-	$(GO) test ./internal/linear -run=NONE -fuzz=FuzzCheckVsBrute -fuzztime=30s
+	$(GO) test ./internal/consensus -run=NONE -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run=NONE -fuzz=FuzzDeliverRobustness -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport -run=NONE -fuzz=FuzzFrameRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/storage -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzSessionFrameRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCommandDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/smr/slotlog -run=NONE -fuzz=FuzzSlotLog -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/linear -run=NONE -fuzz=FuzzCheckVsBrute -fuzztime=$(FUZZTIME)
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
 # recovery through the runtime's shared-WAL abort/close, a torn log failing

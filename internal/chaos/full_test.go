@@ -3,9 +3,13 @@
 package chaos
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"os"
 	"testing"
+
+	"repro/internal/linear"
 )
 
 // The full suite is opt-in (go test -tags chaos, or `make chaos`): it runs
@@ -40,11 +44,35 @@ func TestChaosFull(t *testing.T) {
 					res.CheckDuration, res.Ops, ReproLine(seed))
 			}
 			if !res.Check.Ok {
-				t.Fatalf("history NOT linearizable (key %q, %d ops visited %d states)\nrepro: %s",
-					res.Check.Key, res.Check.Ops, res.Check.Visited, ReproLine(seed))
+				t.Fatalf("history NOT linearizable (key %q, %d ops visited %d states)\nrepro: %s\nhistory: %s",
+					res.Check.Key, res.Check.Ops, res.Check.Visited, ReproLine(seed), saveKeyHistory(t, seed, res))
 			}
 			t.Logf("ops=%d ambiguous=%d faultDrops=%d converge=%v check=%v plan=%v",
 				res.Ops, res.Ambiguous, res.FaultDrops, res.Converge, res.CheckDuration, res.Plan)
 		})
 	}
+}
+
+// saveKeyHistory writes the history of the key the check failed on as JSON
+// to a temporary file that outlives the run, and returns its path: the
+// evidence of a failing seed that does not fail again.
+func saveKeyHistory(t *testing.T, seed int64, res Result) string {
+	var ops linear.History
+	for _, op := range res.History {
+		if op.Key == res.Check.Key {
+			ops = append(ops, op)
+		}
+	}
+	f, err := os.CreateTemp("", fmt.Sprintf("chaos-seed%d-*.json", seed))
+	if err != nil {
+		t.Errorf("saving the failing history: %v", err)
+		return "not saved"
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(ops); err != nil {
+		t.Errorf("saving the failing history: %v", err)
+	}
+	return f.Name()
 }

@@ -45,7 +45,7 @@ func TestLeaseChaosLinearizable(t *testing.T) {
 	defer c.Close()
 	addrs := c.Addrs()
 
-	// Let the auto-grant timer take the leases before traffic starts (it
+	// Let the auto-grant take the leases before traffic starts (it
 	// waits for a stable Ω leader), so the scenario actually runs against
 	// live leases rather than finishing before the first grant.
 	if err := c.WaitLeases(10 * time.Second); err != nil {

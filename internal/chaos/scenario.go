@@ -78,7 +78,8 @@ type Result struct {
 	FaultDrops uint64
 	// Converge is how long post-heal reconvergence took.
 	Converge time.Duration
-	// Check is the linearizability verdict; CheckDuration the search time.
+	// Check is History's linearizability verdict; CheckDuration the search time.
+	History       linear.History
 	Check         linear.Result
 	CheckDuration time.Duration
 }
@@ -172,7 +173,7 @@ func RunScenario(dir string, seed int64, o Options) (Result, error) {
 	res.Converge = time.Since(start)
 
 	h := rec.History()
-	res.Ops = len(h)
+	res.History, res.Ops = h, len(h)
 	for _, op := range h {
 		if op.Outcome == linear.OutcomeAmbiguous {
 			res.Ambiguous++

@@ -179,7 +179,7 @@ func (c *Cluster) Restart(i int) error { return c.boot(i) }
 func (c *Cluster) StallFsync(d time.Duration) { c.fsyncStall.Store(int64(d)) }
 
 // WaitLeases waits until every group's lease is held by some process (the
-// auto-grant timer takes it once Ω is stable).
+// auto-grant takes it once Ω is stable).
 func (c *Cluster) WaitLeases(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

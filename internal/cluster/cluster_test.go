@@ -627,7 +627,11 @@ func TestWriteBudget(t *testing.T) {
 			write("warm")
 			want := [3]int64{int64(3*(tc.n-1) + tc.e), int64(2 * tc.n), int64(tc.n + 1)}
 			if got := write("k"); got != want {
-				t.Fatalf("one write and the 20Δ after it cost {messages, records, fsyncs} = %v, want %v", got, want)
+				timeouts := make([]uint64, tc.n) // a second ballot shows here
+				for i := range timeouts {
+					timeouts[i] = c.Runtime(i).Group(0).Info().Timeouts
+				}
+				t.Fatalf("one write and the 20Δ after it cost {messages, records, fsyncs} = %v, want %v (ballot timeouts by process: %v)", got, want, timeouts)
 			}
 		})
 	}

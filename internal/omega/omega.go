@@ -116,7 +116,7 @@ func (d *Detector) noteLeader() {
 
 // LeaderStable reports whether the current leader estimate has been
 // unchanged for at least minPeriods heartbeat periods. The lease
-// auto-grant timer uses it to avoid proposing grants during leader churn
+// auto-grant reads it to avoid proposing grants during leader churn
 // (competing grants revoke each other — safe, but wasted rounds).
 func (d *Detector) LeaderStable(minPeriods int64) bool {
 	if !d.leaderInited {

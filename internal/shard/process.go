@@ -53,7 +53,7 @@ func (m *Status) DecodeBody(body []byte) error {
 }
 
 // leaders is the process's Ω: the one omega.Detector behind a leaf mutex, so
-// that every group's slots and lease timer read it under Replica.mu
+// that every group reads it under Replica.mu at each fire
 // (smr.LeaderView) while the Runtime's clock and inbound heartbeats feed it.
 type leaders struct {
 	mu  sync.Mutex

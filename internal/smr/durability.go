@@ -164,10 +164,10 @@ func decodeSnapshot(blob []byte) (*slotlog.Snapshot, error) {
 	return s, nil
 }
 
-// recoverFrom, NewReplica's last step, builds the replica's log from the
-// group's records in the scheduler's log, in one pass: a snapshot read back
-// whole resets the log, and the records after it replay on top.
-func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (RecoveryInfo, error) {
+// recoverFrom, NewReplica's last step, builds the replica's log with newLog
+// from the group's records in the scheduler's log, in one pass: a snapshot
+// read back whole resets the log, and the records after it replay on top.
+func (r *Replica) recoverFrom(newLog func(snapEvery int) *slotlog.Log, opts DurabilityOptions) (RecoveryInfo, error) {
 	if opts.Group < 0 || opts.Group >= len(r.io.floors) {
 		return RecoveryInfo{}, fmt.Errorf("smr durability: group %d on a scheduler of %d groups", opts.Group, len(r.io.floors))
 	}
@@ -177,7 +177,7 @@ func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (Rec
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dur = &durable{group: opts.Group}
-	r.log = slotlog.New(cfg, r.ls.table(), max(opts.SnapshotEvery, 0))
+	r.log = newLog(max(opts.SnapshotEvery, 0))
 	rinfo, err := r.io.log.Replay(0, func(_ uint64, payload []byte) error {
 		rec, mine, err := decodeWalEntry(payload, opts.Group)
 		if err == nil && mine {
@@ -189,7 +189,7 @@ func (r *Replica) recoverFrom(cfg consensus.Config, opts DurabilityOptions) (Rec
 		return RecoveryInfo{}, err
 	}
 	snapAt := r.log.Info().SnapshotIndex
-	eff := r.log.Step(slotlog.Input{Kind: slotlog.Open, Now: r.ls.now()})
+	eff := r.log.Step(slotlog.Input{Kind: slotlog.Open, Now: r.now()})
 	if eff.Err != nil {
 		return RecoveryInfo{}, eff.Err
 	}

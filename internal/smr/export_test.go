@@ -45,14 +45,17 @@ func (r *Replica) QueuedCommands() int {
 }
 
 // DecidedSlotTimers counts r's decided slots and how many of them still
-// hold a *time.Timer.
+// hold a deadline.
 func (r *Replica) DecidedSlotTimers() (decided, timers int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for n := range r.timers.slots {
+	info := r.log.Info()
+	for n, seen := info.CompactFloor, 0; seen < info.Retained; n++ {
 		if _, ok := r.log.Value(n); ok {
-			timers++
+			if seen++; r.log.Deadline(n) != 0 {
+				timers++
+			}
 		}
 	}
-	return r.log.Info().Retained, timers
+	return info.Retained, timers
 }

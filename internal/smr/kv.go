@@ -82,7 +82,7 @@ func (r *Replica) ReadBarrier(ctx context.Context) error {
 			return err
 		}
 		r.mu.Lock()
-		holder, held := r.log.Gate(r.ls.now())
+		holder, held := r.log.Gate(r.now())
 		r.mu.Unlock()
 		if held {
 			return &LeaseHeldError{Holder: holder}

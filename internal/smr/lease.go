@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/lease"
+	"repro/internal/smr/slotlog"
 )
 
 // ErrLeaseHeld is the definite pre-propose refusal a replica gives while a
@@ -56,54 +56,27 @@ type LeaseOptions struct {
 	// ε before nominal expiry, everyone else keeps blocking ε after it.
 	// Default 50ms. Must satisfy 2ε < Duration.
 	Epsilon time.Duration
-	// AutoGrant arms a timer that acquires and renews the lease whenever
-	// this replica is the stable Ω leader, renewing once less than a third
-	// of the lease remains. Off, leases are only taken by explicit
-	// AcquireLease calls (tests, benches).
+	// AutoGrant has the log acquire and renew the lease (a deadline every
+	// max(Duration/6, 5ms), once less than a third of it remains) whenever
+	// this replica is the stable Ω leader. Off, leases are only taken by
+	// explicit AcquireLease calls (tests, benches).
 	AutoGrant bool
 	// UnsafeZeroEpsilon forces ε=0 AND disables the guard window and
 	// fencing — the deliberately broken mode that the ε=0 teeth test uses
 	// to prove the linearizability checker catches stale lease reads.
 	// Never enable outside tests.
 	UnsafeZeroEpsilon bool
-	// Now, when set, replaces the replica's monotonic lease clock: it must
-	// return nondecreasing elapsed time since the replica was built. Tests
-	// advance a fake clock past expiry with it instead of sleeping out real
-	// lease windows. Nil uses the runtime's monotonic clock.
+	// Now, when set, replaces the replica's monotonic clock, which lease
+	// windows and ballot timers read: it must return nondecreasing elapsed
+	// time since the replica was built. Tests advance a fake clock past
+	// expiry with it instead of sleeping out real lease windows (a frozen one
+	// fires no timer). Nil uses the runtime's monotonic clock.
 	Now func() time.Duration
 }
 
-// leaseState is the replica-side lease machinery around the deterministic
-// lease.Table, which the log's machine holds: the clock and the auto-grant
-// timer; the counters are the log's. timer and inFlight are guarded by
-// Replica.mu; opts, self and start are immutable after construction.
-type leaseState struct {
-	opts  LeaseOptions
-	self  consensus.ProcessID
-	start time.Time // monotonic origin for now()
-
-	timer    *time.Timer // auto-grant / renew; the one host timer no slot owns
-	inFlight bool        // a grant proposal is in flight (auto-renew dedup)
-}
-
-// now reads this replica's monotonic clock (nanoseconds since
-// construction); time.Since uses the runtime's monotonic reading, so wall
-// clock jumps cannot move lease windows. A LeaseOptions.Now hook replaces
-// the clock wholesale (fake-clock tests). Without leases it reads 0: the
-// machine has no table to read it.
-func (ls *leaseState) now() int64 {
-	switch {
-	case ls == nil:
-		return 0
-	case ls.opts.Now != nil:
-		return ls.opts.Now().Nanoseconds()
-	}
-	return time.Since(ls.start).Nanoseconds()
-}
-
-// newLeaseState fills in opts' defaults and starts the lease clock; the
-// auto-grant timer waits for Start.
-func newLeaseState(opts LeaseOptions, self consensus.ProcessID) (*leaseState, error) {
+// leaseConfig fills in opts' defaults and checks them: the lease table's
+// configuration for process self.
+func leaseConfig(opts LeaseOptions, self consensus.ProcessID) (*lease.Config, error) {
 	if opts.Duration <= 0 {
 		opts.Duration = 2 * time.Second
 	}
@@ -115,25 +88,8 @@ func newLeaseState(opts LeaseOptions, self consensus.ProcessID) (*leaseState, er
 	if !opts.UnsafeZeroEpsilon && 2*opts.Epsilon >= opts.Duration {
 		return nil, fmt.Errorf("smr leases: 2ε (%v) must be smaller than the lease duration (%v)", 2*opts.Epsilon, opts.Duration)
 	}
-	return &leaseState{opts: opts, self: self, start: time.Now()}, nil
+	return &lease.Config{Self: int(self), Duration: opts.Duration.Nanoseconds(), Epsilon: opts.Epsilon.Nanoseconds(), Unsafe: opts.UnsafeZeroEpsilon}, nil
 }
-
-// table is a fresh lease table under these options; nil without leases.
-func (ls *leaseState) table() *lease.Table {
-	if ls == nil {
-		return nil
-	}
-	return lease.New(lease.Config{
-		Self:     int(ls.self),
-		Duration: ls.opts.Duration.Nanoseconds(),
-		Epsilon:  ls.opts.Epsilon.Nanoseconds(),
-		Unsafe:   ls.opts.UnsafeZeroEpsilon,
-	})
-}
-
-// renewAhead is how much of an own lease may remain when the auto-grant timer
-// proposes a fresh grant: a third of it.
-func (ls *leaseState) renewAhead() time.Duration { return ls.opts.Duration / 3 }
 
 // LeaseRead serves a linearizable read from local applied state when this
 // replica holds a valid lease. served=false means the caller must fall
@@ -141,7 +97,7 @@ func (ls *leaseState) renewAhead() time.Duration { return ls.opts.Duration / 3 }
 func (r *Replica) LeaseRead(key string) (val string, ok, served bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.log.LeaseRead(r.ls.now(), key)
+	return r.log.LeaseRead(r.now(), key)
 }
 
 // AcquireLease replicates a lease grant naming this replica as holder. It
@@ -151,53 +107,19 @@ func (r *Replica) LeaseRead(key string) (val string, ok, served bool) {
 // Grants bypass the write batcher deliberately: a grant folded into an
 // OpBatch would lose its identity as a grant command.
 func (r *Replica) AcquireLease(ctx context.Context) error {
-	if r.ls == nil {
+	if r.leases == nil {
 		return errors.New("smr leases: not enabled")
 	}
-	_, err := r.Execute(ctx, Command{
-		Op:  OpLeaseGrant,
-		Key: strconv.Itoa(int(r.ls.self)),
-		Val: strconv.FormatInt(r.ls.opts.Duration.Nanoseconds(), 10),
-	})
+	_, err := r.Execute(ctx, slotlog.Grant(*r.leases))
 	return err
 }
 
 // HoldsLease reports whether this replica can serve lease reads right now.
 func (r *Replica) HoldsLease() bool { return r.LeaseStats().Valid }
 
-// scheduleLeaseLocked (re)arms the auto-grant/renew timer. Period is a
-// fraction of the renew window so expiry is noticed promptly.
-func (r *Replica) scheduleLeaseLocked() {
-	period := max(r.ls.renewAhead()/2, 5*time.Millisecond)
-	r.ls.timer = time.AfterFunc(period, func() {
-		r.mu.Lock()
-		if r.log.Halted() {
-			r.mu.Unlock()
-			return
-		}
-		r.scheduleLeaseLocked()
-		want := r.log.WantsGrant(r.ls.now(), r.ls.renewAhead().Nanoseconds())
-		// Only the stable Ω leader volunteers: one likely grantee per group,
-		// so competing grants (each revoking the other) stay a transient of
-		// leader churn, not the steady state.
-		lead := r.timers.leaders
-		propose := want && !r.ls.inFlight && lead.Leader() == r.ls.self && lead.LeaderStable(2)
-		r.ls.inFlight = r.ls.inFlight || propose
-		r.mu.Unlock()
-		if propose {
-			ctx, cancel := context.WithTimeout(context.Background(), r.ls.opts.Duration)
-			_ = r.AcquireLease(ctx)
-			cancel()
-			r.mu.Lock()
-			r.ls.inFlight = false
-			r.mu.Unlock()
-		}
-	})
-}
-
 // LeaseStats snapshots the lease/read counters.
 func (r *Replica) LeaseStats() LeaseStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.log.LeaseStats(r.ls.now())
+	return r.log.LeaseStats(r.now())
 }

@@ -149,7 +149,7 @@ func TestLeaseTakeoverRevokesPreviousHolder(t *testing.T) {
 	// A takeover grant proposed while p0's guard is still active at p1 can
 	// anchor an empty serving window (the window is clipped to start at the
 	// guard's end but still expires Duration-ε after propose time), so —
-	// like the AutoGrant renewal timer — keep re-granting until one lands
+	// like the AutoGrant renewal — keep re-granting until one lands
 	// after the guard lapses and actually opens.
 	deadline := time.Now().Add(5 * time.Second)
 	for !replicas[1].HoldsLease() {

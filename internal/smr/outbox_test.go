@@ -102,6 +102,7 @@ func TestIOSchedulerFloorPinsUnbuiltGroup(t *testing.T) {
 		if err != nil {
 			t.Fatalf("group %d: %v", g, err)
 		}
+		r.Start()
 		return r, info
 	}
 	put := func(r *Replica, g, i int) {

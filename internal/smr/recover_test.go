@@ -94,6 +94,7 @@ func TestCrashTornSnapshotRestoresThePrevious(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.Start()
 		info.TornTail = info.TornTail || winfo.TornTail // what opening the log truncated
 		return info
 	}

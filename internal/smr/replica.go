@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/lease"
 	"repro/internal/quorum"
 	"repro/internal/smr/slotlog"
 	"repro/internal/transport"
@@ -62,34 +63,34 @@ func RegisterMessages(codec *consensus.Codec) {
 // view of, Ω and the applied-index gossip. tr and io are fixed at
 // construction.
 //
-// mu guards the log, the timers and the riders (what ends each caller's
+// mu guards the log, the timer and the riders (what ends each caller's
 // wait, by token), and is held for in-memory work only: journal appends are
 // buffered, and the outbox consumer commits them. batch groups Submit traffic
 // into OpBatch commands, under its own mutex, under which nothing takes mu.
-// dur, when non-nil, journals (durability.go); ls, when non-nil, runs the
-// lease timer (lease.go).
+// dur, when non-nil, journals (durability.go); leases, when non-nil, is the
+// lease configuration (lease.go). clock is the one clock every input reads,
+// leaders the Ω a fire reads; timer, armed at Start, expires at wake, the
+// log's earliest deadline, and fires, the goroutine that feeds the log its
+// expiries, ends when stop closes (haltLocked).
 type Replica struct {
-	mu     sync.Mutex
-	log    *slotlog.Log
-	tr     transport.Transport
-	io     *IOScheduler
-	batch  *batcher
-	dur    *durable
-	ls     *leaseState
-	timers timers
-	riders map[int64]func(slotlog.Verdict)
-}
-
-// timers turns the log's timer effects into wall-clock alarms: tick is one
-// protocol tick, leaders the Ω a fire reads, slots each armed slot's timer.
-type timers struct {
-	tick    time.Duration
+	mu      sync.Mutex
+	log     *slotlog.Log
+	tr      transport.Transport
+	io      *IOScheduler
+	batch   *batcher
+	dur     *durable
+	leases  *lease.Config
+	clock   func() time.Duration
 	leaders LeaderView
-	slots   map[int]*time.Timer
+	timer   *time.Timer
+	wake    int64
+	stop    chan struct{}
+	fires   sync.WaitGroup
+	riders  map[int64]func(slotlog.Verdict)
 }
 
 // LeaderView is the process's Ω as a group reads it: the estimate, and
-// whether it has held still long enough for the lease timer to volunteer.
+// whether it has held still long enough for the auto-grant to volunteer.
 // Reads only, safe from any goroutine; shard.Runtime feeds it.
 type LeaderView interface {
 	consensus.LeaderOracle
@@ -116,8 +117,8 @@ type ReplicaOptions struct {
 // refused with quorum.ErrInfeasible; flexible quorum sizes
 // (cfg.FastSize/cfg.RecoverySize) are checked against theirs.
 // tick is the length of one protocol tick, in which slot timers count; it
-// must be positive. The lease table comes before recovery, which replays
-// grants into it. A refused construction leaves nothing running.
+// must be positive. The replica's clock (LeaseOptions.Now, if set) starts
+// here. A refused construction leaves nothing running.
 func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leaders LeaderView, tr transport.Transport, opts ReplicaOptions) (*Replica, RecoveryInfo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("smr: %w", err)
@@ -133,40 +134,67 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 	if opts.Durability != nil && io.log == nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("smr: a durable replica on a scheduler without a log: nothing would commit its records")
 	}
+	start := time.Now()
 	r := &Replica{
-		tr:     tr,
-		io:     io,
-		timers: timers{tick: tick, leaders: leaders, slots: make(map[int]*time.Timer)},
-		riders: make(map[int64]func(slotlog.Verdict)),
+		tr:      tr,
+		io:      io,
+		clock:   func() time.Duration { return time.Since(start) },
+		leaders: leaders,
+		stop:    make(chan struct{}),
+		riders:  make(map[int64]func(slotlog.Verdict)),
 	}
-	if opts.Leases != nil {
-		ls, err := newLeaseState(*opts.Leases, cfg.ID)
-		if err != nil {
+	if lo := opts.Leases; lo != nil {
+		var err error
+		if r.leases, err = leaseConfig(*lo, cfg.ID); err != nil {
 			return nil, RecoveryInfo{}, err
 		}
-		r.ls = ls
+		if lo.Now != nil {
+			r.clock = lo.Now
+		}
 	}
+	autoGrant := opts.Leases != nil && opts.Leases.AutoGrant
 	r.batch = &batcher{replica: r, maxSize: maxChunk, poke: make(chan struct{}, 1)}
+	log := func(snapEvery int) *slotlog.Log { return slotlog.New(cfg, tick, r.leases, autoGrant, snapEvery) }
 	if opts.Durability == nil {
-		r.log = slotlog.New(cfg, r.ls.table(), 0)
+		r.log = log(0)
 		return r, RecoveryInfo{}, nil
 	}
-	info, err := r.recoverFrom(cfg, *opts.Durability)
+	info, err := r.recoverFrom(log, *opts.Durability)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
 	return r, info, nil
 }
 
-// Start arms the lease timer, if the group auto-grants. Slots start lazily
-// on first touch.
+// Start arms the timer for the log's earliest deadline and feeds the log a
+// Fire at each expiry until the replica halts. Slots start on first touch.
 func (r *Replica) Start() {
 	r.mu.Lock()
-	if r.ls != nil && r.ls.opts.AutoGrant {
-		r.scheduleLeaseLocked()
-	}
+	wake := r.wake
+	r.wake, r.timer = 0, time.NewTimer(time.Hour)
+	r.timer.Stop()
+	r.alarmLocked(wake)
 	r.mu.Unlock()
+	r.fires.Add(1)
+	go func() {
+		defer r.fires.Done()
+		for {
+			select {
+			case <-r.timer.C:
+				// The timer is spent: the next deadline the log reports arms it.
+				r.mu.Lock()
+				r.wake = 0
+				r.stepLocked(slotlog.Input{Kind: slotlog.Fire, Leader: r.leaders.Leader(), Stable: r.leaders.LeaderStable(2)}, nil, nil)
+				r.mu.Unlock()
+			case <-r.stop:
+				return
+			}
+		}
+	}()
 }
+
+// now reads the replica's clock, in nanoseconds since its construction.
+func (r *Replica) now() int64 { return r.clock().Nanoseconds() }
 
 // Handle is the transport handler.
 func (r *Replica) Handle(from consensus.ProcessID, msg consensus.Message) {
@@ -183,14 +211,14 @@ func (r *Replica) NoteApplied(from consensus.ProcessID, applied int) {
 	r.mu.Unlock()
 }
 
-// stepLocked feeds the log one input at the lease clock's reading and carries
+// stepLocked feeds the log one input at the clock's reading and carries
 // out its effects; rider, when non-nil, ends the wait the input registers
 // (whose token it returns), done runs once the step's outbox entry is through.
 // A wait the step ends as it begins, journaling nothing — a refusal, a wait
 // on a slot already applied — waits for no I/O: its verdict is returned with
 // now set, and neither rider nor done is kept.
 func (r *Replica) stepLocked(in slotlog.Input, rider func(slotlog.Verdict), done func()) (tok int64, v slotlog.Verdict, now bool) {
-	in.Now = r.ls.now()
+	in.Now = r.now()
 	eff := r.log.Step(in)
 	if vs := eff.Verdicts; rider != nil && len(eff.Records) == 0 && len(vs) == 1 && vs[0].Token == eff.Token {
 		v, now = vs[0], true
@@ -215,14 +243,12 @@ func (r *Replica) carryOutLocked(eff slotlog.Effects, done func()) {
 	cut, ok := r.journalLocked(eff.Records)
 	if !ok {
 		r.haltLocked()
-		eff.Sends, eff.Timers = nil, nil
+		eff.Sends, eff.Wake = nil, 0
 		for i := range eff.Verdicts {
 			eff.Verdicts[i].Outcome = slotlog.Closed
 		}
 	}
-	for _, t := range eff.Timers {
-		r.armLocked(t)
-	}
+	r.alarmLocked(eff.Wake)
 	var wake []delivery
 	for _, v := range eff.Verdicts {
 		if fn := r.riders[v.Token]; fn != nil {
@@ -242,29 +268,27 @@ func (r *Replica) carryOutLocked(eff slotlog.Effects, done func()) {
 	r.io.enqueue(outboxEntry{r: r, walIdx: idx, cut: cut, msgs: eff.Sends, wake: wake, done: done})
 }
 
-// armLocked carries out one timer effect: Arm 0 stops the slot's timer,
-// anything else arms it anew to feed the log a Fire naming the arming (a
-// stale one is the log's to ignore).
-func (r *Replica) armLocked(t slotlog.Timer) {
-	if old := r.timers.slots[t.Slot]; old != nil {
-		old.Stop()
-		delete(r.timers.slots, t.Slot)
-	}
-	if t.Arm == 0 {
+// alarmLocked sets the timer for the log's earliest deadline, at (0: none),
+// when it moved; before Start it only notes it.
+func (r *Replica) alarmLocked(at int64) {
+	if at == r.wake {
 		return
 	}
-	r.timers.slots[t.Slot] = time.AfterFunc(time.Duration(t.After)*r.timers.tick, func() {
-		r.mu.Lock()
-		r.stepLocked(slotlog.Input{Kind: slotlog.Fire, Slot: t.Slot, Arm: t.Arm, Leader: r.timers.leaders.Leader()}, nil, nil)
-		r.mu.Unlock()
-	})
+	switch r.wake = at; {
+	case r.timer == nil:
+	case at == 0:
+		r.timer.Stop()
+	default:
+		r.timer.Reset(time.Duration(at - r.now()))
+	}
 }
 
 // haltLocked makes the replica refuse work from here on: the log closes every
-// caller still waiting, through the outbox like any verdict.
+// caller still waiting, through the outbox like any verdict, and holds no
+// deadline, so the timer stops, and so do its fires.
 func (r *Replica) haltLocked() {
-	if r.ls != nil && r.ls.timer != nil {
-		r.ls.timer.Stop()
+	if !r.log.Halted() {
+		close(r.stop)
 	}
 	r.carryOutLocked(r.log.Step(slotlog.Input{Kind: slotlog.Halt}), nil)
 }
@@ -382,16 +406,18 @@ func (r *Replica) LogValue(slot int) (consensus.Value, bool) {
 	return r.log.Value(slot)
 }
 
-// Close stops timers and drains the replica's queued I/O: when it returns,
-// every entry this replica emitted has been committed, handed to its view
-// and woken, and every outstanding call has failed. The WAL, the scheduler and the
-// transport stay open — they belong to the host, which also decides whether
-// the queued entries still reach the wire (shard.Runtime.Close and Kill).
-// It also works on a poisoned or closed replica.
+// Close stops the timer and its goroutine and drains the replica's queued
+// I/O: when it returns, every entry this replica emitted has been committed,
+// handed to its view and woken, and every outstanding call has failed. The
+// WAL, the scheduler and the transport stay open — they belong to the host,
+// which also decides whether the queued entries still reach the wire
+// (shard.Runtime.Close and Kill). It also works on a poisoned or closed
+// replica.
 func (r *Replica) Close() {
 	r.mu.Lock()
 	r.haltLocked()
 	r.mu.Unlock()
+	r.fires.Wait()
 
 	r.batch.close()
 	// FIFO: everything this replica queued is ahead of the barrier.

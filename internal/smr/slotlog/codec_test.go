@@ -97,10 +97,10 @@ func AppendInput(dst []byte, in Input) []byte {
 	for _, c := range in.Cmds {
 		b, _ = appendCommand(b, c)
 	}
-	for _, v := range []int64{in.Token, int64(in.Slot), int64(in.Arm), int64(in.Leader), int64(in.Applied)} {
+	for _, v := range []int64{in.Token, int64(in.Slot), int64(in.Leader), int64(in.Applied)} {
 		b = consensus.AppendVarint(b, v)
 	}
-	b = appendRecord(b, in.Record)
+	b = appendRecord(consensus.AppendBool(b, in.Stable), in.Record)
 	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
 }
 
@@ -121,8 +121,8 @@ func NextInput(stream []byte) (Input, []byte, error) {
 			in.Cmds[i] = decodeCommand(&d, 0)
 		}
 	}
-	in.Token, in.Slot, in.Arm = d.Varint(), int(d.Varint()), int(d.Varint())
-	in.Leader, in.Applied = consensus.ProcessID(d.Varint()), int(d.Varint())
+	in.Token, in.Slot = d.Varint(), int(d.Varint())
+	in.Leader, in.Applied, in.Stable = consensus.ProcessID(d.Varint()), int(d.Varint()), d.Bool()
 	in.Record = decodeRecord(&d)
 	return in, stream[k+int(n):], d.Finish()
 }
@@ -133,10 +133,6 @@ func AppendEffects(dst []byte, e Effects) []byte {
 	for _, r := range e.Records {
 		dst = appendRecord(dst, r)
 	}
-	dst = consensus.AppendUvarint(dst, uint64(len(e.Timers)))
-	for _, t := range e.Timers {
-		dst = consensus.AppendVarint(consensus.AppendVarint(consensus.AppendVarint(dst, int64(t.Slot)), int64(t.Arm)), int64(t.After))
-	}
 	dst = consensus.AppendUvarint(dst, uint64(len(e.Sends)))
 	for _, s := range e.Sends {
 		dst = appendMsg(consensus.AppendVarint(dst, int64(s.To)), s.Msg)
@@ -146,7 +142,7 @@ func AppendEffects(dst []byte, e Effects) []byte {
 		dst = consensus.AppendVarint(consensus.AppendVarint(dst, v.Token), int64(v.Slot))
 		dst = consensus.AppendVarint(append(dst, byte(v.Outcome)), int64(v.Holder))
 	}
-	dst = consensus.AppendVarint(dst, e.Token)
+	dst = consensus.AppendVarint(consensus.AppendVarint(dst, e.Wake), e.Token)
 	if e.Err != nil {
 		return consensus.AppendStr(dst, e.Err.Error())
 	}

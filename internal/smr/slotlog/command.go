@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/consensus"
+	"repro/internal/lease"
 )
 
 // Op enumerates the commands the replicated store understands.
@@ -35,6 +36,11 @@ var opCodes = [...]Op{1: OpPut, 2: OpDelete, 3: OpNoop, 4: OpBatch, 5: OpLeaseGr
 const maxBatchDepth = 8
 
 var errBatchDepth = errors.New("batches nested too deep")
+
+// Grant is the command that grants cfg.Self a lease of cfg.Duration.
+func Grant(cfg lease.Config) Command {
+	return Command{Op: OpLeaseGrant, Key: strconv.Itoa(cfg.Self), Val: strconv.FormatInt(cfg.Duration, 10)}
+}
 
 // Command is one state-machine command.
 type Command struct {

@@ -2,16 +2,17 @@
 // slot table with each open slot's object-mode core instance, the key-value
 // machine the decided values drive, compaction, the command sequence and the
 // state transfer between peers. A Log has no goroutine, clock, lock, file or
-// socket: each input is one call to Step, with the lease clock's reading in
-// it, which returns what it calls for — journal records, sends, timer arms,
-// verdicts for waiting callers, snapshots as records — for its host
-// (smr.Replica) to carry out. The same inputs fed to a fresh Log yield the
-// same effects.
+// socket: each input is one call to Step, with the host clock's reading in
+// it, which returns what it calls for — journal records, sends, verdicts for
+// waiting callers, snapshots as records, the earliest deadline it holds — for
+// its host (smr.Replica) to carry out. The same inputs fed to a fresh Log
+// yield the same effects.
 package slotlog
 
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
@@ -38,7 +39,7 @@ const (
 	Wait                    // a caller waits for slot Slot to apply
 	Cancel                  // caller Token gave up: a proposal it lost is not retried
 	Deliver                 // message Msg arrived from From
-	Fire                    // slot Slot's timer, armed as Arm, fired while Ω named Leader
+	Fire                    // the clock passed Wake: Ω names Leader, Stable if it has held still
 	Gossip                  // peer From has applied Applied slots
 	Recover                 // the journal record Record was read back
 	Open                    // recovery is over
@@ -46,32 +47,34 @@ const (
 	Halt                    // the host stops: every caller is closed, and no later input does anything
 )
 
-// Input is one thing that happened to the log, at Now on the lease clock.
-// Every field its Kind does not name is zero.
+// Input is one thing that happened to the log, at Now on the host's clock
+// (nanoseconds). Every field its Kind does not name is zero.
 type Input struct {
-	Kind      Kind
-	Now       int64
-	From      consensus.ProcessID
-	Msg       consensus.Message
-	Cmds      []Command
-	Token     int64
-	Slot, Arm int
-	Leader    consensus.ProcessID
-	Applied   int
-	Record    Record
+	Kind    Kind
+	Now     int64
+	From    consensus.ProcessID
+	Msg     consensus.Message
+	Cmds    []Command
+	Token   int64
+	Slot    int
+	Leader  consensus.ProcessID
+	Stable  bool
+	Applied int
+	Record  Record
 }
 
 // Effects is what one input calls for, in the order the host carries it
-// out: Records are journaled, in order (a due snapshot's last); Timers are
-// armed and stopped; then Sends leave once every critical record — of this
-// step or an earlier one — is durable, and Verdicts once every record is.
-// Token is the caller a Propose or Wait registered; Err, a journaled state
-// Open could not restore: nothing is armed, and the log must not run.
+// out: Records are journaled, in order (a due snapshot's last); then Sends
+// leave once every critical record — of this step or an earlier one — is
+// durable, and Verdicts once every record is. Wake is the earliest deadline
+// the log holds (0: none), when the host feeds it a Fire. Token is the caller
+// a Propose or Wait (or a Fire's auto-grant) registered; Err, a journaled
+// state Open could not restore: the log must not run.
 type Effects struct {
 	Records  []Record
-	Timers   []Timer
 	Sends    []consensus.Send
 	Verdicts []Verdict
+	Wake     int64
 	Token    int64
 	Err      error
 }
@@ -92,13 +95,6 @@ type Record struct {
 	Val      consensus.Value // RecDecide
 	Snap     *Snapshot       // RecSnap, whose Slot is its applied index
 	Critical bool
-}
-
-// Timer arms slot Slot's timer as arming Arm, to fire After ticks from now;
-// Arm 0 stops it. A Fire names the arming it came from.
-type Timer struct {
-	Slot, Arm int
-	After     consensus.Duration
 }
 
 // Outcome is how a caller's wait ended.
@@ -133,18 +129,15 @@ type Snapshot struct {
 
 // slot is everything the log knows about one log slot, so deleting its
 // record retires it. node is the live instance: nil until something touches
-// the slot's protocol here, and again once it is decided (learn). arm is the
-// current arming of its timer (0: none), timer the timer's id. persisted is
-// node's last journaled state (its baseline right after Start or Restore), so
-// steps that change nothing journal nothing.
+// the slot's protocol here, and again once it is decided (learn). persisted
+// is node's last journaled state (its baseline right after Start or Restore),
+// so steps that change nothing journal nothing.
 type slot struct {
 	n         int
 	node      *core.Node
 	decided   bool
 	val       consensus.Value
 	riders    []rider
-	arm       int
-	timer     consensus.TimerID
 	persisted core.State
 }
 
@@ -159,48 +152,70 @@ type rider struct {
 
 // Log is one replica's log of one consensus group (see the package doc).
 // slots holds every slot from the compaction floor up that anything has
-// touched, and nothing else is keyed by slot number: every slot in
-// [floor, applied) is there, decided. seq is the last of this replica's
-// command IDs, never reused. hint is one past the newest slot this replica
-// proposed in: concurrent local proposals land in distinct slots, or they
-// race for one and the losers pay a conflict round. Stragglers below floor
-// are served snapshots; retained sizes the decided values the table holds, as
-// a lagging peer is sent those or the store, whichever is smaller. A snapshot
-// is due every snapEvery applied commands (0: none), and critical after an
-// install; snapAt is the newest one's applied index. restored holds the
-// journaled states of open slots until Open; eff, the step's effects so far.
+// touched: every slot in [floor, applied) is there, decided; timed holds the
+// deadline of each one whose timer is armed, tick per protocol tick on. seq
+// is the last of this replica's command IDs, never reused. hint is one past
+// the newest slot this replica proposed in: concurrent local proposals land
+// in distinct slots, or they race for one and the losers pay a conflict
+// round. Stragglers below floor are served snapshots; retained sizes the
+// decided values the table holds, as a lagging peer is sent those or the
+// store, whichever is smaller. A snapshot is due every snapEvery applied
+// commands (0: none), and critical after an install; snapAt is the newest
+// one's applied index. With auto-grant on, grantDue is its next deadline,
+// grantEvery its period and granting the token of its grant in flight (0:
+// none). restored holds the journaled states of open slots until Open; eff,
+// the step's effects so far.
 type Log struct {
 	cfg                  consensus.Config
+	tick                 int64
 	slots                map[int]*slot
+	timed                map[int]int64
 	m                    kvMachine
 	seq                  int64
 	hint                 int
 	floor, retained      int
 	cu                   catchupState
 	omega                consensus.FixedLeader // the Ω slot instances read: a Fire's (core reads Ω only in Tick)
-	arms                 int                   // the last timer arming handed out
 	tokens               int64                 // the last caller token handed out
 	snapEvery, sinceSnap int
 	snapDue, snapInstall bool
 	snapAt               int
 	restored             map[int]core.State
 	halted               bool
+	leaseCfg             *lease.Config
+	grantEvery, grantDue int64
+	granting             int64
 	leases               LeaseStats
+	timeouts             uint64
 	now                  int64
 	eff                  Effects
 }
 
-// New is an empty log for cfg's process, applying grants to leases when
-// non-nil, a snapshot due every snapEvery applied commands.
-func New(cfg consensus.Config, leases *lease.Table, snapEvery int) *Log {
-	return &Log{
+// New is an empty log for cfg's process whose timers count ticks of tick.
+// With leases it keeps a lease table and, with autoGrant, proposes its own
+// grants; a snapshot is due every snapEvery applied commands.
+func New(cfg consensus.Config, tick time.Duration, leases *lease.Config, autoGrant bool, snapEvery int) *Log {
+	l := &Log{
 		cfg:       cfg,
+		tick:      tick.Nanoseconds(),
 		slots:     make(map[int]*slot),
-		m:         kvMachine{n: cfg.N, store: make(map[string]string), leases: leases},
+		timed:     make(map[int]int64),
+		m:         kvMachine{n: cfg.N, store: make(map[string]string)},
 		cu:        catchupState{peerApplied: make([]int, cfg.N), partial: map[consensus.ProcessID][]*CatchupReply{}},
 		snapEvery: snapEvery,
 		restored:  map[int]core.State{},
+		leaseCfg:  leases,
 	}
+	if leases != nil {
+		l.m.leases = lease.New(*leases)
+	}
+	if autoGrant && leases != nil {
+		// Half the renewal window (a lease's last third): expiry is noticed
+		// promptly. The host's clock starts with the log.
+		l.grantEvery = max(leases.Duration/6, (5 * time.Millisecond).Nanoseconds())
+		l.grantDue = l.grantEvery
+	}
+	return l
 }
 
 // observe, when set, sees each input before a log takes it, and the effects
@@ -231,7 +246,7 @@ func (l *Log) Step(in Input) Effects {
 	case Deliver:
 		l.deliver(in.From, in.Msg)
 	case Fire:
-		l.fire(in.Slot, in.Arm, in.Leader)
+		l.fire(in.Leader, in.Stable)
 	case Gossip:
 		l.gossip(in.From, in.Applied)
 	case Recover:
@@ -241,7 +256,7 @@ func (l *Log) Step(in Input) Effects {
 	case Retire:
 		l.retireBelow(in.Slot)
 	case Halt:
-		l.halted = true
+		l.halted, l.grantDue = true, 0
 		for _, n := range sortedKeys(l.slots) {
 			l.release(l.slots[n], Closed)
 			l.stop(l.slots[n])
@@ -249,6 +264,12 @@ func (l *Log) Step(in Input) Effects {
 	}
 	if l.snapDue {
 		l.snapshot()
+	}
+	l.eff.Wake = l.grantDue
+	for _, n := range sortedKeys(l.timed) {
+		if l.eff.Wake == 0 || l.timed[n] < l.eff.Wake {
+			l.eff.Wake = l.timed[n]
+		}
 	}
 	if seen != nil {
 		seen(l.eff)
@@ -348,6 +369,9 @@ func (l *Log) Gate(now int64) (holder int, held bool) {
 }
 
 func (l *Log) verdict(token int64, slot int, o Outcome, holder int) {
+	if token == l.granting {
+		l.granting = 0
+	}
 	l.eff.Verdicts = append(l.eff.Verdicts, Verdict{Token: token, Slot: slot, Outcome: o, Holder: holder})
 }
 
@@ -401,29 +425,44 @@ var innerCodec = func() *consensus.Codec {
 	return c
 }()
 
-// fire runs slot n's timer, unless the arming is stale: superseded,
-// stopped, spent, or its slot decided or retired since.
-func (l *Log) fire(n, arm int, leader consensus.ProcessID) {
-	s := l.slots[n]
-	if s == nil || s.node == nil || arm == 0 || s.arm != arm {
-		return
+// fire runs every timer whose deadline has passed, in slot order (a slot an
+// earlier Tick decided or retired has none), then the auto-grant's.
+func (l *Log) fire(leader consensus.ProcessID, stable bool) {
+	l.omega = consensus.FixedLeader(leader)
+	for _, n := range sortedKeys(l.timed) {
+		if due, ok := l.timed[n]; ok && due <= l.now {
+			s := l.slots[n]
+			l.stop(s)
+			l.timeouts++
+			l.interpret(s, s.node.Tick(core.TimerNewBallot))
+			l.persist(s)
+		}
 	}
-	s.arm, l.omega = 0, consensus.FixedLeader(leader)
-	l.interpret(s, s.node.Tick(s.timer))
-	l.persist(s)
+	if l.grantDue != 0 && l.grantDue <= l.now {
+		l.autoGrantLease(leader, stable)
+	}
+}
+
+// autoGrantLease re-arms the auto-grant a period on, and proposes this
+// replica's grant if its lease is due for renewal, the fire's Ω names this
+// replica and has held still, and no auto-grant of the log's is in flight:
+// one likely grantee per group, so competing grants (each revoking the
+// other) stay a transient of leader churn. One that loses its slot is
+// proposed again, like any proposal.
+func (l *Log) autoGrantLease(leader consensus.ProcessID, stable bool) {
+	l.grantDue = l.now + l.grantEvery
+	if l.WantsGrant(l.now, l.leaseCfg.Duration/3) && leader == l.cfg.ID && stable && l.granting == 0 {
+		l.propose([]Command{Grant(*l.leaseCfg)})
+		l.granting = l.tokens
+	}
 }
 
 func (l *Log) send(to consensus.ProcessID, msg consensus.Message) {
 	l.eff.Sends = append(l.eff.Sends, consensus.Send{To: to, Msg: msg})
 }
 
-// stop stops s's timer, if it is armed.
-func (l *Log) stop(s *slot) {
-	if s.arm != 0 {
-		s.arm = 0
-		l.eff.Timers = append(l.eff.Timers, Timer{Slot: s.n})
-	}
-}
+// stop disarms s's timer.
+func (l *Log) stop(s *slot) { delete(l.timed, s.n) }
 
 // interpret carries a slot instance's effects into the log's.
 func (l *Log) interpret(s *slot, effects []consensus.Effect) {
@@ -443,9 +482,7 @@ func (l *Log) interpret(s *slot, effects []consensus.Effect) {
 			}
 		case consensus.StartTimer:
 			if !s.decided {
-				l.arms++
-				s.arm, s.timer = l.arms, eff.Timer
-				l.eff.Timers = append(l.eff.Timers, Timer{Slot: s.n, Arm: l.arms, After: eff.After})
+				l.timed[s.n] = l.now + int64(eff.After)*l.tick
 			}
 		case consensus.StopTimer:
 			l.stop(s)

@@ -3,101 +3,102 @@ package slotlog
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/lease"
 )
 
 // slotMsg wraps inner for slot n as a peer would send it.
 func slotMsg(n int, inner consensus.Message) *SlotMessage { return wrapSlot(n, inner) }
 
-// armed is the arming of slot n's timer the effects leave in place.
-func armed(t *testing.T, eff Effects, n int) int {
-	t.Helper()
-	arm := 0
-	for _, tm := range eff.Timers {
-		if tm.Slot == n {
-			arm = tm.Arm
-		}
-	}
-	if arm == 0 {
-		t.Fatalf("no timer armed for slot %d in %+v", n, eff.Timers)
-	}
-	return arm
-}
-
-// TestStaleFireIsIgnored: a fire names the arming it came from, and a fire
-// for an arming that is no longer current — superseded by a later one,
-// stopped, or of a slot decided or retired since — does nothing at all. The
-// current arming reaches the core's Tick: at the Ω leader, a new ballot.
+// TestStaleFireIsIgnored: a fire before a slot's deadline, or for a slot
+// stopped, decided or retired since, does nothing at all — and with nothing
+// armed, a fire is no different. A due one reaches the core's Tick: at the Ω
+// leader, a new ballot, counted as a timeout.
 func TestStaleFireIsIgnored(t *testing.T) {
 	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
-	fire := func(l *Log, n, arm int) Effects {
-		return l.Step(Input{Kind: Fire, Slot: n, Arm: arm, Leader: 0})
+	ms := time.Millisecond.Nanoseconds()
+	fire := func(l *Log, now int64) Effects {
+		return l.Step(Input{Kind: Fire, Now: now, Leader: 0, Stable: true})
 	}
-	touch := func(l *Log, n int) int { // a peer's 1A starts slot n's instance
-		return armed(t, l.Step(Input{Kind: Deliver, From: 1, Msg: slotMsg(n, &core.OneA{Ballot: 1})}), n)
+	touch := func(l *Log, n int, now int64) Effects { // a peer's 1A starts slot n's instance
+		return l.Step(Input{Kind: Deliver, Now: now, From: 1, Msg: slotMsg(n, &core.OneA{Ballot: 1})})
 	}
 
-	l := New(cfg, nil, 0)
-	first := touch(l, 3)
-	eff := fire(l, 3, first)
-	second := armed(t, eff, 3)
-	if second == first || len(eff.Records) != 1 || len(eff.Sends) != cfg.N-1 || eff.Sends[0].Msg.(*SlotMessage).InnerKind != core.KindOneA {
-		t.Fatalf("the current arming's fire = %+v, want a new ballot: a promise journaled, a 1A to each peer, the timer re-armed", eff)
+	l := New(cfg, time.Millisecond, nil, false, 0)
+	if eff := touch(l, 3, 0); eff.Wake != 20*ms {
+		t.Fatalf("a fresh instance's deadline = %d, want 2Δ = %d", eff.Wake, 20*ms)
 	}
+	eff := fire(l, 20*ms)
+	if eff.Wake != 70*ms || len(eff.Records) != 1 || len(eff.Sends) != cfg.N-1 || eff.Sends[0].Msg.(*SlotMessage).InnerKind != core.KindOneA {
+		t.Fatalf("the due fire = %+v, want a new ballot: a promise journaled, a 1A to each peer, the timer 5Δ on", eff)
+	}
+	// Every fire below comes before slot 3's deadline, at 70 ms.
 	for name, stale := range map[string]func() Effects{
-		"superseded": func() Effects { return fire(l, 3, first) },
+		"early": func() Effects { return fire(l, 69*ms) },
 		"stopped": func() Effects {
-			s := l.instance(4)
-			arm := s.arm
-			l.stop(s)
-			return fire(l, 4, arm)
+			touch(l, 4, 30*ms)
+			l.stop(l.slots[4])
+			return fire(l, 50*ms)
 		},
 		"decided": func() Effects {
-			arm := touch(l, 5)
-			l.Step(Input{Kind: Deliver, From: 1, Msg: slotMsg(5, &core.DecideMsg{Value: consensus.IntValue(7)})})
-			return fire(l, 5, arm)
+			touch(l, 5, 30*ms)
+			l.Step(Input{Kind: Deliver, Now: 30 * ms, From: 1, Msg: slotMsg(5, &core.DecideMsg{Value: consensus.IntValue(7)})})
+			return fire(l, 50*ms)
 		},
 		"retired": func() Effects {
-			arm := touch(l, 0)
-			l.Step(Input{Kind: Retire, Slot: 1})
-			return fire(l, 0, arm)
+			touch(l, 0, 30*ms)
+			l.Step(Input{Kind: Retire, Now: 30 * ms, Slot: 1})
+			return fire(l, 50*ms)
 		},
-		"never armed": func() Effects { return fire(l, 9, second+100) },
 	} {
-		if eff := stale(); !reflect.DeepEqual(eff, Effects{}) {
-			t.Errorf("a fire for a %s arming = %+v, want no effects", name, eff)
+		if eff := stale(); !reflect.DeepEqual(eff, Effects{Wake: 70 * ms}) {
+			t.Errorf("a fire for a %s deadline = %+v, want no effects but slot 3's deadline", name, eff)
 		}
 	}
-	if eff := fire(l, 3, second); len(eff.Sends) == 0 {
-		t.Fatal("the current arming did nothing after the stale fires")
+	if eff := fire(New(cfg, time.Millisecond, nil, false, 0), 50*ms); !reflect.DeepEqual(eff, Effects{}) {
+		t.Errorf("a fire with nothing armed = %+v, want no effects", eff)
+	}
+	if got := l.Info().Timeouts; got != 1 {
+		t.Fatalf("%d timeouts counted after one due fire and the stale ones", got)
+	}
+	if eff := fire(l, 70*ms); len(eff.Sends) == 0 || eff.Wake != 120*ms || l.Info().Timeouts != 2 {
+		t.Fatalf("the due fire after the stale ones = %+v, %d timeouts", eff, l.Info().Timeouts)
 	}
 }
 
-// FuzzSlotLog drives process 1 of an n=5 group with an arbitrary sequence of
-// the log's inputs — messages decoded from the fuzz bytes, proposals, timer
-// fires, gossip, catch-up frames — and checks what must hold whatever
-// arrives: no panic; the applied index and the compaction floor never fall;
-// and in every Effects, what guards a send or a verdict is in it or behind
-// it — a live instance's state is journaled, as a critical record, by the
-// step that moved it, and a caller is told a slot applied only once the
-// slot's decision is journaled (or a snapshot installed past it); and the
-// snapshot a step journals is critical exactly when it backs an install —
-// nothing that depends on the jump may leave before it is durable — while a
-// periodic one, which restates what the journal holds, waits for nothing.
-// The seeds under testdata/fuzz are inputs of the replay test's capture.
+// FuzzSlotLog drives process 1 of an n=5 group, leases and auto-grant on,
+// with an arbitrary sequence of the log's inputs — messages decoded from the
+// fuzz bytes, proposals, fires, gossip, catch-up frames — on a clock that
+// never runs back, and checks what must hold whatever arrives: no panic; the
+// applied index and the compaction floor never fall; and in every Effects,
+// what guards a send or a verdict is in it or behind it — a live instance's
+// state is journaled, as a critical record, by the step that moved it, and a
+// caller is told a slot applied only once the slot's decision is journaled
+// (or a snapshot installed past it); the snapshot a step journals is
+// critical exactly when it backs an install — nothing that depends on the
+// jump may leave before it is durable — while a periodic one, which restates
+// what the journal holds, waits for nothing; Wake is the earliest deadline
+// armed, and only a live instance holds one; an auto-grant is proposed only
+// at a fire whose Ω reading names process 1 and is stable, and at most one
+// is in flight. The seeds under testdata/fuzz are inputs of the replay
+// test's capture.
 func FuzzSlotLog(f *testing.F) {
 	v, _ := Command{ID: "p0-1", Op: OpPut, Key: "k", Val: "v"}.Encode()
 	seed := AppendInput(nil, Input{Kind: Propose, Cmds: []Command{{Op: OpPut, Key: "a", Val: "1"}}})
 	seed = AppendInput(seed, Input{Kind: Deliver, From: 0, Msg: slotMsg(0, &core.ProposeMsg{Value: v})})
-	seed = AppendInput(seed, Input{Kind: Fire, Slot: 0, Arm: 1, Leader: 1})
+	seed = AppendInput(seed, Input{Kind: Fire, Now: 60 * time.Millisecond.Nanoseconds(), Leader: 1, Stable: true})
 	seed = AppendInput(seed, Input{Kind: Gossip, From: 2, Applied: 3})
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l := New(consensus.Config{ID: 1, N: 5, F: 2, E: 2, Delta: 10}, nil, 4)
+		leases := &lease.Config{Self: 1, Duration: (300 * time.Millisecond).Nanoseconds(), Epsilon: (30 * time.Millisecond).Nanoseconds()}
+		l := New(consensus.Config{ID: 1, N: 5, F: 2, E: 2, Delta: 10}, time.Millisecond, leases, true, 4)
 		journaled := map[int]bool{} // slots whose decision is journaled
 		installed := -1             // the applied index of the last snapshot installed
+		autos := map[int64]bool{}   // the tokens of the auto-grants proposed
+		var clock int64
 		for stream := data; ; {
 			in, rest, err := NextInput(stream)
 			if err != nil {
@@ -113,8 +114,35 @@ func FuzzSlotLog(f *testing.F) {
 			default:
 				continue
 			}
-			applied, floor, installs := l.m.applied, l.floor, l.cu.stats.Installed
+			in.Now = max(in.Now, clock)
+			clock = in.Now
+			applied, floor, installs, granting := l.m.applied, l.floor, l.cu.stats.Installed, l.granting
 			eff := l.Step(in)
+			if l.granting != 0 && l.granting != granting {
+				if in.Kind != Fire || in.Leader != l.cfg.ID || !in.Stable {
+					t.Fatalf("an auto-grant proposed at %+v", in)
+				}
+				autos[l.granting] = true
+			}
+			wake, riding := l.grantDue, 0
+			for n, due := range l.timed {
+				if s := l.slots[n]; s == nil || s.node == nil || s.decided {
+					t.Fatalf("slot %d holds a deadline with no live instance", n)
+				}
+				if wake == 0 || due < wake {
+					wake = due
+				}
+			}
+			for _, s := range l.slots {
+				for _, r := range s.riders {
+					if autos[r.token] {
+						riding++
+					}
+				}
+			}
+			if eff.Wake != wake || riding > 1 {
+				t.Fatalf("after %+v: Wake %d, earliest deadline %d; %d auto-grants in flight", in.Kind, eff.Wake, wake, riding)
+			}
 			if l.m.applied < applied || l.floor < floor {
 				t.Fatalf("%+v moved applied %d → %d, floor %d → %d", in, applied, l.m.applied, floor, l.floor)
 			}

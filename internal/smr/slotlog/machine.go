@@ -11,7 +11,7 @@ import (
 // kvMachine is the replicated state machine a group's log drives: the
 // key-value store as of the applied index, what it weighs and — with leases on
 // — the lease table the same commands run through. The Log keeps the slots in
-// order and hands it their decided values, and the lease clock's reading.
+// order and hands it their decided values, and the clock's reading.
 type kvMachine struct {
 	n          int // the group's size: a grant naming no member is malformed
 	applied    int // slots applied; apply takes slot applied's value next

@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/consensus"
+	"repro/internal/core"
+	"repro/internal/smr"
 	"repro/internal/smr/slotlog"
 	"repro/internal/transport"
 )
@@ -21,12 +23,16 @@ import (
 var writeSeeds = flag.Bool("slotlog.seeds", false, "rewrite FuzzSlotLog's seed corpus from the replay capture")
 
 // life is what one log of the recorded process took and returned, each input
-// and its effects in their byte form (slotlog's test codec).
+// and its effects in their byte form (slotlog's test codec). kinds counts
+// what it took and did (kindOf, grantKinds); autos are the tokens of its
+// auto-grants, grants the slot each grant of its was first proposed in.
 type life struct {
 	log     *slotlog.Log
 	inputs  [][]byte
 	effects [][]byte
 	kinds   map[string]int
+	autos   map[int64]bool
+	grants  map[string]int
 }
 
 // recorder captures the inputs and effects of process id's logs, one life per
@@ -38,13 +44,13 @@ type recorder struct {
 }
 
 func (r *recorder) observe(l *slotlog.Log, in slotlog.Input) func(slotlog.Effects) {
-	if cfg, _ := l.Config(); cfg.ID != r.id {
+	if l.Config().ID != r.id {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.lives) == 0 || r.lives[len(r.lives)-1].log != l {
-		r.lives = append(r.lives, &life{log: l, kinds: map[string]int{}})
+		r.lives = append(r.lives, &life{log: l, kinds: map[string]int{}, autos: map[int64]bool{}, grants: map[string]int{}})
 	}
 	lf := r.lives[len(r.lives)-1]
 	lf.inputs = append(lf.inputs, slotlog.AppendInput(nil, in))
@@ -53,6 +59,49 @@ func (r *recorder) observe(l *slotlog.Log, in slotlog.Input) func(slotlog.Effect
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		lf.effects = append(lf.effects, slotlog.AppendEffects(nil, eff))
+		lf.grantKinds(in, eff)
+	}
+}
+
+// seen reports whether any life took or did kind.
+func (r *recorder) seen(kind string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, lf := range r.lives {
+		if lf.kinds[kind] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// grantKinds counts what one step did with the life's lease grants: an
+// auto-grant proposed at a fire, one applied, and a grant proposed again in
+// another slot after it lost its own.
+func (lf *life) grantKinds(in slotlog.Input, eff slotlog.Effects) {
+	if in.Kind == slotlog.Fire && eff.Token != 0 {
+		lf.autos[eff.Token] = true
+		lf.kinds["auto-grant"]++
+	}
+	for _, v := range eff.Verdicts {
+		if lf.autos[v.Token] && v.Outcome == slotlog.Applied {
+			lf.kinds["auto-grant applied"]++
+		}
+	}
+	for _, s := range eff.Sends {
+		sm, ok := s.Msg.(*slotlog.SlotMessage)
+		var p core.ProposeMsg
+		if !ok || sm.InnerKind != core.KindPropose || p.DecodeBody(sm.InnerBody) != nil {
+			continue
+		}
+		if cmd, err := slotlog.DecodeCommand(p.Value); err == nil && cmd.Op == slotlog.OpLeaseGrant {
+			if first, ok := lf.grants[cmd.ID]; !ok {
+				lf.grants[cmd.ID] = sm.Slot
+			} else if first != sm.Slot {
+				lf.grants[cmd.ID] = sm.Slot
+				lf.kinds["grant placed again"]++
+			}
+		}
 	}
 }
 
@@ -77,6 +126,7 @@ func kindOf(in slotlog.Input) string {
 // durable run of an n=5 group — two proposers contending for slots, a ballot
 // timer firing while process 1's links are cut, the applied-index gossip, a
 // kill and a WAL recovery behind a log suffix, another behind a snapshot —
+// and process 0's during a run of an n=3 group with leases and auto-grant on,
 // and feeds each life's inputs to a fresh log: the effects must come back the
 // same, byte for byte.
 func TestReplayIsByteForByte(t *testing.T) {
@@ -144,19 +194,20 @@ func TestReplayIsByteForByte(t *testing.T) {
 		converge()
 	}
 	c.Close()
+	leased := recordLeases(t)
 	slotlog.Observe(nil) // the replays below are not the run's
 
 	seen := map[string]bool{}
-	for i, lf := range rec.lives {
+	for i, lf := range append(rec.lives, leased.lives...) {
 		t.Logf("life %d: %d inputs %v", i, len(lf.inputs), lf.kinds)
 		for k := range lf.kinds {
 			seen[k] = true
 		}
 		replay(t, i, lf)
 	}
-	for _, k := range []string{"propose", "slot message", "fire", "gossip", "restore", "recover", "open", "suffix catch-up", "snapshot catch-up", "halt"} {
+	for _, k := range []string{"propose", "slot message", "fire", "gossip", "restore", "recover", "open", "suffix catch-up", "snapshot catch-up", "halt", "auto-grant", "auto-grant applied", "grant placed again"} {
 		if !seen[k] {
-			t.Errorf("the run fed process 1 no %s input", k)
+			t.Errorf("the runs recorded no %s", k)
 		}
 	}
 	if *writeSeeds {
@@ -164,11 +215,40 @@ func TestReplayIsByteForByte(t *testing.T) {
 	}
 }
 
+// recordLeases records process 0's log in an n=3 group with leases and
+// auto-grant on: its first auto-grant applies; then its links out are cut
+// until a renewal of its loses its slot to process 1's grant and is proposed
+// again, and healed.
+func recordLeases(t *testing.T) *recorder {
+	rec := &recorder{id: 0}
+	slotlog.Observe(rec.observe)
+	c, err := cluster.New(cluster.Options{N: 3, F: 1, E: 1, Leases: &smr.LeaseOptions{
+		Duration: 300 * time.Millisecond, Epsilon: 30 * time.Millisecond, AutoGrant: true,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	await := func(kind string) {
+		for deadline := time.Now().Add(20 * time.Second); !rec.seen(kind); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("process 0 recorded no %s", kind)
+			}
+		}
+	}
+	await("auto-grant applied")
+	c.Fabric().SetFault(func(from, _ consensus.ProcessID) transport.FaultVerdict {
+		return transport.FaultVerdict{Drop: from == 0}
+	})
+	await("grant placed again")
+	c.Fabric().SetFault(nil)
+	return rec
+}
+
 // replay feeds lf's inputs to a fresh log and compares the effects.
 func replay(t *testing.T, i int, lf *life) {
 	t.Helper()
-	cfg, snapEvery := lf.log.Config()
-	l := slotlog.New(cfg, nil, snapEvery)
+	l := lf.log.Fresh()
 	if len(lf.effects) != len(lf.inputs) {
 		t.Fatalf("life %d: %d inputs but %d effects", i, len(lf.inputs), len(lf.effects))
 	}

@@ -3,6 +3,7 @@ package slotlog
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
@@ -30,7 +31,7 @@ func BenchmarkSlotWrap(b *testing.B) {
 	})
 
 	b.Run("broadcast-n5", func(b *testing.B) {
-		l := New(consensus.Config{ID: 0, N: 5, F: 2, E: 2, Delta: 10}, nil, 0)
+		l := New(consensus.Config{ID: 0, N: 5, F: 2, E: 2, Delta: 10}, time.Millisecond, nil, false, 0)
 		chunk := Command{ID: "p0-batch-1", Op: OpBatch}
 		for i := 0; i < 32; i++ {
 			chunk.Subs = append(chunk.Subs, Command{

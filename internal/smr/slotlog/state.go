@@ -104,6 +104,9 @@ func (l *Log) Value(n int) (consensus.Value, bool) {
 	return consensus.Value{}, false
 }
 
+// Deadline is when slot n's timer fires, on the input clock (0: not armed).
+func (l *Log) Deadline(n int) int64 { return l.timed[n] }
+
 // Get reads key as of the applied index.
 func (l *Log) Get(key string) (string, bool) { return l.m.get(key) }
 
@@ -120,11 +123,12 @@ type Info struct {
 	RetainedBytes int          `json:"retainedBytes"`
 	Catchup       CatchupStats `json:"catchup"`
 	SnapshotIndex int          `json:"snapshotIndex,omitempty"` // the newest snapshot's applied index
+	Timeouts      uint64       `json:"timeouts"`                // fires that ran an undecided instance's Tick
 }
 
 // Info reports the log's applied index, open slots, retention and snapshot.
 func (l *Log) Info() Info {
-	info := Info{Applied: l.m.applied, CompactFloor: l.floor, RetainedBytes: l.retained, Catchup: l.cu.stats, SnapshotIndex: l.snapAt}
+	info := Info{Applied: l.m.applied, CompactFloor: l.floor, RetainedBytes: l.retained, Catchup: l.cu.stats, SnapshotIndex: l.snapAt, Timeouts: l.timeouts}
 	for n, s := range l.slots {
 		if s.decided {
 			info.Retained++
