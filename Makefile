@@ -86,8 +86,12 @@ bench-wan-short:
 # 64 slots and as a snapshot of 8k keys: wire-B/op, frames/op and how long
 # each side holds Replica.mu for it (send-lock-ns/op, recv-lock-ns/op).
 # BenchmarkLinkDelay is the WAN shim's own error: late_us/frame is how late
-# a frame arrives past its 37.5 ms injected delay (a Go timer on an idle
-# process fires up to a millisecond late).
+# a frame arrives past its 37.5 ms injected delay (the release is a deadline
+# of internal/deadline; the rest is the loopback write and the reader's wake).
+# BenchmarkDeadline is the timer table: late_p50_us / late_p90_us and
+# cpu_us/wait of a 100 us – 37.5 ms wait on an idle process, as a time.Timer
+# (rounded to the netpoller's millisecond) and as a deadline (woken on time
+# by its timerfd).
 # BenchmarkTCPLinkHeap is what an idle TCP link keeps on the heap: heap_B/link
 # is the live-heap growth (after runtime.GC) of opening 16 links with one
 # frame each, both ends in the process. A link's queue follows its traffic,
@@ -102,6 +106,7 @@ microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
 	$(GO) test -run=NONE -bench 'BenchmarkLinkDelay' -benchtime=40x -count=2 ./internal/transport
+	$(GO) test -run=NONE -bench 'BenchmarkDeadline' -benchtime=40x -count=2 ./internal/deadline
 	$(GO) test -run=NONE -bench 'BenchmarkTCPLinkHeap' -benchtime=5x -count=2 ./internal/transport
 
 # Rewrites EXPERIMENTS.md below its "# Generated report" line (and prints
@@ -120,21 +125,23 @@ cover:
 	$(GO) test ./internal/... -cover -short -timeout 300s
 
 # Coverage-guided fuzzing, FUZZTIME (30s) on each fuzz target: the one list
-# of them (CI runs `make fuzz FUZZTIME=10s`).
+# of them (CI runs `make fuzz FUZZTIME=10s`). Each new interesting input is
+# minimized for at most 1 s: at go test's default of 60 s a target spends
+# most of a short budget minimizing, at 0 execs/s.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/consensus -run=NONE -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/core -run=NONE -fuzz=FuzzDeliverRobustness -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/transport -run=NONE -fuzz=FuzzFrameRoundTrip -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/storage -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzSessionFrameRoundTrip -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCommandDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/smr/slotlog -run=NONE -fuzz=FuzzSlotLog -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/linear -run=NONE -fuzz=FuzzCheckVsBrute -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/consensus -run=NONE -fuzz=FuzzCodecDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/core -run=NONE -fuzz=FuzzDeliverRobustness -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/wal -run=NONE -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/transport -run=NONE -fuzz=FuzzFrameRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/storage -run=NONE -fuzz=FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzSessionFrameRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCommandDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzWalEntryDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzDurableSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/smr -run=NONE -fuzz=FuzzCatchupReplyDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/smr/slotlog -run=NONE -fuzz=FuzzSlotLog -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/linear -run=NONE -fuzz=FuzzCheckVsBrute -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 # Crash-injection suite: torn writes, failpoints mid-record, kill-and-restart
 # recovery through the runtime's shared-WAL abort/close, a torn log failing

@@ -63,6 +63,22 @@ var seededPackages = map[string]bool{
 // seed-reproducibility subset of the determinism contract.
 func IsSeededPackage(path string) bool { return seededPackages[path] }
 
+// timerPackages are the live hosts whose timers are deadlines of the
+// process's one scheduler, internal/deadline: a Go timer there would wake on
+// the netpoller's millisecond instead of on time, and outside the one heap
+// that item 6's virtual clock is to drive. Only the timer constructors are
+// flagged; the hosts read the clock and own goroutines.
+var timerPackages = map[string]bool{
+	"repro/internal/smr":       true,
+	"repro/internal/shard":     true,
+	"repro/internal/transport": true,
+}
+
+// hostTimerFuncs are the time package's timer constructors.
+var hostTimerFuncs = map[string]bool{
+	"NewTimer": true, "AfterFunc": true, "NewTicker": true, "After": true, "Tick": true,
+}
+
 // bannedTimeFuncs are the time package functions that read or depend on the
 // wall clock or a runtime timer. Pure conversions (time.Duration arithmetic,
 // time.Unix) are fine.
@@ -81,7 +97,8 @@ var allowedRandFuncs = map[string]bool{
 
 // Determinism enforces the protocol determinism contract on the packages in
 // protocolPackages: no wall-clock reads, no unseeded global randomness, no
-// goroutines, and no order-sensitive iteration over maps. Protocols are
+// goroutines, and no order-sensitive iteration over maps. Its host-timer
+// tier (timerPackages) flags only the Go timer constructors. Protocols are
 // replayed byte-for-byte by internal/consensus/replay, internal/sim and
 // internal/mc, and the paper's Appendix-B adversarial schedules are spliced
 // from such replays — any hidden source of nondeterminism silently unsounds
@@ -89,14 +106,16 @@ var allowedRandFuncs = map[string]bool{
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid time.Now/Since, unseeded math/rand, go statements, and " +
-		"order-sensitive map iteration in protocol packages",
+		"order-sensitive map iteration in protocol packages, and Go timers " +
+		"in the hosts whose timers are internal/deadline's",
 	Run: runDeterminism,
 }
 
 func runDeterminism(pass *Pass) error {
 	full := IsProtocolPackage(pass.Pkg.Path())
 	seeded := IsSeededPackage(pass.Pkg.Path())
-	if !full && !seeded {
+	timers := timerPackages[pass.Pkg.Path()]
+	if !full && !seeded && !timers {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -107,9 +126,11 @@ func runDeterminism(pass *Pass) error {
 					pass.Reportf(n.Pos(), "go statement in protocol package %s: protocols must be single-threaded deterministic state machines", pass.Pkg.Path())
 				}
 			case *ast.CallExpr:
-				checkDeterministicCall(pass, n, full)
+				checkDeterministicCall(pass, n, full, full || seeded, timers)
 			case *ast.RangeStmt:
-				checkMapRange(pass, n)
+				if full || seeded {
+					checkMapRange(pass, n)
+				}
 			}
 			return true
 		})
@@ -121,8 +142,9 @@ func runDeterminism(pass *Pass) error {
 // functions. Clock reads are only banned under the full protocol contract;
 // seeded packages own timeouts and may read the clock, but a draw from the
 // unseeded global rand breaks their seed→schedule reproducibility the same
-// way it breaks a protocol replay.
-func checkDeterministicCall(pass *Pass, call *ast.CallExpr, full bool) {
+// way it breaks a protocol replay. In the timer tier only Go timers are
+// flagged.
+func checkDeterministicCall(pass *Pass, call *ast.CallExpr, full, seeded, timers bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -136,11 +158,14 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr, full bool) {
 	}
 	switch fn.Pkg().Path() {
 	case "time":
-		if full && bannedTimeFuncs[fn.Name()] {
+		switch {
+		case full && bannedTimeFuncs[fn.Name()]:
 			pass.Reportf(call.Pos(), "time.%s in protocol package: protocols must not read the clock — take time as input (consensus.Time) or emit a timer effect", fn.Name())
+		case timers && hostTimerFuncs[fn.Name()]:
+			pass.Reportf(call.Pos(), "time.%s in %s: a Go timer here bypasses the process's deadline scheduler — use internal/deadline", fn.Name(), pass.Pkg.Path())
 		}
 	case "math/rand", "math/rand/v2":
-		if !allowedRandFuncs[fn.Name()] {
+		if seeded && !allowedRandFuncs[fn.Name()] {
 			pass.Reportf(call.Pos(), "rand.%s uses the unseeded global source: construct an explicitly seeded rand.New(rand.NewSource(seed)) and thread it through", fn.Name())
 		}
 	}

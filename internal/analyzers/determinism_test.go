@@ -62,3 +62,20 @@ func TestIsProtocolPackage(t *testing.T) {
 		}
 	}
 }
+
+// TestDeterminismHostTimerPackage loads a fixture as internal/smr, one of the
+// hosts whose timers are internal/deadline's: every Go timer constructor is
+// flagged.
+func TestDeterminismHostTimerPackage(t *testing.T) {
+	analysistest.Run(t, "../..", "testdata/src/determinism/hosttimer",
+		"repro/internal/smr", analyzers.Determinism)
+}
+
+// TestDeterminismHostTimerClean loads a fixture as internal/transport that
+// takes its timers from internal/deadline and reads the clock, spawns a
+// goroutine, draws from the global rand and ranges over a map: the tier
+// flags none of it.
+func TestDeterminismHostTimerClean(t *testing.T) {
+	analysistest.Run(t, "../..", "testdata/src/determinism/hosttimerclean",
+		"repro/internal/transport", analyzers.Determinism)
+}

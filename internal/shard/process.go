@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/deadline"
 	"repro/internal/omega"
 )
 
@@ -103,21 +104,29 @@ func (rt *Runtime) handle(from consensus.ProcessID, msg consensus.Message) {
 	}
 }
 
-// every runs fn once per period on a goroutine shutdown stops and waits for.
-// A tick that finds fn still running is dropped, not queued.
+// every runs fn once per period on a goroutine shutdown stops and waits for,
+// on the ticks of a fixed grid from now. A tick that finds fn still running
+// is dropped, not queued.
 func (rt *Runtime) every(period time.Duration, fn func()) {
 	rt.clocks.Add(1)
 	go func() {
 		defer rt.clocks.Done()
-		t := time.NewTicker(period)
+		next := deadline.Now().Add(period)
+		t := deadline.NewTimer(period)
 		defer t.Stop()
 		for {
 			select {
 			case <-rt.stop:
 				return
 			case <-t.C:
-				fn()
 			}
+			fn()
+			now := deadline.Now()
+			next = next.Add(period)
+			if late := now.Sub(next); late >= 0 { // the ticks fn ran through
+				next = next.Add(late - late%period + period)
+			}
+			t.Reset(next.Sub(now))
 		}
 	}()
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/deadline"
 	"repro/internal/smr/slotlog"
 )
 
@@ -303,7 +304,7 @@ func (b *batcher) holdLocked(d time.Duration, untilBack bool) {
 	if d <= 0 {
 		return
 	}
-	timer := time.NewTimer(d)
+	timer := deadline.NewTimer(d)
 	defer timer.Stop()
 	for b.gatherableLocked() && (!untilBack || b.cohortAwayLocked()) && b.waitLocked(timer.C) {
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/deadline"
 	"repro/internal/lease"
 	"repro/internal/quorum"
 	"repro/internal/smr/slotlog"
@@ -82,7 +83,7 @@ type Replica struct {
 	leases  *lease.Config
 	clock   func() time.Duration
 	leaders LeaderView
-	timer   *time.Timer
+	timer   *deadline.Timer
 	wake    int64
 	stop    chan struct{}
 	fires   sync.WaitGroup
@@ -171,7 +172,7 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 func (r *Replica) Start() {
 	r.mu.Lock()
 	wake := r.wake
-	r.wake, r.timer = 0, time.NewTimer(time.Hour)
+	r.wake, r.timer = 0, deadline.NewTimer(time.Hour)
 	r.timer.Stop()
 	r.alarmLocked(wake)
 	r.mu.Unlock()

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/deadline"
 )
 
 // ErrSessionClosed reports an operation attempted on a closed
@@ -475,7 +477,7 @@ func (s *session) begin(cmd string) (*sessionOp, error) {
 // await blocks until op resolves or times out. A timeout abandons the op
 // (a late reply is discarded by the demux loop).
 func (s *session) await(op *sessionOp, timeout time.Duration) opResult {
-	timer := time.NewTimer(timeout)
+	timer := deadline.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case res := <-op.ch:

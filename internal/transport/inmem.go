@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/deadline"
 )
 
 // Mesh is an in-process transport fabric connecting n endpoints through
@@ -152,7 +153,7 @@ func (e *meshEndpoint) Send(to consensus.ProcessID, msg consensus.Message) error
 		// Delivery (and its accounting) happens when the timer fires; a
 		// mesh closed in the meantime turns the copies into closed-drops.
 		for i := 0; i < copies; i++ {
-			time.AfterFunc(delay, func() { e.mesh.deliver(e.id, to, msg, &e.stats) })
+			deadline.AfterFunc(delay, func() { e.mesh.deliver(e.id, to, msg, &e.stats) })
 		}
 		return nil
 	}

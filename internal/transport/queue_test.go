@@ -128,3 +128,44 @@ func TestTCPFIFOAcrossBursts(t *testing.T) {
 		})
 	}
 }
+
+// TestTCPFIFOWhenLaterFramesAreDueEarlier: each frame's LinkDelay is 100 µs
+// shorter than the one before, so a later frame's due stamp is earlier than
+// its predecessor's. The writer releases in queue order, a frame that is
+// already due right behind the one it waited for: they arrive in send order.
+func TestTCPFIFOWhenLaterFramesAreDueEarlier(t *testing.T) {
+	const frames = 200
+	addrs := map[consensus.ProcessID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}
+	opts := fastOpts
+	opts.QueueDepth = frames
+	next := 0 // Send calls LinkDelay on the sending goroutine, once per frame
+	opts.LinkDelay = func(consensus.ProcessID) time.Duration {
+		next++
+		return time.Duration(frames+1-next) * 100 * time.Microsecond
+	}
+	t0, err := transport.NewTCPWithOptions(0, addrs, testCodec(), func(consensus.ProcessID, consensus.Message) {}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Close()
+	var c collector
+	t1, err := transport.NewTCP(1, addrs, testCodec(), c.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	t0.SetPeerAddr(1, t1.Addr())
+	for i := range frames {
+		if err := t0.Send(1, &core.DecideMsg{Value: consensus.IntValue(int64(i))}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	waitCount(t, &c, frames)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, m := range c.got {
+		if got := m.(*core.DecideMsg).Value.Key; got != int64(i) {
+			t.Fatalf("frame %d arrived in place %d", got, i)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/deadline"
 )
 
 // maxFrame bounds a single wire frame, enforced on both sides: readFrame
@@ -348,7 +349,7 @@ func (t *TCP) Send(to consensus.ProcessID, msg consensus.Message) error {
 	q := tcpQueued{frame: frame}
 	if t.opts.LinkDelay != nil {
 		if d := t.opts.LinkDelay(to); d > 0 {
-			q.due = time.Now().Add(d)
+			q.due = deadline.Now().Add(d)
 		}
 	}
 	if err := p.push(q, t.opts.QueueDepth, t.stats); err != nil {
@@ -387,6 +388,12 @@ func (t *TCP) peer(to consensus.ProcessID) (*tcpPeer, error) {
 // it writes frames in order until the queue is empty.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
+	var hold *deadline.Timer // the LinkDelay release, reset for each frame
+	if t.opts.LinkDelay != nil {
+		hold = deadline.NewTimer(time.Hour)
+		hold.Stop()
+		defer hold.Stop()
+	}
 	for {
 		select {
 		case <-t.dialCtx.Done():
@@ -400,7 +407,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 				break
 			}
 			t.stats.dequeue()
-			if !t.await(q.due) {
+			if !t.await(hold, q.due) {
 				t.closePeer(p, true)
 				return
 			}
@@ -409,12 +416,12 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 	}
 }
 
-// await holds a frame until its due instant, the LinkDelay shim (a zero due
-// time does not wait). Later frames' windows overlap (stamps are taken at
-// enqueue), so a busy link still pipelines. It reports false, at once, when
-// the transport has closed.
-func (t *TCP) await(due time.Time) bool {
-	wait := time.Until(due)
+// await holds a frame on hold until its due instant, the LinkDelay shim (a
+// zero due time does not wait). Later frames' windows overlap (stamps are
+// taken at enqueue), so a busy link still pipelines. It reports false, at
+// once, when the transport has closed.
+func (t *TCP) await(hold *deadline.Timer, due time.Time) bool {
+	wait := due.Sub(deadline.Now())
 	if wait <= 0 {
 		select {
 		case <-t.dialCtx.Done():
@@ -423,12 +430,11 @@ func (t *TCP) await(due time.Time) bool {
 			return true
 		}
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	hold.Reset(wait)
 	select {
 	case <-t.dialCtx.Done():
 		return false
-	case <-timer.C:
+	case <-hold.C:
 		return true
 	}
 }
