@@ -39,7 +39,7 @@ test-short:
 # timing assumptions; one that doesn't gets converted to a fake clock
 # (see TestLeaseExpiryUnderFsyncStall for the pattern).
 test-flaky:
-	$(GO) test ./internal/smr ./internal/shard ./internal/cluster ./internal/chaos ./internal/wan ./internal/transport \
+	$(GO) test ./internal/smr ./internal/shard ./internal/cluster ./internal/chaos ./internal/wan ./internal/transport ./internal/deadline \
 		-race -count=5 -timeout 1200s
 
 # benchmark/ is its own module, so `go build ./...` and `go test ./...`

@@ -14,6 +14,7 @@ import (
 	"repro/internal/omega"
 	"repro/internal/shard"
 	"repro/internal/smr"
+	"repro/internal/transport"
 	"repro/internal/wan"
 )
 
@@ -684,6 +685,61 @@ func TestIdleBudget(t *testing.T) {
 			if hb, st := sent[omega.KindHeartbeat], sent[shard.KindStatus]; !near(hb, window*(n-1)) || !near(st, window/5*(n-1)) || len(sent) != 2 {
 				t.Fatalf("in %d periods p0 sent %v, want %d heartbeats, %d Status and nothing else",
 					window, sent, window*(n-1), window/5*(n-1))
+			}
+		})
+	}
+}
+
+// TestSilentAfterShutdown: a process's beat and its groups' timers are
+// deadlines whose callbacks run on goroutines of their own, which neither
+// Kill nor Close waits for. Once either has returned the process says
+// nothing: for three beat periods p0 sends nothing on the fabric, though a
+// write it could not commit held deadlines in every group and, in the same
+// span before, p0 was sending.
+func TestSilentAfterShutdown(t *testing.T) {
+	const groups = 2
+	period := 10 * time.Millisecond // Δ = 10 ticks of 1 ms
+	for _, kill := range []bool{true, false} {
+		t.Run(fmt.Sprintf("kill=%t", kill), func(t *testing.T) {
+			c, err := cluster.New(cluster.Options{N: 3, F: 1, E: 1, Groups: groups, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			// p0 hears nobody, so each group's write keeps its ballot timers.
+			c.Fabric().SetFault(func(from, to consensus.ProcessID) transport.FaultVerdict {
+				return transport.FaultVerdict{Drop: to == 0 && from != 0}
+			})
+			rt := c.Runtime(0)
+			var wg sync.WaitGroup
+			for g := 0; g < groups; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ctx, cancel := context.WithTimeout(context.Background(), 3*period)
+					defer cancel()
+					_ = rt.Group(g).Put(ctx, fmt.Sprintf("k%d", g), "v") // fails: no quorum
+				}()
+			}
+			wg.Wait()
+			said := func() uint64 {
+				s := c.Fabric().Transport(0).Stats()
+				return s.Sends + s.Drops
+			}
+			before := said()
+			time.Sleep(3 * period)
+			if said() == before {
+				t.Fatal("p0 sent nothing in three beat periods while it was up")
+			}
+			if kill {
+				c.Kill(0)
+			} else if err := rt.Close(); err != nil {
+				t.Fatal(err)
+			}
+			after := said()
+			time.Sleep(3 * period)
+			if n := said() - after; n != 0 {
+				t.Fatalf("p0 sent %d messages in the three beat periods after it stopped", n)
 			}
 		})
 	}

@@ -104,31 +104,28 @@ func (rt *Runtime) handle(from consensus.ProcessID, msg consensus.Message) {
 	}
 }
 
-// every runs fn once per period on a goroutine shutdown stops and waits for,
-// on the ticks of a fixed grid from now. A tick that finds fn still running
-// is dropped, not queued.
+// every runs fn once per period, on the ticks of a fixed grid from now: the
+// clock is a deadline whose callback runs fn and then arms the next tick, so
+// a tick that finds fn still running is dropped, not queued. It arms only
+// while the runtime is open; shutdown stops it.
 func (rt *Runtime) every(period time.Duration, fn func()) {
-	rt.clocks.Add(1)
-	go func() {
-		defer rt.clocks.Done()
-		next := deadline.Now().Add(period)
-		t := deadline.NewTimer(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-rt.stop:
-				return
-			case <-t.C:
-			}
-			fn()
-			now := deadline.Now()
-			next = next.Add(period)
-			if late := now.Sub(next); late >= 0 { // the ticks fn ran through
-				next = next.Add(late - late%period + period)
-			}
-			t.Reset(next.Sub(now))
+	next := deadline.Now().Add(period)
+	tick := func() {
+		fn()
+		now := deadline.Now()
+		next = next.Add(period)
+		if late := now.Sub(next); late >= 0 { // the ticks fn ran through
+			next = next.Add(late - late%period + period)
 		}
-	}()
+		rt.mu.Lock()
+		if !rt.closed {
+			rt.clock.Reset(next.Sub(now))
+		}
+		rt.mu.Unlock()
+	}
+	rt.mu.Lock()
+	rt.clock = deadline.AfterFunc(period, tick)
+	rt.mu.Unlock()
 }
 
 // beat closes one Ω period: the epoch advances and every peer is sent a

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/deadline"
 	"repro/internal/omega"
 	"repro/internal/smr"
 	"repro/internal/transport"
@@ -52,14 +53,10 @@ type Runtime struct {
 	recovery []smr.RecoveryInfo
 	walInfo  wal.OpenInfo
 
-	// The clocks Start arms (every). shutdown closes stop and waits for them
-	// before the groups close: no tick posts into a scheduler being torn down.
-	stop   chan struct{}
-	clocks sync.WaitGroup
-
 	mu     sync.Mutex
 	tr     transport.Transport
 	closed bool
+	clock  *deadline.Timer // the Ω and gossip beat Start arms (every)
 }
 
 // Durability configures the shared WAL, which holds every group's records
@@ -124,7 +121,6 @@ func New(opts Options) (*Runtime, error) {
 		router:  NewHashRouter(opts.Groups),
 		inner:   consensus.NewCodec(),
 		leaders: &leaders{det: omega.New(opts.Config, 0)},
-		stop:    make(chan struct{}),
 	}
 	smr.RegisterMessages(rt.inner)
 	if d := opts.Durability; d != nil {
@@ -238,7 +234,7 @@ func (rt *Runtime) SyncIO() {
 }
 
 // Close shuts the runtime down gracefully: nothing is sent from here on, the
-// clocks stop, every group drains through the shared scheduler (committing
+// beat stops, every group drains through the shared scheduler (committing
 // and waking what it queued), then the scheduler stops, the shared WAL syncs
 // closed, and the transport closes.
 func (rt *Runtime) Close() error { return rt.shutdown(false) }
@@ -252,9 +248,11 @@ func (rt *Runtime) Close() error { return rt.shutdown(false) }
 func (rt *Runtime) Kill() error { return rt.shutdown(true) }
 
 // shutdown is the one teardown behind Close and Kill; it runs once. Setting
-// closed silences every group's view and the process's own posts (send).
-// crash aborts the WAL before the groups drain instead of syncing it closed
-// after them.
+// closed silences every group's view and the process's own posts (send), and
+// under the same lock the beat stops and arms no more. A tick already running
+// may still post: before the scheduler closes its broadcast sends nothing
+// (send), and after it enqueue rejects the post. crash aborts the WAL before
+// the groups drain instead of syncing it closed after them.
 func (rt *Runtime) shutdown(crash bool) error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -262,14 +260,15 @@ func (rt *Runtime) shutdown(crash bool) error {
 		return nil
 	}
 	rt.closed = true
+	if rt.clock != nil {
+		rt.clock.Stop()
+	}
 	tr := rt.tr
 	rt.mu.Unlock()
-	close(rt.stop)
 	var firstErr error
 	if crash && rt.log != nil {
 		firstErr = rt.log.Abort()
 	}
-	rt.clocks.Wait()
 	for _, r := range rt.groups {
 		r.Close()
 	}

@@ -264,19 +264,16 @@ func (b *batcher) nextChunk(prev chan struct{}) *chunk {
 // a commit of 32 ms and more, which is distance — a released cohort is
 // waited for, not timed: no blind hold, however few of its riders are still
 // missing, and a stretch of up to 1/32 of a commit that ends when the cohort
-// is back (cohortAwayLocked). What is left of a beat once the flusher gets to
-// it is a timer shorter than the runtime's millisecond rounding (an idle Go
-// process sleeps in whole milliseconds), and such a timer is not a beat: it
-// fires when the next millisecond is up, well after the cohort is back. Once
-// the cohort's chunk has left, what arrives is its stragglers, and they are
-// held a beat behind it as on loopback, so that they leave together; the
-// next release waits for their chunk. On loopback the blind beat stays,
-// because where several cohorts share a batcher it is also what lets the
-// other cohort's stragglers in. Before the first commit the beat is the cap:
-// a cold burst arrives one writer at a time, and each would fill the window
-// with a chunk of one. A full chunk does not wait, and on loopback neither
-// does a small idle population (away <= 2, nothing in flight): for it the
-// delay costs more latency than the one fsync it could merge.
+// is back (cohortAwayLocked). Once the cohort's chunk has left, what arrives
+// is its stragglers, and they are held a beat behind it as on loopback, so
+// that they leave together; the next release waits for their chunk. On
+// loopback the blind beat stays, because where several cohorts share a
+// batcher it is also what lets the other cohort's stragglers in. Before the
+// first commit the beat is the cap: a cold burst arrives one writer at a
+// time, and each would fill the window with a chunk of one. A full chunk
+// does not wait, and on loopback neither does a small idle population
+// (away <= 2, nothing in flight): for it the delay costs more latency than
+// the one fsync it could merge.
 func (b *batcher) gatherLocked() (hold, stretch time.Duration) {
 	if !b.gatherableLocked() {
 		return 0, 0

@@ -485,6 +485,62 @@ func TestEnableDurabilityTwiceFails(t *testing.T) {
 	}
 }
 
+// TestFireAfterCloseIsInert: a replica's timer runs its callback on a
+// goroutine of its own, which Close does not wait for, so a fire may land
+// after Close has returned. By then the log is halted, and the fire journals
+// nothing, queues nothing on the scheduler and sends nothing.
+func TestFireAfterCloseIsInert(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	io := smr.NewIOScheduler(w, 1)
+	defer io.Close()
+	tr := &captureTr{self: 0}
+	sent := func() int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.sent)
+	}
+	cfg := consensus.Config{ID: 0, N: 3, F: 1, E: 1, Delta: 10}
+	r, _, err := smr.NewReplica(cfg, time.Millisecond, io, smr.FixedLeaders{}, tr, smr.ReplicaOptions{Durability: &smr.DurabilityOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	// No peer answers: the write stays open, its slot holding a deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := r.Put(ctx, "k", "v"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Put with no quorum = %v, want the context's deadline", err)
+	}
+	r.Close()
+	walNext, sends := w.Stats().NextIndex, sent()
+	if walNext <= 1 || sends == 0 {
+		t.Fatalf("before Close the replica journaled up to %d and sent %d: the write never left", walNext, sends)
+	}
+
+	// Hold the consumer in a post, so that whatever the fire queued stays
+	// queued to be counted.
+	running, release := make(chan struct{}), make(chan struct{})
+	io.Post(func() { close(running); <-release })
+	<-running
+	r.Fire()
+	queued := io.Queued()
+	close(release)
+	if queued != 0 {
+		t.Errorf("a fire after Close queued %d entries", queued)
+	}
+	if got := w.Stats().NextIndex; got != walNext {
+		t.Errorf("a fire after Close journaled: WAL index %d, was %d", got, walNext)
+	}
+	if got := sent(); got != sends {
+		t.Errorf("a fire after Close sent %d messages", got-sends)
+	}
+}
+
 func TestPoisonedReplicaRejectsWork(t *testing.T) {
 	// After a journaling failure nothing may become externally visible, so
 	// the replica refuses work; clients get ErrClosed, not silent

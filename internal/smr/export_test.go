@@ -59,3 +59,13 @@ func (r *Replica) DecidedSlotTimers() (decided, timers int) {
 	}
 	return info.Retained, timers
 }
+
+// Fire runs r's timer callback now, as an expiry of its deadline would.
+func (r *Replica) Fire() { r.fire() }
+
+// Queued reports how many entries wait in s for its consumer.
+func (s *IOScheduler) Queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}

@@ -70,9 +70,8 @@ func RegisterMessages(codec *consensus.Codec) {
 // into OpBatch commands, under its own mutex, under which nothing takes mu.
 // dur, when non-nil, journals (durability.go); leases, when non-nil, is the
 // lease configuration (lease.go). clock is the one clock every input reads,
-// leaders the Ω a fire reads; timer, armed at Start, expires at wake, the
-// log's earliest deadline, and fires, the goroutine that feeds the log its
-// expiries, ends when stop closes (haltLocked).
+// leaders the Ω a fire reads; timer, armed at Start, runs fire at wake, the
+// log's earliest deadline.
 type Replica struct {
 	mu      sync.Mutex
 	log     *slotlog.Log
@@ -85,8 +84,6 @@ type Replica struct {
 	leaders LeaderView
 	timer   *deadline.Timer
 	wake    int64
-	stop    chan struct{}
-	fires   sync.WaitGroup
 	riders  map[int64]func(slotlog.Verdict)
 }
 
@@ -141,7 +138,6 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 		io:      io,
 		clock:   func() time.Duration { return time.Since(start) },
 		leaders: leaders,
-		stop:    make(chan struct{}),
 		riders:  make(map[int64]func(slotlog.Verdict)),
 	}
 	if lo := opts.Leases; lo != nil {
@@ -167,31 +163,26 @@ func NewReplica(cfg consensus.Config, tick time.Duration, io *IOScheduler, leade
 	return r, info, nil
 }
 
-// Start arms the timer for the log's earliest deadline and feeds the log a
-// Fire at each expiry until the replica halts. Slots start on first touch.
+// Start arms the timer for the log's earliest deadline: each expiry feeds
+// the log a Fire (fire) until the replica halts. Slots start on first touch.
 func (r *Replica) Start() {
 	r.mu.Lock()
 	wake := r.wake
-	r.wake, r.timer = 0, deadline.NewTimer(time.Hour)
+	r.wake, r.timer = 0, deadline.AfterFunc(time.Hour, r.fire)
 	r.timer.Stop()
 	r.alarmLocked(wake)
 	r.mu.Unlock()
-	r.fires.Add(1)
-	go func() {
-		defer r.fires.Done()
-		for {
-			select {
-			case <-r.timer.C:
-				// The timer is spent: the next deadline the log reports arms it.
-				r.mu.Lock()
-				r.wake = 0
-				r.stepLocked(slotlog.Input{Kind: slotlog.Fire, Leader: r.leaders.Leader(), Stable: r.leaders.LeaderStable(2)}, nil, nil)
-				r.mu.Unlock()
-			case <-r.stop:
-				return
-			}
-		}
-	}()
+}
+
+// fire is the timer's callback. The timer is spent, so the next deadline the
+// log reports arms it again. A fire that a later step overtook is one the log
+// ignores, and one that lands after Close steps a halted log, which does
+// nothing.
+func (r *Replica) fire() {
+	r.mu.Lock()
+	r.wake = 0
+	r.stepLocked(slotlog.Input{Kind: slotlog.Fire, Leader: r.leaders.Leader(), Stable: r.leaders.LeaderStable(2)}, nil, nil)
+	r.mu.Unlock()
 }
 
 // now reads the replica's clock, in nanoseconds since its construction.
@@ -286,11 +277,8 @@ func (r *Replica) alarmLocked(at int64) {
 
 // haltLocked makes the replica refuse work from here on: the log closes every
 // caller still waiting, through the outbox like any verdict, and holds no
-// deadline, so the timer stops, and so do its fires.
+// deadline, so the timer stops.
 func (r *Replica) haltLocked() {
-	if !r.log.Halted() {
-		close(r.stop)
-	}
 	r.carryOutLocked(r.log.Step(slotlog.Input{Kind: slotlog.Halt}), nil)
 }
 
@@ -407,7 +395,7 @@ func (r *Replica) LogValue(slot int) (consensus.Value, bool) {
 	return r.log.Value(slot)
 }
 
-// Close stops the timer and its goroutine and drains the replica's queued
+// Close halts the replica, which stops its timer, and drains its queued
 // I/O: when it returns, every entry this replica emitted has been committed,
 // handed to its view and woken, and every outstanding call has failed. The
 // WAL, the scheduler and the transport stay open — they belong to the host,
@@ -418,7 +406,6 @@ func (r *Replica) Close() {
 	r.mu.Lock()
 	r.haltLocked()
 	r.mu.Unlock()
-	r.fires.Wait()
 
 	r.batch.close()
 	// FIFO: everything this replica queued is ahead of the barrier.
