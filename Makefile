@@ -92,6 +92,11 @@ bench-wan-short:
 # cpu_us/wait of a 100 us – 37.5 ms wait on an idle process, as a time.Timer
 # (rounded to the netpoller's millisecond) and as a deadline (woken on time
 # by its timerfd).
+# BenchmarkSessionFanout is the session server's reply path: 2 sessions x 16
+# closed-loop PUT callers over loopback to an in-process group. writes/chunk
+# is the server's reply writes per resolved chunk: at most one per connection
+# a chunk answers, so at or under 2 (a write per rider would read as
+# cmds/chunk); us/cycle is the time for every caller to complete one PUT.
 # BenchmarkTCPLinkHeap is what an idle TCP link keeps on the heap: heap_B/link
 # is the live-heap growth (after runtime.GC) of opening 16 links with one
 # frame each, both ends in the process. A link's queue follows its traffic,
@@ -103,6 +108,7 @@ microbench:
 	$(GO) test -run=NONE -bench 'BenchmarkBatcherDistance|BenchmarkReadFallback/distance' -benchtime=10x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkReadFallback/loopback' -benchtime=2000x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkCatchup' -benchtime=20x -count=2 ./internal/smr
+	$(GO) test -run=NONE -bench 'BenchmarkSessionFanout' -benchtime=200x -count=2 ./internal/smr
 	$(GO) test -run=NONE -bench 'BenchmarkWALAppendGroup' \
 		-benchmem -benchtime=100x -count=2 ./internal/wal
 	$(GO) test -run=NONE -bench 'BenchmarkLinkDelay' -benchtime=40x -count=2 ./internal/transport

@@ -79,6 +79,12 @@ var hostTimerFuncs = map[string]bool{
 	"NewTimer": true, "AfterFunc": true, "NewTicker": true, "After": true, "Tick": true,
 }
 
+// hostContextTimerFuncs are the context constructors that start a runtime
+// timer: a Go timer hidden in a context.
+var hostContextTimerFuncs = map[string]bool{
+	"WithTimeout": true, "WithDeadline": true, "WithTimeoutCause": true, "WithDeadlineCause": true,
+}
+
 // bannedTimeFuncs are the time package functions that read or depend on the
 // wall clock or a runtime timer. Pure conversions (time.Duration arithmetic,
 // time.Unix) are fine.
@@ -98,7 +104,8 @@ var allowedRandFuncs = map[string]bool{
 // Determinism enforces the protocol determinism contract on the packages in
 // protocolPackages: no wall-clock reads, no unseeded global randomness, no
 // goroutines, and no order-sensitive iteration over maps. Its host-timer
-// tier (timerPackages) flags only the Go timer constructors. Protocols are
+// tier (timerPackages) flags only the Go timer constructors, those the
+// context package calls for a deadline included. Protocols are
 // replayed byte-for-byte by internal/consensus/replay, internal/sim and
 // internal/mc, and the paper's Appendix-B adversarial schedules are spliced
 // from such replays — any hidden source of nondeterminism silently unsounds
@@ -143,7 +150,7 @@ func runDeterminism(pass *Pass) error {
 // seeded packages own timeouts and may read the clock, but a draw from the
 // unseeded global rand breaks their seed→schedule reproducibility the same
 // way it breaks a protocol replay. In the timer tier only Go timers are
-// flagged.
+// flagged, a context's deadline included.
 func checkDeterministicCall(pass *Pass, call *ast.CallExpr, full, seeded, timers bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -163,6 +170,10 @@ func checkDeterministicCall(pass *Pass, call *ast.CallExpr, full, seeded, timers
 			pass.Reportf(call.Pos(), "time.%s in protocol package: protocols must not read the clock — take time as input (consensus.Time) or emit a timer effect", fn.Name())
 		case timers && hostTimerFuncs[fn.Name()]:
 			pass.Reportf(call.Pos(), "time.%s in %s: a Go timer here bypasses the process's deadline scheduler — use internal/deadline", fn.Name(), pass.Pkg.Path())
+		}
+	case "context":
+		if timers && hostContextTimerFuncs[fn.Name()] {
+			pass.Reportf(call.Pos(), "context.%s in %s: its deadline is a Go timer that bypasses the process's deadline scheduler — cancel the context from an internal/deadline timer", fn.Name(), pass.Pkg.Path())
 		}
 	case "math/rand", "math/rand/v2":
 		if seeded && !allowedRandFuncs[fn.Name()] {

@@ -1,9 +1,10 @@
 // Fixture for the determinism analyzer's host-timer tier, clean: timers on
-// internal/deadline, clock reads, goroutines, the global rand and map order
-// are the host's to use.
+// internal/deadline, a context cancelled by one, clock reads, goroutines, the
+// global rand and map order are the host's to use.
 package fixture
 
 import (
+	"context"
 	"math/rand/v2"
 	"time"
 
@@ -24,4 +25,12 @@ func hold(d time.Duration, f func(), peers map[int]string) []string {
 		addrs = append(addrs, a)
 	}
 	return addrs
+}
+
+// cancelled bounds a context by a deadline of the scheduler: WithCancel
+// starts no timer.
+func cancelled(parent context.Context, d time.Duration) context.Context {
+	ctx, cancel := context.WithCancel(parent)
+	deadline.AfterFunc(d, cancel)
+	return ctx
 }

@@ -56,7 +56,7 @@ func pipelinedSessions(t *testing.T, topo wan.Topology, scale float64) {
 		keys         = 4
 	)
 	// One client-facing TCP server per process — the real wire, so frames,
-	// the executor pool, and batched reply flushes are all in the loop.
+	// completion callbacks, and batched reply flushes are all in the loop.
 	c, err := cluster.New(cluster.Options{N: n, F: f, E: e, Dir: t.TempDir(), Servers: true, Topology: topo, Scale: scale})
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,12 @@ import (
 // above the replica: the consensus layer sees one value per slot either way.
 //
 // One flusher goroutine launches chunks; the log step that applies a chunk's
-// slot resolves it and wakes its riders. A command finding the batcher idle
-// is launched at once. What arrives while a chunk's local stage runs — its
-// journal fsync and the hand-off of its Propose to the transport — forms
-// the next chunk, and how many chunks may then be in consensus together is
-// pipelineDepth of two durations measured on every chunk. Where a commit is
+// slot resolves it and ends its riders' waits (a rider is a command waiting
+// in a chunk). A command finding the batcher idle is launched at once. What
+// arrives while a chunk's local stage runs — its journal fsync and the
+// hand-off of its Propose to the transport — forms the next chunk, and how
+// many chunks may then be in consensus together is pipelineDepth of two
+// durations measured on every chunk. Where a commit is
 // local work (loopback: fsyncs and CPU) the depth is 1 and the window is
 // the whole in-flight commit, the classic group-commit heuristic; where it
 // is mostly distance, chunks overlap and a proposer is not held to one
@@ -31,7 +32,7 @@ type batcher struct {
 
 	mu       sync.Mutex
 	pending  []Command
-	waiters  []chan error
+	riders   []rider
 	flushing bool // the flusher goroutine is running
 	closed   bool
 	// inflight holds the launch times of the chunks in consensus, oldest
@@ -137,20 +138,45 @@ func smooth(avg *time.Duration, x time.Duration) {
 	*avg += (x - *avg) / 8
 }
 
+// rider is what ends one queued command's wait. done takes the outcome of
+// the command's chunk; it runs on whatever resolves the chunk — the
+// process's IOScheduler consumer, for a verdict — so it must never block and
+// never take Replica.mu. wake, when set, runs once every rider of the chunk
+// has its outcome: a connection whose riders share a chunk queues all their
+// replies before its writer is woken, and writes them at once.
+type rider struct {
+	done func(error)
+	wake func()
+}
+
 // executeBatched enqueues cmd and blocks until its batch is decided and
 // applied, or ctx is done — the command stays queued or proposed and may
 // still commit afterwards, and the other riders of its chunk are not
-// failed by it. The flush never runs on the submitting goroutine: the
-// caller must stay free to return at its own deadline.
+// failed by it.
 func (b *batcher) executeBatched(ctx context.Context, cmd Command) error {
+	ch := make(chan error, 1)
+	b.submit(cmd, rider{done: func(err error) { ch <- err }})
+	select {
+	case err := <-ch:
+		return err
+	case <-ctx.Done():
+		return fmt.Errorf("smr batch execute: %w", ctx.Err())
+	}
+}
+
+// submit enqueues cmd with its rider and returns at once; the rider learns
+// the outcome — ErrClosed on the spot if the batcher is closed. The flush
+// never runs on the submitting goroutine, so a caller that holds a deadline
+// of its own stays free to answer at it.
+func (b *batcher) submit(cmd Command, w rider) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return ErrClosed
+		w.end(ErrClosed)
+		return
 	}
 	b.pending = append(b.pending, cmd)
-	ch := make(chan error, 1)
-	b.waiters = append(b.waiters, ch)
+	b.riders = append(b.riders, w)
 	back := false
 	if b.away > 0 {
 		b.away--
@@ -164,12 +190,13 @@ func (b *batcher) executeBatched(ctx context.Context, cmd Command) error {
 		b.pokeFlusher() // what a gather may be waiting for
 	}
 	b.mu.Unlock()
+}
 
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return fmt.Errorf("smr batch execute: %w", ctx.Err())
+// end gives a rider that waits alone its outcome.
+func (w rider) end(err error) {
+	w.done(err)
+	if w.wake != nil {
+		w.wake()
 	}
 }
 
@@ -183,7 +210,7 @@ func (b *batcher) pokeFlusher() {
 // chunk is one launch: up to maxSize commands and their riders.
 type chunk struct {
 	cmds     []Command
-	waiters  []chan error
+	riders   []rider
 	launched time.Time
 	// sent is closed when the chunk's local stage is over: its journal
 	// records committed, its Propose handed to the transport.
@@ -237,9 +264,9 @@ func (b *batcher) nextChunk(prev chan struct{}) *chunk {
 	if n > b.maxSize {
 		n = b.maxSize
 	}
-	c := &chunk{cmds: b.pending[:n:n], waiters: b.waiters[:n:n], launched: time.Now(), sent: make(chan struct{})}
+	c := &chunk{cmds: b.pending[:n:n], riders: b.riders[:n:n], launched: time.Now(), sent: make(chan struct{})}
 	b.pending = b.pending[n:]
-	b.waiters = b.waiters[n:]
+	b.riders = b.riders[n:]
 	b.away = 0
 	b.batches++
 	b.cmds += uint64(n)
@@ -376,7 +403,7 @@ func (b *batcher) staged(c *chunk) {
 
 // resolve retires a chunk from the window and distributes its outcome to
 // its riders — in that order, so a rider that submits again at once is
-// counted as back.
+// counted as back — then wakes them: every done before any wake.
 func (b *batcher) resolve(c *chunk, err error) {
 	defer b.wg.Done()
 	b.mu.Lock()
@@ -394,24 +421,30 @@ func (b *batcher) resolve(c *chunk, err error) {
 	}
 	b.pokeFlusher()
 	b.mu.Unlock()
-	for _, ch := range c.waiters {
-		ch <- err
+	for _, w := range c.riders {
+		w.done(err)
+	}
+	for _, w := range c.riders {
+		if w.wake != nil {
+			w.wake()
+		}
 	}
 }
 
-// close fails the queued waiters and waits for the flusher and every chunk
+// close fails the queued riders and waits for the flusher and every chunk
 // in flight; those report their own outcome (the replica is marked closed
-// before close is called, so they fail fast). Waiting outside b.mu is
-// essential: the goroutines waited for take the lock to detach a chunk,
+// before close is called, so they fail fast). Riders and waiting both run
+// outside b.mu: the goroutines waited for take the lock to detach a chunk,
 // park or retire, and must not deadlock against their own reaper.
 func (b *batcher) close() {
 	b.mu.Lock()
 	b.closed = true
-	for _, ch := range b.waiters {
-		ch <- ErrClosed
-	}
-	b.pending, b.waiters = nil, nil
+	queued := b.riders
+	b.pending, b.riders = nil, nil
 	b.pokeFlusher()
 	b.mu.Unlock()
+	for _, w := range queued {
+		w.end(ErrClosed)
+	}
 	b.wg.Wait()
 }

@@ -126,8 +126,7 @@ func chunkKeys(t *testing.T, r *smr.Replica) (keys [][]string) {
 // An idle batcher's first flush must not run on the submitting goroutine:
 // with no quorum the flush cannot finish, and a caller with a 50 ms
 // deadline must still get its context error at the deadline (the flush ran
-// inline once, pinning the caller — and a server executor slot — for the
-// flusher's own two-minute bound).
+// inline once, pinning the caller for the flusher's own two-minute bound).
 func TestBatchIdleFlushHonorsCallerContext(t *testing.T) {
 	replicas, cleanup := startCluster(t, 3, 1, 1)
 	defer cleanup()

@@ -69,3 +69,6 @@ func (s *IOScheduler) Queued() int {
 	defer s.mu.Unlock()
 	return len(s.queue)
 }
+
+// ReplyWrites counts the flushes s's session writers have made.
+func (s *Server) ReplyWrites() uint64 { return s.ctr.replyWrites.Load() }

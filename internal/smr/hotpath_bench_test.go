@@ -3,9 +3,10 @@ package smr_test
 // Micro-benchmarks for the replication hot path: command encoding and
 // decoding, slot wrapping and a frame's way back in
 // (slotwrap_bench_test.go), the end-to-end submit pipeline, the batcher over
-// distance, and the lease-less read path. Run with
+// distance, the lease-less read path and the session server's replies. Run
+// with
 //
-//	go test -bench 'CommandEncode|CommandDecode|SlotWrap|FrameDecode|ReplicaPipeline|BatcherDistance|ReadFallback' -benchmem ./internal/smr/
+//	go test -bench 'CommandEncode|CommandDecode|SlotWrap|FrameDecode|ReplicaPipeline|BatcherDistance|ReadFallback|SessionFanout' -benchmem ./internal/smr/
 //
 // The codec benchmarks exist to keep allocs/op a CI number: an encode is its
 // output, a decode the strings it keeps, and nothing else.
@@ -403,4 +404,48 @@ func BenchmarkCatchup(b *testing.B) {
 			b.ReportMetric(float64(recvLock.Nanoseconds())/n, "recv-lock-ns/op")
 		})
 	}
+}
+
+// BenchmarkSessionFanout is the session server's reply path: 2 sessions × 16
+// closed-loop callers PUT over loopback to process 0 of an in-process group
+// (3 processes, in memory). An iteration is one PUT per caller; us/cycle is
+// its time, and writes/chunk the server's reply writes per chunk the group
+// resolved. A chunk costs at most one write per connection its riders span,
+// and chunks that resolve together share one, so it stays at or under 2; a
+// write per rider would read as cmds/chunk.
+func BenchmarkSessionFanout(b *testing.B) {
+	const sessions, callers = 2, 16
+	c := newTestCluster(b, 3, 1, 1, procOptions{})
+	srv, err := smr.NewBackendServer(c.rts[0], "127.0.0.1:0", time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	clients := make([]*smr.SessionClient, sessions)
+	for i := range clients {
+		if clients[i], err = smr.NewSessionClient([]string{srv.Addr()}, smr.SessionOptions{Depth: callers}); err != nil {
+			b.Fatal(err)
+		}
+		defer clients[i].Close()
+		if err := clients[i].Put("warm", "up"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := c.replicas()[0]
+	before, writes := r.BatchStats(), srv.ReplyWrites()
+	b.ResetTimer()
+	burst(b, sessions*callers, func(w int) error {
+		key := fmt.Sprintf("k%d", w)
+		for i := 0; i < b.N; i++ {
+			if err := clients[w%sessions].Put(key, "v"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/cycle")
+	chunks := r.BatchStats().Batches - before.Batches
+	b.ReportMetric(float64(srv.ReplyWrites()-writes)/float64(chunks), "writes/chunk")
+	b.ReportMetric(float64(b.N*sessions*callers)/float64(chunks), "cmds/chunk")
 }

@@ -336,14 +336,16 @@ func TestRefusalWaitsForNoCommit(t *testing.T) {
 // TestLeaseFencedChunk builds the race fencing exists for, step by step on an
 // isolated p0 with a frozen lease clock: p0 proposes while no lease is live,
 // and p1's grant wins a slot below p0's proposals before they decide. p0 has
-// A alone in slot a (Execute) and one batcher chunk, a Put B and a
-// GetLinearizable, in slot a+1; the test is the rest of the cluster and decides
-// slot a for the grant and slot a+1 for the chunk. p0 then applies its own chunk
-// inside p1's guard: B's ack is downgraded to ErrLeaseFenced with B applied;
-// the read that shared the chunk is refused toward the holder (p1 serves lease
-// reads since it applied its grant and may not have applied the chunk yet, so
-// returning B here could be contradicted by p1's next read); and A, which lost
-// its slot, is refused toward the holder before it is proposed again.
+// A alone in slot a (Execute) and one batcher chunk, a Put B, a
+// GetLinearizable and a session GETL through p0's server, in slot a+1; the
+// test is the rest of the cluster and decides slot a for the grant and slot
+// a+1 for the chunk. p0 then applies its own chunk inside p1's guard: B's ack
+// is downgraded to ErrLeaseFenced with B applied; both reads that shared the
+// chunk are refused toward the holder (p1 serves lease reads since it applied
+// its grant and may not have applied the chunk yet, so returning B here could
+// be contradicted by p1's next read) — the session's by the server's writer,
+// which finishes a fenced barrier; and A, which lost its slot, is refused
+// toward the holder before it is proposed again.
 func TestLeaseFencedChunk(t *testing.T) {
 	rt, tr := openIsolated(t, 0, "", &smr.LeaseOptions{
 		Duration: time.Second, Now: func() time.Duration { return 0 },
@@ -380,9 +382,16 @@ func TestLeaseFencedChunk(t *testing.T) {
 		v, ok, err := r.GetLinearizable(ctx, "b")
 		read <- getl{v, ok, err}
 	}()
-	for deadline := time.Now().Add(5 * time.Second); r.QueuedCommands() != 2; time.Sleep(time.Millisecond) {
+	srv, err := smr.NewBackendServer(rt, "127.0.0.1:0", 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, rd := dialSessionRaw(t, srv.Addr())
+	fmt.Fprintln(conn, "1 GETL b")
+	for deadline := time.Now().Add(5 * time.Second); r.QueuedCommands() != 3; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d commands queued behind the window in flight, want B and the read's no-op", r.QueuedCommands())
+			t.Fatalf("%d commands queued behind the window in flight, want B and the reads' no-ops", r.QueuedCommands())
 		}
 	}
 	for slot, w := range ws {
@@ -392,8 +401,8 @@ func TestLeaseFencedChunk(t *testing.T) {
 		}
 	}
 	chunk := proposed(a + 1)
-	if cmd, err := smr.DecodeCommand(chunk); err != nil || cmd.Op != smr.OpBatch || len(cmd.Subs) != 2 {
-		t.Fatalf("slot %d carries %+v (%v), want one chunk of B and a no-op", a+1, cmd, err)
+	if cmd, err := smr.DecodeCommand(chunk); err != nil || cmd.Op != smr.OpBatch || len(cmd.Subs) != 3 {
+		t.Fatalf("slot %d carries %+v (%v), want one chunk of B and two no-ops", a+1, cmd, err)
 	}
 
 	grant, err := smr.Command{ID: "p1-1", Op: smr.OpLeaseGrant, Key: "1", Val: strconv.FormatInt(int64(time.Second), 10)}.Encode()
@@ -413,14 +422,17 @@ func TestLeaseFencedChunk(t *testing.T) {
 	if got := <-read; !errors.Is(got.err, smr.ErrLeaseHeld) || !errors.As(got.err, &held) || held.Holder != 1 {
 		t.Fatalf("the read in B's chunk = %q,%t,%v, want ErrLeaseHeld naming p1", got.v, got.ok, got.err)
 	}
+	if got := readReply(t, rd); got != "1 ERR lease held by replica 1" {
+		t.Fatalf("the session's GETL in B's chunk = %q, want it refused toward p1", got)
+	}
 	if err := <-errA; !errors.Is(err, smr.ErrLeaseHeld) {
 		t.Fatalf("A lost its slot to the grant and was retried with %v, want ErrLeaseHeld", err)
 	}
 	if _, ok := r.Get("a"); ok {
 		t.Fatal("refused A is applied")
 	}
-	if ls := r.LeaseStats(); ls.Grants != 1 || ls.Fenced != 1 || ls.Refused != 2 {
-		t.Fatalf("lease stats %+v, want one grant, one fenced chunk, A and the read refused", ls)
+	if ls := r.LeaseStats(); ls.Grants != 1 || ls.Fenced != 1 || ls.Refused != 3 {
+		t.Fatalf("lease stats %+v, want one grant, one fenced chunk, A and both reads refused", ls)
 	}
 }
 

@@ -8,12 +8,14 @@ import (
 	"io"
 	"log"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/deadline"
 )
 
 // Server exposes a process's replicas to clients over a line-oriented TCP
@@ -36,9 +38,10 @@ import (
 // multiplexed session protocol (docs/SESSIONS.md): the server answers
 // "OHAI 2 <replica> <leader>" and thereafter each line is a frame
 // "<tag> <command>", answered by "<tag> <reply>" in whatever order
-// commands complete. Consensus commands (PUT/DEL/GETL) run on a bounded
-// per-connection executor pool so they never stall PING/GET/STATS/INFO;
-// replies are flushed in batches by one writer goroutine per connection.
+// commands complete. Consensus commands (PUT/DEL/GETL) are answered by
+// their completion, so they never stall PING/GET/STATS/INFO; a session is
+// a reader and a writer goroutine, and the writer flushes what completed
+// together in one write.
 // Anything else on the first line is served as legacy protocol v1, one
 // command per line, replies in order.
 type Server struct {
@@ -54,16 +57,6 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// Executor pool bounds for one session connection: sessionExecutors
-// consensus commands run concurrently, sessionBacklog more may queue, and
-// past that PUT/DEL/GETL frames are refused with "ERR busy" (a definite
-// rejection — the command never entered consensus).
-const (
-	sessionExecutors = 16
-	sessionBacklog   = 256
-	sessionReplyQ    = 256
-)
-
 // serverCounters is the server's internal atomic counter block.
 type serverCounters struct {
 	legacyConns atomic.Uint64
@@ -73,6 +66,7 @@ type serverCounters struct {
 	readErrors  atomic.Uint64
 	busy        atomic.Uint64
 	badFrames   atomic.Uint64
+	replyWrites atomic.Uint64 // session writer flushes
 }
 
 // ServerCounters is a snapshot of the server's protocol counters.
@@ -82,7 +76,7 @@ type ServerCounters struct {
 	Frames      uint64 // session frames handled
 	TooLong     uint64 // lines over MaxLineBytes answered with ERR
 	ReadErrors  uint64 // connections dropped on a read error
-	Busy        uint64 // frames refused by a full executor queue
+	Busy        uint64 // frames refused at the in-flight bound
 	BadFrames   uint64 // session lines with an unparsable tag
 }
 
@@ -215,11 +209,13 @@ func (s *Server) serve(conn net.Conn) {
 
 // serveLegacy speaks protocol v1: one command per line, replies in order.
 // first, when non-empty, is a command already read by the negotiation
-// peek.
+// peek. A consensus command is submitted like a session's and waited for
+// here, in order.
 func (s *Server) serveLegacy(conn net.Conn, br *bufio.Reader, first string) {
 	s.ctr.legacyConns.Add(1)
+	q := newReplyQueue()
 	if first != "" {
-		if _, err := fmt.Fprintln(conn, s.handleLine(first)); err != nil {
+		if _, err := fmt.Fprintln(conn, s.legacyReply(q, first)); err != nil {
 			return
 		}
 	}
@@ -236,52 +232,57 @@ func (s *Server) serveLegacy(conn net.Conn, br *bufio.Reader, first string) {
 			s.countReadError(conn, err)
 			return
 		}
-		if _, err := fmt.Fprintln(conn, s.handleLine(line)); err != nil {
+		if _, err := fmt.Fprintln(conn, s.legacyReply(q, line)); err != nil {
 			return
 		}
 	}
 }
 
-// taggedCmd is one session frame queued for a pool executor.
-type taggedCmd struct {
-	tag uint64
-	cmd string
+// legacyReply answers one v1 line: a consensus command through q, whose one
+// call this goroutine then finishes itself, anything else inline.
+func (s *Server) legacyReply(q *replyQueue, line string) string {
+	if !consensusVerb(line) {
+		return s.handleLine(line)
+	}
+	q.admit()
+	s.start(q, 0, line)
+	for {
+		<-q.wake
+		items, _ := q.take(nil)
+		for _, it := range items {
+			if reply, ok := it.finish(); ok {
+				return reply
+			}
+		}
+	}
 }
 
-// serveSession negotiates and runs one protocol-v2 session: a reader
-// (this goroutine) demultiplexes frames, consensus commands run on a
-// bounded executor pool, and every reply funnels through one writer
-// goroutine that flushes in batches.
+// serveSession negotiates and runs one protocol-v2 session on two
+// goroutines: a reader (this one) demultiplexes frames, and a writer drains
+// the connection's reply queue, one flush per wake. Consensus commands
+// (PUT/DEL/GETL) are submitted with a completion that queues their reply,
+// so a slow decide never blocks the cheap commands behind it; at most
+// sessionInflight of them may await their answer, and past that a frame is
+// refused with "ERR busy" (a definite rejection — the command never entered
+// consensus).
 func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, hello string) {
-	replies := make(chan string, sessionReplyQ)
+	q := newReplyQueue()
 	writerDone := make(chan struct{})
-	go s.sessionWriter(conn, replies, writerDone)
+	go s.sessionWriter(conn, q, writerDone)
 
 	fields := strings.Fields(hello)
 	if len(fields) != 2 || fields[1] != "2" {
 		// An unknown HELLO variant: refuse the upgrade but keep the
 		// connection on the legacy protocol, mirroring what a v1 server
 		// would have answered.
-		replies <- "ERR unknown command HELLO"
-		close(replies)
+		q.say(reply{line: "ERR unknown command HELLO"})
+		q.close()
 		<-writerDone
 		s.serveLegacy(conn, br, "")
 		return
 	}
 	s.ctr.sessions.Add(1)
-	replies <- fmt.Sprintf("OHAI %d %d %d", ProtocolVersion, int(s.backend.ID()), int(s.backend.Leader()))
-
-	slow := make(chan taggedCmd, sessionBacklog)
-	var execs sync.WaitGroup
-	for i := 0; i < sessionExecutors; i++ {
-		execs.Add(1)
-		go func() {
-			defer execs.Done()
-			for c := range slow {
-				replies <- fmt.Sprintf("%d %s", c.tag, s.handleLine(c.cmd))
-			}
-		}()
-	}
+	q.say(reply{line: fmt.Sprintf("OHAI %d %d %d", ProtocolVersion, int(s.backend.ID()), int(s.backend.Leader()))})
 
 	for {
 		line, err := readLine(br, MaxLineBytes)
@@ -290,10 +291,10 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, hello string) {
 			// The tag sits at the front of the line, so the truncated
 			// prefix still addresses the reply.
 			if tag, _, perr := parseFrame(line); perr == nil {
-				replies <- fmt.Sprintf("%d ERR line too long", tag)
+				q.say(reply{tag: tag, tagged: true, line: "ERR line too long"})
 				continue
 			}
-			replies <- "ERR line too long"
+			q.say(reply{line: "ERR line too long"})
 			break // no tag to answer under: the stream is unrecoverable
 		}
 		if err != nil {
@@ -303,82 +304,352 @@ func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, hello string) {
 		tag, cmd, perr := parseFrame(line)
 		if perr != nil {
 			s.ctr.badFrames.Add(1)
-			replies <- "ERR bad " + perr.Error()
+			q.say(reply{line: "ERR bad " + perr.Error()})
 			break // a session peer that loses framing cannot be resynced
 		}
 		s.ctr.frames.Add(1)
-		verb, _, _ := strings.Cut(cmd, " ")
-		switch strings.ToUpper(verb) {
-		case "PUT", "DEL", "GETL":
-			// Consensus-bound: hand to the pool so a slow decide never
-			// blocks the cheap commands behind it.
-			select {
-			case slow <- taggedCmd{tag, cmd}:
-			default:
-				s.ctr.busy.Add(1)
-				replies <- fmt.Sprintf("%d ERR busy: session executor queue full", tag)
-			}
-		default:
+		switch {
+		case !consensusVerb(cmd):
 			// PING/GET/STATS/INFO only take the replica lock briefly;
 			// answer from the reader.
-			replies <- fmt.Sprintf("%d %s", tag, s.handleLine(cmd))
+			q.say(reply{tag: tag, tagged: true, line: s.handleLine(cmd)})
+		case q.admit():
+			s.start(q, tag, cmd)
+		default:
+			s.ctr.busy.Add(1)
+			q.say(reply{tag: tag, tagged: true, line: "ERR busy: session in-flight bound reached"})
 		}
 	}
-	close(slow)
-	execs.Wait()
-	close(replies)
+	q.calls.Wait() // every admitted command answered, or past its deadline
+	q.close()
 	<-writerDone
 }
 
-// sessionWriter drains replies to the connection, writing every reply
-// already queued before paying one flush — the same batched-flush shape as
-// the per-peer transport writers. On a write error it keeps draining so
-// producers never block on a dead connection.
-func (s *Server) sessionWriter(conn net.Conn, replies <-chan string, done chan<- struct{}) {
+// sessionWriter writes the connection's replies, one flush per wake: a wake
+// comes once a producer has queued everything it has — a chunk's riders
+// all their replies — so what they queued together leaves in one write, the
+// same shape as the WAL's group commit and the per-peer transport writers.
+// After a write error it keeps taking and finishing what is queued — the
+// buffered writer keeps the error and writes nothing more — so no producer
+// waits on a dead connection.
+func (s *Server) sessionWriter(conn net.Conn, q *replyQueue, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(conn, 32<<10)
-	for line := range replies {
-		dead := false
-	batch:
-		for {
-			bw.WriteString(line)
-			bw.WriteByte('\n')
-			select {
-			case next, ok := <-replies:
-				if !ok {
-					break batch
+	var items []reply
+	var num [20]byte
+	for more := true; more; {
+		<-q.wake
+		items, more = q.take(items)
+		for i, it := range items {
+			if line, ok := it.finish(); ok {
+				if it.tagged {
+					bw.Write(strconv.AppendUint(num[:0], it.tag, 10))
+					bw.WriteByte(' ')
 				}
-				line = next
-			default:
-				break batch
+				bw.WriteString(line)
+				bw.WriteByte('\n')
 			}
+			items[i] = reply{}
 		}
-		if bw.Flush() != nil {
-			dead = true
-		}
-		if dead {
-			for range replies {
-			}
-			return
+		if bw.Buffered() > 0 {
+			s.ctr.replyWrites.Add(1)
+			_ = bw.Flush() // bw keeps a failed write's error and writes nothing more
 		}
 	}
-	bw.Flush()
 }
 
-// handleLine executes one command line and returns the response line.
+// consensusVerb reports whether line is a command that goes through
+// consensus: PUT, DEL or GETL.
+func consensusVerb(line string) bool {
+	verb, _, _ := strings.Cut(line, " ")
+	switch strings.ToUpper(verb) {
+	case "PUT", "DEL", "GETL":
+		return true
+	}
+	return false
+}
+
+// errOpDeadline answers a consensus command still unanswered at the
+// server's op timeout; the command may yet commit.
+var errOpDeadline = fmt.Errorf("smr batch execute: %w", context.DeadlineExceeded)
+
+// start answers one admitted consensus command line: a usage error or a
+// lease hit at once, otherwise by submitting it with a call that answers
+// it at its completion or at the op timeout, whichever comes first.
+func (s *Server) start(q *replyQueue, tag uint64, line string) {
+	c := &call{q: q, tag: tag}
+	verb, rest, _ := strings.Cut(line, " ")
+	verb = strings.ToUpper(verb)
+	key := rest
+	if verb == "PUT" {
+		var ok bool
+		if key, c.cmd.Val, ok = strings.Cut(rest, " "); !ok {
+			key = ""
+		}
+	} else if strings.Contains(rest, " ") {
+		key = ""
+	}
+	if key == "" {
+		c.answer(usage[verb])
+		return
+	}
+	c.r = s.backend.Route(key)
+	switch verb {
+	case "PUT":
+		c.cmd.Op, c.cmd.Key = OpPut, key
+	case "DEL":
+		c.cmd.Op, c.cmd.Key = OpDelete, key
+	case "GETL":
+		// Linearizable read (Replica.GetLinearizable's tiers): a lease hit
+		// is served here, else a no-op through consensus before the read
+		// (plain GET serves possibly-stale local state).
+		if v, ok, served := c.r.LeaseRead(key); served {
+			c.answer(valReply(v, ok))
+			return
+		}
+		c.cmd.Op, c.read = OpNoop, key
+	}
+	c.timer = deadline.AfterFunc(s.timeout, func() { c.answer("ERR " + errOpDeadline.Error()) })
+	c.submit()
+}
+
+// usage is each consensus command's usage error.
+var usage = map[string]string{
+	"PUT":  "ERR usage: PUT <key> <value>",
+	"DEL":  "ERR usage: DEL <key>",
+	"GETL": "ERR usage: GETL <key>",
+}
+
+func valReply(v string, ok bool) string {
+	if ok {
+		return "VAL " + v
+	}
+	return "NONE"
+}
+
+// call is one admitted consensus command of a connection. Its completion
+// and its op deadline race to answer it: the first to settle it queues its
+// reply and releases its admission, and whatever comes later writes
+// nothing. A GETL whose barrier went through is settled by whoever takes
+// its queued reply (reply.finish), because the store read after the barrier
+// — and the retry of a fenced one — take Replica.mu, which its completion,
+// on the process's IOScheduler consumer, must not.
+type call struct {
+	q     *replyQueue
+	tag   uint64
+	r     *Replica
+	cmd   Command
+	read  string // GETL: the key to read once the barrier is through
+	timer *deadline.Timer
+	won   atomic.Bool
+	err   error // a GETL barrier's outcome, for finish
+}
+
+func (c *call) submit() {
+	c.r.batch.submit(c.cmd, rider{done: c.complete, wake: c.q.wakeWriter})
+}
+
+// complete is c's rider: it runs where c's chunk resolves, so it only
+// formats and queues (without waking the writer: the rider's wake does,
+// once the whole chunk is queued).
+func (c *call) complete(err error) {
+	if c.read != "" && (err == nil || errors.Is(err, ErrLeaseFenced)) {
+		if !c.won.Load() {
+			c.err = err
+			c.q.push(reply{tag: c.tag, tagged: true, call: c}, false)
+		}
+		return
+	}
+	line := "OK"
+	if err != nil {
+		line = "ERR " + err.Error()
+	}
+	if c.settle() {
+		c.q.push(reply{tag: c.tag, tagged: true, line: line}, true)
+	}
+}
+
+// answer settles c with line unless it is answered already, and wakes the
+// writer: the op deadline's answer, or one the reader gives at once. It
+// leaves the deadline alone (its callback may run before start has stored
+// it).
+func (c *call) answer(line string) {
+	if c.won.CompareAndSwap(false, true) {
+		c.q.push(reply{tag: c.tag, tagged: true, line: line}, true)
+		c.q.wakeWriter()
+	}
+}
+
+// settle reports whether the completion's answer is c's first, and then
+// stops its deadline.
+func (c *call) settle() bool {
+	if !c.won.CompareAndSwap(false, true) {
+		return false
+	}
+	c.timer.Stop()
+	return true
+}
+
+// reply is one entry of a connection's reply queue: a line, under tag when
+// tagged — or, when call is set, a GETL's barrier gone through, for finish
+// to read and answer.
+type reply struct {
+	tag    uint64
+	tagged bool
+	line   string
+	call   *call
+}
+
+// finish returns what to write for r, if anything: its line, or a GETL's
+// read once its barrier completed, unless the deadline answered it first. A
+// fenced barrier (see ReadBarrier) is refused toward a holder whose guard
+// still stands, or else runs again, and then nothing is written yet.
+func (r reply) finish() (string, bool) {
+	c := r.call
+	if c == nil {
+		return r.line, true
+	}
+	if c.won.Load() {
+		return "", false
+	}
+	var line string
+	if c.err != nil {
+		c.r.mu.Lock()
+		holder, held := c.r.log.Gate(c.r.now())
+		c.r.mu.Unlock()
+		if !held {
+			c.submit()
+			return "", false
+		}
+		line = "ERR " + (&LeaseHeldError{Holder: holder}).Error()
+	} else {
+		line = valReply(c.r.Get(c.read))
+	}
+	if !c.settle() {
+		return "", false
+	}
+	c.q.release()
+	return line, true
+}
+
+// Bounds of one connection: sessionInflight consensus commands may await
+// their answer at once — past that a frame is refused "ERR busy" — and the
+// reader stops reading while sessionReplyQ of its own replies wait for the
+// writer.
+const (
+	sessionInflight = 16 + 256
+	sessionReplyQ   = 256
+)
+
+// replyQueue is one connection's replies on their way to its writer: a
+// slice under a mutex and a one-slot wake channel, so a producer never
+// blocks — completions run on the process's one IOScheduler consumer. What
+// completions queue is bounded by the admitted commands (sessionInflight);
+// what the reader queues, by sessionReplyQ. The writer takes everything
+// queued at each wake, and a producer wakes it once it has queued what it
+// has.
+type replyQueue struct {
+	mu       sync.Mutex
+	room     sync.Cond // the reader waits on it for sessionReplyQ
+	queue    []reply
+	inflight int
+	closed   bool // the reader is done: the writer exits at its next take
+	wake     chan struct{}
+	// calls counts admitted commands not yet answered; the reader waits for
+	// it before closing the queue.
+	calls sync.WaitGroup
+}
+
+func newReplyQueue() *replyQueue {
+	q := &replyQueue{wake: make(chan struct{}, 1)}
+	q.room.L = &q.mu
+	return q
+}
+
+// admit counts one consensus command in, or reports that the connection
+// has sessionInflight already.
+func (q *replyQueue) admit() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.inflight >= sessionInflight {
+		return false
+	}
+	q.inflight++
+	q.calls.Add(1)
+	return true
+}
+
+// push queues r; release, for a call's answer, also counts the call out.
+// It never blocks.
+func (q *replyQueue) push(r reply, release bool) {
+	q.mu.Lock()
+	q.queue = append(q.queue, r)
+	if release {
+		q.inflight--
+	}
+	q.mu.Unlock()
+	if release {
+		q.calls.Done()
+	}
+}
+
+// release counts out a call that its writer answered.
+func (q *replyQueue) release() {
+	q.mu.Lock()
+	q.inflight--
+	q.mu.Unlock()
+	q.calls.Done()
+}
+
+// say queues one of the reader's own replies and wakes the writer, first
+// waiting while sessionReplyQ replies are queued.
+func (q *replyQueue) say(r reply) {
+	q.mu.Lock()
+	for len(q.queue) >= sessionReplyQ {
+		q.room.Wait()
+	}
+	q.queue = append(q.queue, r)
+	q.mu.Unlock()
+	q.wakeWriter()
+}
+
+func (q *replyQueue) wakeWriter() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take swaps everything queued for spare, emptied; more is false once the
+// queue is closed, and then nothing more is queued.
+func (q *replyQueue) take(spare []reply) (items []reply, more bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	items, q.queue = q.queue, spare[:0]
+	q.room.Broadcast()
+	return items, !q.closed
+}
+
+// close tells the writer the reader is done; every call has been answered.
+func (q *replyQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.wakeWriter()
+}
+
+// handleLine answers one command line that does not go through consensus.
 // Parsing is positional, not field-collapsing: the verb ends at the first
 // space, a key at the next, and a PUT value is everything after the
 // second space, verbatim — "PUT k a  b" stores "a  b" with both spaces
-// (the old strings.Fields parser silently rewrote it to "a b").
+// (start parses the consensus commands the same way).
 func (s *Server) handleLine(line string) string {
 	verb, rest, hasArgs := strings.Cut(line, " ")
 	if verb == "" {
 		return "ERR empty command"
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
-	defer cancel()
-	// Key-bearing commands route through the backend once the key is
-	// parsed: each key lands on the replica of its consensus group.
+	// GET routes through the backend once the key is parsed: each key
+	// lands on the replica of its consensus group.
 	switch strings.ToUpper(verb) {
 	case "PING":
 		return "PONG"
@@ -390,42 +661,7 @@ func (s *Server) handleLine(line string) string {
 		if !hasArgs || rest == "" || strings.Contains(rest, " ") {
 			return "ERR usage: GET <key>"
 		}
-		if v, ok := s.backend.Route(rest).Get(rest); ok {
-			return "VAL " + v
-		}
-		return "NONE"
-	case "GETL":
-		// Linearizable read: replicates a no-op through consensus before
-		// reading, so the reply observes every write that completed before
-		// the request (plain GET serves possibly-stale local state).
-		if !hasArgs || rest == "" || strings.Contains(rest, " ") {
-			return "ERR usage: GETL <key>"
-		}
-		v, ok, err := s.backend.Route(rest).GetLinearizable(ctx, rest)
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		if ok {
-			return "VAL " + v
-		}
-		return "NONE"
-	case "PUT":
-		key, val, ok := strings.Cut(rest, " ")
-		if !hasArgs || key == "" || !ok {
-			return "ERR usage: PUT <key> <value>"
-		}
-		if err := s.backend.Route(key).Put(ctx, key, val); err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK"
-	case "DEL":
-		if !hasArgs || rest == "" || strings.Contains(rest, " ") {
-			return "ERR usage: DEL <key>"
-		}
-		if err := s.backend.Route(rest).Delete(ctx, rest); err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK"
+		return valReply(s.backend.Route(rest).Get(rest))
 	default:
 		return "ERR unknown command " + verb
 	}

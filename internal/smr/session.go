@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -543,6 +544,14 @@ func (s *session) teardown(err error) {
 // writeLoop drains the send queue onto the socket, marking each op sent
 // under the lock immediately before its bytes go out, and batching: every
 // frame already queued is written before one flush is paid.
+//
+// Woken, it yields once before it drains. The caller that woke it is often
+// the first of a cohort readLoop released together, whose others are
+// runnable behind it; the runtime runs the goroutine a caller readies next
+// (runnext), so without the yield the writer would flush that one frame and
+// be woken again by each of the others. The yield only defers the drain by
+// one pass over what is runnable — it returns at once when nothing is — and
+// changes neither what is written nor its order.
 func (s *session) writeLoop() {
 	bw := bufio.NewWriterSize(s.conn, 32<<10)
 	var frame []byte
@@ -553,6 +562,7 @@ func (s *session) writeLoop() {
 		case <-s.done:
 			return
 		}
+		runtime.Gosched()
 		for {
 			s.mu.Lock()
 			_, live := s.pending[op.tag]

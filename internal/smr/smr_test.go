@@ -24,6 +24,7 @@ import (
 // the process cmd/kv ships, which is the only thing
 // that ever builds an smr.Replica.
 type procOptions struct {
+	groups int               // 0: 1
 	tick   time.Duration     // 0: 1 ms
 	leases *smr.LeaseOptions // nil: leases off
 	// dur, when set, makes process i durable with what it returns.
@@ -66,7 +67,7 @@ func newTestCluster(t testing.TB, n, f, e int, o procOptions) *testCluster {
 // also covers what opening the WAL truncated.
 func (c *testCluster) open(i int) (*shard.Runtime, smr.RecoveryInfo, error) {
 	opts := shard.Options{
-		Groups: 1,
+		Groups: max(c.o.groups, 1),
 		Config: consensus.Config{ID: consensus.ProcessID(i), N: c.n, F: c.f, E: c.e, Delta: 10},
 		Tick:   c.o.tick,
 		Leases: c.o.leases,
